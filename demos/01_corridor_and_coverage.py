@@ -1,6 +1,6 @@
 """Corridor topology and the sensor-coverage geometry check.
 
-Builds the default world, shows where the radar and magnetometer nodes sit,
+Builds the default world, shows where the radar nodes sit,
 and tabulates the worst-case coverage test across candidate radar spacings.
 """
 
@@ -16,8 +16,6 @@ print(f"radars: {len(world.radars)} nodes at {cfg.radar_spacing:.0f} m spacing, 
 for node in world.radars[:6]:
     print(f"  radar {node.rid:2d}  x={node.x:6.1f}  side={node.side:<4}  y={node.y:+.1f}")
 print("  ...")
-print(f"magnetometers (inert): {len(world.magnetometers)} sites at "
-      f"{cfg.magnetometer_spacing:.0f} m")
 print(f"vehicles: {len(world.vehicles)} total, "
       f"{cfg.vehicles_per_direction} per direction, evenly spaced")
 

@@ -26,8 +26,7 @@ for step in range(1, 4000):
         print(f"  t={step * dt:5.1f} s  {state.value:<12} y={animal.y:+6.1f}")
 
 print("\nhesitation branch frequencies over 20000 decisions:")
-threat = [VehicleState(vid=0, x=400.0, v=27.78, direction=1, lane=0,
-                       desired_speed=27.78)]
+threat = [VehicleState(vid=0, x=400.0, v=27.78, direction=1, lane=0)]
 for label, vehicles in (("no threat", []), ("threat 100 m out", threat)):
     outcomes = {}
     for _ in range(20_000):

@@ -9,10 +9,9 @@ experiment harness that compares operating modes and runs sensitivity sweeps.
 from .animals import (Activity, AnimalState, Arrival, BehaviourParams,
                       sample_arrivals, step_animal, threat_present)
 from .awareness import DANGEROUS_STATES, AwarenessState
-from .config import (CorridorConfig, GeometryParams, MagnetometerSite, Mode,
-                     RadarNode, World, build_corridor, config_from_dict,
-                     config_to_dict, coverage_ok, load_config, replace_config,
-                     validate_config)
+from .config import (CorridorConfig, GeometryParams, Mode, RadarNode, World,
+                     build_corridor, config_from_dict, config_to_dict,
+                     coverage_ok, load_config, replace_config, validate_config)
 from .detection import (DetectionEvent, DetectionParams, detection_probability,
                         f_size, try_detect)
 from .engine import (EngineInvariantError, RngStreams, TrialResult,
@@ -21,11 +20,10 @@ from .experiments import (ALL_MODES, KAPPA_GRID, SIZE_GRID, SPACING_GRID,
                           ComparisonStat, ExperimentPlan, run_headline,
                           run_sweep, summarize, sweep_config)
 from .records import (TrialRecord, emit_plot_data, read_trials_csv,
-                      record_from_result, write_trials_csv)
-from .stats import WelchResult, significance_stars, welch_t
-from .vehicles import (IdmParams, VehicleState, desired_gap,
-                       emergency_brake_needed, idm_acceleration, step_vehicle,
-                       update_driver_alert)
+                      record_from_result, write_csv, write_trials_csv)
+from .stats import WelchResult, mean_sd, significance_stars, welch_t
+from .vehicles import (DriverAlert, IdmParams, VehicleState, desired_gap,
+                       emergency_brake_needed, idm_acceleration, step_vehicles)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -55,7 +55,6 @@ class AwarenessState:
             if min(d, length - d) <= reach:
                 if expiry > boost_until[node.rid]:
                     boost_until[node.rid] = expiry
-                    node.boost_until = expiry
 
     def beta_for(self, radar_id: int, now: float) -> float:
         """Boost multiplier for one radar: boosted strictly before window expiry."""

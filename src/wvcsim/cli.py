@@ -19,7 +19,7 @@ from .engine import run_trial
 from .experiments import (ExperimentPlan, default_workers, format_summary,
                           run_headline, run_sweep, summarize)
 from .records import (emit_plot_data, read_trials_csv, record_from_result,
-                      write_trials_csv)
+                      write_csv, write_trials_csv)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -83,16 +83,8 @@ def _workers(args) -> int:
 
 
 def _write_summary_csv(path: str, stats) -> None:
-    import csv
-
     names = [f.name for f in dataclasses.fields(stats[0])] if stats else []
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for s in stats:
-            writer.writerow(["" if getattr(s, n) is None else
-                             (repr(getattr(s, n)) if isinstance(getattr(s, n), float)
-                              else getattr(s, n)) for n in names])
+    write_csv(path, names, ([getattr(s, n) for n in names] for s in stats))
 
 
 def _cmd_run(args) -> int:

@@ -2,8 +2,7 @@
 
 The configuration is a plain dataclass tree loadable from a single JSON
 document. Topology construction is deterministic: radar nodes sit on a regular
-grid along the shoulders, alternating sides, with inert magnetometer sites
-interleaved at a coarser pitch.
+grid along the shoulders, alternating sides.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ class CorridorConfig:
     time_step: float = 0.1
     radar_spacing: float = 15.0
     radar_range: float = 15.0
-    magnetometer_spacing: float = 200.0
     awareness_range: float = 1500.0
     boost_factor: float = 1.8
     persistence_window: float = 30.0
@@ -98,20 +96,12 @@ class CorridorConfig:
 
 @dataclass
 class RadarNode:
-    """One radar: grid index, position, shoulder side, and its boost-expiry clock."""
+    """One radar: grid index, position, and shoulder side."""
 
     rid: int
     x: float
     side: str                     # NEAR or FAR
     y: float
-    boost_until: float = -math.inf
-
-
-@dataclass
-class MagnetometerSite:
-    """Inert topology entry; constructed but never queried by the simulation."""
-
-    x: float
 
 
 def coverage_ok(spacing: float, d_y: float, r_det: float) -> bool:
@@ -125,7 +115,7 @@ def validate_config(config: CorridorConfig) -> list[str]:
     """Collect human-readable diagnostics; empty list means the config is valid."""
     problems: list[str] = []
     for name in ("road_length", "time_step", "radar_spacing", "radar_range",
-                 "magnetometer_spacing", "awareness_range", "persistence_window"):
+                 "awareness_range", "persistence_window"):
         if getattr(config, name) <= 0:
             problems.append(f"{name}: must be positive")
     for name in ("arrival_rate", "kappa", "size_scale"):
@@ -149,7 +139,6 @@ class World:
 
     config: CorridorConfig
     radars: list[RadarNode]
-    magnetometers: list[MagnetometerSite]
     vehicles: list[VehicleState]
     animals: list[AnimalState] = field(default_factory=list)
 
@@ -179,8 +168,7 @@ def _build_vehicles(config: CorridorConfig) -> list[VehicleState]:
         for i in range(n):
             vehicles.append(VehicleState(
                 vid=vid, x=i * spacing, v=config.idm.v_cruise,
-                direction=direction, lane=lane,
-                desired_speed=config.idm.v_cruise))
+                direction=direction, lane=lane))
             vid += 1
     link_ring_leaders(vehicles, config.road_length)
     return vehicles
@@ -194,13 +182,7 @@ def build_corridor(config: CorridorConfig) -> World:
     problems = validate_config(config)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
-
-    radars = _build_radars(config)
-    n_mag = int(math.floor(config.road_length / config.magnetometer_spacing)) + 1
-    magnetometers = [MagnetometerSite(x=i * config.magnetometer_spacing)
-                     for i in range(n_mag)]
-
-    return World(config=config, radars=radars, magnetometers=magnetometers,
+    return World(config=config, radars=_build_radars(config),
                  vehicles=_build_vehicles(config))
 
 

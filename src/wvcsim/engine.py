@@ -21,7 +21,8 @@ from .animals import Activity, AnimalState, Arrival, sample_arrivals, step_anima
 from .awareness import AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
 from .detection import DetectionParams, try_detect
-from .vehicles import FREE_ROAD_GAP, emergency_brake_needed, idm_acceleration
+from .vehicles import (FREE_ROAD_GAP, DriverAlert, emergency_brake_needed,
+                       idm_acceleration, step_vehicles)
 
 
 class EngineInvariantError(RuntimeError):
@@ -63,12 +64,23 @@ class RngStreams:
         )
 
 
+def _schedule(config: CorridorConfig, duration_hours: float,
+              rng: np.random.Generator) -> tuple[list[Arrival], int]:
+    """The step count and the Poisson arrivals due by the last step (the
+    trial never spawns later ones)."""
+    n_steps = int(math.ceil(duration_hours * 3600.0 / config.time_step - 1e-9))
+    last_now = (n_steps - 1) * config.time_step
+    arrivals = sample_arrivals(config.arrival_rate, duration_hours,
+                               config.road_length, config.size_scale,
+                               config.behaviour, rng)
+    return [a for a in arrivals if a.time <= last_now], n_steps
+
+
 def make_arrival_schedule(config: CorridorConfig, duration_hours: float,
                           trial_id: int, master_seed: int) -> list[Arrival]:
     """The trial's arrival schedule; independent of the operating mode."""
     streams = RngStreams.for_trial(master_seed, trial_id, config.mode)
-    return sample_arrivals(config.arrival_rate, duration_hours, config.road_length,
-                           config.size_scale, config.behaviour, streams.arrivals)
+    return _schedule(config, duration_hours, streams.arrivals)[0]
 
 
 @dataclass
@@ -154,12 +166,8 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     """
     world = build_corridor(config)
     streams = RngStreams.for_trial(master_seed, trial_id, config.mode)
-    schedule = sample_arrivals(config.arrival_rate, duration_hours,
-                               config.road_length, config.size_scale,
-                               config.behaviour, streams.arrivals)
-
+    schedule, n_steps = _schedule(config, duration_hours, streams.arrivals)
     dt = config.time_step
-    n_steps = int(math.ceil(duration_hours * 3600.0 / dt - 1e-9))
     result = TrialResult(trial_id=trial_id, mode=config.mode, seed=master_seed,
                          sim_hours=duration_hours, arrivals=len(schedule))
     visits = {a.value: 0 for a in Activity}
@@ -194,11 +202,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     crossing_successes = 0
     collisions = 0
     veh_length = geometry.vehicle_length
-
-    # The sign is corridor-wide, so the alert state machine is shared by all
-    # drivers; track it once and mirror it onto the vehicles on transitions.
-    alert_onset: Optional[float] = None
-    alerted = False
+    alert = DriverAlert()
 
     for k in range(n_steps):
         now = k * dt
@@ -232,25 +236,10 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         dms = awareness.dms_active(active, now)
 
         # Phase 4: vehicles, synchronously from the pre-step snapshot.
-        if dms:
-            if alert_onset is None:
-                alert_onset = now
-            if not alerted and now - alert_onset >= idm.t_react:
-                alerted = True
-                for v in vehicles:
-                    v.alerted = True
-                    v.desired_speed = idm.v_caution
-        elif alert_onset is not None or alerted:
-            alert_onset = None
-            alerted = False
-            for v in vehicles:
-                v.alerted = False
-                v.desired_speed = idm.v_cruise
-        for v in vehicles:
-            v.alert_onset = alert_onset
-
+        alert.update(dms, now, idm)
+        v0 = alert.desired_speed(idm)
         road_animals = None
-        if alerted and active:
+        if alert.alerted and active:
             road_animals = [a for a in active if 0.0 <= a.y <= road_width]
 
         for i, v in enumerate(vehicles):
@@ -264,7 +253,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             if gap <= 0.0:
                 raise EngineInvariantError(
                     f"trial {trial_id}: vehicles {v.vid} and {lead.vid} overlap at t={now:.1f}")
-            a_cmd = idm_acceleration(v.v, v.desired_speed, dv, gap, idm)
+            a_cmd = idm_acceleration(v.v, v0, dv, gap, idm)
             if road_animals and emergency_brake_needed(v, road_animals, geometry,
                                                        idm, L):
                 a_cmd = -idm.a_em
@@ -272,13 +261,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             else:
                 v.emergency_braking = False
             accels[i] = a_cmd
-        for i, v in enumerate(vehicles):
-            a_cmd = accels[i]
-            nv = v.v + a_cmd * dt
-            if nv < 0.0:
-                nv = 0.0
-            v.v = nv
-            v.x = (v.x + nv * dt * v.direction) % L
+        step_vehicles(vehicles, accels, dt, L)
 
         if not active:
             continue

@@ -19,7 +19,7 @@ from .config import (ROADSIDE_COVERAGE_DEPTH, CorridorConfig, Mode,
                      coverage_ok, replace_config)
 from .engine import run_trial
 from .records import TrialRecord, record_from_result
-from .stats import significance_stars, welch_t
+from .stats import mean_sd, significance_stars, welch_t
 
 ALL_MODES = (Mode.CONTROL, Mode.DETECTION, Mode.AWARE)
 
@@ -94,10 +94,14 @@ def _run_tasks(tasks: list, workers: int) -> list[TrialRecord]:
 
 
 def default_workers() -> int:
+    """Worker count from ``WVC_SIM_WORKERS`` (1 when unset); ValueError if invalid."""
     env = os.environ.get("WVC_SIM_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
+    if not env:
+        return 1
+    workers = int(env) if env.strip().isdecimal() else 0
+    if workers < 1:
+        raise ValueError(f"WVC_SIM_WORKERS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 def run_headline(plan: ExperimentPlan, base_config: Optional[CorridorConfig] = None,
@@ -171,16 +175,6 @@ def _metric_sample(records: Sequence[TrialRecord], metric: str) -> list[float]:
     return [getattr(r, metric) for r in records if getattr(r, metric) is not None]
 
 
-def _moments(xs: list[float]) -> tuple[Optional[float], Optional[float]]:
-    if not xs:
-        return None, None
-    m = sum(xs) / len(xs)
-    if len(xs) < 2:
-        return m, None
-    sd = (sum((x - m) ** 2 for x in xs) / (len(xs) - 1)) ** 0.5
-    return m, sd
-
-
 def summarize(records: Sequence[TrialRecord],
               metrics: Sequence[str] = HEADLINE_METRICS) -> list[ComparisonStat]:
     """Welch contrasts (Control vs each sensor mode) per metric per sweep point."""
@@ -195,8 +189,8 @@ def summarize(records: Sequence[TrialRecord],
             for mode_a, mode_b in CONTRASTS:
                 xs = _metric_sample(by_mode[mode_a.value], metric)
                 ys = _metric_sample(by_mode[mode_b.value], metric)
-                mean_a, sd_a = _moments(xs)
-                mean_b, sd_b = _moments(ys)
+                mean_a, sd_a = mean_sd(xs)
+                mean_b, sd_b = mean_sd(ys)
                 t = df = p = rel = None
                 stars = ""
                 degenerate = False

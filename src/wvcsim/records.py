@@ -12,11 +12,12 @@ import csv
 import json
 import os
 from dataclasses import dataclass, fields as dc_fields
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .animals import Activity
 from .config import CorridorConfig, Mode
 from .engine import TrialResult
+from .stats import mean_sd
 
 SCHEMA_VERSION = 1
 
@@ -129,12 +130,17 @@ def _parse(column: str, text: str):
     return float(text)
 
 
-def write_trials_csv(path: str, records: Sequence[TrialRecord]) -> None:
+def write_csv(path: str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then one line per row: floats as ``repr``, None empty."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
-        for rec in records:
-            writer.writerow([_cell(getattr(rec, c)) for c in COLUMNS])
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_cell(value) for value in row])
+
+
+def write_trials_csv(path: str, records: Sequence[TrialRecord]) -> None:
+    write_csv(path, COLUMNS, ([getattr(rec, c) for c in COLUMNS] for rec in records))
 
 
 def read_trials_csv(path: str) -> list[TrialRecord]:
@@ -165,16 +171,11 @@ SWEEP_SERIES_METRICS = ("collision_rate_per_entry_pct", "detection_rate_pct",
                         "frozen_on_road_time")
 
 
-def _mean_sd(values: list[float]) -> tuple[Optional[float], Optional[float], int]:
+def _point_stats(values: list) -> dict:
+    """Mean, SD and count of the non-missing values, as plot-dataset keys."""
     xs = [v for v in values if v is not None]
-    n = len(xs)
-    if n == 0:
-        return None, None, 0
-    m = sum(xs) / n
-    if n == 1:
-        return m, None, 1
-    sd = (sum((x - m) ** 2 for x in xs) / (n - 1)) ** 0.5
-    return m, sd, n
+    m, sd = mean_sd(xs)
+    return {"mean": m, "sd": sd, "n": len(xs)}
 
 
 def _check_complete(records: Sequence[TrialRecord]) -> None:
@@ -209,8 +210,7 @@ def plot_dataset(records: Sequence[TrialRecord], kind: str) -> dict:
             per_mode = {}
             for mode in _MODE_ORDER:
                 values = [getattr(r, metric) for r in records if r.mode == mode]
-                m, sd, n = _mean_sd(values)
-                per_mode[mode] = {"trials": values, "mean": m, "sd": sd, "n": n}
+                per_mode[mode] = {"trials": values, **_point_stats(values)}
             panels[metric] = per_mode
         return {"schema_version": SCHEMA_VERSION, "kind": "headline",
                 "panels": panels, "significance": significance}
@@ -226,9 +226,8 @@ def plot_dataset(records: Sequence[TrialRecord], kind: str) -> dict:
                         if r.mode == mode and r.sweep_value == value]
                 if not cell:
                     continue
-                m, sd, n = _mean_sd(cell)
-                points.append({"value": value, "mean": m, "sd": sd, "n": n,
-                               "trials": cell})
+                points.append({"value": value, "trials": cell,
+                               **_point_stats(cell)})
             if points:
                 per_mode[mode] = points
         series[metric] = per_mode

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from scipy.special import betainc
 
@@ -15,17 +15,15 @@ class WelchResult(NamedTuple):
     degenerate: bool = False
 
 
-def mean(xs: Sequence[float]) -> float:
-    return sum(xs) / len(xs)
-
-
-def sample_sd(xs: Sequence[float]) -> float:
-    """Bessel-corrected (n-1) sample standard deviation."""
+def mean_sd(xs: Sequence[float]) -> tuple[Optional[float], Optional[float]]:
+    """Mean and Bessel-corrected (n-1) sample SD; None where n is too small."""
     n = len(xs)
+    if n == 0:
+        return None, None
+    m = sum(xs) / n
     if n < 2:
-        raise ValueError("need at least two observations")
-    m = mean(xs)
-    return math.sqrt(sum((x - m) ** 2 for x in xs) / (n - 1))
+        return m, None
+    return m, (sum((x - m) ** 2 for x in xs) / (n - 1)) ** 0.5
 
 
 def student_t_two_sided_p(t: float, df: float) -> float:
@@ -48,7 +46,7 @@ def welch_t(a: Sequence[float], b: Sequence[float]) -> WelchResult:
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise ValueError("welch_t needs at least two observations per sample")
-    ma, mb = mean(a), mean(b)
+    ma, mb = sum(a) / na, sum(b) / nb
     va = sum((x - ma) ** 2 for x in a) / (na - 1)
     vb = sum((x - mb) ** 2 for x in b) / (nb - 1)
     if va == 0.0 and vb == 0.0:

@@ -57,9 +57,6 @@ class VehicleState:
     v: float
     direction: int             # +1 or -1 along the road axis
     lane: int
-    alerted: bool = False
-    alert_onset: Optional[float] = None
-    desired_speed: float = 27.78
     emergency_braking: bool = False
     leader: Optional["VehicleState"] = field(default=None, repr=False)
 
@@ -79,32 +76,42 @@ def idm_acceleration(v: float, v0: float, dv: float, s: float, p: IdmParams) -> 
     return a if a > -p.a_em else -p.a_em
 
 
-def step_vehicle(state: VehicleState, a: float, dt: float, road_length: float) -> None:
-    """Semi-implicit Euler update: speed first (floored at 0), then position on the ring."""
-    v = state.v + a * dt
-    if v < 0.0:
-        v = 0.0
-    state.v = v
-    state.x = (state.x + v * dt * state.direction) % road_length
+def step_vehicles(vehicles: list[VehicleState], accels: list[float], dt: float,
+                  road_length: float) -> None:
+    """Semi-implicit Euler update of every vehicle: speed first (floored at 0),
+    then position on the ring."""
+    for v, a in zip(vehicles, accels):
+        nv = v.v + a * dt
+        if nv < 0.0:
+            nv = 0.0
+        v.v = nv
+        v.x = (v.x + nv * dt * v.direction) % road_length
 
 
-def update_driver_alert(state: VehicleState, dms_active: bool, now: float,
-                        p: IdmParams) -> None:
-    """Apply the message-sign state to the driver.
+@dataclass
+class DriverAlert:
+    """The drivers' response to the message sign.
 
+    The sign is corridor-wide, so one instance per trial serves every driver.
     The caution setpoint takes effect once the sign has been visible for the
     perception-reaction time; deactivation reverts to cruise immediately.
     """
-    if dms_active:
-        if state.alert_onset is None:
-            state.alert_onset = now
-        if not state.alerted and now - state.alert_onset >= p.t_react:
-            state.alerted = True
-            state.desired_speed = p.v_caution
-    else:
-        state.alert_onset = None
-        state.alerted = False
-        state.desired_speed = p.v_cruise
+
+    onset: Optional[float] = None
+    alerted: bool = False
+
+    def update(self, dms_active: bool, now: float, p: IdmParams) -> None:
+        if dms_active:
+            if self.onset is None:
+                self.onset = now
+            if not self.alerted and now - self.onset >= p.t_react:
+                self.alerted = True
+        else:
+            self.onset = None
+            self.alerted = False
+
+    def desired_speed(self, p: IdmParams) -> float:
+        return p.v_caution if self.alerted else p.v_cruise
 
 
 def stopping_envelope(v: float, p: IdmParams) -> float:
@@ -115,8 +122,11 @@ def stopping_envelope(v: float, p: IdmParams) -> float:
 def emergency_brake_needed(vehicle: VehicleState, animals: Iterable["AnimalState"],
                            geometry: "GeometryParams", p: IdmParams,
                            road_length: float) -> bool:
-    """True when an alerted driver faces an animal on his lane, ahead, inside
-    the kinematic stopping envelope.
+    """True when the driver faces an animal on its lane, ahead, inside the
+    kinematic stopping envelope.
+
+    Only alerted drivers brake for animals: the engine passes the animals on
+    the road only while the drivers are alerted, and no animals otherwise.
 
     The scan band is the vehicle's own lane (padded by the animal radius), so
     vehicles clear of the crossing path roll through instead of stopping
@@ -125,8 +135,6 @@ def emergency_brake_needed(vehicle: VehicleState, animals: Iterable["AnimalState
     distance ahead of the bumper keeps a stopped vehicle from creeping into
     an animal still crossing in front of it.
     """
-    if not vehicle.alerted:
-        return False
     reach = stopping_envelope(vehicle.v, p)
     hold_zone = p.s0 + geometry.vehicle_length / 2.0 + geometry.animal_radius
     if reach < hold_zone:
@@ -161,12 +169,3 @@ def link_ring_leaders(vehicles: list[VehicleState], road_length: float) -> None:
         n = len(group)
         for i, v in enumerate(group):
             v.leader = group[(i + 1) % n]
-
-
-def leader_gap(vehicle: VehicleState, road_length: float, vehicle_length: float) -> float:
-    """Bumper-to-bumper gap to the ring leader (FREE_ROAD_GAP when there is none)."""
-    lead = vehicle.leader
-    if lead is None:
-        return FREE_ROAD_GAP
-    centre_gap = ((lead.x - vehicle.x) * vehicle.direction) % road_length
-    return centre_gap - vehicle_length

@@ -21,7 +21,7 @@ from wvcsim.engine import make_arrival_schedule, run_trial
 from wvcsim.experiments import ExperimentPlan, run_headline, run_sweep
 from wvcsim.stats import welch_t
 from wvcsim.vehicles import (IdmParams, VehicleState, desired_gap,
-                             idm_acceleration, step_vehicle)
+                             idm_acceleration, step_vehicles)
 from wvcsim.config import build_corridor
 
 MASTER_SEED = 101
@@ -213,10 +213,9 @@ def test_criterion_10_property_suite(headline):
 
     # Speed non-negativity under arbitrary braking.
     rnd = random.Random(MASTER_SEED)
-    veh = VehicleState(vid=0, x=0.0, v=25.0, direction=1, lane=0,
-                       desired_speed=IDM.v_cruise)
+    veh = VehicleState(vid=0, x=0.0, v=25.0, direction=1, lane=0)
     for _ in range(5000):
-        step_vehicle(veh, rnd.uniform(-9.0, 2.5), 0.1, 1000.0)
+        step_vehicles([veh], [rnd.uniform(-9.0, 2.5)], 0.1, 1000.0)
         assert veh.v >= 0.0
 
     # Sticky detection: once detected, no further events, never reverts.
@@ -237,8 +236,7 @@ def test_criterion_10_property_suite(headline):
     # Markov branch frequencies within 3-sigma binomial bounds at n = 1e4.
     behaviour = BehaviourParams()
     n = 10_000
-    threat = [VehicleState(vid=0, x=400.0, v=27.78, direction=1, lane=0,
-                           desired_speed=27.78)]
+    threat = [VehicleState(vid=0, x=400.0, v=27.78, direction=1, lane=0)]
     from wvcsim.animals import step_animal
     outcomes_nt = {Activity.CROSSING: 0, Activity.HESITATING: 0}
     outcomes_t = {Activity.FROZEN: 0, Activity.FLEEING: 0,

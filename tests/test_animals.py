@@ -20,8 +20,7 @@ def rng(seed=0):
 
 
 def cruise_vehicle(x, v=27.78, direction=1, vid=0):
-    return VehicleState(vid=vid, x=x, v=v, direction=direction, lane=0,
-                        desired_speed=v)
+    return VehicleState(vid=vid, x=x, v=v, direction=direction, lane=0)
 
 
 def animal(state, x=500.0, y=0.0, dwell=1.0, **kw):
@@ -114,8 +113,7 @@ class TestThreatPredicate:
 
     def test_opposite_direction_symmetry(self):
         a = animal(Activity.HESITATING, x=500.0)
-        v = VehicleState(vid=1, x=600.0, v=27.78, direction=-1, lane=1,
-                         desired_speed=27.78)
+        v = VehicleState(vid=1, x=600.0, v=27.78, direction=-1, lane=1)
         assert vehicle_is_threat(a.x, v, PARAMS, L)
 
 
@@ -285,8 +283,7 @@ def test_transition_audit():
     g = rng(29)
     vehicles = [cruise_vehicle(x, direction=1, vid=i)
                 for i, x in enumerate((0.0, 250.0, 500.0, 750.0))]
-    vehicles += [VehicleState(vid=4 + i, x=x, v=27.78, direction=-1, lane=1,
-                              desired_speed=27.78)
+    vehicles += [VehicleState(vid=4 + i, x=x, v=27.78, direction=-1, lane=1)
                  for i, x in enumerate((100.0, 350.0, 600.0, 850.0))]
     seen = set()
     for i in range(400):

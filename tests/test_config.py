@@ -56,7 +56,6 @@ class TestTopology:
     def test_control_mode_has_no_radars(self):
         world = build_corridor(CorridorConfig(mode=Mode.CONTROL))
         assert world.radars == []
-        assert len(world.magnetometers) == 6  # still constructed, inert
 
     def test_positions_form_exact_grid(self):
         world = build_corridor(CorridorConfig(mode=Mode.AWARE))
@@ -109,6 +108,10 @@ class TestJsonConfig:
     def test_unknown_top_level_key(self):
         with pytest.raises(ValueError, match="radar_spcing"):
             config_from_dict({"radar_spcing": 10.0})
+
+    def test_removed_key_is_unknown(self):
+        with pytest.raises(ValueError, match="magnetometer_spacing"):
+            config_from_dict({"magnetometer_spacing": 200.0})
 
     def test_unknown_nested_key(self):
         with pytest.raises(ValueError, match="idm.smax"):

@@ -16,8 +16,7 @@ def fast_config(mode=Mode.DETECTION, **kw):
 
 
 def vehicle(x, lane=0, direction=1, vid=0, v=20.0):
-    return VehicleState(vid=vid, x=x, v=v, direction=direction, lane=lane,
-                        desired_speed=v)
+    return VehicleState(vid=vid, x=x, v=v, direction=direction, lane=lane)
 
 
 def road_animal(x, y, aid=0):
@@ -141,6 +140,24 @@ class TestRunTrial:
         a = run_trial(fast_config(Mode.CONTROL), 0.5, 0, 1)
         b = run_trial(fast_config(Mode.CONTROL), 0.5, 0, 2)
         assert dataclasses.asdict(a) != dataclasses.asdict(b)
+
+
+class TestArrivalsAfterLastStep:
+    """Arrivals due after the last simulated step are never spawned, so the
+    schedule leaves them out rather than counting them as arrivals."""
+
+    @pytest.mark.parametrize("config, hours, trial_id, seed", [
+        (replace_config(CorridorConfig(), arrival_rate=300, radar_spacing=5,
+                        kappa=0.3), 0.125, 16, 10),
+        (CorridorConfig(), 4.0, 10, 160),
+    ])
+    def test_conservation_holds(self, config, hours, trial_id, seed):
+        r = run_trial(config, hours, trial_id, seed)
+        assert r.exits_clean + r.collisions + r.active_at_end == r.arrivals
+        schedule = make_arrival_schedule(config, hours, trial_id, seed)
+        assert len(schedule) == r.arrivals
+        last_now = (round(hours * 3600.0 / config.time_step) - 1) * config.time_step
+        assert schedule[-1].time <= last_now
 
 
 class TestTrialResultInvariantCheck:

@@ -4,7 +4,8 @@ import pytest
 
 from wvcsim.cli import main
 from wvcsim.experiments import (ExperimentPlan, KAPPA_GRID, SPACING_GRID,
-                                run_headline, run_sweep, summarize)
+                                default_workers, run_headline, run_sweep,
+                                summarize)
 from wvcsim.records import (emit_plot_data, plot_dataset, read_trials_csv,
                             write_trials_csv)
 from wvcsim.stats import significance_stars
@@ -69,6 +70,22 @@ class TestRunners:
         serial = run_headline(plan, workers=1)
         parallel = run_headline(plan, workers=2)
         assert serial == parallel
+
+
+class TestDefaultWorkers:
+    def test_unset_is_one(self, monkeypatch):
+        monkeypatch.delenv("WVC_SIM_WORKERS", raising=False)
+        assert default_workers() == 1
+
+    def test_positive_integer(self, monkeypatch):
+        monkeypatch.setenv("WVC_SIM_WORKERS", "2")
+        assert default_workers() == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+    def test_invalid_value_named(self, monkeypatch, value):
+        monkeypatch.setenv("WVC_SIM_WORKERS", value)
+        with pytest.raises(ValueError, match="WVC_SIM_WORKERS"):
+            default_workers()
 
 
 class TestCsvRoundTrip:
@@ -203,6 +220,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert "time_step" in captured.err
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_worker_env_exits_1(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("WVC_SIM_WORKERS", value)
+        code = main(["headline", "--trials", "1", "--hours", "0.01",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: WVC_SIM_WORKERS" in capsys.readouterr().err
+        assert not (tmp_path / "headline_trials.csv").exists()
 
     def test_missing_csv_exits_1(self, capsys):
         code = main(["analyze", "/nonexistent/trials.csv"])

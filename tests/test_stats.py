@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wvcsim.stats import (WelchResult, sample_sd, significance_stars,
+from wvcsim.stats import (WelchResult, mean_sd, significance_stars,
                           student_t_two_sided_p, welch_t)
 
 
@@ -87,11 +87,18 @@ class TestWelch:
 
 
 class TestHelpers:
-    def test_sample_sd_is_bessel_corrected(self):
+    def test_sd_is_bessel_corrected(self):
         xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
         mean = sum(xs) / len(xs)
         expected = math.sqrt(sum((x - mean) ** 2 for x in xs) / (len(xs) - 1))
-        assert sample_sd(xs) == pytest.approx(expected, rel=1e-12)
+        m, sd = mean_sd(xs)
+        assert m == mean
+        assert sd == pytest.approx(expected, rel=1e-12)
+
+    def test_small_samples(self):
+        assert mean_sd([]) == (None, None)
+        assert mean_sd([3.5]) == (3.5, None)
+        assert mean_sd([1.0, 3.0]) == (2.0, 2.0 ** 0.5)
 
     def test_stars_thresholds(self):
         assert significance_stars(0.2) == ""

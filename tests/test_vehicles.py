@@ -2,11 +2,14 @@ import math
 
 import pytest
 
-from wvcsim.config import CorridorConfig, GeometryParams
-from wvcsim.vehicles import (FREE_ROAD_GAP, IdmParams, VehicleState, desired_gap,
-                             emergency_brake_needed, idm_acceleration,
-                             leader_gap, link_ring_leaders, step_vehicle,
-                             stopping_envelope, update_driver_alert)
+import wvcsim.engine
+from wvcsim.awareness import AwarenessState
+from wvcsim.config import CorridorConfig, GeometryParams, Mode, replace_config
+from wvcsim.engine import run_trial
+from wvcsim.vehicles import (FREE_ROAD_GAP, DriverAlert, IdmParams, VehicleState,
+                             desired_gap, emergency_brake_needed,
+                             idm_acceleration, link_ring_leaders, step_vehicles,
+                             stopping_envelope)
 from wvcsim.animals import AnimalState
 
 P = IdmParams()
@@ -14,9 +17,15 @@ GEO = GeometryParams()
 REL = 1e-12
 
 
-def make_vehicle(x=0.0, v=20.0, direction=1, lane=0, alerted=False):
-    return VehicleState(vid=0, x=x, v=v, direction=direction, lane=lane,
-                        alerted=alerted, desired_speed=P.v_cruise)
+def make_vehicle(x=0.0, v=20.0, direction=1, lane=0):
+    return VehicleState(vid=0, x=x, v=v, direction=direction, lane=lane)
+
+
+def ring_gap(vehicle, road_length):
+    """Bumper-to-bumper gap to the ring leader, as the engine computes it."""
+    lead = vehicle.leader
+    centre_gap = ((lead.x - vehicle.x) * vehicle.direction) % road_length
+    return centre_gap - GEO.vehicle_length
 
 
 class TestDesiredGap:
@@ -72,24 +81,24 @@ class TestIdmAcceleration:
 class TestStepVehicle:
     def test_coasting(self):
         v = make_vehicle(x=100.0, v=10.0)
-        step_vehicle(v, 0.0, 0.1, 1000.0)
+        step_vehicles([v], [0.0], 0.1, 1000.0)
         assert v.v == 10.0
         assert v.x == pytest.approx(101.0, rel=REL)
 
     def test_speed_floors_at_zero(self):
         v = make_vehicle(v=0.5)
-        step_vehicle(v, -9.0, 0.1, 1000.0)
+        step_vehicles([v], [-9.0], 0.1, 1000.0)
         assert v.v == 0.0
         assert v.x == 0.0
 
     def test_ring_wrap(self):
         v = make_vehicle(x=999.5, v=10.0)
-        step_vehicle(v, 0.0, 0.1, 1000.0)
+        step_vehicles([v], [0.0], 0.1, 1000.0)
         assert v.x == pytest.approx(0.5, abs=1e-9)
 
     def test_negative_direction(self):
         v = make_vehicle(x=0.5, v=10.0, direction=-1)
-        step_vehicle(v, 0.0, 0.1, 1000.0)
+        step_vehicles([v], [0.0], 0.1, 1000.0)
         assert v.x == pytest.approx(999.5, abs=1e-9)
 
     def test_speed_never_negative_under_random_braking(self):
@@ -97,44 +106,60 @@ class TestStepVehicle:
         rnd = random.Random(4)
         v = make_vehicle(v=rnd.uniform(0, 30))
         for _ in range(2000):
-            step_vehicle(v, rnd.uniform(-9.0, 2.5), 0.1, 1000.0)
+            step_vehicles([v], [rnd.uniform(-9.0, 2.5)], 0.1, 1000.0)
             assert v.v >= 0.0
+
+    def test_steps_every_vehicle_with_its_own_acceleration(self):
+        vehicles = [make_vehicle(x=100.0, v=10.0),
+                    make_vehicle(x=200.0, v=10.0, direction=-1, lane=1)]
+        step_vehicles(vehicles, [1.0, -2.0], 0.1, 1000.0)
+        assert [v.v for v in vehicles] == [10.0 + 1.0 * 0.1, 10.0 - 2.0 * 0.1]
+        assert vehicles[0].x == (100.0 + (10.0 + 1.0 * 0.1) * 0.1) % 1000.0
+        assert vehicles[1].x == (200.0 - (10.0 - 2.0 * 0.1) * 0.1) % 1000.0
 
 
 class TestDriverAlert:
     def test_reaction_delay(self):
-        v = make_vehicle()
+        alert = DriverAlert()
         for step in range(16):
-            update_driver_alert(v, True, step * 0.1, P)
+            alert.update(True, step * 0.1, P)
         # 1.5 s since onset at t=0: state flips exactly at the threshold.
-        assert v.alerted
-        assert v.desired_speed == P.v_caution
+        assert alert.alerted
+        assert alert.desired_speed(P) == P.v_caution
 
     def test_not_alerted_just_before_threshold(self):
-        v = make_vehicle()
-        update_driver_alert(v, True, 0.0, P)
-        update_driver_alert(v, True, 1.4, P)
-        assert not v.alerted
-        assert v.desired_speed == P.v_cruise
-        update_driver_alert(v, True, 1.5, P)
-        assert v.alerted
+        alert = DriverAlert()
+        alert.update(True, 0.0, P)
+        alert.update(True, 1.4, P)
+        assert not alert.alerted
+        assert alert.desired_speed(P) == P.v_cruise
+        alert.update(True, 1.5, P)
+        assert alert.alerted
 
     def test_never_active_stays_cruise(self):
-        v = make_vehicle()
+        alert = DriverAlert()
         for step in range(100):
-            update_driver_alert(v, False, step * 0.1, P)
-        assert not v.alerted
-        assert v.desired_speed == P.v_cruise
+            alert.update(False, step * 0.1, P)
+        assert not alert.alerted
+        assert alert.onset is None
+        assert alert.desired_speed(P) == P.v_cruise
 
     def test_release_is_immediate_and_complete(self):
-        v = make_vehicle()
-        update_driver_alert(v, True, 0.0, P)
-        update_driver_alert(v, True, 2.0, P)
-        assert v.alerted
-        update_driver_alert(v, False, 50.0, P)
-        assert not v.alerted
-        assert v.desired_speed == P.v_cruise
-        assert v.alert_onset is None
+        alert = DriverAlert()
+        alert.update(True, 0.0, P)
+        alert.update(True, 2.0, P)
+        assert alert.alerted
+        alert.update(False, 50.0, P)
+        assert not alert.alerted
+        assert alert.desired_speed(P) == P.v_cruise
+        assert alert.onset is None
+
+    def test_onset_holds_while_sign_stays_on(self):
+        alert = DriverAlert()
+        alert.update(True, 3.0, P)
+        alert.update(True, 9.0, P)
+        assert alert.onset == 3.0
+        assert alert.alerted
 
 
 def on_road_animal(x, y):
@@ -143,41 +168,55 @@ def on_road_animal(x, y):
 
 class TestEmergencyBrake:
     def test_no_animals(self):
-        v = make_vehicle(alerted=True)
+        v = make_vehicle()
         assert not emergency_brake_needed(v, [], GEO, P, 1000.0)
 
     def test_envelope_at_caution_speed(self):
         # ~21.2 m envelope at 8.33 m/s: an animal 100 m out is no emergency.
-        v = make_vehicle(x=0.0, v=8.33, alerted=True)
+        v = make_vehicle(x=0.0, v=8.33)
         animal = on_road_animal(100.0, GEO.lane_centre(0))
         assert stopping_envelope(8.33, P) == pytest.approx(
             8.33 ** 2 / 8.0 + 8.33 * 1.5, rel=REL)
         assert not emergency_brake_needed(v, [animal], GEO, P, 1000.0)
 
     def test_envelope_at_cruise_speed(self):
-        v = make_vehicle(x=0.0, v=27.78, alerted=True)
+        v = make_vehicle(x=0.0, v=27.78)
         animal = on_road_animal(90.0, GEO.lane_centre(0))
         assert stopping_envelope(27.78, P) == pytest.approx(
             27.78 ** 2 / 8.0 + 27.78 * 1.5, rel=REL)
         assert emergency_brake_needed(v, [animal], GEO, P, 1000.0)
 
-    def test_requires_alert(self):
-        v = make_vehicle(x=0.0, v=27.78, alerted=False)
-        animal = on_road_animal(50.0, GEO.lane_centre(0))
-        assert not emergency_brake_needed(v, [animal], GEO, P, 1000.0)
+    def test_requires_alert(self, monkeypatch):
+        # Control never lights the sign, so the engine never asks for braking,
+        # even with animals on the road all the time.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return emergency_brake_needed(*args)
+
+        monkeypatch.setattr(wvcsim.engine, "emergency_brake_needed", counted)
+        crowded = replace_config(CorridorConfig(), arrival_rate=300.0,
+                                 radar_spacing=5.0, kappa=0.3)
+        control = run_trial(crowded, 0.05, 0, 3)
+        assert control.road_entries > 0
+        assert calls == []
+        # The same corridor with alerting does brake-check.
+        run_trial(crowded.with_mode(Mode.AWARE), 0.05, 0, 3)
+        assert calls
 
     def test_ignores_other_lane(self):
-        v = make_vehicle(x=0.0, v=8.33, alerted=True, lane=0)
+        v = make_vehicle(x=0.0, v=8.33, lane=0)
         animal = on_road_animal(10.0, GEO.lane_centre(1))
         assert not emergency_brake_needed(v, [animal], GEO, P, 1000.0)
 
     def test_ignores_animal_behind(self):
-        v = make_vehicle(x=500.0, v=27.78, alerted=True)
+        v = make_vehicle(x=500.0, v=27.78)
         animal = on_road_animal(450.0, GEO.lane_centre(0))
         assert not emergency_brake_needed(v, [animal], GEO, P, 1000.0)
 
     def test_standstill_hold_zone(self):
-        v = make_vehicle(x=0.0, v=0.0, alerted=True)
+        v = make_vehicle(x=0.0, v=0.0)
         animal = on_road_animal(6.0, GEO.lane_centre(0))
         assert emergency_brake_needed(v, [animal], GEO, P, 1000.0)
 
@@ -187,53 +226,48 @@ class TestRingTopology:
         v = make_vehicle(v=0.0)
         for step in range(600):
             a = idm_acceleration(v.v, P.v_cruise, 0.0, FREE_ROAD_GAP, P)
-            step_vehicle(v, a, 0.1, 1000.0)
+            step_vehicles([v], [a], 0.1, 1000.0)
         assert abs(v.v - P.v_cruise) < 0.1
 
     def test_platoon_equilibrium(self):
         # Two vehicles on the default ring: the headway comfortably exceeds
         # the desired gap, so residual accelerations are negligible.
         vehicles = [VehicleState(vid=i, x=i * 500.0, v=P.v_cruise, direction=1,
-                                 lane=0, desired_speed=P.v_cruise)
+                                 lane=0)
                     for i in range(2)]
         link_ring_leaders(vehicles, 1000.0)
         for v in vehicles:
-            gap = leader_gap(v, 1000.0, GEO.vehicle_length)
+            gap = ring_gap(v, 1000.0)
             assert gap > desired_gap(P.v_cruise, 0.0, P) + GEO.vehicle_length
             a = idm_acceleration(v.v, P.v_cruise, 0.0, gap, P)
             assert abs(a) < 0.05
 
-    def test_ring_order_preserved_under_alert_cycles(self):
-        # Four vehicles per direction with the sign toggling: hard braking to
-        # caution speed and recovery must never close any gap to zero.
-        cfg = CorridorConfig()
-        vehicles = [VehicleState(vid=i, x=i * 250.0, v=P.v_cruise, direction=1,
-                                 lane=0, desired_speed=P.v_cruise)
-                    for i in range(4)]
-        link_ring_leaders(vehicles, cfg.road_length)
-        for step in range(4000):
-            now = step * 0.1
-            dms = (now % 80.0) < 40.0
-            for v in vehicles:
-                update_driver_alert(v, dms, now, P)
-            accs = []
-            for v in vehicles:
-                gap = leader_gap(v, cfg.road_length, GEO.vehicle_length)
-                assert gap > 0.0
-                accs.append(idm_acceleration(v.v, v.desired_speed,
-                                             v.v - v.leader.v, gap, P))
-            for v, a in zip(vehicles, accs):
-                step_vehicle(v, a, 0.1, cfg.road_length)
-                assert v.v >= 0.0
+    def test_ring_order_preserved_under_alert_cycles(self, monkeypatch):
+        # Four vehicles per direction with the sign toggling 40 s on, 40 s off:
+        # hard braking to caution speed and recovery must never close any gap
+        # to zero. The engine raises EngineInvariantError if one does.
+        monkeypatch.setattr(AwarenessState, "dms_active",
+                            lambda self, animals, now: (now % 80.0) < 40.0)
+        seen = []
+
+        def recorded(v, v0, dv, s, p):
+            seen.append((v, v0))
+            return idm_acceleration(v, v0, dv, s, p)
+
+        monkeypatch.setattr(wvcsim.engine, "idm_acceleration", recorded)
+        cfg = replace_config(CorridorConfig(), arrival_rate=0.0)
+        run_trial(cfg, 400.0 / 3600.0, 0, 0)
+        assert {v0 for _v, v0 in seen} == {P.v_cruise, P.v_caution}
+        assert min(v for v, _v0 in seen) >= 0.0
+        assert min(v for v, _v0 in seen) < P.v_caution + 0.5
 
     def test_leaders_follow_travel_direction(self):
-        vehicles = [VehicleState(vid=i, x=x, v=10.0, direction=-1, lane=1,
-                                 desired_speed=10.0)
+        vehicles = [VehicleState(vid=i, x=x, v=10.0, direction=-1, lane=1)
                     for i, x in enumerate((0.0, 250.0, 500.0, 750.0))]
         link_ring_leaders(vehicles, 1000.0)
         # For -x travel the leader is the next vehicle at smaller x.
         by_x = {v.x: v for v in vehicles}
         assert by_x[750.0].leader is by_x[500.0]
         assert by_x[0.0].leader is by_x[750.0]
-        gap = leader_gap(by_x[750.0], 1000.0, GEO.vehicle_length)
+        gap = ring_gap(by_x[750.0], 1000.0)
         assert gap == pytest.approx(250.0 - GEO.vehicle_length, rel=REL)
