@@ -60,6 +60,11 @@ class AwarenessState:
         """Boost multiplier for one radar: boosted strictly before window expiry."""
         return self.boost_factor if self.boost_until[radar_id] > now else 1.0
 
+    def quiet(self, now: float) -> bool:
+        """True when no live window holds the sign (always, in Control mode);
+        with no animal present the sign is then off."""
+        return now >= self.dms_active_until
+
     def dms_active(self, animals: Iterable[AnimalState], now: float) -> bool:
         """Sign state: live window, or any detected animal in a dangerous state."""
         if self.mode is Mode.CONTROL:

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from .config import CorridorConfig, Mode, load_config, validate_config
 from .engine import run_trial
-from .experiments import (ExperimentPlan, default_workers, format_summary,
-                          run_headline, run_sweep, summarize)
+from .experiments import (ExperimentPlan, TrialError, default_workers,
+                          format_summary, run_headline, run_sweep, summarize)
 from .records import (emit_plot_data, read_trials_csv, record_from_result,
                       write_csv, write_trials_csv)
 
@@ -78,8 +78,16 @@ def _load_base_config(path: Optional[str]) -> CorridorConfig:
     return config
 
 
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise ValueError(f"{flag} must be an integer >= 1, got {value}")
+    return value
+
+
 def _workers(args) -> int:
-    return args.workers if args.workers is not None else default_workers()
+    if args.workers is None:
+        return default_workers()
+    return _at_least_one("--workers", args.workers)
 
 
 def _write_summary_csv(path: str, stats) -> None:
@@ -99,6 +107,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_headline(args) -> int:
     config = _load_base_config(args.config)
+    _at_least_one("--trials", args.trials)
     plan = ExperimentPlan.headline(master_seed=args.seed,
                                    trials_per_point=args.trials,
                                    hours_per_trial=args.hours)
@@ -115,6 +124,7 @@ def _cmd_headline(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_base_config(args.config)
+    _at_least_one("--trials", args.trials)
     plan = ExperimentPlan.sweep(args.kind, master_seed=args.seed,
                                 trials_per_point=args.trials,
                                 hours_per_trial=args.hours)
@@ -132,6 +142,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_analyze(args) -> int:
     records = read_trials_csv(args.trials_csv)
+    if not records:
+        raise ValueError("no trial records supplied")
     stats = summarize(records)
     print(format_summary(stats))
     if args.out is not None:
@@ -165,7 +177,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit:
         raise
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TrialError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,6 +6,17 @@ update from the new events, (4) vehicle alert/acceleration/integration from a
 synchronous snapshot, (5) animal behaviour, (6) collision check, (7) metric
 accumulation. A trial is a pure function of (config, duration, trial_id,
 master_seed).
+
+Idle stretches use a next-event time advance. A step that starts with no
+animal present, no arrival due and no live sign window (``AwarenessState.quiet``)
+changes nothing but the vehicles: with no animal there is no detection,
+broadcast, sign, alert, braking, animal step or collision, and the next thing
+that can change any of that is the next scheduled arrival. So the engine hands
+every step up to the one where phase 1 would spawn it (or the end of the
+trial) to ``vehicles.advance_unalerted`` in one call. That kernel runs the same
+cruise-speed IDM update and semi-implicit Euler step with every float
+operation in the same order, so every output byte is the same as stepping
+through the stretch one phase loop at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +32,8 @@ from .animals import Activity, AnimalState, Arrival, sample_arrivals, step_anima
 from .awareness import AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
 from .detection import DetectionParams, try_detect
-from .vehicles import (FREE_ROAD_GAP, DriverAlert, emergency_brake_needed,
+from .vehicles import (FREE_ROAD_GAP, DriverAlert, VehicleOverlap,
+                       advance_unalerted, emergency_brake_needed,
                        idm_acceleration, step_vehicles)
 
 
@@ -74,6 +86,18 @@ def _schedule(config: CorridorConfig, duration_hours: float,
                                config.road_length, config.size_scale,
                                config.behaviour, rng)
     return [a for a in arrivals if a.time <= last_now], n_steps
+
+
+def _due_step(t: float, k: int, dt: float) -> int:
+    """The first step ``j >= k`` at which phase 1 spawns an arrival due at
+    ``t``: the first ``j`` with ``t <= j * dt``, the same float test. The
+    quotient ``t / dt`` is only the starting guess."""
+    j = max(k, int(t / dt))
+    while j > k and t <= (j - 1) * dt:
+        j -= 1
+    while t > j * dt:
+        j += 1
+    return j
 
 
 def make_arrival_schedule(config: CorridorConfig, duration_hours: float,
@@ -157,6 +181,11 @@ def detect_collisions(vehicles, animals, geometry, road_length: float):
     return pairs
 
 
+def _overlap(trial_id: int, follower, leader, now: float) -> EngineInvariantError:
+    return EngineInvariantError(f"trial {trial_id}: vehicles {follower.vid} and "
+                                f"{leader.vid} overlap at t={now:.1f}")
+
+
 def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
               master_seed: int) -> TrialResult:
     """Run one trial and return its fully populated result.
@@ -204,8 +233,24 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     veh_length = geometry.vehicle_length
     alert = DriverAlert()
 
-    for k in range(n_steps):
+    k = 0
+    while k < n_steps:
         now = k * dt
+
+        # Idle stretch: advance the vehicles alone to the next arrival.
+        if not active and awareness.quiet(now):
+            k_end = (n_steps if next_arrival == n_schedule else
+                     _due_step(schedule[next_arrival].time, k, dt))
+            if k_end > k:
+                alert.update(False, now, idm)
+                try:
+                    advance_unalerted(vehicles, k_end - k, idm, dt, L, veh_length)
+                except VehicleOverlap as exc:
+                    raise _overlap(trial_id, exc.follower, exc.leader,
+                                   (k + exc.step) * dt) from None
+                k = k_end
+                continue
+        k += 1
 
         # Phase 1: spawn due arrivals.
         while next_arrival < n_schedule and schedule[next_arrival].time <= now:
@@ -251,8 +296,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                 gap = ((lead.x - v.x) * v.direction) % L - veh_length
                 dv = v.v - lead.v
             if gap <= 0.0:
-                raise EngineInvariantError(
-                    f"trial {trial_id}: vehicles {v.vid} and {lead.vid} overlap at t={now:.1f}")
+                raise _overlap(trial_id, v, lead, now)
             a_cmd = idm_acceleration(v.v, v0, dv, gap, idm)
             if road_animals and emergency_brake_needed(v, road_animals, geometry,
                                                        idm, L):

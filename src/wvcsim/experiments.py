@@ -79,9 +79,19 @@ def sweep_config(base: CorridorConfig, kind: str, value: float) -> CorridorConfi
     return replace_config(base, **{SWEEP_FIELDS[kind]: value})
 
 
+class TrialError(RuntimeError):
+    """A trial of an experiment raised; the message names the task."""
+
+
 def _execute(task) -> TrialRecord:
     experiment, sweep_value, config, hours, trial_id, master_seed = task
-    result = run_trial(config, hours, trial_id, master_seed)
+    try:
+        result = run_trial(config, hours, trial_id, master_seed)
+    except Exception as exc:
+        raise TrialError(
+            f"trial failed (experiment={experiment!r}, sweep_value={sweep_value!r}, "
+            f"mode={config.mode.value!r}, trial_id={trial_id}, "
+            f"master_seed={master_seed}): {type(exc).__name__}: {exc}") from exc
     return record_from_result(result, config, experiment, sweep_value)
 
 

@@ -88,6 +88,73 @@ def step_vehicles(vehicles: list[VehicleState], accels: list[float], dt: float,
         v.x = (v.x + nv * dt * v.direction) % road_length
 
 
+class VehicleOverlap(ValueError):
+    """A follower's bumper gap to its leader reached zero ``step`` steps into
+    an ``advance_unalerted`` stretch."""
+
+    def __init__(self, step: int, follower: VehicleState, leader: VehicleState):
+        super().__init__(f"vehicles {follower.vid} and {leader.vid} overlap")
+        self.step = step
+        self.follower = follower
+        self.leader = leader
+
+
+def advance_unalerted(vehicles: list[VehicleState], n_steps: int, p: IdmParams,
+                      dt: float, road_length: float, vehicle_length: float) -> None:
+    """``n_steps`` rounds of ``idm_acceleration`` at cruise speed plus
+    ``step_vehicles``, for stretches with no alert and no emergency braking.
+
+    The IDM formula is inlined with its constants hoisted, but every float
+    operation keeps the order of ``desired_gap``/``idm_acceleration`` and
+    ``step_vehicles``, so the result is bit-identical to the per-step path.
+    Each step reads one snapshot of positions and speeds and writes the next
+    into a second buffer. Clears ``emergency_braking``; raises VehicleOverlap
+    on a gap <= 0, leaving the vehicles as they were before that step.
+    """
+    for v in vehicles:
+        v.emergency_braking = False
+    s0, T, a_max, delta = p.s0, p.T, p.a_max, p.delta
+    v0 = p.v_cruise
+    a_floor = -p.a_em
+    closing = 2.0 * math.sqrt(p.a_max * p.b_conf)
+    index = {id(v): i for i, v in enumerate(vehicles)}
+    # (vehicle, leader or -1, direction) in list order, the per-step path's
+    # order, so an overlap names the same pair.
+    links = [(i, -1 if v.leader is None else index[id(v.leader)], v.direction)
+             for i, v in enumerate(vehicles)]
+    xs = [v.x for v in vehicles]
+    vs = [v.v for v in vehicles]
+    next_xs = xs[:]
+    next_vs = vs[:]
+    try:
+        for step in range(n_steps):
+            for i, j, d in links:
+                x = xs[i]
+                v = vs[i]
+                if j < 0:
+                    gap = FREE_ROAD_GAP
+                    dv = 0.0
+                else:
+                    gap = ((xs[j] - x) * d) % road_length - vehicle_length
+                    if gap <= 0.0:
+                        raise VehicleOverlap(step, vehicles[i], vehicles[j])
+                    dv = v - vs[j]
+                s_star = s0 + v * T + v * dv / closing
+                if s_star <= 0.0:
+                    s_star = 0.0
+                a = a_max * (1.0 - (v / v0) ** delta - (s_star / gap) ** 2)
+                nv = v + (a if a > a_floor else a_floor) * dt
+                if nv < 0.0:
+                    nv = 0.0
+                next_vs[i] = nv
+                next_xs[i] = (x + nv * dt * d) % road_length
+            xs, next_xs = next_xs, xs
+            vs, next_vs = next_vs, vs
+    finally:
+        for vehicle, x, v in zip(vehicles, xs, vs):
+            vehicle.x, vehicle.v = x, v
+
+
 @dataclass
 class DriverAlert:
     """The drivers' response to the message sign.

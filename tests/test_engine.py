@@ -2,10 +2,13 @@ import dataclasses
 
 import pytest
 
+import wvcsim.engine
 from wvcsim.animals import Activity, AnimalState
-from wvcsim.config import CorridorConfig, GeometryParams, Mode, replace_config
-from wvcsim.engine import (RngStreams, TrialResult, detect_collisions,
-                           make_arrival_schedule, run_trial)
+from wvcsim.awareness import AwarenessState
+from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
+                           replace_config)
+from wvcsim.engine import (EngineInvariantError, RngStreams, TrialResult,
+                           detect_collisions, make_arrival_schedule, run_trial)
 from wvcsim.vehicles import VehicleState
 
 GEO = GeometryParams()
@@ -166,3 +169,71 @@ class TestTrialResultInvariantCheck:
                         arrivals=1, road_entries=0, collisions=1)
         with pytest.raises(Exception):
             r.check_invariants()
+
+
+def count_idle_stretches(monkeypatch):
+    """Wrap the engine's idle-stretch kernel; returns its call counter."""
+    calls = []
+    kernel = wvcsim.engine.advance_unalerted
+
+    def counted(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(wvcsim.engine, "advance_unalerted", counted)
+    return calls
+
+
+class TestIdleStretch:
+    """Skipping idle stretches changes no output: each trial run with the
+    idle gate, and again with the gate held shut (every step through the
+    per-step loop), gives the same result."""
+
+    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
+    @pytest.mark.parametrize("overrides", [
+        {}, {"time_step": 0.05}, {"time_step": 0.2},
+        {"vehicles_per_direction": 0}, {"vehicles_per_direction": 1},
+        {"arrival_rate": 60.0},
+    ], ids=["default", "dt0.05", "dt0.2", "no-vehicles", "free-vehicles",
+            "rate60"])
+    def test_same_result_as_stepping_every_step(self, monkeypatch, mode, overrides):
+        cfg = fast_config(mode, **overrides)
+        stretches = count_idle_stretches(monkeypatch)
+        for trial_id in range(2):
+            fast = dataclasses.asdict(run_trial(cfg, 0.25, trial_id, 5))
+            with monkeypatch.context() as m:
+                m.setattr(AwarenessState, "quiet", lambda self, now: False)
+                stepped = dataclasses.asdict(run_trial(cfg, 0.25, trial_id, 5))
+            assert fast == stepped
+        assert stretches  # the gate did open
+
+    def test_stretch_ends_where_the_arrival_spawns(self, monkeypatch):
+        cfg = fast_config(Mode.CONTROL)
+        stretches = count_idle_stretches(monkeypatch)
+        schedule = make_arrival_schedule(cfg, 0.25, 0, 5)
+        run_trial(cfg, 0.25, 0, 5)
+        first_due = next(k for k in range(9000) if schedule[0].time <= k * cfg.time_step)
+        assert stretches[0] == first_due
+
+    def test_overlap_raised_at_the_same_step(self, monkeypatch):
+        # A follower at 30 m/s, 20 m behind a stopped leader, cannot stop in
+        # time: both paths must name the same vehicles at the same time.
+        def crash_world(config):
+            world = build_corridor(config)
+            follower = world.vehicles[0]
+            leader = follower.leader
+            follower.x = (leader.x - 25.0 * follower.direction) % config.road_length
+            follower.v, leader.v = 30.0, 0.0
+            return world
+
+        monkeypatch.setattr(wvcsim.engine, "build_corridor", crash_world)
+        cfg = fast_config(Mode.CONTROL, arrival_rate=0.0)
+        stretches = count_idle_stretches(monkeypatch)
+        with pytest.raises(EngineInvariantError) as fast:
+            run_trial(cfg, 0.01, 0, 0)
+        assert stretches
+        monkeypatch.setattr(AwarenessState, "quiet", lambda self, now: False)
+        with pytest.raises(EngineInvariantError) as stepped:
+            run_trial(cfg, 0.01, 0, 0)
+        assert str(fast.value) == str(stepped.value)
+        assert "overlap at t=" in str(fast.value)

@@ -2,12 +2,13 @@ import json
 
 import pytest
 
+import wvcsim.experiments
 from wvcsim.cli import main
 from wvcsim.experiments import (ExperimentPlan, KAPPA_GRID, SPACING_GRID,
-                                default_workers, run_headline, run_sweep,
-                                summarize)
-from wvcsim.records import (emit_plot_data, plot_dataset, read_trials_csv,
-                            write_trials_csv)
+                                TrialError, default_workers, run_headline,
+                                run_sweep, summarize)
+from wvcsim.records import (COLUMNS, emit_plot_data, plot_dataset,
+                            read_trials_csv, write_csv, write_trials_csv)
 from wvcsim.stats import significance_stars
 
 
@@ -70,6 +71,28 @@ class TestRunners:
         serial = run_headline(plan, workers=1)
         parallel = run_headline(plan, workers=2)
         assert serial == parallel
+
+
+class TestTrialFailure:
+    """A trial that raises is named by its task, serially and in the pool."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_task_named(self, monkeypatch, workers):
+        real = wvcsim.experiments.run_trial
+
+        def flaky(config, hours, trial_id, master_seed):
+            if config.mode.value == "Aware" and trial_id == 1:
+                raise RuntimeError("boom")
+            return real(config, hours, trial_id, master_seed)
+
+        monkeypatch.setattr(wvcsim.experiments, "run_trial", flaky)
+        plan = ExperimentPlan.headline(master_seed=9, trials_per_point=2,
+                                       hours_per_trial=0.01)
+        with pytest.raises(TrialError) as exc:
+            run_headline(plan, workers=workers)
+        assert str(exc.value) == (
+            "trial failed (experiment='headline', sweep_value=None, "
+            "mode='Aware', trial_id=1, master_seed=9): RuntimeError: boom")
 
 
 class TestDefaultWorkers:
@@ -234,3 +257,34 @@ class TestCli:
         code = main(["analyze", "/nonexistent/trials.csv"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"), ("--workers", "-3"), ("--trials", "0"),
+        ("--trials", "-1"),
+    ])
+    @pytest.mark.parametrize("command", [["headline"], ["sweep", "--kind", "kappa"]])
+    def test_count_below_one_exits_1(self, tmp_path, capsys, command, flag, value):
+        code = main(command + ["--hours", "0.001", "--out", str(tmp_path),
+                               "--workers", "1", "--trials", "1", flag, value])
+        assert code == 1
+        assert f"error: {flag} must be an integer >= 1, got {value}" in \
+            capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_trial_named_and_exits_1(self, tmp_path, capsys):
+        code = main(["headline", "--trials", "1", "--hours", "-1", "--out",
+                     str(tmp_path)])
+        assert code == 1
+        assert ("error: trial failed (experiment='headline', sweep_value=None, "
+                "mode='Control', trial_id=0, master_seed=42): ValueError: "
+                "duration must be positive") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_analyze_header_only_csv_exits_1(self, tmp_path, capsys):
+        trials_csv = tmp_path / "empty_trials.csv"
+        write_csv(str(trials_csv), COLUMNS, [])
+        out = tmp_path / "summary"
+        code = main(["analyze", str(trials_csv), "--out", str(out)])
+        assert code == 1
+        assert "error: no trial records supplied" in capsys.readouterr().err
+        assert not out.exists()

@@ -4,12 +4,13 @@ import pytest
 
 import wvcsim.engine
 from wvcsim.awareness import AwarenessState
-from wvcsim.config import CorridorConfig, GeometryParams, Mode, replace_config
+from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
+                           replace_config)
 from wvcsim.engine import run_trial
-from wvcsim.vehicles import (FREE_ROAD_GAP, DriverAlert, IdmParams, VehicleState,
-                             desired_gap, emergency_brake_needed,
-                             idm_acceleration, link_ring_leaders, step_vehicles,
-                             stopping_envelope)
+from wvcsim.vehicles import (FREE_ROAD_GAP, DriverAlert, IdmParams, VehicleOverlap,
+                             VehicleState, advance_unalerted, desired_gap,
+                             emergency_brake_needed, idm_acceleration,
+                             link_ring_leaders, step_vehicles, stopping_envelope)
 from wvcsim.animals import AnimalState
 
 P = IdmParams()
@@ -245,9 +246,12 @@ class TestRingTopology:
     def test_ring_order_preserved_under_alert_cycles(self, monkeypatch):
         # Four vehicles per direction with the sign toggling 40 s on, 40 s off:
         # hard braking to caution speed and recovery must never close any gap
-        # to zero. The engine raises EngineInvariantError if one does.
+        # to zero. The engine raises EngineInvariantError if one does. With no
+        # arrivals every step would be idle, so the idle gate is held shut to
+        # let the toggled sign drive the per-step loop.
         monkeypatch.setattr(AwarenessState, "dms_active",
                             lambda self, animals, now: (now % 80.0) < 40.0)
+        monkeypatch.setattr(AwarenessState, "quiet", lambda self, now: False)
         seen = []
 
         def recorded(v, v0, dv, s, p):
@@ -271,3 +275,103 @@ class TestRingTopology:
         assert by_x[0.0].leader is by_x[750.0]
         gap = ring_gap(by_x[750.0], 1000.0)
         assert gap == pytest.approx(250.0 - GEO.vehicle_length, rel=REL)
+
+
+def reference_steps(vehicles, n_steps, v0, road_length, dt=0.1):
+    """The per-step path: ``idm_acceleration`` for every vehicle from the
+    pre-step snapshot, then ``step_vehicles``."""
+    for _ in range(n_steps):
+        accels = []
+        for v in vehicles:
+            lead = v.leader
+            if lead is None:
+                gap, dv = FREE_ROAD_GAP, 0.0
+            else:
+                gap = ((lead.x - v.x) * v.direction) % road_length - GEO.vehicle_length
+                dv = v.v - lead.v
+            accels.append(idm_acceleration(v.v, v0, dv, gap, P))
+        step_vehicles(vehicles, accels, dt, road_length)
+
+
+def snapshot(vehicles):
+    return [(v.x, v.v) for v in vehicles]
+
+
+class TestAdvanceUnalerted:
+    """The idle-stretch kernel is the per-step IDM path, bit for bit."""
+
+    L = CorridorConfig().road_length
+
+    def default_pair(self, **kw):
+        cfg = replace_config(CorridorConfig(), **kw)
+        return build_corridor(cfg).vehicles, build_corridor(cfg).vehicles
+
+    def test_matches_reference_from_default_state(self):
+        fast, ref = self.default_pair()
+        advance_unalerted(fast, 3000, P, 0.1, self.L, GEO.vehicle_length)
+        reference_steps(ref, 3000, P.v_cruise, self.L)
+        assert snapshot(fast) == snapshot(ref)
+
+    def test_matches_reference_after_an_alert(self):
+        # 30 s at caution speed, then recovery at cruise: speeds and gaps are
+        # far from equilibrium when the kernel takes over.
+        fast, ref = self.default_pair()
+        reference_steps(fast, 300, P.v_caution, self.L)
+        reference_steps(ref, 300, P.v_caution, self.L)
+        assert snapshot(fast) == snapshot(ref)
+        advance_unalerted(fast, 2000, P, 0.1, self.L, GEO.vehicle_length)
+        reference_steps(ref, 2000, P.v_cruise, self.L)
+        assert snapshot(fast) == snapshot(ref)
+
+    def test_matches_reference_with_clamped_terms(self):
+        # A slow follower behind a fast leader (s* clamped at zero) and a
+        # fast follower close behind a stopped one (acceleration at -a_em).
+        fast, ref = self.default_pair()
+        for group in (fast, ref):
+            for v, speed in zip(group, (2.0, 27.0, 0.0, 26.0, 27.78, 1.0, 15.0, 0.0)):
+                v.v = speed
+            stopped = group[2]
+            follower = next(v for v in group if v.leader is stopped)
+            follower.x = (stopped.x - 60.0 * stopped.direction) % self.L
+            follower.v = 27.0
+        advance_unalerted(fast, 500, P, 0.1, self.L, GEO.vehicle_length)
+        reference_steps(ref, 500, P.v_cruise, self.L)
+        assert snapshot(fast) == snapshot(ref)
+
+    def test_matches_reference_for_a_free_vehicle(self):
+        fast, ref = self.default_pair(vehicles_per_direction=1)
+        assert all(v.leader is None for v in fast)
+        advance_unalerted(fast, 1000, P, 0.1, self.L, GEO.vehicle_length)
+        reference_steps(ref, 1000, P.v_cruise, self.L)
+        assert snapshot(fast) == snapshot(ref)
+
+    def test_clears_emergency_braking(self):
+        vehicles = build_corridor(CorridorConfig()).vehicles
+        for v in vehicles:
+            v.emergency_braking = True
+        advance_unalerted(vehicles, 1, P, 0.1, self.L, GEO.vehicle_length)
+        assert not any(v.emergency_braking for v in vehicles)
+
+    def test_overlap_raised_at_the_same_step(self):
+        # A follower at 30 m/s, 20 m behind a stopped leader, cannot stop in
+        # time even at -a_em: the gap closes after a few seconds.
+        def crash_course():
+            vehicles = build_corridor(CorridorConfig()).vehicles
+            follower, leader = vehicles[0], vehicles[0].leader
+            follower.x = (leader.x - (20.0 + GEO.vehicle_length) * follower.direction) % self.L
+            follower.v, leader.v = 30.0, 0.0
+            return vehicles
+
+        expected = 0
+        ref = crash_course()
+        with pytest.raises(ValueError, match="non-positive gap"):
+            while True:
+                reference_steps(ref, 1, P.v_cruise, self.L)
+                expected += 1
+        fast = crash_course()
+        with pytest.raises(VehicleOverlap) as exc:
+            advance_unalerted(fast, 1000, P, 0.1, self.L, GEO.vehicle_length)
+        assert exc.value.step == expected > 0
+        assert exc.value.follower is fast[0]
+        assert exc.value.leader is fast[0].leader
+        assert snapshot(fast) == snapshot(ref)
