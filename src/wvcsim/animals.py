@@ -98,7 +98,8 @@ class Arrival(NamedTuple):
 class AnimalState:
     """One animal's position, behavioural state, and bookkeeping flags.
 
-    ``detected`` and ``entered_road`` are monotone; MOVED_AWAY is absorbing.
+    ``detected``, ``entered_road``, ``crossed``, ``collided`` and
+    ``left_foraging`` are monotone; MOVED_AWAY is absorbing.
     ``frozen_from`` remembers the activity a frozen animal resumes on release.
     """
 

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from .config import CorridorConfig, Mode, load_config, validate_config
 from .engine import run_trial
-from .experiments import (ExperimentPlan, TrialError, default_workers,
-                          format_summary, run_headline, run_sweep, summarize)
+from .experiments import (SWEEP_GRIDS, ExperimentPlan, TrialError,
+                          default_workers, format_summary, run_sweep, summarize)
 from .records import (emit_plot_data, read_trials_csv, record_from_result,
                       write_csv, write_trials_csv)
 
@@ -49,8 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run one sensitivity sweep")
     _add_common(p_sweep)
-    p_sweep.add_argument("--kind", choices=["spacing", "size", "kappa"],
-                         required=True)
+    p_sweep.add_argument("--kind", choices=list(SWEEP_GRIDS), required=True)
     p_sweep.add_argument("--trials", type=int, default=15)
     p_sweep.add_argument("--hours", type=float, default=2.0)
 
@@ -61,8 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plots", help="emit per-figure JSON datasets")
     p_plot.add_argument("trials_csv")
-    p_plot.add_argument("--kind",
-                        choices=["headline", "spacing", "size", "kappa"],
+    p_plot.add_argument("--kind", choices=["headline", *SWEEP_GRIDS],
                         required=True)
     p_plot.add_argument("--out", default=".")
     return parser
@@ -105,36 +103,21 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_headline(args) -> int:
+def _cmd_experiment(args) -> int:
     config = _load_base_config(args.config)
     _at_least_one("--trials", args.trials)
-    plan = ExperimentPlan.headline(master_seed=args.seed,
-                                   trials_per_point=args.trials,
-                                   hours_per_trial=args.hours)
-    records = run_headline(plan, config, workers=_workers(args))
-    os.makedirs(args.out, exist_ok=True)
-    trials_path = os.path.join(args.out, "headline_trials.csv")
-    write_trials_csv(trials_path, records)
-    stats = summarize(records)
-    _write_summary_csv(os.path.join(args.out, "headline_summary.csv"), stats)
-    print(format_summary(stats))
-    print(f"\nwrote {trials_path}")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    config = _load_base_config(args.config)
-    _at_least_one("--trials", args.trials)
-    plan = ExperimentPlan.sweep(args.kind, master_seed=args.seed,
-                                trials_per_point=args.trials,
-                                hours_per_trial=args.hours)
+    sizes = dict(master_seed=args.seed, trials_per_point=args.trials,
+                 hours_per_trial=args.hours)
+    if args.command == "headline":
+        plan, stem = ExperimentPlan.headline(**sizes), "headline"
+    else:
+        plan, stem = ExperimentPlan.sweep(args.kind, **sizes), f"{args.kind}_sweep"
     records = run_sweep(plan, config, workers=_workers(args))
     os.makedirs(args.out, exist_ok=True)
-    trials_path = os.path.join(args.out, f"{args.kind}_sweep_trials.csv")
+    trials_path = os.path.join(args.out, f"{stem}_trials.csv")
     write_trials_csv(trials_path, records)
     stats = summarize(records)
-    _write_summary_csv(os.path.join(args.out, f"{args.kind}_sweep_summary.csv"),
-                       stats)
+    _write_summary_csv(os.path.join(args.out, f"{stem}_summary.csv"), stats)
     print(format_summary(stats))
     print(f"\nwrote {trials_path}")
     return 0
@@ -163,8 +146,8 @@ def _cmd_plots(args) -> int:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "headline": _cmd_headline,
-    "sweep": _cmd_sweep,
+    "headline": _cmd_experiment,
+    "sweep": _cmd_experiment,
     "analyze": _cmd_analyze,
     "plots": _cmd_plots,
 }

@@ -190,37 +190,66 @@ def build_corridor(config: CorridorConfig) -> World:
 # JSON configuration
 
 
-def _dataclass_from_dict(cls, data: dict[str, Any], prefix: str):
-    known = {f.name: f for f in dc_fields(cls)}
-    unknown = set(data) - set(known)
+_SECTIONS = {"IdmParams": IdmParams, "BehaviourParams": BehaviourParams,
+             "GeometryParams": GeometryParams}
+
+
+def _is_number(value: Any) -> bool:
+    """An int or a finite float: never a bool, NaN or Infinity."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _is_numbers(value: Any, n: int) -> bool:
+    return (isinstance(value, list) and len(value) == n
+            and all(_is_number(v) for v in value))
+
+
+def _expect(ok: bool, key: str, expected: str, value: Any) -> None:
+    if not ok:
+        raise ValueError(f"{key}: expected {expected}, "
+                         f"got {json.dumps(value, default=repr)}")
+
+
+def _field_from_json(ftype: str, key: str, value: Any):
+    """One field's value from JSON, checked against its annotation. Numbers are
+    kept as given (an int stays an int), so records show them as written."""
+    if ftype == "Mode":
+        try:
+            return Mode(value)
+        except ValueError:
+            raise ValueError(f"{key}: unknown mode {value!r}") from None
+    if ftype in _SECTIONS:
+        return _dataclass_from_dict(_SECTIONS[ftype], value, key)
+    if ftype == "int":
+        _expect(type(value) is int, key, "an integer", value)
+    elif ftype == "float":
+        _expect(_is_number(value), key, "a finite number", value)
+    elif ftype == "tuple[float, float]":
+        _expect(_is_numbers(value, 2), key, "a list of 2 finite numbers", value)
+        value = tuple(value)
+    elif ftype == "tuple[tuple[float, float, float], ...]":
+        _expect(isinstance(value, list) and all(_is_numbers(c, 3) for c in value),
+                key, "a list of [weight, lo, hi] lists of finite numbers", value)
+        value = tuple(tuple(c) for c in value)
+    return value
+
+
+def _dataclass_from_dict(cls, data: Any, key: str):
+    _expect(isinstance(data, dict), key, "a JSON object", data)
+    prefix = "" if key == "config" else key + "."
+    types = {f.name: f.type for f in dc_fields(cls)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ValueError(f"unknown config key(s): "
                          + ", ".join(sorted(prefix + k for k in unknown)))
-    kwargs: dict[str, Any] = {}
-    for name, value in data.items():
-        if name == "mode":
-            try:
-                kwargs[name] = Mode(value)
-            except ValueError:
-                raise ValueError(f"mode: unknown mode {value!r}") from None
-        elif name == "idm":
-            kwargs[name] = _dataclass_from_dict(IdmParams, value, "idm.")
-        elif name == "behaviour":
-            kwargs[name] = _dataclass_from_dict(BehaviourParams, value, "behaviour.")
-        elif name == "geometry":
-            kwargs[name] = _dataclass_from_dict(GeometryParams, value, "geometry.")
-        elif name == "size_mixture":
-            kwargs[name] = tuple(tuple(c) for c in value)
-        elif name in ("forage_dwell", "hesitate_dwell"):
-            kwargs[name] = tuple(value)
-        else:
-            kwargs[name] = value
-    return cls(**kwargs)
+    return cls(**{name: _field_from_json(types[name], prefix + name, value)
+                  for name, value in data.items()})
 
 
 def config_from_dict(data: dict[str, Any]) -> CorridorConfig:
-    """Build a config from a JSON-style dict; unknown keys are an error."""
-    return _dataclass_from_dict(CorridorConfig, data, "")
+    """Build a config from a JSON-style dict. Unknown keys and wrongly typed
+    values are a ValueError naming the key."""
+    return _dataclass_from_dict(CorridorConfig, data, "config")
 
 
 def load_config(path: str) -> CorridorConfig:

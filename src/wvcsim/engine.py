@@ -3,9 +3,11 @@
 Each step runs a fixed phase order: (1) spawn due arrivals, (2) radar
 detection against the previous step's awareness state, (3) awareness and sign
 update from the new events, (4) vehicle alert/acceleration/integration from a
-synchronous snapshot, (5) animal behaviour, (6) collision check, (7) metric
-accumulation. A trial is a pure function of (config, duration, trial_id,
-master_seed).
+synchronous snapshot, (5) animal behaviour, (6) collision check, (7) state
+visits and frozen-on-road time. The event totals (road entries, crossings,
+collisions, detections, clean exits) are summed after the last step from each
+animal's own monotone flags. A trial is a pure function of (config, duration,
+trial_id, master_seed).
 
 Idle stretches use a next-event time advance. A step that starts with no
 animal present, no arrival due and no live sign window (``AwarenessState.quiet``)
@@ -80,6 +82,9 @@ def _schedule(config: CorridorConfig, duration_hours: float,
               rng: np.random.Generator) -> tuple[list[Arrival], int]:
     """The step count and the Poisson arrivals due by the last step (the
     trial never spawns later ones)."""
+    if not (duration_hours > 0 and math.isfinite(duration_hours)):
+        raise ValueError("duration must be positive and finite, "
+                         f"got {duration_hours!r}")
     n_steps = int(math.ceil(duration_hours * 3600.0 / config.time_step - 1e-9))
     last_now = (n_steps - 1) * config.time_step
     arrivals = sample_arrivals(config.arrival_rate, duration_hours,
@@ -227,9 +232,6 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     next_arrival = 0
     n_schedule = len(schedule)
     frozen_time = 0.0
-    road_entries = 0
-    crossing_successes = 0
-    collisions = 0
     veh_length = geometry.vehicle_length
     alert = DriverAlert()
 
@@ -310,22 +312,16 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         if not active:
             continue
 
-        # Phase 5: animal behaviour, with entry/success/state accounting.
+        # Phase 5: animal behaviour, with state-visit and frozen-time accounting.
         pruned = False
         for a in active:
             prev_state = a.state
-            prev_entered = a.entered_road
-            prev_crossed = a.crossed
             step_animal(a, vehicles, dt, behaviour, geometry, L, rng_b)
             st = a.state
             if st is not prev_state:
                 visits[st.value] += 1
                 if st is Activity.MOVED_AWAY:
                     pruned = True
-            if a.entered_road and not prev_entered:
-                road_entries += 1
-            if a.crossed and not prev_crossed:
-                crossing_successes += 1
             if st is Activity.FROZEN and 0.0 <= a.y <= road_width:
                 frozen_time += dt
 
@@ -337,7 +333,6 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                 a = by_id[aid]
                 if a.collided:
                     continue
-                collisions += 1
                 a.collided = True
                 a.state = Activity.MOVED_AWAY
                 visits[Activity.MOVED_AWAY.value] += 1
@@ -347,9 +342,9 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             active = [a for a in active if a.state is not Activity.MOVED_AWAY]
 
     # Phase 7 aggregation.
-    result.road_entries = road_entries
-    result.crossing_successes = crossing_successes
-    result.collisions = collisions
+    result.road_entries = sum(1 for a in all_animals if a.entered_road)
+    result.crossing_successes = sum(1 for a in all_animals if a.crossed)
+    result.collisions = sum(1 for a in all_animals if a.collided)
     result.frozen_on_road_time = frozen_time
     result.detected = sum(1 for a in all_animals if a.detected)
     result.detectable = sum(1 for a in all_animals if a.left_foraging)

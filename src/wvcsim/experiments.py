@@ -49,7 +49,7 @@ class ExperimentPlan:
     kind: str                      # "headline", "spacing", "size", or "kappa"
     trials_per_point: int
     hours_per_trial: float
-    values: tuple[float, ...]      # a single dummy value () for the headline
+    values: tuple[Optional[float], ...]   # (None,) for the headline: one point
     master_seed: int
     modes: tuple[Mode, ...] = ALL_MODES
 
@@ -58,7 +58,7 @@ class ExperimentPlan:
                  hours_per_trial: float = 4.0,
                  modes: tuple[Mode, ...] = ALL_MODES) -> "ExperimentPlan":
         return cls(kind="headline", trials_per_point=trials_per_point,
-                   hours_per_trial=hours_per_trial, values=(),
+                   hours_per_trial=hours_per_trial, values=(None,),
                    master_seed=master_seed, modes=modes)
 
     @classmethod
@@ -114,28 +114,17 @@ def default_workers() -> int:
     return workers
 
 
-def run_headline(plan: ExperimentPlan, base_config: Optional[CorridorConfig] = None,
-                 workers: int = 1) -> list[TrialRecord]:
-    """Run the three-mode comparison with arrival pairing across modes."""
-    base = base_config if base_config is not None else CorridorConfig()
-    tasks = [
-        ("headline", None, base.with_mode(mode), plan.hours_per_trial,
-         trial_id, plan.master_seed)
-        for mode in plan.modes
-        for trial_id in range(plan.trials_per_point)
-    ]
-    return _run_tasks(tasks, workers)
-
-
 def run_sweep(plan: ExperimentPlan, base_config: Optional[CorridorConfig] = None,
               workers: int = 1) -> list[TrialRecord]:
-    """Run one sensitivity sweep over the plan's value grid.
+    """Run every mode and trial at each point of the plan's grid, with arrival
+    pairing across modes. The headline is the one point ``None``, which runs
+    the base config unchanged; a sweep point replaces the swept parameter.
 
     Spacing sweep points whose geometry cannot cover the roadside strip get a
     warning (the points still run; detection simply degrades there).
     """
-    if plan.kind not in SWEEP_GRIDS:
-        raise ValueError(f"plan kind {plan.kind!r} is not a sweep")
+    if plan.kind != "headline" and plan.kind not in SWEEP_GRIDS:
+        raise ValueError(f"unknown plan kind {plan.kind!r}")
     base = base_config if base_config is not None else CorridorConfig()
     if plan.kind == "spacing":
         for value in plan.values:
@@ -145,13 +134,18 @@ def run_sweep(plan: ExperimentPlan, base_config: Optional[CorridorConfig] = None
                     f"{ROADSIDE_COVERAGE_DEPTH:g} m roadside strip "
                     f"(range {base.radar_range:g} m)", stacklevel=2)
     tasks = [
-        (plan.kind, value, sweep_config(base, plan.kind, value).with_mode(mode),
+        (plan.kind, value,
+         (base if value is None
+          else sweep_config(base, plan.kind, value)).with_mode(mode),
          plan.hours_per_trial, trial_id, plan.master_seed)
         for value in plan.values
         for mode in plan.modes
         for trial_id in range(plan.trials_per_point)
     ]
     return _run_tasks(tasks, workers)
+
+
+run_headline = run_sweep
 
 
 # ---------------------------------------------------------------------------

@@ -149,8 +149,14 @@ def read_trials_csv(path: str) -> list[TrialRecord]:
         header = next(reader, None)
         if header is None or tuple(header) != COLUMNS:
             raise ValueError(f"{path}: unrecognized trial CSV header")
-        return [TrialRecord(**{c: _parse(c, cell) for c, cell in zip(COLUMNS, row)})
-                for row in reader]
+        records = []
+        for row in reader:
+            if len(row) != len(COLUMNS):
+                raise ValueError(f"{path}, line {reader.line_num}: expected "
+                                 f"{len(COLUMNS)} cells, got {len(row)}")
+            records.append(TrialRecord(**{c: _parse(c, cell)
+                                          for c, cell in zip(COLUMNS, row)}))
+        return records
 
 
 def write_json(path: str, document: dict) -> None:

@@ -121,6 +121,39 @@ class TestJsonConfig:
         with pytest.raises(ValueError, match="mode"):
             config_from_dict({"mode": "Stealth"})
 
+    @pytest.mark.parametrize("data, message", [
+        ([1, 2], "config: expected a JSON object, got [1, 2]"),
+        ({"idm": 5}, "idm: expected a JSON object, got 5"),
+        ({"road_length": "abc"}, 'road_length: expected a finite number, got "abc"'),
+        ({"arrival_rate": True}, "arrival_rate: expected a finite number, got true"),
+        ({"kappa": float("nan")}, "kappa: expected a finite number, got NaN"),
+        ({"idm": {"s0": float("inf")}},
+         "idm.s0: expected a finite number, got Infinity"),
+        ({"vehicles_per_direction": 2.5},
+         "vehicles_per_direction: expected an integer, got 2.5"),
+        ({"geometry": {"n_lanes": True}},
+         "geometry.n_lanes: expected an integer, got true"),
+        ({"behaviour": {"forage_dwell": [1, "x"]}},
+         "behaviour.forage_dwell: expected a list of 2 finite numbers"),
+        ({"behaviour": {"hesitate_dwell": 2.0}},
+         "behaviour.hesitate_dwell: expected a list of 2 finite numbers"),
+        ({"behaviour": {"size_mixture": [[1.0, 0.5]]}},
+         "behaviour.size_mixture: expected a list of [weight, lo, hi] lists"),
+    ])
+    def test_wrong_type_named(self, data, message):
+        with pytest.raises(ValueError) as exc:
+            config_from_dict(data)
+        assert str(exc.value).startswith(message)
+
+    def test_numbers_kept_as_given(self):
+        cfg = config_from_dict({"radar_spacing": 20, "kappa": 0.5,
+                                "behaviour": {"forage_dwell": [1, 3],
+                                              "size_mixture": [[1, 0.5, 1.5]]}})
+        assert type(cfg.radar_spacing) is int
+        assert cfg.behaviour.forage_dwell == (1, 3)
+        assert cfg.behaviour.size_mixture == ((1, 0.5, 1.5),)
+        assert validate_config(cfg) == []
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"mode": "Aware", "radar_spacing": 20.0}))

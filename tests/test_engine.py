@@ -134,6 +134,11 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             run_trial(fast_config(Mode.CONTROL, time_step=-0.1), 0.1, 0, 0)
 
+    @pytest.mark.parametrize("hours", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_rejects_nonpositive_or_nonfinite_duration(self, hours):
+        with pytest.raises(ValueError, match="duration must be positive"):
+            run_trial(fast_config(Mode.CONTROL), hours, 0, 0)
+
     def test_step_count_rounding(self):
         # 0.25 h = 9000 steps; the trial must complete without drift issues.
         r = run_trial(fast_config(Mode.CONTROL, arrival_rate=0.0), 0.25, 0, 0)

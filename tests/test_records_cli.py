@@ -50,6 +50,9 @@ class TestPlanShapes:
         with pytest.raises(ValueError):
             ExperimentPlan.sweep("weather", master_seed=1)
 
+    def test_headline_is_one_unswept_point(self):
+        assert ExperimentPlan.headline(master_seed=1).values == (None,)
+
 
 class TestRunners:
     def test_headline_row_count_and_pairing(self, tiny_headline):
@@ -64,6 +67,19 @@ class TestRunners:
     def test_sweep_rows_complete(self, tiny_sweep):
         seen = {(r.mode, r.sweep_value, r.trial_id) for r in tiny_sweep}
         assert len(seen) == len(tiny_sweep) == 2 * 3 * 2
+
+    def test_one_runner_serves_headline_and_sweeps(self):
+        assert run_headline is run_sweep
+
+    def test_unknown_plan_kind_rejected_before_any_trial(self, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(wvcsim.experiments, "run_trial", no_trial)
+        plan = ExperimentPlan(kind="weather", trials_per_point=1,
+                              hours_per_trial=0.01, values=(1.0,), master_seed=1)
+        with pytest.raises(ValueError, match="unknown plan kind 'weather'"):
+            run_sweep(plan)
 
     def test_workers_do_not_change_results(self):
         plan = ExperimentPlan.headline(master_seed=9, trials_per_point=2,
@@ -127,6 +143,19 @@ class TestCsvRoundTrip:
         assert len(original) == len(recomputed)
         for a, b in zip(original, recomputed):
             assert a == b
+
+    @pytest.mark.parametrize("change, cells", [(lambda row: row[:10], 10),
+                                               (lambda row: row + ["1"], 32)])
+    def test_wrong_row_length_named(self, tiny_headline, tmp_path, change, cells):
+        path = tmp_path / "trials.csv"
+        write_trials_csv(str(path), tiny_headline)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(change(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_trials_csv(str(path))
+        assert str(exc.value) == (f"{path}, line 3: expected {len(COLUMNS)} "
+                                  f"cells, got {cells}")
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bogus.csv"
@@ -243,6 +272,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert "time_step" in captured.err
+
+    def test_wrongly_typed_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text('{"arrival_rate": true}')
+        code = main(["run", "--config", str(cfg), "--hours", "0.01"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: arrival_rate: expected a finite number, "
+                                "got true\n")
+
+    @pytest.mark.parametrize("hours", ["inf", "nan"])
+    def test_nonfinite_hours_exits_1(self, capsys, hours):
+        code = main(["run", "--hours", hours])
+        assert code == 1
+        assert (f"error: duration must be positive and finite, got {hours}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_worker_env_exits_1(self, tmp_path, capsys, monkeypatch, value):
