@@ -18,9 +18,10 @@ from .engine import (EngineInvariantError, RngStreams, TrialResult,
                      detect_collisions, make_arrival_schedule, run_trial)
 from .experiments import (ALL_MODES, KAPPA_GRID, SIZE_GRID, SPACING_GRID,
                           ComparisonStat, ExperimentPlan, TrialError,
-                          run_headline, run_sweep, summarize, sweep_config)
-from .records import (TrialRecord, emit_plot_data, read_trials_csv,
-                      record_from_result, write_csv, write_trials_csv)
+                          emit_plot_data, run_headline, run_sweep, summarize,
+                          sweep_config)
+from .records import (TrialRecord, read_trials_csv, record_from_result,
+                      write_csv, write_trials_csv)
 from .stats import WelchResult, mean_sd, significance_stars, welch_t
 from .vehicles import (DriverAlert, IdmParams, VehicleOverlap, VehicleState,
                        advance_unalerted, desired_gap, emergency_brake_needed,

@@ -74,6 +74,12 @@ class BehaviourParams:
             problems.append("behaviour: threat branch probabilities exceed 1")
         if abs(sum(w for w, _, _ in self.size_mixture) - 1.0) > 1e-9:
             problems.append("behaviour.size_mixture: weights must sum to 1")
+        for i, (weight, lo, hi) in enumerate(self.size_mixture):
+            if not 0.0 <= weight <= 1.0:
+                problems.append(f"behaviour.size_mixture[{i}]: "
+                                "weight must be in [0, 1]")
+            if not 0.0 < lo <= hi:
+                problems.append(f"behaviour.size_mixture[{i}]: need 0 < lo <= hi")
         if not (0.0 < self.v_approach < self.v_cross < self.v_flee):
             problems.append("behaviour: speeds must satisfy 0 < approach < cross < flee")
         for name in ("t_threat", "v_threat", "frozen_max_dwell"):

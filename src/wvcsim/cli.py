@@ -17,9 +17,10 @@ from typing import Optional, Sequence
 from .config import CorridorConfig, Mode, load_config, validate_config
 from .engine import run_trial
 from .experiments import (SWEEP_GRIDS, ExperimentPlan, TrialError,
-                          default_workers, format_summary, run_sweep, summarize)
-from .records import (emit_plot_data, read_trials_csv, record_from_result,
-                      write_csv, write_trials_csv)
+                          default_workers, emit_plot_data, format_summary,
+                          run_sweep, summarize)
+from .records import (read_trials_csv, record_from_result, write_csv,
+                      write_trials_csv)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -125,8 +126,6 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_analyze(args) -> int:
     records = read_trials_csv(args.trials_csv)
-    if not records:
-        raise ValueError("no trial records supplied")
     stats = summarize(records)
     print(format_summary(stats))
     if args.out is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields as dc_fields, is_dataclass
+from dataclasses import dataclass, field, fields as dc_fields, is_dataclass, replace
 from enum import Enum
 from typing import Any
 
@@ -115,10 +115,10 @@ def validate_config(config: CorridorConfig) -> list[str]:
     """Collect human-readable diagnostics; empty list means the config is valid."""
     problems: list[str] = []
     for name in ("road_length", "time_step", "radar_spacing", "radar_range",
-                 "awareness_range", "persistence_window"):
+                 "awareness_range", "persistence_window", "size_scale"):
         if getattr(config, name) <= 0:
             problems.append(f"{name}: must be positive")
-    for name in ("arrival_rate", "kappa", "size_scale"):
+    for name in ("arrival_rate", "kappa"):
         if getattr(config, name) < 0:
             problems.append(f"{name}: must be non-negative")
     if config.boost_factor < 1.0:
@@ -272,6 +272,4 @@ def config_to_dict(config: CorridorConfig) -> dict[str, Any]:
 
 def replace_config(config: CorridorConfig, **changes: Any) -> CorridorConfig:
     """Copy the config with top-level field changes (sub-params are shared)."""
-    data = {f.name: getattr(config, f.name) for f in dc_fields(CorridorConfig)}
-    data.update(changes)
-    return CorridorConfig(**data)
+    return replace(config, **changes)

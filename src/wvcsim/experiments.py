@@ -1,5 +1,5 @@
-"""Experiment harness: the three-mode headline run, sensitivity sweeps, and
-mode-contrast statistics.
+"""Experiment harness: the three-mode headline run, sensitivity sweeps,
+mode-contrast statistics, and plot-ready JSON datasets.
 
 Trials are paired across modes through a common arrival stream (same trial
 index, same master seed); comparisons still use Welch's unpaired test. Trials
@@ -9,6 +9,7 @@ ordering never depends on worker scheduling.
 
 from __future__ import annotations
 
+import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 from .config import (ROADSIDE_COVERAGE_DEPTH, CorridorConfig, Mode,
                      coverage_ok, replace_config)
 from .engine import run_trial
-from .records import TrialRecord, record_from_result
+from .records import SCHEMA_VERSION, TrialRecord, record_from_result
 from .stats import mean_sd, significance_stars, welch_t
 
 ALL_MODES = (Mode.CONTROL, Mode.DETECTION, Mode.AWARE)
@@ -179,20 +180,44 @@ def _metric_sample(records: Sequence[TrialRecord], metric: str) -> list[float]:
     return [getattr(r, metric) for r in records if getattr(r, metric) is not None]
 
 
-def summarize(records: Sequence[TrialRecord],
-              metrics: Sequence[str] = HEADLINE_METRICS) -> list[ComparisonStat]:
-    """Welch contrasts (Control vs each sensor mode) per metric per sweep point."""
+def _points(records: Sequence[TrialRecord]) -> dict:
+    """``{sweep_value: {mode: [records]}}``, the unswept point ``None`` first and
+    modes in ``ALL_MODES`` order. ValueError on no records, an unknown mode, a
+    repeated (mode, sweep_value, trial_id), or non-empty cells that do not all
+    hold the same trials."""
+    if not records:
+        raise ValueError("no trial records supplied")
     values = sorted({r.sweep_value for r in records},
                     key=lambda v: (v is not None, v))
+    points = {value: {mode.value: [] for mode in ALL_MODES} for value in values}
+    trials: dict[tuple, set[int]] = {}
+    for rec in records:
+        cells = points[rec.sweep_value]
+        if rec.mode not in cells:
+            raise ValueError(f"unknown mode {rec.mode!r}")
+        ids = trials.setdefault((rec.mode, rec.sweep_value), set())
+        if rec.trial_id in ids:
+            raise ValueError("repeated trial record (mode, sweep_value, trial_id) "
+                             f"= {(rec.mode, rec.sweep_value, rec.trial_id)}")
+        ids.add(rec.trial_id)
+        cells[rec.mode].append(rec)
+    every = set().union(*trials.values())
+    short = sorted(str(key) for key, ids in trials.items() if ids != every)
+    if short:
+        raise ValueError("incomplete records: short cells " + ", ".join(short))
+    return points
+
+
+def summarize(records: Sequence[TrialRecord],
+              metrics: Sequence[str] = HEADLINE_METRICS) -> list[ComparisonStat]:
+    """Welch contrasts (Control vs each sensor mode) per metric per sweep point.
+    ValueError when the records are empty, repeat a trial or miss one."""
     stats: list[ComparisonStat] = []
-    for value in values:
-        group = [r for r in records if r.sweep_value == value]
-        by_mode = {mode.value: [r for r in group if r.mode == mode.value]
-                   for mode in ALL_MODES}
+    for value, cells in _points(records).items():
         for metric in metrics:
             for mode_a, mode_b in CONTRASTS:
-                xs = _metric_sample(by_mode[mode_a.value], metric)
-                ys = _metric_sample(by_mode[mode_b.value], metric)
+                xs = _metric_sample(cells[mode_a.value], metric)
+                ys = _metric_sample(cells[mode_b.value], metric)
                 mean_a, sd_a = mean_sd(xs)
                 mean_b, sd_b = mean_sd(ys)
                 t = df = p = rel = None
@@ -231,3 +256,71 @@ def format_summary(stats: Sequence[ComparisonStat]) -> str:
         lines.append(f"{s.metric:<34}{value:>7}  {contrast:<22}"
                      f"{mean_a:>10}{mean_b:>10}{t:>8}{p:>10}  {s.stars:<5}  {rel}")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Plot-ready datasets (no plotting here; an external tool renders these)
+
+HEADLINE_PANELS = ("collisions", "collision_rate_per_entry_pct",
+                   "road_entries", "frozen_on_road_time")
+SWEEP_SERIES_METRICS = ("collision_rate_per_entry_pct", "detection_rate_pct",
+                        "mean_in_range_latency", "road_entries",
+                        "frozen_on_road_time")
+
+
+def _plot_cell(cell: Sequence[TrialRecord], metric: str) -> dict:
+    """Every trial's value, then mean, SD and count of the non-missing ones."""
+    xs = _metric_sample(cell, metric)
+    m, sd = mean_sd(xs)
+    return {"trials": [getattr(r, metric) for r in cell],
+            "mean": m, "sd": sd, "n": len(xs)}
+
+
+def plot_dataset(records: Sequence[TrialRecord], kind: str) -> dict:
+    """Per-figure dataset: per-trial points, per-point means and SDs, significance.
+    ValueError as ``summarize``, or when the records are not all of experiment
+    ``kind``."""
+    points = _points(records)
+    experiments = sorted({r.experiment for r in records})
+    if experiments != [kind]:
+        raise ValueError(f"plot kind {kind!r} does not match the records' "
+                         f"experiment(s): {', '.join(experiments)}")
+    significance = [
+        {"metric": s.metric, "sweep_value": s.sweep_value, "mode_a": s.mode_a,
+         "mode_b": s.mode_b, "t": s.t, "df": s.df, "p": s.p, "stars": s.stars,
+         "rel_change_pct": s.rel_change_pct}
+        for s in summarize(records) if s.p is not None
+    ]
+
+    if kind == "headline":
+        (cells,) = points.values()  # a headline is the one point ``None``
+        panels = {metric: {mode: _plot_cell(cell, metric)
+                           for mode, cell in cells.items()}
+                  for metric in HEADLINE_PANELS}
+        return {"schema_version": SCHEMA_VERSION, "kind": "headline",
+                "panels": panels, "significance": significance}
+
+    series = {}
+    for metric in SWEEP_SERIES_METRICS:
+        per_mode = {}
+        for mode in ALL_MODES:
+            line = [{"value": value, **_plot_cell(cells[mode.value], metric)}
+                    for value, cells in points.items() if cells[mode.value]]
+            if line:
+                per_mode[mode.value] = line
+        series[metric] = per_mode
+    return {"schema_version": SCHEMA_VERSION, "kind": kind,
+            "series": series, "significance": significance}
+
+
+def emit_plot_data(records: Sequence[TrialRecord], kind: str,
+                   out_dir: str) -> list[str]:
+    """Write the figure dataset(s) for ``kind`` as JSON with sorted keys, so the
+    same records give the same bytes; returns the paths written."""
+    document = plot_dataset(records, kind)
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"plot_{kind}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return [path]

@@ -15,15 +15,22 @@ class WelchResult(NamedTuple):
     degenerate: bool = False
 
 
-def mean_sd(xs: Sequence[float]) -> tuple[Optional[float], Optional[float]]:
-    """Mean and Bessel-corrected (n-1) sample SD; None where n is too small."""
+def _mean_var(xs: Sequence[float]) -> tuple[float, Optional[float]]:
+    """Mean and Bessel-corrected (n-1) sample variance of one or more values;
+    the variance is None for a single value."""
     n = len(xs)
-    if n == 0:
-        return None, None
     m = sum(xs) / n
     if n < 2:
         return m, None
-    return m, (sum((x - m) ** 2 for x in xs) / (n - 1)) ** 0.5
+    return m, sum((x - m) ** 2 for x in xs) / (n - 1)
+
+
+def mean_sd(xs: Sequence[float]) -> tuple[Optional[float], Optional[float]]:
+    """Mean and Bessel-corrected (n-1) sample SD; None where n is too small."""
+    if not xs:
+        return None, None
+    m, var = _mean_var(xs)
+    return m, None if var is None else var ** 0.5
 
 
 def student_t_two_sided_p(t: float, df: float) -> float:
@@ -46,9 +53,8 @@ def welch_t(a: Sequence[float], b: Sequence[float]) -> WelchResult:
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise ValueError("welch_t needs at least two observations per sample")
-    ma, mb = sum(a) / na, sum(b) / nb
-    va = sum((x - ma) ** 2 for x in a) / (na - 1)
-    vb = sum((x - mb) ** 2 for x in b) / (nb - 1)
+    ma, va = _mean_var(a)
+    mb, vb = _mean_var(b)
     if va == 0.0 and vb == 0.0:
         if ma == mb:
             return WelchResult(t=0.0, df=float(na + nb - 2), p=1.0)

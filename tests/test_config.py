@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wvcsim.cli import main
 from wvcsim.config import (CorridorConfig, Mode, build_corridor,
                            config_from_dict, config_to_dict, coverage_ok,
                            load_config, replace_config, validate_config)
@@ -38,6 +39,33 @@ class TestValidate:
     def test_build_rejects_invalid(self):
         with pytest.raises(ValueError):
             build_corridor(replace_config(CorridorConfig(), road_length=-1.0))
+
+    @pytest.mark.parametrize("data, problems", [
+        ({"size_scale": 0}, ["size_scale: must be positive"]),
+        ({"size_scale": -1.0}, ["size_scale: must be positive"]),
+        ({"behaviour": {"size_mixture": [[1.0, 0.0, 0.0]]}},
+         ["behaviour.size_mixture[0]: need 0 < lo <= hi"]),
+        ({"behaviour": {"size_mixture": [[1.0, -1.0, -0.5]]}},
+         ["behaviour.size_mixture[0]: need 0 < lo <= hi"]),
+        ({"behaviour": {"size_mixture": [[1.0, 2.0, 1.0]]}},
+         ["behaviour.size_mixture[0]: need 0 < lo <= hi"]),
+        ({"behaviour": {"size_mixture": [[0.5, 0.5, 1.0], [1.5, 1.0, 1.0],
+                                         [-1.0, 1.0, 2.0]]}},
+         ["behaviour.size_mixture[1]: weight must be in [0, 1]",
+          "behaviour.size_mixture[2]: weight must be in [0, 1]"]),
+    ])
+    def test_body_sizes_checked_when_loaded(self, data, problems):
+        # Each of these used to pass and then fail mid-trial in a sensor mode.
+        assert validate_config(config_from_dict(data)) == problems
+
+    def test_zero_size_scale_exits_1_before_any_trial(self, tmp_path, capsys):
+        cfg = tmp_path / "size.json"
+        cfg.write_text('{"size_scale": 0}')
+        code = main(["run", "--config", str(cfg), "--hours", "0.01",
+                     "--mode", "Detection"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config:\n  size_scale: must be positive\n")
 
 
 class TestTopology:

@@ -1,28 +1,38 @@
-"""Golden bytes: the trials CSV of two small plans, pinned by SHA-256.
+"""Golden bytes: the trials CSV, the summary CSV and the plot JSON of two small
+plans, pinned by SHA-256.
 
 A change that moves any output byte fails here. Re-baselining is an explicit
 edit of these digests, to be recorded with its reason in CHANGES.md.
 """
 
+import functools
 import hashlib
 import warnings
 
 import pytest
 
-from wvcsim.experiments import ExperimentPlan, run_headline, run_sweep
+from wvcsim import emit_plot_data
+from wvcsim.cli import _write_summary_csv
+from wvcsim.experiments import ExperimentPlan, run_headline, run_sweep, summarize
 from wvcsim.records import write_trials_csv
 
 
+@functools.cache
 def headline_records():
     return run_headline(ExperimentPlan.headline(
         master_seed=42, trials_per_point=3, hours_per_trial=0.25))
 
 
+@functools.cache
 def spacing_records():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the sparse-spacing coverage warnings
         return run_sweep(ExperimentPlan.sweep(
             "spacing", master_seed=42, trials_per_point=1, hours_per_trial=0.1))
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("records, digest", [
@@ -34,4 +44,27 @@ def spacing_records():
 def test_trials_csv_bytes(records, digest, tmp_path):
     path = tmp_path / "trials.csv"
     write_trials_csv(str(path), records())
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert sha256(path) == digest
+
+
+@pytest.mark.parametrize("records, digest", [
+    (headline_records,
+     "c6a82a383d17aa7305245e2938e720b8580a2519754a11f5e19b207a106f37ed"),
+    (spacing_records,
+     "b28e0dc96d27df55b627b58f77654407b7d2c7a486f5fdab6e56bc74ee06e18b"),
+], ids=["headline", "spacing_sweep"])
+def test_summary_csv_bytes(records, digest, tmp_path):
+    path = tmp_path / "summary.csv"
+    _write_summary_csv(str(path), summarize(records()))
+    assert sha256(path) == digest
+
+
+@pytest.mark.parametrize("records, kind, digest", [
+    (headline_records, "headline",
+     "4ebd9aae430e6e1fcc897ccc7d332f2a0a84059869beca90bba0630aaded37e1"),
+    (spacing_records, "spacing",
+     "2ee8bc1c24681d0b33e8aebdeb0bcfa9fb2e03629d9424b02a43d664d6d78559"),
+], ids=["headline", "spacing_sweep"])
+def test_plot_json_bytes(records, kind, digest, tmp_path):
+    emit_plot_data(records(), kind, str(tmp_path))
+    assert sha256(tmp_path / f"plot_{kind}.json") == digest

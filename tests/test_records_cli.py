@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,10 +6,11 @@ import pytest
 import wvcsim.experiments
 from wvcsim.cli import main
 from wvcsim.experiments import (ExperimentPlan, KAPPA_GRID, SPACING_GRID,
-                                TrialError, default_workers, run_headline,
-                                run_sweep, summarize)
-from wvcsim.records import (COLUMNS, emit_plot_data, plot_dataset,
-                            read_trials_csv, write_csv, write_trials_csv)
+                                TrialError, default_workers, emit_plot_data,
+                                plot_dataset, run_headline, run_sweep,
+                                summarize)
+from wvcsim.records import (COLUMNS, read_trials_csv, write_csv,
+                            write_trials_csv)
 from wvcsim.stats import significance_stars
 
 
@@ -207,6 +209,22 @@ class TestPlotData:
         with pytest.raises(ValueError, match="Aware"):
             plot_dataset(broken, "headline")
 
+    def test_cells_must_hold_the_same_trials(self, tiny_headline):
+        moved = [dataclasses.replace(r, trial_id=2)
+                 if r.mode == "Aware" and r.trial_id == 1 else r
+                 for r in tiny_headline]
+        with pytest.raises(ValueError) as exc:
+            plot_dataset(moved, "headline")
+        assert str(exc.value) == ("incomplete records: short cells "
+                                  "('Aware', None), ('Control', None), "
+                                  "('Detection', None)")
+
+    def test_unknown_mode_rejected(self, tiny_headline):
+        renamed = [dataclasses.replace(tiny_headline[0], mode="Sensor"),
+                   *tiny_headline[1:]]
+        with pytest.raises(ValueError, match="unknown mode 'Sensor'"):
+            summarize(renamed)
+
 
 class TestCli:
     def test_run_prints_json(self, capsys):
@@ -325,6 +343,37 @@ class TestCli:
                 "mode='Control', trial_id=0, master_seed=42): ValueError: "
                 "duration must be positive") in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [["analyze"], ["plots", "--kind", "headline"]])
+    def test_duplicate_row_exits_1(self, tiny_headline, tmp_path, capsys, command):
+        trials_csv = tmp_path / "headline_trials.csv"
+        write_trials_csv(str(trials_csv), tiny_headline)
+        lines = trials_csv.read_bytes().splitlines(keepends=True)
+        trials_csv.write_bytes(b"".join(lines) + lines[1])
+        out = tmp_path / "out"
+        code = main(command[:1] + [str(trials_csv)] + command[1:]
+                    + ["--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: repeated trial record (mode, sweep_value, trial_id) = "
+            "('Control', None, 0)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("records, kind, experiment", [
+        ("tiny_headline", "spacing", "headline"),
+        ("tiny_sweep", "headline", "kappa"),
+    ])
+    def test_plots_kind_must_match_csv(self, request, tmp_path, capsys,
+                                       records, kind, experiment):
+        trials_csv = tmp_path / "trials.csv"
+        write_trials_csv(str(trials_csv), request.getfixturevalue(records))
+        out = tmp_path / "out"
+        code = main(["plots", str(trials_csv), "--kind", kind, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: plot kind {kind!r} does not match the records' "
+            f"experiment(s): {experiment}\n")
+        assert not out.exists()
 
     def test_analyze_header_only_csv_exits_1(self, tmp_path, capsys):
         trials_csv = tmp_path / "empty_trials.csv"
