@@ -26,6 +26,11 @@ from .records import (read_trials_csv, record_from_result, write_csv,
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON corridor config file")
     parser.add_argument("--seed", type=int, default=42, help="master seed")
+
+
+def _add_batch(parser: argparse.ArgumentParser) -> None:
+    """The flags of the commands that run many trials and write files."""
+    _add_common(parser)
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: WVC_SIM_WORKERS or 1)")
@@ -44,12 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mode", choices=[m.value for m in Mode], default=None)
 
     p_head = sub.add_parser("headline", help="run the three-mode comparison")
-    _add_common(p_head)
+    _add_batch(p_head)
     p_head.add_argument("--trials", type=int, default=20)
     p_head.add_argument("--hours", type=float, default=4.0)
 
     p_sweep = sub.add_parser("sweep", help="run one sensitivity sweep")
-    _add_common(p_sweep)
+    _add_batch(p_sweep)
     p_sweep.add_argument("--kind", choices=list(SWEEP_GRIDS), required=True)
     p_sweep.add_argument("--trials", type=int, default=15)
     p_sweep.add_argument("--hours", type=float, default=2.0)
@@ -77,16 +82,16 @@ def _load_base_config(path: Optional[str]) -> CorridorConfig:
     return config
 
 
-def _at_least_one(flag: str, value: int) -> int:
-    if value < 1:
-        raise ValueError(f"{flag} must be an integer >= 1, got {value}")
+def _at_least(flag: str, value: int, minimum: int) -> int:
+    if value < minimum:
+        raise ValueError(f"{flag} must be an integer >= {minimum}, got {value}")
     return value
 
 
 def _workers(args) -> int:
     if args.workers is None:
         return default_workers()
-    return _at_least_one("--workers", args.workers)
+    return _at_least("--workers", args.workers, 1)
 
 
 def _write_summary_csv(path: str, stats) -> None:
@@ -96,6 +101,8 @@ def _write_summary_csv(path: str, stats) -> None:
 
 def _cmd_run(args) -> int:
     config = _load_base_config(args.config)
+    _at_least("--seed", args.seed, 0)
+    _at_least("--trial-id", args.trial_id, 0)
     if args.mode is not None:
         config = config.with_mode(Mode(args.mode))
     result = run_trial(config, args.hours, args.trial_id, args.seed)
@@ -106,7 +113,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = _load_base_config(args.config)
-    _at_least_one("--trials", args.trials)
+    _at_least("--seed", args.seed, 0)
+    _at_least("--trials", args.trials, 1)
     sizes = dict(master_seed=args.seed, trials_per_point=args.trials,
                  hours_per_trial=args.hours)
     if args.command == "headline":

@@ -19,6 +19,28 @@ trial) to ``vehicles.advance_unalerted`` in one call. That kernel runs the same
 cruise-speed IDM update and semi-implicit Euler step with every float
 operation in the same order, so every output byte is the same as stepping
 through the stretch one phase loop at a time.
+
+In a Control trial the vehicles are not integrated at all until the drivers
+are first alerted, which only a sign patched on by a test can do: they read
+the cruise trajectory, ``vehicles.CruiseTable``, which each process computes
+once with that same kernel and shares across trials and seeds. This is exact.
+Unalerted drivers read no animal (braking needs an alert), so before the first
+alert the vehicles' path depends only on their start state, the IDM
+parameters, the time step and the ring, which key the table. The rows are the
+kernel's own output, and where the kernel finds an overlap the table ends; a
+trial that needs a later row leaves the table there, and the kernel or the
+per-step path raises the same error at the same step. An idle stretch on the
+table copies the row it ends at, and a busy step copies its row in place of
+phase 4. The first alert leaves the table for the rest of the trial, as does
+reaching ``CRUISE_TABLE_MAX_BYTES`` (32 MiB, 7.28 h at the defaults); from
+there the vehicles integrate step by step.
+
+Detection and Aware trials could read the table up to their first alert, with
+the same results, but they integrate from the start. Their first alert comes
+at a random time, so reading that prefix would make a trial's cost depend on
+its seed: in 0.25 h trials it saved a fifth of the steps on average but
+doubled the spread of the benchmark's rates between seeds, and in a 4 h trial
+it is about 1.5% of the steps (first alerts 66-846 s in, median about 214 s).
 """
 
 from __future__ import annotations
@@ -35,7 +57,7 @@ from .awareness import AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
 from .detection import DetectionParams, try_detect
 from .vehicles import (FREE_ROAD_GAP, DriverAlert, VehicleOverlap,
-                       advance_unalerted, emergency_brake_needed,
+                       advance_unalerted, cruise_table, emergency_brake_needed,
                        idm_acceleration, step_vehicles)
 
 
@@ -93,10 +115,15 @@ def _schedule(config: CorridorConfig, duration_hours: float,
     return [a for a in arrivals if a.time <= last_now], n_steps
 
 
-def _due_step(t: float, k: int, dt: float) -> int:
-    """The first step ``j >= k`` at which phase 1 spawns an arrival due at
-    ``t``: the first ``j`` with ``t <= j * dt``, the same float test. The
-    quotient ``t / dt`` is only the starting guess."""
+def _stretch_end(schedule: list[Arrival], next_arrival: int, k: int, dt: float,
+                 n_steps: int) -> int:
+    """Where an idle stretch from step ``k`` ends: ``n_steps`` when no arrival
+    is left, else the first step ``j >= k`` at which phase 1 spawns the next
+    one, due at ``t``: the first ``j`` with ``t <= j * dt``, the same float
+    test. The quotient ``t / dt`` is only the starting guess."""
+    if next_arrival == len(schedule):
+        return n_steps
+    t = schedule[next_arrival].time
     j = max(k, int(t / dt))
     while j > k and t <= (j - 1) * dt:
         j -= 1
@@ -234,6 +261,12 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     frozen_time = 0.0
     veh_length = geometry.vehicle_length
     alert = DriverAlert()
+    # Only Control trials read the cruise table (see the module docstring);
+    # while on it, the vehicles hold row k at the top of the loop.
+    cruise = (cruise_table(vehicles, idm, dt, L, veh_length)
+              if config.mode is Mode.CONTROL else None)
+    on_cruise = cruise is not None
+    n_rows = n_steps + 1
 
     k = 0
     while k < n_steps:
@@ -241,15 +274,17 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
 
         # Idle stretch: advance the vehicles alone to the next arrival.
         if not active and awareness.quiet(now):
-            k_end = (n_steps if next_arrival == n_schedule else
-                     _due_step(schedule[next_arrival].time, k, dt))
+            k_end = _stretch_end(schedule, next_arrival, k, dt, n_steps)
             if k_end > k:
                 alert.update(False, now, idm)
-                try:
-                    advance_unalerted(vehicles, k_end - k, idm, dt, L, veh_length)
-                except VehicleOverlap as exc:
-                    raise _overlap(trial_id, exc.follower, exc.leader,
-                                   (k + exc.step) * dt) from None
+                on_cruise = on_cruise and cruise.load(vehicles, k_end, n_rows)
+                if not on_cruise:
+                    try:
+                        advance_unalerted(vehicles, k_end - k, idm, dt, L,
+                                          veh_length)
+                    except VehicleOverlap as exc:
+                        raise _overlap(trial_id, exc.follower, exc.leader,
+                                       (k + exc.step) * dt) from None
                 k = k_end
                 continue
         k += 1
@@ -282,32 +317,36 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             events.clear()
         dms = awareness.dms_active(active, now)
 
-        # Phase 4: vehicles, synchronously from the pre-step snapshot.
+        # Phase 4: vehicles, synchronously from the pre-step snapshot; in a
+        # Control trial until the first alert, row k of the cruise table.
         alert.update(dms, now, idm)
-        v0 = alert.desired_speed(idm)
-        road_animals = None
-        if alert.alerted and active:
-            road_animals = [a for a in active if 0.0 <= a.y <= road_width]
+        on_cruise = (on_cruise and not alert.alerted
+                     and cruise.load(vehicles, k, n_rows))
+        if not on_cruise:
+            v0 = alert.desired_speed(idm)
+            road_animals = None
+            if alert.alerted and active:
+                road_animals = [a for a in active if 0.0 <= a.y <= road_width]
 
-        for i, v in enumerate(vehicles):
-            lead = v.leader
-            if lead is None:
-                gap = FREE_ROAD_GAP
-                dv = 0.0
-            else:
-                gap = ((lead.x - v.x) * v.direction) % L - veh_length
-                dv = v.v - lead.v
-            if gap <= 0.0:
-                raise _overlap(trial_id, v, lead, now)
-            a_cmd = idm_acceleration(v.v, v0, dv, gap, idm)
-            if road_animals and emergency_brake_needed(v, road_animals, geometry,
-                                                       idm, L):
-                a_cmd = -idm.a_em
-                v.emergency_braking = True
-            else:
-                v.emergency_braking = False
-            accels[i] = a_cmd
-        step_vehicles(vehicles, accels, dt, L)
+            for i, v in enumerate(vehicles):
+                lead = v.leader
+                if lead is None:
+                    gap = FREE_ROAD_GAP
+                    dv = 0.0
+                else:
+                    gap = ((lead.x - v.x) * v.direction) % L - veh_length
+                    dv = v.v - lead.v
+                if gap <= 0.0:
+                    raise _overlap(trial_id, v, lead, now)
+                a_cmd = idm_acceleration(v.v, v0, dv, gap, idm)
+                if road_animals and emergency_brake_needed(v, road_animals,
+                                                           geometry, idm, L):
+                    a_cmd = -idm.a_em
+                    v.emergency_braking = True
+                else:
+                    v.emergency_braking = False
+                accels[i] = a_cmd
+            step_vehicles(vehicles, accels, dt, L)
 
         if not active:
             continue

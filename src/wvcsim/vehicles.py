@@ -10,6 +10,7 @@ braking when an animal is on the road ahead.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -19,6 +20,14 @@ if TYPE_CHECKING:
 
 # Gap used when a vehicle has no leader, so the car-following law stays total.
 FREE_ROAD_GAP = 1.0e6
+
+# Bytes of vehicle states the cruise table may hold in one process. A row costs
+# 16 bytes per vehicle (128 B for the default 8), so this covers 7.28 h at
+# dt = 0.1 s; a trial that runs past it integrates its vehicles step by step.
+CRUISE_TABLE_MAX_BYTES = 32 * 1024 * 1024
+
+_IDM_FIELDS = ("s0", "T", "a_max", "b_conf", "delta", "a_em", "v_cruise",
+               "v_caution", "t_react")
 
 
 @dataclass
@@ -37,8 +46,7 @@ class IdmParams:
 
     def validate(self) -> list[str]:
         problems = []
-        for name in ("s0", "T", "a_max", "b_conf", "delta", "a_em",
-                     "v_cruise", "v_caution", "t_react"):
+        for name in _IDM_FIELDS:
             if getattr(self, name) <= 0:
                 problems.append(f"idm.{name}: must be positive")
         if self.v_caution >= self.v_cruise:
@@ -99,8 +107,15 @@ class VehicleOverlap(ValueError):
         self.leader = leader
 
 
+def _leader_indices(vehicles: list[VehicleState]) -> list[int]:
+    """Each vehicle's leader as an index into ``vehicles``; -1 for none."""
+    index = {id(v): i for i, v in enumerate(vehicles)}
+    return [-1 if v.leader is None else index[id(v.leader)] for v in vehicles]
+
+
 def advance_unalerted(vehicles: list[VehicleState], n_steps: int, p: IdmParams,
-                      dt: float, road_length: float, vehicle_length: float) -> None:
+                      dt: float, road_length: float, vehicle_length: float,
+                      rows: Optional[array] = None) -> None:
     """``n_steps`` rounds of ``idm_acceleration`` at cruise speed plus
     ``step_vehicles``, for stretches with no alert and no emergency braking.
 
@@ -108,8 +123,10 @@ def advance_unalerted(vehicles: list[VehicleState], n_steps: int, p: IdmParams,
     operation keeps the order of ``desired_gap``/``idm_acceleration`` and
     ``step_vehicles``, so the result is bit-identical to the per-step path.
     Each step reads one snapshot of positions and speeds and writes the next
-    into a second buffer. Clears ``emergency_braking``; raises VehicleOverlap
-    on a gap <= 0, leaving the vehicles as they were before that step.
+    into a second buffer; when ``rows`` is given, each step then appends its
+    positions and its speeds to it. Clears ``emergency_braking``; raises
+    VehicleOverlap on a gap <= 0, leaving the vehicles as they were before
+    that step.
     """
     for v in vehicles:
         v.emergency_braking = False
@@ -117,11 +134,10 @@ def advance_unalerted(vehicles: list[VehicleState], n_steps: int, p: IdmParams,
     v0 = p.v_cruise
     a_floor = -p.a_em
     closing = 2.0 * math.sqrt(p.a_max * p.b_conf)
-    index = {id(v): i for i, v in enumerate(vehicles)}
     # (vehicle, leader or -1, direction) in list order, the per-step path's
     # order, so an overlap names the same pair.
-    links = [(i, -1 if v.leader is None else index[id(v.leader)], v.direction)
-             for i, v in enumerate(vehicles)]
+    links = [(i, j, v.direction)
+             for i, (v, j) in enumerate(zip(vehicles, _leader_indices(vehicles)))]
     xs = [v.x for v in vehicles]
     vs = [v.v for v in vehicles]
     next_xs = xs[:]
@@ -150,9 +166,100 @@ def advance_unalerted(vehicles: list[VehicleState], n_steps: int, p: IdmParams,
                 next_xs[i] = (x + nv * dt * d) % road_length
             xs, next_xs = next_xs, xs
             vs, next_vs = next_vs, vs
+            if rows is not None:
+                rows.extend(xs)
+                rows.extend(vs)
     finally:
         for vehicle, x, v in zip(vehicles, xs, vs):
             vehicle.x, vehicle.v = x, v
+
+
+def cruise_key(vehicles: list[VehicleState], p: IdmParams, dt: float,
+               road_length: float, vehicle_length: float) -> tuple:
+    """Everything the unalerted trajectory of ``vehicles`` depends on: each
+    vehicle's start x, v, direction and leader index, the IDM parameters, the
+    time step and the ring."""
+    starts = tuple((v.x, v.v, v.direction, j)
+                   for v, j in zip(vehicles, _leader_indices(vehicles)))
+    idm = tuple(getattr(p, name) for name in _IDM_FIELDS)
+    return starts, idm, dt, road_length, vehicle_length
+
+
+class CruiseTable:
+    """The cruise trajectory: every vehicle's (x, v) after r rounds of
+    ``advance_unalerted`` from one start state, for r = 0, 1, 2, ...
+
+    Row r holds the n positions, then the n speeds, in one flat
+    ``array('d')``; row 0 is the start state. The table is built from its key
+    alone, on vehicles of its own, so it can depend on nothing else. It grows
+    on demand, up to CRUISE_TABLE_MAX_BYTES. If the kernel raises
+    VehicleOverlap, the table ends at the row where the gap closed and
+    ``overlap`` holds (that row, follower index, leader index).
+    """
+
+    def __init__(self, key: tuple):
+        self.key = key
+        starts, idm, dt, road_length, vehicle_length = key
+        # The kernel reads no lane.
+        self._vehicles = [VehicleState(vid=i, x=x, v=v, direction=d, lane=0)
+                          for i, (x, v, d, _) in enumerate(starts)]
+        for vehicle, (_, _, _, j) in zip(self._vehicles, starts):
+            if j >= 0:
+                vehicle.leader = self._vehicles[j]
+        self._kernel_args = (IdmParams(**dict(zip(_IDM_FIELDS, idm))), dt,
+                             road_length, vehicle_length)
+        self.rows = array("d", [s[0] for s in starts] + [s[1] for s in starts])
+        self.n_rows = 1
+        self.overlap: Optional[tuple[int, int, int]] = None
+
+    def grow(self, n_rows: int) -> None:
+        """Extend the table to ``n_rows`` rows, or as far as the byte cap and
+        an overlap allow."""
+        n = len(self._vehicles)
+        if n:
+            n_rows = min(n_rows, CRUISE_TABLE_MAX_BYTES // (16 * n))
+        if n_rows <= self.n_rows or self.overlap is not None:
+            return
+        try:
+            advance_unalerted(self._vehicles, n_rows - self.n_rows,
+                              *self._kernel_args, rows=self.rows)
+            self.n_rows = n_rows
+        except VehicleOverlap as exc:
+            self.n_rows += exc.step
+            self.overlap = (self.n_rows - 1, exc.follower.vid, exc.leader.vid)
+
+    def load(self, vehicles: list[VehicleState], row: int, n_rows: int) -> bool:
+        """Copy row ``row`` into ``vehicles``. A short table first grows, to
+        at most ``n_rows`` rows. Returns False, and leaves the vehicles as they
+        were, when the table cannot reach that row."""
+        if row >= self.n_rows:
+            # At least doubling, so that a trial reading row after row runs
+            # the kernel a few times, not once per step.
+            self.grow(min(n_rows, max(row + 1, 2 * self.n_rows)))
+            if row >= self.n_rows:
+                return False
+        n = len(vehicles)
+        base = 2 * n * row
+        rows = self.rows
+        for i, vehicle in enumerate(vehicles):
+            vehicle.x = rows[base + i]
+            vehicle.v = rows[base + n + i]
+        return True
+
+
+# The table of the last key asked for: one per process, built on first use.
+_cruise: Optional[CruiseTable] = None
+
+
+def cruise_table(vehicles: list[VehicleState], p: IdmParams, dt: float,
+                 road_length: float, vehicle_length: float) -> CruiseTable:
+    """This process's cruise table for ``vehicles``' start state, rebuilt
+    when its key differs from the last call's."""
+    global _cruise
+    key = cruise_key(vehicles, p, dt, road_length, vehicle_length)
+    if _cruise is None or _cruise.key != key:
+        _cruise = CruiseTable(key)
+    return _cruise
 
 
 @dataclass

@@ -3,13 +3,14 @@ import dataclasses
 import pytest
 
 import wvcsim.engine
+import wvcsim.vehicles
 from wvcsim.animals import Activity, AnimalState
 from wvcsim.awareness import AwarenessState
 from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
 from wvcsim.engine import (EngineInvariantError, RngStreams, TrialResult,
                            detect_collisions, make_arrival_schedule, run_trial)
-from wvcsim.vehicles import VehicleState
+from wvcsim.vehicles import CruiseTable, VehicleState, cruise_key
 
 GEO = GeometryParams()
 
@@ -177,16 +178,27 @@ class TestTrialResultInvariantCheck:
 
 
 def count_idle_stretches(monkeypatch):
-    """Wrap the engine's idle-stretch kernel; returns its call counter."""
+    """Wrap the engine's idle-stretch gate; returns the step count of every
+    stretch it opened, whether the vehicles then read the cruise table or
+    ran the kernel."""
     calls = []
-    kernel = wvcsim.engine.advance_unalerted
+    stretch_end = wvcsim.engine._stretch_end
 
-    def counted(*args):
-        calls.append(args[1])
-        return kernel(*args)
+    def counted(schedule, next_arrival, k, dt, n_steps):
+        k_end = stretch_end(schedule, next_arrival, k, dt, n_steps)
+        if k_end > k:
+            calls.append(k_end - k)
+        return k_end
 
-    monkeypatch.setattr(wvcsim.engine, "advance_unalerted", counted)
+    monkeypatch.setattr(wvcsim.engine, "_stretch_end", counted)
     return calls
+
+
+IDLE_OVERRIDES = pytest.mark.parametrize("overrides", [
+    {}, {"time_step": 0.05}, {"time_step": 0.2},
+    {"vehicles_per_direction": 0}, {"vehicles_per_direction": 1},
+    {"arrival_rate": 60.0},
+], ids=["default", "dt0.05", "dt0.2", "no-vehicles", "free-vehicles", "rate60"])
 
 
 class TestIdleStretch:
@@ -195,12 +207,7 @@ class TestIdleStretch:
     per-step loop), gives the same result."""
 
     @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
-    @pytest.mark.parametrize("overrides", [
-        {}, {"time_step": 0.05}, {"time_step": 0.2},
-        {"vehicles_per_direction": 0}, {"vehicles_per_direction": 1},
-        {"arrival_rate": 60.0},
-    ], ids=["default", "dt0.05", "dt0.2", "no-vehicles", "free-vehicles",
-            "rate60"])
+    @IDLE_OVERRIDES
     def test_same_result_as_stepping_every_step(self, monkeypatch, mode, overrides):
         cfg = fast_config(mode, **overrides)
         stretches = count_idle_stretches(monkeypatch)
@@ -242,3 +249,94 @@ class TestIdleStretch:
             run_trial(cfg, 0.01, 0, 0)
         assert str(fast.value) == str(stepped.value)
         assert "overlap at t=" in str(fast.value)
+
+
+class RowZeroTable(CruiseTable):
+    """A cruise table that never grows past its start row."""
+
+    def grow(self, n_rows):
+        pass
+
+
+def count_integration(monkeypatch):
+    """Wrap the engine's vehicle integrators; returns a one-item counter of
+    the vehicle-steps they integrate."""
+    count = [0]
+    kernel = wvcsim.engine.advance_unalerted
+    idm = wvcsim.engine.idm_acceleration
+
+    def counted_kernel(vehicles, n_steps, *args):
+        count[0] += n_steps * len(vehicles)
+        return kernel(vehicles, n_steps, *args)
+
+    def counted_idm(*args):
+        count[0] += 1
+        return idm(*args)
+
+    monkeypatch.setattr(wvcsim.engine, "advance_unalerted", counted_kernel)
+    monkeypatch.setattr(wvcsim.engine, "idm_acceleration", counted_idm)
+    return count
+
+
+class TestCruiseTable:
+    """Reading the shared cruise trajectory changes no output: each trial run
+    with the table, and again with it withheld (the vehicles integrate from
+    the first step), gives the same result."""
+
+    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
+    @IDLE_OVERRIDES
+    def test_same_result_as_integrating(self, monkeypatch, mode, overrides):
+        cfg = fast_config(mode, **overrides)
+        count = count_integration(monkeypatch)
+        for trial_id in range(2):
+            count[0] = 0
+            on_table = dataclasses.asdict(run_trial(cfg, 0.25, trial_id, 5))
+            read = count[0]
+            count[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(wvcsim.engine, "cruise_table",
+                          lambda *args: RowZeroTable(cruise_key(*args)))
+                integrated = dataclasses.asdict(run_trial(cfg, 0.25, trial_id, 5))
+            assert on_table == integrated
+            if cfg.vehicles_per_direction == 0:
+                assert read == count[0] == 0
+            elif mode is Mode.CONTROL:
+                # The table stood in for all of the integration: no Control
+                # driver is ever alerted.
+                assert read == 0 < count[0]
+            else:
+                # Detection and Aware trials never read the table.
+                assert read == count[0] > 0
+
+    def test_first_alert_leaves_the_table(self, monkeypatch):
+        # A Control trial whose sign is lit from 300 s on: the vehicles read
+        # rows until the drivers are alerted, then integrate.
+        monkeypatch.setattr(AwarenessState, "dms_active",
+                            lambda self, animals, now: now >= 300.0)
+        monkeypatch.setattr(AwarenessState, "quiet", lambda self, now: False)
+        cfg = fast_config(Mode.CONTROL)
+        count = count_integration(monkeypatch)
+        on_table = dataclasses.asdict(run_trial(cfg, 0.25, 0, 5))
+        read = count[0]
+        count[0] = 0
+        monkeypatch.setattr(wvcsim.engine, "cruise_table",
+                            lambda *args: RowZeroTable(cruise_key(*args)))
+        assert dataclasses.asdict(run_trial(cfg, 0.25, 0, 5)) == on_table
+        assert 0 < read < count[0]
+
+    def test_same_result_past_the_cap(self, monkeypatch):
+        cfg = fast_config(Mode.CONTROL)
+        expected = dataclasses.asdict(run_trial(cfg, 0.25, 0, 5))
+        tables = []
+
+        def fresh_table(*args):
+            tables.append(CruiseTable(cruise_key(*args)))
+            return tables[-1]
+
+        # 1000 rows of the 9001 the trial needs.
+        monkeypatch.setattr(wvcsim.vehicles, "CRUISE_TABLE_MAX_BYTES", 1000 * 16 * 8)
+        monkeypatch.setattr(wvcsim.engine, "cruise_table", fresh_table)
+        count = count_integration(monkeypatch)
+        assert dataclasses.asdict(run_trial(cfg, 0.25, 0, 5)) == expected
+        assert tables[0].n_rows == 1000
+        assert count[0] > 0

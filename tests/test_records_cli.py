@@ -335,6 +335,28 @@ class TestCli:
             capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seed", "-5"], ["run", "--trial-id", "-1"],
+        ["headline", "--seed", "-5"], ["sweep", "--kind", "kappa", "--seed", "-5"],
+    ])
+    def test_negative_seed_or_trial_id_named(self, tmp_path, capsys, monkeypatch,
+                                             argv):
+        monkeypatch.chdir(tmp_path)
+        code = main(argv + ["--hours", "0.001"])
+        flag, value = argv[-2:]
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} must be an integer >= 0, got {value}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [("--workers", "-3"),
+                                             ("--out", "/nonexistent/dir")])
+    def test_run_rejects_batch_flags(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--hours", "0.001", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
     def test_failing_trial_named_and_exits_1(self, tmp_path, capsys):
         code = main(["headline", "--trials", "1", "--hours", "-1", "--out",
                      str(tmp_path)])

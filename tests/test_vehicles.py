@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -7,8 +8,9 @@ from wvcsim.awareness import AwarenessState
 from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
 from wvcsim.engine import run_trial
-from wvcsim.vehicles import (FREE_ROAD_GAP, DriverAlert, IdmParams, VehicleOverlap,
-                             VehicleState, advance_unalerted, desired_gap,
+from wvcsim.vehicles import (FREE_ROAD_GAP, CruiseTable, DriverAlert, IdmParams,
+                             VehicleOverlap, VehicleState, advance_unalerted,
+                             cruise_key, cruise_table, desired_gap,
                              emergency_brake_needed, idm_acceleration,
                              link_ring_leaders, step_vehicles, stopping_envelope)
 from wvcsim.animals import AnimalState
@@ -375,3 +377,85 @@ class TestAdvanceUnalerted:
         assert exc.value.follower is fast[0]
         assert exc.value.leader is fast[0].leader
         assert snapshot(fast) == snapshot(ref)
+
+
+def crash_course(road_length):
+    """A follower at 30 m/s, 20 m behind a stopped leader: it cannot stop in
+    time even at -a_em, so the gap closes after a few seconds."""
+    vehicles = build_corridor(CorridorConfig()).vehicles
+    follower, leader = vehicles[0], vehicles[0].leader
+    follower.x = (leader.x - (20.0 + GEO.vehicle_length) * follower.direction) % road_length
+    follower.v, leader.v = 30.0, 0.0
+    return vehicles
+
+
+class TestCruiseTable:
+    """Row r of the cruise table is r rounds of the per-step IDM path, bit
+    for bit."""
+
+    L = CorridorConfig().road_length
+
+    def table(self, vehicles, p=P, dt=0.1):
+        return CruiseTable(cruise_key(vehicles, p, dt, self.L, GEO.vehicle_length))
+
+    def row(self, table, r, like):
+        vehicles = [dataclasses.replace(v) for v in like]
+        assert table.load(vehicles, r, r + 1)
+        return snapshot(vehicles)
+
+    @pytest.mark.parametrize("dt, overrides", [
+        (0.1, {}), (0.05, {}), (0.2, {}), (0.1, {"vehicles_per_direction": 1}),
+    ], ids=["default", "dt0.05", "dt0.2", "free-vehicles"])
+    def test_rows_match_reference(self, dt, overrides):
+        ref = build_corridor(replace_config(CorridorConfig(), **overrides)).vehicles
+        table = self.table(ref, dt=dt)
+        assert self.row(table, 0, ref) == snapshot(ref)
+        done = 0
+        for r in (1, 2, 17, 640, 3001):
+            reference_steps(ref, r - done, P.v_cruise, self.L, dt)
+            done = r
+            assert self.row(table, r, ref) == snapshot(ref)
+
+    def test_growing_in_two_calls_equals_one(self):
+        vehicles = build_corridor(CorridorConfig()).vehicles
+        twice = self.table(vehicles)
+        twice.grow(100)
+        assert twice.n_rows == 100
+        twice.grow(200)
+        once = self.table(vehicles)
+        once.grow(200)
+        assert twice.n_rows == once.n_rows == 200
+        assert twice.rows == once.rows
+
+    def test_load_reaches_no_further_than_asked(self):
+        vehicles = build_corridor(CorridorConfig()).vehicles
+        table = self.table(vehicles)
+        assert not table.load(vehicles, 50, 50)
+        assert table.n_rows == 50
+        assert snapshot(vehicles) == self.row(table, 0, vehicles)
+
+    def test_changed_v_cruise_rebuilds(self):
+        vehicles = build_corridor(CorridorConfig()).vehicles
+        args = (0.1, self.L, GEO.vehicle_length)
+        first = cruise_table(vehicles, P, *args)
+        assert cruise_table(vehicles, P, *args) is first
+        slower = cruise_table(vehicles, dataclasses.replace(P, v_cruise=25.0), *args)
+        assert slower is not first
+        assert slower.key != first.key
+
+    def test_overlap_row_recorded(self):
+        expected = 0
+        ref = crash_course(self.L)
+        with pytest.raises(ValueError, match="non-positive gap"):
+            while True:
+                reference_steps(ref, 1, P.v_cruise, self.L)
+                expected += 1
+        vehicles = crash_course(self.L)
+        table = self.table(vehicles)
+        table.grow(1000)
+        leader = vehicles.index(vehicles[0].leader)
+        assert table.overlap == (expected, 0, leader)
+        assert table.n_rows == expected + 1
+        assert self.row(table, expected, vehicles) == snapshot(ref)
+        table.grow(2000)
+        assert table.n_rows == expected + 1
