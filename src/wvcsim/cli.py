@@ -121,8 +121,9 @@ def _cmd_experiment(args) -> int:
         plan, stem = ExperimentPlan.headline(**sizes), "headline"
     else:
         plan, stem = ExperimentPlan.sweep(args.kind, **sizes), f"{args.kind}_sweep"
-    records = run_sweep(plan, config, workers=_workers(args))
+    workers = _workers(args)
     os.makedirs(args.out, exist_ok=True)
+    records = run_sweep(plan, config, workers=workers)
     trials_path = os.path.join(args.out, f"{stem}_trials.csv")
     write_trials_csv(trials_path, records)
     stats = summarize(records)

@@ -13,27 +13,47 @@ Idle stretches use a next-event time advance. A step that starts with no
 animal present, no arrival due and no live sign window (``AwarenessState.quiet``)
 changes nothing but the vehicles: with no animal there is no detection,
 broadcast, sign, alert, braking, animal step or collision, and the next thing
-that can change any of that is the next scheduled arrival. So the engine hands
+that can change any of that is the next scheduled arrival. So the engine skips
 every step up to the one where phase 1 would spawn it (or the end of the
-trial) to ``vehicles.advance_unalerted`` in one call. That kernel runs the same
-cruise-speed IDM update and semi-implicit Euler step with every float
-operation in the same order, so every output byte is the same as stepping
-through the stretch one phase loop at a time.
+trial) at once, owing the vehicles those steps at cruise speed.
+
+Vehicle steps are owed, not taken, until something reads the vehicles. A step
+on which no driver brakes for an animal is one round of the IDM at the
+drivers' desired speed, so the engine only counts it (``lag`` steps at
+``lag_v0``) and ``settle`` later takes all of them in one call of
+``vehicles.advance_idm``. That kernel runs the same IDM update and
+semi-implicit Euler step as the per-step loop, with every float operation in
+the same order, so the vehicles come out bit for bit as if stepped one phase
+loop at a time; an overlap raises the same error at the same ``t=``, since the
+kernel reports the step it found it at. The debt is settled just before each
+reader: a braking step (alerted drivers and an animal in the road band), which
+still runs the per-step loop with its brake checks; phase 5 when an animal is
+hesitating, crossing or frozen, the only activities that look at the
+vehicles; phase 6; and the end of the trial. It is also settled before the
+desired speed changes, so that the owed steps share one speed. The
+``emergency_braking`` flags of a braking step stay set until the next settle,
+which clears them as the next per-step round would; only a crossing animal
+reads them, and it settles first.
+
+Two scans skip what they cannot find. Phase 6 runs only when an animal is in
+the road band after phase 5, since ``detect_collisions`` pairs no other. Phase
+2 skips an animal whose y lies outside every radar's reach plus 1 m
+(``_radar_band``): no radar covers it, so ``try_detect`` would draw no random
+number and record no first-in-range time for it.
 
 In a Control trial the vehicles are not integrated at all until the drivers
-are first alerted, which only a sign patched on by a test can do: they read
-the cruise trajectory, ``vehicles.CruiseTable``, which each process computes
-once with that same kernel and shares across trials and seeds. This is exact.
-Unalerted drivers read no animal (braking needs an alert), so before the first
-alert the vehicles' path depends only on their start state, the IDM
-parameters, the time step and the ring, which key the table. The rows are the
-kernel's own output, and where the kernel finds an overlap the table ends; a
-trial that needs a later row leaves the table there, and the kernel or the
-per-step path raises the same error at the same step. An idle stretch on the
-table copies the row it ends at, and a busy step copies its row in place of
-phase 4. The first alert leaves the table for the rest of the trial, as does
-reaching ``CRUISE_TABLE_MAX_BYTES`` (32 MiB, 7.28 h at the defaults); from
-there the vehicles integrate step by step.
+are first alerted, which only a sign patched on by a test can do: a settle
+reads the cruise trajectory, ``vehicles.CruiseTable``, which each process
+computes once with that same kernel and shares across trials and seeds. This
+is exact. Unalerted drivers read no animal (braking needs an alert), so
+before the first alert the vehicles' path depends only on their start state,
+the IDM parameters, the time step and the ring, which key the table. The rows
+are the kernel's own output, and where the kernel finds an overlap the table
+ends; a trial that needs a later row leaves the table there, and the kernel
+raises the same error at the same step. The first alert leaves the table for
+the rest of the trial (after a settle on it), as does reaching
+``CRUISE_TABLE_MAX_BYTES`` (32 MiB, 7.28 h at the defaults); from there the
+settles run the kernel.
 
 Detection and Aware trials could read the table up to their first alert, with
 the same results, but they integrate from the start. Their first alert comes
@@ -56,9 +76,9 @@ from .animals import Activity, AnimalState, Arrival, sample_arrivals, step_anima
 from .awareness import AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
 from .detection import DetectionParams, try_detect
-from .vehicles import (FREE_ROAD_GAP, DriverAlert, VehicleOverlap,
-                       advance_unalerted, cruise_table, emergency_brake_needed,
-                       idm_acceleration, step_vehicles)
+from .vehicles import (FREE_ROAD_GAP, DriverAlert, VehicleOverlap, advance_idm,
+                       cruise_table, emergency_brake_needed, idm_acceleration,
+                       step_vehicles)
 
 
 class EngineInvariantError(RuntimeError):
@@ -213,6 +233,28 @@ def detect_collisions(vehicles, animals, geometry, road_length: float):
     return pairs
 
 
+# The only activities whose step reads the vehicles.
+_READERS = frozenset({Activity.HESITATING, Activity.CROSSING, Activity.FROZEN})
+
+
+def _reads_vehicles(active: list[AnimalState]) -> bool:
+    """Whether phase 5 reads the vehicles this step: only a hesitating,
+    crossing or frozen animal looks at them."""
+    for a in active:
+        if a.state in _READERS:
+            return True
+    return False
+
+
+def _radar_band(radars, r_det: float) -> tuple[float, float]:
+    """The band of y outside which no radar covers an animal: every radar's
+    reach plus 1 m, so that ``dy * dy > r_det * r_det`` for every radar
+    whatever the rounding. Empty when there is no radar."""
+    ys = [node.y for node in radars]
+    return (min(ys, default=math.inf) - r_det - 1.0,
+            max(ys, default=-math.inf) + r_det + 1.0)
+
+
 def _overlap(trial_id: int, follower, leader, now: float) -> EngineInvariantError:
     return EngineInvariantError(f"trial {trial_id}: vehicles {follower.vid} and "
                                 f"{leader.vid} overlap at t={now:.1f}")
@@ -246,7 +288,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     vehicles = world.vehicles
     rng_b = streams.behaviour
     rng_d = streams.detection
-    sensing = bool(radars)
+    radar_lo, radar_hi = _radar_band(radars, det_params.r_det)
     road_width = geometry.road_width
     spawn_y = geometry.spawn_offset
     forage_lo, forage_hi = behaviour.forage_dwell
@@ -261,30 +303,46 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     frozen_time = 0.0
     veh_length = geometry.vehicle_length
     alert = DriverAlert()
-    # Only Control trials read the cruise table (see the module docstring);
-    # while on it, the vehicles hold row k at the top of the loop.
+    # Only Control trials read the cruise table (see the module docstring).
     cruise = (cruise_table(vehicles, idm, dt, L, veh_length)
               if config.mode is Mode.CONTROL else None)
     on_cruise = cruise is not None
     n_rows = n_steps + 1
+    # The vehicles hold row k - lag: the last ``lag`` steps, none braking and
+    # all at desired speed ``lag_v0``, are owed (see the module docstring).
+    lag = 0
+    lag_v0 = idm.v_cruise
+
+    def settle(row: int) -> None:
+        """Take the owed steps, so that the vehicles hold row ``row``."""
+        nonlocal lag, on_cruise
+        if not lag:
+            return
+        if on_cruise:
+            if cruise.load(vehicles, row, n_rows):
+                lag = 0
+                return
+            on_cruise = False
+        n, lag = lag, 0
+        try:
+            advance_idm(vehicles, n, lag_v0, idm, dt, L, veh_length)
+        except VehicleOverlap as exc:
+            raise _overlap(trial_id, exc.follower, exc.leader,
+                           (row - n + exc.step) * dt) from None
 
     k = 0
     while k < n_steps:
         now = k * dt
 
-        # Idle stretch: advance the vehicles alone to the next arrival.
+        # Idle stretch: owe the vehicles' steps up to the next arrival.
         if not active and awareness.quiet(now):
             k_end = _stretch_end(schedule, next_arrival, k, dt, n_steps)
             if k_end > k:
                 alert.update(False, now, idm)
-                on_cruise = on_cruise and cruise.load(vehicles, k_end, n_rows)
-                if not on_cruise:
-                    try:
-                        advance_unalerted(vehicles, k_end - k, idm, dt, L,
-                                          veh_length)
-                    except VehicleOverlap as exc:
-                        raise _overlap(trial_id, exc.follower, exc.leader,
-                                       (k + exc.step) * dt) from None
+                if lag_v0 != idm.v_cruise:
+                    settle(k)
+                    lag_v0 = idm.v_cruise
+                lag += k_end - k
                 k = k_end
                 continue
         k += 1
@@ -300,10 +358,11 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             visits[Activity.FORAGING.value] += 1
             next_arrival += 1
 
-        # Phase 2: detection against the previous step's awareness state.
-        if sensing and active:
+        # Phase 2: detection against the previous step's awareness state,
+        # for animals within some radar's reach.
+        if active:
             for a in active:
-                if not a.detected:
+                if not a.detected and radar_lo <= a.y <= radar_hi:
                     ev = try_detect(a, radars, spacing, beta_for, now, dt,
                                     det_params, rng_d)
                     if ev is not None:
@@ -317,17 +376,21 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             events.clear()
         dms = awareness.dms_active(active, now)
 
-        # Phase 4: vehicles, synchronously from the pre-step snapshot; in a
-        # Control trial until the first alert, row k of the cruise table.
+        # Phase 4: vehicles, synchronously from the pre-step snapshot. A step
+        # on which no driver brakes is owed; a braking step settles first.
         alert.update(dms, now, idm)
-        on_cruise = (on_cruise and not alert.alerted
-                     and cruise.load(vehicles, k, n_rows))
-        if not on_cruise:
-            v0 = alert.desired_speed(idm)
-            road_animals = None
-            if alert.alerted and active:
-                road_animals = [a for a in active if 0.0 <= a.y <= road_width]
-
+        v0 = alert.desired_speed(idm)
+        road_animals = None
+        if alert.alerted and active:
+            road_animals = [a for a in active if 0.0 <= a.y <= road_width]
+        if road_animals or v0 != lag_v0:
+            settle(k - 1)
+            lag_v0 = v0
+            # A Control trial leaves the cruise table at its first alert.
+            on_cruise = on_cruise and not alert.alerted
+        if not road_animals:
+            lag += 1
+        else:
             for i, v in enumerate(vehicles):
                 lead = v.leader
                 if lead is None:
@@ -339,8 +402,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                 if gap <= 0.0:
                     raise _overlap(trial_id, v, lead, now)
                 a_cmd = idm_acceleration(v.v, v0, dv, gap, idm)
-                if road_animals and emergency_brake_needed(v, road_animals,
-                                                           geometry, idm, L):
+                if emergency_brake_needed(v, road_animals, geometry, idm, L):
                     a_cmd = -idm.a_em
                     v.emergency_braking = True
                 else:
@@ -348,11 +410,14 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                 accels[i] = a_cmd
             step_vehicles(vehicles, accels, dt, L)
 
+        if _reads_vehicles(active):
+            settle(k)
         if not active:
             continue
 
         # Phase 5: animal behaviour, with state-visit and frozen-time accounting.
         pruned = False
+        on_road = False
         for a in active:
             prev_state = a.state
             step_animal(a, vehicles, dt, behaviour, geometry, L, rng_b)
@@ -361,24 +426,32 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                 visits[st.value] += 1
                 if st is Activity.MOVED_AWAY:
                     pruned = True
-            if st is Activity.FROZEN and 0.0 <= a.y <= road_width:
-                frozen_time += dt
+            if 0.0 <= a.y <= road_width:
+                on_road = True
+                if st is Activity.FROZEN:
+                    frozen_time += dt
 
-        # Phase 6: collisions; the animal is removed, the vehicle continues.
-        pairs = detect_collisions(vehicles, active, geometry, L)
-        if pairs:
-            by_id = {a.aid: a for a in active}
-            for _vid, aid in pairs:
-                a = by_id[aid]
-                if a.collided:
-                    continue
-                a.collided = True
-                a.state = Activity.MOVED_AWAY
-                visits[Activity.MOVED_AWAY.value] += 1
-                pruned = True
+        # Phase 6: collisions, only with an animal in the road band; the
+        # animal is removed, the vehicle continues.
+        if on_road:
+            settle(k)
+            pairs = detect_collisions(vehicles, active, geometry, L)
+            if pairs:
+                by_id = {a.aid: a for a in active}
+                for _vid, aid in pairs:
+                    a = by_id[aid]
+                    if a.collided:
+                        continue
+                    a.collided = True
+                    a.state = Activity.MOVED_AWAY
+                    visits[Activity.MOVED_AWAY.value] += 1
+                    pruned = True
 
         if pruned:
             active = [a for a in active if a.state is not Activity.MOVED_AWAY]
+
+    # Take the steps still owed, so that an overlap in them still raises.
+    settle(n_steps)
 
     # Phase 7 aggregation.
     result.road_entries = sum(1 for a in all_animals if a.entered_road)

@@ -99,9 +99,10 @@ def _execute(task) -> TrialRecord:
 def _run_tasks(tasks: list, workers: int) -> list[TrialRecord]:
     if workers <= 1 or len(tasks) <= 1:
         return [_execute(t) for t in tasks]
+    # One task at a time, so that no worker is left holding a chunk of
+    # trials while the others idle.
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (workers * 8))
-        return list(pool.map(_execute, tasks, chunksize=chunk))
+        return list(pool.map(_execute, tasks))
 
 
 def default_workers() -> int:

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from scipy.special import betainc
-
 
 class WelchResult(NamedTuple):
     t: float
@@ -34,7 +32,13 @@ def mean_sd(xs: Sequence[float]) -> tuple[Optional[float], Optional[float]]:
 
 
 def student_t_two_sided_p(t: float, df: float) -> float:
-    """Two-sided tail probability of Student's t via the regularized incomplete beta."""
+    """Two-sided tail probability of Student's t via the regularized incomplete beta.
+
+    scipy is imported here, not with the module: it takes longer to import
+    than the rest of the package, and only the statistics need it.
+    """
+    from scipy.special import betainc
+
     if df <= 0:
         raise ValueError("df must be positive")
     if math.isinf(t):

@@ -98,7 +98,7 @@ def step_vehicles(vehicles: list[VehicleState], accels: list[float], dt: float,
 
 class VehicleOverlap(ValueError):
     """A follower's bumper gap to its leader reached zero ``step`` steps into
-    an ``advance_unalerted`` stretch."""
+    an ``advance_idm`` stretch."""
 
     def __init__(self, step: int, follower: VehicleState, leader: VehicleState):
         super().__init__(f"vehicles {follower.vid} and {leader.vid} overlap")
@@ -113,11 +113,11 @@ def _leader_indices(vehicles: list[VehicleState]) -> list[int]:
     return [-1 if v.leader is None else index[id(v.leader)] for v in vehicles]
 
 
-def advance_unalerted(vehicles: list[VehicleState], n_steps: int, p: IdmParams,
-                      dt: float, road_length: float, vehicle_length: float,
-                      rows: Optional[array] = None) -> None:
-    """``n_steps`` rounds of ``idm_acceleration`` at cruise speed plus
-    ``step_vehicles``, for stretches with no alert and no emergency braking.
+def advance_idm(vehicles: list[VehicleState], n_steps: int, v0: float,
+                p: IdmParams, dt: float, road_length: float, vehicle_length: float,
+                rows: Optional[array] = None) -> None:
+    """``n_steps`` rounds of ``idm_acceleration`` at desired speed ``v0`` plus
+    ``step_vehicles``, for steps on which no driver brakes for an animal.
 
     The IDM formula is inlined with its constants hoisted, but every float
     operation keeps the order of ``desired_gap``/``idm_acceleration`` and
@@ -131,7 +131,6 @@ def advance_unalerted(vehicles: list[VehicleState], n_steps: int, p: IdmParams,
     for v in vehicles:
         v.emergency_braking = False
     s0, T, a_max, delta = p.s0, p.T, p.a_max, p.delta
-    v0 = p.v_cruise
     a_floor = -p.a_em
     closing = 2.0 * math.sqrt(p.a_max * p.b_conf)
     # (vehicle, leader or -1, direction) in list order, the per-step path's
@@ -187,7 +186,7 @@ def cruise_key(vehicles: list[VehicleState], p: IdmParams, dt: float,
 
 class CruiseTable:
     """The cruise trajectory: every vehicle's (x, v) after r rounds of
-    ``advance_unalerted`` from one start state, for r = 0, 1, 2, ...
+    ``advance_idm`` at cruise speed from one start state, for r = 0, 1, 2, ...
 
     Row r holds the n positions, then the n speeds, in one flat
     ``array('d')``; row 0 is the start state. The table is built from its key
@@ -206,8 +205,8 @@ class CruiseTable:
         for vehicle, (_, _, _, j) in zip(self._vehicles, starts):
             if j >= 0:
                 vehicle.leader = self._vehicles[j]
-        self._kernel_args = (IdmParams(**dict(zip(_IDM_FIELDS, idm))), dt,
-                             road_length, vehicle_length)
+        p = IdmParams(**dict(zip(_IDM_FIELDS, idm)))
+        self._kernel_args = (p.v_cruise, p, dt, road_length, vehicle_length)
         self.rows = array("d", [s[0] for s in starts] + [s[1] for s in starts])
         self.n_rows = 1
         self.overlap: Optional[tuple[int, int, int]] = None
@@ -221,8 +220,8 @@ class CruiseTable:
         if n_rows <= self.n_rows or self.overlap is not None:
             return
         try:
-            advance_unalerted(self._vehicles, n_rows - self.n_rows,
-                              *self._kernel_args, rows=self.rows)
+            advance_idm(self._vehicles, n_rows - self.n_rows,
+                        *self._kernel_args, rows=self.rows)
             self.n_rows = n_rows
         except VehicleOverlap as exc:
             self.n_rows += exc.step

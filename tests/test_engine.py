@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -8,6 +9,7 @@ from wvcsim.animals import Activity, AnimalState
 from wvcsim.awareness import AwarenessState
 from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
+from wvcsim.detection import radars_in_range
 from wvcsim.engine import (EngineInvariantError, RngStreams, TrialResult,
                            detect_collisions, make_arrival_schedule, run_trial)
 from wvcsim.vehicles import CruiseTable, VehicleState, cruise_key
@@ -262,7 +264,7 @@ def count_integration(monkeypatch):
     """Wrap the engine's vehicle integrators; returns a one-item counter of
     the vehicle-steps they integrate."""
     count = [0]
-    kernel = wvcsim.engine.advance_unalerted
+    kernel = wvcsim.engine.advance_idm
     idm = wvcsim.engine.idm_acceleration
 
     def counted_kernel(vehicles, n_steps, *args):
@@ -273,7 +275,7 @@ def count_integration(monkeypatch):
         count[0] += 1
         return idm(*args)
 
-    monkeypatch.setattr(wvcsim.engine, "advance_unalerted", counted_kernel)
+    monkeypatch.setattr(wvcsim.engine, "advance_idm", counted_kernel)
     monkeypatch.setattr(wvcsim.engine, "idm_acceleration", counted_idm)
     return count
 
@@ -340,3 +342,90 @@ class TestCruiseTable:
         assert dataclasses.asdict(run_trial(cfg, 0.25, 0, 5)) == expected
         assert tables[0].n_rows == 1000
         assert count[0] > 0
+
+
+CROWDED = dict(arrival_rate=300.0, radar_spacing=5.0, kappa=0.3)
+
+
+def record_vehicle_reads(monkeypatch):
+    """Wrap every engine call that reads the vehicles; returns the list of
+    what each one saw: the (x, v, emergency_braking) of every vehicle."""
+    seen = []
+    step_animal = wvcsim.engine.step_animal
+    detect_collisions = wvcsim.engine.detect_collisions
+    readers = (Activity.HESITATING, Activity.CROSSING, Activity.FROZEN)
+
+    def states(vehicles):
+        return [(v.x, v.v, v.emergency_braking) for v in vehicles]
+
+    def stepped(animal, vehicles, *args):
+        if animal.state in readers:
+            seen.append(("step", animal.aid, animal.state, states(vehicles)))
+        return step_animal(animal, vehicles, *args)
+
+    def collided(vehicles, *args):
+        seen.append(("collide", states(vehicles)))
+        return detect_collisions(vehicles, *args)
+
+    monkeypatch.setattr(wvcsim.engine, "step_animal", stepped)
+    monkeypatch.setattr(wvcsim.engine, "detect_collisions", collided)
+    return seen
+
+
+class TestOwedSteps:
+    """Owing the vehicle steps nothing reads changes no output and nothing
+    any reader sees: each trial run as is, and again settling the debt on
+    every stepped step, gives the same result and the same vehicle states
+    at every read."""
+
+    def same_as_eager(self, monkeypatch, cfg, hours):
+        n_reads = 0
+        for trial_id in range(2):
+            with monkeypatch.context() as m:
+                lazy_reads = record_vehicle_reads(m)
+                lazy = dataclasses.asdict(run_trial(cfg, hours, trial_id, 5))
+            with monkeypatch.context() as m:
+                eager_reads = record_vehicle_reads(m)
+                m.setattr(wvcsim.engine, "_reads_vehicles", lambda active: True)
+                eager = dataclasses.asdict(run_trial(cfg, hours, trial_id, 5))
+            assert lazy == eager
+            assert lazy_reads == eager_reads
+            n_reads += len(lazy_reads)
+        assert n_reads  # something did read the vehicles
+
+    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
+    @IDLE_OVERRIDES
+    def test_same_as_settling_every_step(self, monkeypatch, mode, overrides):
+        self.same_as_eager(monkeypatch, fast_config(mode, **overrides), 0.25)
+
+    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
+    def test_same_as_settling_every_step_crowded(self, monkeypatch, mode):
+        self.same_as_eager(monkeypatch, fast_config(mode, **CROWDED), 0.05)
+
+    @pytest.mark.parametrize("mode", [Mode.DETECTION, Mode.AWARE])
+    @pytest.mark.parametrize("overrides", [
+        {}, {"time_step": 0.05}, {"time_step": 0.2}, {"vehicles_per_direction": 1},
+        {"arrival_rate": 60.0}, CROWDED,
+    ], ids=["default", "dt0.05", "dt0.2", "free-vehicles", "rate60", "crowded"])
+    def test_every_step_integrated_once(self, monkeypatch, mode, overrides):
+        cfg = fast_config(mode, **overrides)
+        count = count_integration(monkeypatch)
+        hours = 0.1
+        n_steps = round(hours * 3600.0 / cfg.time_step)
+        n_vehicles = 2 * cfg.vehicles_per_direction
+        for trial_id in range(2):
+            count[0] = 0
+            run_trial(cfg, hours, trial_id, 5)
+            assert count[0] == n_steps * n_vehicles
+
+    @pytest.mark.parametrize("r_det", [15.0, 1e6])
+    def test_no_radar_covers_an_animal_outside_the_band(self, r_det):
+        cfg = fast_config(Mode.DETECTION, radar_range=r_det)
+        radars = build_corridor(cfg).radars
+        lo, hi = wvcsim.engine._radar_band(radars, r_det)
+        assert lo < min(node.y for node in radars) - r_det
+        assert hi > max(node.y for node in radars) + r_det
+        xs = [node.x for node in radars] + [0.5 * cfg.radar_spacing, cfg.road_length]
+        for y in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+            for x in xs:
+                assert radars_in_range(x, y, radars, cfg.radar_spacing, r_det) == []

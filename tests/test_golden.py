@@ -1,5 +1,5 @@
 """Golden bytes: the trials CSV, the summary CSV and the plot JSON of two small
-plans, pinned by SHA-256.
+plans, and the trials CSV of a crowded one, pinned by SHA-256.
 
 A change that moves any output byte fails here. Re-baselining is an explicit
 edit of these digests, to be recorded with its reason in CHANGES.md.
@@ -13,6 +13,7 @@ import pytest
 
 from wvcsim import emit_plot_data
 from wvcsim.cli import _write_summary_csv
+from wvcsim.config import CorridorConfig, replace_config
 from wvcsim.experiments import ExperimentPlan, run_headline, run_sweep, summarize
 from wvcsim.records import write_trials_csv
 
@@ -31,6 +32,16 @@ def spacing_records():
             "spacing", master_seed=42, trials_per_point=1, hours_per_trial=0.1))
 
 
+@functools.cache
+def crowded_records():
+    # Animals on most steps and the sign often lit: braking, crossing and
+    # collision steps, which the two plans above see few of.
+    config = replace_config(CorridorConfig(), arrival_rate=300.0,
+                            radar_spacing=5.0, kappa=0.3)
+    return run_sweep(ExperimentPlan.headline(
+        master_seed=42, trials_per_point=2, hours_per_trial=0.05), config)
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -40,7 +51,9 @@ def sha256(path):
      "361cb322538b8a8fc9f13cfe0cb880f57d399dd4b776550a1a233ccc21beb3ce"),
     (spacing_records,
      "042a0ab0680f2ab1bb99162686ee74e275bfd7b43517b339dd1a02f3cdf26e31"),
-], ids=["headline", "spacing_sweep"])
+    (crowded_records,
+     "94cdcef71901cfab8a6fa49e9455bae1ca896faf69dbc852adf2908ac8a86ef4"),
+], ids=["headline", "spacing_sweep", "crowded"])
 def test_trials_csv_bytes(records, digest, tmp_path):
     path = tmp_path / "trials.csv"
     write_trials_csv(str(path), records())

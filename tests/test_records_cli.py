@@ -357,6 +357,21 @@ class TestCli:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["headline"], ["sweep", "--kind", "kappa"]])
+    def test_file_as_out_exits_1_before_any_trial(self, tmp_path, capsys,
+                                                  monkeypatch, command):
+        not_a_dir = tmp_path / "README.md"
+        not_a_dir.write_text("text\n")
+        ran = []
+        monkeypatch.setattr(wvcsim.experiments, "run_trial",
+                            lambda *args: ran.append(args))
+        code = main(command + ["--trials", "1", "--hours", "0.01",
+                               "--out", str(not_a_dir)])
+        assert code == 1
+        assert "error: [Errno 17] File exists" in capsys.readouterr().err
+        assert ran == []
+        assert not_a_dir.read_text() == "text\n"
+
     def test_failing_trial_named_and_exits_1(self, tmp_path, capsys):
         code = main(["headline", "--trials", "1", "--hours", "-1", "--out",
                      str(tmp_path)])

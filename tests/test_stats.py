@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,3 +110,14 @@ class TestHelpers:
         assert significance_stars(0.009) == "**"
         assert significance_stars(0.0009) == "***"
         assert significance_stars(0.05) == ""
+
+
+def test_trials_do_not_import_scipy():
+    # scipy is the slowest import of the package; only the statistics need it.
+    code = ("import sys, wvcsim\n"
+            "wvcsim.run_trial(wvcsim.CorridorConfig(), 0.01, 0, 1)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

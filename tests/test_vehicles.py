@@ -9,7 +9,7 @@ from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
 from wvcsim.engine import run_trial
 from wvcsim.vehicles import (FREE_ROAD_GAP, CruiseTable, DriverAlert, IdmParams,
-                             VehicleOverlap, VehicleState, advance_unalerted,
+                             VehicleOverlap, VehicleState, advance_idm,
                              cruise_key, cruise_table, desired_gap,
                              emergency_brake_needed, idm_acceleration,
                              link_ring_leaders, step_vehicles, stopping_envelope)
@@ -256,11 +256,13 @@ class TestRingTopology:
         monkeypatch.setattr(AwarenessState, "quiet", lambda self, now: False)
         seen = []
 
-        def recorded(v, v0, dv, s, p):
-            seen.append((v, v0))
-            return idm_acceleration(v, v0, dv, s, p)
+        def recorded(vehicles, n_steps, v0, *args):
+            # One step at a time, so that every step's speeds are seen.
+            for _ in range(n_steps):
+                seen.extend((v.v, v0) for v in vehicles)
+                advance_idm(vehicles, 1, v0, *args)
 
-        monkeypatch.setattr(wvcsim.engine, "idm_acceleration", recorded)
+        monkeypatch.setattr(wvcsim.engine, "advance_idm", recorded)
         cfg = replace_config(CorridorConfig(), arrival_rate=0.0)
         run_trial(cfg, 400.0 / 3600.0, 0, 0)
         assert {v0 for _v, v0 in seen} == {P.v_cruise, P.v_caution}
@@ -299,8 +301,8 @@ def snapshot(vehicles):
     return [(v.x, v.v) for v in vehicles]
 
 
-class TestAdvanceUnalerted:
-    """The idle-stretch kernel is the per-step IDM path, bit for bit."""
+class TestAdvanceIdm:
+    """The vehicle kernel is the per-step IDM path, bit for bit."""
 
     L = CorridorConfig().road_length
 
@@ -310,7 +312,7 @@ class TestAdvanceUnalerted:
 
     def test_matches_reference_from_default_state(self):
         fast, ref = self.default_pair()
-        advance_unalerted(fast, 3000, P, 0.1, self.L, GEO.vehicle_length)
+        advance_idm(fast, 3000, P.v_cruise, P, 0.1, self.L, GEO.vehicle_length)
         reference_steps(ref, 3000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -321,8 +323,16 @@ class TestAdvanceUnalerted:
         reference_steps(fast, 300, P.v_caution, self.L)
         reference_steps(ref, 300, P.v_caution, self.L)
         assert snapshot(fast) == snapshot(ref)
-        advance_unalerted(fast, 2000, P, 0.1, self.L, GEO.vehicle_length)
+        advance_idm(fast, 2000, P.v_cruise, P, 0.1, self.L, GEO.vehicle_length)
         reference_steps(ref, 2000, P.v_cruise, self.L)
+        assert snapshot(fast) == snapshot(ref)
+
+    def test_matches_reference_at_caution_speed(self):
+        # Alerted drivers that brake for no animal: from cruise down to the
+        # caution speed, through the -a_em clamp.
+        fast, ref = self.default_pair()
+        advance_idm(fast, 2000, P.v_caution, P, 0.1, self.L, GEO.vehicle_length)
+        reference_steps(ref, 2000, P.v_caution, self.L)
         assert snapshot(fast) == snapshot(ref)
 
     def test_matches_reference_with_clamped_terms(self):
@@ -336,14 +346,14 @@ class TestAdvanceUnalerted:
             follower = next(v for v in group if v.leader is stopped)
             follower.x = (stopped.x - 60.0 * stopped.direction) % self.L
             follower.v = 27.0
-        advance_unalerted(fast, 500, P, 0.1, self.L, GEO.vehicle_length)
+        advance_idm(fast, 500, P.v_cruise, P, 0.1, self.L, GEO.vehicle_length)
         reference_steps(ref, 500, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
     def test_matches_reference_for_a_free_vehicle(self):
         fast, ref = self.default_pair(vehicles_per_direction=1)
         assert all(v.leader is None for v in fast)
-        advance_unalerted(fast, 1000, P, 0.1, self.L, GEO.vehicle_length)
+        advance_idm(fast, 1000, P.v_cruise, P, 0.1, self.L, GEO.vehicle_length)
         reference_steps(ref, 1000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -351,7 +361,7 @@ class TestAdvanceUnalerted:
         vehicles = build_corridor(CorridorConfig()).vehicles
         for v in vehicles:
             v.emergency_braking = True
-        advance_unalerted(vehicles, 1, P, 0.1, self.L, GEO.vehicle_length)
+        advance_idm(vehicles, 1, P.v_cruise, P, 0.1, self.L, GEO.vehicle_length)
         assert not any(v.emergency_braking for v in vehicles)
 
     def test_overlap_raised_at_the_same_step(self):
@@ -372,7 +382,7 @@ class TestAdvanceUnalerted:
                 expected += 1
         fast = crash_course()
         with pytest.raises(VehicleOverlap) as exc:
-            advance_unalerted(fast, 1000, P, 0.1, self.L, GEO.vehicle_length)
+            advance_idm(fast, 1000, P.v_cruise, P, 0.1, self.L, GEO.vehicle_length)
         assert exc.value.step == expected > 0
         assert exc.value.follower is fast[0]
         assert exc.value.leader is fast[0].leader
