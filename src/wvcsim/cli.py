@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from .config import CorridorConfig, Mode, load_config, validate_config
-from .engine import run_trial
+from .engine import check_duration, run_trial
 from .experiments import (SWEEP_GRIDS, ExperimentPlan, TrialError,
                           default_workers, emit_plot_data, format_summary,
                           run_sweep, summarize)
@@ -103,6 +103,7 @@ def _cmd_run(args) -> int:
     config = _load_base_config(args.config)
     _at_least("--seed", args.seed, 0)
     _at_least("--trial-id", args.trial_id, 0)
+    check_duration("--hours", args.hours)
     if args.mode is not None:
         config = config.with_mode(Mode(args.mode))
     result = run_trial(config, args.hours, args.trial_id, args.seed)
@@ -115,6 +116,7 @@ def _cmd_experiment(args) -> int:
     config = _load_base_config(args.config)
     _at_least("--seed", args.seed, 0)
     _at_least("--trials", args.trials, 1)
+    check_duration("--hours", args.hours)
     sizes = dict(master_seed=args.seed, trials_per_point=args.trials,
                  hours_per_trial=args.hours)
     if args.command == "headline":

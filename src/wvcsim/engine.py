@@ -43,14 +43,15 @@ number and record no first-in-range time for it.
 
 In a Control trial the vehicles are not integrated at all until the drivers
 are first alerted, which only a sign patched on by a test can do: a settle
-reads the cruise trajectory, ``vehicles.CruiseTable``, which each process
-computes once with that same kernel and shares across trials and seeds. This
-is exact. Unalerted drivers read no animal (braking needs an alert), so
-before the first alert the vehicles' path depends only on their start state,
-the IDM parameters, the time step and the ring, which key the table. The rows
-are the kernel's own output, and where the kernel finds an overlap the table
-ends; a trial that needs a later row leaves the table there, and the kernel
-raises the same error at the same step. The first alert leaves the table for
+copies a row of the cruise trajectory (``vehicles.cruise_rows``), one array
+that each process computes with that same kernel and shares across trials and
+seeds, rebuilt only for a new start state or a longer trial. This is exact.
+Unalerted drivers read no animal (braking needs an alert), so before the first
+alert the vehicles' path depends only on their start state, the IDM
+parameters, the time step and the ring, which key the table. The rows are the
+kernel's own output, and where the kernel finds an overlap the rows end; a
+trial that needs a later row leaves the table there, and the kernel raises
+the same error at the same step. The first alert leaves the table for
 the rest of the trial (after a settle on it), as does reaching
 ``CRUISE_TABLE_MAX_BYTES`` (32 MiB, 7.28 h at the defaults); from there the
 settles run the kernel.
@@ -77,8 +78,8 @@ from .awareness import AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
 from .detection import DetectionParams, try_detect
 from .vehicles import (FREE_ROAD_GAP, DriverAlert, VehicleOverlap, advance_idm,
-                       cruise_table, emergency_brake_needed, idm_acceleration,
-                       step_vehicles)
+                       cruise_rows, emergency_brake_needed, idm_acceleration,
+                       load_row, step_vehicles)
 
 
 class EngineInvariantError(RuntimeError):
@@ -120,13 +121,18 @@ class RngStreams:
         )
 
 
+def check_duration(name: str, hours: float) -> None:
+    """Reject a trial duration, called ``name`` in the error, that is not
+    positive and finite."""
+    if not (hours > 0 and math.isfinite(hours)):
+        raise ValueError(f"{name} must be positive and finite, got {hours!r}")
+
+
 def _schedule(config: CorridorConfig, duration_hours: float,
               rng: np.random.Generator) -> tuple[list[Arrival], int]:
     """The step count and the Poisson arrivals due by the last step (the
     trial never spawns later ones)."""
-    if not (duration_hours > 0 and math.isfinite(duration_hours)):
-        raise ValueError("duration must be positive and finite, "
-                         f"got {duration_hours!r}")
+    check_duration("duration", duration_hours)
     n_steps = int(math.ceil(duration_hours * 3600.0 / config.time_step - 1e-9))
     last_now = (n_steps - 1) * config.time_step
     arrivals = sample_arrivals(config.arrival_rate, duration_hours,
@@ -304,10 +310,9 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     veh_length = geometry.vehicle_length
     alert = DriverAlert()
     # Only Control trials read the cruise table (see the module docstring).
-    cruise = (cruise_table(vehicles, idm, dt, L, veh_length)
+    cruise = (cruise_rows(vehicles, idm, dt, L, veh_length, n_steps + 1)
               if config.mode is Mode.CONTROL else None)
     on_cruise = cruise is not None
-    n_rows = n_steps + 1
     # The vehicles hold row k - lag: the last ``lag`` steps, none braking and
     # all at desired speed ``lag_v0``, are owed (see the module docstring).
     lag = 0
@@ -319,7 +324,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         if not lag:
             return
         if on_cruise:
-            if cruise.load(vehicles, row, n_rows):
+            if load_row(vehicles, cruise, row):
                 lag = 0
                 return
             on_cruise = False
@@ -392,15 +397,15 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             lag += 1
         else:
             for i, v in enumerate(vehicles):
-                lead = v.leader
-                if lead is None:
+                if v.leader < 0:
                     gap = FREE_ROAD_GAP
                     dv = 0.0
                 else:
+                    lead = vehicles[v.leader]
                     gap = ((lead.x - v.x) * v.direction) % L - veh_length
+                    if gap <= 0.0:
+                        raise _overlap(trial_id, v, lead, now)
                     dv = v.v - lead.v
-                if gap <= 0.0:
-                    raise _overlap(trial_id, v, lead, now)
                 a_cmd = idm_acceleration(v.v, v0, dv, gap, idm)
                 if emergency_brake_needed(v, road_animals, geometry, idm, L):
                     a_cmd = -idm.a_em

@@ -8,6 +8,7 @@ empty fields.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields as dc_fields
 from typing import Iterable, Optional, Sequence
 
@@ -91,15 +92,18 @@ def _cell(value) -> str:
 
 
 def _parse(column: str, text: str):
+    """One cell's value. Every number the writer produces is finite and
+    non-negative, so any other is rejected."""
     if text == "":
         if column not in _OPTIONAL_COLUMNS:
-            raise ValueError(f"column {column}: unexpected empty field")
+            raise ValueError("unexpected empty field")
         return None
     if column in ("experiment", "mode"):
         return text
-    if column in _INT_COLUMNS:
-        return int(text)
-    return float(text)
+    value = int(text) if column in _INT_COLUMNS else float(text)
+    if value < 0 or not math.isfinite(value):
+        raise ValueError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def write_csv(path: str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -123,9 +127,15 @@ def read_trials_csv(path: str) -> list[TrialRecord]:
             raise ValueError(f"{path}: unrecognized trial CSV header")
         records = []
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
             if len(row) != len(COLUMNS):
-                raise ValueError(f"{path}, line {reader.line_num}: expected "
-                                 f"{len(COLUMNS)} cells, got {len(row)}")
-            records.append(TrialRecord(**{c: _parse(c, cell)
-                                          for c, cell in zip(COLUMNS, row)}))
+                raise ValueError(f"{where}: expected {len(COLUMNS)} cells, "
+                                 f"got {len(row)}")
+            values = {}
+            for column, cell in zip(COLUMNS, row):
+                try:
+                    values[column] = _parse(column, cell)
+                except ValueError as exc:
+                    raise ValueError(f"{where}, column {column}: {exc}") from None
+            records.append(TrialRecord(**values))
         return records

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:
@@ -23,7 +23,7 @@ FREE_ROAD_GAP = 1.0e6
 
 # Bytes of vehicle states the cruise table may hold in one process. A row costs
 # 16 bytes per vehicle (128 B for the default 8), so this covers 7.28 h at
-# dt = 0.1 s; a trial that runs past it integrates its vehicles step by step.
+# dt = 0.1 s; a trial that runs past it integrates its vehicles from there.
 CRUISE_TABLE_MAX_BYTES = 32 * 1024 * 1024
 
 _IDM_FIELDS = ("s0", "T", "a_max", "b_conf", "delta", "a_em", "v_cruise",
@@ -66,7 +66,7 @@ class VehicleState:
     direction: int             # +1 or -1 along the road axis
     lane: int
     emergency_braking: bool = False
-    leader: Optional["VehicleState"] = field(default=None, repr=False)
+    leader: int = -1           # ring leader's index in the trial's list; -1 for none
 
 
 def desired_gap(v: float, dv: float, p: IdmParams) -> float:
@@ -107,12 +107,6 @@ class VehicleOverlap(ValueError):
         self.leader = leader
 
 
-def _leader_indices(vehicles: list[VehicleState]) -> list[int]:
-    """Each vehicle's leader as an index into ``vehicles``; -1 for none."""
-    index = {id(v): i for i, v in enumerate(vehicles)}
-    return [-1 if v.leader is None else index[id(v.leader)] for v in vehicles]
-
-
 def advance_idm(vehicles: list[VehicleState], n_steps: int, v0: float,
                 p: IdmParams, dt: float, road_length: float, vehicle_length: float,
                 rows: Optional[array] = None) -> None:
@@ -135,8 +129,7 @@ def advance_idm(vehicles: list[VehicleState], n_steps: int, v0: float,
     closing = 2.0 * math.sqrt(p.a_max * p.b_conf)
     # (vehicle, leader or -1, direction) in list order, the per-step path's
     # order, so an overlap names the same pair.
-    links = [(i, j, v.direction)
-             for i, (v, j) in enumerate(zip(vehicles, _leader_indices(vehicles)))]
+    links = [(i, v.leader, v.direction) for i, v in enumerate(vehicles)]
     xs = [v.x for v in vehicles]
     vs = [v.v for v in vehicles]
     next_xs = xs[:]
@@ -178,87 +171,58 @@ def cruise_key(vehicles: list[VehicleState], p: IdmParams, dt: float,
     """Everything the unalerted trajectory of ``vehicles`` depends on: each
     vehicle's start x, v, direction and leader index, the IDM parameters, the
     time step and the ring."""
-    starts = tuple((v.x, v.v, v.direction, j)
-                   for v, j in zip(vehicles, _leader_indices(vehicles)))
+    starts = tuple((v.x, v.v, v.direction, v.leader) for v in vehicles)
     idm = tuple(getattr(p, name) for name in _IDM_FIELDS)
     return starts, idm, dt, road_length, vehicle_length
 
 
-class CruiseTable:
-    """The cruise trajectory: every vehicle's (x, v) after r rounds of
-    ``advance_idm`` at cruise speed from one start state, for r = 0, 1, 2, ...
+# This process's last cruise trajectory: (key, rows asked for, rows).
+_cruise: Optional[tuple[tuple, int, array]] = None
 
-    Row r holds the n positions, then the n speeds, in one flat
-    ``array('d')``; row 0 is the start state. The table is built from its key
-    alone, on vehicles of its own, so it can depend on nothing else. It grows
-    on demand, up to CRUISE_TABLE_MAX_BYTES. If the kernel raises
-    VehicleOverlap, the table ends at the row where the gap closed and
-    ``overlap`` holds (that row, follower index, leader index).
+
+def cruise_rows(vehicles: list[VehicleState], p: IdmParams, dt: float,
+                road_length: float, vehicle_length: float, n_rows: int) -> array:
+    """The cruise trajectory of ``vehicles``' start state: every vehicle's
+    (x, v) after r = 0, 1, ... rounds of ``advance_idm`` at cruise speed, row
+    r holding the n positions, then the n speeds, in one flat ``array('d')``.
+
+    Each process keeps the last array it built and returns it again for the
+    same ``cruise_key`` when it was built for at least ``n_rows`` rows;
+    otherwise it builds one from row 0, on vehicles made from the key alone,
+    to ``n_rows`` rows or as many as CRUISE_TABLE_MAX_BYTES holds. Where the
+    kernel finds an overlap, the rows end at the row where the gap closed.
     """
-
-    def __init__(self, key: tuple):
-        self.key = key
-        starts, idm, dt, road_length, vehicle_length = key
-        # The kernel reads no lane.
-        self._vehicles = [VehicleState(vid=i, x=x, v=v, direction=d, lane=0)
-                          for i, (x, v, d, _) in enumerate(starts)]
-        for vehicle, (_, _, _, j) in zip(self._vehicles, starts):
-            if j >= 0:
-                vehicle.leader = self._vehicles[j]
-        p = IdmParams(**dict(zip(_IDM_FIELDS, idm)))
-        self._kernel_args = (p.v_cruise, p, dt, road_length, vehicle_length)
-        self.rows = array("d", [s[0] for s in starts] + [s[1] for s in starts])
-        self.n_rows = 1
-        self.overlap: Optional[tuple[int, int, int]] = None
-
-    def grow(self, n_rows: int) -> None:
-        """Extend the table to ``n_rows`` rows, or as far as the byte cap and
-        an overlap allow."""
-        n = len(self._vehicles)
-        if n:
-            n_rows = min(n_rows, CRUISE_TABLE_MAX_BYTES // (16 * n))
-        if n_rows <= self.n_rows or self.overlap is not None:
-            return
-        try:
-            advance_idm(self._vehicles, n_rows - self.n_rows,
-                        *self._kernel_args, rows=self.rows)
-            self.n_rows = n_rows
-        except VehicleOverlap as exc:
-            self.n_rows += exc.step
-            self.overlap = (self.n_rows - 1, exc.follower.vid, exc.leader.vid)
-
-    def load(self, vehicles: list[VehicleState], row: int, n_rows: int) -> bool:
-        """Copy row ``row`` into ``vehicles``. A short table first grows, to
-        at most ``n_rows`` rows. Returns False, and leaves the vehicles as they
-        were, when the table cannot reach that row."""
-        if row >= self.n_rows:
-            # At least doubling, so that a trial reading row after row runs
-            # the kernel a few times, not once per step.
-            self.grow(min(n_rows, max(row + 1, 2 * self.n_rows)))
-            if row >= self.n_rows:
-                return False
-        n = len(vehicles)
-        base = 2 * n * row
-        rows = self.rows
-        for i, vehicle in enumerate(vehicles):
-            vehicle.x = rows[base + i]
-            vehicle.v = rows[base + n + i]
-        return True
-
-
-# The table of the last key asked for: one per process, built on first use.
-_cruise: Optional[CruiseTable] = None
-
-
-def cruise_table(vehicles: list[VehicleState], p: IdmParams, dt: float,
-                 road_length: float, vehicle_length: float) -> CruiseTable:
-    """This process's cruise table for ``vehicles``' start state, rebuilt
-    when its key differs from the last call's."""
     global _cruise
     key = cruise_key(vehicles, p, dt, road_length, vehicle_length)
-    if _cruise is None or _cruise.key != key:
-        _cruise = CruiseTable(key)
-    return _cruise
+    if _cruise is not None and _cruise[0] == key and _cruise[1] >= n_rows:
+        return _cruise[2]
+    # The kernel reads no lane.
+    own = [VehicleState(vid=i, x=x, v=v, direction=d, lane=0, leader=j)
+           for i, (x, v, d, j) in enumerate(key[0])]
+    rows = array("d", [v.x for v in own] + [v.v for v in own])
+    n_steps = n_rows - 1
+    if own:
+        n_steps = min(n_steps, CRUISE_TABLE_MAX_BYTES // (16 * len(own)) - 1)
+    try:
+        advance_idm(own, n_steps, p.v_cruise, p, dt, road_length, vehicle_length,
+                    rows=rows)
+    except VehicleOverlap:
+        pass
+    _cruise = (key, n_rows, rows)
+    return rows
+
+
+def load_row(vehicles: list[VehicleState], rows: array, row: int) -> bool:
+    """Copy row ``row`` of a cruise trajectory into ``vehicles``. Returns
+    False, and leaves the vehicles as they were, past its last row."""
+    n = len(vehicles)
+    base = 2 * n * row
+    if base + 2 * n > len(rows):
+        return False
+    for i, vehicle in enumerate(vehicles):
+        vehicle.x = rows[base + i]
+        vehicle.v = rows[base + n + i]
+    return True
 
 
 @dataclass
@@ -332,13 +296,13 @@ def link_ring_leaders(vehicles: list[VehicleState], road_length: float) -> None:
     leaders, so the neighbour assignment never changes.
     """
     for direction in (1, -1):
-        group = [v for v in vehicles if v.direction == direction]
+        group = [i for i, v in enumerate(vehicles) if v.direction == direction]
         if len(group) < 2:
-            for v in group:
-                v.leader = None
+            for i in group:
+                vehicles[i].leader = -1
             continue
-        # Sort in travel order so group[i+1] is directly ahead of group[i].
-        group.sort(key=lambda v: v.x * direction)
+        # Sort in travel order so group[m+1] is directly ahead of group[m].
+        group.sort(key=lambda i: vehicles[i].x * direction)
         n = len(group)
-        for i, v in enumerate(group):
-            v.leader = group[(i + 1) % n]
+        for m, i in enumerate(group):
+            vehicles[i].leader = group[(m + 1) % n]

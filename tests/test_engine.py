@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from array import array
 
 import pytest
 
@@ -12,7 +13,7 @@ from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
 from wvcsim.detection import radars_in_range
 from wvcsim.engine import (EngineInvariantError, RngStreams, TrialResult,
                            detect_collisions, make_arrival_schedule, run_trial)
-from wvcsim.vehicles import CruiseTable, VehicleState, cruise_key
+from wvcsim.vehicles import VehicleState, cruise_rows
 
 GEO = GeometryParams()
 
@@ -235,7 +236,7 @@ class TestIdleStretch:
         def crash_world(config):
             world = build_corridor(config)
             follower = world.vehicles[0]
-            leader = follower.leader
+            leader = world.vehicles[follower.leader]
             follower.x = (leader.x - 25.0 * follower.direction) % config.road_length
             follower.v, leader.v = 30.0, 0.0
             return world
@@ -253,11 +254,9 @@ class TestIdleStretch:
         assert "overlap at t=" in str(fast.value)
 
 
-class RowZeroTable(CruiseTable):
-    """A cruise table that never grows past its start row."""
-
-    def grow(self, n_rows):
-        pass
+def row_zero(vehicles, *args):
+    """A stand-in for ``cruise_rows`` that holds only the start row."""
+    return array("d", [v.x for v in vehicles] + [v.v for v in vehicles])
 
 
 def count_integration(monkeypatch):
@@ -296,8 +295,7 @@ class TestCruiseTable:
             read = count[0]
             count[0] = 0
             with monkeypatch.context() as m:
-                m.setattr(wvcsim.engine, "cruise_table",
-                          lambda *args: RowZeroTable(cruise_key(*args)))
+                m.setattr(wvcsim.engine, "cruise_rows", row_zero)
                 integrated = dataclasses.asdict(run_trial(cfg, 0.25, trial_id, 5))
             assert on_table == integrated
             if cfg.vehicles_per_direction == 0:
@@ -321,8 +319,7 @@ class TestCruiseTable:
         on_table = dataclasses.asdict(run_trial(cfg, 0.25, 0, 5))
         read = count[0]
         count[0] = 0
-        monkeypatch.setattr(wvcsim.engine, "cruise_table",
-                            lambda *args: RowZeroTable(cruise_key(*args)))
+        monkeypatch.setattr(wvcsim.engine, "cruise_rows", row_zero)
         assert dataclasses.asdict(run_trial(cfg, 0.25, 0, 5)) == on_table
         assert 0 < read < count[0]
 
@@ -331,16 +328,18 @@ class TestCruiseTable:
         expected = dataclasses.asdict(run_trial(cfg, 0.25, 0, 5))
         tables = []
 
-        def fresh_table(*args):
-            tables.append(CruiseTable(cruise_key(*args)))
+        def recorded(*args):
+            tables.append(cruise_rows(*args))
             return tables[-1]
 
-        # 1000 rows of the 9001 the trial needs.
+        # 1000 rows of the 9001 the trial needs, built afresh rather than
+        # read from the longer rows the first trial left.
         monkeypatch.setattr(wvcsim.vehicles, "CRUISE_TABLE_MAX_BYTES", 1000 * 16 * 8)
-        monkeypatch.setattr(wvcsim.engine, "cruise_table", fresh_table)
+        monkeypatch.setattr(wvcsim.vehicles, "_cruise", None)
+        monkeypatch.setattr(wvcsim.engine, "cruise_rows", recorded)
         count = count_integration(monkeypatch)
         assert dataclasses.asdict(run_trial(cfg, 0.25, 0, 5)) == expected
-        assert tables[0].n_rows == 1000
+        assert len(tables[0]) == 1000 * 2 * 8
         assert count[0] > 0
 
 

@@ -129,6 +129,17 @@ class TestDefaultWorkers:
             default_workers()
 
 
+def write_with_cell(path, records, column, text):
+    """Write ``records`` as a trials CSV, then set ``column`` of the second
+    row (line 3) to ``text``."""
+    write_trials_csv(str(path), records)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[COLUMNS.index(column)] = text
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tiny_headline, tmp_path):
         path = tmp_path / "trials.csv"
@@ -158,6 +169,20 @@ class TestCsvRoundTrip:
             read_trials_csv(str(path))
         assert str(exc.value) == (f"{path}, line 3: expected {len(COLUMNS)} "
                                   f"cells, got {cells}")
+
+    @pytest.mark.parametrize("column, text", [
+        ("frozen_on_road_time", "nan"), ("hours", "inf"), ("road_entries", "-5"),
+        ("mean_in_range_latency", "-0.5"), ("seed", "4.5"),
+    ])
+    def test_bad_number_named(self, tiny_headline, tmp_path, column, text):
+        path = tmp_path / "trials.csv"
+        write_with_cell(path, tiny_headline, column, text)
+        with pytest.raises(ValueError) as exc:
+            read_trials_csv(str(path))
+        assert str(exc.value).startswith(f"{path}, line 3, column {column}: ")
+        if column != "seed":
+            assert str(exc.value).endswith(
+                f": expected a finite number >= 0, got {text!r}")
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bogus.csv"
@@ -305,8 +330,24 @@ class TestCli:
     def test_nonfinite_hours_exits_1(self, capsys, hours):
         code = main(["run", "--hours", hours])
         assert code == 1
-        assert (f"error: duration must be positive and finite, got {hours}"
+        assert (f"error: --hours must be positive and finite, got {hours}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("hours", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("command", [["headline"], ["sweep", "--kind", "kappa"]])
+    def test_bad_hours_exits_1_before_any_trial(self, tmp_path, capsys,
+                                                monkeypatch, command, hours):
+        ran = []
+        monkeypatch.setattr(wvcsim.experiments, "run_trial",
+                            lambda *args: ran.append(args))
+        out = tmp_path / "out"
+        code = main(command + ["--trials", "1", "--hours", hours, "--workers", "2",
+                               "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --hours must be positive and finite, got {float(hours)!r}\n")
+        assert ran == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_worker_env_exits_1(self, tmp_path, capsys, monkeypatch, value):
@@ -372,14 +413,32 @@ class TestCli:
         assert ran == []
         assert not_a_dir.read_text() == "text\n"
 
-    def test_failing_trial_named_and_exits_1(self, tmp_path, capsys):
-        code = main(["headline", "--trials", "1", "--hours", "-1", "--out",
-                     str(tmp_path)])
+    def test_failing_trial_named_and_exits_1(self, tmp_path, capsys, monkeypatch):
+        def failing(*args):
+            raise ValueError("trial broke")
+
+        monkeypatch.setattr(wvcsim.experiments, "run_trial", failing)
+        out = tmp_path / "out"
+        code = main(["headline", "--trials", "1", "--hours", "0.01", "--out",
+                     str(out)])
         assert code == 1
         assert ("error: trial failed (experiment='headline', sweep_value=None, "
                 "mode='Control', trial_id=0, master_seed=42): ValueError: "
-                "duration must be positive") in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+                "trial broke") in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [["analyze"], ["plots", "--kind", "headline"]])
+    def test_bad_number_exits_1(self, tiny_headline, tmp_path, capsys, command):
+        trials_csv = tmp_path / "headline_trials.csv"
+        write_with_cell(trials_csv, tiny_headline, "frozen_on_road_time", "nan")
+        out = tmp_path / "out"
+        code = main(command[:1] + [str(trials_csv)] + command[1:]
+                    + ["--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {trials_csv}, line 3, column frozen_on_road_time: "
+            "expected a finite number >= 0, got 'nan'\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["analyze"], ["plots", "--kind", "headline"]])
     def test_duplicate_row_exits_1(self, tiny_headline, tmp_path, capsys, command):

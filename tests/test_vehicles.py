@@ -4,15 +4,16 @@ import math
 import pytest
 
 import wvcsim.engine
+import wvcsim.vehicles
 from wvcsim.awareness import AwarenessState
 from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
 from wvcsim.engine import run_trial
-from wvcsim.vehicles import (FREE_ROAD_GAP, CruiseTable, DriverAlert, IdmParams,
+from wvcsim.vehicles import (FREE_ROAD_GAP, DriverAlert, IdmParams,
                              VehicleOverlap, VehicleState, advance_idm,
-                             cruise_key, cruise_table, desired_gap,
-                             emergency_brake_needed, idm_acceleration,
-                             link_ring_leaders, step_vehicles, stopping_envelope)
+                             cruise_rows, desired_gap, emergency_brake_needed,
+                             idm_acceleration, link_ring_leaders, load_row,
+                             step_vehicles, stopping_envelope)
 from wvcsim.animals import AnimalState
 
 P = IdmParams()
@@ -24,9 +25,9 @@ def make_vehicle(x=0.0, v=20.0, direction=1, lane=0):
     return VehicleState(vid=0, x=x, v=v, direction=direction, lane=lane)
 
 
-def ring_gap(vehicle, road_length):
+def ring_gap(vehicles, vehicle, road_length):
     """Bumper-to-bumper gap to the ring leader, as the engine computes it."""
-    lead = vehicle.leader
+    lead = vehicles[vehicle.leader]
     centre_gap = ((lead.x - vehicle.x) * vehicle.direction) % road_length
     return centre_gap - GEO.vehicle_length
 
@@ -240,7 +241,7 @@ class TestRingTopology:
                     for i in range(2)]
         link_ring_leaders(vehicles, 1000.0)
         for v in vehicles:
-            gap = ring_gap(v, 1000.0)
+            gap = ring_gap(vehicles, v, 1000.0)
             assert gap > desired_gap(P.v_cruise, 0.0, P) + GEO.vehicle_length
             a = idm_acceleration(v.v, P.v_cruise, 0.0, gap, P)
             assert abs(a) < 0.05
@@ -273,11 +274,10 @@ class TestRingTopology:
         vehicles = [VehicleState(vid=i, x=x, v=10.0, direction=-1, lane=1)
                     for i, x in enumerate((0.0, 250.0, 500.0, 750.0))]
         link_ring_leaders(vehicles, 1000.0)
-        # For -x travel the leader is the next vehicle at smaller x.
-        by_x = {v.x: v for v in vehicles}
-        assert by_x[750.0].leader is by_x[500.0]
-        assert by_x[0.0].leader is by_x[750.0]
-        gap = ring_gap(by_x[750.0], 1000.0)
+        # For -x travel the leader is the next vehicle at smaller x:
+        # vehicle i sits at x = 250 i.
+        assert [v.leader for v in vehicles] == [3, 0, 1, 2]
+        gap = ring_gap(vehicles, vehicles[3], 1000.0)
         assert gap == pytest.approx(250.0 - GEO.vehicle_length, rel=REL)
 
 
@@ -287,10 +287,10 @@ def reference_steps(vehicles, n_steps, v0, road_length, dt=0.1):
     for _ in range(n_steps):
         accels = []
         for v in vehicles:
-            lead = v.leader
-            if lead is None:
+            if v.leader < 0:
                 gap, dv = FREE_ROAD_GAP, 0.0
             else:
+                lead = vehicles[v.leader]
                 gap = ((lead.x - v.x) * v.direction) % road_length - GEO.vehicle_length
                 dv = v.v - lead.v
             accels.append(idm_acceleration(v.v, v0, dv, gap, P))
@@ -343,7 +343,7 @@ class TestAdvanceIdm:
             for v, speed in zip(group, (2.0, 27.0, 0.0, 26.0, 27.78, 1.0, 15.0, 0.0)):
                 v.v = speed
             stopped = group[2]
-            follower = next(v for v in group if v.leader is stopped)
+            follower = next(v for v in group if v.leader == 2)
             follower.x = (stopped.x - 60.0 * stopped.direction) % self.L
             follower.v = 27.0
         advance_idm(fast, 500, P.v_cruise, P, 0.1, self.L, GEO.vehicle_length)
@@ -352,7 +352,7 @@ class TestAdvanceIdm:
 
     def test_matches_reference_for_a_free_vehicle(self):
         fast, ref = self.default_pair(vehicles_per_direction=1)
-        assert all(v.leader is None for v in fast)
+        assert all(v.leader == -1 for v in fast)
         advance_idm(fast, 1000, P.v_cruise, P, 0.1, self.L, GEO.vehicle_length)
         reference_steps(ref, 1000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
@@ -369,7 +369,7 @@ class TestAdvanceIdm:
         # time even at -a_em: the gap closes after a few seconds.
         def crash_course():
             vehicles = build_corridor(CorridorConfig()).vehicles
-            follower, leader = vehicles[0], vehicles[0].leader
+            follower, leader = vehicles[0], vehicles[vehicles[0].leader]
             follower.x = (leader.x - (20.0 + GEO.vehicle_length) * follower.direction) % self.L
             follower.v, leader.v = 30.0, 0.0
             return vehicles
@@ -385,7 +385,7 @@ class TestAdvanceIdm:
             advance_idm(fast, 1000, P.v_cruise, P, 0.1, self.L, GEO.vehicle_length)
         assert exc.value.step == expected > 0
         assert exc.value.follower is fast[0]
-        assert exc.value.leader is fast[0].leader
+        assert exc.value.leader is fast[fast[0].leader]
         assert snapshot(fast) == snapshot(ref)
 
 
@@ -393,24 +393,29 @@ def crash_course(road_length):
     """A follower at 30 m/s, 20 m behind a stopped leader: it cannot stop in
     time even at -a_em, so the gap closes after a few seconds."""
     vehicles = build_corridor(CorridorConfig()).vehicles
-    follower, leader = vehicles[0], vehicles[0].leader
+    follower, leader = vehicles[0], vehicles[vehicles[0].leader]
     follower.x = (leader.x - (20.0 + GEO.vehicle_length) * follower.direction) % road_length
     follower.v, leader.v = 30.0, 0.0
     return vehicles
 
 
 class TestCruiseTable:
-    """Row r of the cruise table is r rounds of the per-step IDM path, bit
-    for bit."""
+    """Row r of the cruise trajectory is r rounds of the per-step IDM path,
+    bit for bit."""
 
     L = CorridorConfig().road_length
 
-    def table(self, vehicles, p=P, dt=0.1):
-        return CruiseTable(cruise_key(vehicles, p, dt, self.L, GEO.vehicle_length))
+    @pytest.fixture(autouse=True)
+    def no_cached_rows(self, monkeypatch):
+        # Each test builds its own rows, whatever an earlier trial left.
+        monkeypatch.setattr(wvcsim.vehicles, "_cruise", None)
 
-    def row(self, table, r, like):
+    def rows(self, vehicles, n_rows, p=P, dt=0.1):
+        return cruise_rows(vehicles, p, dt, self.L, GEO.vehicle_length, n_rows)
+
+    def row(self, rows, r, like):
         vehicles = [dataclasses.replace(v) for v in like]
-        assert table.load(vehicles, r, r + 1)
+        assert load_row(vehicles, rows, r)
         return snapshot(vehicles)
 
     @pytest.mark.parametrize("dt, overrides", [
@@ -418,40 +423,44 @@ class TestCruiseTable:
     ], ids=["default", "dt0.05", "dt0.2", "free-vehicles"])
     def test_rows_match_reference(self, dt, overrides):
         ref = build_corridor(replace_config(CorridorConfig(), **overrides)).vehicles
-        table = self.table(ref, dt=dt)
-        assert self.row(table, 0, ref) == snapshot(ref)
+        rows = self.rows(ref, 3002, dt=dt)
+        assert self.row(rows, 0, ref) == snapshot(ref)
         done = 0
         for r in (1, 2, 17, 640, 3001):
             reference_steps(ref, r - done, P.v_cruise, self.L, dt)
             done = r
-            assert self.row(table, r, ref) == snapshot(ref)
-
-    def test_growing_in_two_calls_equals_one(self):
-        vehicles = build_corridor(CorridorConfig()).vehicles
-        twice = self.table(vehicles)
-        twice.grow(100)
-        assert twice.n_rows == 100
-        twice.grow(200)
-        once = self.table(vehicles)
-        once.grow(200)
-        assert twice.n_rows == once.n_rows == 200
-        assert twice.rows == once.rows
+            assert self.row(rows, r, ref) == snapshot(ref)
 
     def test_load_reaches_no_further_than_asked(self):
         vehicles = build_corridor(CorridorConfig()).vehicles
-        table = self.table(vehicles)
-        assert not table.load(vehicles, 50, 50)
-        assert table.n_rows == 50
-        assert snapshot(vehicles) == self.row(table, 0, vehicles)
+        start = snapshot(vehicles)
+        rows = self.rows(vehicles, 50)
+        assert len(rows) == 50 * 2 * len(vehicles)
+        assert self.row(rows, 49, vehicles) != start
+        assert not load_row(vehicles, rows, 50)
+        assert snapshot(vehicles) == start
+
+    def test_same_key_reuses_the_rows(self):
+        vehicles = build_corridor(CorridorConfig()).vehicles
+        first = self.rows(vehicles, 200)
+        assert self.rows(vehicles, 200) is first
+        assert self.rows(vehicles, 100) is first
 
     def test_changed_v_cruise_rebuilds(self):
         vehicles = build_corridor(CorridorConfig()).vehicles
-        args = (0.1, self.L, GEO.vehicle_length)
-        first = cruise_table(vehicles, P, *args)
-        assert cruise_table(vehicles, P, *args) is first
-        slower = cruise_table(vehicles, dataclasses.replace(P, v_cruise=25.0), *args)
+        first = self.rows(vehicles, 200)
+        slower = self.rows(vehicles, 200, p=dataclasses.replace(P, v_cruise=25.0))
         assert slower is not first
-        assert slower.key != first.key
+        assert slower != first
+
+    def test_longer_trial_rebuilds_from_row_zero(self):
+        vehicles = build_corridor(CorridorConfig()).vehicles
+        short = self.rows(vehicles, 100)
+        longer = self.rows(vehicles, 200)
+        assert longer is not short
+        assert len(longer) == 2 * len(short)
+        assert longer[:len(short)] == short
+        assert self.rows(vehicles, 150) is longer
 
     def test_overlap_row_recorded(self):
         expected = 0
@@ -461,11 +470,7 @@ class TestCruiseTable:
                 reference_steps(ref, 1, P.v_cruise, self.L)
                 expected += 1
         vehicles = crash_course(self.L)
-        table = self.table(vehicles)
-        table.grow(1000)
-        leader = vehicles.index(vehicles[0].leader)
-        assert table.overlap == (expected, 0, leader)
-        assert table.n_rows == expected + 1
-        assert self.row(table, expected, vehicles) == snapshot(ref)
-        table.grow(2000)
-        assert table.n_rows == expected + 1
+        rows = self.rows(vehicles, 1000)
+        assert len(rows) == (expected + 1) * 2 * len(vehicles)
+        assert self.row(rows, expected, vehicles) == snapshot(ref)
+        assert not load_row(vehicles, rows, expected + 1)
