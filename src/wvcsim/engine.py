@@ -26,20 +26,28 @@ semi-implicit Euler step as the per-step loop, with every float operation in
 the same order, so the vehicles come out bit for bit as if stepped one phase
 loop at a time; an overlap raises the same error at the same ``t=``, since the
 kernel reports the step it found it at. The debt is settled just before each
-reader: a braking step (alerted drivers and an animal in the road band), which
-still runs the per-step loop with its brake checks; phase 5 when an animal is
-hesitating, crossing or frozen, the only activities that look at the
-vehicles; phase 6; and the end of the trial. It is also settled before the
-desired speed changes, so that the owed steps share one speed. The
-``emergency_braking`` flags of a braking step stay set until the next settle,
-which clears them as the next per-step round would; only a crossing animal
-reads them, and it settles first.
+reader: a braking step (alerted drivers and an animal on the carriageway),
+which still runs the per-step loop with its brake checks; phase 5 when an
+animal is hesitating, crossing or frozen, the only activities that look at
+the vehicles; phase 6 when it runs; and the end of the trial. It is also
+settled before the desired speed changes, so that the owed steps share one
+speed. The ``emergency_braking`` flags of a braking step stay set until the
+next settle, which clears them as the next per-step round would; only a
+crossing animal reads them, and it settles first.
 
-Two scans skip what they cannot find. Phase 6 runs only when an animal is in
-the road band after phase 5, since ``detect_collisions`` pairs no other. Phase
-2 skips an animal whose y lies outside every radar's reach plus 1 m
-(``_radar_band``): no radar covers it, so ``try_detect`` would draw no random
-number and record no first-in-range time for it.
+Three scans skip what they cannot find, each gated on the band of its own
+test. Phase 4 runs its per-step loop only when an alerted driver has an animal
+on the carriageway (0 < y <= road width) to brake for: ``emergency_brake_needed``
+brakes for no other, so a step whose road animals all wait at the edge (y = 0)
+is one kernel round with every ``emergency_braking`` flag False, and is owed
+like any other non-braking step. Phase 6 runs only when phase 5 leaves an
+animal inside the contact band (``_contact_band``: the lane centres plus or
+minus half a vehicle width and an animal radius, clipped to the road), outside
+which ``detect_collisions`` pairs nothing; frozen-on-road time still counts
+the whole road, 0 <= y <= road width. Phase 2 skips an animal whose y lies
+outside every radar's reach plus 1 m (``_radar_band``): no radar covers it, so
+``try_detect`` would draw no random number and record no first-in-range time
+for it.
 
 In a Control trial the vehicles are not integrated at all until the drivers
 are first alerted, which only a sign patched on by a test can do: a settle
@@ -68,6 +76,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -128,12 +137,17 @@ def check_duration(name: str, hours: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {hours!r}")
 
 
+def _step_count(config: CorridorConfig, duration_hours: float) -> int:
+    """The number of steps of a trial lasting ``duration_hours``."""
+    check_duration("duration", duration_hours)
+    return int(math.ceil(duration_hours * 3600.0 / config.time_step - 1e-9))
+
+
 def _schedule(config: CorridorConfig, duration_hours: float,
               rng: np.random.Generator) -> tuple[list[Arrival], int]:
     """The step count and the Poisson arrivals due by the last step (the
     trial never spawns later ones)."""
-    check_duration("duration", duration_hours)
-    n_steps = int(math.ceil(duration_hours * 3600.0 / config.time_step - 1e-9))
+    n_steps = _step_count(config, duration_hours)
     last_now = (n_steps - 1) * config.time_step
     arrivals = sample_arrivals(config.arrival_rate, duration_hours,
                                config.road_length, config.size_scale,
@@ -156,6 +170,20 @@ def _stretch_end(schedule: list[Arrival], next_arrival: int, k: int, dt: float,
     while t > j * dt:
         j += 1
     return j
+
+
+def cruise_table(config: CorridorConfig, duration_hours: float,
+                 start: Optional[list] = None) -> array:
+    """The cruise trajectory that a Control trial of ``config`` lasting
+    ``duration_hours`` reads: ``cruise_rows`` from the corridor's start
+    vehicles (``start``, when the trial has built them) to the trial's last
+    step. Called before forking, it leaves the process a table that the
+    forked workers share."""
+    if start is None:
+        start = build_corridor(config).vehicles
+    return cruise_rows(start, config.idm, config.time_step, config.road_length,
+                       config.geometry.vehicle_length,
+                       _step_count(config, duration_hours) + 1)
 
 
 def make_arrival_schedule(config: CorridorConfig, duration_hours: float,
@@ -261,6 +289,22 @@ def _radar_band(radars, r_det: float) -> tuple[float, float]:
             max(ys, default=-math.inf) + r_det + 1.0)
 
 
+# Far above the rounding of ``abs(a.y - centre)``, far below the 0.45 m
+# between the road edge and the first lane's contact band at the defaults.
+_CONTACT_MARGIN = 1e-6
+
+
+def _contact_band(geometry) -> tuple[float, float]:
+    """The band of y outside which ``detect_collisions`` pairs no animal with
+    any vehicle: the lane centres plus or minus half a vehicle width and an
+    animal radius, widened by ``_CONTACT_MARGIN`` so that no rounding pairs
+    an animal outside it, and clipped to the road."""
+    reach = geometry.vehicle_width / 2.0 + geometry.animal_radius
+    centres = [geometry.lane_centre(i) for i in range(geometry.n_lanes)]
+    return (max(0.0, min(centres) - reach - _CONTACT_MARGIN),
+            min(geometry.road_width, max(centres) + reach + _CONTACT_MARGIN))
+
+
 def _overlap(trial_id: int, follower, leader, now: float) -> EngineInvariantError:
     return EngineInvariantError(f"trial {trial_id}: vehicles {follower.vid} and "
                                 f"{leader.vid} overlap at t={now:.1f}")
@@ -295,6 +339,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     rng_b = streams.behaviour
     rng_d = streams.detection
     radar_lo, radar_hi = _radar_band(radars, det_params.r_det)
+    contact_lo, contact_hi = _contact_band(geometry)
     road_width = geometry.road_width
     spawn_y = geometry.spawn_offset
     forage_lo, forage_hi = behaviour.forage_dwell
@@ -310,7 +355,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     veh_length = geometry.vehicle_length
     alert = DriverAlert()
     # Only Control trials read the cruise table (see the module docstring).
-    cruise = (cruise_rows(vehicles, idm, dt, L, veh_length, n_steps + 1)
+    cruise = (cruise_table(config, duration_hours, vehicles)
               if config.mode is Mode.CONTROL else None)
     on_cruise = cruise is not None
     # The vehicles hold row k - lag: the last ``lag`` steps, none braking and
@@ -383,17 +428,19 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
 
         # Phase 4: vehicles, synchronously from the pre-step snapshot. A step
         # on which no driver brakes is owed; a braking step settles first.
+        # Alerted drivers brake only for an animal on the carriageway, the
+        # band of ``emergency_brake_needed``'s own test.
         alert.update(dms, now, idm)
         v0 = alert.desired_speed(idm)
-        road_animals = None
+        candidates = None
         if alert.alerted and active:
-            road_animals = [a for a in active if 0.0 <= a.y <= road_width]
-        if road_animals or v0 != lag_v0:
+            candidates = [a for a in active if 0.0 < a.y <= road_width]
+        if candidates or v0 != lag_v0:
             settle(k - 1)
             lag_v0 = v0
             # A Control trial leaves the cruise table at its first alert.
             on_cruise = on_cruise and not alert.alerted
-        if not road_animals:
+        if not candidates:
             lag += 1
         else:
             for i, v in enumerate(vehicles):
@@ -407,7 +454,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                         raise _overlap(trial_id, v, lead, now)
                     dv = v.v - lead.v
                 a_cmd = idm_acceleration(v.v, v0, dv, gap, idm)
-                if emergency_brake_needed(v, road_animals, geometry, idm, L):
+                if emergency_brake_needed(v, candidates, geometry, idm, L):
                     a_cmd = -idm.a_em
                     v.emergency_braking = True
                 else:
@@ -422,7 +469,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
 
         # Phase 5: animal behaviour, with state-visit and frozen-time accounting.
         pruned = False
-        on_road = False
+        in_contact = False
         for a in active:
             prev_state = a.state
             step_animal(a, vehicles, dt, behaviour, geometry, L, rng_b)
@@ -431,14 +478,15 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                 visits[st.value] += 1
                 if st is Activity.MOVED_AWAY:
                     pruned = True
-            if 0.0 <= a.y <= road_width:
-                on_road = True
-                if st is Activity.FROZEN:
-                    frozen_time += dt
+            y = a.y
+            if contact_lo <= y <= contact_hi:
+                in_contact = True
+            if st is Activity.FROZEN and 0.0 <= y <= road_width:
+                frozen_time += dt
 
-        # Phase 6: collisions, only with an animal in the road band; the
+        # Phase 6: collisions, only with an animal in the contact band; the
         # animal is removed, the vehicle continues.
-        if on_road:
+        if in_contact:
             settle(k)
             pairs = detect_collisions(vehicles, active, geometry, L)
             if pairs:

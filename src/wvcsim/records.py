@@ -93,7 +93,8 @@ def _cell(value) -> str:
 
 def _parse(column: str, text: str):
     """One cell's value. Every number the writer produces is finite and
-    non-negative, so any other is rejected."""
+    non-negative, so any other is rejected, as is a schema version other
+    than this module's: its columns may mean something else."""
     if text == "":
         if column not in _OPTIONAL_COLUMNS:
             raise ValueError("unexpected empty field")
@@ -103,6 +104,8 @@ def _parse(column: str, text: str):
     value = int(text) if column in _INT_COLUMNS else float(text)
     if value < 0 or not math.isfinite(value):
         raise ValueError(f"expected a finite number >= 0, got {text!r}")
+    if column == "schema_version" and value != SCHEMA_VERSION:
+        raise ValueError(f"expected schema version {SCHEMA_VERSION}, got {text!r}")
     return value
 
 

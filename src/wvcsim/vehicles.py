@@ -262,8 +262,9 @@ def emergency_brake_needed(vehicle: VehicleState, animals: Iterable["AnimalState
     """True when the driver faces an animal on its lane, ahead, inside the
     kinematic stopping envelope.
 
-    Only alerted drivers brake for animals: the engine passes the animals on
-    the road only while the drivers are alerted, and no animals otherwise.
+    Only alerted drivers brake for animals: the engine calls this only while
+    the drivers are alerted, and passes only the animals on the carriageway
+    (0 < y <= road width), the ones this test can brake for.
 
     The scan band is the vehicle's own lane (padded by the animal radius), so
     vehicles clear of the crossing path roll through instead of stopping

@@ -348,7 +348,8 @@ CROWDED = dict(arrival_rate=300.0, radar_spacing=5.0, kappa=0.3)
 
 def record_vehicle_reads(monkeypatch):
     """Wrap every engine call that reads the vehicles; returns the list of
-    what each one saw: the (x, v, emergency_braking) of every vehicle."""
+    what each one saw: the (x, v, emergency_braking) of every vehicle, and
+    for a collision scan the pairs it found."""
     seen = []
     step_animal = wvcsim.engine.step_animal
     detect_collisions = wvcsim.engine.detect_collisions
@@ -363,8 +364,9 @@ def record_vehicle_reads(monkeypatch):
         return step_animal(animal, vehicles, *args)
 
     def collided(vehicles, *args):
-        seen.append(("collide", states(vehicles)))
-        return detect_collisions(vehicles, *args)
+        pairs = detect_collisions(vehicles, *args)
+        seen.append(("collide", states(vehicles), pairs))
+        return pairs
 
     monkeypatch.setattr(wvcsim.engine, "step_animal", stepped)
     monkeypatch.setattr(wvcsim.engine, "detect_collisions", collided)
@@ -428,3 +430,79 @@ class TestOwedSteps:
         for y in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
             for x in xs:
                 assert radars_in_range(x, y, radars, cfg.radar_spacing, r_det) == []
+
+
+WIDE_ANIMAL = dataclasses.replace(GEO, animal_radius=1.5)
+
+
+class TestContactBand:
+    """Phase 6 runs only with an animal inside ``_contact_band``; outside it
+    ``detect_collisions`` pairs nothing, so skipping the scan changes no
+    output and nothing any reader sees."""
+
+    @pytest.mark.parametrize("geometry, edge_inside", [(GEO, False),
+                                                       (WIDE_ANIMAL, True)],
+                             ids=["default", "wide-animal"])
+    def test_nothing_pairs_just_outside_the_band(self, geometry, edge_inside):
+        lo, hi = wvcsim.engine._contact_band(geometry)
+        assert (lo <= 0.0 <= hi) is edge_inside
+        # Vehicles every 0.5 m of a 1000 m ring, in every lane.
+        fleet = [vehicle(0.5 * i, lane=lane, direction=1 - 2 * lane,
+                         vid=2000 * lane + i)
+                 for lane in range(geometry.n_lanes) for i in range(2000)]
+        for y in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+            animals = [road_animal(x, y, aid=i)
+                       for i, x in enumerate((0.0, 0.25, 500.1, 999.75))]
+            assert detect_collisions(fleet, animals, geometry, 1000.0) == []
+        # No wider than it must be: just inside either edge, an animal pairs.
+        for y in (lo + 1e-5, hi - 1e-5):
+            assert detect_collisions(fleet, [road_animal(500.1, y)], geometry,
+                                     1000.0)
+
+    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
+    @pytest.mark.parametrize("overrides", [CROWDED, {"geometry": WIDE_ANIMAL}],
+                             ids=["crowded", "wide-animal"])
+    def test_same_as_scanning_every_step(self, monkeypatch, mode, overrides):
+        # Every read but the scans that found nothing, which only the
+        # ungated run makes.
+        def found(reads):
+            return [r for r in reads if r[0] == "step" or r[2]]
+
+        # A wide animal waiting at the edge can be hit before it enters the
+        # road, which makes some Control trials fail their invariant check
+        # after the last step; then both runs must fail alike.
+        def outcome(cfg, hours, trial_id):
+            try:
+                return dataclasses.asdict(run_trial(cfg, hours, trial_id, 5))
+            except EngineInvariantError as exc:
+                return str(exc)
+
+        cfg = fast_config(mode, **overrides)
+        hours = 0.05 if overrides is CROWDED else 0.25
+        for trial_id in range(2):
+            with monkeypatch.context() as m:
+                gated_reads = record_vehicle_reads(m)
+                gated = outcome(cfg, hours, trial_id)
+            with monkeypatch.context() as m:
+                every_reads = record_vehicle_reads(m)
+                m.setattr(wvcsim.engine, "_contact_band",
+                          lambda geometry: (-math.inf, math.inf))
+                every = outcome(cfg, hours, trial_id)
+            assert gated == every
+            assert found(gated_reads) == found(every_reads)
+            assert len(gated_reads) < len(every_reads)  # the gate skipped scans
+
+    @pytest.mark.parametrize("mode", [Mode.DETECTION, Mode.AWARE])
+    def test_brakes_only_for_carriageway_animals(self, monkeypatch, mode):
+        lowest = []
+        brake = wvcsim.engine.emergency_brake_needed
+
+        def spied(vehicle, animals, *args):
+            lowest.append(min(a.y for a in animals))
+            return brake(vehicle, animals, *args)
+
+        monkeypatch.setattr(wvcsim.engine, "emergency_brake_needed", spied)
+        for trial_id in range(2):
+            run_trial(fast_config(mode, **CROWDED), 0.05, trial_id, 5)
+        assert lowest
+        assert min(lowest) > 0.0

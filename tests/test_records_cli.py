@@ -4,14 +4,17 @@ import json
 import pytest
 
 import wvcsim.experiments
+import wvcsim.vehicles
+from wvcsim.config import CorridorConfig, build_corridor
 from wvcsim.cli import main
 from wvcsim.experiments import (ExperimentPlan, KAPPA_GRID, SPACING_GRID,
                                 TrialError, default_workers, emit_plot_data,
                                 plot_dataset, run_headline, run_sweep,
                                 summarize)
-from wvcsim.records import (COLUMNS, read_trials_csv, write_csv,
-                            write_trials_csv)
+from wvcsim.records import (COLUMNS, SCHEMA_VERSION, read_trials_csv,
+                            write_csv, write_trials_csv)
 from wvcsim.stats import significance_stars
+from wvcsim.vehicles import cruise_key
 
 
 TINY = dict(trials_per_point=2, hours_per_trial=0.05)
@@ -82,6 +85,28 @@ class TestRunners:
                               hours_per_trial=0.01, values=(1.0,), master_seed=1)
         with pytest.raises(ValueError, match="unknown plan kind 'weather'"):
             run_sweep(plan)
+
+    def test_pool_parent_builds_the_cruise_table(self, monkeypatch, tmp_path):
+        # The forked workers inherit the table the parent built; no trial
+        # runs in the parent.
+        monkeypatch.setattr(wvcsim.vehicles, "_cruise", None)
+        plan = ExperimentPlan.sweep("spacing", master_seed=3, values=(5.0, 10.0),
+                                    trials_per_point=2, hours_per_trial=0.02)
+        parallel = run_sweep(plan, workers=2)
+        config = CorridorConfig()
+        n_vehicles = 2 * config.vehicles_per_direction
+        key, n_rows, rows = wvcsim.vehicles._cruise
+        assert key == cruise_key(build_corridor(config).vehicles, config.idm,
+                                 config.time_step, config.road_length,
+                                 config.geometry.vehicle_length)
+        n_steps = 720  # 0.02 h at 0.1 s
+        assert n_rows >= n_steps + 1
+        assert len(rows) >= (n_steps + 1) * 2 * n_vehicles
+        serial = run_sweep(plan, workers=1)
+        for name, records in (("parallel", parallel), ("serial", serial)):
+            write_trials_csv(str(tmp_path / f"{name}.csv"), records)
+        assert ((tmp_path / "parallel.csv").read_bytes()
+                == (tmp_path / "serial.csv").read_bytes())
 
     def test_workers_do_not_change_results(self):
         plan = ExperimentPlan.headline(master_seed=9, trials_per_point=2,
@@ -183,6 +208,16 @@ class TestCsvRoundTrip:
         if column != "seed":
             assert str(exc.value).endswith(
                 f": expected a finite number >= 0, got {text!r}")
+
+    @pytest.mark.parametrize("text", ["2", "0"])
+    def test_foreign_schema_version_named(self, tiny_headline, tmp_path, text):
+        path = tmp_path / "trials.csv"
+        write_with_cell(path, tiny_headline, "schema_version", text)
+        with pytest.raises(ValueError) as exc:
+            read_trials_csv(str(path))
+        assert str(exc.value) == (f"{path}, line 3, column schema_version: "
+                                  f"expected schema version {SCHEMA_VERSION}, "
+                                  f"got {text!r}")
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bogus.csv"
@@ -438,6 +473,20 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: {trials_csv}, line 3, column frozen_on_road_time: "
             "expected a finite number >= 0, got 'nan'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["analyze"], ["plots", "--kind", "headline"]])
+    def test_foreign_schema_version_exits_1(self, tiny_headline, tmp_path, capsys,
+                                            command):
+        trials_csv = tmp_path / "headline_trials.csv"
+        write_with_cell(trials_csv, tiny_headline, "schema_version", "2")
+        out = tmp_path / "out"
+        code = main(command[:1] + [str(trials_csv)] + command[1:]
+                    + ["--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {trials_csv}, line 3, column schema_version: "
+            f"expected schema version {SCHEMA_VERSION}, got '2'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["analyze"], ["plots", "--kind", "headline"]])
