@@ -8,6 +8,7 @@ dangerous encounter with a vehicle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
@@ -148,10 +149,11 @@ def sample_arrivals(rate_per_hour: float, duration_hours: float, road_length: fl
     the underlying draws (and hence times and positions) are identical across
     size scalings for the same stream.
     """
-    if rate_per_hour < 0:
-        raise ValueError("arrival rate must be non-negative")
-    if duration_hours <= 0:
-        raise ValueError("duration must be positive")
+    if not (math.isfinite(rate_per_hour) and rate_per_hour >= 0):
+        raise ValueError(f"arrival rate must be finite and non-negative, "
+                         f"got {rate_per_hour!r}")
+    if not (math.isfinite(duration_hours) and duration_hours > 0):
+        raise ValueError(f"duration must be positive and finite, got {duration_hours!r}")
     if rate_per_hour == 0:
         return []
     horizon = duration_hours * 3600.0

@@ -39,8 +39,6 @@ class AwarenessState:
 
     def on_detection(self, event: DetectionEvent, radars: Sequence[RadarNode]) -> None:
         """Apply one detection broadcast (latest-window-wins on every clock)."""
-        if self.mode is Mode.CONTROL:
-            return
         expiry = event.time + self.persistence
         if expiry > self.dms_active_until:
             self.dms_active_until = expiry
@@ -59,11 +57,6 @@ class AwarenessState:
     def beta_for(self, radar_id: int, now: float) -> float:
         """Boost multiplier for one radar: boosted strictly before window expiry."""
         return self.boost_factor if self.boost_until[radar_id] > now else 1.0
-
-    def quiet(self, now: float) -> bool:
-        """True when no live window holds the sign (always, in Control mode);
-        with no animal present the sign is then off."""
-        return now >= self.dms_active_until
 
     def dms_active(self, animals: Iterable[AnimalState], now: float) -> bool:
         """Sign state: live window, or any detected animal in a dangerous state."""

@@ -111,9 +111,23 @@ def coverage_ok(spacing: float, d_y: float, r_det: float) -> bool:
     return r_det * r_det >= spacing * spacing + d_y * d_y
 
 
+def _nonfinite(value: Any, path: str) -> list[str]:
+    """``<path>: must be finite`` for each NaN or infinite number in a config
+    value, its sections and its tuples (dwell ranges, size classes)."""
+    if is_dataclass(value):
+        prefix = path + "." if path else ""
+        return [p for f in dc_fields(value)
+                for p in _nonfinite(getattr(value, f.name), prefix + f.name)]
+    if isinstance(value, tuple):
+        return [p for i, v in enumerate(value) for p in _nonfinite(v, f"{path}[{i}]")]
+    if isinstance(value, (int, float)) and not math.isfinite(value):
+        return [f"{path}: must be finite"]
+    return []
+
+
 def validate_config(config: CorridorConfig) -> list[str]:
     """Collect human-readable diagnostics; empty list means the config is valid."""
-    problems: list[str] = []
+    problems = _nonfinite(config, "")
     for name in ("road_length", "time_step", "radar_spacing", "radar_range",
                  "awareness_range", "persistence_window", "size_scale"):
         if getattr(config, name) <= 0:

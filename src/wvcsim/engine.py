@@ -10,11 +10,12 @@ animal's own monotone flags. A trial is a pure function of (config, duration,
 trial_id, master_seed).
 
 Idle stretches use a next-event time advance. A step that starts with no
-animal present, no arrival due and no live sign window (``AwarenessState.quiet``)
-changes nothing but the vehicles: with no animal there is no detection,
+animal present and no arrival due, with the sign off on the last stepped
+step, changes nothing but the vehicles: with no animal there is no detection,
 broadcast, sign, alert, braking, animal step or collision, and the next thing
-that can change any of that is the next scheduled arrival. So the engine skips
-every step up to the one where phase 1 would spawn it (or the end of the
+that can change any of that is the next scheduled arrival. That last step's
+phase 4, the alert's only writer, reset the drivers, so the engine skips every
+step up to the one where phase 1 would spawn the arrival (or the end of the
 trial) at once, owing the vehicles those steps at cruise speed.
 
 Vehicle steps are owed, not taken, until something reads the vehicles. A step
@@ -250,14 +251,15 @@ class TrialResult:
 
 
 def detect_collisions(vehicles, animals, geometry, road_length: float):
-    """(vehicle id, animal id) contact pairs for animals inside the road band."""
+    """(vehicle id, animal id) contact pairs for animals on the carriageway,
+    0 < y <= road width: an animal waiting at the edge (y = 0) is never hit."""
     x_thresh = geometry.vehicle_length / 2.0 + geometry.animal_radius
     y_thresh = geometry.vehicle_width / 2.0 + geometry.animal_radius
     road_width = geometry.road_width
     centres = [geometry.lane_centre(i) for i in range(geometry.n_lanes)]
     pairs = []
     for a in animals:
-        if not 0.0 <= a.y <= road_width:
+        if not 0.0 < a.y <= road_width:
             continue
         for v in vehicles:
             dx = abs(v.x - a.x)
@@ -354,25 +356,25 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     frozen_time = 0.0
     veh_length = geometry.vehicle_length
     alert = DriverAlert()
-    # Only Control trials read the cruise table (see the module docstring).
+    # Only Control trials read the cruise table, None once they leave it.
     cruise = (cruise_table(config, duration_hours, vehicles)
               if config.mode is Mode.CONTROL else None)
-    on_cruise = cruise is not None
     # The vehicles hold row k - lag: the last ``lag`` steps, none braking and
     # all at desired speed ``lag_v0``, are owed (see the module docstring).
     lag = 0
     lag_v0 = idm.v_cruise
+    dms = False  # the sign as phase 3 last computed it
 
     def settle(row: int) -> None:
         """Take the owed steps, so that the vehicles hold row ``row``."""
-        nonlocal lag, on_cruise
+        nonlocal lag, cruise
         if not lag:
             return
-        if on_cruise:
+        if cruise is not None:
             if load_row(vehicles, cruise, row):
                 lag = 0
                 return
-            on_cruise = False
+            cruise = None
         n, lag = lag, 0
         try:
             advance_idm(vehicles, n, lag_v0, idm, dt, L, veh_length)
@@ -385,13 +387,9 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         now = k * dt
 
         # Idle stretch: owe the vehicles' steps up to the next arrival.
-        if not active and awareness.quiet(now):
+        if not active and not dms:
             k_end = _stretch_end(schedule, next_arrival, k, dt, n_steps)
             if k_end > k:
-                alert.update(False, now, idm)
-                if lag_v0 != idm.v_cruise:
-                    settle(k)
-                    lag_v0 = idm.v_cruise
                 lag += k_end - k
                 k = k_end
                 continue
@@ -438,8 +436,8 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         if candidates or v0 != lag_v0:
             settle(k - 1)
             lag_v0 = v0
-            # A Control trial leaves the cruise table at its first alert.
-            on_cruise = on_cruise and not alert.alerted
+            if alert.alerted:  # a Control trial's first alert leaves the table
+                cruise = None
         if not candidates:
             lag += 1
         else:

@@ -55,6 +55,17 @@ class TestArrivals:
         dispersion = arr.var(ddof=1) / arr.mean()
         assert 0.9 <= dispersion <= 1.1
 
+    @pytest.mark.parametrize("rate, hours, message", [
+        (math.nan, 4.0, "arrival rate"), (math.inf, 4.0, "arrival rate"),
+        (-1.0, 4.0, "arrival rate"), (15.0, math.nan, "duration"),
+        (15.0, math.inf, "duration"), (15.0, 0.0, "duration"),
+    ])
+    def test_nonfinite_or_negative_input_rejected(self, rate, hours, message):
+        # NaN used to return no arrivals, and an infinite duration never
+        # returned at all.
+        with pytest.raises(ValueError, match=message):
+            sample_arrivals(rate, hours, L, 1.0, PARAMS, rng())
+
     def test_size_scale_multiplies_sigma_only(self):
         a1 = sample_arrivals(15.0, 1.0, L, 1.0, PARAMS, rng(3))
         a2 = sample_arrivals(15.0, 1.0, L, 2.0, PARAMS, rng(3))

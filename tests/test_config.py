@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import math
+import re
 
 import pytest
 
@@ -6,6 +9,7 @@ from wvcsim.cli import main
 from wvcsim.config import (CorridorConfig, Mode, build_corridor,
                            config_from_dict, config_to_dict, coverage_ok,
                            load_config, replace_config, validate_config)
+from wvcsim.engine import run_trial
 
 
 class TestCoverage:
@@ -23,7 +27,41 @@ class TestCoverage:
             coverage_ok(0.0, 10.0, 15.0)
 
 
+def with_each_number(value, x, path=""):
+    """Yield ``(path, copy)`` for every number in a config value, its
+    sections and its tuples, the copy holding ``x`` in that number's place."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            name = f"{path}.{f.name}" if path else f.name
+            for p, new in with_each_number(getattr(value, f.name), x, name):
+                yield p, dataclasses.replace(value, **{f.name: new})
+    elif isinstance(value, tuple):
+        for i, member in enumerate(value):
+            for p, new in with_each_number(member, x, f"{path}[{i}]"):
+                yield p, value[:i] + (new,) + value[i + 1:]
+    elif type(value) in (int, float):
+        yield path, x
+
+
 class TestValidate:
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_every_nonfinite_number_named(self, x):
+        cases = list(with_each_number(CorridorConfig(), x))
+        # 11 top-level numbers, 9 IDM, 24 behaviour (dwell pairs and the
+        # three size classes counted member by member) and 7 geometry.
+        assert len(cases) == 51
+        assert "behaviour.size_mixture[2][1]" in dict(cases)
+        for path, cfg in cases:
+            assert f"{path}: must be finite" in validate_config(cfg)
+            with pytest.raises(ValueError, match=re.escape(path)):
+                build_corridor(cfg)
+
+    def test_nan_kappa_fails_before_any_step(self):
+        # A NaN kappa used to run and detect nothing.
+        with pytest.raises(ValueError, match="kappa: must be finite"):
+            run_trial(replace_config(CorridorConfig(), kappa=math.nan,
+                                     mode=Mode.DETECTION), 0.01, 0, 0)
+
     def test_default_config_is_valid(self):
         assert validate_config(CorridorConfig()) == []
 

@@ -57,6 +57,15 @@ class TestDetectCollisions:
         pairs = detect_collisions([vehicle(999.0)], [a], GEO, 1000.0)
         assert pairs == [(0, 0)]
 
+    def test_wide_animal_at_the_edge_never_collides(self):
+        # |dy| = 1.85 < 0.9 + 1.5, but an animal waiting at y = 0 has not
+        # entered the road, so no vehicle can hit it there.
+        wide = dataclasses.replace(GEO, animal_radius=1.5)
+        a = road_animal(500.0, 0.0)
+        assert detect_collisions([vehicle(500.0)], [a], wide, 1000.0) == []
+        a.y = 1e-9
+        assert detect_collisions([vehicle(500.0)], [a], wide, 1000.0) == [(0, 0)]
+
 
 class TestRngStreams:
     def test_arrival_stream_ignores_mode(self):
@@ -197,6 +206,11 @@ def count_idle_stretches(monkeypatch):
     return calls
 
 
+def no_stretch(schedule, next_arrival, k, dt, n_steps):
+    """A stand-in for ``_stretch_end`` that holds the idle gate shut."""
+    return k
+
+
 IDLE_OVERRIDES = pytest.mark.parametrize("overrides", [
     {}, {"time_step": 0.05}, {"time_step": 0.2},
     {"vehicles_per_direction": 0}, {"vehicles_per_direction": 1},
@@ -217,7 +231,7 @@ class TestIdleStretch:
         for trial_id in range(2):
             fast = dataclasses.asdict(run_trial(cfg, 0.25, trial_id, 5))
             with monkeypatch.context() as m:
-                m.setattr(AwarenessState, "quiet", lambda self, now: False)
+                m.setattr(wvcsim.engine, "_stretch_end", no_stretch)
                 stepped = dataclasses.asdict(run_trial(cfg, 0.25, trial_id, 5))
             assert fast == stepped
         assert stretches  # the gate did open
@@ -247,7 +261,7 @@ class TestIdleStretch:
         with pytest.raises(EngineInvariantError) as fast:
             run_trial(cfg, 0.01, 0, 0)
         assert stretches
-        monkeypatch.setattr(AwarenessState, "quiet", lambda self, now: False)
+        monkeypatch.setattr(wvcsim.engine, "_stretch_end", no_stretch)
         with pytest.raises(EngineInvariantError) as stepped:
             run_trial(cfg, 0.01, 0, 0)
         assert str(fast.value) == str(stepped.value)
@@ -313,7 +327,7 @@ class TestCruiseTable:
         # rows until the drivers are alerted, then integrate.
         monkeypatch.setattr(AwarenessState, "dms_active",
                             lambda self, animals, now: now >= 300.0)
-        monkeypatch.setattr(AwarenessState, "quiet", lambda self, now: False)
+        monkeypatch.setattr(wvcsim.engine, "_stretch_end", no_stretch)
         cfg = fast_config(Mode.CONTROL)
         count = count_integration(monkeypatch)
         on_table = dataclasses.asdict(run_trial(cfg, 0.25, 0, 5))
@@ -468,9 +482,8 @@ class TestContactBand:
         def found(reads):
             return [r for r in reads if r[0] == "step" or r[2]]
 
-        # A wide animal waiting at the edge can be hit before it enters the
-        # road, which makes some Control trials fail their invariant check
-        # after the last step; then both runs must fail alike.
+        # Both runs must end alike: with equal results, or with the same
+        # invariant error should a trial break one.
         def outcome(cfg, hours, trial_id):
             try:
                 return dataclasses.asdict(run_trial(cfg, hours, trial_id, 5))
@@ -506,3 +519,68 @@ class TestContactBand:
             run_trial(fast_config(mode, **CROWDED), 0.05, trial_id, 5)
         assert lowest
         assert min(lowest) > 0.0
+
+    @pytest.mark.parametrize("trial_id", range(3))
+    def test_wide_animal_control_trials_complete(self, trial_id):
+        # These trials hit animals waiting at the edge and failed their
+        # invariant check with "collisions exceed road entries".
+        r = run_trial(fast_config(Mode.CONTROL, geometry=WIDE_ANIMAL), 0.25,
+                      trial_id, 5)
+        assert r.collisions <= r.road_entries
+
+
+def watch_idle_gate(monkeypatch):
+    """Wrap the idle gate; returns, for every stretch it opens, the drivers'
+    (alerted, onset), the stretch's start time and the sign window's end."""
+    seen = []
+    alerts, signs = [], []
+    make_alert = wvcsim.engine.DriverAlert
+    make_sign = wvcsim.engine.AwarenessState
+    stretch_end = wvcsim.engine._stretch_end
+
+    def alert():
+        alerts.append(make_alert())
+        return alerts[-1]
+
+    def sign(*args):
+        signs.append(make_sign(*args))
+        return signs[-1]
+
+    def opened(schedule, next_arrival, k, dt, n_steps):
+        k_end = stretch_end(schedule, next_arrival, k, dt, n_steps)
+        if k_end > k:
+            seen.append((alerts[-1].alerted, alerts[-1].onset, k * dt,
+                         signs[-1].dms_active_until))
+        return k_end
+
+    monkeypatch.setattr(wvcsim.engine, "DriverAlert", alert)
+    monkeypatch.setattr(wvcsim.engine, "AwarenessState", sign)
+    monkeypatch.setattr(wvcsim.engine, "_stretch_end", opened)
+    return seen
+
+
+class TestIdleGate:
+    """The idle gate opens only once a stepped step has found the sign off,
+    so every stretch starts with the drivers unalerted and no live window:
+    the gate has nothing to reset and owes its steps at cruise speed."""
+
+    def check(self, monkeypatch, cfg, hours):
+        seen = watch_idle_gate(monkeypatch)
+        for trial_id in range(2):
+            run_trial(cfg, hours, trial_id, 5)
+        assert seen  # the gate did open
+        for alerted, onset, now, window_end in seen:
+            assert not alerted and onset is None
+            assert now >= window_end
+        if cfg.mode is not Mode.CONTROL:
+            # Some stretch followed a lit sign.
+            assert any(end > -math.inf for *_, end in seen)
+
+    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
+    @IDLE_OVERRIDES
+    def test_sign_off_at_every_stretch(self, monkeypatch, mode, overrides):
+        self.check(monkeypatch, fast_config(mode, **overrides), 0.25)
+
+    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
+    def test_sign_off_at_every_stretch_crowded(self, monkeypatch, mode):
+        self.check(monkeypatch, fast_config(mode, **CROWDED), 0.05)

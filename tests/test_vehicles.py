@@ -254,7 +254,8 @@ class TestRingTopology:
         # let the toggled sign drive the per-step loop.
         monkeypatch.setattr(AwarenessState, "dms_active",
                             lambda self, animals, now: (now % 80.0) < 40.0)
-        monkeypatch.setattr(AwarenessState, "quiet", lambda self, now: False)
+        monkeypatch.setattr(wvcsim.engine, "_stretch_end",
+                            lambda schedule, next_arrival, k, dt, n_steps: k)
         seen = []
 
         def recorded(vehicles, n_steps, v0, *args):
