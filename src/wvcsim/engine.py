@@ -22,15 +22,16 @@ Vehicle steps are owed, not taken, until something reads the vehicles. A step
 on which no driver brakes for an animal is one round of the IDM at the
 drivers' desired speed, so the engine only counts it (``lag`` steps at
 ``lag_v0``) and ``settle`` later takes all of them in one call of
-``vehicles.advance_idm``. That kernel runs the same IDM update and
-semi-implicit Euler step as the per-step loop, with every float operation in
-the same order, so the vehicles come out bit for bit as if stepped one phase
-loop at a time; an overlap raises the same error at the same ``t=``, since the
-kernel reports the step it found it at. The debt is settled just before each
-reader: a braking step (alerted drivers and an animal on the carriageway),
-which still runs the per-step loop with its brake checks; phase 5 when an
-animal is hesitating, crossing or frozen, the only activities that look at
-the vehicles; phase 6 when it runs; and the end of the trial. It is also
+``vehicles.advance_idm``, compiled where a C compiler is found, in every
+mode. That kernel runs the same IDM update and semi-implicit Euler step as
+the per-step loop, with every float operation in the same order, so the
+vehicles come out bit for bit as if stepped one phase loop at a time; an
+overlap raises the same error at the same ``t=``, since the kernel reports
+the step it found it at. The debt is settled just before each reader: a
+braking step (alerted drivers and an animal on the carriageway), which still
+runs the per-step loop with its brake checks; phase 5 when an animal is
+hesitating, crossing or frozen, the only activities that look at the
+vehicles; phase 6 when it runs; and the end of the trial. It is also
 settled before the desired speed changes, so that the owed steps share one
 speed. The ``emergency_braking`` flags of a braking step stay set until the
 next settle, which clears them as the next per-step round would; only a
@@ -49,35 +50,12 @@ the whole road, 0 <= y <= road width. Phase 2 skips an animal whose y lies
 outside every radar's reach plus 1 m (``_radar_band``): no radar covers it, so
 ``try_detect`` would draw no random number and record no first-in-range time
 for it.
-
-In a Control trial the vehicles are not integrated at all until the drivers
-are first alerted, which only a sign patched on by a test can do: a settle
-copies a row of the cruise trajectory (``vehicles.cruise_rows``), one array
-that each process computes with that same kernel and shares across trials and
-seeds, rebuilt only for a new start state or a longer trial. This is exact.
-Unalerted drivers read no animal (braking needs an alert), so before the first
-alert the vehicles' path depends only on their start state, the IDM
-parameters, the time step and the ring, which key the table. The rows are the
-kernel's own output, and where the kernel finds an overlap the rows end; a
-trial that needs a later row leaves the table there, and the kernel raises
-the same error at the same step. The first alert leaves the table for
-the rest of the trial (after a settle on it), as does reaching
-``CRUISE_TABLE_MAX_BYTES`` (32 MiB, 7.28 h at the defaults); from there the
-settles run the kernel.
-
-Detection and Aware trials could read the table up to their first alert, with
-the same results, but they integrate from the start. Their first alert comes
-at a random time, so reading that prefix would make a trial's cost depend on
-its seed: in 0.25 h trials it saved a fifth of the steps on average but
-doubled the spread of the benchmark's rates between seeds, and in a 4 h trial
-it is about 1.5% of the steps (first alerts 66-846 s in, median about 214 s).
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -88,8 +66,7 @@ from .awareness import AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
 from .detection import DetectionParams, try_detect
 from .vehicles import (FREE_ROAD_GAP, DriverAlert, VehicleOverlap, advance_idm,
-                       cruise_rows, emergency_brake_needed, idm_acceleration,
-                       load_row, step_vehicles)
+                       emergency_brake_needed, idm_acceleration, step_vehicles)
 
 
 class EngineInvariantError(RuntimeError):
@@ -171,20 +148,6 @@ def _stretch_end(schedule: list[Arrival], next_arrival: int, k: int, dt: float,
     while t > j * dt:
         j += 1
     return j
-
-
-def cruise_table(config: CorridorConfig, duration_hours: float,
-                 start: Optional[list] = None) -> array:
-    """The cruise trajectory that a Control trial of ``config`` lasting
-    ``duration_hours`` reads: ``cruise_rows`` from the corridor's start
-    vehicles (``start``, when the trial has built them) to the trial's last
-    step. Called before forking, it leaves the process a table that the
-    forked workers share."""
-    if start is None:
-        start = build_corridor(config).vehicles
-    return cruise_rows(start, config.idm, config.time_step, config.road_length,
-                       config.geometry.vehicle_length,
-                       _step_count(config, duration_hours) + 1)
 
 
 def make_arrival_schedule(config: CorridorConfig, duration_hours: float,
@@ -356,9 +319,6 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     frozen_time = 0.0
     veh_length = geometry.vehicle_length
     alert = DriverAlert()
-    # Only Control trials read the cruise table, None once they leave it.
-    cruise = (cruise_table(config, duration_hours, vehicles)
-              if config.mode is Mode.CONTROL else None)
     # The vehicles hold row k - lag: the last ``lag`` steps, none braking and
     # all at desired speed ``lag_v0``, are owed (see the module docstring).
     lag = 0
@@ -367,14 +327,9 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
 
     def settle(row: int) -> None:
         """Take the owed steps, so that the vehicles hold row ``row``."""
-        nonlocal lag, cruise
+        nonlocal lag
         if not lag:
             return
-        if cruise is not None:
-            if load_row(vehicles, cruise, row):
-                lag = 0
-                return
-            cruise = None
         n, lag = lag, 0
         try:
             advance_idm(vehicles, n, lag_v0, idm, dt, L, veh_length)
@@ -436,8 +391,6 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         if candidates or v0 != lag_v0:
             settle(k - 1)
             lag_v0 = v0
-            if alert.alerted:  # a Control trial's first alert leaves the table
-                cruise = None
         if not candidates:
             lag += 1
         else:

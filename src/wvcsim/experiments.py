@@ -18,9 +18,10 @@ from typing import Optional, Sequence
 
 from .config import (ROADSIDE_COVERAGE_DEPTH, CorridorConfig, Mode,
                      coverage_ok, replace_config)
-from .engine import cruise_table, run_trial
+from .engine import run_trial
 from .records import SCHEMA_VERSION, TrialRecord, record_from_result
 from .stats import mean_sd, significance_stars, welch_t
+from .vehicles import load_kernel
 
 ALL_MODES = (Mode.CONTROL, Mode.DETECTION, Mode.AWARE)
 
@@ -144,14 +145,10 @@ def run_sweep(plan: ExperimentPlan, base_config: Optional[CorridorConfig] = None
         for mode in plan.modes
         for trial_id in range(plan.trials_per_point)
     ]
-    control = next((t[2] for t in tasks if t[2].mode is Mode.CONTROL), None)
-    if workers > 1 and control is not None:
-        # The forked workers share this process's cruise table instead of
-        # each building its own; no swept parameter changes the vehicles.
-        try:
-            cruise_table(control, plan.hours_per_trial)
-        except ValueError:
-            pass  # an invalid config or duration: each trial raises it, named
+    if workers > 1:
+        # The forked workers inherit this process's kernel, or its failed
+        # attempt, instead of each compiling its own.
+        load_kernel()
     return _run_tasks(tasks, workers)
 
 

@@ -9,8 +9,13 @@ braking when an animal is on the road ahead.
 
 from __future__ import annotations
 
+import ctypes
+import importlib.resources
 import math
-from array import array
+import os
+import subprocess
+import tempfile
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -20,11 +25,6 @@ if TYPE_CHECKING:
 
 # Gap used when a vehicle has no leader, so the car-following law stays total.
 FREE_ROAD_GAP = 1.0e6
-
-# Bytes of vehicle states the cruise table may hold in one process. A row costs
-# 16 bytes per vehicle (128 B for the default 8), so this covers 7.28 h at
-# dt = 0.1 s; a trial that runs past it integrates its vehicles from there.
-CRUISE_TABLE_MAX_BYTES = 32 * 1024 * 1024
 
 _IDM_FIELDS = ("s0", "T", "a_max", "b_conf", "delta", "a_em", "v_cruise",
                "v_caution", "t_react")
@@ -108,8 +108,8 @@ class VehicleOverlap(ValueError):
 
 
 def advance_idm(vehicles: list[VehicleState], n_steps: int, v0: float,
-                p: IdmParams, dt: float, road_length: float, vehicle_length: float,
-                rows: Optional[array] = None) -> None:
+                p: IdmParams, dt: float, road_length: float,
+                vehicle_length: float) -> None:
     """``n_steps`` rounds of ``idm_acceleration`` at desired speed ``v0`` plus
     ``step_vehicles``, for steps on which no driver brakes for an animal.
 
@@ -117,16 +117,27 @@ def advance_idm(vehicles: list[VehicleState], n_steps: int, v0: float,
     operation keeps the order of ``desired_gap``/``idm_acceleration`` and
     ``step_vehicles``, so the result is bit-identical to the per-step path.
     Each step reads one snapshot of positions and speeds and writes the next
-    into a second buffer; when ``rows`` is given, each step then appends its
-    positions and its speeds to it. Clears ``emergency_braking``; raises
-    VehicleOverlap on a gap <= 0, leaving the vehicles as they were before
-    that step.
+    into a second buffer. Clears ``emergency_braking``; raises VehicleOverlap
+    on a gap <= 0, leaving the vehicles as they were before that step.
+
+    The steps run in the compiled kernel (``load_kernel``) where it loads.
+    The Python body below is its reference and its fallback: it takes every
+    step from the first one the kernel leaves to it, so errors are raised
+    here, as they would be without the kernel.
     """
     for v in vehicles:
         v.emergency_braking = False
     s0, T, a_max, delta = p.s0, p.T, p.a_max, p.delta
     a_floor = -p.a_em
     closing = 2.0 * math.sqrt(p.a_max * p.b_conf)
+    first = 0
+    kernel = load_kernel()
+    if kernel and vehicles:
+        first = _compiled_steps(kernel, vehicles, n_steps, (
+            s0, T, a_max, delta, a_floor, closing, v0, dt, road_length,
+            vehicle_length, FREE_ROAD_GAP))
+        if first >= n_steps:
+            return
     # (vehicle, leader or -1, direction) in list order, the per-step path's
     # order, so an overlap names the same pair.
     links = [(i, v.leader, v.direction) for i, v in enumerate(vehicles)]
@@ -135,7 +146,7 @@ def advance_idm(vehicles: list[VehicleState], n_steps: int, v0: float,
     next_xs = xs[:]
     next_vs = vs[:]
     try:
-        for step in range(n_steps):
+        for step in range(first, n_steps):
             for i, j, d in links:
                 x = xs[i]
                 v = vs[i]
@@ -158,71 +169,96 @@ def advance_idm(vehicles: list[VehicleState], n_steps: int, v0: float,
                 next_xs[i] = (x + nv * dt * d) % road_length
             xs, next_xs = next_xs, xs
             vs, next_vs = next_vs, vs
-            if rows is not None:
-                rows.extend(xs)
-                rows.extend(vs)
     finally:
         for vehicle, x, v in zip(vehicles, xs, vs):
             vehicle.x, vehicle.v = x, v
 
 
-def cruise_key(vehicles: list[VehicleState], p: IdmParams, dt: float,
-               road_length: float, vehicle_length: float) -> tuple:
-    """Everything the unalerted trajectory of ``vehicles`` depends on: each
-    vehicle's start x, v, direction and leader index, the IDM parameters, the
-    time step and the ring."""
-    starts = tuple((v.x, v.v, v.direction, v.leader) for v in vehicles)
-    idm = tuple(getattr(p, name) for name in _IDM_FIELDS)
-    return starts, idm, dt, road_length, vehicle_length
+# The command that builds the compiled kernel: no fused multiply-add and no
+# builtin pow, so that each float operation is the Python body's.
+CC = ("cc", "-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
+
+# This process's compiled kernel: None until the first ``load_kernel``, then
+# the loaded function, or False where it could not be built or loaded.
+_kernel = None
+
+# The kernel's argument buffers for n vehicles, by n, reused across calls
+# (trials run in processes, never in threads): the leaders; the parameters,
+# directions, positions, speeds and scratch; the addresses of both; and the
+# parameters last written.
+_buffers: dict = {}
 
 
-# This process's last cruise trajectory: (key, rows asked for, rows).
-_cruise: Optional[tuple[tuple, int, array]] = None
+def load_kernel():
+    """The compiled vehicle kernel: on the first call in a process, the C
+    source shipped with the package is compiled with ``CC`` into a private
+    temporary directory and loaded with ``ctypes``. Where that fails, warns
+    once with the reason and returns False; ``advance_idm`` then runs its
+    Python body, which gives the same bits."""
+    global _kernel
+    if _kernel is None:
+        try:
+            _kernel = _build_kernel()
+        except subprocess.CalledProcessError as exc:
+            _kernel = _no_kernel(f"{exc.cmd[0]} exited with code {exc.returncode}: "
+                                 f"{exc.stderr.strip()}")
+        except OSError as exc:
+            _kernel = _no_kernel(str(exc))
+    return _kernel
 
 
-def cruise_rows(vehicles: list[VehicleState], p: IdmParams, dt: float,
-                road_length: float, vehicle_length: float, n_rows: int) -> array:
-    """The cruise trajectory of ``vehicles``' start state: every vehicle's
-    (x, v) after r = 0, 1, ... rounds of ``advance_idm`` at cruise speed, row
-    r holding the n positions, then the n speeds, in one flat ``array('d')``.
-
-    Each process keeps the last array it built and returns it again for the
-    same ``cruise_key`` when it was built for at least ``n_rows`` rows;
-    otherwise it builds one from row 0, on vehicles made from the key alone,
-    to ``n_rows`` rows or as many as CRUISE_TABLE_MAX_BYTES holds. Where the
-    kernel finds an overlap, the rows end at the row where the gap closed.
-    """
-    global _cruise
-    key = cruise_key(vehicles, p, dt, road_length, vehicle_length)
-    if _cruise is not None and _cruise[0] == key and _cruise[1] >= n_rows:
-        return _cruise[2]
-    # The kernel reads no lane.
-    own = [VehicleState(vid=i, x=x, v=v, direction=d, lane=0, leader=j)
-           for i, (x, v, d, j) in enumerate(key[0])]
-    rows = array("d", [v.x for v in own] + [v.v for v in own])
-    n_steps = n_rows - 1
-    if own:
-        n_steps = min(n_steps, CRUISE_TABLE_MAX_BYTES // (16 * len(own)) - 1)
-    try:
-        advance_idm(own, n_steps, p.v_cruise, p, dt, road_length, vehicle_length,
-                    rows=rows)
-    except VehicleOverlap:
-        pass
-    _cruise = (key, n_rows, rows)
-    return rows
+def _no_kernel(reason: str) -> bool:
+    warnings.warn(f"the compiled vehicle kernel is unavailable ({reason}); "
+                  "using the Python kernel, which is slower", RuntimeWarning,
+                  stacklevel=3)
+    return False
 
 
-def load_row(vehicles: list[VehicleState], rows: array, row: int) -> bool:
-    """Copy row ``row`` of a cruise trajectory into ``vehicles``. Returns
-    False, and leaves the vehicles as they were, past its last row."""
+def _build_kernel():
+    source = importlib.resources.files(__package__).joinpath("advance_idm.c")
+    with tempfile.TemporaryDirectory(prefix="wvcsim-") as tmp:
+        src = os.path.join(tmp, "advance_idm.c")
+        lib = os.path.join(tmp, "advance_idm.so")
+        with open(src, "w", encoding="utf-8") as fh:
+            fh.write(source.read_text(encoding="utf-8"))
+        subprocess.run([*CC, "-o", lib, src, "-lm"], check=True,
+                       capture_output=True, text=True)
+        # The loaded library outlives its file.
+        fn = ctypes.CDLL(lib).advance_idm
+    # Pointers as addresses, which convert fastest; ``_buffers`` holds the
+    # arrays they point into.
+    fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p)
+    fn.restype = ctypes.c_long
+    return fn
+
+
+def _compiled_steps(kernel, vehicles: list[VehicleState], n_steps: int,
+                    params: tuple) -> int:
+    """Up to ``n_steps`` steps of ``advance_idm`` in the compiled kernel.
+    Returns how many it took; the vehicles hold the state after them."""
     n = len(vehicles)
-    base = 2 * n * row
-    if base + 2 * n > len(rows):
-        return False
-    for i, vehicle in enumerate(vehicles):
-        vehicle.x = rows[base + i]
-        vehicle.v = rows[base + n + i]
-    return True
+    bufs = _buffers.get(n)
+    if bufs is None:
+        lead = (ctypes.c_long * n)()
+        buf = (ctypes.c_double * (len(params) + 5 * n))()
+        bufs = _buffers[n] = [lead, buf, ctypes.addressof(lead),
+                              ctypes.addressof(buf), None]
+    lead, buf, lead_at, buf_at, last = bufs
+    k = len(params)
+    # -0.0 == 0.0, so parameters holding a zero are always written.
+    if params != last or 0.0 in params:
+        buf[:k] = bufs[4] = params
+    for i, v in enumerate(vehicles):
+        lead[i] = v.leader
+        buf[k + i] = v.direction
+        buf[k + n + i] = v.x
+        buf[k + 2 * n + i] = v.v
+    done = kernel(n, n_steps, lead_at, buf_at)
+    state = buf[k + n:k + 3 * n]
+    for i, v in enumerate(vehicles):
+        v.x = state[i]
+        v.v = state[n + i]
+    return done
 
 
 @dataclass

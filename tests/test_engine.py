@@ -1,19 +1,17 @@
 import dataclasses
 import math
-from array import array
 
 import pytest
 
 import wvcsim.engine
 import wvcsim.vehicles
 from wvcsim.animals import Activity, AnimalState
-from wvcsim.awareness import AwarenessState
 from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
 from wvcsim.detection import radars_in_range
 from wvcsim.engine import (EngineInvariantError, RngStreams, TrialResult,
                            detect_collisions, make_arrival_schedule, run_trial)
-from wvcsim.vehicles import VehicleState, cruise_rows
+from wvcsim.vehicles import VehicleState
 
 GEO = GeometryParams()
 
@@ -191,8 +189,7 @@ class TestTrialResultInvariantCheck:
 
 def count_idle_stretches(monkeypatch):
     """Wrap the engine's idle-stretch gate; returns the step count of every
-    stretch it opened, whether the vehicles then read the cruise table or
-    ran the kernel."""
+    stretch it opened."""
     calls = []
     stretch_end = wvcsim.engine._stretch_end
 
@@ -268,11 +265,6 @@ class TestIdleStretch:
         assert "overlap at t=" in str(fast.value)
 
 
-def row_zero(vehicles, *args):
-    """A stand-in for ``cruise_rows`` that holds only the start row."""
-    return array("d", [v.x for v in vehicles] + [v.v for v in vehicles])
-
-
 def count_integration(monkeypatch):
     """Wrap the engine's vehicle integrators; returns a one-item counter of
     the vehicle-steps they integrate."""
@@ -291,70 +283,6 @@ def count_integration(monkeypatch):
     monkeypatch.setattr(wvcsim.engine, "advance_idm", counted_kernel)
     monkeypatch.setattr(wvcsim.engine, "idm_acceleration", counted_idm)
     return count
-
-
-class TestCruiseTable:
-    """Reading the shared cruise trajectory changes no output: each trial run
-    with the table, and again with it withheld (the vehicles integrate from
-    the first step), gives the same result."""
-
-    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
-    @IDLE_OVERRIDES
-    def test_same_result_as_integrating(self, monkeypatch, mode, overrides):
-        cfg = fast_config(mode, **overrides)
-        count = count_integration(monkeypatch)
-        for trial_id in range(2):
-            count[0] = 0
-            on_table = dataclasses.asdict(run_trial(cfg, 0.25, trial_id, 5))
-            read = count[0]
-            count[0] = 0
-            with monkeypatch.context() as m:
-                m.setattr(wvcsim.engine, "cruise_rows", row_zero)
-                integrated = dataclasses.asdict(run_trial(cfg, 0.25, trial_id, 5))
-            assert on_table == integrated
-            if cfg.vehicles_per_direction == 0:
-                assert read == count[0] == 0
-            elif mode is Mode.CONTROL:
-                # The table stood in for all of the integration: no Control
-                # driver is ever alerted.
-                assert read == 0 < count[0]
-            else:
-                # Detection and Aware trials never read the table.
-                assert read == count[0] > 0
-
-    def test_first_alert_leaves_the_table(self, monkeypatch):
-        # A Control trial whose sign is lit from 300 s on: the vehicles read
-        # rows until the drivers are alerted, then integrate.
-        monkeypatch.setattr(AwarenessState, "dms_active",
-                            lambda self, animals, now: now >= 300.0)
-        monkeypatch.setattr(wvcsim.engine, "_stretch_end", no_stretch)
-        cfg = fast_config(Mode.CONTROL)
-        count = count_integration(monkeypatch)
-        on_table = dataclasses.asdict(run_trial(cfg, 0.25, 0, 5))
-        read = count[0]
-        count[0] = 0
-        monkeypatch.setattr(wvcsim.engine, "cruise_rows", row_zero)
-        assert dataclasses.asdict(run_trial(cfg, 0.25, 0, 5)) == on_table
-        assert 0 < read < count[0]
-
-    def test_same_result_past_the_cap(self, monkeypatch):
-        cfg = fast_config(Mode.CONTROL)
-        expected = dataclasses.asdict(run_trial(cfg, 0.25, 0, 5))
-        tables = []
-
-        def recorded(*args):
-            tables.append(cruise_rows(*args))
-            return tables[-1]
-
-        # 1000 rows of the 9001 the trial needs, built afresh rather than
-        # read from the longer rows the first trial left.
-        monkeypatch.setattr(wvcsim.vehicles, "CRUISE_TABLE_MAX_BYTES", 1000 * 16 * 8)
-        monkeypatch.setattr(wvcsim.vehicles, "_cruise", None)
-        monkeypatch.setattr(wvcsim.engine, "cruise_rows", recorded)
-        count = count_integration(monkeypatch)
-        assert dataclasses.asdict(run_trial(cfg, 0.25, 0, 5)) == expected
-        assert len(tables[0]) == 1000 * 2 * 8
-        assert count[0] > 0
 
 
 CROWDED = dict(arrival_rate=300.0, radar_spacing=5.0, kappa=0.3)
@@ -417,12 +345,17 @@ class TestOwedSteps:
     def test_same_as_settling_every_step_crowded(self, monkeypatch, mode):
         self.same_as_eager(monkeypatch, fast_config(mode, **CROWDED), 0.05)
 
-    @pytest.mark.parametrize("mode", [Mode.DETECTION, Mode.AWARE])
+    @pytest.mark.parametrize("mode, kernel", [
+        pytest.param(mode, kernel,
+                     id=mode.value if kernel == "compiled" else f"{mode.value}-python")
+        for kernel in ("compiled", "python")
+        for mode in (Mode.CONTROL, Mode.DETECTION, Mode.AWARE)
+    ], indirect=["kernel"])
     @pytest.mark.parametrize("overrides", [
         {}, {"time_step": 0.05}, {"time_step": 0.2}, {"vehicles_per_direction": 1},
         {"arrival_rate": 60.0}, CROWDED,
     ], ids=["default", "dt0.05", "dt0.2", "free-vehicles", "rate60", "crowded"])
-    def test_every_step_integrated_once(self, monkeypatch, mode, overrides):
+    def test_every_step_integrated_once(self, monkeypatch, mode, overrides, kernel):
         cfg = fast_config(mode, **overrides)
         count = count_integration(monkeypatch)
         hours = 0.1

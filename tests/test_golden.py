@@ -1,5 +1,6 @@
 """Golden bytes: the trials CSV, the summary CSV and the plot JSON of two small
-plans, and the trials CSV of a crowded one, pinned by SHA-256.
+plans, and the trials CSV of a crowded one, pinned by SHA-256. The trials CSVs
+are pinned for both vehicle kernels, the compiled one and the Python one.
 
 A change that moves any output byte fails here. Re-baselining is an explicit
 edit of these digests, to be recorded with its reason in CHANGES.md.
@@ -11,6 +12,7 @@ import warnings
 
 import pytest
 
+import wvcsim.vehicles
 from wvcsim import emit_plot_data
 from wvcsim.cli import _write_summary_csv
 from wvcsim.config import CorridorConfig, replace_config
@@ -18,14 +20,15 @@ from wvcsim.experiments import ExperimentPlan, run_headline, run_sweep, summariz
 from wvcsim.records import write_trials_csv
 
 
+# Each plan's records once per vehicle kernel (the ``kernel`` fixture's value).
 @functools.cache
-def headline_records():
+def headline_records(kernel):
     return run_headline(ExperimentPlan.headline(
         master_seed=42, trials_per_point=3, hours_per_trial=0.25))
 
 
 @functools.cache
-def spacing_records():
+def spacing_records(kernel):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the sparse-spacing coverage warnings
         return run_sweep(ExperimentPlan.sweep(
@@ -33,7 +36,7 @@ def spacing_records():
 
 
 @functools.cache
-def crowded_records():
+def crowded_records(kernel):
     # Animals on most steps and the sign often lit: braking, crossing and
     # collision steps, which the two plans above see few of.
     config = replace_config(CorridorConfig(), arrival_rate=300.0,
@@ -46,18 +49,39 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("records, digest", [
-    (headline_records,
-     "361cb322538b8a8fc9f13cfe0cb880f57d399dd4b776550a1a233ccc21beb3ce"),
-    (spacing_records,
-     "042a0ab0680f2ab1bb99162686ee74e275bfd7b43517b339dd1a02f3cdf26e31"),
-    (crowded_records,
-     "94cdcef71901cfab8a6fa49e9455bae1ca896faf69dbc852adf2908ac8a86ef4"),
-], ids=["headline", "spacing_sweep", "crowded"])
-def test_trials_csv_bytes(records, digest, tmp_path):
+HEADLINE_TRIALS = "361cb322538b8a8fc9f13cfe0cb880f57d399dd4b776550a1a233ccc21beb3ce"
+
+TRIALS_DIGESTS = {
+    "headline": (headline_records, HEADLINE_TRIALS),
+    "spacing_sweep": (spacing_records,
+                      "042a0ab0680f2ab1bb99162686ee74e275bfd7b43517b339dd1a02f3cdf26e31"),
+    "crowded": (crowded_records,
+                "94cdcef71901cfab8a6fa49e9455bae1ca896faf69dbc852adf2908ac8a86ef4"),
+}
+
+
+@pytest.mark.parametrize("records, digest, kernel", [
+    pytest.param(records, digest, kernel,
+                 id=name if kernel == "compiled" else f"{name}-python")
+    for kernel in ("compiled", "python")
+    for name, (records, digest) in TRIALS_DIGESTS.items()
+], indirect=["kernel"])
+def test_trials_csv_bytes(records, digest, kernel, tmp_path):
     path = tmp_path / "trials.csv"
-    write_trials_csv(str(path), records())
+    write_trials_csv(str(path), records(kernel))
     assert sha256(path) == digest
+
+
+def test_missing_compiler_warns_once_and_keeps_the_bytes(monkeypatch, tmp_path):
+    monkeypatch.setattr(wvcsim.vehicles, "_kernel", None)
+    monkeypatch.setattr(wvcsim.vehicles, "CC", ("wvcsim-no-such-cc",))
+    with pytest.warns(RuntimeWarning, match="wvcsim-no-such-cc") as caught:
+        records = headline_records.__wrapped__("python")
+    assert len(caught) == 1
+    assert wvcsim.vehicles._kernel is False
+    path = tmp_path / "trials.csv"
+    write_trials_csv(str(path), records)
+    assert sha256(path) == HEADLINE_TRIALS
 
 
 @pytest.mark.parametrize("records, digest", [
@@ -68,7 +92,7 @@ def test_trials_csv_bytes(records, digest, tmp_path):
 ], ids=["headline", "spacing_sweep"])
 def test_summary_csv_bytes(records, digest, tmp_path):
     path = tmp_path / "summary.csv"
-    _write_summary_csv(str(path), summarize(records()))
+    _write_summary_csv(str(path), summarize(records("compiled")))
     assert sha256(path) == digest
 
 
@@ -79,5 +103,5 @@ def test_summary_csv_bytes(records, digest, tmp_path):
      "2ee8bc1c24681d0b33e8aebdeb0bcfa9fb2e03629d9424b02a43d664d6d78559"),
 ], ids=["headline", "spacing_sweep"])
 def test_plot_json_bytes(records, kind, digest, tmp_path):
-    emit_plot_data(records(), kind, str(tmp_path))
+    emit_plot_data(records("compiled"), kind, str(tmp_path))
     assert sha256(tmp_path / f"plot_{kind}.json") == digest

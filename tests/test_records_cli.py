@@ -1,11 +1,11 @@
 import dataclasses
 import json
+import os
 
 import pytest
 
 import wvcsim.experiments
 import wvcsim.vehicles
-from wvcsim.config import CorridorConfig, build_corridor
 from wvcsim.cli import main
 from wvcsim.experiments import (ExperimentPlan, KAPPA_GRID, SPACING_GRID,
                                 TrialError, default_workers, emit_plot_data,
@@ -14,7 +14,6 @@ from wvcsim.experiments import (ExperimentPlan, KAPPA_GRID, SPACING_GRID,
 from wvcsim.records import (COLUMNS, SCHEMA_VERSION, read_trials_csv,
                             write_csv, write_trials_csv)
 from wvcsim.stats import significance_stars
-from wvcsim.vehicles import cruise_key
 
 
 TINY = dict(trials_per_point=2, hours_per_trial=0.05)
@@ -86,22 +85,25 @@ class TestRunners:
         with pytest.raises(ValueError, match="unknown plan kind 'weather'"):
             run_sweep(plan)
 
-    def test_pool_parent_builds_the_cruise_table(self, monkeypatch, tmp_path):
-        # The forked workers inherit the table the parent built; no trial
-        # runs in the parent.
-        monkeypatch.setattr(wvcsim.vehicles, "_cruise", None)
+    def test_pool_parent_loads_the_kernel(self, monkeypatch, tmp_path):
+        # The forked workers inherit the kernel the parent loaded (or its
+        # failed attempt), so none of them builds it; no trial runs in the
+        # parent. Each build leaves a file named after its process.
+        builds = tmp_path / "builds"
+        builds.mkdir()
+        build = wvcsim.vehicles._build_kernel
+
+        def recorded():
+            (builds / str(os.getpid())).touch()
+            return build()
+
+        monkeypatch.setattr(wvcsim.vehicles, "_kernel", None)
+        monkeypatch.setattr(wvcsim.vehicles, "_build_kernel", recorded)
         plan = ExperimentPlan.sweep("spacing", master_seed=3, values=(5.0, 10.0),
                                     trials_per_point=2, hours_per_trial=0.02)
         parallel = run_sweep(plan, workers=2)
-        config = CorridorConfig()
-        n_vehicles = 2 * config.vehicles_per_direction
-        key, n_rows, rows = wvcsim.vehicles._cruise
-        assert key == cruise_key(build_corridor(config).vehicles, config.idm,
-                                 config.time_step, config.road_length,
-                                 config.geometry.vehicle_length)
-        n_steps = 720  # 0.02 h at 0.1 s
-        assert n_rows >= n_steps + 1
-        assert len(rows) >= (n_steps + 1) * 2 * n_vehicles
+        assert wvcsim.vehicles._kernel is not None
+        assert [p.name for p in builds.iterdir()] == [str(os.getpid())]
         serial = run_sweep(plan, workers=1)
         for name, records in (("parallel", parallel), ("serial", serial)):
             write_trials_csv(str(tmp_path / f"{name}.csv"), records)

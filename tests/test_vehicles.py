@@ -1,7 +1,17 @@
 import dataclasses
+import importlib.resources
 import math
+import os
+import shutil
+import struct
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wvcsim.engine
 import wvcsim.vehicles
@@ -11,8 +21,8 @@ from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
 from wvcsim.engine import run_trial
 from wvcsim.vehicles import (FREE_ROAD_GAP, DriverAlert, IdmParams,
                              VehicleOverlap, VehicleState, advance_idm,
-                             cruise_rows, desired_gap, emergency_brake_needed,
-                             idm_acceleration, link_ring_leaders, load_row,
+                             desired_gap, emergency_brake_needed,
+                             idm_acceleration, link_ring_leaders,
                              step_vehicles, stopping_envelope)
 from wvcsim.animals import AnimalState
 
@@ -390,88 +400,166 @@ class TestAdvanceIdm:
         assert snapshot(fast) == snapshot(ref)
 
 
-def crash_course(road_length):
-    """A follower at 30 m/s, 20 m behind a stopped leader: it cannot stop in
-    time even at -a_em, so the gap closes after a few seconds."""
-    vehicles = build_corridor(CorridorConfig()).vehicles
-    follower, leader = vehicles[0], vehicles[vehicles[0].leader]
-    follower.x = (leader.x - (20.0 + GEO.vehicle_length) * follower.direction) % road_length
-    follower.v, leader.v = 30.0, 0.0
-    return vehicles
+def kernel_outcome(kernel, start, n_steps, v0, p, dt, road_length, vehicle_length):
+    """``advance_idm`` on a copy of ``start`` with the kernel slot set to
+    ``kernel``: what it raised (an overlap by step and by the pair's
+    indices, another error by its type and message), and every vehicle's
+    (x, v) bits and ``emergency_braking``."""
+    vehicles = [dataclasses.replace(v) for v in start]
+    saved = wvcsim.vehicles._kernel
+    wvcsim.vehicles._kernel = kernel
+    error = None
+    try:
+        advance_idm(vehicles, n_steps, v0, p, dt, road_length, vehicle_length)
+    except VehicleOverlap as exc:
+        index = {id(v): i for i, v in enumerate(vehicles)}
+        error = ("overlap", exc.step, index[id(exc.follower)], index[id(exc.leader)])
+    except (OverflowError, ZeroDivisionError, IndexError) as exc:
+        error = (type(exc).__name__, str(exc))
+    finally:
+        wvcsim.vehicles._kernel = saved
+    return error, [(struct.pack("<2d", v.x, v.v), v.emergency_braking)
+                   for v in vehicles]
 
 
-class TestCruiseTable:
-    """Row r of the cruise trajectory is r rounds of the per-step IDM path,
-    bit for bit."""
+@st.composite
+def kernel_cases(draw):
+    """A ring of 0-12 vehicles in both directions, some of them free, with
+    random states, IDM parameters, time step, lengths, step count and one
+    of the two desired speeds."""
+    road_length = draw(st.floats(10.0, 2000.0))
+    vehicle_length = draw(st.floats(0.0, 10.0))
+    vehicles = [VehicleState(vid=i, x=draw(st.floats(0.0, road_length,
+                                                     exclude_max=True)),
+                             v=draw(st.floats(0.0, 40.0)), direction=d, lane=d < 0,
+                             emergency_braking=draw(st.booleans()))
+                for i, d in enumerate(draw(st.lists(st.sampled_from((1, -1)),
+                                                    max_size=12)))]
+    link_ring_leaders(vehicles, road_length)
+    for v in vehicles:
+        if draw(st.integers(0, 3)) == 0:
+            v.leader = -1
+    v_cruise = draw(st.floats(1.0, 40.0))
+    p = IdmParams(s0=draw(st.floats(0.1, 10.0)), T=draw(st.floats(0.1, 3.0)),
+                  a_max=draw(st.floats(0.1, 5.0)), b_conf=draw(st.floats(0.1, 10.0)),
+                  delta=draw(st.sampled_from((4.0, 1.0)) | st.floats(0.5, 8.0)),
+                  a_em=draw(st.floats(0.1, 20.0)), v_cruise=v_cruise,
+                  v_caution=draw(st.floats(0.5, v_cruise)))
+    v0 = draw(st.sampled_from((p.v_cruise, p.v_caution)))
+    return (vehicles, draw(st.integers(0, 300)), v0, p,
+            draw(st.floats(0.01, 1.0)), road_length, vehicle_length)
 
-    L = CorridorConfig().road_length
 
-    @pytest.fixture(autouse=True)
-    def no_cached_rows(self, monkeypatch):
-        # Each test builds its own rows, whatever an earlier trial left.
-        monkeypatch.setattr(wvcsim.vehicles, "_cruise", None)
+# Two vehicles 1e-160 m apart bumper to bumper: (s*/gap) ** 2 overflows, so
+# the Python body raises OverflowError before the first step.
+OVERFLOW_CASE = ([VehicleState(vid=0, x=0.0, v=0.0, direction=1, lane=0, leader=1),
+                  VehicleState(vid=1, x=2e-160, v=0.0, direction=1, lane=0, leader=0)],
+                 10, P.v_cruise, P, 0.1, 1000.0, 1e-160)
 
-    def rows(self, vehicles, n_rows, p=P, dt=0.1):
-        return cruise_rows(vehicles, p, dt, self.L, GEO.vehicle_length, n_rows)
 
-    def row(self, rows, r, like):
-        vehicles = [dataclasses.replace(v) for v in like]
-        assert load_row(vehicles, rows, r)
-        return snapshot(vehicles)
+def compiled_kernel():
+    kernel = wvcsim.vehicles.load_kernel()
+    if not kernel:
+        pytest.skip("no compiled vehicle kernel on this host")
+    return kernel
 
-    @pytest.mark.parametrize("dt, overrides", [
-        (0.1, {}), (0.05, {}), (0.2, {}), (0.1, {"vehicles_per_direction": 1}),
-    ], ids=["default", "dt0.05", "dt0.2", "free-vehicles"])
-    def test_rows_match_reference(self, dt, overrides):
-        ref = build_corridor(replace_config(CorridorConfig(), **overrides)).vehicles
-        rows = self.rows(ref, 3002, dt=dt)
-        assert self.row(rows, 0, ref) == snapshot(ref)
-        done = 0
-        for r in (1, 2, 17, 640, 3001):
-            reference_steps(ref, r - done, P.v_cruise, self.L, dt)
-            done = r
-            assert self.row(rows, r, ref) == snapshot(ref)
 
-    def test_load_reaches_no_further_than_asked(self):
+class TestCompiledKernel:
+    """The compiled kernel is the Python body of ``advance_idm``, bit for
+    bit, down to the errors it raises and the state they leave."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(case=kernel_cases())
+    @example(case=OVERFLOW_CASE)
+    def test_same_bits_and_errors_as_python(self, case):
+        kernel = compiled_kernel()
+        compiled = kernel_outcome(kernel, *case)
+        assert compiled == kernel_outcome(False, *case)
+
+    def test_overflow_leaves_the_state_before_it(self):
+        kernel = compiled_kernel()
+        error, state = kernel_outcome(kernel, *OVERFLOW_CASE)
+        assert error[0] == "OverflowError"
+        assert state == kernel_outcome(kernel, OVERFLOW_CASE[0], 0,
+                                       *OVERFLOW_CASE[2:])[1]
+
+    @pytest.mark.parametrize("change", ["v0", "road_length", "b_conf", "leader"])
+    def test_other_errors_raised_as_in_python(self, change):
+        # Python raises ZeroDivisionError on a zero desired speed, ring length
+        # or closing term (b_conf 0), and IndexError on a leader past the
+        # list. The C arithmetic alone would step through the first two
+        # (inf ** -1 is finite; free vehicles read no gap) and read past its
+        # buffer on the last; a zero closing term also gives it a NaN s*.
         vehicles = build_corridor(CorridorConfig()).vehicles
-        start = snapshot(vehicles)
-        rows = self.rows(vehicles, 50)
-        assert len(rows) == 50 * 2 * len(vehicles)
-        assert self.row(rows, 49, vehicles) != start
-        assert not load_row(vehicles, rows, 50)
-        assert snapshot(vehicles) == start
+        vehicles[0].v = 10.0
+        case = dict(start=vehicles, n_steps=10, v0=P.v_cruise, p=P, dt=0.1,
+                    road_length=CorridorConfig().road_length,
+                    vehicle_length=GEO.vehicle_length)
+        if change == "v0":
+            case.update(v0=0.0, p=dataclasses.replace(P, delta=-1.0))
+        elif change == "road_length":
+            case["road_length"] = 0.0
+            for v in vehicles:
+                v.leader = -1
+        elif change == "b_conf":
+            case["p"] = dataclasses.replace(P, b_conf=0.0)
+        else:
+            vehicles[3].leader = len(vehicles)
+        compiled = kernel_outcome(compiled_kernel(), **case)
+        assert compiled[0][0] in ("ZeroDivisionError", "IndexError")
+        assert compiled == kernel_outcome(False, **case)
 
-    def test_same_key_reuses_the_rows(self):
+    def test_parameters_differing_in_the_sign_of_a_zero(self):
+        # The kernel keeps its last parameters, and -0.0 == 0.0: the second
+        # call must not run on the first one's dt (nor the third on the
+        # second's), or a speed of -0.0 comes out with the wrong sign.
+        kernel = compiled_kernel()
+        start = [VehicleState(vid=0, x=5.0, v=-0.0, direction=1, lane=0)]
+        for dt in (0.0, -0.0, 0.0):
+            case = (start, 1, P.v_cruise, P, dt, 1000.0, GEO.vehicle_length)
+            assert kernel_outcome(kernel, *case) == kernel_outcome(False, *case)
+
+    def test_takes_the_steps_itself(self, monkeypatch):
+        # The Python body is left no step of an ordinary stretch.
+        kernel = compiled_kernel()
+        taken = []
+
+        def spied(*args):
+            taken.append(kernel(*args))
+            return taken[-1]
+
+        monkeypatch.setattr(wvcsim.vehicles, "_kernel", spied)
         vehicles = build_corridor(CorridorConfig()).vehicles
-        first = self.rows(vehicles, 200)
-        assert self.rows(vehicles, 200) is first
-        assert self.rows(vehicles, 100) is first
+        advance_idm(vehicles, 3000, P.v_cruise, P, 0.1, CorridorConfig().road_length,
+                    GEO.vehicle_length)
+        assert taken == [3000]
 
-    def test_changed_v_cruise_rebuilds(self):
-        vehicles = build_corridor(CorridorConfig()).vehicles
-        first = self.rows(vehicles, 200)
-        slower = self.rows(vehicles, 200, p=dataclasses.replace(P, v_cruise=25.0))
-        assert slower is not first
-        assert slower != first
+    def test_source_ships_with_the_package(self):
+        source = importlib.resources.files("wvcsim").joinpath("advance_idm.c")
+        assert "long advance_idm(" in source.read_text(encoding="utf-8")
 
-    def test_longer_trial_rebuilds_from_row_zero(self):
-        vehicles = build_corridor(CorridorConfig()).vehicles
-        short = self.rows(vehicles, 100)
-        longer = self.rows(vehicles, 200)
-        assert longer is not short
-        assert len(longer) == 2 * len(short)
-        assert longer[:len(short)] == short
-        assert self.rows(vehicles, 150) is longer
+    @pytest.mark.skipif(shutil.which(wvcsim.vehicles.CC[0]) is None,
+                        reason="no C compiler on PATH")
+    def test_builds_where_a_compiler_is_found(self, monkeypatch):
+        monkeypatch.setattr(wvcsim.vehicles, "_kernel", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert wvcsim.vehicles.load_kernel()
 
-    def test_overlap_row_recorded(self):
-        expected = 0
-        ref = crash_course(self.L)
-        with pytest.raises(ValueError, match="non-positive gap"):
-            while True:
-                reference_steps(ref, 1, P.v_cruise, self.L)
-                expected += 1
-        vehicles = crash_course(self.L)
-        rows = self.rows(vehicles, 1000)
-        assert len(rows) == (expected + 1) * 2 * len(vehicles)
-        assert self.row(rows, expected, vehicles) == snapshot(ref)
-        assert not load_row(vehicles, rows, expected + 1)
+    def test_import_and_plan_build_nothing(self):
+        # The kernel is built on the first call, never at import: importing
+        # the package and building a plan runs no compiler.
+        code = ("import subprocess\n"
+                "def forbidden(*args, **kwargs):\n"
+                "    raise AssertionError('a process was started')\n"
+                "subprocess.Popen.__init__ = forbidden\n"
+                "import wvcsim, wvcsim.vehicles\n"
+                "from wvcsim.experiments import ExperimentPlan\n"
+                "ExperimentPlan.headline(master_seed=1)\n"
+                "wvcsim.build_corridor(wvcsim.CorridorConfig())\n"
+                "print(wvcsim.vehicles._kernel)")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "None\n"
