@@ -6,6 +6,7 @@ import pytest
 import wvcsim.engine
 import wvcsim.vehicles
 from wvcsim.animals import Activity, AnimalState
+from wvcsim.awareness import AwarenessState
 from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
 from wvcsim.detection import radars_in_range
@@ -283,6 +284,69 @@ def count_integration(monkeypatch):
     monkeypatch.setattr(wvcsim.engine, "advance_idm", counted_kernel)
     monkeypatch.setattr(wvcsim.engine, "idm_acceleration", counted_idm)
     return count
+
+
+def record_desired_speeds(monkeypatch):
+    """Wrap the engine's vehicle kernel; returns the list of the desired
+    speed of each call that took steps."""
+    speeds = []
+    kernel = wvcsim.engine.advance_idm
+
+    def recorded(vehicles, n_steps, v0, *args):
+        if n_steps:
+            speeds.append(v0)
+        return kernel(vehicles, n_steps, v0, *args)
+
+    monkeypatch.setattr(wvcsim.engine, "advance_idm", recorded)
+    return speeds
+
+
+def require_compiled_kernel():
+    if not wvcsim.vehicles.load_kernel():
+        pytest.skip("no compiled vehicle kernel on this host")
+
+
+class TestCruiseTable:
+    """The cruising vehicles' trajectory changes no output for the kernel
+    that integrates it: each trial run on the compiled kernel, and again
+    with it withheld (the Python body of ``advance_idm`` integrates every
+    step), gives the same result and integrates as many vehicle-steps."""
+
+    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
+    @IDLE_OVERRIDES
+    def test_same_result_as_integrating(self, monkeypatch, mode, overrides):
+        require_compiled_kernel()
+        cfg = fast_config(mode, **overrides)
+        count = count_integration(monkeypatch)
+        for trial_id in range(2):
+            count[0] = 0
+            compiled = dataclasses.asdict(run_trial(cfg, 0.25, trial_id, 5))
+            stepped = count[0]
+            count[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(wvcsim.vehicles, "_kernel", False)
+                integrated = dataclasses.asdict(run_trial(cfg, 0.25, trial_id, 5))
+            assert compiled == integrated
+            assert stepped == count[0]
+            if cfg.vehicles_per_direction == 0:
+                assert stepped == 0
+            else:
+                assert stepped > 0
+
+    def test_first_alert_leaves_the_table(self, monkeypatch):
+        # A Control trial whose sign is lit from 300 s on: the vehicles cruise
+        # until the drivers are alerted, then slow to the caution speed.
+        require_compiled_kernel()
+        monkeypatch.setattr(AwarenessState, "dms_active",
+                            lambda self, animals, now: now >= 300.0)
+        monkeypatch.setattr(wvcsim.engine, "_stretch_end", no_stretch)
+        cfg = fast_config(Mode.CONTROL)
+        speeds = record_desired_speeds(monkeypatch)
+        compiled = dataclasses.asdict(run_trial(cfg, 0.25, 0, 5))
+        assert speeds[0] == cfg.idm.v_cruise
+        assert cfg.idm.v_caution in speeds
+        monkeypatch.setattr(wvcsim.vehicles, "_kernel", False)
+        assert dataclasses.asdict(run_trial(cfg, 0.25, 0, 5)) == compiled
 
 
 CROWDED = dict(arrival_rate=300.0, radar_spacing=5.0, kappa=0.3)

@@ -400,6 +400,30 @@ class TestAdvanceIdm:
         assert snapshot(fast) == snapshot(ref)
 
 
+class TestCruiseTable:
+    """A table of the cruise trajectory's rows, taken through the compiled
+    kernel in calls of any length: row r is r rounds of the per-step IDM
+    path, bit for bit."""
+
+    L = CorridorConfig().road_length
+
+    @pytest.mark.parametrize("dt, overrides", [
+        (0.1, {}), (0.05, {}), (0.2, {}), (0.1, {"vehicles_per_direction": 1}),
+    ], ids=["default", "dt0.05", "dt0.2", "free-vehicles"])
+    def test_rows_match_reference(self, dt, overrides):
+        compiled_kernel()
+        cfg = replace_config(CorridorConfig(), **overrides)
+        fast, ref = build_corridor(cfg).vehicles, build_corridor(cfg).vehicles
+        advance_idm(fast, 0, P.v_cruise, P, dt, self.L, GEO.vehicle_length)
+        assert snapshot(fast) == snapshot(ref)
+        done = 0
+        for r in (1, 2, 17, 640, 3001):
+            advance_idm(fast, r - done, P.v_cruise, P, dt, self.L, GEO.vehicle_length)
+            reference_steps(ref, r - done, P.v_cruise, self.L, dt)
+            done = r
+            assert snapshot(fast) == snapshot(ref)
+
+
 def kernel_outcome(kernel, start, n_steps, v0, p, dt, road_length, vehicle_length):
     """``advance_idm`` on a copy of ``start`` with the kernel slot set to
     ``kernel``: what it raised (an overlap by step and by the pair's
