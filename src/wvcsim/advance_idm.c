@@ -1,6 +1,8 @@
-/* The compiled form of wvcsim.vehicles.advance_idm, built on first use.
+/* The compiled form of wvcsim.vehicles.advance_idm, built on first use: a
+   port of rounds of the reference functions desired_gap, idm_acceleration
+   and step_vehicles, which advance_idm's Python body steps.
 
-   Every float operation is the Python body's, in CPython's semantics and in
+   Every float operation is the reference's, in CPython's semantics and in
    the same order, so both give the same bits: % is fmod plus the sign fix of
    CPython's float_rem, ** is libm pow. Build with -ffp-contract=off (no fused
    multiply-add) and -fno-builtin (no pow folded into a multiply).
@@ -70,7 +72,7 @@ long advance_idm(long n, long n_steps, const long *lead, double *buf)
                 dv = vi - vs[j];
             }
             s_star = s0 + vi * T + vi * dv / closing;
-            if (s_star <= 0.0)
+            if (!(s_star > 0.0))    /* desired_gap's clamp, NaN included */
                 s_star = 0.0;
             if (!py_pow(vi / v0, delta, &f) || !py_pow(s_star / gap, 2.0, &q))
                 goto stop;

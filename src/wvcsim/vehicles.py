@@ -26,9 +26,6 @@ if TYPE_CHECKING:
 # Gap used when a vehicle has no leader, so the car-following law stays total.
 FREE_ROAD_GAP = 1.0e6
 
-_IDM_FIELDS = ("s0", "T", "a_max", "b_conf", "delta", "a_em", "v_cruise",
-               "v_caution", "t_react")
-
 
 @dataclass
 class IdmParams:
@@ -46,7 +43,8 @@ class IdmParams:
 
     def validate(self) -> list[str]:
         problems = []
-        for name in _IDM_FIELDS:
+        for name in ("s0", "T", "a_max", "b_conf", "delta", "a_em", "v_cruise",
+                     "v_caution", "t_react"):
             if getattr(self, name) <= 0:
                 problems.append(f"idm.{name}: must be positive")
         if self.v_caution >= self.v_cruise:
@@ -92,8 +90,8 @@ def step_vehicles(vehicles: list[VehicleState], accels: list[float], dt: float,
         nv = v.v + a * dt
         if nv < 0.0:
             nv = 0.0
-        v.v = nv
-        v.x = (v.x + nv * dt * v.direction) % road_length
+        # The new x first: a ring length of 0 raises here, before any write.
+        v.x, v.v = (v.x + nv * dt * v.direction) % road_length, nv
 
 
 class VehicleOverlap(ValueError):
@@ -113,12 +111,8 @@ def advance_idm(vehicles: list[VehicleState], n_steps: int, v0: float,
     """``n_steps`` rounds of ``idm_acceleration`` at desired speed ``v0`` plus
     ``step_vehicles``, for steps on which no driver brakes for an animal.
 
-    The IDM formula is inlined with its constants hoisted, but every float
-    operation keeps the order of ``desired_gap``/``idm_acceleration`` and
-    ``step_vehicles``, so the result is bit-identical to the per-step path.
-    Each step reads one snapshot of positions and speeds and writes the next
-    into a second buffer. Clears ``emergency_braking``; raises VehicleOverlap
-    on a gap <= 0, leaving the vehicles as they were before that step.
+    Clears ``emergency_braking``; raises VehicleOverlap on a gap <= 0,
+    leaving the vehicles as they were before that step.
 
     The steps run in the compiled kernel (``load_kernel``) where it loads.
     The Python body below is its reference and its fallback: it takes every
@@ -127,55 +121,33 @@ def advance_idm(vehicles: list[VehicleState], n_steps: int, v0: float,
     """
     for v in vehicles:
         v.emergency_braking = False
-    s0, T, a_max, delta = p.s0, p.T, p.a_max, p.delta
-    a_floor = -p.a_em
-    closing = 2.0 * math.sqrt(p.a_max * p.b_conf)
     first = 0
     kernel = load_kernel()
     if kernel and vehicles:
         first = _compiled_steps(kernel, vehicles, n_steps, (
-            s0, T, a_max, delta, a_floor, closing, v0, dt, road_length,
+            p.s0, p.T, p.a_max, p.delta, -p.a_em,
+            2.0 * math.sqrt(p.a_max * p.b_conf), v0, dt, road_length,
             vehicle_length, FREE_ROAD_GAP))
         if first >= n_steps:
             return
-    # (vehicle, leader or -1, direction) in list order, the per-step path's
-    # order, so an overlap names the same pair.
-    links = [(i, v.leader, v.direction) for i, v in enumerate(vehicles)]
-    xs = [v.x for v in vehicles]
-    vs = [v.v for v in vehicles]
-    next_xs = xs[:]
-    next_vs = vs[:]
-    try:
-        for step in range(first, n_steps):
-            for i, j, d in links:
-                x = xs[i]
-                v = vs[i]
-                if j < 0:
-                    gap = FREE_ROAD_GAP
-                    dv = 0.0
-                else:
-                    gap = ((xs[j] - x) * d) % road_length - vehicle_length
-                    if gap <= 0.0:
-                        raise VehicleOverlap(step, vehicles[i], vehicles[j])
-                    dv = v - vs[j]
-                s_star = s0 + v * T + v * dv / closing
-                if s_star <= 0.0:
-                    s_star = 0.0
-                a = a_max * (1.0 - (v / v0) ** delta - (s_star / gap) ** 2)
-                nv = v + (a if a > a_floor else a_floor) * dt
-                if nv < 0.0:
-                    nv = 0.0
-                next_vs[i] = nv
-                next_xs[i] = (x + nv * dt * d) % road_length
-            xs, next_xs = next_xs, xs
-            vs, next_vs = next_vs, vs
-    finally:
-        for vehicle, x, v in zip(vehicles, xs, vs):
-            vehicle.x, vehicle.v = x, v
+    for step in range(first, n_steps):
+        accels = []
+        for v in vehicles:
+            if v.leader < 0:
+                gap = FREE_ROAD_GAP
+                dv = 0.0
+            else:
+                lead = vehicles[v.leader]
+                gap = ((lead.x - v.x) * v.direction) % road_length - vehicle_length
+                if gap <= 0.0:
+                    raise VehicleOverlap(step, v, lead)
+                dv = v.v - lead.v
+            accels.append(idm_acceleration(v.v, v0, dv, gap, p))
+        step_vehicles(vehicles, accels, dt, road_length)
 
 
 # The command that builds the compiled kernel: no fused multiply-add and no
-# builtin pow, so that each float operation is the Python body's.
+# builtin pow, so that each float operation is the reference functions'.
 CC = ("cc", "-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
 
 # This process's compiled kernel: None until the first ``load_kernel``, then

@@ -333,7 +333,7 @@ class TestCruiseTable:
             else:
                 assert stepped > 0
 
-    def test_first_alert_leaves_the_table(self, monkeypatch):
+    def test_mid_trial_alert_same_on_both_kernels(self, monkeypatch):
         # A Control trial whose sign is lit from 300 s on: the vehicles cruise
         # until the drivers are alerted, then slow to the caution speed.
         require_compiled_kernel()

@@ -131,6 +131,22 @@ class TestStepVehicle:
         assert vehicles[0].x == (100.0 + (10.0 + 1.0 * 0.1) * 0.1) % 1000.0
         assert vehicles[1].x == (200.0 - (10.0 - 2.0 * 0.1) * 0.1) % 1000.0
 
+    def test_failed_step_changes_nothing(self):
+        # On a ring of length 0, x % road_length raises: the step leaves every
+        # vehicle as it was, called directly and through advance_idm on both
+        # kernels, whose Python body steps with step_vehicles.
+        start = [make_vehicle(x=5.0, v=10.0)]
+        vehicles = [dataclasses.replace(v) for v in start]
+        with pytest.raises(ZeroDivisionError):
+            step_vehicles(vehicles, [1.0], 0.1, 0.0)
+        assert snapshot(vehicles) == snapshot(start)
+        for kernel in (wvcsim.vehicles.load_kernel(), False):
+            error, state = kernel_outcome(kernel, start, 1, P.v_cruise, P, 0.1,
+                                          0.0, GEO.vehicle_length)
+            assert error[0] == "ZeroDivisionError"
+            assert state == kernel_outcome(kernel, start, 0, P.v_cruise, P, 0.1,
+                                           0.0, GEO.vehicle_length)[1]
+
 
 class TestDriverAlert:
     def test_reaction_delay(self):
@@ -401,9 +417,8 @@ class TestAdvanceIdm:
 
 
 class TestCruiseTable:
-    """A table of the cruise trajectory's rows, taken through the compiled
-    kernel in calls of any length: row r is r rounds of the per-step IDM
-    path, bit for bit."""
+    """The state after r steps, taken through the compiled kernel in calls of
+    any length, is r rounds of the per-step IDM path, bit for bit."""
 
     L = CorridorConfig().road_length
 
