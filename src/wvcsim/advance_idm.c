@@ -1,6 +1,7 @@
-/* The compiled form of wvcsim.vehicles.advance_idm, built on first use: a
+/* The compiled form of wvcsim.vehicles.Fleet.advance, built on first use: a
    port of rounds of the reference functions desired_gap, idm_acceleration
-   and step_vehicles, which advance_idm's Python body steps.
+   and step_vehicles, which the Python body of Fleet.advance steps, with the
+   emergency-brake override of a braking step.
 
    Every float operation is the reference's, in CPython's semantics and in
    the same order, so both give the same bits: % is fmod plus the sign fix of
@@ -11,7 +12,9 @@
    division by zero, a leader out of range) or treats a case apart (a **
    with a negative or NaN base), the kernel stops before that step and
    returns its index, with x and v holding the state before it: the Python
-   body takes over from there and raises, or goes on, as it would have. */
+   body takes over from there and raises, or goes on, as it would have. A
+   braking vehicle makes the same checks, so it stops where the Python body
+   raises too, and then takes -a_em in place of its IDM acceleration. */
 
 #include <math.h>
 #include <string.h>
@@ -39,17 +42,21 @@ static int py_pow(double b, double e, double *r)
     return isfinite(*r);
 }
 
-/* buf: the 11 parameters (s0, T, a_max, delta, a_floor, closing, v0, dt,
-   road_length, vehicle_length, free_road_gap), then n each of directions,
-   positions and speeds, which the call updates, and 2n of scratch. Returns
-   the steps taken. */
-long advance_idm(long n, long n_steps, const long *lead, double *buf)
+/* One trial's buffer, written once per trial (x and v again only after the
+   Python body has stepped): the 10 parameters (s0, T, a_max, delta, a_floor,
+   closing, dt, road_length, vehicle_length, free_road_gap), then n each of
+   directions, positions and speeds, which the call updates, and 2n of
+   scratch. v0 is the desired speed of these steps; brake is NULL, or n
+   flags of the vehicles that brake at -a_em (a_floor) on every step.
+   Returns the steps taken. */
+long advance_idm(long n, long n_steps, double v0, const long *lead,
+                 const unsigned char *brake, double *buf)
 {
     const double s0 = buf[0], T = buf[1], a_max = buf[2], delta = buf[3];
-    const double a_floor = buf[4], closing = buf[5], v0 = buf[6], dt = buf[7];
-    const double L = buf[8], len = buf[9], free_gap = buf[10];
-    const double *dir = buf + 11;
-    double *x = buf + 11 + n, *v = x + n;
+    const double a_floor = buf[4], closing = buf[5], dt = buf[6];
+    const double L = buf[7], len = buf[8], free_gap = buf[9];
+    const double *dir = buf + 10;
+    double *x = buf + 10 + n, *v = x + n;
     double *xs = x, *vs = v, *nxs = v + n, *nvs = v + 2 * n, *t;
     long step = 0, i;
 
@@ -77,6 +84,8 @@ long advance_idm(long n, long n_steps, const long *lead, double *buf)
             if (!py_pow(vi / v0, delta, &f) || !py_pow(s_star / gap, 2.0, &q))
                 goto stop;
             a = a_max * (1.0 - f - q);
+            if (brake && brake[i])
+                a = a_floor;
             nv = vi + (a > a_floor ? a : a_floor) * dt;
             if (nv < 0.0)
                 nv = 0.0;

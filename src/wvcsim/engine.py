@@ -21,24 +21,29 @@ trial) at once, owing the vehicles those steps at cruise speed.
 Vehicle steps are owed, not taken, until something reads the vehicles. A step
 on which no driver brakes for an animal is one round of the IDM at the
 drivers' desired speed, so the engine only counts it (``lag`` steps at
-``lag_v0``) and ``settle`` later takes all of them in one call of
-``vehicles.advance_idm``, compiled where a C compiler is found, in every
-mode. That kernel runs the same IDM update and semi-implicit Euler step as
-the per-step loop, with every float operation in the same order, so the
-vehicles come out bit for bit as if stepped one phase loop at a time; an
-overlap raises the same error at the same ``t=``, since the kernel reports
-the step it found it at. The debt is settled just before each reader: a
-braking step (alerted drivers and an animal on the carriageway), which still
-runs the per-step loop with its brake checks; phase 5 when an animal is
-hesitating, crossing or frozen, the only activities that look at the
-vehicles; phase 6 when it runs; and the end of the trial. It is also
-settled before the desired speed changes, so that the owed steps share one
-speed. The ``emergency_braking`` flags of a braking step stay set until the
-next settle, which clears them as the next per-step round would; only a
-crossing animal reads them, and it settles first.
+``lag_v0``) and ``settle`` later takes all of them in one call of the trial's
+``vehicles.Fleet``, whose buffer the compiled kernel steps where a C compiler
+is found, in every mode. That kernel runs the same IDM update and
+semi-implicit Euler step as the reference functions, with every float
+operation in the same order, so the vehicles come out bit for bit as if
+stepped one phase loop at a time; an overlap raises the same error at the
+same ``t=``, since the kernel reports the step it found it at. The debt is
+settled just before each reader: a braking step (alerted drivers and an
+animal on the carriageway); phase 5 when an animal is hesitating, crossing or
+frozen, the only activities that look at the vehicles; phase 6 when it runs;
+and the end of the trial. It is also settled before the desired speed
+changes, so that the owed steps share one speed.
+
+A braking step is one kernel step of its own, after the settle: phase 4 takes
+each driver's ``emergency_brake_needed`` from the pre-step snapshot, and a
+flagged driver brakes at ``-a_em`` in place of its IDM acceleration. Only
+``Fleet.advance`` writes ``emergency_braking``, on every call: a braking step
+sets each flag to its driver's brake test, and any other call clears them
+all, as a non-braking round does. So a braking step's flags stay set until
+the next settle; only a crossing animal reads them, and it settles first.
 
 Three scans skip what they cannot find, each gated on the band of its own
-test. Phase 4 runs its per-step loop only when an alerted driver has an animal
+test. Phase 4 makes its brake tests only when an alerted driver has an animal
 on the carriageway (0 < y <= road width) to brake for: ``emergency_brake_needed``
 brakes for no other, so a step whose road animals all wait at the edge (y = 0)
 is one kernel round with every ``emergency_braking`` flag False, and is owed
@@ -65,8 +70,9 @@ from .animals import Activity, AnimalState, Arrival, sample_arrivals, step_anima
 from .awareness import AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
 from .detection import DetectionParams, try_detect
-from .vehicles import (FREE_ROAD_GAP, DriverAlert, VehicleOverlap, advance_idm,
-                       emergency_brake_needed, idm_acceleration, step_vehicles)
+# perfbench's tracer wraps idm_acceleration (unused here) at this name.
+from .vehicles import (DriverAlert, Fleet, VehicleOverlap, emergency_brake_needed,
+                       idm_acceleration)
 
 
 class EngineInvariantError(RuntimeError):
@@ -313,11 +319,10 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     all_animals: list[AnimalState] = []
     latencies: list[float] = []
     events = []
-    accels = [0.0] * len(vehicles)
     next_arrival = 0
     n_schedule = len(schedule)
     frozen_time = 0.0
-    veh_length = geometry.vehicle_length
+    fleet = Fleet(vehicles, idm, dt, L, geometry.vehicle_length)
     alert = DriverAlert()
     # The vehicles hold row k - lag: the last ``lag`` steps, none braking and
     # all at desired speed ``lag_v0``, are owed (see the module docstring).
@@ -325,14 +330,15 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     lag_v0 = idm.v_cruise
     dms = False  # the sign as phase 3 last computed it
 
-    def settle(row: int) -> None:
-        """Take the owed steps, so that the vehicles hold row ``row``."""
+    def settle(row: int, brake: Optional[list[bool]] = None) -> None:
+        """Take the owed steps, so that the vehicles hold row ``row``;
+        ``brake`` is ``Fleet.advance``'s."""
         nonlocal lag
         if not lag:
             return
         n, lag = lag, 0
         try:
-            advance_idm(vehicles, n, lag_v0, idm, dt, L, veh_length)
+            fleet.advance(n, lag_v0, brake)
         except VehicleOverlap as exc:
             raise _overlap(trial_id, exc.follower, exc.leader,
                            (row - n + exc.step) * dt) from None
@@ -380,7 +386,8 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         dms = awareness.dms_active(active, now)
 
         # Phase 4: vehicles, synchronously from the pre-step snapshot. A step
-        # on which no driver brakes is owed; a braking step settles first.
+        # on which no driver brakes is owed; a braking step settles the debt,
+        # then is one kernel step with the brake flags of that snapshot.
         # Alerted drivers brake only for an animal on the carriageway, the
         # band of ``emergency_brake_needed``'s own test.
         alert.update(dms, now, idm)
@@ -391,27 +398,10 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         if candidates or v0 != lag_v0:
             settle(k - 1)
             lag_v0 = v0
-        if not candidates:
-            lag += 1
-        else:
-            for i, v in enumerate(vehicles):
-                if v.leader < 0:
-                    gap = FREE_ROAD_GAP
-                    dv = 0.0
-                else:
-                    lead = vehicles[v.leader]
-                    gap = ((lead.x - v.x) * v.direction) % L - veh_length
-                    if gap <= 0.0:
-                        raise _overlap(trial_id, v, lead, now)
-                    dv = v.v - lead.v
-                a_cmd = idm_acceleration(v.v, v0, dv, gap, idm)
-                if emergency_brake_needed(v, candidates, geometry, idm, L):
-                    a_cmd = -idm.a_em
-                    v.emergency_braking = True
-                else:
-                    v.emergency_braking = False
-                accels[i] = a_cmd
-            step_vehicles(vehicles, accels, dt, L)
+        lag += 1
+        if candidates:
+            settle(k, [emergency_brake_needed(v, candidates, geometry, idm, L)
+                       for v in vehicles])
 
         if _reads_vehicles(active):
             settle(k)

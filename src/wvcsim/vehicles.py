@@ -16,6 +16,7 @@ import os
 import subprocess
 import tempfile
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -96,7 +97,7 @@ def step_vehicles(vehicles: list[VehicleState], accels: list[float], dt: float,
 
 class VehicleOverlap(ValueError):
     """A follower's bumper gap to its leader reached zero ``step`` steps into
-    an ``advance_idm`` stretch."""
+    a ``Fleet.advance`` call."""
 
     def __init__(self, step: int, follower: VehicleState, leader: VehicleState):
         super().__init__(f"vehicles {follower.vid} and {leader.vid} overlap")
@@ -105,67 +106,133 @@ class VehicleOverlap(ValueError):
         self.leader = leader
 
 
+class Fleet:
+    """One trial's vehicles and the compiled kernel's buffer that steps them.
+
+    The buffer takes the leaders, directions and IDM parameters once, and x
+    and v once; then only the kernel writes x and v, and ``advance`` copies
+    them into the ``VehicleState`` objects after each call, for the readers
+    of the vehicles. Where the compiled kernel is unavailable, or leaves
+    steps to the Python body, the Python body steps the objects, and the
+    buffer is reloaded from them before the next kernel call.
+    """
+
+    def __init__(self, vehicles: list[VehicleState], p: IdmParams, dt: float,
+                 road_length: float, vehicle_length: float):
+        self.vehicles = vehicles
+        self.p = p
+        self.dt = dt
+        self.road_length = road_length
+        self.vehicle_length = vehicle_length
+        # Whether some ``emergency_braking`` flag may be set.
+        self.braked = True
+        self.kernel = load_kernel()
+        if self.kernel:
+            n = len(vehicles)
+            self.lead = (ctypes.c_long * n)(*(v.leader for v in vehicles))
+            self.brake = (ctypes.c_ubyte * n)()
+            self.buf = (ctypes.c_double * (_STATE + 5 * n))(
+                p.s0, p.T, p.a_max, p.delta, -p.a_em,
+                2.0 * math.sqrt(p.a_max * p.b_conf), dt, road_length,
+                vehicle_length, FREE_ROAD_GAP, *(v.direction for v in vehicles))
+            # Pointers as addresses, which convert fastest.
+            self.addresses = (ctypes.addressof(self.lead),
+                              ctypes.addressof(self.brake),
+                              ctypes.addressof(self.buf))
+            # The x and v slots, read back as one list after each call.
+            self.state = memoryview(self.buf).cast("B").cast("d")[
+                _STATE + n:_STATE + 3 * n]
+            self.stale = True    # x and v are still to be written
+
+    def advance(self, n_steps: int, v0: float,
+                brake: Optional[list[bool]] = None) -> None:
+        """``n_steps`` rounds of ``idm_acceleration`` at desired speed ``v0``
+        plus ``step_vehicles``. ``brake`` is None, or one flag per vehicle:
+        a flagged driver brakes at ``-a_em`` in place of its IDM
+        acceleration, on every step, after the same overlap check and the
+        same arithmetic.
+
+        Sets each ``emergency_braking`` to its flag (False without flags);
+        raises VehicleOverlap on a gap <= 0, leaving the vehicles as they
+        were before that step.
+
+        The steps run in the compiled kernel (``load_kernel``) where it
+        loads. The Python body below is its reference and its fallback: it
+        takes every step from the first one the kernel leaves to it, so
+        errors are raised here, as they would be without the kernel.
+        """
+        vehicles = self.vehicles
+        if brake is not None or self.braked:
+            for v, flag in zip(vehicles, brake or [False] * len(vehicles)):
+                v.emergency_braking = flag
+            self.braked = brake is not None
+        first = 0
+        kernel = self.kernel
+        if kernel:
+            n = len(self.lead)
+            if self.stale:
+                self.state[:] = array("d", [v.x for v in vehicles]
+                                      + [v.v for v in vehicles])
+                self.stale = False
+            lead_at, brake_at, buf_at = self.addresses
+            if brake is None:
+                brake_at = None
+            else:
+                self.brake[:] = brake
+            first = kernel(n, n_steps, v0, lead_at, brake_at, buf_at)
+            state = self.state.tolist()
+            for v, x, speed in zip(vehicles, state, state[n:]):
+                v.x = x
+                v.v = speed
+            if first >= n_steps:
+                return
+            self.stale = True
+        p = self.p
+        road_length = self.road_length
+        vehicle_length = self.vehicle_length
+        for step in range(first, n_steps):
+            accels = []
+            for i, v in enumerate(vehicles):
+                if v.leader < 0:
+                    gap = FREE_ROAD_GAP
+                    dv = 0.0
+                else:
+                    lead = vehicles[v.leader]
+                    gap = ((lead.x - v.x) * v.direction) % road_length - vehicle_length
+                    if gap <= 0.0:
+                        raise VehicleOverlap(step, v, lead)
+                    dv = v.v - lead.v
+                a = idm_acceleration(v.v, v0, dv, gap, p)
+                accels.append(-p.a_em if brake is not None and brake[i] else a)
+            step_vehicles(vehicles, accels, self.dt, road_length)
+
+
 def advance_idm(vehicles: list[VehicleState], n_steps: int, v0: float,
                 p: IdmParams, dt: float, road_length: float,
                 vehicle_length: float) -> None:
-    """``n_steps`` rounds of ``idm_acceleration`` at desired speed ``v0`` plus
-    ``step_vehicles``, for steps on which no driver brakes for an animal.
-
-    Clears ``emergency_braking``; raises VehicleOverlap on a gap <= 0,
-    leaving the vehicles as they were before that step.
-
-    The steps run in the compiled kernel (``load_kernel``) where it loads.
-    The Python body below is its reference and its fallback: it takes every
-    step from the first one the kernel leaves to it, so errors are raised
-    here, as they would be without the kernel.
-    """
-    for v in vehicles:
-        v.emergency_braking = False
-    first = 0
-    kernel = load_kernel()
-    if kernel and vehicles:
-        first = _compiled_steps(kernel, vehicles, n_steps, (
-            p.s0, p.T, p.a_max, p.delta, -p.a_em,
-            2.0 * math.sqrt(p.a_max * p.b_conf), v0, dt, road_length,
-            vehicle_length, FREE_ROAD_GAP))
-        if first >= n_steps:
-            return
-    for step in range(first, n_steps):
-        accels = []
-        for v in vehicles:
-            if v.leader < 0:
-                gap = FREE_ROAD_GAP
-                dv = 0.0
-            else:
-                lead = vehicles[v.leader]
-                gap = ((lead.x - v.x) * v.direction) % road_length - vehicle_length
-                if gap <= 0.0:
-                    raise VehicleOverlap(step, v, lead)
-                dv = v.v - lead.v
-            accels.append(idm_acceleration(v.v, v0, dv, gap, p))
-        step_vehicles(vehicles, accels, dt, road_length)
+    """``n_steps`` non-braking steps of ``vehicles`` at desired speed ``v0``:
+    ``Fleet.advance`` on a fleet of its own, which clears
+    ``emergency_braking`` and raises VehicleOverlap as it does."""
+    Fleet(vehicles, p, dt, road_length, vehicle_length).advance(n_steps, v0)
 
 
 # The command that builds the compiled kernel: no fused multiply-add and no
 # builtin pow, so that each float operation is the reference functions'.
 CC = ("cc", "-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
 
+# The kernel buffer's parameter count: x and v start at ``_STATE + n``.
+_STATE = 10
+
 # This process's compiled kernel: None until the first ``load_kernel``, then
 # the loaded function, or False where it could not be built or loaded.
 _kernel = None
-
-# The kernel's argument buffers for n vehicles, by n, reused across calls
-# (trials run in processes, never in threads): the leaders; the parameters,
-# directions, positions, speeds and scratch; the addresses of both; and the
-# parameters last written.
-_buffers: dict = {}
 
 
 def load_kernel():
     """The compiled vehicle kernel: on the first call in a process, the C
     source shipped with the package is compiled with ``CC`` into a private
     temporary directory and loaded with ``ctypes``. Where that fails, warns
-    once with the reason and returns False; ``advance_idm`` then runs its
+    once with the reason and returns False; ``Fleet.advance`` then runs its
     Python body, which gives the same bits."""
     global _kernel
     if _kernel is None:
@@ -197,40 +264,10 @@ def _build_kernel():
                        capture_output=True, text=True)
         # The loaded library outlives its file.
         fn = ctypes.CDLL(lib).advance_idm
-    # Pointers as addresses, which convert fastest; ``_buffers`` holds the
-    # arrays they point into.
-    fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p)
+    fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_double,
+                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
     fn.restype = ctypes.c_long
     return fn
-
-
-def _compiled_steps(kernel, vehicles: list[VehicleState], n_steps: int,
-                    params: tuple) -> int:
-    """Up to ``n_steps`` steps of ``advance_idm`` in the compiled kernel.
-    Returns how many it took; the vehicles hold the state after them."""
-    n = len(vehicles)
-    bufs = _buffers.get(n)
-    if bufs is None:
-        lead = (ctypes.c_long * n)()
-        buf = (ctypes.c_double * (len(params) + 5 * n))()
-        bufs = _buffers[n] = [lead, buf, ctypes.addressof(lead),
-                              ctypes.addressof(buf), None]
-    lead, buf, lead_at, buf_at, last = bufs
-    k = len(params)
-    # -0.0 == 0.0, so parameters holding a zero are always written.
-    if params != last or 0.0 in params:
-        buf[:k] = bufs[4] = params
-    for i, v in enumerate(vehicles):
-        lead[i] = v.leader
-        buf[k + i] = v.direction
-        buf[k + n + i] = v.x
-        buf[k + 2 * n + i] = v.v
-    done = kernel(n, n_steps, lead_at, buf_at)
-    state = buf[k + n:k + 3 * n]
-    for i, v in enumerate(vehicles):
-        v.x = state[i]
-        v.v = state[n + i]
-    return done
 
 
 @dataclass

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import struct
 
 import pytest
 
@@ -12,7 +14,9 @@ from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
 from wvcsim.detection import radars_in_range
 from wvcsim.engine import (EngineInvariantError, RngStreams, TrialResult,
                            detect_collisions, make_arrival_schedule, run_trial)
-from wvcsim.vehicles import VehicleState
+from wvcsim.vehicles import (FREE_ROAD_GAP, Fleet, VehicleState,
+                             emergency_brake_needed, idm_acceleration,
+                             step_vehicles)
 
 GEO = GeometryParams()
 
@@ -267,37 +271,31 @@ class TestIdleStretch:
 
 
 def count_integration(monkeypatch):
-    """Wrap the engine's vehicle integrators; returns a one-item counter of
-    the vehicle-steps they integrate."""
+    """Wrap the vehicle kernel, which takes every vehicle step, braking or
+    not; returns a one-item counter of the vehicle-steps it integrates."""
     count = [0]
-    kernel = wvcsim.engine.advance_idm
-    idm = wvcsim.engine.idm_acceleration
+    advance = Fleet.advance
 
-    def counted_kernel(vehicles, n_steps, *args):
-        count[0] += n_steps * len(vehicles)
-        return kernel(vehicles, n_steps, *args)
+    def counted(fleet, n_steps, *args):
+        count[0] += n_steps * len(fleet.vehicles)
+        return advance(fleet, n_steps, *args)
 
-    def counted_idm(*args):
-        count[0] += 1
-        return idm(*args)
-
-    monkeypatch.setattr(wvcsim.engine, "advance_idm", counted_kernel)
-    monkeypatch.setattr(wvcsim.engine, "idm_acceleration", counted_idm)
+    monkeypatch.setattr(Fleet, "advance", counted)
     return count
 
 
 def record_desired_speeds(monkeypatch):
-    """Wrap the engine's vehicle kernel; returns the list of the desired
-    speed of each call that took steps."""
+    """Wrap the vehicle kernel; returns the list of the desired speed of
+    each call that took steps."""
     speeds = []
-    kernel = wvcsim.engine.advance_idm
+    advance = Fleet.advance
 
-    def recorded(vehicles, n_steps, v0, *args):
+    def recorded(fleet, n_steps, v0, *args):
         if n_steps:
             speeds.append(v0)
-        return kernel(vehicles, n_steps, v0, *args)
+        return advance(fleet, n_steps, v0, *args)
 
-    monkeypatch.setattr(wvcsim.engine, "advance_idm", recorded)
+    monkeypatch.setattr(Fleet, "advance", recorded)
     return speeds
 
 
@@ -309,7 +307,7 @@ def require_compiled_kernel():
 class TestCruiseTable:
     """The cruising vehicles' trajectory changes no output for the kernel
     that integrates it: each trial run on the compiled kernel, and again
-    with it withheld (the Python body of ``advance_idm`` integrates every
+    with it withheld (the Python body of ``Fleet.advance`` integrates every
     step), gives the same result and integrates as many vehicle-steps."""
 
     @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
@@ -441,6 +439,125 @@ class TestOwedSteps:
         for y in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
             for x in xs:
                 assert radars_in_range(x, y, radars, cfg.radar_spacing, r_det) == []
+
+
+def old_braking_step(vehicles, candidates, v0, cfg, trial_id, now):
+    """The engine's phase-4 loop for a braking step from before braking steps
+    ran in the vehicle kernel, kept as an oracle: per vehicle the ring gap,
+    the overlap check, ``idm_acceleration`` and the brake override, then
+    ``step_vehicles``."""
+    idm, geometry, L = cfg.idm, cfg.geometry, cfg.road_length
+    veh_length = geometry.vehicle_length
+    accels = [0.0] * len(vehicles)
+    for i, v in enumerate(vehicles):
+        if v.leader < 0:
+            gap = FREE_ROAD_GAP
+            dv = 0.0
+        else:
+            lead = vehicles[v.leader]
+            gap = ((lead.x - v.x) * v.direction) % L - veh_length
+            if gap <= 0.0:
+                raise wvcsim.engine._overlap(trial_id, v, lead, now)
+            dv = v.v - lead.v
+        a_cmd = idm_acceleration(v.v, v0, dv, gap, idm)
+        if emergency_brake_needed(v, candidates, geometry, idm, L):
+            a_cmd = -idm.a_em
+            v.emergency_braking = True
+        else:
+            v.emergency_braking = False
+        accels[i] = a_cmd
+    step_vehicles(vehicles, accels, cfg.time_step, L)
+
+
+def bits(vehicles):
+    return [(struct.pack("<2d", v.x, v.v), v.emergency_braking) for v in vehicles]
+
+
+def copies(items):
+    return [copy.copy(item) for item in items]
+
+
+class TestBrakingStep:
+    """A braking step is one step of the vehicle kernel with brake flags: it
+    gives the bits, flags and errors of the per-step loop it replaced."""
+
+    @pytest.mark.parametrize("kernel", ["compiled", "python"], indirect=True)
+    def test_same_bits_as_the_old_loop(self, monkeypatch, kernel):
+        cfg = fast_config(Mode.AWARE, **CROWDED)
+        snapshots = []
+        candidates = []
+        brake = wvcsim.engine.emergency_brake_needed
+        advance = Fleet.advance
+
+        def braked_for(vehicle, animals, *args):
+            candidates[:] = [animals]
+            return brake(vehicle, animals, *args)
+
+        def recorded(fleet, n_steps, v0, flags=None):
+            if flags is not None:
+                snapshots.append((copies(fleet.vehicles), copies(candidates[0]), v0))
+            return advance(fleet, n_steps, v0, flags)
+
+        with monkeypatch.context() as m:
+            m.setattr(wvcsim.engine, "emergency_brake_needed", braked_for)
+            m.setattr(Fleet, "advance", recorded)
+            for trial_id in range(2):
+                run_trial(cfg, 0.05, trial_id, 5)
+        braked = 0
+        for vehicles, animals, v0 in snapshots:
+            old = copies(vehicles)
+            old_braking_step(old, animals, v0, cfg, 0, 0.0)
+            new = copies(vehicles)
+            flags = [emergency_brake_needed(v, animals, cfg.geometry, cfg.idm,
+                                            cfg.road_length) for v in new]
+            Fleet(new, cfg.idm, cfg.time_step, cfg.road_length,
+                  cfg.geometry.vehicle_length).advance(1, v0, flags)
+            assert bits(new) == bits(old)
+            braked += sum(flags)
+        assert braked  # some driver did brake
+
+    def test_overlap_raised_as_by_the_old_loop(self, monkeypatch):
+        # Drivers alerted from 1.5 s on brake for an animal held still on the
+        # carriageway just ahead of a stopped leader, which nothing hits; a
+        # follower at 30 m/s, 40 m behind that leader, reaches it after the
+        # alert, on a braking step.
+        cfg = fast_config(Mode.CONTROL, arrival_rate=0.0)
+        leader_x = 250.0
+        animal = road_animal(leader_x + 8.0, GEO.lane_centre(0))
+
+        def crash_world(config):
+            world = build_corridor(config)
+            follower = world.vehicles[0]
+            leader = world.vehicles[follower.leader]
+            assert (leader.x, leader.lane, leader.direction) == (leader_x, 0, 1)
+            follower.x = leader_x - 40.0
+            follower.v, leader.v = 30.0, 0.0
+            world.animals.append(animal)
+            return world
+
+        clock = []
+        expected = []
+        advance = Fleet.advance
+
+        def checked(fleet, n_steps, v0, flags=None):
+            if flags is not None:
+                try:
+                    old_braking_step(copies(fleet.vehicles), [animal], v0, cfg, 0,
+                                     clock[-1])
+                except EngineInvariantError as exc:
+                    expected.append(str(exc))
+            return advance(fleet, n_steps, v0, flags)
+
+        monkeypatch.setattr(AwarenessState, "dms_active",
+                            lambda self, animals, now: clock.append(now) or True)
+        monkeypatch.setattr(wvcsim.engine, "build_corridor", crash_world)
+        monkeypatch.setattr(wvcsim.engine, "step_animal", lambda *args: None)
+        monkeypatch.setattr(wvcsim.engine, "detect_collisions", lambda *args: [])
+        monkeypatch.setattr(Fleet, "advance", checked)
+        with pytest.raises(EngineInvariantError) as exc:
+            run_trial(cfg, 0.01, 0, 0)
+        assert "overlap at t=" in str(exc.value)
+        assert expected == [str(exc.value)]
 
 
 WIDE_ANIMAL = dataclasses.replace(GEO, animal_radius=1.5)

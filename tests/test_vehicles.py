@@ -19,7 +19,7 @@ from wvcsim.awareness import AwarenessState
 from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
 from wvcsim.engine import run_trial
-from wvcsim.vehicles import (FREE_ROAD_GAP, DriverAlert, IdmParams,
+from wvcsim.vehicles import (FREE_ROAD_GAP, DriverAlert, Fleet, IdmParams,
                              VehicleOverlap, VehicleState, advance_idm,
                              desired_gap, emergency_brake_needed,
                              idm_acceleration, link_ring_leaders,
@@ -283,14 +283,15 @@ class TestRingTopology:
         monkeypatch.setattr(wvcsim.engine, "_stretch_end",
                             lambda schedule, next_arrival, k, dt, n_steps: k)
         seen = []
+        advance = Fleet.advance
 
-        def recorded(vehicles, n_steps, v0, *args):
+        def recorded(fleet, n_steps, v0, brake=None):
             # One step at a time, so that every step's speeds are seen.
             for _ in range(n_steps):
-                seen.extend((v.v, v0) for v in vehicles)
-                advance_idm(vehicles, 1, v0, *args)
+                seen.extend((v.v, v0) for v in fleet.vehicles)
+                advance(fleet, 1, v0, brake)
 
-        monkeypatch.setattr(wvcsim.engine, "advance_idm", recorded)
+        monkeypatch.setattr(Fleet, "advance", recorded)
         cfg = replace_config(CorridorConfig(), arrival_rate=0.0)
         run_trial(cfg, 400.0 / 3600.0, 0, 0)
         assert {v0 for _v, v0 in seen} == {P.v_cruise, P.v_caution}
@@ -439,17 +440,18 @@ class TestCruiseTable:
             assert snapshot(fast) == snapshot(ref)
 
 
-def kernel_outcome(kernel, start, n_steps, v0, p, dt, road_length, vehicle_length):
-    """``advance_idm`` on a copy of ``start`` with the kernel slot set to
-    ``kernel``: what it raised (an overlap by step and by the pair's
-    indices, another error by its type and message), and every vehicle's
-    (x, v) bits and ``emergency_braking``."""
+def kernel_outcome(kernel, start, n_steps, v0, p, dt, road_length, vehicle_length,
+                   brake=None):
+    """``Fleet.advance`` with brake flags ``brake`` on a copy of ``start``,
+    with the kernel slot set to ``kernel``: what it raised (an overlap by
+    step and by the pair's indices, another error by its type and message),
+    and every vehicle's (x, v) bits and ``emergency_braking``."""
     vehicles = [dataclasses.replace(v) for v in start]
     saved = wvcsim.vehicles._kernel
     wvcsim.vehicles._kernel = kernel
     error = None
     try:
-        advance_idm(vehicles, n_steps, v0, p, dt, road_length, vehicle_length)
+        Fleet(vehicles, p, dt, road_length, vehicle_length).advance(n_steps, v0, brake)
     except VehicleOverlap as exc:
         index = {id(v): i for i, v in enumerate(vehicles)}
         error = ("overlap", exc.step, index[id(exc.follower)], index[id(exc.leader)])
@@ -457,15 +459,18 @@ def kernel_outcome(kernel, start, n_steps, v0, p, dt, road_length, vehicle_lengt
         error = (type(exc).__name__, str(exc))
     finally:
         wvcsim.vehicles._kernel = saved
-    return error, [(struct.pack("<2d", v.x, v.v), v.emergency_braking)
-                   for v in vehicles]
+    return error, kernel_bits(vehicles)
+
+
+def kernel_bits(vehicles):
+    return [(struct.pack("<2d", v.x, v.v), v.emergency_braking) for v in vehicles]
 
 
 @st.composite
 def kernel_cases(draw):
     """A ring of 0-12 vehicles in both directions, some of them free, with
-    random states, IDM parameters, time step, lengths, step count and one
-    of the two desired speeds."""
+    random states, IDM parameters, time step, lengths, step count, one of
+    the two desired speeds, and no brake flags or one per vehicle."""
     road_length = draw(st.floats(10.0, 2000.0))
     vehicle_length = draw(st.floats(0.0, 10.0))
     vehicles = [VehicleState(vid=i, x=draw(st.floats(0.0, road_length,
@@ -485,8 +490,10 @@ def kernel_cases(draw):
                   a_em=draw(st.floats(0.1, 20.0)), v_cruise=v_cruise,
                   v_caution=draw(st.floats(0.5, v_cruise)))
     v0 = draw(st.sampled_from((p.v_cruise, p.v_caution)))
+    brake = draw(st.none() | st.lists(st.booleans(), min_size=len(vehicles),
+                                      max_size=len(vehicles)))
     return (vehicles, draw(st.integers(0, 300)), v0, p,
-            draw(st.floats(0.01, 1.0)), road_length, vehicle_length)
+            draw(st.floats(0.01, 1.0)), road_length, vehicle_length, brake)
 
 
 # Two vehicles 1e-160 m apart bumper to bumper: (s*/gap) ** 2 overflows, so
@@ -504,7 +511,7 @@ def compiled_kernel():
 
 
 class TestCompiledKernel:
-    """The compiled kernel is the Python body of ``advance_idm``, bit for
+    """The compiled kernel is the Python body of ``Fleet.advance``, bit for
     bit, down to the errors it raises and the state they leave."""
 
     @settings(max_examples=600, deadline=None, derandomize=True)
@@ -572,6 +579,57 @@ class TestCompiledKernel:
         advance_idm(vehicles, 3000, P.v_cruise, P, 0.1, CorridorConfig().road_length,
                     GEO.vehicle_length)
         assert taken == [3000]
+
+    def test_fleets_of_one_size_keep_their_own_buffers(self):
+        # Two trials' fleets of 8 vehicles each, stepped in turn, give the
+        # bits each gives when stepped alone.
+        compiled_kernel()
+        L = CorridorConfig().road_length
+        calls = [(1, P.v_cruise), (17, P.v_caution), (1, P.v_caution, [True, False] * 4),
+                 (40, P.v_cruise)]
+
+        def groups():
+            first = build_corridor(CorridorConfig()).vehicles
+            second = build_corridor(CorridorConfig()).vehicles
+            for v in second:
+                v.v = 10.0
+            return [first, second]
+
+        alone = []
+        for group in groups():
+            fleet = Fleet(group, P, 0.1, L, GEO.vehicle_length)
+            for call in calls:
+                fleet.advance(*call)
+            alone.append(kernel_bits(group))
+        together = groups()
+        fleets = [Fleet(group, P, 0.1, L, GEO.vehicle_length) for group in together]
+        for call in calls:
+            for fleet in fleets:
+                fleet.advance(*call)
+        assert [kernel_bits(group) for group in together] == alone
+        assert alone[0] != alone[1]
+
+    def test_python_steps_reload_the_buffer(self, monkeypatch):
+        # A kernel that takes only the first step of each call leaves the
+        # rest to the Python body: each next call starts from the vehicles'
+        # state, not from the buffer's.
+        kernel = compiled_kernel()
+        taken = []
+
+        def one_step(n, n_steps, *args):
+            taken.append(kernel(n, min(n_steps, 1), *args))
+            return taken[-1]
+
+        monkeypatch.setattr(wvcsim.vehicles, "_kernel", one_step)
+        L = CorridorConfig().road_length
+        fast = build_corridor(CorridorConfig()).vehicles
+        ref = build_corridor(CorridorConfig()).vehicles
+        fleet = Fleet(fast, P, 0.1, L, GEO.vehicle_length)
+        for n in (5, 1, 30, 2):
+            fleet.advance(n, P.v_cruise)
+            reference_steps(ref, n, P.v_cruise, L)
+            assert kernel_bits(fast) == kernel_bits(ref)
+        assert taken == [1, 1, 1, 1]
 
     def test_source_ships_with_the_package(self):
         source = importlib.resources.files("wvcsim").joinpath("advance_idm.c")
