@@ -131,10 +131,13 @@ class Fleet:
             n = len(vehicles)
             self.lead = (ctypes.c_long * n)(*(v.leader for v in vehicles))
             self.brake = (ctypes.c_ubyte * n)()
-            self.buf = (ctypes.c_double * (_STATE + 5 * n))(
+            self.buf = (ctypes.c_double * (_STATE + 9 * n))(
                 p.s0, p.T, p.a_max, p.delta, -p.a_em,
                 2.0 * math.sqrt(p.a_max * p.b_conf), dt, road_length,
                 vehicle_length, FREE_ROAD_GAP, *(v.direction for v in vehicles))
+            # The pow memos' keys, which match no base until first written.
+            for keys in (_STATE + 5 * n, _STATE + 7 * n):
+                self.buf[keys:keys + n] = [math.nan] * n
             # Pointers as addresses, which convert fastest.
             self.addresses = (ctypes.addressof(self.lead),
                               ctypes.addressof(self.brake),

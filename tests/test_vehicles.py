@@ -443,23 +443,35 @@ class TestCruiseTable:
 def kernel_outcome(kernel, start, n_steps, v0, p, dt, road_length, vehicle_length,
                    brake=None):
     """``Fleet.advance`` with brake flags ``brake`` on a copy of ``start``,
-    with the kernel slot set to ``kernel``: what it raised (an overlap by
-    step and by the pair's indices, another error by its type and message),
-    and every vehicle's (x, v) bits and ``emergency_braking``."""
+    with the kernel slot set to ``kernel``: ``advance_outcome``."""
     vehicles = [dataclasses.replace(v) for v in start]
+    fleet = fleet_on(kernel, vehicles, p, dt, road_length, vehicle_length)
+    return advance_outcome(fleet, n_steps, v0, brake)
+
+
+def fleet_on(kernel, *args):
+    """``Fleet(*args)`` built with the kernel slot set to ``kernel``."""
     saved = wvcsim.vehicles._kernel
     wvcsim.vehicles._kernel = kernel
+    try:
+        return Fleet(*args)
+    finally:
+        wvcsim.vehicles._kernel = saved
+
+
+def advance_outcome(fleet, n_steps, v0, brake=None):
+    """``fleet.advance(n_steps, v0, brake)``: what it raised (an overlap by
+    step and by the pair's indices, another error by its type and message),
+    and every vehicle's (x, v) bits and ``emergency_braking``."""
     error = None
     try:
-        Fleet(vehicles, p, dt, road_length, vehicle_length).advance(n_steps, v0, brake)
+        fleet.advance(n_steps, v0, brake)
     except VehicleOverlap as exc:
-        index = {id(v): i for i, v in enumerate(vehicles)}
+        index = {id(v): i for i, v in enumerate(fleet.vehicles)}
         error = ("overlap", exc.step, index[id(exc.follower)], index[id(exc.leader)])
     except (OverflowError, ZeroDivisionError, IndexError) as exc:
         error = (type(exc).__name__, str(exc))
-    finally:
-        wvcsim.vehicles._kernel = saved
-    return error, kernel_bits(vehicles)
+    return error, kernel_bits(fleet.vehicles)
 
 
 def kernel_bits(vehicles):
@@ -496,6 +508,31 @@ def kernel_cases(draw):
             draw(st.floats(0.01, 1.0)), road_length, vehicle_length, brake)
 
 
+@st.composite
+def kernel_sequences(draw):
+    """A ring, its parameters, time step and lengths from ``kernel_cases``,
+    then 1-6 calls on one fleet: each a step count (0, 1 or 2-300), one of
+    the two desired speeds, no brake flags or one per vehicle, and whether
+    the kernel stops after one step and leaves the rest to the Python body."""
+    vehicles, _, _, p, dt, road_length, vehicle_length, _ = draw(kernel_cases())
+    n = len(vehicles)
+    calls = draw(st.lists(st.tuples(
+        st.sampled_from((0, 1)) | st.integers(2, 300),
+        st.sampled_from((p.v_cruise, p.v_caution)),
+        st.none() | st.lists(st.booleans(), min_size=n, max_size=n),
+        st.booleans()), min_size=1, max_size=6))
+    return vehicles, p, dt, road_length, vehicle_length, calls
+
+
+# The default corridor cruising long enough for speeds and gaps to repeat
+# their bits from step to step, then the caution speed: a memo keyed on the
+# speed alone, not on v / v0, would reuse the cruise term.
+SETTLED_CASE = (build_corridor(CorridorConfig()).vehicles, P, 0.1,
+                CorridorConfig().road_length, GEO.vehicle_length,
+                [(3000, P.v_cruise, None, False), (5, P.v_caution, None, False),
+                 (3000, P.v_caution, None, True), (1, P.v_cruise, None, False)])
+
+
 # Two vehicles 1e-160 m apart bumper to bumper: (s*/gap) ** 2 overflows, so
 # the Python body raises OverflowError before the first step.
 OVERFLOW_CASE = ([VehicleState(vid=0, x=0.0, v=0.0, direction=1, lane=0, leader=1),
@@ -521,6 +558,27 @@ class TestCompiledKernel:
         kernel = compiled_kernel()
         compiled = kernel_outcome(kernel, *case)
         assert compiled == kernel_outcome(False, *case)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=kernel_sequences())
+    @example(case=SETTLED_CASE)
+    def test_one_fleet_through_a_sequence_of_calls(self, case):
+        # The kernel keeps state of its own in a fleet's buffer between calls
+        # (the pow memos): one fleet stepped call after call, sometimes by
+        # the Python body after a kernel that stops after one step, gives the
+        # Python body's bits and errors after every call.
+        kernel = compiled_kernel()
+
+        def one_step(n, n_steps, *args):
+            return kernel(n, min(n_steps, 1), *args)
+
+        start, p, dt, road_length, vehicle_length, calls = case
+        fleets = [fleet_on(k, [dataclasses.replace(v) for v in start], p, dt,
+                           road_length, vehicle_length) for k in (kernel, False)]
+        for n_steps, v0, brake, stop in calls:
+            fleets[0].kernel = one_step if stop else kernel
+            outcomes = [advance_outcome(fleet, n_steps, v0, brake) for fleet in fleets]
+            assert outcomes[0] == outcomes[1]
 
     def test_overflow_leaves_the_state_before_it(self):
         kernel = compiled_kernel()
@@ -556,9 +614,8 @@ class TestCompiledKernel:
         assert compiled == kernel_outcome(False, **case)
 
     def test_parameters_differing_in_the_sign_of_a_zero(self):
-        # The kernel keeps its last parameters, and -0.0 == 0.0: the second
-        # call must not run on the first one's dt (nor the third on the
-        # second's), or a speed of -0.0 comes out with the wrong sign.
+        # -0.0 == 0.0, but a dt or speed of -0.0 must give Python's bits:
+        # a step at dt -0.0 keeps a speed of -0.0 where one at 0.0 does not.
         kernel = compiled_kernel()
         start = [VehicleState(vid=0, x=5.0, v=-0.0, direction=1, lane=0)]
         for dt in (0.0, -0.0, 0.0):
@@ -642,6 +699,15 @@ class TestCompiledKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert wvcsim.vehicles.load_kernel()
+
+    @pytest.mark.skipif(shutil.which(wvcsim.vehicles.CC[0]) is None,
+                        reason="no C compiler on PATH")
+    def test_builds_without_warnings(self, tmp_path):
+        source = importlib.resources.files("wvcsim").joinpath("advance_idm.c")
+        built = subprocess.run([*wvcsim.vehicles.CC, "-Wall", "-Wextra", "-Werror",
+                                "-o", str(tmp_path / "advance_idm.so"), str(source),
+                                "-lm"], capture_output=True, text=True)
+        assert built.returncode == 0, built.stderr
 
     def test_import_and_plan_build_nothing(self):
         # The kernel is built on the first call, never at import: importing
