@@ -313,3 +313,103 @@ def step_animal(animal: AnimalState, vehicles: Sequence[VehicleState],
         return
 
     raise AssertionError(f"unhandled activity {state}")
+
+
+def _quiet_walk(animal: AnimalState, limit: int, dt: float, params: BehaviourParams,
+                geometry: "GeometryParams", radar_band: tuple[float, float],
+                contact_band: tuple[float, float]) -> tuple[int, Activity, float, float]:
+    """Walk the animal's next ``limit`` steps on copies of its activity, dwell
+    and y, with ``step_animal``'s float operations, stopping before the first
+    step that is not quiet; returns (steps walked, activity, dwell, y)."""
+    state, dwell, y = animal.state, animal.dwell_remaining, animal.y
+    lo, hi = radar_band
+    if animal.detected:
+        lo, hi = math.inf, -math.inf  # no detection left to try
+    road_width = geometry.road_width
+    contact_lo, contact_hi = contact_band
+    n = 0
+    if 0.0 < y <= road_width or contact_lo <= y <= contact_hi:
+        return n, state, dwell, y
+    if state is Activity.FORAGING:
+        # FORAGING: count the dwell down at spawn, then approach.
+        if lo <= y <= hi:
+            return n, state, dwell, y
+        while n < limit:
+            dwell -= dt
+            n += 1
+            if dwell <= _DWELL_EPS:
+                state = Activity.APPROACHING
+                break
+    if state is Activity.APPROACHING:
+        # APPROACHING: walk toward the road; the step reaching the edge draws.
+        while n < limit and not lo <= y <= hi:
+            ny = y + params.v_approach * dt
+            if ny >= 0.0:
+                break
+            y = ny
+            n += 1
+    elif state is Activity.HESITATING:
+        # HESITATING: count the dwell down; the step ending it draws.
+        while n < limit and not lo <= y <= hi:
+            left = dwell - dt
+            if left <= _DWELL_EPS:
+                break
+            dwell = left
+            n += 1
+    elif state is Activity.CROSSING and y > road_width:
+        # CROSSING past the far edge: walk out; the step reaching the exit
+        # offset leaves the corridor.
+        exit_y = road_width + geometry.exit_offset
+        while n < limit and not lo <= y <= hi:
+            ny = y + params.v_cross * dt
+            if ny >= exit_y:
+                break
+            y = ny
+            n += 1
+    elif state is Activity.FLEEING and y <= 0.0:
+        # FLEEING from the road: retreat; the step reaching spawn leaves.
+        while n < limit and not lo <= y <= hi:
+            ny = y - params.v_flee * dt
+            if ny <= geometry.spawn_offset:
+                break
+            y = ny
+            n += 1
+    return n, state, dwell, y
+
+
+def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourParams,
+                geometry: "GeometryParams", radar_band: tuple[float, float],
+                contact_band: tuple[float, float]) -> int:
+    """How many of its next ``limit`` steps the animal takes quietly: 0 when
+    the next step is not quiet.
+
+    A quiet step changes nothing but the animal's own dwell or y, and at most
+    its FORAGING -> APPROACHING switch: it draws no random number, reads no
+    vehicle and does not take the animal off the corridor. The animal starts
+    it detected or outside ``radar_band``, so detection tries nothing for it,
+    and starts and ends it off the carriageway (0 < y <= road width) and
+    outside ``contact_band``, so no driver brakes for it and no vehicle can
+    hit it. The quiet phases are the branches ``_quiet_walk`` ports from
+    ``step_animal``; a frozen animal is never quiet.
+    """
+    return _quiet_walk(animal, limit, dt, params, geometry, radar_band,
+                       contact_band)[0]
+
+
+def take_quiet_steps(animal: AnimalState, n: int, dt: float, params: BehaviourParams,
+                     geometry: "GeometryParams", radar_band: tuple[float, float],
+                     contact_band: tuple[float, float]) -> bool:
+    """Take ``n`` quiet steps in place (see ``quiet_steps``), bit for bit as
+    ``n`` calls of ``step_animal`` would. Returns whether the animal left
+    foraging, a visit to APPROACHING."""
+    walked, state, dwell, y = _quiet_walk(animal, n, dt, params, geometry,
+                                          radar_band, contact_band)
+    if walked != n:
+        raise ValueError(f"animal {animal.aid} has {walked} quiet steps, not {n}")
+    left = state is not animal.state
+    animal.state, animal.dwell_remaining, animal.y = state, dwell, y
+    if left:
+        animal.left_foraging = True
+    elif n and state is Activity.CROSSING:
+        animal.entered_road = animal.crossed = True
+    return left

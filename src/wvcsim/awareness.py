@@ -58,11 +58,17 @@ class AwarenessState:
         """Boost multiplier for one radar: boosted strictly before window expiry."""
         return self.boost_factor if self.boost_until[radar_id] > now else 1.0
 
+    def window_closed(self, now: float) -> bool:
+        """Whether the broadcast window no longer lights the sign at ``now``.
+        Until the next detection, once true it stays true, so a search can
+        find the step the window closes."""
+        return not now < self.dms_active_until
+
     def dms_active(self, animals: Iterable[AnimalState], now: float) -> bool:
         """Sign state: live window, or any detected animal in a dangerous state."""
         if self.mode is Mode.CONTROL:
             return False
-        if now < self.dms_active_until:
+        if not self.window_closed(now):
             return True
         for a in animals:
             if a.detected and a.state in DANGEROUS_STATES:

@@ -9,14 +9,27 @@ collisions, detections, clean exits) are summed after the last step from each
 animal's own monotone flags. A trial is a pure function of (config, duration,
 trial_id, master_seed).
 
-Idle stretches use a next-event time advance. A step that starts with no
-animal present and no arrival due, with the sign off on the last stepped
-step, changes nothing but the vehicles: with no animal there is no detection,
-broadcast, sign, alert, braking, animal step or collision, and the next thing
-that can change any of that is the next scheduled arrival. That last step's
-phase 4, the alert's only writer, reset the drivers, so the engine skips every
-step up to the one where phase 1 would spawn the arrival (or the end of the
-trial) at once, owing the vehicles those steps at cruise speed.
+Stretches of steps use a next-event time advance. A step is quiet for an
+animal (``animals.quiet_steps``) when it draws no random number, reads no
+vehicle and prunes nothing, and the animal starts it detected or outside
+``_radar_band`` (phase 2 tries nothing), off the carriageway (phase 4 brakes
+for nothing) and outside ``_contact_band`` (phase 6 scans nothing). Such
+steps are foraging, approaching short of the edge, hesitating short of the
+dwell's end, fleeing short of the spawn offset and walking out past the far
+edge. With every animal quiet, the step's gate jumps to the first of: the
+step phase 1 spawns the next arrival (``_stretch_end``); the first step some
+animal is not quiet; while the sign's window is open, the step it closes;
+while the sign is lit and the drivers are not yet alerted, the step they
+become alerted. Up to there the sign, the alert and the desired speed hold,
+since no detection can move the window and no quiet step changes whether an
+animal holds the sign. So the gate runs step k's phase 4 once
+(``dms_active`` and ``DriverAlert.update``), takes each animal's quiet steps
+in one loop of its own float operations (``animals.take_quiet_steps``), and
+owes the vehicles every step of the stretch. ``_first_step`` finds each edge
+with its owner's own float test: the arrival's ``t <= now``,
+``AwarenessState.window_closed`` and ``DriverAlert.reacted``. Phase 5 marks
+an animal it leaves on the carriageway, or undetected in a radar's band, as
+busy, so the next step's gate does not look.
 
 Vehicle steps are owed, not taken, until something reads the vehicles. A step
 on which no driver brakes for an animal is one round of the IDM at the
@@ -66,7 +79,8 @@ from typing import Optional
 
 import numpy as np
 
-from .animals import Activity, AnimalState, Arrival, sample_arrivals, step_animal
+from .animals import (Activity, AnimalState, Arrival, quiet_steps, sample_arrivals,
+                      step_animal, take_quiet_steps)
 from .awareness import AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
 from .detection import DetectionParams, try_detect
@@ -139,21 +153,27 @@ def _schedule(config: CorridorConfig, duration_hours: float,
     return [a for a in arrivals if a.time <= last_now], n_steps
 
 
+def _first_step(k: int, guess: float, reached, dt: float) -> int:
+    """The first step ``j >= k`` whose time ``j * dt`` passes ``reached``, a
+    float test that stays true once true; the time ``guess`` is only where
+    the search starts."""
+    j = max(k, int(guess / dt))
+    while j > k and reached((j - 1) * dt):
+        j -= 1
+    while not reached(j * dt):
+        j += 1
+    return j
+
+
 def _stretch_end(schedule: list[Arrival], next_arrival: int, k: int, dt: float,
                  n_steps: int) -> int:
-    """Where an idle stretch from step ``k`` ends: ``n_steps`` when no arrival
-    is left, else the first step ``j >= k`` at which phase 1 spawns the next
-    one, due at ``t``: the first ``j`` with ``t <= j * dt``, the same float
-    test. The quotient ``t / dt`` is only the starting guess."""
+    """``n_steps`` when no arrival is left, else the first step ``j >= k`` at
+    which phase 1 spawns the next one, due at ``t``: the first ``j`` with
+    ``t <= j * dt``, the same float test."""
     if next_arrival == len(schedule):
         return n_steps
     t = schedule[next_arrival].time
-    j = max(k, int(t / dt))
-    while j > k and t <= (j - 1) * dt:
-        j -= 1
-    while t > j * dt:
-        j += 1
-    return j
+    return _first_step(k, t, lambda now: t <= now, dt)
 
 
 def make_arrival_schedule(config: CorridorConfig, duration_hours: float,
@@ -309,8 +329,10 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     vehicles = world.vehicles
     rng_b = streams.behaviour
     rng_d = streams.detection
-    radar_lo, radar_hi = _radar_band(radars, det_params.r_det)
-    contact_lo, contact_hi = _contact_band(geometry)
+    radar_band = _radar_band(radars, det_params.r_det)
+    radar_lo, radar_hi = radar_band
+    contact_band = _contact_band(geometry)
+    contact_lo, contact_hi = contact_band
     road_width = geometry.road_width
     spawn_y = geometry.spawn_offset
     forage_lo, forage_hi = behaviour.forage_dwell
@@ -328,7 +350,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     # all at desired speed ``lag_v0``, are owed (see the module docstring).
     lag = 0
     lag_v0 = idm.v_cruise
-    dms = False  # the sign as phase 3 last computed it
+    busy = False
 
     def settle(row: int, brake: Optional[list[bool]] = None) -> None:
         """Take the owed steps, so that the vehicles hold row ``row``;
@@ -347,14 +369,41 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     while k < n_steps:
         now = k * dt
 
-        # Idle stretch: owe the vehicles' steps up to the next arrival.
-        if not active and not dms:
-            k_end = _stretch_end(schedule, next_arrival, k, dt, n_steps)
-            if k_end > k:
-                lag += k_end - k
-                k = k_end
+        # Next-event gate: jump to the first step at which anything but the
+        # animals' quiet steps and the owed vehicle steps can happen.
+        # ``busy``: phase 5 left an animal on the carriageway, or undetected
+        # in reach of a radar, where it cannot be quiet.
+        k_end = k if busy else _stretch_end(schedule, next_arrival, k, dt, n_steps)
+        if k_end > k:
+            if not awareness.window_closed(now):
+                k_end = min(k_end, _first_step(k, awareness.dms_active_until,
+                                               awareness.window_closed, dt))
+            m = k_end - k
+            for a in active:
+                m = quiet_steps(a, m, dt, behaviour, geometry, radar_band,
+                                contact_band)
+                if not m:
+                    break
+            if m:
+                # Phase 4 of step k; the sign and alert then hold to k + m.
+                lit = awareness.dms_active(active, now)
+                alert.update(lit, now, idm)
+                if lit and not alert.alerted:
+                    m = min(m, _first_step(k, alert.onset + idm.t_react,
+                                           lambda t: alert.reacted(t, idm), dt) - k)
+                v0 = alert.desired_speed(idm)
+                if v0 != lag_v0:
+                    settle(k)
+                    lag_v0 = v0
+                for a in active:
+                    if take_quiet_steps(a, m, dt, behaviour, geometry, radar_band,
+                                        contact_band):
+                        visits[Activity.APPROACHING.value] += 1
+                lag += m
+                k += m
                 continue
         k += 1
+        busy = False
 
         # Phase 1: spawn due arrivals.
         while next_arrival < n_schedule and schedule[next_arrival].time <= now:
@@ -422,6 +471,9 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             y = a.y
             if contact_lo <= y <= contact_hi:
                 in_contact = True
+            if 0.0 < y <= road_width or (radar_lo <= y <= radar_hi
+                                         and not a.detected):
+                busy = True
             if st is Activity.FROZEN and 0.0 <= y <= road_width:
                 frozen_time += dt
 

@@ -289,11 +289,17 @@ class DriverAlert:
         if dms_active:
             if self.onset is None:
                 self.onset = now
-            if not self.alerted and now - self.onset >= p.t_react:
+            if not self.alerted and self.reacted(now, p):
                 self.alerted = True
         else:
             self.onset = None
             self.alerted = False
+
+    def reacted(self, now: float, p: IdmParams) -> bool:
+        """Whether the sign, lit since ``onset``, has been visible for the
+        perception-reaction time at ``now``: the test ``update`` alerts on.
+        Once true it stays true, so a search can find the step it turns."""
+        return now - self.onset >= p.t_react
 
     def desired_speed(self, p: IdmParams) -> float:
         return p.v_caution if self.alerted else p.v_cruise

@@ -1,12 +1,17 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wvcsim.animals import (Activity, AnimalState, BehaviourParams,
+from wvcsim.animals import (Activity, AnimalState, BehaviourParams, quiet_steps,
                             sample_arrivals, sample_sigma, step_animal,
-                            threat_present, vehicle_is_threat)
+                            take_quiet_steps, threat_present, vehicle_is_threat)
 from wvcsim.config import GeometryParams
+from wvcsim.engine import _contact_band
 from wvcsim.vehicles import VehicleState
 
 PARAMS = BehaviourParams()
@@ -333,3 +338,150 @@ def test_y_monotonicity_by_state():
                             Activity.FROZEN):
             assert a.y == prev_y
         prev_y, prev_state = a.y, a.state
+
+
+class Drew(Exception):
+    pass
+
+
+class Read(Exception):
+    pass
+
+
+class NoDraws:
+    def random(self, *args):
+        raise Drew
+
+    uniform = random
+
+
+class NoVehicles:
+    def __iter__(self):
+        raise Read
+
+
+WIDE_ANIMAL = dataclasses.replace(GEO, animal_radius=1.5)
+NO_BAND = (math.inf, -math.inf)
+
+
+def quiet_oracle(animal, limit, dt, geometry, radar_band):
+    """Step a copy of the animal with ``step_animal`` while its steps are
+    quiet, up to ``limit`` of them; returns (steps, the copy, visits to a new
+    activity). A quiet step draws nothing, reads no vehicle and does not
+    prune the animal; it starts detected or outside ``radar_band``, and off
+    the carriageway (0 < y <= road width) and the contact band, and ends
+    outside the contact band. A frozen animal's step is never quiet."""
+    lo, hi = radar_band
+    c_lo, c_hi = _contact_band(geometry)
+    a = copy.deepcopy(animal)
+    n = visits = 0
+    while n < limit:
+        y = a.y
+        if (a.state is Activity.FROZEN or 0.0 < y <= geometry.road_width
+                or c_lo <= y <= c_hi or (not a.detected and lo <= y <= hi)):
+            break
+        nxt = copy.deepcopy(a)
+        try:
+            step_animal(nxt, NoVehicles(), dt, PARAMS, geometry, L, NoDraws())
+        except (Drew, Read):
+            break
+        if nxt.state is Activity.MOVED_AWAY or c_lo <= nxt.y <= c_hi:
+            break
+        visits += nxt.state is not a.state
+        a, n = nxt, n + 1
+    return n, a, visits
+
+
+@st.composite
+def quiet_cases(draw):
+    """(animal, limit, dt, geometry, radar band): an animal in any activity
+    but MOVED_AWAY, where that activity puts it."""
+    geometry = draw(st.sampled_from([GEO, WIDE_ANIMAL]))
+    rw, spawn = geometry.road_width, geometry.spawn_offset
+    state = draw(st.sampled_from([s for s in Activity if s is not Activity.MOVED_AWAY]))
+    y = draw({
+        Activity.FORAGING: st.just(spawn),
+        Activity.APPROACHING: st.floats(spawn, 0.0, exclude_max=True),
+        Activity.HESITATING: st.just(0.0),
+        Activity.CROSSING: st.one_of(st.just(rw), st.floats(
+            0.0, rw + geometry.exit_offset, exclude_max=True)),
+        Activity.FROZEN: st.floats(0.0, rw, exclude_max=True),
+        Activity.FLEEING: st.floats(spawn, 0.0, exclude_min=True),
+    }[state])
+    a = AnimalState(
+        aid=0, x=500.0, y=y, sigma=1.0, state=state,
+        dwell_remaining=draw(st.floats(-0.1, 12.0)),
+        detected=draw(st.booleans()), entered_road=draw(st.booleans()),
+        crossed=draw(st.booleans()), left_foraging=state is not Activity.FORAGING,
+        frozen_from=(draw(st.sampled_from([Activity.CROSSING, Activity.HESITATING]))
+                     if state is Activity.FROZEN else None))
+    band = draw(st.one_of(st.just(NO_BAND), st.tuples(
+        st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)).map(sorted).map(tuple)))
+    return (a, draw(st.integers(1, 300)), draw(st.sampled_from([0.05, 0.1, 0.2])),
+            geometry, band)
+
+
+def bits(animal):
+    """Every field of the animal; repr tells apart every two floats."""
+    return repr(dataclasses.astuple(animal))
+
+
+def edge_case(state, y, dwell, limit=300, detected=False, geometry=GEO, band=NO_BAND):
+    a = AnimalState(aid=0, x=500.0, y=y, sigma=1.0, state=state,
+                    dwell_remaining=dwell, detected=detected,
+                    left_foraging=state is not Activity.FORAGING)
+    return a, limit, DT, geometry, band
+
+
+class TestQuietSteps:
+    """``quiet_steps`` counts, and ``take_quiet_steps`` takes, exactly the
+    steps that ``step_animal`` would take quietly, bit for bit."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(case=quiet_cases())
+    @example(case=edge_case(Activity.FORAGING, GEO.spawn_offset, 0.2))
+    # Steps landing exactly on the edge, the spawn offset and the exit.
+    @example(case=edge_case(Activity.APPROACHING, -PARAMS.v_approach * DT, 0.0))
+    @example(case=edge_case(Activity.FLEEING, GEO.spawn_offset + PARAMS.v_flee * DT,
+                            0.0))
+    @example(case=edge_case(Activity.CROSSING, GEO.road_width + GEO.exit_offset
+                            - PARAMS.v_cross * DT, 0.0))
+    @example(case=edge_case(Activity.APPROACHING, -24.0, 0.0, band=(-16.5, 25.0)))
+    @example(case=edge_case(Activity.HESITATING, 0.0, 0.3))
+    @example(case=edge_case(Activity.HESITATING, 0.0, 3.0, geometry=WIDE_ANIMAL))
+    @example(case=edge_case(Activity.CROSSING, GEO.road_width, 0.0))
+    @example(case=edge_case(Activity.CROSSING, GEO.road_width + 1e-9, 0.0,
+                            detected=True, band=(-16.5, 25.0)))
+    @example(case=edge_case(Activity.FLEEING, 0.0, 0.0))
+    @example(case=edge_case(Activity.FROZEN, 0.0, 0.0))
+    def test_same_as_step_animal_calls(self, case):
+        animal, limit, dt, geometry, band = case
+        args = (dt, PARAMS, geometry, band, _contact_band(geometry))
+        n, stepped, visits = quiet_oracle(animal, limit, dt, geometry, band)
+        assert quiet_steps(animal, limit, *args) == n
+        took = copy.deepcopy(animal)
+        assert take_quiet_steps(took, n, *args) is bool(visits)
+        assert bits(took) == bits(stepped)
+        if n < limit:
+            with pytest.raises(ValueError, match="quiet steps"):
+                take_quiet_steps(copy.deepcopy(animal), n + 1, *args)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=quiet_cases())
+    def test_none_where_the_next_step_draws_reads_or_prunes(self, case):
+        animal, _, dt, geometry, _ = case
+        nxt = copy.deepcopy(animal)
+        try:
+            step_animal(nxt, NoVehicles(), dt, PARAMS, geometry, L, NoDraws())
+            busy = nxt.state is Activity.MOVED_AWAY
+        except (Drew, Read):
+            busy = True
+        # Besides those, a step is never quiet for a frozen animal, or where a
+        # vehicle could meet the animal: on the carriageway (0 < y <= road
+        # width, where drivers brake) or in the contact band.
+        c_lo, c_hi = _contact_band(geometry)
+        met = (animal.state is Activity.FROZEN
+               or 0.0 < animal.y <= geometry.road_width
+               or c_lo <= animal.y <= c_hi or c_lo <= nxt.y <= c_hi)
+        quiet = quiet_steps(animal, 1, dt, PARAMS, geometry, NO_BAND, (c_lo, c_hi))
+        assert (quiet == 0) is (busy or met)

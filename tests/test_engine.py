@@ -7,14 +7,15 @@ import pytest
 
 import wvcsim.engine
 import wvcsim.vehicles
-from wvcsim.animals import Activity, AnimalState
+from wvcsim.animals import Activity, AnimalState, step_animal
 from wvcsim.awareness import AwarenessState
 from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
 from wvcsim.detection import radars_in_range
 from wvcsim.engine import (EngineInvariantError, RngStreams, TrialResult,
-                           detect_collisions, make_arrival_schedule, run_trial)
-from wvcsim.vehicles import (FREE_ROAD_GAP, Fleet, VehicleState,
+                           _step_count, detect_collisions, make_arrival_schedule,
+                           run_trial)
+from wvcsim.vehicles import (FREE_ROAD_GAP, DriverAlert, Fleet, VehicleState,
                              emergency_brake_needed, idm_acceleration,
                              step_vehicles)
 
@@ -192,59 +193,117 @@ class TestTrialResultInvariantCheck:
             r.check_invariants()
 
 
-def count_idle_stretches(monkeypatch):
-    """Wrap the engine's idle-stretch gate; returns the step count of every
-    stretch it opened."""
-    calls = []
-    stretch_end = wvcsim.engine._stretch_end
+class NoVehicles:
+    def __iter__(self):
+        pytest.fail("a quiet step read the vehicles")
 
-    def counted(schedule, next_arrival, k, dt, n_steps):
-        k_end = stretch_end(schedule, next_arrival, k, dt, n_steps)
-        if k_end > k:
-            calls.append(k_end - k)
-        return k_end
 
-    monkeypatch.setattr(wvcsim.engine, "_stretch_end", counted)
-    return calls
+class NoDraws:
+    def random(self, *args):
+        pytest.fail("a quiet step drew a random number")
+
+    uniform = random
+
+
+def watch_asks(monkeypatch):
+    """Record each ask of the engine for the sign and the drivers' alert, and
+    the desired speed of every vehicle step. Each stepped step, and each
+    stretch the next-event gate jumps, asks ``dms_active`` for the sign, then
+    ``DriverAlert.update``, once. Returns the list of asks, each [time,
+    copies of the animals, the window's end, the sign, the alert after the
+    update], and the list of speeds."""
+    asks, speeds = [], []
+    dms_active = AwarenessState.dms_active
+    update = DriverAlert.update
+    advance = Fleet.advance
+
+    def sign(self, animals, now):
+        lit = dms_active(self, animals, now)
+        asks.append([now, copies(animals), self.dms_active_until, lit])
+        return lit
+
+    def alert(self, dms, now, p):
+        update(self, dms, now, p)
+        asks[-1].append(dataclasses.replace(self))
+
+    def owed(fleet, n_steps, v0, brake=None):
+        speeds.extend([v0] * n_steps)
+        return advance(fleet, n_steps, v0, brake)
+
+    monkeypatch.setattr(AwarenessState, "dms_active", sign)
+    monkeypatch.setattr(DriverAlert, "update", alert)
+    monkeypatch.setattr(Fleet, "advance", owed)
+    return asks, speeds
+
+
+def stretches(asks, cfg, hours):
+    """The stretches of more than one step in a trial's asks: a gap of more
+    than one step between two asks, or between the last and the end. Each is
+    (first step, steps, *the ask at its first step but the time)."""
+    dt = cfg.time_step
+    ks = [round(now / dt) for now, *_ in asks] + [_step_count(cfg, hours)]
+    return [(k, k_next - k, *ask[1:])
+            for k, k_next, ask in zip(ks, ks[1:], asks) if k_next - k > 1]
+
+
+def run_watched(monkeypatch, cfg, hours, trial_id, seed=5):
+    """Run one trial, watched; returns its result as a dict, its stretches
+    and the desired speed of every vehicle step."""
+    with monkeypatch.context() as m:
+        asks, speeds = watch_asks(m)
+        result = dataclasses.asdict(run_trial(cfg, hours, trial_id, seed))
+    return result, stretches(asks, cfg, hours), speeds
 
 
 def no_stretch(schedule, next_arrival, k, dt, n_steps):
-    """A stand-in for ``_stretch_end`` that holds the idle gate shut."""
+    """A stand-in for ``_stretch_end`` that holds the next-event gate shut."""
     return k
 
 
+CROWDED = dict(arrival_rate=300.0, radar_spacing=5.0, kappa=0.3)
+
+# "wide-radar": every radar's band reaches past the spawn offset, so an
+# animal foraging undetected is never quiet.
 IDLE_OVERRIDES = pytest.mark.parametrize("overrides", [
     {}, {"time_step": 0.05}, {"time_step": 0.2},
     {"vehicles_per_direction": 0}, {"vehicles_per_direction": 1},
-    {"arrival_rate": 60.0},
-], ids=["default", "dt0.05", "dt0.2", "no-vehicles", "free-vehicles", "rate60"])
+    {"arrival_rate": 60.0}, {"radar_range": 30.0}, CROWDED,
+], ids=["default", "dt0.05", "dt0.2", "no-vehicles", "free-vehicles", "rate60",
+        "wide-radar", "crowded"])
 
 
 class TestIdleStretch:
-    """Skipping idle stretches changes no output: each trial run with the
-    idle gate, and again with the gate held shut (every step through the
-    per-step loop), gives the same result."""
+    """Jumping stretches changes no output: each trial run with the
+    next-event gate, and again with the gate held shut (every step through
+    the per-step loop), gives the same result."""
+
+    def same_result(self, monkeypatch, cfg, hours, trial_ids):
+        with_animals = 0
+        for trial_id in trial_ids:
+            fast, jumped, _ = run_watched(monkeypatch, cfg, hours, trial_id)
+            with monkeypatch.context() as m:
+                m.setattr(wvcsim.engine, "_stretch_end", no_stretch)
+                stepped, shut, _ = run_watched(m, cfg, hours, trial_id)
+            assert fast == stepped
+            assert jumped and not shut
+            with_animals += sum(1 for _, _, animals, *_ in jumped if animals)
+        assert with_animals  # some stretch opened with animals present
 
     @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
     @IDLE_OVERRIDES
     def test_same_result_as_stepping_every_step(self, monkeypatch, mode, overrides):
-        cfg = fast_config(mode, **overrides)
-        stretches = count_idle_stretches(monkeypatch)
-        for trial_id in range(2):
-            fast = dataclasses.asdict(run_trial(cfg, 0.25, trial_id, 5))
-            with monkeypatch.context() as m:
-                m.setattr(wvcsim.engine, "_stretch_end", no_stretch)
-                stepped = dataclasses.asdict(run_trial(cfg, 0.25, trial_id, 5))
-            assert fast == stepped
-        assert stretches  # the gate did open
+        self.same_result(monkeypatch, fast_config(mode, **overrides), 0.25, range(2))
+
+    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.AWARE])
+    def test_same_result_on_a_paper_length_trial(self, monkeypatch, mode):
+        self.same_result(monkeypatch, fast_config(mode), 4.0, [0])
 
     def test_stretch_ends_where_the_arrival_spawns(self, monkeypatch):
         cfg = fast_config(Mode.CONTROL)
-        stretches = count_idle_stretches(monkeypatch)
         schedule = make_arrival_schedule(cfg, 0.25, 0, 5)
-        run_trial(cfg, 0.25, 0, 5)
+        _, jumped, _ = run_watched(monkeypatch, cfg, 0.25, 0)
         first_due = next(k for k in range(9000) if schedule[0].time <= k * cfg.time_step)
-        assert stretches[0] == first_due
+        assert jumped[0][:3] == (0, first_due, [])
 
     def test_overlap_raised_at_the_same_step(self, monkeypatch):
         # A follower at 30 m/s, 20 m behind a stopped leader, cannot stop in
@@ -259,10 +318,11 @@ class TestIdleStretch:
 
         monkeypatch.setattr(wvcsim.engine, "build_corridor", crash_world)
         cfg = fast_config(Mode.CONTROL, arrival_rate=0.0)
-        stretches = count_idle_stretches(monkeypatch)
-        with pytest.raises(EngineInvariantError) as fast:
-            run_trial(cfg, 0.01, 0, 0)
-        assert stretches
+        with monkeypatch.context() as m:
+            asks, _ = watch_asks(m)
+            with pytest.raises(EngineInvariantError) as fast:
+                run_trial(cfg, 0.01, 0, 0)
+        assert stretches(asks, cfg, 0.01)
         monkeypatch.setattr(wvcsim.engine, "_stretch_end", no_stretch)
         with pytest.raises(EngineInvariantError) as stepped:
             run_trial(cfg, 0.01, 0, 0)
@@ -350,22 +410,35 @@ class TestCruiseTable:
 CROWDED = dict(arrival_rate=300.0, radar_spacing=5.0, kappa=0.3)
 
 
+class ReadLog:
+    """The vehicles as ``step_animal`` sees them: each time the animal's step
+    reads them, what it read goes on the log."""
+
+    def __init__(self, vehicles, animal, seen):
+        self.vehicles, self.animal, self.seen = vehicles, animal, seen
+
+    def __iter__(self):
+        self.seen.append(("step", self.animal.aid, self.animal.state,
+                          vehicle_states(self.vehicles)))
+        return iter(self.vehicles)
+
+
+def vehicle_states(vehicles):
+    return [(v.x, v.v, v.emergency_braking) for v in vehicles]
+
+
 def record_vehicle_reads(monkeypatch):
     """Wrap every engine call that reads the vehicles; returns the list of
     what each one saw: the (x, v, emergency_braking) of every vehicle, and
-    for a collision scan the pairs it found."""
+    for a collision scan the pairs it found. An animal's step counts only
+    when it does read them."""
     seen = []
     step_animal = wvcsim.engine.step_animal
     detect_collisions = wvcsim.engine.detect_collisions
-    readers = (Activity.HESITATING, Activity.CROSSING, Activity.FROZEN)
-
-    def states(vehicles):
-        return [(v.x, v.v, v.emergency_braking) for v in vehicles]
+    states = vehicle_states
 
     def stepped(animal, vehicles, *args):
-        if animal.state in readers:
-            seen.append(("step", animal.aid, animal.state, states(vehicles)))
-        return step_animal(animal, vehicles, *args)
+        return step_animal(animal, ReadLog(vehicles, animal, seen), *args)
 
     def collided(vehicles, *args):
         pairs = detect_collisions(vehicles, *args)
@@ -643,58 +716,42 @@ class TestContactBand:
         assert r.collisions <= r.road_entries
 
 
-def watch_idle_gate(monkeypatch):
-    """Wrap the idle gate; returns, for every stretch it opens, the drivers'
-    (alerted, onset), the stretch's start time and the sign window's end."""
-    seen = []
-    alerts, signs = [], []
-    make_alert = wvcsim.engine.DriverAlert
-    make_sign = wvcsim.engine.AwarenessState
-    stretch_end = wvcsim.engine._stretch_end
-
-    def alert():
-        alerts.append(make_alert())
-        return alerts[-1]
-
-    def sign(*args):
-        signs.append(make_sign(*args))
-        return signs[-1]
-
-    def opened(schedule, next_arrival, k, dt, n_steps):
-        k_end = stretch_end(schedule, next_arrival, k, dt, n_steps)
-        if k_end > k:
-            seen.append((alerts[-1].alerted, alerts[-1].onset, k * dt,
-                         signs[-1].dms_active_until))
-        return k_end
-
-    monkeypatch.setattr(wvcsim.engine, "DriverAlert", alert)
-    monkeypatch.setattr(wvcsim.engine, "AwarenessState", sign)
-    monkeypatch.setattr(wvcsim.engine, "_stretch_end", opened)
-    return seen
-
-
-class TestIdleGate:
-    """The idle gate opens only once a stepped step has found the sign off,
-    so every stretch starts with the drivers unalerted and no live window:
-    the gate has nothing to reset and owes its steps at cruise speed."""
+class TestNextEventGate:
+    """The sign, the drivers' alert and their desired speed hold across every
+    stretch the gate jumps: ``dms_active`` and ``DriverAlert.update`` give at
+    its last step what they gave at its first, every vehicle step of it is
+    owed at that speed, and its animals' steps, taken one ``step_animal`` call
+    at a time, draw nothing and read no vehicle."""
 
     def check(self, monkeypatch, cfg, hours):
-        seen = watch_idle_gate(monkeypatch)
+        dt, idm = cfg.time_step, cfg.idm
+        sign = AwarenessState(cfg, 0)
+        lit_seen = animals_seen = 0
         for trial_id in range(2):
-            run_trial(cfg, hours, trial_id, 5)
-        assert seen  # the gate did open
-        for alerted, onset, now, window_end in seen:
-            assert not alerted and onset is None
-            assert now >= window_end
+            _, jumped, speeds = run_watched(monkeypatch, cfg, hours, trial_id)
+            assert len(speeds) == _step_count(cfg, hours)
+            for k, m, animals, window_end, lit, alert in jumped:
+                sign.dms_active_until = window_end
+                assert sign.dms_active(animals, k * dt) is lit
+                for a in animals:
+                    for _ in range(m - 1):
+                        step_animal(a, NoVehicles(), dt, cfg.behaviour, cfg.geometry,
+                                    cfg.road_length, NoDraws())
+                    assert a.state is not Activity.MOVED_AWAY
+                last = (k + m - 1) * dt
+                assert sign.dms_active(animals, last) is lit
+                held = dataclasses.replace(alert)
+                held.update(lit, last, idm)
+                assert held == alert
+                assert set(speeds[k:k + m]) == {alert.desired_speed(idm)}
+                lit_seen += lit
+                animals_seen += bool(animals)
+        assert animals_seen  # some stretch opened with animals present
         if cfg.mode is not Mode.CONTROL:
-            # Some stretch followed a lit sign.
-            assert any(end > -math.inf for *_, end in seen)
+            assert lit_seen  # and some with the sign lit
 
     @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
     @IDLE_OVERRIDES
-    def test_sign_off_at_every_stretch(self, monkeypatch, mode, overrides):
+    def test_sign_and_alert_hold_across_every_stretch(self, monkeypatch, mode,
+                                                      overrides):
         self.check(monkeypatch, fast_config(mode, **overrides), 0.25)
-
-    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
-    def test_sign_off_at_every_stretch_crowded(self, monkeypatch, mode):
-        self.check(monkeypatch, fast_config(mode, **CROWDED), 0.05)
