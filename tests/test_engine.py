@@ -716,6 +716,38 @@ class TestContactBand:
         assert r.collisions <= r.road_entries
 
 
+class TestIdleGate:
+    """The old idle gate's stretches, which opened only with the sign off,
+    are a special case of the next-event gate: at every stretch that opens
+    with the sign off the drivers are unalerted with no onset, the window is
+    closed, and every vehicle step of it is owed at cruise speed."""
+
+    def check(self, monkeypatch, cfg, hours):
+        dt, v_cruise = cfg.time_step, cfg.idm.v_cruise
+        seen = []
+        for trial_id in range(2):
+            _, jumped, speeds = run_watched(monkeypatch, cfg, hours, trial_id)
+            for k, m, _, window_end, lit, alert in jumped:
+                if not lit:
+                    seen.append(window_end)
+                    assert not alert.alerted and alert.onset is None
+                    assert k * dt >= window_end
+                    assert set(speeds[k:k + m]) == {v_cruise}
+        assert seen  # the gate did open with the sign off
+        if cfg.mode is not Mode.CONTROL:
+            # Some such stretch followed a lit sign.
+            assert any(end > -math.inf for end in seen)
+
+    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
+    @IDLE_OVERRIDES
+    def test_sign_off_at_every_stretch(self, monkeypatch, mode, overrides):
+        self.check(monkeypatch, fast_config(mode, **overrides), 0.25)
+
+    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
+    def test_sign_off_at_every_stretch_crowded(self, monkeypatch, mode):
+        self.check(monkeypatch, fast_config(mode, **CROWDED), 0.05)
+
+
 class TestNextEventGate:
     """The sign, the drivers' alert and their desired speed hold across every
     stretch the gate jumps: ``dms_active`` and ``DriverAlert.update`` give at
