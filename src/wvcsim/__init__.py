@@ -24,8 +24,8 @@ from .records import (TrialRecord, read_trials_csv, record_from_result,
                       write_csv, write_trials_csv)
 from .stats import WelchResult, mean_sd, significance_stars, welch_t
 from .vehicles import (DriverAlert, IdmParams, VehicleOverlap, VehicleState,
-                       advance_idm, desired_gap, emergency_brake_needed,
-                       idm_acceleration, step_vehicles)
+                       desired_gap, emergency_brake_needed, idm_acceleration,
+                       step_vehicles)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

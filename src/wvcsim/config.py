@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields as dc_fields, is_dataclass, rep
 from enum import Enum
 from typing import Any
 
-from .animals import AnimalState, BehaviourParams
+from .animals import BehaviourParams
 from .vehicles import IdmParams, VehicleState, link_ring_leaders
 
 # Roadside strip (m from the shoulder) that the sensor line is meant to cover;
@@ -149,12 +149,11 @@ def validate_config(config: CorridorConfig) -> list[str]:
 
 @dataclass
 class World:
-    """Mutable state of one trial: topology plus vehicles and the live animal list."""
+    """Mutable state of one trial: topology plus vehicles."""
 
     config: CorridorConfig
     radars: list[RadarNode]
     vehicles: list[VehicleState]
-    animals: list[AnimalState] = field(default_factory=list)
 
 
 def _build_radars(config: CorridorConfig) -> list[RadarNode]:

@@ -16,17 +16,21 @@ vehicle and prunes nothing, and the animal starts it detected or outside
 for nothing) and outside ``_contact_band`` (phase 6 scans nothing). Such
 steps are foraging, approaching short of the edge, hesitating short of the
 dwell's end, fleeing short of the spawn offset and walking out past the far
-edge. With every animal quiet, the step's gate jumps to the first of: the
-step phase 1 spawns the next arrival (``_stretch_end``); the first step some
-animal is not quiet; while the sign's window is open, the step it closes;
-while the sign is lit and the drivers are not yet alerted, the step they
-become alerted. Up to there the sign, the alert and the desired speed hold,
-since no detection can move the window and no quiet step changes whether an
-animal holds the sign. So the gate runs step k's phase 4 once
-(``dms_active`` and ``DriverAlert.update``), takes each animal's quiet steps
-in one loop of its own float operations (``animals.take_quiet_steps``), and
-owes the vehicles every step of the stretch. ``_first_step`` finds each edge
-with its owner's own float test: the arrival's ``t <= now``,
+edge. With every animal quiet, the gate at step k counts ``m`` steps up to
+the first of: the step phase 1 spawns the next arrival (``_stretch_end``);
+the first step some animal is not quiet; while the sign's window is open, the
+step it closes; while the sign is lit and the drivers are not yet alerted,
+the step they become alerted. Up to there the sign, the alert and the desired
+speed hold, since no detection can move the window and no quiet step changes
+whether an animal holds the sign. At such a stretch's first step phases 1-3
+have nothing to do: no arrival is due, no animal is tried and no event is
+pending. So one body serves both: phases 1-3 run only when ``m`` is 0 (step k
+is stepped); phase 4 runs once (``dms_active``, ``DriverAlert.update`` and
+the desired speed), cutting ``m`` at the alert step; then a stretch takes
+each animal's quiet steps in one loop of its own float operations
+(``animals.take_quiet_steps``) and owes the vehicles its ``m`` steps, where a
+stepped step goes on to its braking step and phases 5 and 6. ``_first_step``
+finds each edge with its owner's own float test: the arrival's ``t <= now``,
 ``AwarenessState.window_closed`` and ``DriverAlert.reacted``. Phase 5 marks
 an animal it leaves on the carriageway, or undetected in a radar's band, as
 busy, so the next step's gate does not look.
@@ -337,7 +341,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     spawn_y = geometry.spawn_offset
     forage_lo, forage_hi = behaviour.forage_dwell
 
-    active: list[AnimalState] = world.animals
+    active: list[AnimalState] = []
     all_animals: list[AnimalState] = []
     latencies: list[float] = []
     events = []
@@ -369,56 +373,37 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     while k < n_steps:
         now = k * dt
 
-        # Next-event gate: jump to the first step at which anything but the
-        # animals' quiet steps and the owed vehicle steps can happen.
-        # ``busy``: phase 5 left an animal on the carriageway, or undetected
-        # in reach of a radar, where it cannot be quiet.
-        k_end = k if busy else _stretch_end(schedule, next_arrival, k, dt, n_steps)
-        if k_end > k:
+        # Next-event gate: ``m`` quiet steps from step k, up to the first step
+        # at which anything but the animals' quiet steps and the owed vehicle
+        # steps can happen; 0 when step k is stepped. ``busy``: phase 5 left
+        # an animal on the carriageway, or undetected in reach of a radar,
+        # where it cannot be quiet.
+        m = 0 if busy else _stretch_end(schedule, next_arrival, k, dt, n_steps) - k
+        if m:
             if not awareness.window_closed(now):
-                k_end = min(k_end, _first_step(k, awareness.dms_active_until,
-                                               awareness.window_closed, dt))
-            m = k_end - k
+                m = min(m, _first_step(k, awareness.dms_active_until,
+                                       awareness.window_closed, dt) - k)
             for a in active:
                 m = quiet_steps(a, m, dt, behaviour, geometry, radar_band,
                                 contact_band)
                 if not m:
                     break
-            if m:
-                # Phase 4 of step k; the sign and alert then hold to k + m.
-                lit = awareness.dms_active(active, now)
-                alert.update(lit, now, idm)
-                if lit and not alert.alerted:
-                    m = min(m, _first_step(k, alert.onset + idm.t_react,
-                                           lambda t: alert.reacted(t, idm), dt) - k)
-                v0 = alert.desired_speed(idm)
-                if v0 != lag_v0:
-                    settle(k)
-                    lag_v0 = v0
-                for a in active:
-                    if take_quiet_steps(a, m, dt, behaviour, geometry, radar_band,
-                                        contact_band):
-                        visits[Activity.APPROACHING.value] += 1
-                lag += m
-                k += m
-                continue
-        k += 1
-        busy = False
+        if not m:
+            busy = False
 
-        # Phase 1: spawn due arrivals.
-        while next_arrival < n_schedule and schedule[next_arrival].time <= now:
-            arr = schedule[next_arrival]
-            animal = AnimalState(aid=next_arrival, x=arr.x, y=spawn_y,
-                                 sigma=arr.sigma,
-                                 dwell_remaining=rng_b.uniform(forage_lo, forage_hi))
-            active.append(animal)
-            all_animals.append(animal)
-            visits[Activity.FORAGING.value] += 1
-            next_arrival += 1
+            # Phase 1: spawn due arrivals.
+            while next_arrival < n_schedule and schedule[next_arrival].time <= now:
+                arr = schedule[next_arrival]
+                dwell = rng_b.uniform(forage_lo, forage_hi)
+                animal = AnimalState(aid=next_arrival, x=arr.x, y=spawn_y,
+                                     sigma=arr.sigma, dwell_remaining=dwell)
+                active.append(animal)
+                all_animals.append(animal)
+                visits[Activity.FORAGING.value] += 1
+                next_arrival += 1
 
-        # Phase 2: detection against the previous step's awareness state,
-        # for animals within some radar's reach.
-        if active:
+            # Phase 2: detection against the previous step's awareness state,
+            # for animals within some radar's reach.
             for a in active:
                 if not a.detected and radar_lo <= a.y <= radar_hi:
                     ev = try_detect(a, radars, spacing, beta_for, now, dt,
@@ -427,35 +412,46 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                         events.append(ev)
                         latencies.append(a.detected_at - a.first_in_range_at)
 
-        # Phase 3: awareness / sign update from this step's events.
-        if events:
+            # Phase 3: awareness / sign update from this step's events.
             for ev in events:
                 awareness.on_detection(ev, radars)
             events.clear()
-        dms = awareness.dms_active(active, now)
 
-        # Phase 4: vehicles, synchronously from the pre-step snapshot. A step
-        # on which no driver brakes is owed; a braking step settles the debt,
-        # then is one kernel step with the brake flags of that snapshot.
-        # Alerted drivers brake only for an animal on the carriageway, the
-        # band of ``emergency_brake_needed``'s own test.
-        alert.update(dms, now, idm)
+        # Phase 4: vehicles, synchronously from the pre-step snapshot; in a
+        # stretch the sign and alert then hold to step k + m, so it is cut at
+        # the step the drivers become alerted. A step on which no driver
+        # brakes is owed; a braking step settles the debt, then is one kernel
+        # step with the brake flags of that snapshot. Alerted drivers brake
+        # only for an animal on the carriageway, the band of
+        # ``emergency_brake_needed``'s own test.
+        lit = awareness.dms_active(active, now)
+        alert.update(lit, now, idm)
+        if m and lit and not alert.alerted:
+            m = min(m, _first_step(k, alert.onset + idm.t_react,
+                                   lambda t: alert.reacted(t, idm), dt) - k)
         v0 = alert.desired_speed(idm)
         candidates = None
-        if alert.alerted and active:
+        if alert.alerted:
             candidates = [a for a in active if 0.0 < a.y <= road_width]
         if candidates or v0 != lag_v0:
-            settle(k - 1)
+            settle(k)
             lag_v0 = v0
+        if m:
+            for a in active:
+                if take_quiet_steps(a, m, dt, behaviour, geometry, radar_band,
+                                    contact_band):
+                    visits[Activity.APPROACHING.value] += 1
+            lag += m
+            k += m
+            continue
         lag += 1
+        k += 1
         if candidates:
             settle(k, [emergency_brake_needed(v, candidates, geometry, idm, L)
                        for v in vehicles])
 
         if _reads_vehicles(active):
             settle(k)
-        if not active:
-            continue
 
         # Phase 5: animal behaviour, with state-visit and frozen-time accounting.
         pruned = False

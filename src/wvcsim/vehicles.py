@@ -210,15 +210,6 @@ class Fleet:
             step_vehicles(vehicles, accels, self.dt, road_length)
 
 
-def advance_idm(vehicles: list[VehicleState], n_steps: int, v0: float,
-                p: IdmParams, dt: float, road_length: float,
-                vehicle_length: float) -> None:
-    """``n_steps`` non-braking steps of ``vehicles`` at desired speed ``v0``:
-    ``Fleet.advance`` on a fleet of its own, which clears
-    ``emergency_braking`` and raises VehicleOverlap as it does."""
-    Fleet(vehicles, p, dt, road_length, vehicle_length).advance(n_steps, v0)
-
-
 # The command that builds the compiled kernel: no fused multiply-add and no
 # builtin pow, so that each float operation is the reference functions'.
 CC = ("cc", "-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")

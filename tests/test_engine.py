@@ -7,7 +7,7 @@ import pytest
 
 import wvcsim.engine
 import wvcsim.vehicles
-from wvcsim.animals import Activity, AnimalState, step_animal
+from wvcsim.animals import Activity, AnimalState, Arrival, step_animal
 from wvcsim.awareness import AwarenessState
 from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
@@ -364,7 +364,7 @@ def require_compiled_kernel():
         pytest.skip("no compiled vehicle kernel on this host")
 
 
-class TestCruiseTable:
+class TestKernelMatchesPython:
     """The cruising vehicles' trajectory changes no output for the kernel
     that integrates it: each trial run on the compiled kernel, and again
     with it withheld (the Python body of ``Fleet.advance`` integrates every
@@ -605,7 +605,6 @@ class TestBrakingStep:
             assert (leader.x, leader.lane, leader.direction) == (leader_x, 0, 1)
             follower.x = leader_x - 40.0
             follower.v, leader.v = 30.0, 0.0
-            world.animals.append(animal)
             return world
 
         clock = []
@@ -624,6 +623,10 @@ class TestBrakingStep:
         monkeypatch.setattr(AwarenessState, "dms_active",
                             lambda self, animals, now: clock.append(now) or True)
         monkeypatch.setattr(wvcsim.engine, "build_corridor", crash_world)
+        # One arrival, due at t = 0, spawns as the animal on the carriageway.
+        monkeypatch.setattr(wvcsim.engine, "sample_arrivals",
+                            lambda *args: [Arrival(0.0, animal.x, animal.sigma)])
+        monkeypatch.setattr(wvcsim.engine, "AnimalState", lambda **kw: animal)
         monkeypatch.setattr(wvcsim.engine, "step_animal", lambda *args: None)
         monkeypatch.setattr(wvcsim.engine, "detect_collisions", lambda *args: [])
         monkeypatch.setattr(Fleet, "advance", checked)
@@ -787,3 +790,37 @@ class TestNextEventGate:
     def test_sign_and_alert_hold_across_every_stretch(self, monkeypatch, mode,
                                                       overrides):
         self.check(monkeypatch, fast_config(mode, **overrides), 0.25)
+
+    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
+    @IDLE_OVERRIDES
+    def test_nothing_to_spawn_try_or_brake_for_in_a_stretch(self, monkeypatch, mode,
+                                                           overrides):
+        # What lets a stretch skip phases 1-3 and the brake tests at its first
+        # step: no arrival spawns in it, and each of its animals is detected
+        # or outside every radar's band, and off the carriageway.
+        cfg = fast_config(mode, **overrides)
+        dt, road_width = cfg.time_step, cfg.geometry.road_width
+        lo, hi = wvcsim.engine._radar_band(build_corridor(cfg).radars,
+                                           cfg.radar_range)
+        animals_seen = 0
+        for trial_id in range(2):
+            spawns = spawn_steps(make_arrival_schedule(cfg, 0.25, trial_id, 5), dt)
+            _, jumped, _ = run_watched(monkeypatch, cfg, 0.25, trial_id)
+            for k, m, animals, *_ in jumped:
+                assert not any(k <= j < k + m for j in spawns)
+                for a in animals:
+                    assert a.detected or not lo <= a.y <= hi
+                    assert not 0.0 < a.y <= road_width
+                animals_seen += bool(animals)
+        assert animals_seen  # some stretch opened with animals present
+
+
+def spawn_steps(schedule, dt):
+    """The step at which phase 1 spawns each arrival, due at ``t``: the first
+    step ``j`` with ``t <= j * dt``."""
+    steps, j = [], 0
+    for arrival in schedule:
+        while not arrival.time <= j * dt:
+            j += 1
+        steps.append(j)
+    return steps

@@ -20,10 +20,9 @@ from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
 from wvcsim.engine import run_trial
 from wvcsim.vehicles import (FREE_ROAD_GAP, DriverAlert, Fleet, IdmParams,
-                             VehicleOverlap, VehicleState, advance_idm,
-                             desired_gap, emergency_brake_needed,
-                             idm_acceleration, link_ring_leaders,
-                             step_vehicles, stopping_envelope)
+                             VehicleOverlap, VehicleState, desired_gap,
+                             emergency_brake_needed, idm_acceleration,
+                             link_ring_leaders, step_vehicles, stopping_envelope)
 from wvcsim.animals import AnimalState
 
 P = IdmParams()
@@ -133,7 +132,7 @@ class TestStepVehicle:
 
     def test_failed_step_changes_nothing(self):
         # On a ring of length 0, x % road_length raises: the step leaves every
-        # vehicle as it was, called directly and through advance_idm on both
+        # vehicle as it was, called directly and through Fleet.advance on both
         # kernels, whose Python body steps with step_vehicles.
         start = [make_vehicle(x=5.0, v=10.0)]
         vehicles = [dataclasses.replace(v) for v in start]
@@ -340,7 +339,7 @@ class TestAdvanceIdm:
 
     def test_matches_reference_from_default_state(self):
         fast, ref = self.default_pair()
-        advance_idm(fast, 3000, P.v_cruise, P, 0.1, self.L, GEO.vehicle_length)
+        Fleet(fast, P, 0.1, self.L, GEO.vehicle_length).advance(3000, P.v_cruise)
         reference_steps(ref, 3000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -351,7 +350,7 @@ class TestAdvanceIdm:
         reference_steps(fast, 300, P.v_caution, self.L)
         reference_steps(ref, 300, P.v_caution, self.L)
         assert snapshot(fast) == snapshot(ref)
-        advance_idm(fast, 2000, P.v_cruise, P, 0.1, self.L, GEO.vehicle_length)
+        Fleet(fast, P, 0.1, self.L, GEO.vehicle_length).advance(2000, P.v_cruise)
         reference_steps(ref, 2000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -359,7 +358,7 @@ class TestAdvanceIdm:
         # Alerted drivers that brake for no animal: from cruise down to the
         # caution speed, through the -a_em clamp.
         fast, ref = self.default_pair()
-        advance_idm(fast, 2000, P.v_caution, P, 0.1, self.L, GEO.vehicle_length)
+        Fleet(fast, P, 0.1, self.L, GEO.vehicle_length).advance(2000, P.v_caution)
         reference_steps(ref, 2000, P.v_caution, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -374,14 +373,14 @@ class TestAdvanceIdm:
             follower = next(v for v in group if v.leader == 2)
             follower.x = (stopped.x - 60.0 * stopped.direction) % self.L
             follower.v = 27.0
-        advance_idm(fast, 500, P.v_cruise, P, 0.1, self.L, GEO.vehicle_length)
+        Fleet(fast, P, 0.1, self.L, GEO.vehicle_length).advance(500, P.v_cruise)
         reference_steps(ref, 500, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
     def test_matches_reference_for_a_free_vehicle(self):
         fast, ref = self.default_pair(vehicles_per_direction=1)
         assert all(v.leader == -1 for v in fast)
-        advance_idm(fast, 1000, P.v_cruise, P, 0.1, self.L, GEO.vehicle_length)
+        Fleet(fast, P, 0.1, self.L, GEO.vehicle_length).advance(1000, P.v_cruise)
         reference_steps(ref, 1000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -389,7 +388,7 @@ class TestAdvanceIdm:
         vehicles = build_corridor(CorridorConfig()).vehicles
         for v in vehicles:
             v.emergency_braking = True
-        advance_idm(vehicles, 1, P.v_cruise, P, 0.1, self.L, GEO.vehicle_length)
+        Fleet(vehicles, P, 0.1, self.L, GEO.vehicle_length).advance(1, P.v_cruise)
         assert not any(v.emergency_braking for v in vehicles)
 
     def test_overlap_raised_at_the_same_step(self):
@@ -410,14 +409,14 @@ class TestAdvanceIdm:
                 expected += 1
         fast = crash_course()
         with pytest.raises(VehicleOverlap) as exc:
-            advance_idm(fast, 1000, P.v_cruise, P, 0.1, self.L, GEO.vehicle_length)
+            Fleet(fast, P, 0.1, self.L, GEO.vehicle_length).advance(1000, P.v_cruise)
         assert exc.value.step == expected > 0
         assert exc.value.follower is fast[0]
         assert exc.value.leader is fast[fast[0].leader]
         assert snapshot(fast) == snapshot(ref)
 
 
-class TestCruiseTable:
+class TestKernelMatchesPython:
     """The state after r steps, taken through the compiled kernel in calls of
     any length, is r rounds of the per-step IDM path, bit for bit."""
 
@@ -430,11 +429,11 @@ class TestCruiseTable:
         compiled_kernel()
         cfg = replace_config(CorridorConfig(), **overrides)
         fast, ref = build_corridor(cfg).vehicles, build_corridor(cfg).vehicles
-        advance_idm(fast, 0, P.v_cruise, P, dt, self.L, GEO.vehicle_length)
+        Fleet(fast, P, dt, self.L, GEO.vehicle_length).advance(0, P.v_cruise)
         assert snapshot(fast) == snapshot(ref)
         done = 0
         for r in (1, 2, 17, 640, 3001):
-            advance_idm(fast, r - done, P.v_cruise, P, dt, self.L, GEO.vehicle_length)
+            Fleet(fast, P, dt, self.L, GEO.vehicle_length).advance(r - done, P.v_cruise)
             reference_steps(ref, r - done, P.v_cruise, self.L, dt)
             done = r
             assert snapshot(fast) == snapshot(ref)
@@ -633,8 +632,8 @@ class TestCompiledKernel:
 
         monkeypatch.setattr(wvcsim.vehicles, "_kernel", spied)
         vehicles = build_corridor(CorridorConfig()).vehicles
-        advance_idm(vehicles, 3000, P.v_cruise, P, 0.1, CorridorConfig().road_length,
-                    GEO.vehicle_length)
+        Fleet(vehicles, P, 0.1, CorridorConfig().road_length,
+              GEO.vehicle_length).advance(3000, P.v_cruise)
         assert taken == [3000]
 
     def test_fleets_of_one_size_keep_their_own_buffers(self):
