@@ -4,9 +4,15 @@
    emergency-brake override of a braking step.
 
    Every float operation is the reference's, in CPython's semantics and in
-   the same order, so both give the same bits: % is fmod plus the sign fix of
-   CPython's float_rem, ** is libm pow. Build with -ffp-contract=off (no fused
-   multiply-add) and -fno-builtin (no pow folded into a multiply).
+   the same order, so both give the same bits: % is CPython's float_rem
+   (fmod plus its sign fix), ** is libm pow. Build with -ffp-contract=off (no
+   fused multiply-add) and -fno-builtin (no pow folded into a multiply).
+
+   py_mod answers almost every % without fmod, on paths where float_rem's
+   result is exact and takes one subtraction or addition at most: a gap's
+   (xs[j] - xi) * dir[i] lies in [-L, L], and a position update
+   xi + nv * dt * dir[i] from xi in [0, L) lies in (-L, 2L), up to rounding,
+   whenever nv * dt < L.
 
    Where the Python body would raise (a gap <= 0, a ** that overflows, a
    division by zero, a leader out of range) or treats a case apart (a **
@@ -20,10 +26,32 @@
 #include <stdint.h>
 #include <string.h>
 
-/* CPython's float_rem: the remainder takes the sign of the divisor. */
+/* CPython's float_rem: fmod, then the remainder takes the sign of the
+   divisor. For w > 0, three exact paths answer without fmod, each with
+   float_rem's bits:
+   - 0 < a < w: fmod(a, w) is a, already of w's sign;
+   - w <= a < 2w: the quotient is 1, so fmod gives a - w, which is exact
+     (Sterbenz's lemma, since w/2 <= a <= 2w); at a == w that is +0.0, the
+     copysign(0.0, w) of float_rem;
+   - -w < a < 0: fmod(a, w) is a, and the sign fix is the same one a + w.
+   w + w is exact, or +inf where a < 2w holds for every finite a. Every
+   other case (a zero, a <= -w, a >= 2w, a NaN or infinite operand, w <= 0)
+   takes the fmod body. */
 static double py_mod(double a, double w)
 {
-    double m = fmod(a, w);
+    double m;
+
+    if (w > 0.0) {
+        if (a > 0.0) {
+            if (a < w)
+                return a;
+            if (a < w + w)
+                return a - w;
+        } else if (a < 0.0 && a > -w) {
+            return a + w;
+        }
+    }
+    m = fmod(a, w);
     if (m) {
         if ((w < 0) != (m < 0))
             m += w;

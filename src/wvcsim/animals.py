@@ -315,12 +315,17 @@ def step_animal(animal: AnimalState, vehicles: Sequence[VehicleState],
     raise AssertionError(f"unhandled activity {state}")
 
 
+# A walk of an animal's quiet steps: (steps walked, activity, dwell, y), the
+# last three its state after them.
+QuietWalk = tuple[int, Activity, float, float]
+
+
 def _quiet_walk(animal: AnimalState, limit: int, dt: float, params: BehaviourParams,
                 geometry: "GeometryParams", radar_band: tuple[float, float],
-                contact_band: tuple[float, float]) -> tuple[int, Activity, float, float]:
+                contact_band: tuple[float, float]) -> QuietWalk:
     """Walk the animal's next ``limit`` steps on copies of its activity, dwell
     and y, with ``step_animal``'s float operations, stopping before the first
-    step that is not quiet; returns (steps walked, activity, dwell, y)."""
+    step that is not quiet."""
     state, dwell, y = animal.state, animal.dwell_remaining, animal.y
     lo, hi = radar_band
     if animal.detected:
@@ -379,9 +384,11 @@ def _quiet_walk(animal: AnimalState, limit: int, dt: float, params: BehaviourPar
 
 def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourParams,
                 geometry: "GeometryParams", radar_band: tuple[float, float],
-                contact_band: tuple[float, float]) -> int:
-    """How many of its next ``limit`` steps the animal takes quietly: 0 when
-    the next step is not quiet.
+                contact_band: tuple[float, float]) -> QuietWalk:
+    """How many of its next ``limit`` steps the animal takes quietly (0 when
+    the next step is not quiet), as the walk that counted them: the count,
+    then the activity, dwell and y after those steps, which
+    ``take_quiet_steps`` can apply without walking again.
 
     A quiet step changes nothing but the animal's own dwell or y, and at most
     its FORAGING -> APPROACHING switch: it draws no random number, reads no
@@ -393,17 +400,23 @@ def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourPar
     ``step_animal``; a frozen animal is never quiet.
     """
     return _quiet_walk(animal, limit, dt, params, geometry, radar_band,
-                       contact_band)[0]
+                       contact_band)
 
 
 def take_quiet_steps(animal: AnimalState, n: int, dt: float, params: BehaviourParams,
                      geometry: "GeometryParams", radar_band: tuple[float, float],
-                     contact_band: tuple[float, float]) -> bool:
+                     contact_band: tuple[float, float],
+                     walk: Optional[QuietWalk] = None) -> bool:
     """Take ``n`` quiet steps in place (see ``quiet_steps``), bit for bit as
-    ``n`` calls of ``step_animal`` would. Returns whether the animal left
-    foraging, a visit to APPROACHING."""
-    walked, state, dwell, y = _quiet_walk(animal, n, dt, params, geometry,
-                                          radar_band, contact_band)
+    ``n`` calls of ``step_animal`` would. ``walk`` is None, or a walk that
+    ``quiet_steps`` made from the animal's present state: where it counted
+    ``n`` steps, its end state is applied, since a walk's first ``n`` steps
+    do not depend on its limit; otherwise the steps are walked again.
+    Returns whether the animal left foraging, a visit to APPROACHING."""
+    if walk is None or walk[0] != n:
+        walk = _quiet_walk(animal, n, dt, params, geometry, radar_band,
+                           contact_band)
+    walked, state, dwell, y = walk
     if walked != n:
         raise ValueError(f"animal {animal.aid} has {walked} quiet steps, not {n}")
     left = state is not animal.state

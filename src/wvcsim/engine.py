@@ -27,9 +27,10 @@ have nothing to do: no arrival is due, no animal is tried and no event is
 pending. So one body serves both: phases 1-3 run only when ``m`` is 0 (step k
 is stepped); phase 4 runs once (``dms_active``, ``DriverAlert.update`` and
 the desired speed), cutting ``m`` at the alert step; then a stretch takes
-each animal's quiet steps in one loop of its own float operations
-(``animals.take_quiet_steps``) and owes the vehicles its ``m`` steps, where a
-stepped step goes on to its braking step and phases 5 and 6. ``_first_step``
+each animal's quiet steps (``animals.take_quiet_steps``), applying the gate's
+walk of that animal where it counted the final ``m`` and walking again where
+not, and owes the vehicles its ``m`` steps, where a stepped step goes on to
+its braking step and phases 5 and 6. ``_first_step``
 finds each edge with its owner's own float test: the arrival's ``t <= now``,
 ``AwarenessState.window_closed`` and ``DriverAlert.reacted``. Phase 5 marks
 an animal it leaves on the carriageway, or undetected in a radar's band, as
@@ -379,15 +380,18 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         # an animal on the carriageway, or undetected in reach of a radar,
         # where it cannot be quiet.
         m = 0 if busy else _stretch_end(schedule, next_arrival, k, dt, n_steps) - k
+        walks = []
         if m:
             if not awareness.window_closed(now):
                 m = min(m, _first_step(k, awareness.dms_active_until,
                                        awareness.window_closed, dt) - k)
             for a in active:
-                m = quiet_steps(a, m, dt, behaviour, geometry, radar_band,
-                                contact_band)
+                walk = quiet_steps(a, m, dt, behaviour, geometry, radar_band,
+                                   contact_band)
+                m = walk[0]
                 if not m:
                     break
+                walks.append(walk)
         if not m:
             busy = False
 
@@ -437,9 +441,9 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             settle(k)
             lag_v0 = v0
         if m:
-            for a in active:
+            for a, walk in zip(active, walks):
                 if take_quiet_steps(a, m, dt, behaviour, geometry, radar_band,
-                                    contact_band):
+                                    contact_band, walk):
                     visits[Activity.APPROACHING.value] += 1
             lag += m
             k += m

@@ -138,10 +138,11 @@ class Fleet:
             # The pow memos' keys, which match no base until first written.
             for keys in (_STATE + 5 * n, _STATE + 7 * n):
                 self.buf[keys:keys + n] = [math.nan] * n
-            # Pointers as addresses, which convert fastest.
-            self.addresses = (ctypes.addressof(self.lead),
-                              ctypes.addressof(self.brake),
-                              ctypes.addressof(self.buf))
+            # The kernel's constant arguments, built once: the kernel has no
+            # argtypes, so each call converts only its step count and v0.
+            self.n_arg = ctypes.c_long(n)
+            self.addresses = tuple(ctypes.c_void_p(ctypes.addressof(a))
+                                   for a in (self.lead, self.brake, self.buf))
             # The x and v slots, read back as one list after each call.
             self.state = memoryview(self.buf).cast("B").cast("d")[
                 _STATE + n:_STATE + 3 * n]
@@ -182,7 +183,8 @@ class Fleet:
                 brake_at = None
             else:
                 self.brake[:] = brake
-            first = kernel(n, n_steps, v0, lead_at, brake_at, buf_at)
+            first = kernel(self.n_arg, ctypes.c_long(n_steps), ctypes.c_double(v0),
+                           lead_at, brake_at, buf_at)
             state = self.state.tolist()
             for v, x, speed in zip(vehicles, state, state[n:]):
                 v.x = x
@@ -258,8 +260,8 @@ def _build_kernel():
                        capture_output=True, text=True)
         # The loaded library outlives its file.
         fn = ctypes.CDLL(lib).advance_idm
-    fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_double,
-                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+    # No argtypes, whose conversion costs more than the call: callers pass
+    # c_long, c_long, c_double and three c_void_p (or None) themselves.
     fn.restype = ctypes.c_long
     return fn
 

@@ -458,13 +458,30 @@ class TestQuietSteps:
         animal, limit, dt, geometry, band = case
         args = (dt, PARAMS, geometry, band, _contact_band(geometry))
         n, stepped, visits = quiet_oracle(animal, limit, dt, geometry, band)
-        assert quiet_steps(animal, limit, *args) == n
+        assert quiet_steps(animal, limit, *args)[0] == n
         took = copy.deepcopy(animal)
         assert take_quiet_steps(took, n, *args) is bool(visits)
         assert bits(took) == bits(stepped)
         if n < limit:
             with pytest.raises(ValueError, match="quiet steps"):
                 take_quiet_steps(copy.deepcopy(animal), n + 1, *args)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=quiet_cases(), cut=st.integers(0, 2))
+    @example(case=edge_case(Activity.FORAGING, GEO.spawn_offset, 0.2), cut=0)
+    def test_a_kept_walk_takes_the_same_steps(self, case, cut):
+        # The engine passes each animal's walk from ``quiet_steps`` to
+        # ``take_quiet_steps``: applied where it counted the steps taken,
+        # walked again where the stretch was cut shorter, it gives the bits
+        # of taking them without a walk.
+        animal, limit, dt, geometry, band = case
+        args = (dt, PARAMS, geometry, band, _contact_band(geometry))
+        walk = quiet_steps(animal, limit, *args)
+        n = max(walk[0] - cut, 0)
+        kept, plain = copy.deepcopy(animal), copy.deepcopy(animal)
+        assert (take_quiet_steps(kept, n, *args, walk)
+                is take_quiet_steps(plain, n, *args))
+        assert bits(kept) == bits(plain)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(case=quiet_cases())
@@ -483,5 +500,5 @@ class TestQuietSteps:
         met = (animal.state is Activity.FROZEN
                or 0.0 < animal.y <= geometry.road_width
                or c_lo <= animal.y <= c_hi or c_lo <= nxt.y <= c_hi)
-        quiet = quiet_steps(animal, 1, dt, PARAMS, geometry, NO_BAND, (c_lo, c_hi))
+        quiet = quiet_steps(animal, 1, dt, PARAMS, geometry, NO_BAND, (c_lo, c_hi))[0]
         assert (quiet == 0) is (busy or met)

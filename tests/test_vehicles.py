@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import importlib.resources
 import math
@@ -539,6 +540,73 @@ OVERFLOW_CASE = ([VehicleState(vid=0, x=0.0, v=0.0, direction=1, lane=0, leader=
                  10, P.v_cruise, P, 0.1, 1000.0, 1e-160)
 
 
+# The ring length of the remainder edge cases.
+EDGE_L = 1000.0
+
+
+def ulps_from(x, ulps):
+    """``x`` moved ``ulps`` ULPs up (or down, for ulps < 0)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def landing_case(target, ulps, direction, v):
+    """One free vehicle at speed ``v``, one step: its position update
+    ``x + nv * dt * direction`` lands exactly ``ulps`` ULPs from ``target``.
+    At ``v`` 0 the vehicle brakes, so nv is 0 and the update adds a zero
+    (of the direction's sign) to x."""
+    dt = 0.1
+    goal = ulps_from(target, ulps)
+    brake = v == 0.0
+    nv = 0.0 if brake else v + idm_acceleration(v, P.v_cruise, 0.0,
+                                                 FREE_ROAD_GAP, P) * dt
+    move = nv * dt * direction
+    x = ulps_from(goal - move, -8)
+    for _ in range(16):
+        if x + move == goal:
+            break
+        x = math.nextafter(x, math.inf)
+    else:
+        raise AssertionError(f"no x lands on {goal!r}")
+    vehicle = VehicleState(vid=0, x=x, v=v, direction=direction, lane=0)
+    return [vehicle], 1, P.v_cruise, P, dt, EDGE_L, GEO.vehicle_length, [brake]
+
+
+def gap_case(x_follower, x_leader, direction):
+    """A follower at ``x_follower`` behind a leader at ``x_leader``: the gap's
+    argument is ``(x_leader - x_follower) * direction``."""
+    pair = [VehicleState(vid=0, x=x_follower, v=10.0, direction=direction, lane=0,
+                         leader=1),
+            VehicleState(vid=1, x=x_leader, v=10.0, direction=direction, lane=0,
+                         leader=0)]
+    return pair, 3, P.v_cruise, P, 0.1, EDGE_L, 0.0, None
+
+
+# The edges of the kernel's exact remainder paths, taken for 0 < a < L,
+# L <= a < 2L and -L < a < 0: positions landing on 0, L and 2L and one ULP
+# either side, of a stopped vehicle and, where a step can land there
+# exactly, of a moving one; gap arguments of +-0.0 and +-L; and vehicles
+# moving a ring length or more per step, whose updates take fmod.
+REMAINDER_EDGES = (
+    [landing_case(t, u, d, 0.0) for t in (0.0, EDGE_L, 2 * EDGE_L)
+     for u in (-1, 0, 1) for d in (1, -1)]
+    + [landing_case(t, u, d, 20.0) for t in (EDGE_L, 2 * EDGE_L)
+       for u in (-1, 0, 1) for d in (1, -1)]
+    + [landing_case(0.0, 0, d, 20.0) for d in (1, -1)]
+    + [gap_case(a, b, d) for a, b in ((0.0, 0.0), (0.0, EDGE_L), (EDGE_L, 0.0))
+       for d in (1, -1)]
+    + [([VehicleState(vid=0, x=3.0, v=40.0, direction=d, lane=0)], 5, P.v_cruise,
+        P, 1.0, 10.0, GEO.vehicle_length, None) for d in (1, -1)])
+
+
+def remainder_edges(test):
+    """``test`` with an ``@example`` for each case in ``REMAINDER_EDGES``."""
+    for case in REMAINDER_EDGES:
+        test = example(case=case)(test)
+    return test
+
+
 def compiled_kernel():
     kernel = wvcsim.vehicles.load_kernel()
     if not kernel:
@@ -553,6 +621,7 @@ class TestCompiledKernel:
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(case=kernel_cases())
     @example(case=OVERFLOW_CASE)
+    @remainder_edges
     def test_same_bits_and_errors_as_python(self, case):
         kernel = compiled_kernel()
         compiled = kernel_outcome(kernel, *case)
@@ -569,7 +638,7 @@ class TestCompiledKernel:
         kernel = compiled_kernel()
 
         def one_step(n, n_steps, *args):
-            return kernel(n, min(n_steps, 1), *args)
+            return kernel(n, ctypes.c_long(min(n_steps.value, 1)), *args)
 
         start, p, dt, road_length, vehicle_length, calls = case
         fleets = [fleet_on(k, [dataclasses.replace(v) for v in start], p, dt,
@@ -673,7 +742,7 @@ class TestCompiledKernel:
         taken = []
 
         def one_step(n, n_steps, *args):
-            taken.append(kernel(n, min(n_steps, 1), *args))
+            taken.append(kernel(n, ctypes.c_long(min(n_steps.value, 1)), *args))
             return taken[-1]
 
         monkeypatch.setattr(wvcsim.vehicles, "_kernel", one_step)
