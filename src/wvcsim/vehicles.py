@@ -260,8 +260,8 @@ def _build_kernel():
                        capture_output=True, text=True)
         # The loaded library outlives its file.
         fn = ctypes.CDLL(lib).advance_idm
-    # No argtypes, whose conversion costs more than the call: callers pass
-    # c_long, c_long, c_double and three c_void_p (or None) themselves.
+    # No argtypes, whose conversion nearly doubles a call's cost: callers
+    # pass c_long, c_long, c_double and three c_void_p (or None) themselves.
     fn.restype = ctypes.c_long
     return fn
 
