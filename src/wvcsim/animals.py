@@ -320,20 +320,32 @@ def step_animal(animal: AnimalState, vehicles: Sequence[VehicleState],
 QuietWalk = tuple[int, Activity, float, float]
 
 
-def _quiet_walk(animal: AnimalState, limit: int, dt: float, params: BehaviourParams,
-                geometry: "GeometryParams", radar_band: tuple[float, float],
-                contact_band: tuple[float, float]) -> QuietWalk:
-    """Walk the animal's next ``limit`` steps on copies of its activity, dwell
-    and y, with ``step_animal``'s float operations, stopping before the first
-    step that is not quiet."""
+def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourParams,
+                geometry: "GeometryParams",
+                radar_band: tuple[float, float]) -> QuietWalk:
+    """How many of its next ``limit`` steps the animal takes quietly (0 when
+    the next step is not quiet), as the walk that counted them: the count,
+    then the activity, dwell and y after those steps, which
+    ``take_quiet_steps`` can apply without walking again.
+
+    A quiet step changes nothing but the animal's own dwell or y, and at most
+    its FORAGING -> APPROACHING switch: it draws no random number, reads no
+    vehicle and does not take the animal off the corridor. The animal starts
+    it detected or outside ``radar_band``, so detection tries nothing for it,
+    and starts and ends it off the carriageway (0 < y <= road width), so no
+    driver brakes for it and no vehicle can hit it. The walk runs on copies
+    of the activity, dwell and y, with ``step_animal``'s float operations,
+    through the branches it ports from ``step_animal`` for the quiet phases,
+    and stops before the first step that is not quiet; a frozen animal is
+    never quiet.
+    """
     state, dwell, y = animal.state, animal.dwell_remaining, animal.y
     lo, hi = radar_band
     if animal.detected:
         lo, hi = math.inf, -math.inf  # no detection left to try
     road_width = geometry.road_width
-    contact_lo, contact_hi = contact_band
     n = 0
-    if 0.0 < y <= road_width or contact_lo <= y <= contact_hi:
+    if 0.0 < y <= road_width:
         return n, state, dwell, y
     if state is Activity.FORAGING:
         # FORAGING: count the dwell down at spawn, then approach.
@@ -382,30 +394,8 @@ def _quiet_walk(animal: AnimalState, limit: int, dt: float, params: BehaviourPar
     return n, state, dwell, y
 
 
-def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourParams,
-                geometry: "GeometryParams", radar_band: tuple[float, float],
-                contact_band: tuple[float, float]) -> QuietWalk:
-    """How many of its next ``limit`` steps the animal takes quietly (0 when
-    the next step is not quiet), as the walk that counted them: the count,
-    then the activity, dwell and y after those steps, which
-    ``take_quiet_steps`` can apply without walking again.
-
-    A quiet step changes nothing but the animal's own dwell or y, and at most
-    its FORAGING -> APPROACHING switch: it draws no random number, reads no
-    vehicle and does not take the animal off the corridor. The animal starts
-    it detected or outside ``radar_band``, so detection tries nothing for it,
-    and starts and ends it off the carriageway (0 < y <= road width) and
-    outside ``contact_band``, so no driver brakes for it and no vehicle can
-    hit it. The quiet phases are the branches ``_quiet_walk`` ports from
-    ``step_animal``; a frozen animal is never quiet.
-    """
-    return _quiet_walk(animal, limit, dt, params, geometry, radar_band,
-                       contact_band)
-
-
 def take_quiet_steps(animal: AnimalState, n: int, dt: float, params: BehaviourParams,
                      geometry: "GeometryParams", radar_band: tuple[float, float],
-                     contact_band: tuple[float, float],
                      walk: Optional[QuietWalk] = None) -> bool:
     """Take ``n`` quiet steps in place (see ``quiet_steps``), bit for bit as
     ``n`` calls of ``step_animal`` would. ``walk`` is None, or a walk that
@@ -414,8 +404,7 @@ def take_quiet_steps(animal: AnimalState, n: int, dt: float, params: BehaviourPa
     do not depend on its limit; otherwise the steps are walked again.
     Returns whether the animal left foraging, a visit to APPROACHING."""
     if walk is None or walk[0] != n:
-        walk = _quiet_walk(animal, n, dt, params, geometry, radar_band,
-                           contact_band)
+        walk = quiet_steps(animal, n, dt, params, geometry, radar_band)
     walked, state, dwell, y = walk
     if walked != n:
         raise ValueError(f"animal {animal.aid} has {walked} quiet steps, not {n}")

@@ -12,8 +12,8 @@ trial_id, master_seed).
 Stretches of steps use a next-event time advance. A step is quiet for an
 animal (``animals.quiet_steps``) when it draws no random number, reads no
 vehicle and prunes nothing, and the animal starts it detected or outside
-``_radar_band`` (phase 2 tries nothing), off the carriageway (phase 4 brakes
-for nothing) and outside ``_contact_band`` (phase 6 scans nothing). Such
+``_radar_band`` (phase 2 tries nothing) and starts and ends it off the
+carriageway (phase 4 brakes for nothing and phase 6 scans nothing). Such
 steps are foraging, approaching short of the edge, hesitating short of the
 dwell's end, fleeing short of the spawn offset and walking out past the far
 edge. With every animal quiet, the gate at step k counts ``m`` steps up to
@@ -60,19 +60,18 @@ sets each flag to its driver's brake test, and any other call clears them
 all, as a non-braking round does. So a braking step's flags stay set until
 the next settle; only a crossing animal reads them, and it settles first.
 
-Three scans skip what they cannot find, each gated on the band of its own
-test. Phase 4 makes its brake tests only when an alerted driver has an animal
-on the carriageway (0 < y <= road width) to brake for: ``emergency_brake_needed``
-brakes for no other, so a step whose road animals all wait at the edge (y = 0)
-is one kernel round with every ``emergency_braking`` flag False, and is owed
-like any other non-braking step. Phase 6 runs only when phase 5 leaves an
-animal inside the contact band (``_contact_band``: the lane centres plus or
-minus half a vehicle width and an animal radius, clipped to the road), outside
-which ``detect_collisions`` pairs nothing; frozen-on-road time still counts
-the whole road, 0 <= y <= road width. Phase 2 skips an animal whose y lies
-outside every radar's reach plus 1 m (``_radar_band``): no radar covers it, so
-``try_detect`` would draw no random number and record no first-in-range time
-for it.
+Three scans skip what they cannot find. The carriageway, 0 < y <= road width,
+is ``detect_collisions``' own filter and the only band drivers brake for
+(``emergency_brake_needed`` is asked about no other animal); it gates phases 4
+and 6 and the quiet test alike. Phase 4 makes its brake tests only when an
+alerted driver has an animal there to brake for, so a step whose road animals
+all wait at the edge (y = 0) is one kernel round with every
+``emergency_braking`` flag False, and is owed like any other non-braking step.
+Phase 6 runs only when phase 5 leaves an animal there; frozen-on-road time
+still counts the whole road, 0 <= y <= road width. Phase 2 skips an animal
+whose y lies outside every radar's reach plus 1 m (``_radar_band``): no radar
+covers it, so ``try_detect`` would draw no random number and record no
+first-in-range time for it.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ import numpy as np
 
 from .animals import (Activity, AnimalState, Arrival, quiet_steps, sample_arrivals,
                       step_animal, take_quiet_steps)
-from .awareness import AwarenessState
+from .awareness import DANGEROUS_STATES, AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
 from .detection import DetectionParams, try_detect
 # perfbench's tracer wraps idm_acceleration (unused here) at this name.
@@ -263,15 +262,11 @@ def detect_collisions(vehicles, animals, geometry, road_length: float):
     return pairs
 
 
-# The only activities whose step reads the vehicles.
-_READERS = frozenset({Activity.HESITATING, Activity.CROSSING, Activity.FROZEN})
-
-
 def _reads_vehicles(active: list[AnimalState]) -> bool:
     """Whether phase 5 reads the vehicles this step: only a hesitating,
-    crossing or frozen animal looks at them."""
+    crossing or frozen animal (``DANGEROUS_STATES``) looks at them."""
     for a in active:
-        if a.state in _READERS:
+        if a.state in DANGEROUS_STATES:
             return True
     return False
 
@@ -283,22 +278,6 @@ def _radar_band(radars, r_det: float) -> tuple[float, float]:
     ys = [node.y for node in radars]
     return (min(ys, default=math.inf) - r_det - 1.0,
             max(ys, default=-math.inf) + r_det + 1.0)
-
-
-# Far above the rounding of ``abs(a.y - centre)``, far below the 0.45 m
-# between the road edge and the first lane's contact band at the defaults.
-_CONTACT_MARGIN = 1e-6
-
-
-def _contact_band(geometry) -> tuple[float, float]:
-    """The band of y outside which ``detect_collisions`` pairs no animal with
-    any vehicle: the lane centres plus or minus half a vehicle width and an
-    animal radius, widened by ``_CONTACT_MARGIN`` so that no rounding pairs
-    an animal outside it, and clipped to the road."""
-    reach = geometry.vehicle_width / 2.0 + geometry.animal_radius
-    centres = [geometry.lane_centre(i) for i in range(geometry.n_lanes)]
-    return (max(0.0, min(centres) - reach - _CONTACT_MARGIN),
-            min(geometry.road_width, max(centres) + reach + _CONTACT_MARGIN))
 
 
 def _overlap(trial_id: int, follower, leader, now: float) -> EngineInvariantError:
@@ -336,8 +315,6 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     rng_d = streams.detection
     radar_band = _radar_band(radars, det_params.r_det)
     radar_lo, radar_hi = radar_band
-    contact_band = _contact_band(geometry)
-    contact_lo, contact_hi = contact_band
     road_width = geometry.road_width
     spawn_y = geometry.spawn_offset
     forage_lo, forage_hi = behaviour.forage_dwell
@@ -386,8 +363,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                 m = min(m, _first_step(k, awareness.dms_active_until,
                                        awareness.window_closed, dt) - k)
             for a in active:
-                walk = quiet_steps(a, m, dt, behaviour, geometry, radar_band,
-                                   contact_band)
+                walk = quiet_steps(a, m, dt, behaviour, geometry, radar_band)
                 m = walk[0]
                 if not m:
                     break
@@ -426,8 +402,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         # the step the drivers become alerted. A step on which no driver
         # brakes is owed; a braking step settles the debt, then is one kernel
         # step with the brake flags of that snapshot. Alerted drivers brake
-        # only for an animal on the carriageway, the band of
-        # ``emergency_brake_needed``'s own test.
+        # only for an animal on the carriageway.
         lit = awareness.dms_active(active, now)
         alert.update(lit, now, idm)
         if m and lit and not alert.alerted:
@@ -443,7 +418,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         if m:
             for a, walk in zip(active, walks):
                 if take_quiet_steps(a, m, dt, behaviour, geometry, radar_band,
-                                    contact_band, walk):
+                                    walk):
                     visits[Activity.APPROACHING.value] += 1
             lag += m
             k += m
@@ -459,7 +434,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
 
         # Phase 5: animal behaviour, with state-visit and frozen-time accounting.
         pruned = False
-        in_contact = False
+        on_road = False
         for a in active:
             prev_state = a.state
             step_animal(a, vehicles, dt, behaviour, geometry, L, rng_b)
@@ -469,17 +444,17 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                 if st is Activity.MOVED_AWAY:
                     pruned = True
             y = a.y
-            if contact_lo <= y <= contact_hi:
-                in_contact = True
-            if 0.0 < y <= road_width or (radar_lo <= y <= radar_hi
-                                         and not a.detected):
+            if 0.0 < y <= road_width:
+                on_road = busy = True
+            elif radar_lo <= y <= radar_hi and not a.detected:
                 busy = True
             if st is Activity.FROZEN and 0.0 <= y <= road_width:
                 frozen_time += dt
 
-        # Phase 6: collisions, only with an animal in the contact band; the
-        # animal is removed, the vehicle continues.
-        if in_contact:
+        # Phase 6: collisions, only with an animal on the carriageway, the
+        # band of ``detect_collisions``' own test; the animal is removed, the
+        # vehicle continues.
+        if on_road:
             settle(k)
             pairs = detect_collisions(vehicles, active, geometry, L)
             if pairs:

@@ -309,28 +309,28 @@ def emergency_brake_needed(vehicle: VehicleState, animals: Iterable["AnimalState
     """True when the driver faces an animal on its lane, ahead, inside the
     kinematic stopping envelope.
 
-    Only alerted drivers brake for animals: the engine calls this only while
-    the drivers are alerted, and passes only the animals on the carriageway
-    (0 < y <= road width), the ones this test can brake for.
+    Only alerted drivers brake for animals, and only for animals on the
+    carriageway (0 < y <= road width): the caller passes those alone. The
+    engine calls this only while the drivers are alerted, and its candidate
+    filter leaves out animals holding at the road edge (y = 0), which no
+    driver brakes for.
 
     The scan band is the vehicle's own lane (padded by the animal radius), so
     vehicles clear of the crossing path roll through instead of stopping
-    inside it. Animals holding at the road edge (y = 0) do not trigger
-    braking; animals on the carriageway do. A standstill zone of the jam
-    distance ahead of the bumper keeps a stopped vehicle from creeping into
-    an animal still crossing in front of it.
+    inside it. A standstill zone of the jam distance ahead of the bumper
+    keeps a stopped vehicle from creeping into an animal still crossing in
+    front of it.
     """
     reach = stopping_envelope(vehicle.v, p)
     hold_zone = p.s0 + geometry.vehicle_length / 2.0 + geometry.animal_radius
     if reach < hold_zone:
         reach = hold_zone
-    road_width = geometry.road_width
     band = geometry.lane_width / 2.0 + geometry.animal_radius
     centre = geometry.lane_centre(vehicle.lane)
     vx = vehicle.x
     sign = vehicle.direction
     for a in animals:
-        if 0.0 < a.y <= road_width and abs(a.y - centre) < band:
+        if abs(a.y - centre) < band:
             ahead = ((a.x - vx) * sign) % road_length
             if ahead < reach:
                 return True

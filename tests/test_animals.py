@@ -11,7 +11,6 @@ from wvcsim.animals import (Activity, AnimalState, BehaviourParams, quiet_steps,
                             sample_arrivals, sample_sigma, step_animal,
                             take_quiet_steps, threat_present, vehicle_is_threat)
 from wvcsim.config import GeometryParams
-from wvcsim.engine import _contact_band
 from wvcsim.vehicles import VehicleState
 
 PARAMS = BehaviourParams()
@@ -368,24 +367,24 @@ def quiet_oracle(animal, limit, dt, geometry, radar_band):
     """Step a copy of the animal with ``step_animal`` while its steps are
     quiet, up to ``limit`` of them; returns (steps, the copy, visits to a new
     activity). A quiet step draws nothing, reads no vehicle and does not
-    prune the animal; it starts detected or outside ``radar_band``, and off
-    the carriageway (0 < y <= road width) and the contact band, and ends
-    outside the contact band. A frozen animal's step is never quiet."""
+    prune the animal; it starts detected or outside ``radar_band``, and
+    starts and ends off the carriageway (0 < y <= road width). A frozen
+    animal's step is never quiet."""
     lo, hi = radar_band
-    c_lo, c_hi = _contact_band(geometry)
+    rw = geometry.road_width
     a = copy.deepcopy(animal)
     n = visits = 0
     while n < limit:
         y = a.y
-        if (a.state is Activity.FROZEN or 0.0 < y <= geometry.road_width
-                or c_lo <= y <= c_hi or (not a.detected and lo <= y <= hi)):
+        if (a.state is Activity.FROZEN or 0.0 < y <= rw
+                or (not a.detected and lo <= y <= hi)):
             break
         nxt = copy.deepcopy(a)
         try:
             step_animal(nxt, NoVehicles(), dt, PARAMS, geometry, L, NoDraws())
         except (Drew, Read):
             break
-        if nxt.state is Activity.MOVED_AWAY or c_lo <= nxt.y <= c_hi:
+        if nxt.state is Activity.MOVED_AWAY or 0.0 < nxt.y <= rw:
             break
         visits += nxt.state is not a.state
         a, n = nxt, n + 1
@@ -456,7 +455,7 @@ class TestQuietSteps:
     @example(case=edge_case(Activity.FROZEN, 0.0, 0.0))
     def test_same_as_step_animal_calls(self, case):
         animal, limit, dt, geometry, band = case
-        args = (dt, PARAMS, geometry, band, _contact_band(geometry))
+        args = (dt, PARAMS, geometry, band)
         n, stepped, visits = quiet_oracle(animal, limit, dt, geometry, band)
         assert quiet_steps(animal, limit, *args)[0] == n
         took = copy.deepcopy(animal)
@@ -475,7 +474,7 @@ class TestQuietSteps:
         # walked again where the stretch was cut shorter, it gives the bits
         # of taking them without a walk.
         animal, limit, dt, geometry, band = case
-        args = (dt, PARAMS, geometry, band, _contact_band(geometry))
+        args = (dt, PARAMS, geometry, band)
         walk = quiet_steps(animal, limit, *args)
         n = max(walk[0] - cut, 0)
         kept, plain = copy.deepcopy(animal), copy.deepcopy(animal)
@@ -494,11 +493,22 @@ class TestQuietSteps:
         except (Drew, Read):
             busy = True
         # Besides those, a step is never quiet for a frozen animal, or where a
-        # vehicle could meet the animal: on the carriageway (0 < y <= road
-        # width, where drivers brake) or in the contact band.
-        c_lo, c_hi = _contact_band(geometry)
+        # vehicle could meet the animal: a start or an end on the carriageway
+        # (0 < y <= road width), where drivers brake and vehicles hit.
+        rw = geometry.road_width
         met = (animal.state is Activity.FROZEN
-               or 0.0 < animal.y <= geometry.road_width
-               or c_lo <= animal.y <= c_hi or c_lo <= nxt.y <= c_hi)
-        quiet = quiet_steps(animal, 1, dt, PARAMS, geometry, NO_BAND, (c_lo, c_hi))[0]
+               or 0.0 < animal.y <= rw or 0.0 < nxt.y <= rw)
+        quiet = quiet_steps(animal, 1, dt, PARAMS, geometry, NO_BAND)[0]
         assert (quiet == 0) is (busy or met)
+
+    def test_detected_wide_animal_hesitating_at_the_edge_is_quiet(self):
+        # At y = 0 an animal is off the carriageway whatever its radius: no
+        # driver brakes for it and no vehicle can hit it, so a hesitating
+        # step with dwell left is quiet even where a vehicle's reach plus
+        # the animal's radius passes the road edge.
+        assert WIDE_ANIMAL.vehicle_width / 2.0 + WIDE_ANIMAL.animal_radius \
+            > WIDE_ANIMAL.lane_width / 2.0
+        a = animal(Activity.HESITATING, y=0.0, dwell=3.0, detected=True,
+                   left_foraging=True)
+        n, state, _, y = quiet_steps(a, 10, DT, PARAMS, WIDE_ANIMAL, (-16.5, 25.0))
+        assert (n, state, y) == (10, Activity.HESITATING, 0.0)

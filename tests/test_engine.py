@@ -640,60 +640,68 @@ WIDE_ANIMAL = dataclasses.replace(GEO, animal_radius=1.5)
 
 
 class TestContactBand:
-    """Phase 6 runs only with an animal inside ``_contact_band``; outside it
-    ``detect_collisions`` pairs nothing, so skipping the scan changes no
-    output and nothing any reader sees."""
+    """A vehicle meets an animal only on the carriageway, 0 < y <= road
+    width, the one band every per-step road test gates on:
+    ``detect_collisions`` pairs no animal off it, phase 6 scans after exactly
+    the steps that leave an animal on it, and drivers brake only for animals
+    on it."""
 
-    @pytest.mark.parametrize("geometry, edge_inside", [(GEO, False),
-                                                       (WIDE_ANIMAL, True)],
+    @pytest.mark.parametrize("geometry, edge_in_reach", [(GEO, False),
+                                                         (WIDE_ANIMAL, True)],
                              ids=["default", "wide-animal"])
-    def test_nothing_pairs_just_outside_the_band(self, geometry, edge_inside):
-        lo, hi = wvcsim.engine._contact_band(geometry)
-        assert (lo <= 0.0 <= hi) is edge_inside
+    def test_nothing_pairs_off_the_carriageway(self, geometry, edge_in_reach):
+        rw = geometry.road_width
         # Vehicles every 0.5 m of a 1000 m ring, in every lane.
         fleet = [vehicle(0.5 * i, lane=lane, direction=1 - 2 * lane,
                          vid=2000 * lane + i)
                  for lane in range(geometry.n_lanes) for i in range(2000)]
-        for y in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+        for y in (math.nextafter(0.0, -math.inf), 0.0, math.nextafter(rw, math.inf)):
             animals = [road_animal(x, y, aid=i)
                        for i, x in enumerate((0.0, 0.25, 500.1, 999.75))]
             assert detect_collisions(fleet, animals, geometry, 1000.0) == []
-        # No wider than it must be: just inside either edge, an animal pairs.
-        for y in (lo + 1e-5, hi - 1e-5):
-            assert detect_collisions(fleet, [road_animal(500.1, y)], geometry,
-                                     1000.0)
+        # Where a vehicle's reach passes the edges, the carriageway test is
+        # the filter: just inside either edge, an animal pairs.
+        for y in (math.nextafter(0.0, math.inf), rw):
+            pairs = detect_collisions(fleet, [road_animal(500.1, y)], geometry, 1000.0)
+            assert bool(pairs) is edge_in_reach
 
     @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
     @pytest.mark.parametrize("overrides", [CROWDED, {"geometry": WIDE_ANIMAL}],
                              ids=["crowded", "wide-animal"])
-    def test_same_as_scanning_every_step(self, monkeypatch, mode, overrides):
-        # Every read but the scans that found nothing, which only the
-        # ungated run makes.
-        def found(reads):
-            return [r for r in reads if r[0] == "step" or r[2]]
-
-        # Both runs must end alike: with equal results, or with the same
-        # invariant error should a trial break one.
-        def outcome(cfg, hours, trial_id):
-            try:
-                return dataclasses.asdict(run_trial(cfg, hours, trial_id, 5))
-            except EngineInvariantError as exc:
-                return str(exc)
-
+    def test_scans_after_the_steps_leaving_an_animal_on_the_carriageway(
+            self, monkeypatch, mode, overrides):
         cfg = fast_config(mode, **overrides)
+        rw = cfg.geometry.road_width
         hours = 0.05 if overrides is CROWDED else 0.25
+        dms_active = AwarenessState.dms_active
+        step_animal = wvcsim.engine.step_animal
+        detect_collisions = wvcsim.engine.detect_collisions
+        # One entry per ``dms_active`` call, the start of a stepped step or
+        # of a stretch: [the y of each animal after its phase-5 step, scans].
+        steps = []
+
+        def sign(self, animals, now):
+            steps.append([[], 0])
+            return dms_active(self, animals, now)
+
+        def stepped(animal, *args):
+            step_animal(animal, *args)
+            steps[-1][0].append(animal.y)
+
+        def scanned(*args):
+            steps[-1][1] += 1
+            return detect_collisions(*args)
+
+        monkeypatch.setattr(AwarenessState, "dms_active", sign)
+        monkeypatch.setattr(wvcsim.engine, "step_animal", stepped)
+        monkeypatch.setattr(wvcsim.engine, "detect_collisions", scanned)
         for trial_id in range(2):
-            with monkeypatch.context() as m:
-                gated_reads = record_vehicle_reads(m)
-                gated = outcome(cfg, hours, trial_id)
-            with monkeypatch.context() as m:
-                every_reads = record_vehicle_reads(m)
-                m.setattr(wvcsim.engine, "_contact_band",
-                          lambda geometry: (-math.inf, math.inf))
-                every = outcome(cfg, hours, trial_id)
-            assert gated == every
-            assert found(gated_reads) == found(every_reads)
-            assert len(gated_reads) < len(every_reads)  # the gate skipped scans
+            run_trial(cfg, hours, trial_id, 5)
+        on_road = [any(0.0 < y <= rw for y in ys) for ys, _ in steps]
+        assert [scans for _, scans in steps] == [int(hit) for hit in on_road]
+        assert any(on_road)
+        # Some stepped step left animals, all off the carriageway.
+        assert any(ys and not hit for (ys, _), hit in zip(steps, on_road))
 
     @pytest.mark.parametrize("mode", [Mode.DETECTION, Mode.AWARE])
     def test_brakes_only_for_carriageway_animals(self, monkeypatch, mode):
