@@ -642,9 +642,9 @@ WIDE_ANIMAL = dataclasses.replace(GEO, animal_radius=1.5)
 class TestContactBand:
     """A vehicle meets an animal only on the carriageway, 0 < y <= road
     width, the one band every per-step road test gates on:
-    ``detect_collisions`` pairs no animal off it, phase 6 scans after exactly
-    the steps that leave an animal on it, and drivers brake only for animals
-    on it."""
+    ``detect_collisions`` pairs no animal off it, phase 6 finds what scanning
+    every step finds and scans after exactly the steps that leave an animal
+    on it, and drivers brake only for animals on it."""
 
     @pytest.mark.parametrize("geometry, edge_in_reach", [(GEO, False),
                                                          (WIDE_ANIMAL, True)],
@@ -664,6 +664,68 @@ class TestContactBand:
         for y in (math.nextafter(0.0, math.inf), rw):
             pairs = detect_collisions(fleet, [road_animal(500.1, y)], geometry, 1000.0)
             assert bool(pairs) is edge_in_reach
+
+    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
+    @pytest.mark.parametrize("overrides", [CROWDED, {"geometry": WIDE_ANIMAL}],
+                             ids=["crowded", "wide-animal"])
+    def test_same_as_scanning_every_step(self, monkeypatch, mode, overrides):
+        # Both runs must end alike: with equal results, or with the same
+        # invariant error should a trial break one.
+        def outcome(cfg, hours, trial_id):
+            try:
+                return dataclasses.asdict(run_trial(cfg, hours, trial_id, 5))
+            except EngineInvariantError as exc:
+                return str(exc)
+
+        cfg = fast_config(mode, **overrides)
+        hours = 0.05 if overrides is CROWDED else 0.25
+        geometry, L = cfg.geometry, cfg.road_length
+        dms_active = AwarenessState.dms_active
+        step_animal = wvcsim.engine.step_animal
+        detect_collisions = wvcsim.engine.detect_collisions
+        for trial_id in range(2):
+            gated = outcome(cfg, hours, trial_id)
+            # The scanning run settles the vehicles before every phase 5, as
+            # the eager run of ``TestOwedSteps`` does, and scans every
+            # stepped step's animals itself when the step ends: at the next
+            # ``dms_active`` call or the trial's end, before anything moves an
+            # animal or a vehicle. One entry per step or stretch: [the
+            # vehicles, the animals phase 5 stepped, the pairs phase 6 found,
+            # or None where it did not scan].
+            steps = []
+            every = []  # (phase 6's pairs, the scan's) per stepped step
+
+            def close():
+                if steps and steps[-1][1]:
+                    vehicles, animals, pairs = steps[-1]
+                    every.append((pairs, detect_collisions(vehicles, animals,
+                                                           geometry, L)))
+
+            def sign(self, animals, now):
+                close()
+                steps.append([None, [], None])
+                return dms_active(self, animals, now)
+
+            def stepped(animal, vehicles, *args):
+                step_animal(animal, vehicles, *args)
+                steps[-1][0] = vehicles
+                steps[-1][1].append(animal)
+
+            def scanned(*args):
+                steps[-1][2] = detect_collisions(*args)
+                return steps[-1][2]
+
+            with monkeypatch.context() as m:
+                m.setattr(wvcsim.engine, "_reads_vehicles", lambda active: True)
+                m.setattr(AwarenessState, "dms_active", sign)
+                m.setattr(wvcsim.engine, "step_animal", stepped)
+                m.setattr(wvcsim.engine, "detect_collisions", scanned)
+                assert outcome(cfg, hours, trial_id) == gated
+            close()
+            # What phase 6 found is what scanning every step finds ...
+            assert [pairs or [] for pairs, _ in every] == [found for _, found in every]
+            # ... and the gate skipped scans.
+            assert any(pairs is None for pairs, _ in every)
 
     @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
     @pytest.mark.parametrize("overrides", [CROWDED, {"geometry": WIDE_ANIMAL}],
