@@ -326,7 +326,9 @@ def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourPar
     """How many of its next ``limit`` steps the animal takes quietly (0 when
     the next step is not quiet), as the walk that counted them: the count,
     then the activity, dwell and y after those steps, which
-    ``take_quiet_steps`` can apply without walking again.
+    ``take_quiet_steps`` applies. A walk's first ``n`` steps do not depend on
+    its limit, so a walk limited to ``n`` ends where a longer one is after
+    ``n`` steps.
 
     A quiet step changes nothing but the animal's own dwell or y, and at most
     its FORAGING -> APPROACHING switch: it draws no random number, reads no
@@ -394,20 +396,12 @@ def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourPar
     return n, state, dwell, y
 
 
-def take_quiet_steps(animal: AnimalState, n: int, dt: float, params: BehaviourParams,
-                     geometry: "GeometryParams", radar_band: tuple[float, float],
-                     walk: Optional[QuietWalk] = None) -> bool:
-    """Take ``n`` quiet steps in place (see ``quiet_steps``), bit for bit as
-    ``n`` calls of ``step_animal`` would. ``walk`` is None, or a walk that
-    ``quiet_steps`` made from the animal's present state: where it counted
-    ``n`` steps, its end state is applied, since a walk's first ``n`` steps
-    do not depend on its limit; otherwise the steps are walked again.
+def take_quiet_steps(animal: AnimalState, walk: QuietWalk) -> bool:
+    """Take the quiet steps that ``walk``, a walk ``quiet_steps`` made from
+    the animal's present state, counted: apply its end state in place, bit
+    for bit as that many calls of ``step_animal`` would leave the animal.
     Returns whether the animal left foraging, a visit to APPROACHING."""
-    if walk is None or walk[0] != n:
-        walk = quiet_steps(animal, n, dt, params, geometry, radar_band)
-    walked, state, dwell, y = walk
-    if walked != n:
-        raise ValueError(f"animal {animal.aid} has {walked} quiet steps, not {n}")
+    n, state, dwell, y = walk
     left = state is not animal.state
     animal.state, animal.dwell_remaining, animal.y = state, dwell, y
     if left:

@@ -9,32 +9,41 @@ collisions, detections, clean exits) are summed after the last step from each
 animal's own monotone flags. A trial is a pure function of (config, duration,
 trial_id, master_seed).
 
-Stretches of steps use a next-event time advance. A step is quiet for an
-animal (``animals.quiet_steps``) when it draws no random number, reads no
-vehicle and prunes nothing, and the animal starts it detected or outside
+Animals sleep through their quiet steps, and stretches of steps use a
+next-event time advance. A step is quiet for an animal
+(``animals.quiet_steps``) when it draws no random number, reads no vehicle
+and prunes nothing, and the animal starts it detected or outside
 ``_radar_band`` (phase 2 tries nothing) and starts and ends it off the
 carriageway (phase 4 brakes for nothing and phase 6 scans nothing). Such
 steps are foraging, approaching short of the edge, hesitating short of the
 dwell's end, fleeing short of the spawn offset and walking out past the far
-edge. With every animal quiet, the gate at step k counts ``m`` steps up to
-the first of: the step phase 1 spawns the next arrival (``_stretch_end``);
-the first step some animal is not quiet; while the sign's window is open, the
-step it closes; while the sign is lit and the drivers are not yet alerted,
-the step they become alerted. Up to there the sign, the alert and the desired
-speed hold, since no detection can move the window and no quiet step changes
-whether an animal holds the sign. At such a stretch's first step phases 1-3
-have nothing to do: no arrival is due, no animal is tried and no event is
-pending. So one body serves both: phases 1-3 run only when ``m`` is 0 (step k
-is stepped); phase 4 runs once (``dms_active``, ``DriverAlert.update`` and
-the desired speed), cutting ``m`` at the alert step; then a stretch takes
-each animal's quiet steps (``animals.take_quiet_steps``), applying the gate's
-walk of that animal where it counted the final ``m`` and walking again where
-not, and owes the vehicles its ``m`` steps, where a stepped step goes on to
-its braking step and phases 5 and 6. ``_first_step``
-finds each edge with its owner's own float test: the arrival's ``t <= now``,
-``AwarenessState.window_closed`` and ``DriverAlert.reacted``. Phase 5 marks
-an animal it leaves on the carriageway, or undetected in a radar's band, as
-busy, so the next step's gate does not look.
+edge. An animal that phase 5 leaves off the carriageway has its quiet steps
+from the next step on walked once, up to the trial's end; the walk is
+applied at once (``animals.take_quiet_steps``) and the animal sleeps until
+the step after the walk's last (``sleeping``, ``next_wake``). Phases 2 and 5
+skip a sleeper. Nothing reads what changes while it sleeps: a quiet step
+changes only its dwell, its y off the carriageway and at most its FORAGING
+-> APPROACHING switch, which moves it neither in nor out of
+``DANGEROUS_STATES`` nor onto the carriageway; and a sleeper draws nothing,
+so the awake animals draw in the same order. A trial's outputs are those of
+stepping every animal every step, but an observer mid-trial sees a sleeper
+in the state it wakes with.
+
+With every animal asleep, the gate at step k counts ``m`` steps up to the
+first of: the first wake; the step phase 1 spawns the next arrival
+(``_stretch_end``); while the sign's window is open, the step it closes;
+while the sign is lit and the drivers are not yet alerted, the step they
+become alerted. Up to there the sign, the alert and the desired speed hold,
+since no detection can move the window and no sleeper changes whether it
+holds the sign. At such a stretch's first step phases 1-3 have nothing to
+do: no arrival is due, no animal is tried and no event is pending. So one
+body serves both: phases 1-3 run only when ``m`` is 0 (step k is stepped);
+phase 4 runs once (``dms_active``, ``DriverAlert.update`` and the desired
+speed), cutting ``m`` at the alert step; then a stretch owes the vehicles its
+``m`` steps, where a stepped step goes on to its braking step and phases 5
+and 6. ``_first_step`` finds each edge with its owner's own float test: the
+arrival's ``t <= now``, ``AwarenessState.window_closed`` and
+``DriverAlert.reacted``.
 
 Vehicle steps are owed, not taken, until something reads the vehicles. A step
 on which no driver brakes for an animal is one round of the IDM at the
@@ -47,8 +56,9 @@ operation in the same order, so the vehicles come out bit for bit as if
 stepped one phase loop at a time; an overlap raises the same error at the
 same ``t=``, since the kernel reports the step it found it at. The debt is
 settled just before each reader: a braking step (alerted drivers and an
-animal on the carriageway); phase 5 when an animal is hesitating, crossing or
-frozen, the only activities that look at the vehicles; phase 6 when it runs;
+animal on the carriageway); the phase-5 step of an awake animal that is
+hesitating, crossing or frozen (``DANGEROUS_STATES``), the only activities
+that look at the vehicles, and so phase 6, which runs only after such a step;
 and the end of the trial. It is also settled before the desired speed
 changes, so that the owed steps share one speed.
 
@@ -262,15 +272,6 @@ def detect_collisions(vehicles, animals, geometry, road_length: float):
     return pairs
 
 
-def _reads_vehicles(active: list[AnimalState]) -> bool:
-    """Whether phase 5 reads the vehicles this step: only a hesitating,
-    crossing or frozen animal (``DANGEROUS_STATES``) looks at them."""
-    for a in active:
-        if a.state in DANGEROUS_STATES:
-            return True
-    return False
-
-
 def _radar_band(radars, r_det: float) -> tuple[float, float]:
     """The band of y outside which no radar covers an animal: every radar's
     reach plus 1 m, so that ``dy * dy > r_det * r_det`` for every radar
@@ -332,7 +333,10 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     # all at desired speed ``lag_v0``, are owed (see the module docstring).
     lag = 0
     lag_v0 = idm.v_cruise
-    busy = False
+    # Sleepers: each animal whose quiet run is taken ahead, by aid, and the
+    # step it wakes at (see the module docstring).
+    sleeping: dict[int, int] = {}
+    next_wake = n_steps
 
     def settle(row: int, brake: Optional[list[bool]] = None) -> None:
         """Take the owed steps, so that the vehicles hold row ``row``;
@@ -350,27 +354,20 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     k = 0
     while k < n_steps:
         now = k * dt
+        if k == next_wake:
+            sleeping = {aid: j for aid, j in sleeping.items() if j > k}
+            next_wake = min(sleeping.values(), default=n_steps)
 
-        # Next-event gate: ``m`` quiet steps from step k, up to the first step
-        # at which anything but the animals' quiet steps and the owed vehicle
-        # steps can happen; 0 when step k is stepped. ``busy``: phase 5 left
-        # an animal on the carriageway, or undetected in reach of a radar,
-        # where it cannot be quiet.
-        m = 0 if busy else _stretch_end(schedule, next_arrival, k, dt, n_steps) - k
-        walks = []
-        if m:
-            if not awareness.window_closed(now):
+        # Next-event gate: while every animal sleeps, ``m`` steps from step k
+        # up to the first step at which anything but the owed vehicle steps
+        # can happen; 0 when step k is stepped.
+        m = 0
+        if len(sleeping) == len(active):
+            m = min(next_wake, _stretch_end(schedule, next_arrival, k, dt, n_steps)) - k
+            if m and not awareness.window_closed(now):
                 m = min(m, _first_step(k, awareness.dms_active_until,
                                        awareness.window_closed, dt) - k)
-            for a in active:
-                walk = quiet_steps(a, m, dt, behaviour, geometry, radar_band)
-                m = walk[0]
-                if not m:
-                    break
-                walks.append(walk)
         if not m:
-            busy = False
-
             # Phase 1: spawn due arrivals.
             while next_arrival < n_schedule and schedule[next_arrival].time <= now:
                 arr = schedule[next_arrival]
@@ -383,9 +380,10 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                 next_arrival += 1
 
             # Phase 2: detection against the previous step's awareness state,
-            # for animals within some radar's reach.
+            # for awake animals within some radar's reach.
             for a in active:
-                if not a.detected and radar_lo <= a.y <= radar_hi:
+                if not a.detected and radar_lo <= a.y <= radar_hi \
+                        and a.aid not in sleeping:
                     ev = try_detect(a, radars, spacing, beta_for, now, dt,
                                     det_params, rng_d)
                     if ev is not None:
@@ -416,10 +414,6 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             settle(k)
             lag_v0 = v0
         if m:
-            for a, walk in zip(active, walks):
-                if take_quiet_steps(a, m, dt, behaviour, geometry, radar_band,
-                                    walk):
-                    visits[Activity.APPROACHING.value] += 1
             lag += m
             k += m
             continue
@@ -429,14 +423,18 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             settle(k, [emergency_brake_needed(v, candidates, geometry, idm, L)
                        for v in vehicles])
 
-        if _reads_vehicles(active):
-            settle(k)
-
-        # Phase 5: animal behaviour, with state-visit and frozen-time accounting.
+        # Phase 5: behaviour of the awake animals, with state-visit and
+        # frozen-time accounting; only a hesitating, crossing or frozen animal
+        # reads the vehicles. An animal it leaves off the carriageway takes
+        # its quiet run at once and sleeps through it.
         pruned = False
         on_road = False
         for a in active:
+            if a.aid in sleeping:
+                continue
             prev_state = a.state
+            if prev_state in DANGEROUS_STATES:
+                settle(k)
             step_animal(a, vehicles, dt, behaviour, geometry, L, rng_b)
             st = a.state
             if st is not prev_state:
@@ -444,18 +442,23 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                 if st is Activity.MOVED_AWAY:
                     pruned = True
             y = a.y
-            if 0.0 < y <= road_width:
-                on_road = busy = True
-            elif radar_lo <= y <= radar_hi and not a.detected:
-                busy = True
             if st is Activity.FROZEN and 0.0 <= y <= road_width:
                 frozen_time += dt
+            if 0.0 < y <= road_width:
+                on_road = True
+                continue
+            walk = quiet_steps(a, n_steps - k, dt, behaviour, geometry, radar_band)
+            if walk[0]:
+                if take_quiet_steps(a, walk):
+                    visits[Activity.APPROACHING.value] += 1
+                sleeping[a.aid] = k + walk[0]
+                next_wake = min(next_wake, k + walk[0])
 
         # Phase 6: collisions, only with an animal on the carriageway, the
         # band of ``detect_collisions``' own test; the animal is removed, the
-        # vehicle continues.
+        # vehicle continues. That animal was crossing or frozen, so the
+        # vehicles are settled.
         if on_road:
-            settle(k)
             pairs = detect_collisions(vehicles, active, geometry, L)
             if pairs:
                 by_id = {a.aid: a for a in active}

@@ -206,16 +206,20 @@ class NoDraws:
 
 
 def watch_asks(monkeypatch):
-    """Record each ask of the engine for the sign and the drivers' alert, and
-    the desired speed of every vehicle step. Each stepped step, and each
-    stretch the next-event gate jumps, asks ``dms_active`` for the sign, then
-    ``DriverAlert.update``, once. Returns the list of asks, each [time,
-    copies of the animals, the window's end, the sign, the alert after the
-    update], and the list of speeds."""
-    asks, speeds = [], []
+    """Record each ask of the engine for the sign and the drivers' alert, the
+    desired speed of every vehicle step and each animal's sleep. Each stepped
+    step, and each stretch the next-event gate jumps, asks ``dms_active`` for
+    the sign, then ``DriverAlert.update``, once. Returns the list of asks,
+    each [time, copies of the animals, the window's end, the sign, the alert
+    after the update], the list of speeds and the list of sleeps, each (the
+    time of the step whose phase 5 put the animal to sleep, a copy of it
+    before ``take_quiet_steps``, the walk, what that returned, a copy after
+    it)."""
+    asks, speeds, sleeps = [], [], []
     dms_active = AwarenessState.dms_active
     update = DriverAlert.update
     advance = Fleet.advance
+    take_quiet_steps = wvcsim.engine.take_quiet_steps
 
     def sign(self, animals, now):
         lit = dms_active(self, animals, now)
@@ -230,10 +234,17 @@ def watch_asks(monkeypatch):
         speeds.extend([v0] * n_steps)
         return advance(fleet, n_steps, v0, brake)
 
+    def slept(animal, walk):
+        before = copy.deepcopy(animal)
+        left = take_quiet_steps(animal, walk)
+        sleeps.append((asks[-1][0], before, walk, left, copy.deepcopy(animal)))
+        return left
+
     monkeypatch.setattr(AwarenessState, "dms_active", sign)
     monkeypatch.setattr(DriverAlert, "update", alert)
     monkeypatch.setattr(Fleet, "advance", owed)
-    return asks, speeds
+    monkeypatch.setattr(wvcsim.engine, "take_quiet_steps", slept)
+    return asks, speeds, sleeps
 
 
 def stretches(asks, cfg, hours):
@@ -247,17 +258,56 @@ def stretches(asks, cfg, hours):
 
 
 def run_watched(monkeypatch, cfg, hours, trial_id, seed=5):
-    """Run one trial, watched; returns its result as a dict, its stretches
-    and the desired speed of every vehicle step."""
+    """Run one trial, watched; returns its result as a dict, its stretches,
+    the desired speed of every vehicle step and its sleeps."""
     with monkeypatch.context() as m:
-        asks, speeds = watch_asks(m)
+        asks, speeds, sleeps = watch_asks(m)
         result = dataclasses.asdict(run_trial(cfg, hours, trial_id, seed))
-    return result, stretches(asks, cfg, hours), speeds
+    return result, stretches(asks, cfg, hours), speeds, sleeps
+
+
+def animal_bits(animal):
+    """Every field of the animal; repr tells apart every two floats."""
+    return repr(dataclasses.astuple(animal))
+
+
+def check_sleeps(cfg, jumped, sleeps):
+    """Each sleep of a trial, replayed one ``step_animal`` call at a time,
+    takes quiet steps only: each starts with the animal detected or outside
+    ``_radar_band``, starts and ends off the carriageway, draws nothing,
+    reads no vehicle and leaves the animal in the corridor; the replay ends
+    on the bits the sleep applied. Every animal present at a stretch sleeps
+    through it. Returns the number of sleeps."""
+    dt, rw = cfg.time_step, cfg.geometry.road_width
+    lo, hi = wvcsim.engine._radar_band(build_corridor(cfg).radars, cfg.radar_range)
+    asleep = {}
+    for now, before, walk, left, after in sleeps:
+        a = copy.deepcopy(before)
+        for _ in range(walk[0]):
+            assert a.detected or not lo <= a.y <= hi
+            assert not 0.0 < a.y <= rw
+            step_animal(a, NoVehicles(), dt, cfg.behaviour, cfg.geometry,
+                        cfg.road_length, NoDraws())
+            assert a.state is not Activity.MOVED_AWAY
+            assert not 0.0 < a.y <= rw
+        assert animal_bits(a) == animal_bits(after)
+        assert left is (a.state is not before.state)
+        first = round(now / dt) + 1
+        asleep.setdefault(before.aid, []).append((first, first + walk[0]))
+    for k, m, animals, *_ in jumped:
+        for a in animals:
+            assert any(s <= k and k + m <= e for s, e in asleep[a.aid])
+    return len(sleeps)
 
 
 def no_stretch(schedule, next_arrival, k, dt, n_steps):
     """A stand-in for ``_stretch_end`` that holds the next-event gate shut."""
     return k
+
+
+def no_sleep(animal, limit, *args):
+    """A stand-in for ``quiet_steps`` that keeps every animal awake."""
+    return 0, animal.state, animal.dwell_remaining, animal.y
 
 
 CROWDED = dict(arrival_rate=300.0, radar_spacing=5.0, kappa=0.3)
@@ -273,21 +323,26 @@ IDLE_OVERRIDES = pytest.mark.parametrize("overrides", [
 
 
 class TestIdleStretch:
-    """Jumping stretches changes no output: each trial run with the
-    next-event gate, and again with the gate held shut (every step through
-    the per-step loop), gives the same result."""
+    """Jumping stretches and sleeping through quiet runs change no output:
+    each trial run as is, and again with the next-event gate held shut and
+    every animal kept awake (every step of every animal through the per-step
+    loop), gives the same result."""
 
     def same_result(self, monkeypatch, cfg, hours, trial_ids):
-        with_animals = 0
+        with_animals = slept = 0
         for trial_id in trial_ids:
-            fast, jumped, _ = run_watched(monkeypatch, cfg, hours, trial_id)
+            fast, jumped, _, sleeps = run_watched(monkeypatch, cfg, hours, trial_id)
             with monkeypatch.context() as m:
                 m.setattr(wvcsim.engine, "_stretch_end", no_stretch)
-                stepped, shut, _ = run_watched(m, cfg, hours, trial_id)
+                m.setattr(wvcsim.engine, "quiet_steps", no_sleep)
+                stepped, shut, _, shut_sleeps = run_watched(m, cfg, hours, trial_id)
             assert fast == stepped
             assert jumped and not shut
+            assert not shut_sleeps
             with_animals += sum(1 for _, _, animals, *_ in jumped if animals)
+            slept += len(sleeps)
         assert with_animals  # some stretch opened with animals present
+        assert slept  # and some animal slept
 
     @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
     @IDLE_OVERRIDES
@@ -298,10 +353,27 @@ class TestIdleStretch:
     def test_same_result_on_a_paper_length_trial(self, monkeypatch, mode):
         self.same_result(monkeypatch, fast_config(mode), 4.0, [0])
 
+    @pytest.mark.parametrize("mode", [Mode.DETECTION, Mode.AWARE])
+    def test_same_result_where_an_approach_step_passes_the_band_margin(
+            self, monkeypatch, mode):
+        # At 0.8 s steps an animal approaching from the spawn offset walks
+        # 1.2 m a step, from outside ``_radar_band`` to inside a radar's
+        # reach, past the band's 1 m margin: an undetected sleeper wakes
+        # where phase 2 would try it, so phase 2 must skip it while it
+        # sleeps.
+        cfg = fast_config(mode, time_step=0.8, arrival_rate=60.0)
+        lo, _ = wvcsim.engine._radar_band(build_corridor(cfg).radars,
+                                          cfg.radar_range)
+        y = cfg.geometry.spawn_offset
+        while y < lo:
+            y += cfg.behaviour.v_approach * cfg.time_step
+        assert y > lo + 1.0
+        self.same_result(monkeypatch, cfg, 1.0, range(2))
+
     def test_stretch_ends_where_the_arrival_spawns(self, monkeypatch):
         cfg = fast_config(Mode.CONTROL)
         schedule = make_arrival_schedule(cfg, 0.25, 0, 5)
-        _, jumped, _ = run_watched(monkeypatch, cfg, 0.25, 0)
+        _, jumped, *_ = run_watched(monkeypatch, cfg, 0.25, 0)
         first_due = next(k for k in range(9000) if schedule[0].time <= k * cfg.time_step)
         assert jumped[0][:3] == (0, first_due, [])
 
@@ -319,7 +391,7 @@ class TestIdleStretch:
         monkeypatch.setattr(wvcsim.engine, "build_corridor", crash_world)
         cfg = fast_config(Mode.CONTROL, arrival_rate=0.0)
         with monkeypatch.context() as m:
-            asks, _ = watch_asks(m)
+            asks, *_ = watch_asks(m)
             with pytest.raises(EngineInvariantError) as fast:
                 run_trial(cfg, 0.01, 0, 0)
         assert stretches(asks, cfg, 0.01)
@@ -362,6 +434,10 @@ def record_desired_speeds(monkeypatch):
 def require_compiled_kernel():
     if not wvcsim.vehicles.load_kernel():
         pytest.skip("no compiled vehicle kernel on this host")
+
+
+# Every activity reads the vehicles: each awake animal's step settles them.
+EAGER = frozenset(Activity)
 
 
 class TestKernelMatchesPython:
@@ -407,9 +483,6 @@ class TestKernelMatchesPython:
         assert dataclasses.asdict(run_trial(cfg, 0.25, 0, 5)) == compiled
 
 
-CROWDED = dict(arrival_rate=300.0, radar_spacing=5.0, kappa=0.3)
-
-
 class ReadLog:
     """The vehicles as ``step_animal`` sees them: each time the animal's step
     reads them, what it read goes on the log."""
@@ -452,8 +525,8 @@ def record_vehicle_reads(monkeypatch):
 
 class TestOwedSteps:
     """Owing the vehicle steps nothing reads changes no output and nothing
-    any reader sees: each trial run as is, and again settling the debt on
-    every stepped step, gives the same result and the same vehicle states
+    any reader sees: each trial run as is, and again settling the debt before
+    every animal's step, gives the same result and the same vehicle states
     at every read."""
 
     def same_as_eager(self, monkeypatch, cfg, hours):
@@ -464,7 +537,7 @@ class TestOwedSteps:
                 lazy = dataclasses.asdict(run_trial(cfg, hours, trial_id, 5))
             with monkeypatch.context() as m:
                 eager_reads = record_vehicle_reads(m)
-                m.setattr(wvcsim.engine, "_reads_vehicles", lambda active: True)
+                m.setattr(wvcsim.engine, "DANGEROUS_STATES", EAGER)
                 eager = dataclasses.asdict(run_trial(cfg, hours, trial_id, 5))
             assert lazy == eager
             assert lazy_reads == eager_reads
@@ -685,8 +758,8 @@ class TestContactBand:
         detect_collisions = wvcsim.engine.detect_collisions
         for trial_id in range(2):
             gated = outcome(cfg, hours, trial_id)
-            # The scanning run settles the vehicles before every phase 5, as
-            # the eager run of ``TestOwedSteps`` does, and scans every
+            # The scanning run settles the vehicles before every animal's
+            # step, as the eager run of ``TestOwedSteps`` does, and scans every
             # stepped step's animals itself when the step ends: at the next
             # ``dms_active`` call or the trial's end, before anything moves an
             # animal or a vehicle. One entry per step or stretch: [the
@@ -716,7 +789,7 @@ class TestContactBand:
                 return steps[-1][2]
 
             with monkeypatch.context() as m:
-                m.setattr(wvcsim.engine, "_reads_vehicles", lambda active: True)
+                m.setattr(wvcsim.engine, "DANGEROUS_STATES", EAGER)
                 m.setattr(AwarenessState, "dms_active", sign)
                 m.setattr(wvcsim.engine, "step_animal", stepped)
                 m.setattr(wvcsim.engine, "detect_collisions", scanned)
@@ -799,7 +872,7 @@ class TestIdleGate:
         dt, v_cruise = cfg.time_step, cfg.idm.v_cruise
         seen = []
         for trial_id in range(2):
-            _, jumped, speeds = run_watched(monkeypatch, cfg, hours, trial_id)
+            _, jumped, speeds, _ = run_watched(monkeypatch, cfg, hours, trial_id)
             for k, m, _, window_end, lit, alert in jumped:
                 if not lit:
                     seen.append(window_end)
@@ -824,25 +897,22 @@ class TestIdleGate:
 class TestNextEventGate:
     """The sign, the drivers' alert and their desired speed hold across every
     stretch the gate jumps: ``dms_active`` and ``DriverAlert.update`` give at
-    its last step what they gave at its first, every vehicle step of it is
-    owed at that speed, and its animals' steps, taken one ``step_animal`` call
-    at a time, draw nothing and read no vehicle."""
+    its last step what they gave at its first, and every vehicle step of it
+    is owed at that speed. Its animals sleep through it, and each sleep's
+    steps, taken one ``step_animal`` call at a time, are quiet
+    (``check_sleeps``)."""
 
     def check(self, monkeypatch, cfg, hours):
         dt, idm = cfg.time_step, cfg.idm
         sign = AwarenessState(cfg, 0)
-        lit_seen = animals_seen = 0
+        lit_seen = animals_seen = sleeps_seen = 0
         for trial_id in range(2):
-            _, jumped, speeds = run_watched(monkeypatch, cfg, hours, trial_id)
+            _, jumped, speeds, sleeps = run_watched(monkeypatch, cfg, hours, trial_id)
             assert len(speeds) == _step_count(cfg, hours)
+            sleeps_seen += check_sleeps(cfg, jumped, sleeps)
             for k, m, animals, window_end, lit, alert in jumped:
                 sign.dms_active_until = window_end
                 assert sign.dms_active(animals, k * dt) is lit
-                for a in animals:
-                    for _ in range(m - 1):
-                        step_animal(a, NoVehicles(), dt, cfg.behaviour, cfg.geometry,
-                                    cfg.road_length, NoDraws())
-                    assert a.state is not Activity.MOVED_AWAY
                 last = (k + m - 1) * dt
                 assert sign.dms_active(animals, last) is lit
                 held = dataclasses.replace(alert)
@@ -852,6 +922,7 @@ class TestNextEventGate:
                 lit_seen += lit
                 animals_seen += bool(animals)
         assert animals_seen  # some stretch opened with animals present
+        assert sleeps_seen
         if cfg.mode is not Mode.CONTROL:
             assert lit_seen  # and some with the sign lit
 
@@ -866,20 +937,20 @@ class TestNextEventGate:
     def test_nothing_to_spawn_try_or_brake_for_in_a_stretch(self, monkeypatch, mode,
                                                            overrides):
         # What lets a stretch skip phases 1-3 and the brake tests at its first
-        # step: no arrival spawns in it, and each of its animals is detected
-        # or outside every radar's band, and off the carriageway.
+        # step: no arrival spawns in it, and each of its animals sleeps
+        # through it off the carriageway; each step of a sleep starts with
+        # the animal detected or outside every radar's band
+        # (``check_sleeps``).
         cfg = fast_config(mode, **overrides)
         dt, road_width = cfg.time_step, cfg.geometry.road_width
-        lo, hi = wvcsim.engine._radar_band(build_corridor(cfg).radars,
-                                           cfg.radar_range)
         animals_seen = 0
         for trial_id in range(2):
             spawns = spawn_steps(make_arrival_schedule(cfg, 0.25, trial_id, 5), dt)
-            _, jumped, _ = run_watched(monkeypatch, cfg, 0.25, trial_id)
+            _, jumped, _, sleeps = run_watched(monkeypatch, cfg, 0.25, trial_id)
+            check_sleeps(cfg, jumped, sleeps)
             for k, m, animals, *_ in jumped:
                 assert not any(k <= j < k + m for j in spawns)
                 for a in animals:
-                    assert a.detected or not lo <= a.y <= hi
                     assert not 0.0 < a.y <= road_width
                 animals_seen += bool(animals)
         assert animals_seen  # some stretch opened with animals present

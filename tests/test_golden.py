@@ -1,11 +1,13 @@
 """Golden bytes: the trials CSV, the summary CSV and the plot JSON of two small
-plans, and the trials CSV of a crowded one, pinned by SHA-256. The trials CSVs
+plans, and the trials CSVs of a crowded, a wide-radar and a wide-animal one,
+pinned by SHA-256. The trials CSVs
 are pinned for both vehicle kernels, the compiled one and the Python one.
 
 A change that moves any output byte fails here. Re-baselining is an explicit
 edit of these digests, to be recorded with its reason in CHANGES.md.
 """
 
+import dataclasses
 import functools
 import hashlib
 import warnings
@@ -45,6 +47,27 @@ def crowded_records(kernel):
         master_seed=42, trials_per_point=2, hours_per_trial=0.05), config)
 
 
+def edge_records(**overrides):
+    # The shapes where whether an animal's step is quiet turns on the radar
+    # band and the road edge, at 60 arrivals/h.
+    config = replace_config(CorridorConfig(), arrival_rate=60.0, **overrides)
+    return run_sweep(ExperimentPlan.headline(
+        master_seed=42, trials_per_point=3, hours_per_trial=0.25), config)
+
+
+@functools.cache
+def wide_radar_records(kernel):
+    # Every radar's band reaches past the spawn offset.
+    return edge_records(radar_range=30.0)
+
+
+@functools.cache
+def wide_animal_records(kernel):
+    # A vehicle's reach plus the animal's radius passes the road edge.
+    return edge_records(geometry=dataclasses.replace(CorridorConfig().geometry,
+                                                     animal_radius=1.5))
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -57,6 +80,10 @@ TRIALS_DIGESTS = {
                       "042a0ab0680f2ab1bb99162686ee74e275bfd7b43517b339dd1a02f3cdf26e31"),
     "crowded": (crowded_records,
                 "94cdcef71901cfab8a6fa49e9455bae1ca896faf69dbc852adf2908ac8a86ef4"),
+    "wide_radar": (wide_radar_records,
+                   "2ed944c2ba8f629c4d1a00f6794fefbc291a94dfa9dadb444ecf1c18e361b133"),
+    "wide_animal": (wide_animal_records,
+                    "3c8269a0e793773e26f8e8addedd187c16a3a53159a72443b60485d12ddef3d1"),
 }
 
 
