@@ -5,8 +5,10 @@
 
    Every float operation is the reference's, in CPython's semantics and in
    the same order, so both give the same bits: % is CPython's float_rem
-   (fmod plus its sign fix), ** is libm pow. Build with -ffp-contract=off (no
-   fused multiply-add) and -fno-builtin (no pow folded into a multiply).
+   (fmod plus its sign fix); the IDM powers are the reference's products, a
+   square b * b and, for delta == 4, the fourth power (b * b) * (b * b); for
+   any other delta, ** is libm pow. Build with -ffp-contract=off (no fused
+   multiply-add) and -fno-builtin (no pow folded into a multiply).
 
    py_mod answers almost every % without fmod, on paths where float_rem's
    result is exact and takes one subtraction or addition at most: a gap's
@@ -14,16 +16,16 @@
    xi + nv * dt * dir[i] from xi in [0, L) lies in (-L, 2L), up to rounding,
    whenever nv * dt < L.
 
-   Where the Python body would raise (a gap <= 0, a ** that overflows, a
-   division by zero, a leader out of range) or treats a case apart (a **
-   with a negative or NaN base), the kernel stops before that step and
-   returns its index, with x and v holding the state before it: the Python
-   body takes over from there and raises, or goes on, as it would have. A
-   braking vehicle makes the same checks, so it stops where the Python body
-   raises too, and then takes -a_em in place of its IDM acceleration. */
+   Where the Python body would raise (a gap <= 0, a power that overflows, a
+   division by zero, a leader out of range) or treats a case apart (an
+   infinite or NaN power, a ** with a negative or NaN base), the kernel
+   stops before that step and returns its index, with x and v holding the
+   state before it: the Python body takes over from there and raises, or
+   goes on, as it would have. A braking vehicle makes the same checks, so it
+   stops where the Python body raises too, and then takes -a_em in place of
+   its IDM acceleration. */
 
 #include <math.h>
-#include <stdint.h>
 #include <string.h>
 
 /* CPython's float_rem: fmod, then the remainder takes the sign of the
@@ -61,49 +63,13 @@ static double py_mod(double a, double w)
     return m;
 }
 
-/* Whether a and b have the same bits: unlike ==, this tells -0.0 from 0.0.
-   A union rather than memcmp, which -fno-builtin leaves a library call. */
-static int same_bits(double a, double b)
-{
-    union { double d; uint64_t u; } x = {a}, y = {b};
-    return x.u == y.u;
-}
-
-/* CPython's float ** where the kernel may take it: a base >= 0 and a finite
-   result, read from or written to a one-entry memo of this exponent's pow,
-   whose key holds the last base's bits and val its result. Returns 0 where
-   the Python body must take the step. */
-static int py_pow(double b, double e, double *key, double *val, double *r)
-{
-    if (!(b >= 0.0))
-        return 0;
-    if (!same_bits(b, *key)) {
-        double p = pow(b, e);
-        if (!isfinite(p))
-            return 0;
-        *key = b;
-        *val = p;
-    }
-    *r = *val;
-    return 1;
-}
-
 /* One trial's buffer, written once per trial (x and v again only after the
    Python body has stepped): the 10 parameters (s0, T, a_max, delta, a_floor,
    closing, dt, road_length, vehicle_length, free_road_gap), then n each of
-   directions, positions and speeds, which the call updates, 2n of scratch,
-   and the memos of each vehicle's two pow terms: n keys and n values for
-   (v/v0)^delta, then n keys and n values for (s_star/s)^2, the keys NaN until
-   their first use. v0 is the desired speed of these steps; brake is NULL,
-   or n flags of the vehicles that brake at -a_em (a_floor) on every step.
-   Returns the steps taken.
-
-   The memos are exact: pow is a pure function, its exponent is fixed for
-   the buffer (delta, or 2), the key is the base's bits (so -0.0 and 0.0
-   differ), and an entry is written only for a base >= 0 whose pow is
-   finite, the cases the kernel takes. So a hit returns what pow would. For
-   the same reason they never need a reset: not when v0 changes (the key is
-   vi / v0), not after the Python body has stepped, not on braking steps. */
+   directions, positions and speeds, which the call updates, and 2n of
+   scratch. v0 is the desired speed of these steps; brake is NULL, or n
+   flags of the vehicles that brake at -a_em (a_floor) on every step.
+   Returns the steps taken. */
 long advance_idm(long n, long n_steps, double v0, const long *lead,
                  const unsigned char *brake, double *buf)
 {
@@ -113,8 +79,7 @@ long advance_idm(long n, long n_steps, double v0, const long *lead,
     const double *dir = buf + 10;
     double *x = buf + 10 + n, *v = x + n;
     double *xs = x, *vs = v, *nxs = v + n, *nvs = v + 2 * n, *t;
-    double *f_key = v + 3 * n, *f_val = v + 4 * n;
-    double *q_key = v + 5 * n, *q_val = v + 6 * n;
+    const int quartic = delta == 4.0;
     long step = 0, i;
 
     for (i = 0; i < n; i++)
@@ -138,8 +103,18 @@ long advance_idm(long n, long n_steps, double v0, const long *lead,
             s_star = s0 + vi * T + vi * dv / closing;
             if (!(s_star > 0.0))    /* desired_gap's clamp, NaN included */
                 s_star = 0.0;
-            if (!py_pow(vi / v0, delta, f_key + i, f_val + i, &f)
-                || !py_pow(s_star / gap, 2.0, q_key + i, q_val + i, &q))
+            f = vi / v0;
+            if (quartic) {
+                f *= f;
+                f *= f;
+            } else if (f >= 0.0) {
+                f = pow(f, delta);
+            } else {
+                goto stop;    /* ** of a negative or NaN base */
+            }
+            q = s_star / gap;
+            q *= q;
+            if (!isfinite(f) || !isfinite(q))
                 goto stop;
             a = a_max * (1.0 - f - q);
             if (brake && brake[i])

@@ -75,12 +75,29 @@ def desired_gap(v: float, dv: float, p: IdmParams) -> float:
 
 
 def idm_acceleration(v: float, v0: float, dv: float, s: float, p: IdmParams) -> float:
-    """IDM acceleration; ``s`` must be positive (use FREE_ROAD_GAP when no leader)."""
+    """IDM acceleration; ``s`` must be positive (use FREE_ROAD_GAP when no leader).
+
+    The powers are products, as in the compiled kernel: ``(s*/s) ** 2`` is
+    ``r * r`` and, for delta 4, ``(v/v0) ** 4`` is ``(b * b) * (b * b)``; any
+    other delta takes ``**``. Each raises OverflowError where ``**`` does:
+    where a finite base's power is infinite.
+    """
     if s <= 0.0:
         raise ValueError(f"non-positive gap {s}: vehicles may not interpenetrate")
     s_star = desired_gap(v, dv, p)
-    a = p.a_max * (1.0 - (v / v0) ** p.delta - (s_star / s) ** 2)
+    b = v / v0
+    f = _square(_square(b)) if p.delta == 4.0 else b ** p.delta
+    a = p.a_max * (1.0 - f - _square(s_star / s))
     return a if a > -p.a_em else -p.a_em
+
+
+def _square(x: float) -> float:
+    """``x * x``, raising OverflowError where ``x ** 2`` does: where ``x`` is
+    finite and its square is not. An infinite or NaN ``x`` passes through."""
+    y = x * x
+    if y == math.inf and math.isfinite(x):
+        raise OverflowError(f"{x!r} squared overflows")
+    return y
 
 
 def step_vehicles(vehicles: list[VehicleState], accels: list[float], dt: float,
@@ -131,13 +148,10 @@ class Fleet:
             n = len(vehicles)
             self.lead = (ctypes.c_long * n)(*(v.leader for v in vehicles))
             self.brake = (ctypes.c_ubyte * n)()
-            self.buf = (ctypes.c_double * (_STATE + 9 * n))(
+            self.buf = (ctypes.c_double * (_STATE + 5 * n))(
                 p.s0, p.T, p.a_max, p.delta, -p.a_em,
                 2.0 * math.sqrt(p.a_max * p.b_conf), dt, road_length,
                 vehicle_length, FREE_ROAD_GAP, *(v.direction for v in vehicles))
-            # The pow memos' keys, which match no base until first written.
-            for keys in (_STATE + 5 * n, _STATE + 7 * n):
-                self.buf[keys:keys + n] = [math.nan] * n
             # The kernel's constant arguments, built once: the kernel has no
             # argtypes, so each call converts only its step count and v0.
             self.n_arg = ctypes.c_long(n)
@@ -212,8 +226,9 @@ class Fleet:
             step_vehicles(vehicles, accels, self.dt, road_length)
 
 
-# The command that builds the compiled kernel: no fused multiply-add and no
-# builtin pow, so that each float operation is the reference functions'.
+# The command that builds the compiled kernel: no fused multiply-add, and no
+# builtin pow or fmod (the pow of a delta other than 4, and the remainder's
+# slow path), so that each float operation is the reference functions'.
 CC = ("cc", "-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
 
 # The kernel buffer's parameter count: x and v start at ``_STATE + n``.

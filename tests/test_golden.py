@@ -2,6 +2,8 @@
 plans, and the trials CSVs of a crowded, a wide-radar and a wide-animal one,
 pinned by SHA-256. The trials CSVs
 are pinned for both vehicle kernels, the compiled one and the Python one.
+The trials CSVs of two paper-length trials, one 4 h Detection and one 4 h
+Aware, are pinned for the compiled kernel.
 
 A change that moves any output byte fails here. Re-baselining is an explicit
 edit of these digests, to be recorded with its reason in CHANGES.md.
@@ -17,7 +19,7 @@ import pytest
 import wvcsim.vehicles
 from wvcsim import emit_plot_data
 from wvcsim.cli import _write_summary_csv
-from wvcsim.config import CorridorConfig, replace_config
+from wvcsim.config import CorridorConfig, Mode, replace_config
 from wvcsim.experiments import ExperimentPlan, run_headline, run_sweep, summarize
 from wvcsim.records import write_trials_csv
 
@@ -96,6 +98,22 @@ TRIALS_DIGESTS = {
 def test_trials_csv_bytes(records, digest, kernel, tmp_path):
     path = tmp_path / "trials.csv"
     write_trials_csv(str(path), records(kernel))
+    assert sha256(path) == digest
+
+
+@pytest.mark.parametrize("mode, digest", [
+    (Mode.DETECTION, "4284e75039cfacaf01c65de237d61eab9cc9f7b439ca222c2f62c7f8acf8018f"),
+    (Mode.AWARE, "0292deb057b87578fce62de1840588e6d286b2c1e1ed10bc18cda8c8f90d3ae4"),
+], ids=["Detection", "Aware"])
+@pytest.mark.parametrize("kernel", ["compiled"], indirect=True)
+def test_paper_length_trials_csv_bytes(mode, digest, kernel, tmp_path):
+    # Trial 0 of the default corridor at seed 42, 4 h long: the sign keeps
+    # switching the desired speed, so both IDM powers take new bases on
+    # almost every vehicle-step.
+    records = run_headline(ExperimentPlan.headline(
+        master_seed=42, trials_per_point=1, hours_per_trial=4.0, modes=(mode,)))
+    path = tmp_path / "trials.csv"
+    write_trials_csv(str(path), records)
     assert sha256(path) == digest
 
 

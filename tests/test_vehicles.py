@@ -81,6 +81,22 @@ class TestIdmAcceleration:
         with pytest.raises(ValueError):
             idm_acceleration(10.0, 27.78, 0.0, 0.0, P)
 
+    @pytest.mark.parametrize("v, s", [(1e100, FREE_ROAD_GAP), (1e160, FREE_ROAD_GAP),
+                                      (0.0, 1e-160)],
+                             ids=["fourth-power", "speed-square", "gap-square"])
+    def test_finite_base_whose_power_overflows_raises(self, v, s):
+        # Where ** raised: (v/v0) ** 4 overflows in its last product at
+        # 1e100 m/s and in its first at 1e160 m/s; (s*/s) ** 2 overflows at
+        # s* = s0 and s = 1e-160 m.
+        with pytest.raises(OverflowError):
+            idm_acceleration(v, P.v_cruise, 0.0, s, P)
+
+    @pytest.mark.parametrize("v", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_infinite_or_nan_speed_passes_through(self, v):
+        # inf ** 4 and nan ** 4 raise nothing, and neither do their products:
+        # the acceleration takes the emergency floor.
+        assert idm_acceleration(v, P.v_cruise, 0.0, FREE_ROAD_GAP, P) == -P.a_em
+
     def test_monotone_decreasing_in_speed(self):
         accs = [idm_acceleration(v, 27.78, 0.0, 60.0, P)
                 for v in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)]
@@ -525,8 +541,9 @@ def kernel_sequences(draw):
 
 
 # The default corridor cruising long enough for speeds and gaps to repeat
-# their bits from step to step, then the caution speed: a memo keyed on the
-# speed alone, not on v / v0, would reuse the cruise term.
+# their bits from step to step, then the caution speed, steps left to the
+# Python body and the cruise speed again: any state the kernel kept from one
+# call to the next, beyond x and v, would show as a wrong term after a switch.
 SETTLED_CASE = (build_corridor(CorridorConfig()).vehicles, P, 0.1,
                 CorridorConfig().road_length, GEO.vehicle_length,
                 [(3000, P.v_cruise, None, False), (5, P.v_caution, None, False),
@@ -538,6 +555,24 @@ SETTLED_CASE = (build_corridor(CorridorConfig()).vehicles, P, 0.1,
 OVERFLOW_CASE = ([VehicleState(vid=0, x=0.0, v=0.0, direction=1, lane=0, leader=1),
                   VehicleState(vid=1, x=2e-160, v=0.0, direction=1, lane=0, leader=0)],
                  10, P.v_cruise, P, 0.1, 1000.0, 1e-160)
+
+
+def free_case(v):
+    """One free vehicle at speed ``v``, ten steps at the cruise speed."""
+    return ([VehicleState(vid=0, x=0.0, v=v, direction=1, lane=0)], 10, P.v_cruise,
+            P, 0.1, 1000.0, GEO.vehicle_length, None)
+
+
+# The IDM powers' edges: a finite speed whose (v/v0) ** 4 overflows, in its
+# last product (1e100 m/s) or its first (1e200 m/s), so the Python body
+# raises OverflowError as for OVERFLOW_CASE's (s*/gap) ** 2; an infinite and
+# a NaN speed, which ** and the products pass through without raising; and
+# the default corridor slowing to the caution speed at a delta of 3.5, which
+# takes libm pow.
+POWER_EDGES = ([free_case(v) for v in (1e100, 1e200, math.inf, math.nan)]
+               + [(build_corridor(CorridorConfig()).vehicles, 300, P.v_caution,
+                   dataclasses.replace(P, delta=3.5), 0.1,
+                   CorridorConfig().road_length, GEO.vehicle_length, None)])
 
 
 # The ring length of the remainder edge cases.
@@ -600,9 +635,10 @@ REMAINDER_EDGES = (
         P, 1.0, 10.0, GEO.vehicle_length, None) for d in (1, -1)])
 
 
-def remainder_edges(test):
-    """``test`` with an ``@example`` for each case in ``REMAINDER_EDGES``."""
-    for case in REMAINDER_EDGES:
+def edge_examples(test):
+    """``test`` with an ``@example`` for each case in ``REMAINDER_EDGES`` and
+    ``POWER_EDGES``."""
+    for case in REMAINDER_EDGES + POWER_EDGES:
         test = example(case=case)(test)
     return test
 
@@ -621,7 +657,7 @@ class TestCompiledKernel:
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(case=kernel_cases())
     @example(case=OVERFLOW_CASE)
-    @remainder_edges
+    @edge_examples
     def test_same_bits_and_errors_as_python(self, case):
         kernel = compiled_kernel()
         compiled = kernel_outcome(kernel, *case)
@@ -631,10 +667,11 @@ class TestCompiledKernel:
     @given(case=kernel_sequences())
     @example(case=SETTLED_CASE)
     def test_one_fleet_through_a_sequence_of_calls(self, case):
-        # The kernel keeps state of its own in a fleet's buffer between calls
-        # (the pow memos): one fleet stepped call after call, sometimes by
-        # the Python body after a kernel that stops after one step, gives the
-        # Python body's bits and errors after every call.
+        # Between calls the kernel keeps only x and v in a fleet's buffer,
+        # reloaded after the Python body has stepped: one fleet stepped call
+        # after call, sometimes by the Python body after a kernel that stops
+        # after one step, gives the Python body's bits and errors after
+        # every call.
         kernel = compiled_kernel()
 
         def one_step(n, n_steps, *args):
