@@ -79,25 +79,25 @@ def idm_acceleration(v: float, v0: float, dv: float, s: float, p: IdmParams) -> 
 
     The powers are products, as in the compiled kernel: ``(s*/s) ** 2`` is
     ``r * r`` and, for delta 4, ``(v/v0) ** 4`` is ``(b * b) * (b * b)``; any
-    other delta takes ``**``. Each raises OverflowError where ``**`` does:
-    where a finite base's power is infinite.
+    other delta takes ``**``. OverflowError is raised where ``**`` raises
+    it: where a finite base's power is infinite. An infinite or NaN base
+    passes through.
     """
     if s <= 0.0:
         raise ValueError(f"non-positive gap {s}: vehicles may not interpenetrate")
     s_star = desired_gap(v, dv, p)
     b = v / v0
-    f = _square(_square(b)) if p.delta == 4.0 else b ** p.delta
-    a = p.a_max * (1.0 - f - _square(s_star / s))
+    if p.delta == 4.0:
+        f = b * b
+        f *= f
+    else:
+        f = b ** p.delta
+    r = s_star / s
+    q = r * r
+    if f == math.inf and math.isfinite(b) or q == math.inf and math.isfinite(r):
+        raise OverflowError(f"an IDM power overflows: v/v0 = {b!r}, s*/s = {r!r}")
+    a = p.a_max * (1.0 - f - q)
     return a if a > -p.a_em else -p.a_em
-
-
-def _square(x: float) -> float:
-    """``x * x``, raising OverflowError where ``x ** 2`` does: where ``x`` is
-    finite and its square is not. An infinite or NaN ``x`` passes through."""
-    y = x * x
-    if y == math.inf and math.isfinite(x):
-        raise OverflowError(f"{x!r} squared overflows")
-    return y
 
 
 def step_vehicles(vehicles: list[VehicleState], accels: list[float], dt: float,
