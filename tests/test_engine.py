@@ -1,7 +1,10 @@
+import collections
 import copy
 import dataclasses
+import functools
 import math
 import struct
+from types import SimpleNamespace
 
 import pytest
 
@@ -157,9 +160,10 @@ class TestRunTrial:
             run_trial(fast_config(Mode.CONTROL), hours, 0, 0)
 
     def test_step_count_rounding(self):
-        # 0.25 h = 9000 steps; the trial must complete without drift issues.
-        r = run_trial(fast_config(Mode.CONTROL, arrival_rate=0.0), 0.25, 0, 0)
-        assert r.sim_hours == 0.25
+        # A ceiling: a step that does not divide the duration still covers it.
+        assert _step_count(fast_config(), 0.25) == 9000
+        assert _step_count(fast_config(), 4.0) == 144000
+        assert _step_count(fast_config(time_step=0.7), 0.25) == 1286
 
     def test_results_are_seed_sensitive(self):
         a = run_trial(fast_config(Mode.CONTROL), 0.5, 0, 1)
@@ -181,16 +185,47 @@ class TestArrivalsAfterLastStep:
         assert r.exits_clean + r.collisions + r.active_at_end == r.arrivals
         schedule = make_arrival_schedule(config, hours, trial_id, seed)
         assert len(schedule) == r.arrivals
-        last_now = (round(hours * 3600.0 / config.time_step) - 1) * config.time_step
+        last_now = (_step_count(config, hours) - 1) * config.time_step
         assert schedule[-1].time <= last_now
 
 
 class TestTrialResultInvariantCheck:
-    def test_breach_raises(self):
-        r = TrialResult(trial_id=0, mode=Mode.CONTROL, seed=0, sim_hours=1.0,
-                        arrivals=1, road_entries=0, collisions=1)
-        with pytest.raises(Exception):
+    @pytest.mark.parametrize("fields, problem", [
+        (dict(road_entries=0, collisions=1, active_at_end=0),
+         "collisions exceed road entries"),
+        (dict(road_entries=0, crossing_successes=1),
+         "crossing successes exceed road entries"),
+        (dict(detected=2, detectable=1), "detected/detectable/arrivals ordering"),
+        (dict(detectable=2), "detected/detectable/arrivals ordering"),
+        (dict(active_at_end=0), "animal conservation broken"),
+        (dict(mode=Mode.CONTROL, detected=1, detectable=1),
+         "detections in Control mode"),
+    ], ids=["collisions", "crossings", "detected", "detectable", "conservation",
+            "control-detections"])
+    def test_breach_raises(self, fields, problem):
+        # One arrival, on the road and still active: every check holds ...
+        r = TrialResult(trial_id=0, mode=Mode.DETECTION, seed=0, sim_hours=1.0,
+                        arrivals=1, road_entries=1, active_at_end=1)
+        r.check_invariants()
+        # ... until one field breaks exactly one of them.
+        r = dataclasses.replace(r, **fields)
+        with pytest.raises(EngineInvariantError, match=problem) as exc:
             r.check_invariants()
+        assert ";" not in str(exc.value)
+
+
+class TestRadarBand:
+    @pytest.mark.parametrize("r_det", [15.0, 1e6])
+    def test_no_radar_covers_an_animal_outside_the_band(self, r_det):
+        cfg = fast_config(Mode.DETECTION, radar_range=r_det)
+        radars = build_corridor(cfg).radars
+        lo, hi = wvcsim.engine._radar_band(radars, r_det)
+        assert lo < min(node.y for node in radars) - r_det
+        assert hi > max(node.y for node in radars) + r_det
+        xs = [node.x for node in radars] + [0.5 * cfg.radar_spacing, cfg.road_length]
+        for y in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+            for x in xs:
+                assert radars_in_range(x, y, radars, cfg.radar_spacing, r_det) == []
 
 
 class NoVehicles:
@@ -205,84 +240,18 @@ class NoDraws:
     uniform = random
 
 
-def watch_asks(monkeypatch):
-    """Record each ask of the engine for the sign and the drivers' alert, the
-    desired speed of every vehicle step and each animal's sleep. Each stepped
-    step, and each stretch the next-event gate jumps, asks ``dms_active`` for
-    the sign, then ``DriverAlert.update``, once. Returns the list of asks,
-    each [time, copies of the animals, the window's end, the sign, the alert
-    after the update], the list of speeds and the list of sleeps, each (the
-    time of the step whose phase 5 put the animal to sleep, a copy of it
-    before ``take_quiet_steps``, the walk, what that returned, a copy after
-    it)."""
-    asks, speeds, sleeps = [], [], []
-    dms_active = AwarenessState.dms_active
-    update = DriverAlert.update
-    advance = Fleet.advance
-    take_quiet_steps = wvcsim.engine.take_quiet_steps
-
-    def sign(self, animals, now):
-        lit = dms_active(self, animals, now)
-        asks.append([now, copies(animals), self.dms_active_until, lit])
-        return lit
-
-    def alert(self, dms, now, p):
-        update(self, dms, now, p)
-        asks[-1].append(dataclasses.replace(self))
-
-    def owed(fleet, n_steps, v0, brake=None):
-        speeds.extend([v0] * n_steps)
-        return advance(fleet, n_steps, v0, brake)
-
-    def slept(animal, walk):
-        before = copy.deepcopy(animal)
-        left = take_quiet_steps(animal, walk)
-        sleeps.append((asks[-1][0], before, walk, left, copy.deepcopy(animal)))
-        return left
-
-    monkeypatch.setattr(AwarenessState, "dms_active", sign)
-    monkeypatch.setattr(DriverAlert, "update", alert)
-    monkeypatch.setattr(Fleet, "advance", owed)
-    monkeypatch.setattr(wvcsim.engine, "take_quiet_steps", slept)
-    return asks, speeds, sleeps
-
-
-def stretches(asks, cfg, hours):
-    """The stretches of more than one step in a trial's asks: a gap of more
-    than one step between two asks, or between the last and the end. Each is
-    (first step, steps, *the ask at its first step but the time)."""
-    dt = cfg.time_step
-    ks = [round(now / dt) for now, *_ in asks] + [_step_count(cfg, hours)]
-    return [(k, k_next - k, *ask[1:])
-            for k, k_next, ask in zip(ks, ks[1:], asks) if k_next - k > 1]
-
-
-def run_watched(monkeypatch, cfg, hours, trial_id, seed=5):
-    """Run one trial, watched; returns its result as a dict, its stretches,
-    the desired speed of every vehicle step and its sleeps."""
-    with monkeypatch.context() as m:
-        asks, speeds, sleeps = watch_asks(m)
-        result = dataclasses.asdict(run_trial(cfg, hours, trial_id, seed))
-    return result, stretches(asks, cfg, hours), speeds, sleeps
-
-
-def animal_bits(animal):
-    """Every field of the animal; repr tells apart every two floats."""
-    return repr(dataclasses.astuple(animal))
-
-
-def check_sleeps(cfg, jumped, sleeps):
+def check_sleeps(cfg, log):
     """Each sleep of a trial, replayed one ``step_animal`` call at a time,
     takes quiet steps only: each starts with the animal detected or outside
     ``_radar_band``, starts and ends off the carriageway, draws nothing,
     reads no vehicle and leaves the animal in the corridor; the replay ends
     on the bits the sleep applied. Every animal present at a stretch sleeps
-    through it. Returns the number of sleeps."""
+    through it."""
     dt, rw = cfg.time_step, cfg.geometry.road_width
     lo, hi = wvcsim.engine._radar_band(build_corridor(cfg).radars, cfg.radar_range)
     asleep = {}
-    for now, before, walk, left, after in sleeps:
-        a = copy.deepcopy(before)
+    for k, before, walk, left, after in log.sleeps:
+        a = copy.copy(before)
         for _ in range(walk[0]):
             assert a.detected or not lo <= a.y <= hi
             assert not 0.0 < a.y <= rw
@@ -290,301 +259,235 @@ def check_sleeps(cfg, jumped, sleeps):
                         cfg.road_length, NoDraws())
             assert a.state is not Activity.MOVED_AWAY
             assert not 0.0 < a.y <= rw
-        assert animal_bits(a) == animal_bits(after)
+        assert repr(a) == repr(after)  # repr tells apart every two floats
         assert left is (a.state is not before.state)
-        first = round(now / dt) + 1
-        asleep.setdefault(before.aid, []).append((first, first + walk[0]))
-    for k, m, animals, *_ in jumped:
-        for a in animals:
-            assert any(s <= k and k + m <= e for s, e in asleep[a.aid])
-    return len(sleeps)
+        asleep.setdefault(before.aid, []).append((k + 1, k + 1 + walk[0]))
+    for k, n, _, _, aids, _, _ in log.steps:
+        for aid in aids if n > 1 else ():
+            assert any(s <= k and k + n <= e for s, e in asleep[aid])
 
 
-def no_stretch(schedule, next_arrival, k, dt, n_steps):
-    """A stand-in for ``_stretch_end`` that holds the next-event gate shut."""
-    return k
+class Reads:
+    """The vehicles as ``step_animal`` sees them: ``read(animal, vehicles)``
+    is called each time the animal's step reads them."""
 
-
-def no_sleep(animal, limit, *args):
-    """A stand-in for ``quiet_steps`` that keeps every animal awake."""
-    return 0, animal.state, animal.dwell_remaining, animal.y
-
-
-CROWDED = dict(arrival_rate=300.0, radar_spacing=5.0, kappa=0.3)
-
-# "wide-radar": every radar's band reaches past the spawn offset, so an
-# animal foraging undetected is never quiet.
-IDLE_OVERRIDES = pytest.mark.parametrize("overrides", [
-    {}, {"time_step": 0.05}, {"time_step": 0.2},
-    {"vehicles_per_direction": 0}, {"vehicles_per_direction": 1},
-    {"arrival_rate": 60.0}, {"radar_range": 30.0}, CROWDED,
-], ids=["default", "dt0.05", "dt0.2", "no-vehicles", "free-vehicles", "rate60",
-        "wide-radar", "crowded"])
-
-
-class TestIdleStretch:
-    """Jumping stretches and sleeping through quiet runs change no output:
-    each trial run as is, and again with the next-event gate held shut and
-    every animal kept awake (every step of every animal through the per-step
-    loop), gives the same result."""
-
-    def same_result(self, monkeypatch, cfg, hours, trial_ids):
-        with_animals = slept = 0
-        for trial_id in trial_ids:
-            fast, jumped, _, sleeps = run_watched(monkeypatch, cfg, hours, trial_id)
-            with monkeypatch.context() as m:
-                m.setattr(wvcsim.engine, "_stretch_end", no_stretch)
-                m.setattr(wvcsim.engine, "quiet_steps", no_sleep)
-                stepped, shut, _, shut_sleeps = run_watched(m, cfg, hours, trial_id)
-            assert fast == stepped
-            assert jumped and not shut
-            assert not shut_sleeps
-            with_animals += sum(1 for _, _, animals, *_ in jumped if animals)
-            slept += len(sleeps)
-        assert with_animals  # some stretch opened with animals present
-        assert slept  # and some animal slept
-
-    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
-    @IDLE_OVERRIDES
-    def test_same_result_as_stepping_every_step(self, monkeypatch, mode, overrides):
-        self.same_result(monkeypatch, fast_config(mode, **overrides), 0.25, range(2))
-
-    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.AWARE])
-    def test_same_result_on_a_paper_length_trial(self, monkeypatch, mode):
-        self.same_result(monkeypatch, fast_config(mode), 4.0, [0])
-
-    @pytest.mark.parametrize("mode", [Mode.DETECTION, Mode.AWARE])
-    def test_same_result_where_an_approach_step_passes_the_band_margin(
-            self, monkeypatch, mode):
-        # At 0.8 s steps an animal approaching from the spawn offset walks
-        # 1.2 m a step, from outside ``_radar_band`` to inside a radar's
-        # reach, past the band's 1 m margin: an undetected sleeper wakes
-        # where phase 2 would try it, so phase 2 must skip it while it
-        # sleeps.
-        cfg = fast_config(mode, time_step=0.8, arrival_rate=60.0)
-        lo, _ = wvcsim.engine._radar_band(build_corridor(cfg).radars,
-                                          cfg.radar_range)
-        y = cfg.geometry.spawn_offset
-        while y < lo:
-            y += cfg.behaviour.v_approach * cfg.time_step
-        assert y > lo + 1.0
-        self.same_result(monkeypatch, cfg, 1.0, range(2))
-
-    def test_stretch_ends_where_the_arrival_spawns(self, monkeypatch):
-        cfg = fast_config(Mode.CONTROL)
-        schedule = make_arrival_schedule(cfg, 0.25, 0, 5)
-        _, jumped, *_ = run_watched(monkeypatch, cfg, 0.25, 0)
-        first_due = next(k for k in range(9000) if schedule[0].time <= k * cfg.time_step)
-        assert jumped[0][:3] == (0, first_due, [])
-
-    def test_overlap_raised_at_the_same_step(self, monkeypatch):
-        # A follower at 30 m/s, 20 m behind a stopped leader, cannot stop in
-        # time: both paths must name the same vehicles at the same time.
-        def crash_world(config):
-            world = build_corridor(config)
-            follower = world.vehicles[0]
-            leader = world.vehicles[follower.leader]
-            follower.x = (leader.x - 25.0 * follower.direction) % config.road_length
-            follower.v, leader.v = 30.0, 0.0
-            return world
-
-        monkeypatch.setattr(wvcsim.engine, "build_corridor", crash_world)
-        cfg = fast_config(Mode.CONTROL, arrival_rate=0.0)
-        with monkeypatch.context() as m:
-            asks, *_ = watch_asks(m)
-            with pytest.raises(EngineInvariantError) as fast:
-                run_trial(cfg, 0.01, 0, 0)
-        assert stretches(asks, cfg, 0.01)
-        monkeypatch.setattr(wvcsim.engine, "_stretch_end", no_stretch)
-        with pytest.raises(EngineInvariantError) as stepped:
-            run_trial(cfg, 0.01, 0, 0)
-        assert str(fast.value) == str(stepped.value)
-        assert "overlap at t=" in str(fast.value)
-
-
-def count_integration(monkeypatch):
-    """Wrap the vehicle kernel, which takes every vehicle step, braking or
-    not; returns a one-item counter of the vehicle-steps it integrates."""
-    count = [0]
-    advance = Fleet.advance
-
-    def counted(fleet, n_steps, *args):
-        count[0] += n_steps * len(fleet.vehicles)
-        return advance(fleet, n_steps, *args)
-
-    monkeypatch.setattr(Fleet, "advance", counted)
-    return count
-
-
-def record_desired_speeds(monkeypatch):
-    """Wrap the vehicle kernel; returns the list of the desired speed of
-    each call that took steps."""
-    speeds = []
-    advance = Fleet.advance
-
-    def recorded(fleet, n_steps, v0, *args):
-        if n_steps:
-            speeds.append(v0)
-        return advance(fleet, n_steps, v0, *args)
-
-    monkeypatch.setattr(Fleet, "advance", recorded)
-    return speeds
-
-
-def require_compiled_kernel():
-    if not wvcsim.vehicles.load_kernel():
-        pytest.skip("no compiled vehicle kernel on this host")
-
-
-# Every activity reads the vehicles: each awake animal's step settles them.
-EAGER = frozenset(Activity)
-
-
-class TestKernelMatchesPython:
-    """The cruising vehicles' trajectory changes no output for the kernel
-    that integrates it: each trial run on the compiled kernel, and again
-    with it withheld (the Python body of ``Fleet.advance`` integrates every
-    step), gives the same result and integrates as many vehicle-steps."""
-
-    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
-    @IDLE_OVERRIDES
-    def test_same_result_as_integrating(self, monkeypatch, mode, overrides):
-        require_compiled_kernel()
-        cfg = fast_config(mode, **overrides)
-        count = count_integration(monkeypatch)
-        for trial_id in range(2):
-            count[0] = 0
-            compiled = dataclasses.asdict(run_trial(cfg, 0.25, trial_id, 5))
-            stepped = count[0]
-            count[0] = 0
-            with monkeypatch.context() as m:
-                m.setattr(wvcsim.vehicles, "_kernel", False)
-                integrated = dataclasses.asdict(run_trial(cfg, 0.25, trial_id, 5))
-            assert compiled == integrated
-            assert stepped == count[0]
-            if cfg.vehicles_per_direction == 0:
-                assert stepped == 0
-            else:
-                assert stepped > 0
-
-    def test_mid_trial_alert_same_on_both_kernels(self, monkeypatch):
-        # A Control trial whose sign is lit from 300 s on: the vehicles cruise
-        # until the drivers are alerted, then slow to the caution speed.
-        require_compiled_kernel()
-        monkeypatch.setattr(AwarenessState, "dms_active",
-                            lambda self, animals, now: now >= 300.0)
-        monkeypatch.setattr(wvcsim.engine, "_stretch_end", no_stretch)
-        cfg = fast_config(Mode.CONTROL)
-        speeds = record_desired_speeds(monkeypatch)
-        compiled = dataclasses.asdict(run_trial(cfg, 0.25, 0, 5))
-        assert speeds[0] == cfg.idm.v_cruise
-        assert cfg.idm.v_caution in speeds
-        monkeypatch.setattr(wvcsim.vehicles, "_kernel", False)
-        assert dataclasses.asdict(run_trial(cfg, 0.25, 0, 5)) == compiled
-
-
-class ReadLog:
-    """The vehicles as ``step_animal`` sees them: each time the animal's step
-    reads them, what it read goes on the log."""
-
-    def __init__(self, vehicles, animal, seen):
-        self.vehicles, self.animal, self.seen = vehicles, animal, seen
+    def __init__(self, read):
+        self.read, self.animal, self.vehicles = read, None, None
 
     def __iter__(self):
-        self.seen.append(("step", self.animal.aid, self.animal.state,
-                          vehicle_states(self.vehicles)))
+        self.read(self.animal, self.vehicles)
         return iter(self.vehicles)
 
 
-def vehicle_states(vehicles):
-    return [(v.x, v.v, v.emergency_braking) for v in vehicles]
+def run_observed(cfg, hours, trial_id, reference=False):
+    """One trial and its log. The reference run shuts off every fast path:
+    no stretch, no sleep, the vehicles settled before every animal's step
+    and stepped by the Python body of ``Fleet.advance``.
 
+    ``steps`` has an entry per ``dms_active`` call, the start of a stepped
+    step or of a stretch: [k, steps spanned, sign, (onset, alerted), aids
+    present, reads, pairs]. A read is an aid and every vehicle's (x, v,
+    emergency_braking). The pairs are phase 6's, or in the reference an
+    ungated scan of the step's animals as the step closes; there, steps
+    with no read and no pair merge with an equal neighbour, as a stretch's
+    steps do. ``result`` is the result, or the invariant error's text.
 
-def record_vehicle_reads(monkeypatch):
-    """Wrap every engine call that reads the vehicles; returns the list of
-    what each one saw: the (x, v, emergency_braking) of every vehicle, and
-    for a collision scan the pairs it found. An animal's step counts only
-    when it does read them."""
-    seen = []
+    Checked as the trial runs: each read and scan sees the vehicles at the
+    current row (k + 1 vehicle steps taken), and phase 6 scans after exactly
+    the steps whose phase 5 leaves an animal on the carriageway."""
+    dt, geometry, L = cfg.time_step, cfg.geometry, cfg.road_length
+    log = SimpleNamespace(steps=[], vehicle_steps=[], sleeps=[], asks=0, taken=0,
+                          scans=0, skipped_scans=0)
+    steps = log.steps
+    stepped, on_road, scans = [], False, 0  # in the open step
+    dms_active, update = AwarenessState.dms_active, DriverAlert.update
+    advance = Fleet.advance
     step_animal = wvcsim.engine.step_animal
     detect_collisions = wvcsim.engine.detect_collisions
-    states = vehicle_states
+    take_quiet_steps = wvcsim.engine.take_quiet_steps
 
-    def stepped(animal, vehicles, *args):
-        return step_animal(animal, ReadLog(vehicles, animal, seen), *args)
+    def close(end):
+        nonlocal stepped, on_road, scans
+        entry = steps[-1]
+        entry[1] = end - entry[0]
+        if stepped or scans:
+            assert scans == on_road, f"phase 6 gate at step {entry[0]}"
+            if reference:
+                pairs = detect_collisions(reads.vehicles, stepped, geometry, L)
+                entry[6] = tuple(pairs)
+            log.scans += scans
+            log.skipped_scans += not scans
+            stepped, on_road, scans = [], False, 0
+        if reference and len(steps) > 1 and not (entry[5] or entry[6]) \
+                and entry[2:] == steps[-2][2:]:
+            steps[-2][1] += steps.pop()[1]
 
-    def collided(vehicles, *args):
-        pairs = detect_collisions(vehicles, *args)
-        seen.append(("collide", states(vehicles), pairs))
+    def sign(self, animals, now):
+        k = round(now / dt)
+        if steps:
+            close(k)
+        log.asks += 1
+        lit = dms_active(self, animals, now)
+        steps.append([k, None, lit, None, [a.aid for a in animals], [], ()])
+        return lit
+
+    def alert(self, lit, now, p):
+        update(self, lit, now, p)
+        steps[-1][3] = (self.onset, self.alerted)
+
+    def read(animal, vehicles):
+        assert log.taken == steps[-1][0] + 1, "a read of a past row"
+        steps[-1][5].append((animal.aid, [(v.x, v.v, v.emergency_braking)
+                                          for v in vehicles]))
+
+    reads = Reads(read)
+
+    def step(animal, vehicles, *args):
+        nonlocal on_road
+        reads.animal, reads.vehicles = animal, vehicles
+        step_animal(animal, reads, *args)
+        stepped.append(animal)
+        on_road = on_road or 0.0 < animal.y <= geometry.road_width
+
+    def scan(*args):
+        nonlocal scans
+        assert log.taken == steps[-1][0] + 1, "a scan of a past row"
+        scans += 1
+        pairs = detect_collisions(*args)
+        if not reference:
+            steps[-1][6] = tuple(pairs)
         return pairs
 
-    monkeypatch.setattr(wvcsim.engine, "step_animal", stepped)
-    monkeypatch.setattr(wvcsim.engine, "detect_collisions", collided)
-    return seen
+    def owed(fleet, n_steps, v0, brake=None):
+        advance(fleet, n_steps, v0, brake)
+        log.taken += n_steps
+        log.vehicle_steps.append(((v0, brake), n_steps))
+
+    def sleep(animal, walk):
+        before = copy.copy(animal)
+        left = take_quiet_steps(animal, walk)
+        log.sleeps.append((steps[-1][0], before, walk, left, copy.copy(animal)))
+        return left
+
+    with pytest.MonkeyPatch.context() as m:
+        if reference:
+            m.setattr(wvcsim.engine, "_stretch_end", lambda schedule, i, k, *args: k)
+            m.setattr(wvcsim.engine, "quiet_steps",
+                      lambda a, *args: (0, a.state, a.dwell_remaining, a.y))
+            m.setattr(wvcsim.engine, "DANGEROUS_STATES", frozenset(Activity))
+            m.setattr(wvcsim.vehicles, "_kernel", False)
+        m.setattr(AwarenessState, "dms_active", sign)
+        m.setattr(DriverAlert, "update", alert)
+        m.setattr(Fleet, "advance", owed)
+        m.setattr(wvcsim.engine, "step_animal", step)
+        m.setattr(wvcsim.engine, "detect_collisions", scan)
+        m.setattr(wvcsim.engine, "take_quiet_steps", sleep)
+        try:
+            log.result = dataclasses.asdict(run_trial(cfg, hours, trial_id, 5))
+        except EngineInvariantError as exc:
+            log.result = str(exc)
+        else:
+            close(_step_count(cfg, hours))
+    return log
 
 
-class TestOwedSteps:
-    """Owing the vehicle steps nothing reads changes no output and nothing
-    any reader sees: each trial run as is, and again settling the debt before
-    every animal's step, gives the same result and the same vehicle states
-    at every read."""
+def runs(items):
+    """(value, n) items as [value, n] runs, equal neighbours merged."""
+    out = []
+    for value, n in items:
+        if out and out[-1][0] == value:
+            out[-1][1] += n
+        elif n:
+            out.append([value, n])
+    return out
 
-    def same_as_eager(self, monkeypatch, cfg, hours):
-        n_reads = 0
-        for trial_id in range(2):
-            with monkeypatch.context() as m:
-                lazy_reads = record_vehicle_reads(m)
-                lazy = dataclasses.asdict(run_trial(cfg, hours, trial_id, 5))
-            with monkeypatch.context() as m:
-                eager_reads = record_vehicle_reads(m)
-                m.setattr(wvcsim.engine, "DANGEROUS_STATES", EAGER)
-                eager = dataclasses.asdict(run_trial(cfg, hours, trial_id, 5))
-            assert lazy == eager
-            assert lazy_reads == eager_reads
-            n_reads += len(lazy_reads)
-        assert n_reads  # something did read the vehicles
 
-    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
-    @IDLE_OVERRIDES
-    def test_same_as_settling_every_step(self, monkeypatch, mode, overrides):
-        self.same_as_eager(monkeypatch, fast_config(mode, **overrides), 0.25)
+ASPECTS = ("result", "sign", "alert", "animals", "reads", "pairs", "vehicle_steps")
 
-    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
-    def test_same_as_settling_every_step_crowded(self, monkeypatch, mode):
-        self.same_as_eager(monkeypatch, fast_config(mode, **CROWDED), 0.05)
 
-    @pytest.mark.parametrize("mode, kernel", [
-        pytest.param(mode, kernel,
-                     id=mode.value if kernel == "compiled" else f"{mode.value}-python")
-        for kernel in ("compiled", "python")
-        for mode in (Mode.CONTROL, Mode.DETECTION, Mode.AWARE)
-    ], indirect=["kernel"])
-    @pytest.mark.parametrize("overrides", [
-        {}, {"time_step": 0.05}, {"time_step": 0.2}, {"vehicles_per_direction": 1},
-        {"arrival_rate": 60.0}, CROWDED,
-    ], ids=["default", "dt0.05", "dt0.2", "free-vehicles", "rate60", "crowded"])
-    def test_every_step_integrated_once(self, monkeypatch, mode, overrides, kernel):
-        cfg = fast_config(mode, **overrides)
-        count = count_integration(monkeypatch)
-        hours = 0.1
-        n_steps = round(hours * 3600.0 / cfg.time_step)
-        n_vehicles = 2 * cfg.vehicles_per_direction
-        for trial_id in range(2):
-            count[0] = 0
-            run_trial(cfg, hours, trial_id, 5)
-            assert count[0] == n_steps * n_vehicles
+def observables(log):
+    """The log's observables (``ASPECTS``), each as runs over the trial's
+    steps: across a stretch the sign, the alert and the animals present
+    hold, and there is no read and no pair. A run that raised gives its
+    error's text for each."""
+    if isinstance(log.result, str):
+        return dict.fromkeys(ASPECTS, log.result)
+    out = {"result": log.result, "vehicle_steps": runs(log.vehicle_steps)}
+    for i, aspect in enumerate(ASPECTS[1:6], 2):
+        items = []
+        for entry in log.steps:
+            if i < 5:  # the sign, the alert and the animals hold
+                items.append((entry[i], entry[1]))
+            else:  # a read or a pair is at the entry's first step only
+                items += [(tuple(entry[i]), 1), ((), entry[1] - 1)]
+        out[aspect] = runs(items)
+    return out
 
-    @pytest.mark.parametrize("r_det", [15.0, 1e6])
-    def test_no_radar_covers_an_animal_outside_the_band(self, r_det):
-        cfg = fast_config(Mode.DETECTION, radar_range=r_det)
-        radars = build_corridor(cfg).radars
-        lo, hi = wvcsim.engine._radar_band(radars, r_det)
-        assert lo < min(node.y for node in radars) - r_det
-        assert hi > max(node.y for node in radars) + r_det
-        xs = [node.x for node in radars] + [0.5 * cfg.radar_spacing, cfg.road_length]
-        for y in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
-            for x in xs:
-                assert radars_in_range(x, y, radars, cfg.radar_spacing, r_det) == []
+
+CROWDED = dict(arrival_rate=300.0, radar_spacing=5.0, kappa=0.3)
+WIDE_ANIMAL = dataclasses.replace(GEO, animal_radius=1.5)
+MODES = (Mode.CONTROL, Mode.DETECTION, Mode.AWARE)
+
+# The grid: name -> (overrides, hours, trials). "wide-radar": every radar's
+# band reaches past the spawn offset, so an animal foraging undetected is
+# never quiet. "band-margin": at 0.8 s steps an animal approaching from the
+# spawn offset walks 1.2 m a step, past the 1 m margin of ``_radar_band``,
+# so an undetected sleeper wakes where phase 2 would try it.
+GRID = {
+    "default": ({}, 0.25, (0, 1)),
+    "dt0.05": ({"time_step": 0.05}, 0.25, (0, 1)),
+    "dt0.2": ({"time_step": 0.2}, 0.25, (0, 1)),
+    "no-vehicles": ({"vehicles_per_direction": 0}, 0.25, (0, 1)),
+    "free-vehicles": ({"vehicles_per_direction": 1}, 0.25, (0, 1)),
+    "rate60": ({"arrival_rate": 60.0}, 0.25, (0, 1)),
+    "wide-radar": ({"radar_range": 30.0}, 0.25, (0, 1)),
+    "crowded": (CROWDED, 0.25, (0, 1)),
+    "wide-animal": ({"geometry": WIDE_ANIMAL}, 0.25, (0, 1)),
+    "band-margin": ({"time_step": 0.8, "arrival_rate": 60.0}, 1.0, (0, 1)),
+    "paper-length": ({}, 4.0, (0,)),
+}
+BASE = list(GRID)[:8]  # the configs most of the replaced tests ran
+
+
+def cells(names, modes=MODES, named=True):
+    """The grid cells ``names`` x ``modes`` as parameters "name, mode", each
+    with the id "name-mode", or "mode" unless ``named``."""
+    return [pytest.param(name, mode, id=f"{name}-{mode.value}" if named else mode.value)
+            for name in names for mode in modes]
+
+
+@functools.cache
+def reference_pair(name, mode):
+    """Each trial of a grid cell run as is and as the reference: per trial
+    the observables of both, and what the fast run took. Checks each sleep
+    (``check_sleeps``) and, in the reference, that no step was jumped, no
+    animal slept and each vehicle step's v0 is the drivers' desired speed. A
+    run that raised is compared by its error alone."""
+    overrides, hours, trials = GRID[name]
+    cfg = fast_config(mode, **overrides)
+    idm = cfg.idm
+    out = []
+    for trial_id in trials:
+        fast, ref = (run_observed(cfg, hours, trial_id, reference)
+                     for reference in (False, True))
+        took = {}
+        if not isinstance(fast.result, str):
+            check_sleeps(cfg, fast)
+            jumped = [e for e in fast.steps if e[1] > 1]
+            first_lit = next((e[0] for e in fast.steps if e[2]), math.inf)
+            took = dict(reads=sum(len(e[5]) for e in fast.steps), scans=fast.scans,
+                        skipped_scans=fast.skipped_scans, sleeps=len(fast.sleeps),
+                        lit_stretches=sum(e[2] for e in jumped),
+                        dark_stretches_after_lit=sum(not e[2] and e[0] > first_lit
+                                                     for e in jumped),
+                        stretches_with_animals=sum(bool(e[4]) for e in jumped))
+        if not isinstance(ref.result, str):
+            assert ref.asks == _step_count(cfg, hours) and not ref.sleeps
+            speeds = runs((idm.v_caution if e[3][1] else idm.v_cruise, e[1])
+                          for e in ref.steps)
+            assert speeds == runs((v0, n) for (v0, _), n in ref.vehicle_steps)
+        out.append((observables(fast), observables(ref), took))
+    return out
 
 
 def old_braking_step(vehicles, candidates, v0, cfg, trial_id, now):
@@ -709,7 +612,126 @@ class TestBrakingStep:
         assert expected == [str(exc.value)]
 
 
-WIDE_ANIMAL = dataclasses.replace(GEO, animal_radius=1.5)
+class TestReferenceRun:
+    """The fast paths (stretches, sleep, owed vehicle steps and the gated
+    scans) change no output and nothing a reader sees: each grid cell, run
+    as is and as the reference (``run_observed``), ends alike, takes the
+    same vehicle steps and shows the same observables at every step, and
+    both runs pass the structural checks (``run_observed``,
+    ``reference_pair``)."""
+
+    @pytest.mark.parametrize("name, mode", cells(list(GRID)[:-1])
+                             + cells(["paper-length"], (Mode.CONTROL, Mode.AWARE)))
+    def test_same_as_the_reference_run(self, name, mode):
+        took = collections.Counter()
+        for fast, ref, fast_took in reference_pair(name, mode):
+            for aspect in ASPECTS:
+                assert fast[aspect] == ref[aspect], aspect
+            took.update(fast_took)
+        # Some stretch opened with animals present, some animal slept, some
+        # read the vehicles and the gate skipped some scans; where there is a
+        # sign, some stretch opened with it lit and some with it dark again.
+        assert took["stretches_with_animals"] and took["sleeps"] and took["reads"]
+        assert took["skipped_scans"]
+        if mode is not Mode.CONTROL:
+            assert took["lit_stretches"] and took["dark_stretches_after_lit"]
+
+
+# The classes below keep the ids of the tests that ``TestReferenceRun``
+# replaced; each of those ids now checks one observable of the reference run
+# on the cells it covered. ``TestIdleGate`` and ``TestContactBand`` are named
+# after mechanisms the engine no longer has.
+def same(aspect, params):
+    """A test that one observable of the cells ``params`` is the reference's."""
+    @pytest.mark.parametrize("name, mode", params)
+    def test(self, name, mode):
+        for fast, ref, _ in reference_pair(name, mode):
+            assert fast[aspect] == ref[aspect]
+    return test
+
+
+class TestIdleStretch:
+    test_same_result_as_stepping_every_step = same("result", cells(BASE))
+    test_same_result_on_a_paper_length_trial = same(
+        "result", cells(["paper-length"], (Mode.CONTROL, Mode.AWARE), named=False))
+    test_same_result_where_an_approach_step_passes_the_band_margin = same(
+        "result", cells(["band-margin"], (Mode.DETECTION, Mode.AWARE), named=False))
+
+    def test_the_band_margin_cell_passes_the_margin(self):
+        cfg = fast_config(**GRID["band-margin"][0])
+        lo, _ = wvcsim.engine._radar_band(build_corridor(cfg).radars, cfg.radar_range)
+        y = cfg.geometry.spawn_offset
+        while y < lo:
+            y += cfg.behaviour.v_approach * cfg.time_step
+        assert y > lo + 1.0
+
+    def test_stretch_ends_where_the_arrival_spawns(self):
+        cfg = fast_config(Mode.CONTROL)
+        schedule = make_arrival_schedule(cfg, 0.25, 0, 5)
+        steps = run_observed(cfg, 0.25, 0).steps
+        first_due = next(k for k in range(9000) if schedule[0].time <= k * cfg.time_step)
+        assert (steps[0][0], steps[0][1], steps[0][4]) == (0, first_due, [])
+
+    def test_overlap_raised_at_the_same_step(self, monkeypatch):
+        # A follower at 30 m/s, 25 m behind a stopped leader, cannot stop in
+        # time: both runs must name the same vehicles at the same time.
+        def crash_world(config):
+            world = build_corridor(config)
+            follower = world.vehicles[0]
+            leader = world.vehicles[follower.leader]
+            follower.x = (leader.x - 25.0 * follower.direction) % config.road_length
+            follower.v, leader.v = 30.0, 0.0
+            return world
+
+        monkeypatch.setattr(wvcsim.engine, "build_corridor", crash_world)
+        cfg = fast_config(Mode.CONTROL, arrival_rate=0.0)
+        fast, ref = (run_observed(cfg, 0.01, 0, reference)
+                     for reference in (False, True))
+        assert len(fast.steps) == 1  # one stretch
+        assert fast.result == ref.result
+        assert "overlap at t=" in fast.result
+
+
+class TestKernelMatchesPython:
+    test_same_result_as_integrating = same("vehicle_steps", cells(BASE))
+
+    def test_mid_trial_alert_same_on_both_kernels(self):
+        # The Python body steps the vehicles at cruise, then at the caution
+        # speed once the drivers are alerted, as the compiled kernel does.
+        idm = CorridorConfig().idm
+        fast, ref, _ = reference_pair("default", Mode.AWARE)[0]
+        assert fast["vehicle_steps"] == ref["vehicle_steps"]
+        speeds = [v0 for (v0, _), _ in ref["vehicle_steps"]]
+        assert speeds[0] == idm.v_cruise and idm.v_caution in speeds
+
+
+class TestOwedSteps:
+    test_same_as_settling_every_step = same("reads", cells(BASE))
+    test_same_as_settling_every_step_crowded = same(
+        "reads", cells(["crowded"], named=False))
+
+    @pytest.mark.parametrize("name, mode, run", [
+        pytest.param(name, mode, run, id=f"{name}-{mode.value}{suffix}")
+        for run, suffix in ((0, ""), (1, "-python"))
+        for name in ("default", "dt0.05", "dt0.2", "free-vehicles", "rate60", "crowded")
+        for mode in MODES])
+    def test_every_step_integrated_once(self, name, mode, run):
+        # The compiled kernel in the fast run, or the Python body in the
+        # reference, takes each vehicle step once.
+        n_steps = _step_count(fast_config(**GRID[name][0]), GRID[name][1])
+        for observed in reference_pair(name, mode):
+            assert sum(n for _, n in observed[run]["vehicle_steps"]) == n_steps
+
+
+class TestIdleGate:
+    test_sign_off_at_every_stretch = same("sign", cells(BASE))
+    test_sign_off_at_every_stretch_crowded = same(
+        "sign", cells(["crowded"], named=False))
+
+
+class TestNextEventGate:
+    test_sign_and_alert_hold_across_every_stretch = same("alert", cells(BASE))
+    test_nothing_to_spawn_try_or_brake_for_in_a_stretch = same("animals", cells(BASE))
 
 
 class TestContactBand:
@@ -717,7 +739,7 @@ class TestContactBand:
     width, the one band every per-step road test gates on:
     ``detect_collisions`` pairs no animal off it, phase 6 finds what scanning
     every step finds and scans after exactly the steps that leave an animal
-    on it, and drivers brake only for animals on it."""
+    on it (``run_observed``), and drivers brake only for animals on it."""
 
     @pytest.mark.parametrize("geometry, edge_in_reach", [(GEO, False),
                                                          (WIDE_ANIMAL, True)],
@@ -738,105 +760,17 @@ class TestContactBand:
             pairs = detect_collisions(fleet, [road_animal(500.1, y)], geometry, 1000.0)
             assert bool(pairs) is edge_in_reach
 
-    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
-    @pytest.mark.parametrize("overrides", [CROWDED, {"geometry": WIDE_ANIMAL}],
-                             ids=["crowded", "wide-animal"])
-    def test_same_as_scanning_every_step(self, monkeypatch, mode, overrides):
-        # Both runs must end alike: with equal results, or with the same
-        # invariant error should a trial break one.
-        def outcome(cfg, hours, trial_id):
-            try:
-                return dataclasses.asdict(run_trial(cfg, hours, trial_id, 5))
-            except EngineInvariantError as exc:
-                return str(exc)
+    test_same_as_scanning_every_step = same("pairs", cells(["crowded", "wide-animal"]))
 
-        cfg = fast_config(mode, **overrides)
-        hours = 0.05 if overrides is CROWDED else 0.25
-        geometry, L = cfg.geometry, cfg.road_length
-        dms_active = AwarenessState.dms_active
-        step_animal = wvcsim.engine.step_animal
-        detect_collisions = wvcsim.engine.detect_collisions
-        for trial_id in range(2):
-            gated = outcome(cfg, hours, trial_id)
-            # The scanning run settles the vehicles before every animal's
-            # step, as the eager run of ``TestOwedSteps`` does, and scans every
-            # stepped step's animals itself when the step ends: at the next
-            # ``dms_active`` call or the trial's end, before anything moves an
-            # animal or a vehicle. One entry per step or stretch: [the
-            # vehicles, the animals phase 5 stepped, the pairs phase 6 found,
-            # or None where it did not scan].
-            steps = []
-            every = []  # (phase 6's pairs, the scan's) per stepped step
-
-            def close():
-                if steps and steps[-1][1]:
-                    vehicles, animals, pairs = steps[-1]
-                    every.append((pairs, detect_collisions(vehicles, animals,
-                                                           geometry, L)))
-
-            def sign(self, animals, now):
-                close()
-                steps.append([None, [], None])
-                return dms_active(self, animals, now)
-
-            def stepped(animal, vehicles, *args):
-                step_animal(animal, vehicles, *args)
-                steps[-1][0] = vehicles
-                steps[-1][1].append(animal)
-
-            def scanned(*args):
-                steps[-1][2] = detect_collisions(*args)
-                return steps[-1][2]
-
-            with monkeypatch.context() as m:
-                m.setattr(wvcsim.engine, "DANGEROUS_STATES", EAGER)
-                m.setattr(AwarenessState, "dms_active", sign)
-                m.setattr(wvcsim.engine, "step_animal", stepped)
-                m.setattr(wvcsim.engine, "detect_collisions", scanned)
-                assert outcome(cfg, hours, trial_id) == gated
-            close()
-            # What phase 6 found is what scanning every step finds ...
-            assert [pairs or [] for pairs, _ in every] == [found for _, found in every]
-            # ... and the gate skipped scans.
-            assert any(pairs is None for pairs, _ in every)
-
-    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
-    @pytest.mark.parametrize("overrides", [CROWDED, {"geometry": WIDE_ANIMAL}],
-                             ids=["crowded", "wide-animal"])
-    def test_scans_after_the_steps_leaving_an_animal_on_the_carriageway(
-            self, monkeypatch, mode, overrides):
-        cfg = fast_config(mode, **overrides)
-        rw = cfg.geometry.road_width
-        hours = 0.05 if overrides is CROWDED else 0.25
-        dms_active = AwarenessState.dms_active
-        step_animal = wvcsim.engine.step_animal
-        detect_collisions = wvcsim.engine.detect_collisions
-        # One entry per ``dms_active`` call, the start of a stepped step or
-        # of a stretch: [the y of each animal after its phase-5 step, scans].
-        steps = []
-
-        def sign(self, animals, now):
-            steps.append([[], 0])
-            return dms_active(self, animals, now)
-
-        def stepped(animal, *args):
-            step_animal(animal, *args)
-            steps[-1][0].append(animal.y)
-
-        def scanned(*args):
-            steps[-1][1] += 1
-            return detect_collisions(*args)
-
-        monkeypatch.setattr(AwarenessState, "dms_active", sign)
-        monkeypatch.setattr(wvcsim.engine, "step_animal", stepped)
-        monkeypatch.setattr(wvcsim.engine, "detect_collisions", scanned)
-        for trial_id in range(2):
-            run_trial(cfg, hours, trial_id, 5)
-        on_road = [any(0.0 < y <= rw for y in ys) for ys, _ in steps]
-        assert [scans for _, scans in steps] == [int(hit) for hit in on_road]
-        assert any(on_road)
-        # Some stepped step left animals, all off the carriageway.
-        assert any(ys and not hit for (ys, _), hit in zip(steps, on_road))
+    @pytest.mark.parametrize("name, mode", cells(["crowded", "wide-animal"]))
+    def test_scans_after_the_steps_leaving_an_animal_on_the_carriageway(self, name,
+                                                                        mode):
+        # ``run_observed`` checks the gate at every step: some steps scanned,
+        # and some stepped step left animals, all off the carriageway.
+        took = collections.Counter()
+        for *_, trial_took in reference_pair(name, mode):
+            took.update(trial_took)
+        assert took["scans"] and took["skipped_scans"]
 
     @pytest.mark.parametrize("mode", [Mode.DETECTION, Mode.AWARE])
     def test_brakes_only_for_carriageway_animals(self, monkeypatch, mode):
@@ -860,108 +794,3 @@ class TestContactBand:
         r = run_trial(fast_config(Mode.CONTROL, geometry=WIDE_ANIMAL), 0.25,
                       trial_id, 5)
         assert r.collisions <= r.road_entries
-
-
-class TestIdleGate:
-    """The old idle gate's stretches, which opened only with the sign off,
-    are a special case of the next-event gate: at every stretch that opens
-    with the sign off the drivers are unalerted with no onset, the window is
-    closed, and every vehicle step of it is owed at cruise speed."""
-
-    def check(self, monkeypatch, cfg, hours):
-        dt, v_cruise = cfg.time_step, cfg.idm.v_cruise
-        seen = []
-        for trial_id in range(2):
-            _, jumped, speeds, _ = run_watched(monkeypatch, cfg, hours, trial_id)
-            for k, m, _, window_end, lit, alert in jumped:
-                if not lit:
-                    seen.append(window_end)
-                    assert not alert.alerted and alert.onset is None
-                    assert k * dt >= window_end
-                    assert set(speeds[k:k + m]) == {v_cruise}
-        assert seen  # the gate did open with the sign off
-        if cfg.mode is not Mode.CONTROL:
-            # Some such stretch followed a lit sign.
-            assert any(end > -math.inf for end in seen)
-
-    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
-    @IDLE_OVERRIDES
-    def test_sign_off_at_every_stretch(self, monkeypatch, mode, overrides):
-        self.check(monkeypatch, fast_config(mode, **overrides), 0.25)
-
-    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
-    def test_sign_off_at_every_stretch_crowded(self, monkeypatch, mode):
-        self.check(monkeypatch, fast_config(mode, **CROWDED), 0.05)
-
-
-class TestNextEventGate:
-    """The sign, the drivers' alert and their desired speed hold across every
-    stretch the gate jumps: ``dms_active`` and ``DriverAlert.update`` give at
-    its last step what they gave at its first, and every vehicle step of it
-    is owed at that speed. Its animals sleep through it, and each sleep's
-    steps, taken one ``step_animal`` call at a time, are quiet
-    (``check_sleeps``)."""
-
-    def check(self, monkeypatch, cfg, hours):
-        dt, idm = cfg.time_step, cfg.idm
-        sign = AwarenessState(cfg, 0)
-        lit_seen = animals_seen = sleeps_seen = 0
-        for trial_id in range(2):
-            _, jumped, speeds, sleeps = run_watched(monkeypatch, cfg, hours, trial_id)
-            assert len(speeds) == _step_count(cfg, hours)
-            sleeps_seen += check_sleeps(cfg, jumped, sleeps)
-            for k, m, animals, window_end, lit, alert in jumped:
-                sign.dms_active_until = window_end
-                assert sign.dms_active(animals, k * dt) is lit
-                last = (k + m - 1) * dt
-                assert sign.dms_active(animals, last) is lit
-                held = dataclasses.replace(alert)
-                held.update(lit, last, idm)
-                assert held == alert
-                assert set(speeds[k:k + m]) == {alert.desired_speed(idm)}
-                lit_seen += lit
-                animals_seen += bool(animals)
-        assert animals_seen  # some stretch opened with animals present
-        assert sleeps_seen
-        if cfg.mode is not Mode.CONTROL:
-            assert lit_seen  # and some with the sign lit
-
-    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
-    @IDLE_OVERRIDES
-    def test_sign_and_alert_hold_across_every_stretch(self, monkeypatch, mode,
-                                                      overrides):
-        self.check(monkeypatch, fast_config(mode, **overrides), 0.25)
-
-    @pytest.mark.parametrize("mode", [Mode.CONTROL, Mode.DETECTION, Mode.AWARE])
-    @IDLE_OVERRIDES
-    def test_nothing_to_spawn_try_or_brake_for_in_a_stretch(self, monkeypatch, mode,
-                                                           overrides):
-        # What lets a stretch skip phases 1-3 and the brake tests at its first
-        # step: no arrival spawns in it, and each of its animals sleeps
-        # through it off the carriageway; each step of a sleep starts with
-        # the animal detected or outside every radar's band
-        # (``check_sleeps``).
-        cfg = fast_config(mode, **overrides)
-        dt, road_width = cfg.time_step, cfg.geometry.road_width
-        animals_seen = 0
-        for trial_id in range(2):
-            spawns = spawn_steps(make_arrival_schedule(cfg, 0.25, trial_id, 5), dt)
-            _, jumped, _, sleeps = run_watched(monkeypatch, cfg, 0.25, trial_id)
-            check_sleeps(cfg, jumped, sleeps)
-            for k, m, animals, *_ in jumped:
-                assert not any(k <= j < k + m for j in spawns)
-                for a in animals:
-                    assert not 0.0 < a.y <= road_width
-                animals_seen += bool(animals)
-        assert animals_seen  # some stretch opened with animals present
-
-
-def spawn_steps(schedule, dt):
-    """The step at which phase 1 spawns each arrival, due at ``t``: the first
-    step ``j`` with ``t <= j * dt``."""
-    steps, j = [], 0
-    for arrival in schedule:
-        while not arrival.time <= j * dt:
-            j += 1
-        steps.append(j)
-    return steps
