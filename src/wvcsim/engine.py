@@ -18,7 +18,9 @@ carriageway (phase 4 brakes for nothing and phase 6 scans nothing). Such
 steps are foraging, approaching short of the edge, hesitating short of the
 dwell's end, fleeing short of the spawn offset and walking out past the far
 edge. An animal that phase 5 leaves off the carriageway has its quiet steps
-from the next step on walked once, up to the trial's end; the walk is
+from the next step on walked once, up to the trial's end (a frozen animal,
+or an undetected one inside ``_radar_band``, has none and is not walked);
+the walk is
 applied at once (``animals.take_quiet_steps``) and the animal sleeps until
 the step after the walk's last (``sleeping``, ``next_wake``). Phases 2 and 5
 skip a sleeper. Nothing reads what changes while it sleeps: a quiet step
@@ -49,26 +51,29 @@ Vehicle steps are owed, not taken, until something reads the vehicles. A step
 on which no driver brakes for an animal is one round of the IDM at the
 drivers' desired speed, so the engine only counts it (``lag`` steps at
 ``lag_v0``) and ``settle`` later takes all of them in one call of the trial's
-``vehicles.Fleet``, whose buffer the compiled kernel steps where a C compiler
-is found, in every mode. That kernel runs the same IDM update and
-semi-implicit Euler step as the reference functions, with every float
-operation in the same order, so the vehicles come out bit for bit as if
-stepped one phase loop at a time; an overlap raises the same error at the
-same ``t=``, since the kernel reports the step it found it at. The debt is
-settled just before each reader: a braking step (alerted drivers and an
-animal on the carriageway); the phase-5 step of an awake animal that is
-hesitating, crossing or frozen (``DANGEROUS_STATES``), the only activities
-that look at the vehicles, and so phase 6, which runs only after such a step;
-and the end of the trial. It is also settled before the desired speed
-changes, so that the owed steps share one speed.
+``vehicles.Fleet``, whose buffers the compiled kernel, a CPython extension,
+steps where a C compiler is found, in every mode. That kernel runs the same
+IDM update, brake test and semi-implicit Euler step as the reference
+functions, with every float operation in the same order, so the vehicles
+come out bit for bit as if stepped one phase loop at a time; an overlap
+raises the same error at the same ``t=``, since the kernel reports the step
+it found it at. The debt is settled just before each reader: a braking step
+(alerted drivers and an animal on the carriageway), which takes it with
+it; the phase-5 step of an awake animal that is hesitating, crossing or
+frozen (``DANGEROUS_STATES``), the only activities that look at the
+vehicles, and so phase 6, which runs only after such a step; and the end of
+the trial. It is also settled before the desired speed changes, so that the
+owed steps share one speed.
 
-A braking step is one kernel step of its own, after the settle: phase 4 takes
-each driver's ``emergency_brake_needed`` from the pre-step snapshot, and a
-flagged driver brakes at ``-a_em`` in place of its IDM acceleration. Only
-``Fleet.advance`` writes ``emergency_braking``, on every call: a braking step
-sets each flag to its driver's brake test, and any other call clears them
-all, as a non-braking round does. So a braking step's flags stay set until
-the next settle; only a crossing animal reads them, and it settles first.
+A braking step is the last step of one settle: phase 4 passes the animals on
+the carriageway to ``Fleet.advance``, which takes the owed steps and the
+braking step in one call and tests each driver's ``emergency_brake_needed``
+from the braking step's pre-step snapshot; a driver for whom it holds brakes
+at ``-a_em`` in place of its IDM acceleration. Only ``Fleet.advance`` writes
+``emergency_braking``: each call leaves every flag at its driver's test on
+the call's braking step, or False without one, as a non-braking round does.
+So a braking step's flags stay set until the next settle; only a crossing
+animal reads them, and it settles first.
 
 Three scans skip what they cannot find. The carriageway, 0 < y <= road width,
 is ``detect_collisions``' own filter and the only band drivers brake for
@@ -98,7 +103,8 @@ from .animals import (Activity, AnimalState, Arrival, quiet_steps, sample_arriva
 from .awareness import DANGEROUS_STATES, AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
 from .detection import DetectionParams, try_detect
-# perfbench's tracer wraps idm_acceleration (unused here) at this name.
+# perfbench's tracer wraps idm_acceleration and emergency_brake_needed at
+# these names; the engine calls neither (``Fleet.advance`` runs both).
 from .vehicles import (DriverAlert, Fleet, VehicleOverlap, emergency_brake_needed,
                        idm_acceleration)
 
@@ -327,7 +333,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     next_arrival = 0
     n_schedule = len(schedule)
     frozen_time = 0.0
-    fleet = Fleet(vehicles, idm, dt, L, geometry.vehicle_length)
+    fleet = Fleet(vehicles, idm, dt, L, geometry)
     alert = DriverAlert()
     # The vehicles hold row k - lag: the last ``lag`` steps, none braking and
     # all at desired speed ``lag_v0``, are owed (see the module docstring).
@@ -338,15 +344,15 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     sleeping: dict[int, int] = {}
     next_wake = n_steps
 
-    def settle(row: int, brake: Optional[list[bool]] = None) -> None:
+    def settle(row: int, animals: Optional[list[AnimalState]] = None) -> None:
         """Take the owed steps, so that the vehicles hold row ``row``;
-        ``brake`` is ``Fleet.advance``'s."""
+        ``animals`` is ``Fleet.advance``'s, for a braking last step."""
         nonlocal lag
         if not lag:
             return
         n, lag = lag, 0
         try:
-            fleet.advance(n, lag_v0, brake)
+            fleet.advance(n, lag_v0, animals)
         except VehicleOverlap as exc:
             raise _overlap(trial_id, exc.follower, exc.leader,
                            (row - n + exc.step) * dt) from None
@@ -398,9 +404,10 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         # Phase 4: vehicles, synchronously from the pre-step snapshot; in a
         # stretch the sign and alert then hold to step k + m, so it is cut at
         # the step the drivers become alerted. A step on which no driver
-        # brakes is owed; a braking step settles the debt, then is one kernel
-        # step with the brake flags of that snapshot. Alerted drivers brake
-        # only for an animal on the carriageway.
+        # brakes is owed; a braking step is the last step of one settle,
+        # which takes the debt with it, and its brake tests read that
+        # snapshot. Alerted drivers brake only for an animal on the
+        # carriageway.
         lit = awareness.dms_active(active, now)
         alert.update(lit, now, idm)
         if m and lit and not alert.alerted:
@@ -410,7 +417,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         candidates = None
         if alert.alerted:
             candidates = [a for a in active if 0.0 < a.y <= road_width]
-        if candidates or v0 != lag_v0:
+        if v0 != lag_v0:
             settle(k)
             lag_v0 = v0
         if m:
@@ -420,8 +427,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         lag += 1
         k += 1
         if candidates:
-            settle(k, [emergency_brake_needed(v, candidates, geometry, idm, L)
-                       for v in vehicles])
+            settle(k, candidates)
 
         # Phase 5: behaviour of the awake animals, with state-visit and
         # frozen-time accounting; only a hesitating, crossing or frozen animal
@@ -446,6 +452,10 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                 frozen_time += dt
             if 0.0 < y <= road_width:
                 on_road = True
+                continue
+            # A frozen animal, or an undetected one inside the radar band,
+            # is never quiet (``quiet_steps`` walks 0 steps for it).
+            if st is Activity.FROZEN or not a.detected and radar_lo <= y <= radar_hi:
                 continue
             walk = quiet_steps(a, n_steps - k, dt, behaviour, geometry, radar_band)
             if walk[0]:

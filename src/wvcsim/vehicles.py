@@ -9,7 +9,6 @@ braking when an animal is on the road ahead.
 
 from __future__ import annotations
 
-import ctypes
 import importlib.resources
 import math
 import os
@@ -124,55 +123,55 @@ class VehicleOverlap(ValueError):
 
 
 class Fleet:
-    """One trial's vehicles and the compiled kernel's buffer that steps them.
+    """One trial's vehicles and the compiled kernel's buffers that step them.
 
-    The buffer takes the leaders, directions and IDM parameters once, and x
-    and v once; then only the kernel writes x and v, and ``advance`` copies
-    them into the ``VehicleState`` objects after each call, for the readers
-    of the vehicles. Where the compiled kernel is unavailable, or leaves
-    steps to the Python body, the Python body steps the objects, and the
-    buffer is reloaded from them before the next kernel call.
+    The buffer takes the IDM and brake-test parameters, the directions and
+    the lane centres once, and x and v once; then the kernel steps x and v
+    there and writes them, and each ``emergency_braking`` flag it may change,
+    into the ``VehicleState`` objects itself, for the readers of the
+    vehicles. Directions, leaders and lanes are fixed for the fleet's life.
+    Where the compiled kernel is unavailable, or leaves steps to the Python
+    body, the Python body steps the objects, and the buffer is reloaded from
+    them before the next kernel call.
     """
 
     def __init__(self, vehicles: list[VehicleState], p: IdmParams, dt: float,
-                 road_length: float, vehicle_length: float):
+                 road_length: float, geometry: "GeometryParams"):
         self.vehicles = vehicles
         self.p = p
         self.dt = dt
         self.road_length = road_length
-        self.vehicle_length = vehicle_length
-        # Whether some ``emergency_braking`` flag may be set.
-        self.braked = True
+        self.geometry = geometry
         self.kernel = load_kernel()
         if self.kernel:
             n = len(vehicles)
-            self.lead = (ctypes.c_long * n)(*(v.leader for v in vehicles))
-            self.brake = (ctypes.c_ubyte * n)()
-            self.buf = (ctypes.c_double * (_STATE + 5 * n))(
+            self.lead = array("l", [v.leader for v in vehicles])
+            # The kernel's slots (advance_idm.c): the parameters, the flag
+            # slot, then n each of directions, lane centres, x, v and scratch.
+            self.buf = array("d", [
                 p.s0, p.T, p.a_max, p.delta, -p.a_em,
                 2.0 * math.sqrt(p.a_max * p.b_conf), dt, road_length,
-                vehicle_length, FREE_ROAD_GAP, *(v.direction for v in vehicles))
-            # The kernel's constant arguments, built once: the kernel has no
-            # argtypes, so each call converts only its step count and v0.
-            self.n_arg = ctypes.c_long(n)
-            self.addresses = tuple(ctypes.c_void_p(ctypes.addressof(a))
-                                   for a in (self.lead, self.brake, self.buf))
-            # The x and v slots, read back as one list after each call.
-            self.state = memoryview(self.buf).cast("B").cast("d")[
-                _STATE + n:_STATE + 3 * n]
+                geometry.vehicle_length, FREE_ROAD_GAP, 2.0 * p.b_conf, p.t_react,
+                p.s0 + geometry.vehicle_length / 2.0 + geometry.animal_radius,
+                geometry.lane_width / 2.0 + geometry.animal_radius, 1.0])
+            self.buf.extend([v.direction for v in vehicles])
+            self.buf.extend([geometry.lane_centre(v.lane) for v in vehicles])
+            self.buf.extend([0.0] * (5 * n))
+            self.xv = slice(_STATE + 2 * n, _STATE + 4 * n)
             self.stale = True    # x and v are still to be written
 
     def advance(self, n_steps: int, v0: float,
-                brake: Optional[list[bool]] = None) -> None:
+                animals: Optional[list["AnimalState"]] = None) -> None:
         """``n_steps`` rounds of ``idm_acceleration`` at desired speed ``v0``
-        plus ``step_vehicles``. ``brake`` is None, or one flag per vehicle:
-        a flagged driver brakes at ``-a_em`` in place of its IDM
-        acceleration, on every step, after the same overlap check and the
-        same arithmetic.
+        plus ``step_vehicles``. With ``animals``, the last step is a braking
+        step: from that step's pre-step snapshot, each driver for whom
+        ``emergency_brake_needed`` holds for ``animals`` brakes at ``-a_em``
+        in place of its IDM acceleration, after the same overlap check and
+        the same arithmetic.
 
-        Sets each ``emergency_braking`` to its flag (False without flags);
-        raises VehicleOverlap on a gap <= 0, leaving the vehicles as they
-        were before that step.
+        Sets each ``emergency_braking`` to its driver's test on the braking
+        step (False without one); raises VehicleOverlap on a gap <= 0,
+        leaving the vehicles as they were before that step.
 
         The steps run in the compiled kernel (``load_kernel``) where it
         loads. The Python body below is its reference and its fallback: it
@@ -180,36 +179,29 @@ class Fleet:
         errors are raised here, as they would be without the kernel.
         """
         vehicles = self.vehicles
-        if brake is not None or self.braked:
-            for v, flag in zip(vehicles, brake or [False] * len(vehicles)):
-                v.emergency_braking = flag
-            self.braked = brake is not None
         first = 0
-        kernel = self.kernel
-        if kernel:
-            n = len(self.lead)
+        if self.kernel:
             if self.stale:
-                self.state[:] = array("d", [v.x for v in vehicles]
-                                      + [v.v for v in vehicles])
+                self.buf[self.xv] = array("d", [v.x for v in vehicles]
+                                             + [v.v for v in vehicles])
+                self.buf[_BRAKED] = 1.0    # the Python body may have set a flag
                 self.stale = False
-            lead_at, brake_at, buf_at = self.addresses
-            if brake is None:
-                brake_at = None
-            else:
-                self.brake[:] = brake
-            first = kernel(self.n_arg, ctypes.c_long(n_steps), ctypes.c_double(v0),
-                           lead_at, brake_at, buf_at)
-            state = self.state.tolist()
-            for v, x, speed in zip(vehicles, state, state[n:]):
-                v.x = x
-                v.v = speed
+            first = self.kernel(self.buf, self.lead, n_steps, v0, vehicles, animals)
             if first >= n_steps:
                 return
             self.stale = True
+        for v in vehicles:
+            v.emergency_braking = False
         p = self.p
         road_length = self.road_length
-        vehicle_length = self.vehicle_length
+        vehicle_length = self.geometry.vehicle_length
+        brake = [False] * len(vehicles)
         for step in range(first, n_steps):
+            if animals is not None and step == n_steps - 1:
+                brake = [emergency_brake_needed(v, animals, self.geometry, p, road_length)
+                         for v in vehicles]
+                for v, flag in zip(vehicles, brake):
+                    v.emergency_braking = flag
             accels = []
             for i, v in enumerate(vehicles):
                 if v.leader < 0:
@@ -222,29 +214,34 @@ class Fleet:
                         raise VehicleOverlap(step, v, lead)
                     dv = v.v - lead.v
                 a = idm_acceleration(v.v, v0, dv, gap, p)
-                accels.append(-p.a_em if brake is not None and brake[i] else a)
+                accels.append(-p.a_em if brake[i] else a)
             step_vehicles(vehicles, accels, self.dt, road_length)
 
 
-# The command that builds the compiled kernel: no fused multiply-add, and no
-# builtin pow or fmod (the pow of a delta other than 4, and the remainder's
-# slow path), so that each float operation is the reference functions'.
+# The command that builds the compiled kernel, an extension module of this
+# interpreter: no fused multiply-add, and no builtin pow or fmod (the pow of
+# a delta other than 4, and the remainder's slow path), so that each float
+# operation is the reference functions'. ``build_command`` completes it.
 CC = ("cc", "-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
 
-# The kernel buffer's parameter count: x and v start at ``_STATE + n``.
-_STATE = 10
+# The kernel buffer's slots before the vehicles' (advance_idm.c): the flag
+# slot, then the directions from ``_STATE``; x and v start at
+# ``_STATE + 2 * n``.
+_BRAKED = 14
+_STATE = 15
 
 # This process's compiled kernel: None until the first ``load_kernel``, then
-# the loaded function, or False where it could not be built or loaded.
+# the extension's ``advance``, or False where it could not be built or loaded.
 _kernel = None
 
 
 def load_kernel():
     """The compiled vehicle kernel: on the first call in a process, the C
-    source shipped with the package is compiled with ``CC`` into a private
-    temporary directory and loaded with ``ctypes``. Where that fails, warns
-    once with the reason and returns False; ``Fleet.advance`` then runs its
-    Python body, which gives the same bits."""
+    source shipped with the package is compiled with ``build_command`` into
+    a private temporary directory and imported as an extension module, whose
+    ``advance`` is returned. Where that fails, warns once with the reason
+    and returns False; ``Fleet.advance`` then runs its Python body, which
+    gives the same bits."""
     global _kernel
     if _kernel is None:
         try:
@@ -252,7 +249,7 @@ def load_kernel():
         except subprocess.CalledProcessError as exc:
             _kernel = _no_kernel(f"{exc.cmd[0]} exited with code {exc.returncode}: "
                                  f"{exc.stderr.strip()}")
-        except OSError as exc:
+        except (OSError, ImportError) as exc:
             _kernel = _no_kernel(str(exc))
     return _kernel
 
@@ -264,21 +261,30 @@ def _no_kernel(reason: str) -> bool:
     return False
 
 
+def build_command(source: str, target: str) -> list[str]:
+    """The command that compiles ``source`` into the extension ``target``:
+    ``CC`` with this interpreter's include directory."""
+    import sysconfig
+    return [*CC, "-I", sysconfig.get_paths()["include"], "-o", target, source, "-lm"]
+
+
 def _build_kernel():
+    import importlib.machinery
+    import importlib.util
     source = importlib.resources.files(__package__).joinpath("advance_idm.c")
     with tempfile.TemporaryDirectory(prefix="wvcsim-") as tmp:
         src = os.path.join(tmp, "advance_idm.c")
         lib = os.path.join(tmp, "advance_idm.so")
         with open(src, "w", encoding="utf-8") as fh:
             fh.write(source.read_text(encoding="utf-8"))
-        subprocess.run([*CC, "-o", lib, src, "-lm"], check=True,
-                       capture_output=True, text=True)
-        # The loaded library outlives its file.
-        fn = ctypes.CDLL(lib).advance_idm
-    # No argtypes, whose conversion nearly doubles a call's cost: callers
-    # pass c_long, c_long, c_double and three c_void_p (or None) themselves.
-    fn.restype = ctypes.c_long
-    return fn
+        subprocess.run(build_command(src, lib), check=True, capture_output=True,
+                       text=True)
+        # The loaded module outlives its file.
+        loader = importlib.machinery.ExtensionFileLoader("advance_idm", lib)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader("advance_idm", loader))
+        loader.exec_module(module)
+    return module.advance
 
 
 @dataclass

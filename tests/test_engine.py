@@ -284,7 +284,8 @@ def run_observed(cfg, hours, trial_id, reference=False):
     no stretch, no sleep, the vehicles settled before every animal's step
     and stepped by the Python body of ``Fleet.advance``.
 
-    ``steps`` has an entry per ``dms_active`` call, the start of a stepped
+    ``vehicle_steps`` has the desired speed and the brake flags of every
+    vehicle step. ``steps`` has an entry per ``dms_active`` call, the start of a stepped
     step or of a stretch: [k, steps spanned, sign, (onset, alerted), aids
     present, reads, pairs]. A read is an aid and every vehicle's (x, v,
     emergency_braking). The pairs are phase 6's, or in the reference an
@@ -358,10 +359,14 @@ def run_observed(cfg, hours, trial_id, reference=False):
             steps[-1][6] = tuple(pairs)
         return pairs
 
-    def owed(fleet, n_steps, v0, brake=None):
-        advance(fleet, n_steps, v0, brake)
+    def owed(fleet, n_steps, v0, animals=None):
+        # Only a call's last step brakes, so its earlier steps brake nobody;
+        # the last one leaves its flags on the vehicles.
+        advance(fleet, n_steps, v0, animals)
         log.taken += n_steps
-        log.vehicle_steps.append(((v0, brake), n_steps))
+        flags = tuple(v.emergency_braking for v in fleet.vehicles)
+        log.vehicle_steps += [((v0, (False,) * len(flags)), n_steps - 1),
+                              ((v0, flags), 1)]
 
     def sleep(animal, walk):
         before = copy.copy(animal)
@@ -518,6 +523,14 @@ def old_braking_step(vehicles, candidates, v0, cfg, trial_id, now):
     step_vehicles(vehicles, accels, cfg.time_step, L)
 
 
+def old_steps(vehicles, n_steps, v0, cfg):
+    """``n_steps`` owed steps as the per-step loop took them: per vehicle the
+    ring gap and ``idm_acceleration``, then ``step_vehicles``, with every
+    ``emergency_braking`` cleared."""
+    for _ in range(n_steps):
+        old_braking_step(vehicles, [], v0, cfg, 0, 0.0)
+
+
 def bits(vehicles):
     return [(struct.pack("<2d", v.x, v.v), v.emergency_braking) for v in vehicles]
 
@@ -527,49 +540,85 @@ def copies(items):
 
 
 class TestBrakingStep:
-    """A braking step is one step of the vehicle kernel with brake flags: it
-    gives the bits, flags and errors of the per-step loop it replaced."""
+    """A braking step is the last step of one ``Fleet.advance`` call, which
+    takes the owed steps with it: it gives the bits, flags and errors of the
+    per-step loop it replaced."""
 
     @pytest.mark.parametrize("kernel", ["compiled", "python"], indirect=True)
     def test_same_bits_as_the_old_loop(self, monkeypatch, kernel):
         cfg = fast_config(Mode.AWARE, **CROWDED)
-        snapshots = []
-        candidates = []
-        brake = wvcsim.engine.emergency_brake_needed
+        calls = []
         advance = Fleet.advance
 
-        def braked_for(vehicle, animals, *args):
-            candidates[:] = [animals]
-            return brake(vehicle, animals, *args)
-
-        def recorded(fleet, n_steps, v0, flags=None):
-            if flags is not None:
-                snapshots.append((copies(fleet.vehicles), copies(candidates[0]), v0))
-            return advance(fleet, n_steps, v0, flags)
+        def recorded(fleet, n_steps, v0, animals=None):
+            if animals is not None:
+                calls.append((copies(fleet.vehicles), n_steps, v0, copies(animals)))
+            return advance(fleet, n_steps, v0, animals)
 
         with monkeypatch.context() as m:
-            m.setattr(wvcsim.engine, "emergency_brake_needed", braked_for)
             m.setattr(Fleet, "advance", recorded)
             for trial_id in range(2):
                 run_trial(cfg, 0.05, trial_id, 5)
         braked = 0
-        for vehicles, animals, v0 in snapshots:
+        for vehicles, n_steps, v0, animals in calls:
             old = copies(vehicles)
+            old_steps(old, n_steps - 1, v0, cfg)
             old_braking_step(old, animals, v0, cfg, 0, 0.0)
             new = copies(vehicles)
-            flags = [emergency_brake_needed(v, animals, cfg.geometry, cfg.idm,
-                                            cfg.road_length) for v in new]
             Fleet(new, cfg.idm, cfg.time_step, cfg.road_length,
-                  cfg.geometry.vehicle_length).advance(1, v0, flags)
+                  cfg.geometry).advance(n_steps, v0, animals)
             assert bits(new) == bits(old)
-            braked += sum(flags)
+            braked += sum(v.emergency_braking for v in new)
         assert braked  # some driver did brake
+
+    def test_one_advance_call_per_braking_step(self, monkeypatch):
+        # A stepped step whose drivers are alerted, with an animal on the
+        # carriageway, makes one Fleet.advance call, with those animals: the
+        # owed steps go with it, and only a change of desired speed settles
+        # before it.
+        cfg = fast_config(Mode.AWARE, **CROWDED)
+        rw = cfg.geometry.road_width
+        steps = []
+        dms_active, update, advance = (AwarenessState.dms_active, DriverAlert.update,
+                                       Fleet.advance)
+
+        def sign(self, animals, now):
+            steps.append(dict(road=[a for a in animals if 0.0 < a.y <= rw], calls=[]))
+            return dms_active(self, animals, now)
+
+        def alert(self, lit, now, p):
+            update(self, lit, now, p)
+            steps[-1]["alerted"] = self.alerted
+            steps[-1]["v0"] = self.desired_speed(p)
+
+        def recorded(fleet, n_steps, v0, animals=None):
+            steps[-1]["calls"].append((v0, animals))
+            return advance(fleet, n_steps, v0, animals)
+
+        monkeypatch.setattr(AwarenessState, "dms_active", sign)
+        monkeypatch.setattr(DriverAlert, "update", alert)
+        monkeypatch.setattr(Fleet, "advance", recorded)
+        for trial_id in range(2):
+            run_trial(cfg, 0.05, trial_id, 5)
+        braking = 0
+        last_v0 = cfg.idm.v_cruise
+        for step in steps:
+            if step["alerted"] and step["road"]:
+                braking += 1
+                *before, last = step["calls"]
+                assert last == (step["v0"], step["road"])
+                assert before in ([], [(last_v0, None)] * (step["v0"] != last_v0))
+            else:
+                assert all(animals is None for _, animals in step["calls"])
+            last_v0 = step["v0"]
+        assert braking
 
     def test_overlap_raised_as_by_the_old_loop(self, monkeypatch):
         # Drivers alerted from 1.5 s on brake for an animal held still on the
         # carriageway just ahead of a stopped leader, which nothing hits; a
         # follower at 30 m/s, 40 m behind that leader, reaches it after the
-        # alert, on a braking step.
+        # alert, on a braking step. From the alert on every step brakes, so
+        # each braking call is one step.
         cfg = fast_config(Mode.CONTROL, arrival_rate=0.0)
         leader_x = 250.0
         animal = road_animal(leader_x + 8.0, GEO.lane_centre(0))
@@ -587,14 +636,15 @@ class TestBrakingStep:
         expected = []
         advance = Fleet.advance
 
-        def checked(fleet, n_steps, v0, flags=None):
-            if flags is not None:
+        def checked(fleet, n_steps, v0, animals=None):
+            if animals is not None:
+                assert n_steps == 1 and animals == [animal]
                 try:
-                    old_braking_step(copies(fleet.vehicles), [animal], v0, cfg, 0,
+                    old_braking_step(copies(fleet.vehicles), animals, v0, cfg, 0,
                                      clock[-1])
                 except EngineInvariantError as exc:
                     expected.append(str(exc))
-            return advance(fleet, n_steps, v0, flags)
+            return advance(fleet, n_steps, v0, animals)
 
         monkeypatch.setattr(AwarenessState, "dms_active",
                             lambda self, animals, now: clock.append(now) or True)
@@ -774,18 +824,20 @@ class TestContactBand:
 
     @pytest.mark.parametrize("mode", [Mode.DETECTION, Mode.AWARE])
     def test_brakes_only_for_carriageway_animals(self, monkeypatch, mode):
-        lowest = []
-        brake = wvcsim.engine.emergency_brake_needed
+        cfg = fast_config(mode, **CROWDED)
+        ys = []
+        advance = Fleet.advance
 
-        def spied(vehicle, animals, *args):
-            lowest.append(min(a.y for a in animals))
-            return brake(vehicle, animals, *args)
+        def spied(fleet, n_steps, v0, animals=None):
+            if animals is not None:
+                ys.extend(a.y for a in animals)
+            return advance(fleet, n_steps, v0, animals)
 
-        monkeypatch.setattr(wvcsim.engine, "emergency_brake_needed", spied)
+        monkeypatch.setattr(Fleet, "advance", spied)
         for trial_id in range(2):
-            run_trial(fast_config(mode, **CROWDED), 0.05, trial_id, 5)
-        assert lowest
-        assert min(lowest) > 0.0
+            run_trial(cfg, 0.05, trial_id, 5)
+        assert ys
+        assert all(0.0 < y <= cfg.geometry.road_width for y in ys)
 
     @pytest.mark.parametrize("trial_id", range(3))
     def test_wide_animal_control_trials_complete(self, trial_id):

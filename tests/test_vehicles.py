@@ -1,4 +1,3 @@
-import ctypes
 import dataclasses
 import importlib.resources
 import math
@@ -9,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -158,10 +158,10 @@ class TestStepVehicle:
         assert snapshot(vehicles) == snapshot(start)
         for kernel in (wvcsim.vehicles.load_kernel(), False):
             error, state = kernel_outcome(kernel, start, 1, P.v_cruise, P, 0.1,
-                                          0.0, GEO.vehicle_length)
+                                          0.0, GEO)
             assert error[0] == "ZeroDivisionError"
             assert state == kernel_outcome(kernel, start, 0, P.v_cruise, P, 0.1,
-                                           0.0, GEO.vehicle_length)[1]
+                                           0.0, GEO)[1]
 
 
 class TestDriverAlert:
@@ -236,12 +236,14 @@ class TestEmergencyBrake:
         # Control never lights the sign, so the engine never asks for braking,
         # even with animals on the road all the time.
         calls = []
+        advance = Fleet.advance
 
-        def counted(*args):
-            calls.append(args)
-            return emergency_brake_needed(*args)
+        def counted(fleet, n_steps, v0, animals=None):
+            if animals is not None:
+                calls.append(animals)
+            return advance(fleet, n_steps, v0, animals)
 
-        monkeypatch.setattr(wvcsim.engine, "emergency_brake_needed", counted)
+        monkeypatch.setattr(Fleet, "advance", counted)
         crowded = replace_config(CorridorConfig(), arrival_rate=300.0,
                                  radar_spacing=5.0, kappa=0.3)
         control = run_trial(crowded, 0.05, 0, 3)
@@ -301,11 +303,12 @@ class TestRingTopology:
         seen = []
         advance = Fleet.advance
 
-        def recorded(fleet, n_steps, v0, brake=None):
-            # One step at a time, so that every step's speeds are seen.
-            for _ in range(n_steps):
+        def recorded(fleet, n_steps, v0, animals=None):
+            # One step at a time, so that every step's speeds are seen; only
+            # the last one brakes.
+            for step in range(n_steps):
                 seen.extend((v.v, v0) for v in fleet.vehicles)
-                advance(fleet, 1, v0, brake)
+                advance(fleet, 1, v0, animals if step == n_steps - 1 else None)
 
         monkeypatch.setattr(Fleet, "advance", recorded)
         cfg = replace_config(CorridorConfig(), arrival_rate=0.0)
@@ -356,7 +359,7 @@ class TestAdvanceIdm:
 
     def test_matches_reference_from_default_state(self):
         fast, ref = self.default_pair()
-        Fleet(fast, P, 0.1, self.L, GEO.vehicle_length).advance(3000, P.v_cruise)
+        Fleet(fast, P, 0.1, self.L, GEO).advance(3000, P.v_cruise)
         reference_steps(ref, 3000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -367,7 +370,7 @@ class TestAdvanceIdm:
         reference_steps(fast, 300, P.v_caution, self.L)
         reference_steps(ref, 300, P.v_caution, self.L)
         assert snapshot(fast) == snapshot(ref)
-        Fleet(fast, P, 0.1, self.L, GEO.vehicle_length).advance(2000, P.v_cruise)
+        Fleet(fast, P, 0.1, self.L, GEO).advance(2000, P.v_cruise)
         reference_steps(ref, 2000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -375,7 +378,7 @@ class TestAdvanceIdm:
         # Alerted drivers that brake for no animal: from cruise down to the
         # caution speed, through the -a_em clamp.
         fast, ref = self.default_pair()
-        Fleet(fast, P, 0.1, self.L, GEO.vehicle_length).advance(2000, P.v_caution)
+        Fleet(fast, P, 0.1, self.L, GEO).advance(2000, P.v_caution)
         reference_steps(ref, 2000, P.v_caution, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -390,14 +393,14 @@ class TestAdvanceIdm:
             follower = next(v for v in group if v.leader == 2)
             follower.x = (stopped.x - 60.0 * stopped.direction) % self.L
             follower.v = 27.0
-        Fleet(fast, P, 0.1, self.L, GEO.vehicle_length).advance(500, P.v_cruise)
+        Fleet(fast, P, 0.1, self.L, GEO).advance(500, P.v_cruise)
         reference_steps(ref, 500, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
     def test_matches_reference_for_a_free_vehicle(self):
         fast, ref = self.default_pair(vehicles_per_direction=1)
         assert all(v.leader == -1 for v in fast)
-        Fleet(fast, P, 0.1, self.L, GEO.vehicle_length).advance(1000, P.v_cruise)
+        Fleet(fast, P, 0.1, self.L, GEO).advance(1000, P.v_cruise)
         reference_steps(ref, 1000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -405,7 +408,7 @@ class TestAdvanceIdm:
         vehicles = build_corridor(CorridorConfig()).vehicles
         for v in vehicles:
             v.emergency_braking = True
-        Fleet(vehicles, P, 0.1, self.L, GEO.vehicle_length).advance(1, P.v_cruise)
+        Fleet(vehicles, P, 0.1, self.L, GEO).advance(1, P.v_cruise)
         assert not any(v.emergency_braking for v in vehicles)
 
     def test_overlap_raised_at_the_same_step(self):
@@ -426,7 +429,7 @@ class TestAdvanceIdm:
                 expected += 1
         fast = crash_course()
         with pytest.raises(VehicleOverlap) as exc:
-            Fleet(fast, P, 0.1, self.L, GEO.vehicle_length).advance(1000, P.v_cruise)
+            Fleet(fast, P, 0.1, self.L, GEO).advance(1000, P.v_cruise)
         assert exc.value.step == expected > 0
         assert exc.value.follower is fast[0]
         assert exc.value.leader is fast[fast[0].leader]
@@ -446,23 +449,23 @@ class TestKernelMatchesPython:
         compiled_kernel()
         cfg = replace_config(CorridorConfig(), **overrides)
         fast, ref = build_corridor(cfg).vehicles, build_corridor(cfg).vehicles
-        Fleet(fast, P, dt, self.L, GEO.vehicle_length).advance(0, P.v_cruise)
+        Fleet(fast, P, dt, self.L, GEO).advance(0, P.v_cruise)
         assert snapshot(fast) == snapshot(ref)
         done = 0
         for r in (1, 2, 17, 640, 3001):
-            Fleet(fast, P, dt, self.L, GEO.vehicle_length).advance(r - done, P.v_cruise)
+            Fleet(fast, P, dt, self.L, GEO).advance(r - done, P.v_cruise)
             reference_steps(ref, r - done, P.v_cruise, self.L, dt)
             done = r
             assert snapshot(fast) == snapshot(ref)
 
 
-def kernel_outcome(kernel, start, n_steps, v0, p, dt, road_length, vehicle_length,
-                   brake=None):
-    """``Fleet.advance`` with brake flags ``brake`` on a copy of ``start``,
-    with the kernel slot set to ``kernel``: ``advance_outcome``."""
+def kernel_outcome(kernel, start, n_steps, v0, p, dt, road_length, geometry,
+                   animals=None):
+    """``Fleet.advance`` braking for ``animals`` on a copy of ``start``, with
+    the kernel slot set to ``kernel``: ``advance_outcome``."""
     vehicles = [dataclasses.replace(v) for v in start]
-    fleet = fleet_on(kernel, vehicles, p, dt, road_length, vehicle_length)
-    return advance_outcome(fleet, n_steps, v0, brake)
+    fleet = fleet_on(kernel, vehicles, p, dt, road_length, geometry)
+    return advance_outcome(fleet, n_steps, v0, animals)
 
 
 def fleet_on(kernel, *args):
@@ -475,13 +478,13 @@ def fleet_on(kernel, *args):
         wvcsim.vehicles._kernel = saved
 
 
-def advance_outcome(fleet, n_steps, v0, brake=None):
-    """``fleet.advance(n_steps, v0, brake)``: what it raised (an overlap by
+def advance_outcome(fleet, n_steps, v0, animals=None):
+    """``fleet.advance(n_steps, v0, animals)``: what it raised (an overlap by
     step and by the pair's indices, another error by its type and message),
     and every vehicle's (x, v) bits and ``emergency_braking``."""
     error = None
     try:
-        fleet.advance(n_steps, v0, brake)
+        fleet.advance(n_steps, v0, animals)
     except VehicleOverlap as exc:
         index = {id(v): i for i, v in enumerate(fleet.vehicles)}
         error = ("overlap", exc.step, index[id(exc.follower)], index[id(exc.leader)])
@@ -494,13 +497,88 @@ def kernel_bits(vehicles):
     return [(struct.pack("<2d", v.x, v.v), v.emergency_braking) for v in vehicles]
 
 
+def one_step(kernel):
+    """``kernel`` taking only the first step of each call and leaving the
+    rest, the braking step among them, to the Python body."""
+    def advance(buf, lead, n_steps, v0, vehicles, animals):
+        return kernel(buf, lead, min(n_steps, 1), v0, vehicles,
+                      animals if n_steps <= 1 else None)
+    return advance
+
+
+def solved(f, goal, guess):
+    """A float within 8 ULPs of ``guess`` at which ``f`` gives ``goal``
+    exactly, or None."""
+    z = ulps_from(guess, -8)
+    for _ in range(17):
+        if f(z) == goal:
+            return z
+        z = math.nextafter(z, math.inf)
+    return None
+
+
+def reach(vehicle, p, geometry):
+    """``emergency_brake_needed``'s reach for ``vehicle``: the stopping
+    envelope, at least the hold zone."""
+    envelope = stopping_envelope(vehicle.v, p)
+    hold = p.s0 + geometry.vehicle_length / 2.0 + geometry.animal_radius
+    return hold if envelope < hold else envelope
+
+
+def edge_y(vehicle, geometry, side, ulps):
+    """A y on ``side`` (+1 or -1) of ``vehicle``'s lane centre whose
+    distance from it is the lane band moved ``ulps`` ULPs, as
+    ``emergency_brake_needed`` measures it; None where no y gives it."""
+    centre = geometry.lane_centre(vehicle.lane)
+    goal = ulps_from(geometry.lane_width / 2.0 + geometry.animal_radius, ulps)
+    return solved(lambda y: abs(y - centre), goal, centre + side * goal)
+
+
+def edge_x(vehicle, p, geometry, road_length, ulps):
+    """An x ahead of ``vehicle`` by its reach, moved ``ulps`` ULPs, as
+    ``emergency_brake_needed`` measures it; None where no x gives it."""
+    goal = ulps_from(reach(vehicle, p, geometry), ulps)
+    return solved(lambda x: ((x - vehicle.x) * vehicle.direction) % road_length,
+                  goal, (vehicle.x + goal * vehicle.direction) % road_length)
+
+
+def first(value, default):
+    return default if value is None else value
+
+
+@st.composite
+def candidates(draw, vehicles, p, geometry, road_length):
+    """0-4 animals on or near the carriageway: each x and y drawn at random
+    or, for a vehicle of the ring, at the edge of its brake test, its reach
+    ahead and its lane band, or one ULP either side; exact at the first
+    step's snapshot."""
+    animals = []
+    for aid in range(draw(st.integers(0, 4))):
+        x = draw(st.floats(0.0, road_length, exclude_max=True))
+        y = draw(st.floats(-1.0, geometry.road_width + 1.0))
+        if vehicles:
+            vehicle = draw(st.sampled_from(vehicles))
+            if draw(st.booleans()):
+                x = first(edge_x(vehicle, p, geometry, road_length,
+                                 draw(st.integers(-1, 1))), x)
+            if draw(st.booleans()):
+                y = first(edge_y(vehicle, geometry, draw(st.sampled_from((1, -1))),
+                                 draw(st.integers(-1, 1))), y)
+        animals.append(AnimalState(aid=aid, x=x, y=y, sigma=1.0))
+    return animals
+
+
 @st.composite
 def kernel_cases(draw):
     """A ring of 0-12 vehicles in both directions, some of them free, with
-    random states, IDM parameters, time step, lengths, step count, one of
-    the two desired speeds, and no brake flags or one per vehicle."""
+    random states, IDM parameters, lane and body sizes, time step, ring
+    length, step count (often one, so that the brake edges hold), one of the
+    two desired speeds, and no animals or 0-4 candidates for a braking last
+    step."""
     road_length = draw(st.floats(10.0, 2000.0))
-    vehicle_length = draw(st.floats(0.0, 10.0))
+    geometry = dataclasses.replace(GEO, vehicle_length=draw(st.floats(0.0, 10.0)),
+                                   lane_width=draw(st.floats(0.5, 5.0)),
+                                   animal_radius=draw(st.floats(0.0, 3.0)))
     vehicles = [VehicleState(vid=i, x=draw(st.floats(0.0, road_length,
                                                      exclude_max=True)),
                              v=draw(st.floats(0.0, 40.0)), direction=d, lane=d < 0,
@@ -516,28 +594,28 @@ def kernel_cases(draw):
                   a_max=draw(st.floats(0.1, 5.0)), b_conf=draw(st.floats(0.1, 10.0)),
                   delta=draw(st.sampled_from((4.0, 1.0)) | st.floats(0.5, 8.0)),
                   a_em=draw(st.floats(0.1, 20.0)), v_cruise=v_cruise,
-                  v_caution=draw(st.floats(0.5, v_cruise)))
+                  v_caution=draw(st.floats(0.5, v_cruise)),
+                  t_react=draw(st.floats(0.1, 3.0)))
     v0 = draw(st.sampled_from((p.v_cruise, p.v_caution)))
-    brake = draw(st.none() | st.lists(st.booleans(), min_size=len(vehicles),
-                                      max_size=len(vehicles)))
-    return (vehicles, draw(st.integers(0, 300)), v0, p,
-            draw(st.floats(0.01, 1.0)), road_length, vehicle_length, brake)
+    animals = draw(st.none() | candidates(vehicles, p, geometry, road_length))
+    return (vehicles, draw(st.just(1) | st.integers(0, 300)), v0, p,
+            draw(st.floats(0.01, 1.0)), road_length, geometry, animals)
 
 
 @st.composite
 def kernel_sequences(draw):
-    """A ring, its parameters, time step and lengths from ``kernel_cases``,
-    then 1-6 calls on one fleet: each a step count (0, 1 or 2-300), one of
-    the two desired speeds, no brake flags or one per vehicle, and whether
-    the kernel stops after one step and leaves the rest to the Python body."""
-    vehicles, _, _, p, dt, road_length, vehicle_length, _ = draw(kernel_cases())
-    n = len(vehicles)
+    """A ring, its parameters, time step, ring length and geometry from
+    ``kernel_cases``, then 1-6 calls on one fleet: each a step count (0, 1 or
+    2-300), one of the two desired speeds, no animals or 0-4 candidates, and
+    whether the kernel stops after one step and leaves the rest to the
+    Python body."""
+    vehicles, _, _, p, dt, road_length, geometry, _ = draw(kernel_cases())
     calls = draw(st.lists(st.tuples(
         st.sampled_from((0, 1)) | st.integers(2, 300),
         st.sampled_from((p.v_cruise, p.v_caution)),
-        st.none() | st.lists(st.booleans(), min_size=n, max_size=n),
+        st.none() | candidates(vehicles, p, geometry, road_length),
         st.booleans()), min_size=1, max_size=6))
-    return vehicles, p, dt, road_length, vehicle_length, calls
+    return vehicles, p, dt, road_length, geometry, calls
 
 
 # The default corridor cruising long enough for speeds and gaps to repeat
@@ -545,7 +623,7 @@ def kernel_sequences(draw):
 # Python body and the cruise speed again: any state the kernel kept from one
 # call to the next, beyond x and v, would show as a wrong term after a switch.
 SETTLED_CASE = (build_corridor(CorridorConfig()).vehicles, P, 0.1,
-                CorridorConfig().road_length, GEO.vehicle_length,
+                CorridorConfig().road_length, GEO,
                 [(3000, P.v_cruise, None, False), (5, P.v_caution, None, False),
                  (3000, P.v_caution, None, True), (1, P.v_cruise, None, False)])
 
@@ -554,13 +632,14 @@ SETTLED_CASE = (build_corridor(CorridorConfig()).vehicles, P, 0.1,
 # the Python body raises OverflowError before the first step.
 OVERFLOW_CASE = ([VehicleState(vid=0, x=0.0, v=0.0, direction=1, lane=0, leader=1),
                   VehicleState(vid=1, x=2e-160, v=0.0, direction=1, lane=0, leader=0)],
-                 10, P.v_cruise, P, 0.1, 1000.0, 1e-160)
+                 10, P.v_cruise, P, 0.1, 1000.0,
+                 dataclasses.replace(GEO, vehicle_length=1e-160))
 
 
 def free_case(v):
     """One free vehicle at speed ``v``, ten steps at the cruise speed."""
     return ([VehicleState(vid=0, x=0.0, v=v, direction=1, lane=0)], 10, P.v_cruise,
-            P, 0.1, 1000.0, GEO.vehicle_length, None)
+            P, 0.1, 1000.0, GEO, None)
 
 
 # The IDM powers' edges: a finite speed whose (v/v0) ** 4 overflows, in its
@@ -572,7 +651,7 @@ def free_case(v):
 POWER_EDGES = ([free_case(v) for v in (1e100, 1e200, math.inf, math.nan)]
                + [(build_corridor(CorridorConfig()).vehicles, 300, P.v_caution,
                    dataclasses.replace(P, delta=3.5), 0.1,
-                   CorridorConfig().road_length, GEO.vehicle_length, None)])
+                   CorridorConfig().road_length, GEO, None)])
 
 
 # The ring length of the remainder edge cases.
@@ -589,23 +668,23 @@ def ulps_from(x, ulps):
 def landing_case(target, ulps, direction, v):
     """One free vehicle at speed ``v``, one step: its position update
     ``x + nv * dt * direction`` lands exactly ``ulps`` ULPs from ``target``.
-    At ``v`` 0 the vehicle brakes, so nv is 0 and the update adds a zero
-    (of the direction's sign) to x."""
+    At ``v`` 0 the vehicle brakes, for an animal 1 m ahead in its lane, so
+    nv is 0 and the update adds a zero (of the direction's sign) to x."""
     dt = 0.1
     goal = ulps_from(target, ulps)
     brake = v == 0.0
     nv = 0.0 if brake else v + idm_acceleration(v, P.v_cruise, 0.0,
                                                  FREE_ROAD_GAP, P) * dt
     move = nv * dt * direction
-    x = ulps_from(goal - move, -8)
-    for _ in range(16):
-        if x + move == goal:
-            break
-        x = math.nextafter(x, math.inf)
-    else:
+    x = solved(lambda x: x + move, goal, goal - move)
+    if x is None:
         raise AssertionError(f"no x lands on {goal!r}")
     vehicle = VehicleState(vid=0, x=x, v=v, direction=direction, lane=0)
-    return [vehicle], 1, P.v_cruise, P, dt, EDGE_L, GEO.vehicle_length, [brake]
+    animals = None
+    if brake:
+        animals = [AnimalState(aid=0, x=(x + direction) % EDGE_L, y=GEO.lane_centre(0),
+                               sigma=1.0)]
+    return [vehicle], 1, P.v_cruise, P, dt, EDGE_L, GEO, animals
 
 
 def gap_case(x_follower, x_leader, direction):
@@ -615,7 +694,8 @@ def gap_case(x_follower, x_leader, direction):
                          leader=1),
             VehicleState(vid=1, x=x_leader, v=10.0, direction=direction, lane=0,
                          leader=0)]
-    return pair, 3, P.v_cruise, P, 0.1, EDGE_L, 0.0, None
+    return pair, 3, P.v_cruise, P, 0.1, EDGE_L, dataclasses.replace(
+        GEO, vehicle_length=0.0), None
 
 
 # The edges of the kernel's exact remainder paths, taken for 0 < a < L,
@@ -632,13 +712,44 @@ REMAINDER_EDGES = (
     + [gap_case(a, b, d) for a, b in ((0.0, 0.0), (0.0, EDGE_L), (EDGE_L, 0.0))
        for d in (1, -1)]
     + [([VehicleState(vid=0, x=3.0, v=40.0, direction=d, lane=0)], 5, P.v_cruise,
-        P, 1.0, 10.0, GEO.vehicle_length, None) for d in (1, -1)])
+        P, 1.0, 10.0, GEO, None) for d in (1, -1)])
+
+
+def brake_case(v, direction, x_ulps=None, side=None, y_ulps=0, x=None):
+    """One free vehicle at speed ``v`` in its direction's lane, one braking
+    step for one animal: ``x_ulps`` ULPs from the vehicle's reach ahead (or
+    at ``x``), and ``y_ulps`` ULPs from its lane band's edge on ``side`` of
+    the lane centre (or on the centre)."""
+    lane = int(direction < 0)
+    # Starts from which every x ahead within the reach is exactly x - start.
+    start = (100.0, 250.0) if v else (0.125, 8.0)
+    start = start[lane]
+    vehicle = VehicleState(vid=0, x=start, v=v, direction=direction, lane=lane)
+    if x is None:
+        x = edge_x(vehicle, P, GEO, EDGE_L, x_ulps)
+    y = GEO.lane_centre(lane) if side is None else edge_y(vehicle, GEO, side, y_ulps)
+    assert x is not None and y is not None
+    return ([vehicle], 1, P.v_cruise, P, 0.1, EDGE_L, GEO,
+            [AnimalState(aid=0, x=x, y=y, sigma=1.0)])
+
+
+# The brake test's edges, where ``<`` decides: an animal at the vehicle's
+# reach (no brake) and one ULP inside it (brake), at cruise speed and at a
+# standstill, where the hold zone is the reach; and, 1 m ahead, an animal at
+# the lane band's edge (no brake) and one ULP inside it (brake), on the
+# centre's low side in either lane (on its high side, no y of the default
+# geometry gives both distances; ``kernel_cases`` draws both sides).
+BRAKE_EDGES = (
+    [brake_case(v, d, x_ulps=u) for v in (P.v_cruise, 0.0) for d in (1, -1)
+     for u in (0, -1)]
+    + [brake_case(P.v_cruise, d, side=-1, y_ulps=u, x=101.0 if d > 0 else 249.0)
+       for d in (1, -1) for u in (0, -1)])
 
 
 def edge_examples(test):
-    """``test`` with an ``@example`` for each case in ``REMAINDER_EDGES`` and
-    ``POWER_EDGES``."""
-    for case in REMAINDER_EDGES + POWER_EDGES:
+    """``test`` with an ``@example`` for each case in ``REMAINDER_EDGES``,
+    ``POWER_EDGES`` and ``BRAKE_EDGES``."""
+    for case in REMAINDER_EDGES + POWER_EDGES + BRAKE_EDGES:
         test = example(case=case)(test)
     return test
 
@@ -652,7 +763,8 @@ def compiled_kernel():
 
 class TestCompiledKernel:
     """The compiled kernel is the Python body of ``Fleet.advance``, bit for
-    bit, down to the errors it raises and the state they leave."""
+    bit, down to the brake flags, the errors it raises and the state they
+    leave."""
 
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(case=kernel_cases())
@@ -663,26 +775,29 @@ class TestCompiledKernel:
         compiled = kernel_outcome(kernel, *case)
         assert compiled == kernel_outcome(False, *case)
 
+    def test_brake_edges_decide_as_stated(self):
+        # Each BRAKE_EDGES pair straddles its edge: the animal at the edge is
+        # not braked for, the one a ULP inside is.
+        flags = [kernel_outcome(False, *case)[1][0][1] for case in BRAKE_EDGES]
+        assert flags == [False, True] * (len(BRAKE_EDGES) // 2)
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=kernel_sequences())
     @example(case=SETTLED_CASE)
     def test_one_fleet_through_a_sequence_of_calls(self, case):
-        # Between calls the kernel keeps only x and v in a fleet's buffer,
-        # reloaded after the Python body has stepped: one fleet stepped call
-        # after call, sometimes by the Python body after a kernel that stops
-        # after one step, gives the Python body's bits and errors after
-        # every call.
+        # Between calls the kernel keeps only x, v and whether a flag may be
+        # set in a fleet's buffer, reloaded after the Python body has
+        # stepped: one fleet stepped call after call, sometimes by the
+        # Python body after a kernel that stops after one step, gives the
+        # Python body's bits, flags and errors after every call.
         kernel = compiled_kernel()
-
-        def one_step(n, n_steps, *args):
-            return kernel(n, ctypes.c_long(min(n_steps.value, 1)), *args)
-
-        start, p, dt, road_length, vehicle_length, calls = case
+        start, p, dt, road_length, geometry, calls = case
         fleets = [fleet_on(k, [dataclasses.replace(v) for v in start], p, dt,
-                           road_length, vehicle_length) for k in (kernel, False)]
-        for n_steps, v0, brake, stop in calls:
-            fleets[0].kernel = one_step if stop else kernel
-            outcomes = [advance_outcome(fleet, n_steps, v0, brake) for fleet in fleets]
+                           road_length, geometry) for k in (kernel, False)]
+        for n_steps, v0, animals, stop in calls:
+            fleets[0].kernel = one_step(kernel) if stop else kernel
+            outcomes = [advance_outcome(fleet, n_steps, v0, animals)
+                        for fleet in fleets]
             assert outcomes[0] == outcomes[1]
 
     def test_overflow_leaves_the_state_before_it(self):
@@ -692,18 +807,19 @@ class TestCompiledKernel:
         assert state == kernel_outcome(kernel, OVERFLOW_CASE[0], 0,
                                        *OVERFLOW_CASE[2:])[1]
 
-    @pytest.mark.parametrize("change", ["v0", "road_length", "b_conf", "leader"])
+    @pytest.mark.parametrize("change", ["v0", "road_length", "b_conf", "leader",
+                                        "brake-b_conf"])
     def test_other_errors_raised_as_in_python(self, change):
         # Python raises ZeroDivisionError on a zero desired speed, ring length
-        # or closing term (b_conf 0), and IndexError on a leader past the
-        # list. The C arithmetic alone would step through the first two
-        # (inf ** -1 is finite; free vehicles read no gap) and read past its
-        # buffer on the last; a zero closing term also gives it a NaN s*.
+        # or closing term (b_conf 0), on a braking step's stopping envelope
+        # at 2 * b_conf 0, and IndexError on a leader past the list. The C
+        # arithmetic alone would step through the first two (inf ** -1 is
+        # finite; free vehicles read no gap) and read past its buffer on the
+        # leader; a zero closing term also gives it a NaN s*.
         vehicles = build_corridor(CorridorConfig()).vehicles
         vehicles[0].v = 10.0
         case = dict(start=vehicles, n_steps=10, v0=P.v_cruise, p=P, dt=0.1,
-                    road_length=CorridorConfig().road_length,
-                    vehicle_length=GEO.vehicle_length)
+                    road_length=CorridorConfig().road_length, geometry=GEO)
         if change == "v0":
             case.update(v0=0.0, p=dataclasses.replace(P, delta=-1.0))
         elif change == "road_length":
@@ -712,11 +828,31 @@ class TestCompiledKernel:
                 v.leader = -1
         elif change == "b_conf":
             case["p"] = dataclasses.replace(P, b_conf=0.0)
+        elif change == "brake-b_conf":
+            # An infinite a_max makes the closing term NaN, not 0.0, so only
+            # the braking step's envelope divides by zero.
+            case.update(p=dataclasses.replace(P, a_max=math.inf, b_conf=0.0),
+                        animals=[])
         else:
             vehicles[3].leader = len(vehicles)
         compiled = kernel_outcome(compiled_kernel(), **case)
         assert compiled[0][0] in ("ZeroDivisionError", "IndexError")
         assert compiled == kernel_outcome(False, **case)
+
+    def test_animal_coordinates_that_are_not_floats(self):
+        # An int y takes the Python body, whose arithmetic takes ints; a
+        # missing x is read only for an animal in the band, so here the
+        # Python body never reads it.
+        vehicles = build_corridor(CorridorConfig()).vehicles
+        L = CorridorConfig().road_length
+        lane_animal = AnimalState(aid=0, x=vehicles[0].x + 10.0, y=2, sigma=1.0)
+        far = SimpleNamespace(y=-30.0)
+        for animals in ([lane_animal], [far]):
+            case = (vehicles, 3, P.v_caution, P, 0.1, L, GEO, animals)
+            assert kernel_outcome(compiled_kernel(), *case) == kernel_outcome(False,
+                                                                             *case)
+        assert kernel_outcome(False, vehicles, 1, P.v_caution, P, 0.1, L, GEO,
+                              [lane_animal])[1][0][1]
 
     def test_parameters_differing_in_the_sign_of_a_zero(self):
         # -0.0 == 0.0, but a dt or speed of -0.0 must give Python's bits:
@@ -724,11 +860,12 @@ class TestCompiledKernel:
         kernel = compiled_kernel()
         start = [VehicleState(vid=0, x=5.0, v=-0.0, direction=1, lane=0)]
         for dt in (0.0, -0.0, 0.0):
-            case = (start, 1, P.v_cruise, P, dt, 1000.0, GEO.vehicle_length)
+            case = (start, 1, P.v_cruise, P, dt, 1000.0, GEO)
             assert kernel_outcome(kernel, *case) == kernel_outcome(False, *case)
 
     def test_takes_the_steps_itself(self, monkeypatch):
-        # The Python body is left no step of an ordinary stretch.
+        # The Python body is left no step of an ordinary stretch, nor of one
+        # ending in a braking step.
         kernel = compiled_kernel()
         taken = []
 
@@ -738,16 +875,24 @@ class TestCompiledKernel:
 
         monkeypatch.setattr(wvcsim.vehicles, "_kernel", spied)
         vehicles = build_corridor(CorridorConfig()).vehicles
-        Fleet(vehicles, P, 0.1, CorridorConfig().road_length,
-              GEO.vehicle_length).advance(3000, P.v_cruise)
-        assert taken == [3000]
+        fleet = Fleet(vehicles, P, 0.1, CorridorConfig().road_length, GEO)
+        fleet.advance(3000, P.v_cruise)
+        # 60 m ahead of the first vehicle, in its lane: still ahead of it,
+        # and inside its reach, at the seventh step.
+        lead = vehicles[0]
+        fleet.advance(7, P.v_caution, [AnimalState(
+            aid=0, x=lead.x + 60.0 * lead.direction, y=GEO.lane_centre(lead.lane),
+            sigma=1.0)])
+        assert taken == [3000, 7]
+        assert [v.emergency_braking for v in vehicles] == [True] + [False] * 7
 
     def test_fleets_of_one_size_keep_their_own_buffers(self):
         # Two trials' fleets of 8 vehicles each, stepped in turn, give the
         # bits each gives when stepped alone.
         compiled_kernel()
         L = CorridorConfig().road_length
-        calls = [(1, P.v_cruise), (17, P.v_caution), (1, P.v_caution, [True, False] * 4),
+        ahead = [AnimalState(aid=0, x=260.0, y=GEO.lane_centre(0), sigma=1.0)]
+        calls = [(1, P.v_cruise), (17, P.v_caution), (1, P.v_caution, ahead),
                  (40, P.v_cruise)]
 
         def groups():
@@ -759,12 +904,12 @@ class TestCompiledKernel:
 
         alone = []
         for group in groups():
-            fleet = Fleet(group, P, 0.1, L, GEO.vehicle_length)
+            fleet = Fleet(group, P, 0.1, L, GEO)
             for call in calls:
                 fleet.advance(*call)
             alone.append(kernel_bits(group))
         together = groups()
-        fleets = [Fleet(group, P, 0.1, L, GEO.vehicle_length) for group in together]
+        fleets = [Fleet(group, P, 0.1, L, GEO) for group in together]
         for call in calls:
             for fleet in fleets:
                 fleet.advance(*call)
@@ -777,25 +922,56 @@ class TestCompiledKernel:
         # state, not from the buffer's.
         kernel = compiled_kernel()
         taken = []
+        first_only = one_step(kernel)
 
-        def one_step(n, n_steps, *args):
-            taken.append(kernel(n, ctypes.c_long(min(n_steps.value, 1)), *args))
+        def spied(*args):
+            taken.append(first_only(*args))
             return taken[-1]
 
-        monkeypatch.setattr(wvcsim.vehicles, "_kernel", one_step)
+        monkeypatch.setattr(wvcsim.vehicles, "_kernel", spied)
         L = CorridorConfig().road_length
         fast = build_corridor(CorridorConfig()).vehicles
         ref = build_corridor(CorridorConfig()).vehicles
-        fleet = Fleet(fast, P, 0.1, L, GEO.vehicle_length)
+        fleet = Fleet(fast, P, 0.1, L, GEO)
         for n in (5, 1, 30, 2):
             fleet.advance(n, P.v_cruise)
             reference_steps(ref, n, P.v_cruise, L)
             assert kernel_bits(fast) == kernel_bits(ref)
         assert taken == [1, 1, 1, 1]
 
+    @pytest.mark.parametrize("args, error", [
+        ((), TypeError),
+        (("buf", "lead", 1, 27.78, "vehicles", None, None), TypeError),
+        (("buf", "lead", 1.0, 27.78, "vehicles", None), TypeError),
+        (("buf", "lead", 1, "fast", "vehicles", None), TypeError),
+        (("buf", "lead", 1, 27.78, tuple, None), TypeError),
+        (("buf", "lead", 1, 27.78, "vehicles", ()), TypeError),
+        ((bytearray(8), "lead", 1, 27.78, "vehicles", None), TypeError),
+        (("lead", "lead", 1, 27.78, "vehicles", None), TypeError),
+        (("buf", "buf", 1, 27.78, "vehicles", None), TypeError),
+        (("buf", "lead", 1, 27.78, [], None), ValueError),
+        (("buf", "lead[:-1]", 1, 27.78, "vehicles", None), ValueError),
+    ], ids=["none", "seven", "float-steps", "str-v0", "tuple-vehicles",
+            "tuple-animals", "bytearray-buf", "long-buf", "double-lead", "no-vehicles",
+            "short-lead"])
+    def test_wrong_arguments_raise(self, args, error):
+        # The extension checks its arguments' number, types and sizes before
+        # it reads a buffer: a bad call raises, and the fleet still steps.
+        kernel = compiled_kernel()
+        vehicles = build_corridor(CorridorConfig()).vehicles
+        fleet = Fleet(vehicles, P, 0.1, CorridorConfig().road_length, GEO)
+        named = {"buf": fleet.buf, "lead": fleet.lead, "lead[:-1]": fleet.lead[:-1],
+                 "vehicles": vehicles}
+        with pytest.raises(error):
+            kernel(*(named.get(a, a) if isinstance(a, str) else a for a in args))
+        fleet.advance(10, P.v_cruise)
+        ref = build_corridor(CorridorConfig()).vehicles
+        reference_steps(ref, 10, P.v_cruise, CorridorConfig().road_length)
+        assert kernel_bits(vehicles) == kernel_bits(ref)
+
     def test_source_ships_with_the_package(self):
         source = importlib.resources.files("wvcsim").joinpath("advance_idm.c")
-        assert "long advance_idm(" in source.read_text(encoding="utf-8")
+        assert "PyInit_advance_idm(" in source.read_text(encoding="utf-8")
 
     @pytest.mark.skipif(shutil.which(wvcsim.vehicles.CC[0]) is None,
                         reason="no C compiler on PATH")
@@ -808,10 +984,12 @@ class TestCompiledKernel:
     @pytest.mark.skipif(shutil.which(wvcsim.vehicles.CC[0]) is None,
                         reason="no C compiler on PATH")
     def test_builds_without_warnings(self, tmp_path):
+        # The loader's own command, include directory and all.
         source = importlib.resources.files("wvcsim").joinpath("advance_idm.c")
-        built = subprocess.run([*wvcsim.vehicles.CC, "-Wall", "-Wextra", "-Werror",
-                                "-o", str(tmp_path / "advance_idm.so"), str(source),
-                                "-lm"], capture_output=True, text=True)
+        command = wvcsim.vehicles.build_command(str(source),
+                                                str(tmp_path / "advance_idm.so"))
+        built = subprocess.run([*command, "-Wall", "-Wextra", "-Werror"],
+                               capture_output=True, text=True)
         assert built.returncode == 0, built.stderr
 
     def test_import_and_plan_build_nothing(self):
