@@ -18,9 +18,9 @@ carriageway (phase 4 brakes for nothing and phase 6 scans nothing). Such
 steps are foraging, approaching short of the edge, hesitating short of the
 dwell's end, fleeing short of the spawn offset and walking out past the far
 edge. An animal that phase 5 leaves off the carriageway has its quiet steps
-from the next step on walked once, up to the trial's end (a frozen animal,
-or an undetected one inside ``_radar_band``, has none and is not walked);
-the walk is
+from the next step on walked once, up to the trial's end (a frozen or
+departed animal, or an undetected one inside ``_radar_band``, has none and
+is not walked); the walk is
 applied at once (``animals.take_quiet_steps``) and the animal sleeps until
 the step after the walk's last (``sleeping``, ``next_wake``). Phases 2 and 5
 skip a sleeper. Nothing reads what changes while it sleeps: a quiet step
@@ -119,6 +119,9 @@ _STREAM_BEHAVIOUR = 1
 _STREAM_DETECTION = 2
 
 _MODE_INDEX = {Mode.CONTROL: 0, Mode.DETECTION: 1, Mode.AWARE: 2}
+
+# Activities with no quiet step: a frozen animal, and one that has left.
+_NEVER_QUIET = frozenset((Activity.FROZEN, Activity.MOVED_AWAY))
 
 
 @dataclass
@@ -453,9 +456,8 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             if 0.0 < y <= road_width:
                 on_road = True
                 continue
-            # A frozen animal, or an undetected one inside the radar band,
-            # is never quiet (``quiet_steps`` walks 0 steps for it).
-            if st is Activity.FROZEN or not a.detected and radar_lo <= y <= radar_hi:
+            # ``quiet_steps`` walks no step for these.
+            if st in _NEVER_QUIET or not a.detected and radar_lo <= y <= radar_hi:
                 continue
             walk = quiet_steps(a, n_steps - k, dt, behaviour, geometry, radar_band)
             if walk[0]:

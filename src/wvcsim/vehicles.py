@@ -152,8 +152,7 @@ class Fleet:
                 p.s0, p.T, p.a_max, p.delta, -p.a_em,
                 2.0 * math.sqrt(p.a_max * p.b_conf), dt, road_length,
                 geometry.vehicle_length, FREE_ROAD_GAP, 2.0 * p.b_conf, p.t_react,
-                p.s0 + geometry.vehicle_length / 2.0 + geometry.animal_radius,
-                geometry.lane_width / 2.0 + geometry.animal_radius, 1.0])
+                *brake_zone(geometry, p), 1.0])
             self.buf.extend([v.direction for v in vehicles])
             self.buf.extend([geometry.lane_centre(v.lane) for v in vehicles])
             self.buf.extend([0.0] * (5 * n))
@@ -324,6 +323,13 @@ def stopping_envelope(v: float, p: IdmParams) -> float:
     return v * v / (2.0 * p.b_conf) + v * p.t_react
 
 
+def brake_zone(geometry: "GeometryParams", p: IdmParams) -> tuple[float, float]:
+    """The brake test's hold zone, the least reach ahead, and its lane band,
+    the half-width around the lane centre it scans."""
+    return (p.s0 + geometry.vehicle_length / 2.0 + geometry.animal_radius,
+            geometry.lane_width / 2.0 + geometry.animal_radius)
+
+
 def emergency_brake_needed(vehicle: VehicleState, animals: Iterable["AnimalState"],
                            geometry: "GeometryParams", p: IdmParams,
                            road_length: float) -> bool:
@@ -343,10 +349,9 @@ def emergency_brake_needed(vehicle: VehicleState, animals: Iterable["AnimalState
     front of it.
     """
     reach = stopping_envelope(vehicle.v, p)
-    hold_zone = p.s0 + geometry.vehicle_length / 2.0 + geometry.animal_radius
+    hold_zone, band = brake_zone(geometry, p)
     if reach < hold_zone:
         reach = hold_zone
-    band = geometry.lane_width / 2.0 + geometry.animal_radius
     centre = geometry.lane_centre(vehicle.lane)
     vx = vehicle.x
     sign = vehicle.direction

@@ -12,6 +12,8 @@ edit of these digests, to be recorded with its reason in CHANGES.md.
 import dataclasses
 import functools
 import hashlib
+import shutil
+import sysconfig
 import warnings
 
 import pytest
@@ -121,6 +123,22 @@ def test_missing_compiler_warns_once_and_keeps_the_bytes(monkeypatch, tmp_path):
     monkeypatch.setattr(wvcsim.vehicles, "_kernel", None)
     monkeypatch.setattr(wvcsim.vehicles, "CC", ("wvcsim-no-such-cc",))
     with pytest.warns(RuntimeWarning, match="wvcsim-no-such-cc") as caught:
+        records = headline_records.__wrapped__("python")
+    assert len(caught) == 1
+    assert wvcsim.vehicles._kernel is False
+    path = tmp_path / "trials.csv"
+    write_trials_csv(str(path), records)
+    assert sha256(path) == HEADLINE_TRIALS
+
+
+@pytest.mark.skipif(shutil.which(wvcsim.vehicles.CC[0]) is None,
+                    reason="no C compiler on PATH")
+def test_missing_python_headers_warn_once_and_keep_the_bytes(monkeypatch, tmp_path):
+    # An include directory without Python.h: the build fails, the warning
+    # names the missing header, and the Python body writes the same bytes.
+    monkeypatch.setattr(wvcsim.vehicles, "_kernel", None)
+    monkeypatch.setattr(sysconfig, "get_paths", lambda *args: {"include": str(tmp_path)})
+    with pytest.warns(RuntimeWarning, match="Python.h") as caught:
         records = headline_records.__wrapped__("python")
     assert len(caught) == 1
     assert wvcsim.vehicles._kernel is False

@@ -21,7 +21,7 @@ from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
 from wvcsim.engine import run_trial
 from wvcsim.vehicles import (FREE_ROAD_GAP, DriverAlert, Fleet, IdmParams,
-                             VehicleOverlap, VehicleState, desired_gap,
+                             VehicleOverlap, VehicleState, brake_zone, desired_gap,
                              emergency_brake_needed, idm_acceleration,
                              link_ring_leaders, step_vehicles, stopping_envelope)
 from wvcsim.animals import AnimalState
@@ -521,7 +521,7 @@ def reach(vehicle, p, geometry):
     """``emergency_brake_needed``'s reach for ``vehicle``: the stopping
     envelope, at least the hold zone."""
     envelope = stopping_envelope(vehicle.v, p)
-    hold = p.s0 + geometry.vehicle_length / 2.0 + geometry.animal_radius
+    hold = brake_zone(geometry, p)[0]
     return hold if envelope < hold else envelope
 
 
@@ -530,7 +530,7 @@ def edge_y(vehicle, geometry, side, ulps):
     distance from it is the lane band moved ``ulps`` ULPs, as
     ``emergency_brake_needed`` measures it; None where no y gives it."""
     centre = geometry.lane_centre(vehicle.lane)
-    goal = ulps_from(geometry.lane_width / 2.0 + geometry.animal_radius, ulps)
+    goal = ulps_from(brake_zone(geometry, P)[1], ulps)
     return solved(lambda y: abs(y - centre), goal, centre + side * goal)
 
 
@@ -581,7 +581,8 @@ def kernel_cases(draw):
                                    animal_radius=draw(st.floats(0.0, 3.0)))
     vehicles = [VehicleState(vid=i, x=draw(st.floats(0.0, road_length,
                                                      exclude_max=True)),
-                             v=draw(st.floats(0.0, 40.0)), direction=d, lane=d < 0,
+                             v=draw(st.floats(0.0, 40.0) | st.floats(0.0, 2.0)),
+                             direction=d, lane=d < 0,
                              emergency_braking=draw(st.booleans()))
                 for i, d in enumerate(draw(st.lists(st.sampled_from((1, -1)),
                                                     max_size=12)))]
@@ -721,9 +722,9 @@ def brake_case(v, direction, x_ulps=None, side=None, y_ulps=0, x=None):
     at ``x``), and ``y_ulps`` ULPs from its lane band's edge on ``side`` of
     the lane centre (or on the centre)."""
     lane = int(direction < 0)
-    # Starts from which every x ahead within the reach is exactly x - start.
-    start = (100.0, 250.0) if v else (0.125, 8.0)
-    start = start[lane]
+    # Starts from which every x ahead within the reach is exactly x - start:
+    # the reach at cruise speed lies in [128, 256), the hold zone in [4, 8).
+    start = ((100.0, 250.0) if v > 2.0 else (0.125, 8.0))[lane]
     vehicle = VehicleState(vid=0, x=start, v=v, direction=direction, lane=lane)
     if x is None:
         x = edge_x(vehicle, P, GEO, EDGE_L, x_ulps)
@@ -734,13 +735,13 @@ def brake_case(v, direction, x_ulps=None, side=None, y_ulps=0, x=None):
 
 
 # The brake test's edges, where ``<`` decides: an animal at the vehicle's
-# reach (no brake) and one ULP inside it (brake), at cruise speed and at a
-# standstill, where the hold zone is the reach; and, 1 m ahead, an animal at
-# the lane band's edge (no brake) and one ULP inside it (brake), on the
-# centre's low side in either lane (on its high side, no y of the default
-# geometry gives both distances; ``kernel_cases`` draws both sides).
+# reach (no brake) and one ULP inside it (brake), at cruise speed, at 1 m/s
+# and at a standstill, where the hold zone is the reach; and, 1 m ahead, an
+# animal at the lane band's edge (no brake) and one ULP inside it (brake),
+# on the centre's low side in either lane (on its high side, no y of the
+# default geometry gives both distances; ``kernel_cases`` draws both sides).
 BRAKE_EDGES = (
-    [brake_case(v, d, x_ulps=u) for v in (P.v_cruise, 0.0) for d in (1, -1)
+    [brake_case(v, d, x_ulps=u) for v in (P.v_cruise, 1.0, 0.0) for d in (1, -1)
      for u in (0, -1)]
     + [brake_case(P.v_cruise, d, side=-1, y_ulps=u, x=101.0 if d > 0 else 249.0)
        for d in (1, -1) for u in (0, -1)])
