@@ -42,9 +42,6 @@ enum {
     STATE      /* the first direction */
 };
 
-/* Animals a braking step reads without allocating. */
-#define FEW 16
-
 static PyObject *name_x, *name_y, *name_v, *name_braking;
 
 /* CPython's float_rem: fmod, then the remainder takes the sign of the
@@ -151,7 +148,7 @@ static long run(double *buf, const long *lead, Py_ssize_t n, long n_steps,
     double *x = buf + STATE + 2 * n, *v = x + n;
     double *xs = x, *vs = v, *nxs = v + n, *nvs = v + 2 * n, *t;
     double *flag = v + 3 * n;
-    double few[2 * FEW], *ax = few, *ay = few + FEW;
+    double *ax = NULL, *ay = NULL;
     const int quartic = delta == 4.0;
     Py_ssize_t m = 0, i;
     long step = 0, braking_step = animals ? n_steps - 1 : -1;
@@ -167,11 +164,10 @@ static long run(double *buf, const long *lead, Py_ssize_t n, long n_steps,
         goto stop;
     if (animals) {
         m = PyList_GET_SIZE(animals);
-        if (m > FEW && (ax = PyMem_Malloc(2 * m * sizeof *ax)) == NULL) {
-            ax = few;
+        /* For m == 0 too, NULL only on a failure: the Python body goes on. */
+        if ((ax = PyMem_Malloc(2 * m * sizeof *ax)) == NULL)
             goto stop;
-        }
-        ay = ax == few ? few + FEW : ax + m;
+        ay = ax + m;
         for (i = 0; i < m; i++) {
             PyObject *a = PyList_GET_ITEM(animals, i);
             if (!read_float(a, name_x, ax + i) || !read_float(a, name_y, ay + i))
@@ -223,8 +219,7 @@ static long run(double *buf, const long *lead, Py_ssize_t n, long n_steps,
         t = vs; vs = nvs; nvs = t;
     }
 stop:
-    if (ax != few)
-        PyMem_Free(ax);
+    PyMem_Free(ax);
     if (xs != x) {
         memcpy(x, xs, n * sizeof *x);
         memcpy(v, vs, n * sizeof *v);

@@ -320,6 +320,16 @@ def step_animal(animal: AnimalState, vehicles: Sequence[VehicleState],
 QuietWalk = tuple[int, Activity, float, float]
 
 
+def may_be_quiet(animal: AnimalState, radar_band: tuple[float, float]) -> bool:
+    """False where ``quiet_steps`` walks the animal no step, whatever the
+    limit: a frozen animal, and an undetected one inside ``radar_band``,
+    for which detection tries."""
+    if animal.state is Activity.FROZEN:
+        return False
+    lo, hi = radar_band
+    return animal.detected or not lo <= animal.y <= hi
+
+
 def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourParams,
                 geometry: "GeometryParams",
                 radar_band: tuple[float, float]) -> QuietWalk:
@@ -342,17 +352,16 @@ def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourPar
     never quiet.
     """
     state, dwell, y = animal.state, animal.dwell_remaining, animal.y
+    road_width = geometry.road_width
+    n = 0
+    if 0.0 < y <= road_width or not may_be_quiet(animal, radar_band):
+        return n, state, dwell, y
     lo, hi = radar_band
     if animal.detected:
         lo, hi = math.inf, -math.inf  # no detection left to try
-    road_width = geometry.road_width
-    n = 0
-    if 0.0 < y <= road_width:
-        return n, state, dwell, y
     if state is Activity.FORAGING:
-        # FORAGING: count the dwell down at spawn, then approach.
-        if lo <= y <= hi:
-            return n, state, dwell, y
+        # FORAGING: count the dwell down at spawn, where y stays outside
+        # the band for an undetected animal, then approach.
         while n < limit:
             dwell -= dt
             n += 1

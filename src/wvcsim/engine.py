@@ -18,13 +18,13 @@ carriageway (phase 4 brakes for nothing and phase 6 scans nothing). Such
 steps are foraging, approaching short of the edge, hesitating short of the
 dwell's end, fleeing short of the spawn offset and walking out past the far
 edge. An animal that phase 5 leaves off the carriageway has its quiet steps
-from the next step on walked once, up to the trial's end (a frozen or
-departed animal, or an undetected one inside ``_radar_band``, has none and
-is not walked); the walk is
-applied at once (``animals.take_quiet_steps``) and the animal sleeps until
-the step after the walk's last (``sleeping``, ``next_wake``). Phases 2 and 5
-skip a sleeper. Nothing reads what changes while it sleeps: a quiet step
-changes only its dwell, its y off the carriageway and at most its FORAGING
+from the next step on walked once, up to the trial's end (a frozen animal,
+or an undetected one inside ``_radar_band``, has none and is not walked:
+``animals.may_be_quiet``); the walk is applied at once
+(``animals.take_quiet_steps``) and the animal sleeps until the step after
+the walk's last (``sleeping``, ``next_wake``). Phases 2 and 5 skip a
+sleeper. Nothing reads what changes while it sleeps: a quiet step changes
+only its dwell, its y off the carriageway and at most its FORAGING
 -> APPROACHING switch, which moves it neither in nor out of
 ``DANGEROUS_STATES`` nor onto the carriageway; and a sleeper draws nothing,
 so the awake animals draw in the same order. A trial's outputs are those of
@@ -98,8 +98,8 @@ from typing import Optional
 
 import numpy as np
 
-from .animals import (Activity, AnimalState, Arrival, quiet_steps, sample_arrivals,
-                      step_animal, take_quiet_steps)
+from .animals import (Activity, AnimalState, Arrival, may_be_quiet, quiet_steps,
+                      sample_arrivals, step_animal, take_quiet_steps)
 from .awareness import DANGEROUS_STATES, AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
 from .detection import DetectionParams, try_detect
@@ -119,9 +119,6 @@ _STREAM_BEHAVIOUR = 1
 _STREAM_DETECTION = 2
 
 _MODE_INDEX = {Mode.CONTROL: 0, Mode.DETECTION: 1, Mode.AWARE: 2}
-
-# Activities with no quiet step: a frozen animal, and one that has left.
-_NEVER_QUIET = frozenset((Activity.FROZEN, Activity.MOVED_AWAY))
 
 
 @dataclass
@@ -456,8 +453,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             if 0.0 < y <= road_width:
                 on_road = True
                 continue
-            # ``quiet_steps`` walks no step for these.
-            if st in _NEVER_QUIET or not a.detected and radar_lo <= y <= radar_hi:
+            if not may_be_quiet(a, radar_band):
                 continue
             walk = quiet_steps(a, n_steps - k, dt, behaviour, geometry, radar_band)
             if walk[0]:

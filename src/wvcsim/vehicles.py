@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.resources
 import math
 import os
+import sys
 import subprocess
 import tempfile
 import warnings
@@ -262,9 +263,13 @@ def _no_kernel(reason: str) -> bool:
 
 def build_command(source: str, target: str) -> list[str]:
     """The command that compiles ``source`` into the extension ``target``:
-    ``CC`` with this interpreter's include directory."""
+    ``CC`` with this interpreter's include directory. On macOS the Python
+    C-API symbols are left for the interpreter to resolve on import, since
+    its linker rejects undefined symbols by default."""
     import sysconfig
-    return [*CC, "-I", sysconfig.get_paths()["include"], "-o", target, source, "-lm"]
+    darwin = ["-undefined", "dynamic_lookup"] if sys.platform == "darwin" else []
+    return [*CC, *darwin, "-I", sysconfig.get_paths()["include"], "-o", target,
+            source, "-lm"]
 
 
 def _build_kernel():

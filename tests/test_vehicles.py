@@ -637,6 +637,22 @@ OVERFLOW_CASE = ([VehicleState(vid=0, x=0.0, v=0.0, direction=1, lane=0, leader=
                  dataclasses.replace(GEO, vehicle_length=1e-160))
 
 
+def many_animals_case():
+    """A braking step for 40 animals 10-49 m ahead of the default ring's
+    vehicles, five to a vehicle, off the road but for the last four, in
+    their vehicles' lanes: those four vehicles brake, the other four do
+    not, so a kernel that reads fewer animals gives other flags."""
+    vehicles = build_corridor(CorridorConfig()).vehicles
+    L = CorridorConfig().road_length
+    animals = []
+    for i in range(40):
+        v = vehicles[i % len(vehicles)]
+        y = GEO.lane_centre(v.lane) if i >= 32 and i % 2 == 0 else -5.0
+        animals.append(AnimalState(aid=i, x=(v.x + (10.0 + i) * v.direction) % L,
+                                   y=y, sigma=1.0))
+    return vehicles, 3, P.v_caution, P, 0.1, L, GEO, animals
+
+
 def free_case(v):
     """One free vehicle at speed ``v``, ten steps at the cruise speed."""
     return ([VehicleState(vid=0, x=0.0, v=v, direction=1, lane=0)], 10, P.v_cruise,
@@ -770,6 +786,7 @@ class TestCompiledKernel:
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(case=kernel_cases())
     @example(case=OVERFLOW_CASE)
+    @example(case=many_animals_case())
     @edge_examples
     def test_same_bits_and_errors_as_python(self, case):
         kernel = compiled_kernel()
@@ -992,6 +1009,13 @@ class TestCompiledKernel:
         built = subprocess.run([*command, "-Wall", "-Wextra", "-Werror"],
                                capture_output=True, text=True)
         assert built.returncode == 0, built.stderr
+
+    def test_macos_links_against_the_loading_interpreter(self, monkeypatch):
+        # Apple's linker rejects the C-API symbols, undefined until the
+        # interpreter loads the module, unless told to leave them.
+        monkeypatch.setattr(sys, "platform", "darwin")
+        command = wvcsim.vehicles.build_command("advance_idm.c", "advance_idm.so")
+        assert command[len(wvcsim.vehicles.CC):][:2] == ["-undefined", "dynamic_lookup"]
 
     def test_import_and_plan_build_nothing(self):
         # The kernel is built on the first call, never at import: importing
