@@ -320,11 +320,14 @@ def step_animal(animal: AnimalState, vehicles: Sequence[VehicleState],
 QuietWalk = tuple[int, Activity, float, float]
 
 
-def may_be_quiet(animal: AnimalState, radar_band: tuple[float, float]) -> bool:
+def may_be_quiet(animal: AnimalState, radar_band: tuple[float, float],
+                 road_width: float) -> bool:
     """False where ``quiet_steps`` walks the animal no step, whatever the
-    limit: a frozen animal, and an undetected one inside ``radar_band``,
-    for which detection tries."""
-    if animal.state is Activity.FROZEN:
+    limit: a frozen animal, a crossing one short of the far edge (y <=
+    ``road_width``), and an undetected one inside ``radar_band``, for which
+    detection tries. Every animal on the carriageway is one of the first two."""
+    if animal.state is Activity.FROZEN or \
+            animal.state is Activity.CROSSING and animal.y <= road_width:
         return False
     lo, hi = radar_band
     return animal.detected or not lo <= animal.y <= hi
@@ -348,13 +351,13 @@ def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourPar
     driver brakes for it and no vehicle can hit it. The walk runs on copies
     of the activity, dwell and y, with ``step_animal``'s float operations,
     through the branches it ports from ``step_animal`` for the quiet phases,
-    and stops before the first step that is not quiet; a frozen animal is
-    never quiet.
+    and stops before the first step that is not quiet; ``may_be_quiet``
+    names the animals that are never quiet.
     """
     state, dwell, y = animal.state, animal.dwell_remaining, animal.y
     road_width = geometry.road_width
     n = 0
-    if 0.0 < y <= road_width or not may_be_quiet(animal, radar_band):
+    if not may_be_quiet(animal, radar_band, road_width):
         return n, state, dwell, y
     lo, hi = radar_band
     if animal.detected:
@@ -384,7 +387,7 @@ def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourPar
                 break
             dwell = left
             n += 1
-    elif state is Activity.CROSSING and y > road_width:
+    elif state is Activity.CROSSING:
         # CROSSING past the far edge: walk out; the step reaching the exit
         # offset leaves the corridor.
         exit_y = road_width + geometry.exit_offset

@@ -41,39 +41,21 @@ holds the sign. At such a stretch's first step phases 1-3 have nothing to
 do: no arrival is due, no animal is tried and no event is pending. So one
 body serves both: phases 1-3 run only when ``m`` is 0 (step k is stepped);
 phase 4 runs once (``dms_active``, ``DriverAlert.update`` and the desired
-speed), cutting ``m`` at the alert step; then a stretch owes the vehicles its
-``m`` steps, where a stepped step goes on to its braking step and phases 5
-and 6. ``_first_step`` finds each edge with its owner's own float test: the
+speed), cutting ``m`` at the alert step, and steps the vehicles through the
+step or the stretch; a stepped step goes on to phases 5 and 6.
+``_first_step`` finds each edge with its owner's own float test: the
 arrival's ``t <= now``, ``AwarenessState.window_closed`` and
 ``DriverAlert.reacted``.
 
-Vehicle steps are owed, not taken, until something reads the vehicles. A step
-on which no driver brakes for an animal is one round of the IDM at the
-drivers' desired speed, so the engine only counts it (``lag`` steps at
-``lag_v0``) and ``settle`` later takes all of them in one call of the trial's
-``vehicles.Fleet``, whose buffers the compiled kernel, a CPython extension,
-steps where a C compiler is found, in every mode. That kernel runs the same
-IDM update, brake test and semi-implicit Euler step as the reference
-functions, with every float operation in the same order, so the vehicles
-come out bit for bit as if stepped one phase loop at a time; an overlap
-raises the same error at the same ``t=``, since the kernel reports the step
-it found it at. The debt is settled just before each reader: a braking step
-(alerted drivers and an animal on the carriageway), which takes it with
-it; the phase-5 step of an awake animal that is hesitating, crossing or
-frozen (``DANGEROUS_STATES``), the only activities that look at the
-vehicles, and so phase 6, which runs only after such a step; and the end of
-the trial. It is also settled before the desired speed changes, so that the
-owed steps share one speed.
+After phase 4 the vehicles hold row k + 1 (k + m after a stretch), taken in
+one call of the trial's ``vehicles.Fleet.advance``.
 
-A braking step is the last step of one settle: phase 4 passes the animals on
-the carriageway to ``Fleet.advance``, which takes the owed steps and the
-braking step in one call and tests each driver's ``emergency_brake_needed``
-from the braking step's pre-step snapshot; a driver for whom it holds brakes
-at ``-a_em`` in place of its IDM acceleration. Only ``Fleet.advance`` writes
-``emergency_braking``: each call leaves every flag at its driver's test on
-the call's braking step, or False without one, as a non-braking round does.
-So a braking step's flags stay set until the next settle; only a crossing
-animal reads them, and it settles first.
+A braking step (alerted drivers and an animal on the carriageway) is a
+one-step call: phase 4 passes those animals to ``Fleet.advance``, which
+tests each driver's ``emergency_brake_needed`` from the pre-step snapshot; a
+driver for whom it holds brakes at ``-a_em`` in place of its IDM
+acceleration. Only ``Fleet.advance`` writes ``emergency_braking``, so a
+braking step's flags stay set until the next call.
 
 Three scans skip what they cannot find. The carriageway, 0 < y <= road width,
 is ``detect_collisions``' own filter and the only band drivers brake for
@@ -81,7 +63,7 @@ is ``detect_collisions``' own filter and the only band drivers brake for
 and 6 and the quiet test alike. Phase 4 makes its brake tests only when an
 alerted driver has an animal there to brake for, so a step whose road animals
 all wait at the edge (y = 0) is one kernel round with every
-``emergency_braking`` flag False, and is owed like any other non-braking step.
+``emergency_braking`` flag False, like any other non-braking step.
 Phase 6 runs only when phase 5 leaves an animal there; frozen-on-road time
 still counts the whole road, 0 <= y <= road width. Phase 2 skips an animal
 whose y lies outside every radar's reach plus 1 m (``_radar_band``): no radar
@@ -100,7 +82,7 @@ import numpy as np
 
 from .animals import (Activity, AnimalState, Arrival, may_be_quiet, quiet_steps,
                       sample_arrivals, step_animal, take_quiet_steps)
-from .awareness import DANGEROUS_STATES, AwarenessState
+from .awareness import AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
 from .detection import DetectionParams, try_detect
 # perfbench's tracer wraps idm_acceleration and emergency_brake_needed at
@@ -335,27 +317,10 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     frozen_time = 0.0
     fleet = Fleet(vehicles, idm, dt, L, geometry)
     alert = DriverAlert()
-    # The vehicles hold row k - lag: the last ``lag`` steps, none braking and
-    # all at desired speed ``lag_v0``, are owed (see the module docstring).
-    lag = 0
-    lag_v0 = idm.v_cruise
     # Sleepers: each animal whose quiet run is taken ahead, by aid, and the
     # step it wakes at (see the module docstring).
     sleeping: dict[int, int] = {}
     next_wake = n_steps
-
-    def settle(row: int, animals: Optional[list[AnimalState]] = None) -> None:
-        """Take the owed steps, so that the vehicles hold row ``row``;
-        ``animals`` is ``Fleet.advance``'s, for a braking last step."""
-        nonlocal lag
-        if not lag:
-            return
-        n, lag = lag, 0
-        try:
-            fleet.advance(n, lag_v0, animals)
-        except VehicleOverlap as exc:
-            raise _overlap(trial_id, exc.follower, exc.leader,
-                           (row - n + exc.step) * dt) from None
 
     k = 0
     while k < n_steps:
@@ -365,8 +330,8 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             next_wake = min(sleeping.values(), default=n_steps)
 
         # Next-event gate: while every animal sleeps, ``m`` steps from step k
-        # up to the first step at which anything but the owed vehicle steps
-        # can happen; 0 when step k is stepped.
+        # up to the first step at which anything but the vehicle steps can
+        # happen; 0 when step k is stepped.
         m = 0
         if len(sleeping) == len(active):
             m = min(next_wake, _stretch_end(schedule, next_arrival, k, dt, n_steps)) - k
@@ -403,31 +368,26 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
 
         # Phase 4: vehicles, synchronously from the pre-step snapshot; in a
         # stretch the sign and alert then hold to step k + m, so it is cut at
-        # the step the drivers become alerted. A step on which no driver
-        # brakes is owed; a braking step is the last step of one settle,
-        # which takes the debt with it, and its brake tests read that
-        # snapshot. Alerted drivers brake only for an animal on the
-        # carriageway.
+        # the step the drivers become alerted. One call takes the step or the
+        # stretch; on a stepped step alerted drivers brake for the animals on
+        # the carriageway.
         lit = awareness.dms_active(active, now)
         alert.update(lit, now, idm)
         if m and lit and not alert.alerted:
             m = min(m, _first_step(k, alert.onset + idm.t_react,
                                    lambda t: alert.reacted(t, idm), dt) - k)
-        v0 = alert.desired_speed(idm)
         candidates = None
-        if alert.alerted:
-            candidates = [a for a in active if 0.0 < a.y <= road_width]
-        if v0 != lag_v0:
-            settle(k)
-            lag_v0 = v0
+        if alert.alerted and not m:
+            candidates = [a for a in active if 0.0 < a.y <= road_width] or None
+        try:
+            fleet.advance(m or 1, alert.desired_speed(idm), candidates)
+        except VehicleOverlap as exc:
+            raise _overlap(trial_id, exc.follower, exc.leader,
+                           (k + exc.step) * dt) from None
         if m:
-            lag += m
             k += m
             continue
-        lag += 1
         k += 1
-        if candidates:
-            settle(k, candidates)
 
         # Phase 5: behaviour of the awake animals, with state-visit and
         # frozen-time accounting; only a hesitating, crossing or frozen animal
@@ -439,8 +399,6 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             if a.aid in sleeping:
                 continue
             prev_state = a.state
-            if prev_state in DANGEROUS_STATES:
-                settle(k)
             step_animal(a, vehicles, dt, behaviour, geometry, L, rng_b)
             st = a.state
             if st is not prev_state:
@@ -453,7 +411,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             if 0.0 < y <= road_width:
                 on_road = True
                 continue
-            if not may_be_quiet(a, radar_band):
+            if not may_be_quiet(a, radar_band, road_width):
                 continue
             walk = quiet_steps(a, n_steps - k, dt, behaviour, geometry, radar_band)
             if walk[0]:
@@ -464,8 +422,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
 
         # Phase 6: collisions, only with an animal on the carriageway, the
         # band of ``detect_collisions``' own test; the animal is removed, the
-        # vehicle continues. That animal was crossing or frozen, so the
-        # vehicles are settled.
+        # vehicle continues.
         if on_road:
             pairs = detect_collisions(vehicles, active, geometry, L)
             if pairs:
@@ -481,9 +438,6 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
 
         if pruned:
             active = [a for a in active if a.state is not Activity.MOVED_AWAY]
-
-    # Take the steps still owed, so that an overlap in them still raises.
-    settle(n_steps)
 
     # Phase 7 aggregation.
     result.road_entries = sum(1 for a in all_animals if a.entered_road)

@@ -281,8 +281,8 @@ class Reads:
 
 def run_observed(cfg, hours, trial_id, reference=False):
     """One trial and its log. The reference run shuts off every fast path:
-    no stretch, no sleep, the vehicles settled before every animal's step
-    and stepped by the Python body of ``Fleet.advance``.
+    no stretch, no sleep, and the vehicles stepped by the Python body of
+    ``Fleet.advance``.
 
     ``vehicle_steps`` has the desired speed and the brake flags of every
     vehicle step. ``steps`` has an entry per ``dms_active`` call, the start of a stepped
@@ -359,7 +359,7 @@ def run_observed(cfg, hours, trial_id, reference=False):
             steps[-1][6] = tuple(pairs)
         return pairs
 
-    def owed(fleet, n_steps, v0, animals=None):
+    def advanced(fleet, n_steps, v0, animals=None):
         # Only a call's last step brakes, so its earlier steps brake nobody;
         # the last one leaves its flags on the vehicles.
         advance(fleet, n_steps, v0, animals)
@@ -379,11 +379,10 @@ def run_observed(cfg, hours, trial_id, reference=False):
             m.setattr(wvcsim.engine, "_stretch_end", lambda schedule, i, k, *args: k)
             m.setattr(wvcsim.engine, "quiet_steps",
                       lambda a, *args: (0, a.state, a.dwell_remaining, a.y))
-            m.setattr(wvcsim.engine, "DANGEROUS_STATES", frozenset(Activity))
             m.setattr(wvcsim.vehicles, "_kernel", False)
         m.setattr(AwarenessState, "dms_active", sign)
         m.setattr(DriverAlert, "update", alert)
-        m.setattr(Fleet, "advance", owed)
+        m.setattr(Fleet, "advance", advanced)
         m.setattr(wvcsim.engine, "step_animal", step)
         m.setattr(wvcsim.engine, "detect_collisions", scan)
         m.setattr(wvcsim.engine, "take_quiet_steps", sleep)
@@ -523,14 +522,6 @@ def old_braking_step(vehicles, candidates, v0, cfg, trial_id, now):
     step_vehicles(vehicles, accels, cfg.time_step, L)
 
 
-def old_steps(vehicles, n_steps, v0, cfg):
-    """``n_steps`` owed steps as the per-step loop took them: per vehicle the
-    ring gap and ``idm_acceleration``, then ``step_vehicles``, with every
-    ``emergency_braking`` cleared."""
-    for _ in range(n_steps):
-        old_braking_step(vehicles, [], v0, cfg, 0, 0.0)
-
-
 def bits(vehicles):
     return [(struct.pack("<2d", v.x, v.v), v.emergency_braking) for v in vehicles]
 
@@ -540,9 +531,8 @@ def copies(items):
 
 
 class TestBrakingStep:
-    """A braking step is the last step of one ``Fleet.advance`` call, which
-    takes the owed steps with it: it gives the bits, flags and errors of the
-    per-step loop it replaced."""
+    """A braking step is a one-step ``Fleet.advance`` call: it gives the
+    bits, flags and errors of the per-step loop it replaced."""
 
     @pytest.mark.parametrize("kernel", ["compiled", "python"], indirect=True)
     def test_same_bits_as_the_old_loop(self, monkeypatch, kernel):
@@ -561,8 +551,8 @@ class TestBrakingStep:
                 run_trial(cfg, 0.05, trial_id, 5)
         braked = 0
         for vehicles, n_steps, v0, animals in calls:
+            assert n_steps == 1
             old = copies(vehicles)
-            old_steps(old, n_steps - 1, v0, cfg)
             old_braking_step(old, animals, v0, cfg, 0, 0.0)
             new = copies(vehicles)
             Fleet(new, cfg.idm, cfg.time_step, cfg.road_length,
@@ -572,18 +562,19 @@ class TestBrakingStep:
         assert braked  # some driver did brake
 
     def test_one_advance_call_per_braking_step(self, monkeypatch):
-        # A stepped step whose drivers are alerted, with an animal on the
-        # carriageway, makes one Fleet.advance call, with those animals: the
-        # owed steps go with it, and only a change of desired speed settles
-        # before it.
+        # Each dms_active call, at a stepped step or a stretch, is followed by
+        # one Fleet.advance call that spans its steps. It passes the animals
+        # on the carriageway when the drivers are alerted and there are any
+        # (in a stretch there are none), and None otherwise.
         cfg = fast_config(Mode.AWARE, **CROWDED)
-        rw = cfg.geometry.road_width
+        dt, rw = cfg.time_step, cfg.geometry.road_width
         steps = []
         dms_active, update, advance = (AwarenessState.dms_active, DriverAlert.update,
                                        Fleet.advance)
 
         def sign(self, animals, now):
-            steps.append(dict(road=[a for a in animals if 0.0 < a.y <= rw], calls=[]))
+            steps.append(dict(k=round(now / dt), calls=[],
+                              road=[a for a in animals if 0.0 < a.y <= rw]))
             return dms_active(self, animals, now)
 
         def alert(self, lit, now, p):
@@ -592,33 +583,28 @@ class TestBrakingStep:
             steps[-1]["v0"] = self.desired_speed(p)
 
         def recorded(fleet, n_steps, v0, animals=None):
-            steps[-1]["calls"].append((v0, animals))
+            steps[-1]["calls"].append((n_steps, v0, animals))
             return advance(fleet, n_steps, v0, animals)
 
         monkeypatch.setattr(AwarenessState, "dms_active", sign)
         monkeypatch.setattr(DriverAlert, "update", alert)
         monkeypatch.setattr(Fleet, "advance", recorded)
-        for trial_id in range(2):
-            run_trial(cfg, 0.05, trial_id, 5)
         braking = 0
-        last_v0 = cfg.idm.v_cruise
-        for step in steps:
-            if step["alerted"] and step["road"]:
-                braking += 1
-                *before, last = step["calls"]
-                assert last == (step["v0"], step["road"])
-                assert before in ([], [(last_v0, None)] * (step["v0"] != last_v0))
-            else:
-                assert all(animals is None for _, animals in step["calls"])
-            last_v0 = step["v0"]
+        for trial_id in range(2):
+            steps.clear()
+            run_trial(cfg, 0.05, trial_id, 5)
+            ends = [step["k"] for step in steps[1:]] + [_step_count(cfg, 0.05)]
+            for step, end in zip(steps, ends):
+                animals = step["road"] if step["alerted"] and step["road"] else None
+                assert step["calls"] == [(end - step["k"], step["v0"], animals)]
+                braking += animals is not None
         assert braking
 
     def test_overlap_raised_as_by_the_old_loop(self, monkeypatch):
         # Drivers alerted from 1.5 s on brake for an animal held still on the
         # carriageway just ahead of a stopped leader, which nothing hits; a
         # follower at 30 m/s, 40 m behind that leader, reaches it after the
-        # alert, on a braking step. From the alert on every step brakes, so
-        # each braking call is one step.
+        # alert, on a braking step. From the alert on every step brakes.
         cfg = fast_config(Mode.CONTROL, arrival_rate=0.0)
         leader_x = 250.0
         animal = road_animal(leader_x + 8.0, GEO.lane_centre(0))
@@ -663,12 +649,11 @@ class TestBrakingStep:
 
 
 class TestReferenceRun:
-    """The fast paths (stretches, sleep, owed vehicle steps and the gated
-    scans) change no output and nothing a reader sees: each grid cell, run
-    as is and as the reference (``run_observed``), ends alike, takes the
-    same vehicle steps and shows the same observables at every step, and
-    both runs pass the structural checks (``run_observed``,
-    ``reference_pair``)."""
+    """The fast paths (stretches, sleep and the gated scans) change no
+    output and nothing a reader sees: each grid cell, run as is and as the
+    reference (``run_observed``), ends alike, takes the same vehicle steps
+    and shows the same observables at every step, and both runs pass the
+    structural checks (``run_observed``, ``reference_pair``)."""
 
     @pytest.mark.parametrize("name, mode", cells(list(GRID)[:-1])
                              + cells(["paper-length"], (Mode.CONTROL, Mode.AWARE)))
@@ -689,8 +674,8 @@ class TestReferenceRun:
 
 # The classes below keep the ids of the tests that ``TestReferenceRun``
 # replaced; each of those ids now checks one observable of the reference run
-# on the cells it covered. ``TestIdleGate`` and ``TestContactBand`` are named
-# after mechanisms the engine no longer has.
+# on the cells it covered. ``TestIdleGate``, ``TestContactBand`` and
+# ``TestOwedSteps`` are named after mechanisms the engine no longer has.
 def same(aspect, params):
     """A test that one observable of the cells ``params`` is the reference's."""
     @pytest.mark.parametrize("name, mode", params)
