@@ -1,9 +1,16 @@
-/* The compiled form of wvcsim.vehicles.Fleet.advance, a CPython extension
-   module built on first use: a port of rounds of the reference functions
-   desired_gap, idm_acceleration and step_vehicles, which the Python body of
-   Fleet.advance steps, and of emergency_brake_needed for a braking last
-   step. Its one function, advance, writes each VehicleState's x and v, and
-   its emergency_braking where a flag may change, itself.
+/* The compiled form of wvcsim.vehicles.Fleet's steps and scans, a CPython
+   extension module built on first use.
+
+   advance is a port of rounds of the reference functions desired_gap,
+   idm_acceleration and step_vehicles, which the Python body of Fleet.advance
+   steps, and of emergency_brake_needed for a braking last step. It writes
+   each VehicleState's x and v, and its emergency_braking where a flag may
+   change, itself, and keeps x, v and the flags in the fleet's buffer.
+
+   threat_present, crossing_dangers and detect_collisions are ports of the
+   reference scans of the same names in wvcsim.vehicles. They read the
+   vehicles' x, v and flags from the buffer as the last complete advance
+   left them, which Fleet checks before it calls them.
 
    Every float operation is the reference's, in CPython's semantics and in
    the same order, so both give the same bits: % is CPython's float_rem
@@ -21,12 +28,14 @@
    Where the Python body would raise (a gap <= 0, a power that overflows, a
    division by zero, a leader out of range) or treats a case apart (an
    infinite or NaN power, a ** with a negative or NaN base, an animal
-   coordinate that is not a float), the kernel stops before that step, or
+   coordinate that is not a float), advance stops before that step, or
    before the first, and returns its index, with x and v holding the state
    before it: the Python body takes over from there and raises, or goes on,
    as it would have. A braking vehicle makes the same checks, so it stops
    where the Python body raises too, and then takes -a_em in place of its
-   IDM acceleration. */
+   IDM acceleration. A scan returns None where the reference would raise or
+   reads a coordinate that is not a float (a ring of length 0, an animal's
+   x or y): Fleet then asks the reference. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -34,15 +43,20 @@
 #include <string.h>
 
 /* The buffer's slots: the parameters, then the flag slot, then n each of
-   directions, lane centres, positions and speeds, and 3n of scratch. */
+   directions, lane centres, positions and speeds, 2n of scratch, and n
+   brake flags, each 1.0 where the last complete advance left that
+   vehicle's emergency_braking True, else 0.0. */
 enum {
     S0, HEADWAY, A_MAX, DELTA, A_FLOOR, CLOSING, DT, RING, LENGTH, FREE_GAP,
     TWO_B, T_REACT, HOLD, BAND,
+    CONTACT_X, CONTACT_Y, ROAD_WIDTH,    /* detect_collisions */
+    V_THREAT, T_THREAT, NEAR_PASS,       /* vehicle_is_threat */
+    INTERACT,  /* BRAKING_INTERACTION_DISTANCE */
     BRAKED,    /* 1.0 where some emergency_braking may be True, else 0.0 */
     STATE      /* the first direction */
 };
 
-static PyObject *name_x, *name_y, *name_v, *name_braking;
+static PyObject *name_x, *name_y, *name_v, *name_braking, *name_vid, *name_aid;
 
 /* CPython's float_rem: fmod, then the remainder takes the sign of the
    divisor. For w > 0, three exact paths answer without fmod, each with
@@ -135,8 +149,9 @@ static int set_float(PyObject *obj, PyObject *name, double value)
    pre-step snapshot, brakes at -a_em (A_FLOOR) in place of its IDM
    acceleration. The positions and speeds are written to the buffer and to
    the vehicles; on a call that takes all its steps, each emergency_braking
-   is set to its driver's brake test (False without animals), where the
-   flag slot or a new flag says one may change. Returns the steps taken. */
+   is set to its driver's brake test (False without animals), in the brake
+   flags and, where the flag slot or a new flag says one may change, in the
+   vehicles. Returns the steps taken. */
 static long run(double *buf, const long *lead, Py_ssize_t n, long n_steps,
                 double v0, PyObject *vehicles, PyObject *animals)
 {
@@ -231,6 +246,8 @@ stop:
     }
     if (step < n_steps)
         return step;    /* stopped: the Python body sets the flags */
+    if (braking_step < 0)
+        memset(flag, 0, n * sizeof *flag);
     for (i = 0; braking_step >= 0 && i < n; i++)
         any |= flag[i] != 0.0;
     if (any || buf[BRAKED] != 0.0) {
@@ -244,17 +261,18 @@ stop:
     return step;
 }
 
-/* A buffer of ``format`` items of ``size`` bytes, writable or not. */
+/* A buffer of ``format`` items of ``size`` bytes, writable or not: the
+   argument ``what`` of the function ``name``. */
 static int get_buffer(PyObject *obj, Py_buffer *view, int flags, const char *format,
-                      Py_ssize_t size, const char *what)
+                      Py_ssize_t size, const char *name, const char *what)
 {
     if (PyObject_GetBuffer(obj, view, flags | PyBUF_FORMAT) < 0)
         return -1;
     if (view->itemsize != size || view->format == NULL
             || strcmp(view->format, format) != 0) {
         PyBuffer_Release(view);
-        PyErr_Format(PyExc_TypeError, "advance: %s must be an array of '%s'",
-                     what, format);
+        PyErr_Format(PyExc_TypeError, "%s: %s must be an array of '%s'",
+                     name, what, format);
         return -1;
     }
     return 0;
@@ -292,9 +310,11 @@ static PyObject *advance(PyObject *self, PyObject *const *args, Py_ssize_t nargs
                         "advance: vehicles must be a list, animals a list or None");
         return NULL;
     }
-    if (get_buffer(args[0], &buf, PyBUF_WRITABLE, "d", sizeof(double), "buf") < 0)
+    if (get_buffer(args[0], &buf, PyBUF_WRITABLE, "d", sizeof(double), "advance",
+                   "buf") < 0)
         return NULL;
-    if (get_buffer(args[1], &lead, PyBUF_SIMPLE, "l", sizeof(long), "lead") < 0) {
+    if (get_buffer(args[1], &lead, PyBUF_SIMPLE, "l", sizeof(long), "advance",
+                   "lead") < 0) {
         PyBuffer_Release(&buf);
         return NULL;
     }
@@ -309,8 +329,210 @@ static PyObject *advance(PyObject *self, PyObject *const *args, Py_ssize_t nargs
     return taken < 0 ? NULL : PyLong_FromLong(taken);
 }
 
+/* vehicle_is_threat for an animal at ax and a vehicle at xi with speed vi
+   and direction dir. */
+static int is_threat(const double *buf, double ax, double xi, double vi, double dir)
+{
+    double dx;
+
+    if (vi <= buf[V_THREAT])
+        return 0;
+    dx = py_mod((ax - xi) * dir, buf[RING]);
+    if (dx < buf[T_THREAT] * vi)
+        return 1;
+    return buf[RING] - dx < buf[NEAR_PASS];
+}
+
+/* min(dx, L - dx) as Python's min gives it: dx unless L - dx is less. */
+static double ring_distance(double dx, double L)
+{
+    double rest = L - dx;
+
+    return rest < dx ? rest : dx;
+}
+
+/* A scan's fleet: its buffer, read only, and the size n that the buffer's
+   length, STATE + 7n doubles, gives; and, with vehicles, a list of n. */
+static int get_fleet(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                     Py_ssize_t want, Py_buffer *buf, Py_ssize_t *n, int vehicles)
+{
+    Py_ssize_t slots;
+
+    if (nargs != want) {
+        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)", name,
+                     want, nargs);
+        return -1;
+    }
+    if (vehicles && !PyList_Check(args[1])) {
+        PyErr_Format(PyExc_TypeError, "%s: vehicles must be a list", name);
+        return -1;
+    }
+    if (get_buffer(args[0], buf, PyBUF_SIMPLE, "d", sizeof(double), name, "buf") < 0)
+        return -1;
+    slots = buf->len / (Py_ssize_t)sizeof(double) - STATE;
+    *n = slots / 7;
+    if (slots < 0 || slots % 7 || (vehicles && PyList_GET_SIZE(args[1]) != *n)) {
+        PyBuffer_Release(buf);
+        PyErr_Format(PyExc_ValueError, "%s: buf and vehicles disagree on the "
+                     "fleet's size", name);
+        return -1;
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(threat_present_doc,
+"threat_present(buf, x) -> bool, or None\n\n"
+"Whether some vehicle of a fleet's buffer threatens an animal at x\n"
+"(vehicle_is_threat); None where the reference is to answer.");
+
+static PyObject *threat_present(PyObject *self, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    Py_buffer buf;
+    Py_ssize_t n, i;
+    const double *b, *dir, *x, *v;
+    double ax;
+    int found = 0;
+
+    (void)self;
+    if (get_fleet("threat_present", args, nargs, 2, &buf, &n, 0) < 0)
+        return NULL;
+    b = buf.buf;
+    if (!PyFloat_Check(args[1]) || (n > 0 && b[RING] == 0.0)) {
+        PyBuffer_Release(&buf);
+        Py_RETURN_NONE;
+    }
+    ax = PyFloat_AS_DOUBLE(args[1]);
+    dir = b + STATE;
+    x = dir + 2 * n;
+    v = x + n;
+    for (i = 0; i < n && !found; i++)
+        found = is_threat(b, ax, x[i], v[i], dir[i]);
+    PyBuffer_Release(&buf);
+    return PyBool_FromLong(found);
+}
+
+PyDoc_STRVAR(crossing_dangers_doc,
+"crossing_dangers(buf, vehicles, x) -> list, or None\n\n"
+"The vehicles, in order, that meet a crossing animal at x dangerously:\n"
+"braking within the interaction distance, or not braking and a threat;\n"
+"None where the reference is to answer.");
+
+static PyObject *crossing_dangers(PyObject *self, PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    Py_buffer buf;
+    Py_ssize_t n, i;
+    const double *b, *dir, *x, *v, *flag;
+    double ax;
+    PyObject *vehicles, *found;
+
+    (void)self;
+    if (get_fleet("crossing_dangers", args, nargs, 3, &buf, &n, 1) < 0)
+        return NULL;
+    vehicles = args[1];
+    b = buf.buf;
+    if (!PyFloat_Check(args[2]) || (n > 0 && b[RING] == 0.0)) {
+        PyBuffer_Release(&buf);
+        Py_RETURN_NONE;
+    }
+    ax = PyFloat_AS_DOUBLE(args[2]);
+    dir = b + STATE;
+    x = dir + 2 * n;
+    v = x + n;
+    flag = v + 3 * n;
+    found = PyList_New(0);
+    for (i = 0; found && i < n && i < PyList_GET_SIZE(vehicles); i++) {
+        if (flag[i] != 0.0) {
+            if (ring_distance(fabs(x[i] - ax), b[RING]) >= b[INTERACT])
+                continue;
+        } else if (!is_threat(b, ax, x[i], v[i], dir[i])) {
+            continue;
+        }
+        if (PyList_Append(found, PyList_GET_ITEM(vehicles, i)) < 0)
+            Py_CLEAR(found);
+    }
+    PyBuffer_Release(&buf);
+    return found;
+}
+
+/* Appends (vehicle.vid, animal.aid) to pairs; NULL, with pairs released,
+   on an error. */
+static PyObject *add_pair(PyObject *pairs, PyObject *vehicle, PyObject *animal)
+{
+    PyObject *vid = PyObject_GetAttr(vehicle, name_vid);
+    PyObject *aid = vid ? PyObject_GetAttr(animal, name_aid) : NULL;
+    PyObject *pair = aid ? PyTuple_Pack(2, vid, aid) : NULL;
+
+    Py_XDECREF(vid);
+    Py_XDECREF(aid);
+    if (pair == NULL || PyList_Append(pairs, pair) < 0)
+        Py_CLEAR(pairs);
+    Py_XDECREF(pair);
+    return pairs;
+}
+
+PyDoc_STRVAR(detect_collisions_doc,
+"detect_collisions(buf, vehicles, animals) -> list, or None\n\n"
+"The (vehicle id, animal id) contact pairs of a fleet's buffer and\n"
+"vehicles with the animals on the carriageway, a list; None where the\n"
+"reference is to answer.");
+
+static PyObject *detect_collisions(PyObject *self, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    Py_buffer buf;
+    Py_ssize_t n, i, k;
+    const double *b, *centre, *x;
+    double ax, ay;
+    PyObject *vehicles, *animals, *pairs;
+
+    (void)self;
+    if (get_fleet("detect_collisions", args, nargs, 3, &buf, &n, 1) < 0)
+        return NULL;
+    vehicles = args[1];
+    animals = args[2];
+    if (!PyList_Check(animals)) {
+        PyBuffer_Release(&buf);
+        PyErr_SetString(PyExc_TypeError, "detect_collisions: animals must be a list");
+        return NULL;
+    }
+    b = buf.buf;
+    centre = b + STATE + n;
+    x = centre + n;
+    pairs = PyList_New(0);
+    for (k = 0; pairs && k < PyList_GET_SIZE(animals); k++) {
+        PyObject *a = PyList_GET_ITEM(animals, k);
+        int ok;
+
+        Py_INCREF(a);
+        ok = read_float(a, name_y, &ay);
+        if (ok && 0.0 < ay && ay <= b[ROAD_WIDTH] && n > 0) {
+            ok = read_float(a, name_x, &ax);
+            for (i = 0; ok && pairs && i < n && i < PyList_GET_SIZE(vehicles); i++)
+                if (ring_distance(fabs(x[i] - ax), b[RING]) < b[CONTACT_X]
+                        && fabs(ay - centre[i]) < b[CONTACT_Y])
+                    pairs = add_pair(pairs, PyList_GET_ITEM(vehicles, i), a);
+        }
+        Py_DECREF(a);
+        if (!ok) {
+            Py_XDECREF(pairs);
+            PyBuffer_Release(&buf);
+            Py_RETURN_NONE;
+        }
+    }
+    PyBuffer_Release(&buf);
+    return pairs;
+}
+
 static PyMethodDef methods[] = {
     {"advance", (PyCFunction)(void (*)(void))advance, METH_FASTCALL, advance_doc},
+    {"threat_present", (PyCFunction)(void (*)(void))threat_present, METH_FASTCALL,
+     threat_present_doc},
+    {"crossing_dangers", (PyCFunction)(void (*)(void))crossing_dangers, METH_FASTCALL,
+     crossing_dangers_doc},
+    {"detect_collisions", (PyCFunction)(void (*)(void))detect_collisions, METH_FASTCALL,
+     detect_collisions_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -324,7 +546,9 @@ PyMODINIT_FUNC PyInit_advance_idm(void)
     name_y = PyUnicode_InternFromString("y");
     name_v = PyUnicode_InternFromString("v");
     name_braking = PyUnicode_InternFromString("emergency_braking");
-    if (!name_x || !name_y || !name_v || !name_braking)
+    name_vid = PyUnicode_InternFromString("vid");
+    name_aid = PyUnicode_InternFromString("aid");
+    if (!name_x || !name_y || !name_v || !name_braking || !name_vid || !name_aid)
         return NULL;
     return PyModule_Create(&module);
 }

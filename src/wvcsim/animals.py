@@ -15,17 +15,14 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .vehicles import VehicleState
+from .vehicles import crossing_dangers, threat_present
 
 if TYPE_CHECKING:
     from .config import GeometryParams
+    from .vehicles import Fleet, VehicleState
 
 # Countdown comparisons tolerate float accumulation error.
 _DWELL_EPS = 1e-9
-
-# Proximity at which an emergency-braking vehicle counts as a dangerous
-# interaction for a crossing animal.
-BRAKING_INTERACTION_DISTANCE = 50.0
 
 
 class Activity(str, Enum):
@@ -168,33 +165,6 @@ def sample_arrivals(rate_per_hour: float, duration_hours: float, road_length: fl
     return arrivals
 
 
-def vehicle_is_threat(animal_x: float, vehicle: VehicleState,
-                      params: BehaviourParams, road_length: float) -> bool:
-    """One vehicle's threat test.
-
-    A vehicle above the threat speed floor is threatening while it will reach
-    the animal within the time horizon, and while it is still within the
-    near-pass distance after going by.
-    """
-    v = vehicle.v
-    if v <= params.v_threat:
-        return False
-    dx = ((animal_x - vehicle.x) * vehicle.direction) % road_length
-    if dx < params.t_threat * v:
-        return True
-    return road_length - dx < params.near_pass_distance
-
-
-def threat_present(animal: AnimalState, vehicles: Sequence[VehicleState],
-                   params: BehaviourParams, road_length: float) -> bool:
-    """True when any vehicle threatens the animal's road position."""
-    ax = animal.x
-    for veh in vehicles:
-        if vehicle_is_threat(ax, veh, params, road_length):
-            return True
-    return False
-
-
 def _enter_hesitating(animal: AnimalState, params: BehaviourParams,
                       rng: np.random.Generator) -> None:
     animal.state = Activity.HESITATING
@@ -208,10 +178,12 @@ def _enter_frozen(animal: AnimalState, came_from: Activity,
     animal.dwell_remaining = params.frozen_max_dwell
 
 
-def step_animal(animal: AnimalState, vehicles: Sequence[VehicleState],
+def step_animal(animal: AnimalState, vehicles: "Sequence[VehicleState] | Fleet",
                 dt: float, params: BehaviourParams, geometry: "GeometryParams",
                 road_length: float, rng: np.random.Generator) -> None:
-    """Advance one animal by one time step (in place).
+    """Advance one animal by one time step (in place). The vehicles, a list
+    or the trial's ``Fleet``, are read through ``threat_present`` and
+    ``crossing_dangers`` alone.
 
     State semantics:
       FORAGING     hold position until the dwell expires, then approach.
@@ -270,15 +242,8 @@ def step_animal(animal: AnimalState, vehicles: Sequence[VehicleState],
         if animal.y < road_width:
             # Dangerous interactions roll a freeze at most once per vehicle.
             interacted = animal.interacted_vehicles
-            ax = animal.x
-            for veh in vehicles:
+            for veh in crossing_dangers(animal, vehicles, params, road_length):
                 if veh.vid in interacted:
-                    continue
-                if veh.emergency_braking:
-                    dx = abs(veh.x - ax)
-                    if min(dx, road_length - dx) >= BRAKING_INTERACTION_DISTANCE:
-                        continue
-                elif not vehicle_is_threat(ax, veh, params, road_length):
                     continue
                 interacted.add(veh.vid)
                 if rng.random() < params.p_freeze_crossing:
@@ -323,11 +288,13 @@ QuietWalk = tuple[int, Activity, float, float]
 def may_be_quiet(animal: AnimalState, radar_band: tuple[float, float],
                  road_width: float) -> bool:
     """False where ``quiet_steps`` walks the animal no step, whatever the
-    limit: a frozen animal, a crossing one short of the far edge (y <=
-    ``road_width``), and an undetected one inside ``radar_band``, for which
-    detection tries. Every animal on the carriageway is one of the first two."""
-    if animal.state is Activity.FROZEN or \
-            animal.state is Activity.CROSSING and animal.y <= road_width:
+    limit: a frozen or departed (MOVED_AWAY) animal, a crossing one short of
+    the far edge (y <= ``road_width``), and an undetected one inside
+    ``radar_band``, for which detection tries. Every animal on the
+    carriageway is frozen or crossing short of the far edge."""
+    state = animal.state
+    if state is Activity.FROZEN or state is Activity.MOVED_AWAY or \
+            state is Activity.CROSSING and animal.y <= road_width:
         return False
     lo, hi = radar_band
     return animal.detected or not lo <= animal.y <= hi
@@ -397,8 +364,8 @@ def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourPar
                 break
             y = ny
             n += 1
-    elif state is Activity.FLEEING and y <= 0.0:
-        # FLEEING from the road: retreat; the step reaching spawn leaves.
+    elif state is Activity.FLEEING:
+        # FLEEING from the road edge: retreat; the step reaching spawn leaves.
         while n < limit and not lo <= y <= hi:
             ny = y - params.v_flee * dt
             if ny <= geometry.spawn_offset:

@@ -55,7 +55,14 @@ one-step call: phase 4 passes those animals to ``Fleet.advance``, which
 tests each driver's ``emergency_brake_needed`` from the pre-step snapshot; a
 driver for whom it holds brakes at ``-a_em`` in place of its IDM
 acceleration. Only ``Fleet.advance`` writes ``emergency_braking``, so a
-braking step's flags stay set until the next call.
+braking step's flags stay set until the next call, and every other call
+leaves them False.
+
+Phases 5 and 6 read the vehicles through the fleet: ``step_animal``'s
+threat tests (``threat_present``, ``crossing_dangers``) and phase 6's
+``detect_collisions`` are given the trial's ``Fleet``, which answers from
+its compiled kernel's buffer, x, v and brake flags as the last
+``Fleet.advance`` left them, or from the vehicles in Python.
 
 Three scans skip what they cannot find. The carriageway, 0 < y <= road width,
 is ``detect_collisions``' own filter and the only band drivers brake for
@@ -87,8 +94,8 @@ from .config import CorridorConfig, Mode, build_corridor
 from .detection import DetectionParams, try_detect
 # perfbench's tracer wraps idm_acceleration and emergency_brake_needed at
 # these names; the engine calls neither (``Fleet.advance`` runs both).
-from .vehicles import (DriverAlert, Fleet, VehicleOverlap, emergency_brake_needed,
-                       idm_acceleration)
+from .vehicles import (DriverAlert, Fleet, VehicleOverlap, detect_collisions,
+                       emergency_brake_needed, idm_acceleration)
 
 
 class EngineInvariantError(RuntimeError):
@@ -241,25 +248,6 @@ class TrialResult:
                 f"trial {self.trial_id} ({self.mode.value}): " + "; ".join(problems))
 
 
-def detect_collisions(vehicles, animals, geometry, road_length: float):
-    """(vehicle id, animal id) contact pairs for animals on the carriageway,
-    0 < y <= road width: an animal waiting at the edge (y = 0) is never hit."""
-    x_thresh = geometry.vehicle_length / 2.0 + geometry.animal_radius
-    y_thresh = geometry.vehicle_width / 2.0 + geometry.animal_radius
-    road_width = geometry.road_width
-    centres = [geometry.lane_centre(i) for i in range(geometry.n_lanes)]
-    pairs = []
-    for a in animals:
-        if not 0.0 < a.y <= road_width:
-            continue
-        for v in vehicles:
-            dx = abs(v.x - a.x)
-            if min(dx, road_length - dx) < x_thresh and \
-                    abs(a.y - centres[v.lane]) < y_thresh:
-                pairs.append((v.vid, a.aid))
-    return pairs
-
-
 def _radar_band(radars, r_det: float) -> tuple[float, float]:
     """The band of y outside which no radar covers an animal: every radar's
     reach plus 1 m, so that ``dy * dy > r_det * r_det`` for every radar
@@ -299,7 +287,6 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     det_params = DetectionParams(kappa=config.kappa, r_det=config.radar_range)
     awareness = AwarenessState(config, len(radars))
     beta_for = awareness.beta_for
-    vehicles = world.vehicles
     rng_b = streams.behaviour
     rng_d = streams.detection
     radar_band = _radar_band(radars, det_params.r_det)
@@ -315,7 +302,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     next_arrival = 0
     n_schedule = len(schedule)
     frozen_time = 0.0
-    fleet = Fleet(vehicles, idm, dt, L, geometry)
+    fleet = Fleet(world.vehicles, idm, dt, L, geometry, behaviour)
     alert = DriverAlert()
     # Sleepers: each animal whose quiet run is taken ahead, by aid, and the
     # step it wakes at (see the module docstring).
@@ -399,7 +386,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             if a.aid in sleeping:
                 continue
             prev_state = a.state
-            step_animal(a, vehicles, dt, behaviour, geometry, L, rng_b)
+            step_animal(a, fleet, dt, behaviour, geometry, L, rng_b)
             st = a.state
             if st is not prev_state:
                 visits[st.value] += 1
@@ -424,7 +411,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         # band of ``detect_collisions``' own test; the animal is removed, the
         # vehicle continues.
         if on_road:
-            pairs = detect_collisions(vehicles, active, geometry, L)
+            pairs = detect_collisions(fleet, active, geometry, L)
             if pairs:
                 by_id = {a.aid: a for a in active}
                 for _vid, aid in pairs:

@@ -1,10 +1,13 @@
-"""Car-following dynamics on a per-direction ring, plus the driver-alert response.
+"""Car-following dynamics on a per-direction ring, the driver-alert response,
+and the scans that set animals against the vehicles.
 
 Vehicles recirculate on a closed ring (one per travel direction) so traffic
 density stays constant. Longitudinal control is the Intelligent Driver Model;
 an active message sign switches the desired speed to the caution setpoint
 after a perception-reaction delay, and alerted drivers may apply emergency
-braking when an animal is on the road ahead.
+braking when an animal is on the road ahead. An animal's threat tests and
+the contact test read the vehicles; a trial's ``Fleet`` answers them from
+its compiled kernel's buffer.
 """
 
 from __future__ import annotations
@@ -21,11 +24,15 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:
-    from .animals import AnimalState
+    from .animals import AnimalState, BehaviourParams
     from .config import GeometryParams
 
 # Gap used when a vehicle has no leader, so the car-following law stays total.
 FREE_ROAD_GAP = 1.0e6
+
+# Proximity at which an emergency-braking vehicle counts as a dangerous
+# interaction for a crossing animal.
+BRAKING_INTERACTION_DISTANCE = 50.0
 
 
 @dataclass
@@ -124,41 +131,55 @@ class VehicleOverlap(ValueError):
 
 
 class Fleet:
-    """One trial's vehicles and the compiled kernel's buffers that step them.
+    """One trial's vehicles and the compiled kernel's buffers that step and
+    scan them.
 
-    The buffer takes the IDM and brake-test parameters, the directions and
-    the lane centres once, and x and v once; then the kernel steps x and v
-    there and writes them, and each ``emergency_braking`` flag it may change,
-    into the ``VehicleState`` objects itself, for the readers of the
-    vehicles. Directions, leaders and lanes are fixed for the fleet's life.
-    Where the compiled kernel is unavailable, or leaves steps to the Python
-    body, the Python body steps the objects, and the buffer is reloaded from
-    them before the next kernel call.
+    The buffer takes the IDM, brake-test, threat and contact parameters,
+    the directions and the lane centres once, and x and v once; then the
+    kernel steps x and v there and writes them, and each
+    ``emergency_braking`` flag it may change, into the ``VehicleState``
+    objects itself, for the readers of the vehicles, and keeps the flags in
+    the buffer too. Directions, leaders and lanes are fixed for the fleet's
+    life. Where the compiled kernel is unavailable, or leaves steps to the
+    Python body, the Python body steps the objects, and the buffer is
+    reloaded from them before the next kernel call.
+
+    The scans ``threat_present``, ``crossing_dangers`` and
+    ``detect_collisions`` hand a fleet to its method of the same name, the
+    one place that picks the kernel or the reference: the kernel where the
+    buffer holds the vehicles as the last ``advance`` left them (not
+    ``stale``), otherwise the module function on ``vehicles``. Either way
+    the fleet's own thresholds and ring apply.
     """
 
     def __init__(self, vehicles: list[VehicleState], p: IdmParams, dt: float,
-                 road_length: float, geometry: "GeometryParams"):
+                 road_length: float, geometry: "GeometryParams",
+                 behaviour: "BehaviourParams"):
         self.vehicles = vehicles
         self.p = p
         self.dt = dt
         self.road_length = road_length
         self.geometry = geometry
+        self.behaviour = behaviour
         self.kernel = load_kernel()
+        self.stale = True    # the buffer does not hold the vehicles (yet)
         if self.kernel:
             n = len(vehicles)
             self.lead = array("l", [v.leader for v in vehicles])
             # The kernel's slots (advance_idm.c): the parameters, the flag
-            # slot, then n each of directions, lane centres, x, v and scratch.
+            # slot, then n each of directions, lane centres, x, v, two of
+            # scratch and brake flags.
             self.buf = array("d", [
                 p.s0, p.T, p.a_max, p.delta, -p.a_em,
                 2.0 * math.sqrt(p.a_max * p.b_conf), dt, road_length,
                 geometry.vehicle_length, FREE_ROAD_GAP, 2.0 * p.b_conf, p.t_react,
-                *brake_zone(geometry, p), 1.0])
+                *brake_zone(geometry, p), *contact_zone(geometry), geometry.road_width,
+                behaviour.v_threat, behaviour.t_threat, behaviour.near_pass_distance,
+                BRAKING_INTERACTION_DISTANCE, 1.0])
             self.buf.extend([v.direction for v in vehicles])
             self.buf.extend([geometry.lane_centre(v.lane) for v in vehicles])
             self.buf.extend([0.0] * (5 * n))
             self.xv = slice(_STATE + 2 * n, _STATE + 4 * n)
-            self.stale = True    # x and v are still to be written
 
     def advance(self, n_steps: int, v0: float,
                 animals: Optional[list["AnimalState"]] = None) -> None:
@@ -186,7 +207,8 @@ class Fleet:
                                              + [v.v for v in vehicles])
                 self.buf[_BRAKED] = 1.0    # the Python body may have set a flag
                 self.stale = False
-            first = self.kernel(self.buf, self.lead, n_steps, v0, vehicles, animals)
+            first = self.kernel.advance(self.buf, self.lead, n_steps, v0, vehicles,
+                                        animals)
             if first >= n_steps:
                 return
             self.stale = True
@@ -217,6 +239,30 @@ class Fleet:
                 accels.append(-p.a_em if brake[i] else a)
             step_vehicles(vehicles, accels, self.dt, road_length)
 
+    def threat_present(self, animal: "AnimalState") -> bool:
+        """``threat_present`` for this fleet."""
+        if not self.stale:
+            found = self.kernel.threat_present(self.buf, animal.x)
+            if found is not None:
+                return found
+        return threat_present(animal, self.vehicles, self.behaviour, self.road_length)
+
+    def crossing_dangers(self, animal: "AnimalState") -> list[VehicleState]:
+        """``crossing_dangers`` for this fleet."""
+        if not self.stale:
+            found = self.kernel.crossing_dangers(self.buf, self.vehicles, animal.x)
+            if found is not None:
+                return found
+        return crossing_dangers(animal, self.vehicles, self.behaviour, self.road_length)
+
+    def detect_collisions(self, animals: list["AnimalState"]) -> list[tuple[int, int]]:
+        """``detect_collisions`` for this fleet."""
+        if not self.stale:
+            found = self.kernel.detect_collisions(self.buf, self.vehicles, animals)
+            if found is not None:
+                return found
+        return detect_collisions(self.vehicles, animals, self.geometry, self.road_length)
+
 
 # The command that builds the compiled kernel, an extension module of this
 # interpreter: no fused multiply-add, and no builtin pow or fmod (the pow of
@@ -227,21 +273,21 @@ CC = ("cc", "-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
 # The kernel buffer's slots before the vehicles' (advance_idm.c): the flag
 # slot, then the directions from ``_STATE``; x and v start at
 # ``_STATE + 2 * n``.
-_BRAKED = 14
-_STATE = 15
+_BRAKED = 21
+_STATE = 22
 
 # This process's compiled kernel: None until the first ``load_kernel``, then
-# the extension's ``advance``, or False where it could not be built or loaded.
+# the extension module, or False where it could not be built or loaded.
 _kernel = None
 
 
 def load_kernel():
     """The compiled vehicle kernel: on the first call in a process, the C
     source shipped with the package is compiled with ``build_command`` into
-    a private temporary directory and imported as an extension module, whose
-    ``advance`` is returned. Where that fails, warns once with the reason
-    and returns False; ``Fleet.advance`` then runs its Python body, which
-    gives the same bits."""
+    a private temporary directory and imported as an extension module, which
+    is returned. Where that fails, warns once with the reason and returns
+    False; ``Fleet`` then steps and scans in Python, which gives the same
+    bits."""
     global _kernel
     if _kernel is None:
         try:
@@ -288,7 +334,7 @@ def _build_kernel():
         module = importlib.util.module_from_spec(
             importlib.util.spec_from_loader("advance_idm", loader))
         loader.exec_module(module)
-    return module.advance
+    return module
 
 
 @dataclass
@@ -366,6 +412,86 @@ def emergency_brake_needed(vehicle: VehicleState, animals: Iterable["AnimalState
             if ahead < reach:
                 return True
     return False
+
+
+def contact_zone(geometry: "GeometryParams") -> tuple[float, float]:
+    """The contact test's half-widths: along the road, and across it around
+    the lane centre."""
+    return (geometry.vehicle_length / 2.0 + geometry.animal_radius,
+            geometry.vehicle_width / 2.0 + geometry.animal_radius)
+
+
+def vehicle_is_threat(animal_x: float, vehicle: VehicleState,
+                      params: "BehaviourParams", road_length: float) -> bool:
+    """One vehicle's threat test.
+
+    A vehicle above the threat speed floor is threatening while it will reach
+    the animal within the time horizon, and while it is still within the
+    near-pass distance after going by.
+    """
+    v = vehicle.v
+    if v <= params.v_threat:
+        return False
+    dx = ((animal_x - vehicle.x) * vehicle.direction) % road_length
+    if dx < params.t_threat * v:
+        return True
+    return road_length - dx < params.near_pass_distance
+
+
+def threat_present(animal: "AnimalState", vehicles, params: "BehaviourParams",
+                   road_length: float) -> bool:
+    """True when any vehicle threatens the animal's road position.
+    ``vehicles`` is a list, or a ``Fleet`` (see there)."""
+    if isinstance(vehicles, Fleet):
+        return vehicles.threat_present(animal)
+    ax = animal.x
+    for veh in vehicles:
+        if vehicle_is_threat(ax, veh, params, road_length):
+            return True
+    return False
+
+
+def crossing_dangers(animal: "AnimalState", vehicles, params: "BehaviourParams",
+                     road_length: float) -> list[VehicleState]:
+    """The vehicles, in list order, that a crossing animal meets
+    dangerously: each emergency-braking one within
+    ``BRAKING_INTERACTION_DISTANCE`` of it, and each other one that is a
+    threat. ``vehicles`` is a list, or a ``Fleet`` (see there)."""
+    if isinstance(vehicles, Fleet):
+        return vehicles.crossing_dangers(animal)
+    ax = animal.x
+    found = []
+    for veh in vehicles:
+        if veh.emergency_braking:
+            dx = abs(veh.x - ax)
+            if min(dx, road_length - dx) >= BRAKING_INTERACTION_DISTANCE:
+                continue
+        elif not vehicle_is_threat(ax, veh, params, road_length):
+            continue
+        found.append(veh)
+    return found
+
+
+def detect_collisions(vehicles, animals, geometry: "GeometryParams",
+                      road_length: float) -> list[tuple[int, int]]:
+    """(vehicle id, animal id) contact pairs for animals on the carriageway,
+    0 < y <= road width: an animal waiting at the edge (y = 0) is never hit.
+    ``vehicles`` is a list, or a ``Fleet`` (see there)."""
+    if isinstance(vehicles, Fleet):
+        return vehicles.detect_collisions(animals)
+    x_thresh, y_thresh = contact_zone(geometry)
+    road_width = geometry.road_width
+    centres = [geometry.lane_centre(i) for i in range(geometry.n_lanes)]
+    pairs = []
+    for a in animals:
+        if not 0.0 < a.y <= road_width:
+            continue
+        for v in vehicles:
+            dx = abs(v.x - a.x)
+            if min(dx, road_length - dx) < x_thresh and \
+                    abs(a.y - centres[v.lane]) < y_thresh:
+                pairs.append((v.vid, a.aid))
+    return pairs
 
 
 def link_ring_leaders(vehicles: list[VehicleState], road_length: float) -> None:

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from wvcsim.animals import (Activity, AnimalState, BehaviourParams, quiet_steps,
                             sample_arrivals, sample_sigma, step_animal,
-                            take_quiet_steps, threat_present, vehicle_is_threat)
+                            take_quiet_steps)
 from wvcsim.awareness import DANGEROUS_STATES
 from wvcsim.config import GeometryParams
-from wvcsim.vehicles import VehicleState
+from wvcsim.vehicles import VehicleState, threat_present, vehicle_is_threat
 
 PARAMS = BehaviourParams()
 GEO = GeometryParams()

@@ -267,18 +267,6 @@ def check_sleeps(cfg, log):
             assert any(s <= k and k + n <= e for s, e in asleep[aid])
 
 
-class Reads:
-    """The vehicles as ``step_animal`` sees them: ``read(animal, vehicles)``
-    is called each time the animal's step reads them."""
-
-    def __init__(self, read):
-        self.read, self.animal, self.vehicles = read, None, None
-
-    def __iter__(self):
-        self.read(self.animal, self.vehicles)
-        return iter(self.vehicles)
-
-
 def run_observed(cfg, hours, trial_id, reference=False):
     """One trial and its log. The reference run shuts off every fast path:
     no stretch, no sleep, and the vehicles stepped by the Python body of
@@ -287,18 +275,21 @@ def run_observed(cfg, hours, trial_id, reference=False):
     ``vehicle_steps`` has the desired speed and the brake flags of every
     vehicle step. ``steps`` has an entry per ``dms_active`` call, the start of a stepped
     step or of a stretch: [k, steps spanned, sign, (onset, alerted), aids
-    present, reads, pairs]. A read is an aid and every vehicle's (x, v,
-    emergency_braking). The pairs are phase 6's, or in the reference an
-    ungated scan of the step's animals as the step closes; there, steps
-    with no read and no pair merge with an equal neighbour, as a stretch's
-    steps do. ``result`` is the result, or the invariant error's text.
+    present, reads, pairs]. A read is one of the fleet's scans for an
+    animal's step (``Fleet.threat_present`` or ``Fleet.crossing_dangers``):
+    the aid, the scan, its answer (the vehicle ids, for the dangers) and
+    every vehicle's (x, v, emergency_braking) as the scan saw them. The
+    pairs are phase 6's, or in the reference an ungated scan of the step's
+    animals as the step closes; there, steps with no read and no pair merge
+    with an equal neighbour, as a stretch's steps do. ``result`` is the
+    result, or the invariant error's text.
 
     Checked as the trial runs: each read and scan sees the vehicles at the
     current row (k + 1 vehicle steps taken), and phase 6 scans after exactly
     the steps whose phase 5 leaves an animal on the carriageway."""
     dt, geometry, L = cfg.time_step, cfg.geometry, cfg.road_length
     log = SimpleNamespace(steps=[], vehicle_steps=[], sleeps=[], asks=0, taken=0,
-                          scans=0, skipped_scans=0)
+                          scans=0, skipped_scans=0, fleet=None)
     steps = log.steps
     stepped, on_road, scans = [], False, 0  # in the open step
     dms_active, update = AwarenessState.dms_active, DriverAlert.update
@@ -314,7 +305,7 @@ def run_observed(cfg, hours, trial_id, reference=False):
         if stepped or scans:
             assert scans == on_road, f"phase 6 gate at step {entry[0]}"
             if reference:
-                pairs = detect_collisions(reads.vehicles, stepped, geometry, L)
+                pairs = detect_collisions(log.fleet.vehicles, stepped, geometry, L)
                 entry[6] = tuple(pairs)
             log.scans += scans
             log.skipped_scans += not scans
@@ -336,17 +327,19 @@ def run_observed(cfg, hours, trial_id, reference=False):
         update(self, lit, now, p)
         steps[-1][3] = (self.onset, self.alerted)
 
-    def read(animal, vehicles):
-        assert log.taken == steps[-1][0] + 1, "a read of a past row"
-        steps[-1][5].append((animal.aid, [(v.x, v.v, v.emergency_braking)
-                                          for v in vehicles]))
+    def reader(scan, answer):
+        def read(fleet, animal):
+            assert log.taken == steps[-1][0] + 1, "a read of a past row"
+            found = scan(fleet, animal)
+            steps[-1][5].append((animal.aid, scan.__name__, answer(found),
+                                 [(v.x, v.v, v.emergency_braking)
+                                  for v in fleet.vehicles]))
+            return found
+        return read
 
-    reads = Reads(read)
-
-    def step(animal, vehicles, *args):
+    def step(animal, *args):
         nonlocal on_road
-        reads.animal, reads.vehicles = animal, vehicles
-        step_animal(animal, reads, *args)
+        step_animal(animal, *args)
         stepped.append(animal)
         on_road = on_road or 0.0 < animal.y <= geometry.road_width
 
@@ -363,6 +356,7 @@ def run_observed(cfg, hours, trial_id, reference=False):
         # Only a call's last step brakes, so its earlier steps brake nobody;
         # the last one leaves its flags on the vehicles.
         advance(fleet, n_steps, v0, animals)
+        log.fleet = fleet
         log.taken += n_steps
         flags = tuple(v.emergency_braking for v in fleet.vehicles)
         log.vehicle_steps += [((v0, (False,) * len(flags)), n_steps - 1),
@@ -383,6 +377,9 @@ def run_observed(cfg, hours, trial_id, reference=False):
         m.setattr(AwarenessState, "dms_active", sign)
         m.setattr(DriverAlert, "update", alert)
         m.setattr(Fleet, "advance", advanced)
+        m.setattr(Fleet, "threat_present", reader(Fleet.threat_present, bool))
+        m.setattr(Fleet, "crossing_dangers", reader(Fleet.crossing_dangers,
+                                                    lambda found: [v.vid for v in found]))
         m.setattr(wvcsim.engine, "step_animal", step)
         m.setattr(wvcsim.engine, "detect_collisions", scan)
         m.setattr(wvcsim.engine, "take_quiet_steps", sleep)
@@ -555,8 +552,8 @@ class TestBrakingStep:
             old = copies(vehicles)
             old_braking_step(old, animals, v0, cfg, 0, 0.0)
             new = copies(vehicles)
-            Fleet(new, cfg.idm, cfg.time_step, cfg.road_length,
-                  cfg.geometry).advance(n_steps, v0, animals)
+            Fleet(new, cfg.idm, cfg.time_step, cfg.road_length, cfg.geometry,
+                  cfg.behaviour).advance(n_steps, v0, animals)
             assert bits(new) == bits(old)
             braked += sum(v.emergency_braking for v in new)
         assert braked  # some driver did brake
@@ -738,6 +735,31 @@ class TestKernelMatchesPython:
         assert fast["vehicle_steps"] == ref["vehicle_steps"]
         speeds = [v0 for (v0, _), _ in ref["vehicle_steps"]]
         assert speeds[0] == idm.v_cruise and idm.v_caution in speeds
+
+
+    def test_every_scan_answered_from_the_buffer(self, monkeypatch):
+        # On the compiled kernel each scan a crowded trial asks the fleet
+        # is answered by the kernel from the buffer, none by the Python
+        # reference.
+        kernel = wvcsim.vehicles.load_kernel()
+        if not kernel:
+            pytest.skip("no compiled vehicle kernel on this host")
+        asked, answered = collections.Counter(), collections.Counter()
+        for name in ("threat_present", "crossing_dangers", "detect_collisions"):
+            def counted(*args, _scan=getattr(Fleet, name), _name=name):
+                asked[_name] += 1
+                return _scan(*args)
+
+            def compiled(*args, _scan=getattr(kernel, name), _name=name):
+                found = _scan(*args)
+                answered[_name] += found is not None
+                return found
+
+            monkeypatch.setattr(Fleet, name, counted)
+            monkeypatch.setattr(kernel, name, compiled)
+        for mode in MODES:
+            run_trial(fast_config(mode, **CROWDED), 0.05, 0, 5)
+        assert asked == answered and len(asked) == 3
 
 
 class TestOwedSteps:

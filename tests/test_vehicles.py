@@ -9,9 +9,10 @@ import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import wvcsim.engine
@@ -20,13 +21,17 @@ from wvcsim.awareness import AwarenessState
 from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
 from wvcsim.engine import run_trial
-from wvcsim.vehicles import (FREE_ROAD_GAP, DriverAlert, Fleet, IdmParams,
-                             VehicleOverlap, VehicleState, brake_zone, desired_gap,
+from wvcsim.vehicles import (BRAKING_INTERACTION_DISTANCE, FREE_ROAD_GAP,
+                             DriverAlert, Fleet, IdmParams, VehicleOverlap,
+                             VehicleState, brake_zone, contact_zone,
+                             crossing_dangers, desired_gap, detect_collisions,
                              emergency_brake_needed, idm_acceleration,
-                             link_ring_leaders, step_vehicles, stopping_envelope)
-from wvcsim.animals import AnimalState
+                             link_ring_leaders, step_vehicles, stopping_envelope,
+                             threat_present)
+from wvcsim.animals import Activity, AnimalState, BehaviourParams
 
 P = IdmParams()
+BEHAVIOUR = BehaviourParams()
 GEO = GeometryParams()
 REL = 1e-12
 
@@ -359,7 +364,7 @@ class TestAdvanceIdm:
 
     def test_matches_reference_from_default_state(self):
         fast, ref = self.default_pair()
-        Fleet(fast, P, 0.1, self.L, GEO).advance(3000, P.v_cruise)
+        Fleet(fast, P, 0.1, self.L, GEO, BEHAVIOUR).advance(3000, P.v_cruise)
         reference_steps(ref, 3000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -370,7 +375,7 @@ class TestAdvanceIdm:
         reference_steps(fast, 300, P.v_caution, self.L)
         reference_steps(ref, 300, P.v_caution, self.L)
         assert snapshot(fast) == snapshot(ref)
-        Fleet(fast, P, 0.1, self.L, GEO).advance(2000, P.v_cruise)
+        Fleet(fast, P, 0.1, self.L, GEO, BEHAVIOUR).advance(2000, P.v_cruise)
         reference_steps(ref, 2000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -378,7 +383,7 @@ class TestAdvanceIdm:
         # Alerted drivers that brake for no animal: from cruise down to the
         # caution speed, through the -a_em clamp.
         fast, ref = self.default_pair()
-        Fleet(fast, P, 0.1, self.L, GEO).advance(2000, P.v_caution)
+        Fleet(fast, P, 0.1, self.L, GEO, BEHAVIOUR).advance(2000, P.v_caution)
         reference_steps(ref, 2000, P.v_caution, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -393,14 +398,14 @@ class TestAdvanceIdm:
             follower = next(v for v in group if v.leader == 2)
             follower.x = (stopped.x - 60.0 * stopped.direction) % self.L
             follower.v = 27.0
-        Fleet(fast, P, 0.1, self.L, GEO).advance(500, P.v_cruise)
+        Fleet(fast, P, 0.1, self.L, GEO, BEHAVIOUR).advance(500, P.v_cruise)
         reference_steps(ref, 500, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
     def test_matches_reference_for_a_free_vehicle(self):
         fast, ref = self.default_pair(vehicles_per_direction=1)
         assert all(v.leader == -1 for v in fast)
-        Fleet(fast, P, 0.1, self.L, GEO).advance(1000, P.v_cruise)
+        Fleet(fast, P, 0.1, self.L, GEO, BEHAVIOUR).advance(1000, P.v_cruise)
         reference_steps(ref, 1000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -408,7 +413,7 @@ class TestAdvanceIdm:
         vehicles = build_corridor(CorridorConfig()).vehicles
         for v in vehicles:
             v.emergency_braking = True
-        Fleet(vehicles, P, 0.1, self.L, GEO).advance(1, P.v_cruise)
+        Fleet(vehicles, P, 0.1, self.L, GEO, BEHAVIOUR).advance(1, P.v_cruise)
         assert not any(v.emergency_braking for v in vehicles)
 
     def test_overlap_raised_at_the_same_step(self):
@@ -429,7 +434,7 @@ class TestAdvanceIdm:
                 expected += 1
         fast = crash_course()
         with pytest.raises(VehicleOverlap) as exc:
-            Fleet(fast, P, 0.1, self.L, GEO).advance(1000, P.v_cruise)
+            Fleet(fast, P, 0.1, self.L, GEO, BEHAVIOUR).advance(1000, P.v_cruise)
         assert exc.value.step == expected > 0
         assert exc.value.follower is fast[0]
         assert exc.value.leader is fast[fast[0].leader]
@@ -449,11 +454,11 @@ class TestKernelMatchesPython:
         compiled_kernel()
         cfg = replace_config(CorridorConfig(), **overrides)
         fast, ref = build_corridor(cfg).vehicles, build_corridor(cfg).vehicles
-        Fleet(fast, P, dt, self.L, GEO).advance(0, P.v_cruise)
+        Fleet(fast, P, dt, self.L, GEO, BEHAVIOUR).advance(0, P.v_cruise)
         assert snapshot(fast) == snapshot(ref)
         done = 0
         for r in (1, 2, 17, 640, 3001):
-            Fleet(fast, P, dt, self.L, GEO).advance(r - done, P.v_cruise)
+            Fleet(fast, P, dt, self.L, GEO, BEHAVIOUR).advance(r - done, P.v_cruise)
             reference_steps(ref, r - done, P.v_cruise, self.L, dt)
             done = r
             assert snapshot(fast) == snapshot(ref)
@@ -464,7 +469,7 @@ def kernel_outcome(kernel, start, n_steps, v0, p, dt, road_length, geometry,
     """``Fleet.advance`` braking for ``animals`` on a copy of ``start``, with
     the kernel slot set to ``kernel``: ``advance_outcome``."""
     vehicles = [dataclasses.replace(v) for v in start]
-    fleet = fleet_on(kernel, vehicles, p, dt, road_length, geometry)
+    fleet = fleet_on(kernel, vehicles, p, dt, road_length, geometry, BEHAVIOUR)
     return advance_outcome(fleet, n_steps, v0, animals)
 
 
@@ -498,12 +503,14 @@ def kernel_bits(vehicles):
 
 
 def one_step(kernel):
-    """``kernel`` taking only the first step of each call and leaving the
-    rest, the braking step among them, to the Python body."""
+    """``kernel``, its advance taking only the first step of each call and
+    leaving the rest, the braking step among them, to the Python body."""
+    first = kernel.advance
+
     def advance(buf, lead, n_steps, v0, vehicles, animals):
-        return kernel(buf, lead, min(n_steps, 1), v0, vehicles,
-                      animals if n_steps <= 1 else None)
-    return advance
+        return first(buf, lead, min(n_steps, 1), v0, vehicles,
+                     animals if n_steps <= 1 else None)
+    return SimpleNamespace(**vars(kernel) | {"advance": advance})
 
 
 def solved(f, goal, guess):
@@ -811,7 +818,7 @@ class TestCompiledKernel:
         kernel = compiled_kernel()
         start, p, dt, road_length, geometry, calls = case
         fleets = [fleet_on(k, [dataclasses.replace(v) for v in start], p, dt,
-                           road_length, geometry) for k in (kernel, False)]
+                           road_length, geometry, BEHAVIOUR) for k in (kernel, False)]
         for n_steps, v0, animals, stop in calls:
             fleets[0].kernel = one_step(kernel) if stop else kernel
             outcomes = [advance_outcome(fleet, n_steps, v0, animals)
@@ -886,14 +893,15 @@ class TestCompiledKernel:
         # ending in a braking step.
         kernel = compiled_kernel()
         taken = []
+        advance = kernel.advance
 
         def spied(*args):
-            taken.append(kernel(*args))
+            taken.append(advance(*args))
             return taken[-1]
 
-        monkeypatch.setattr(wvcsim.vehicles, "_kernel", spied)
+        monkeypatch.setattr(kernel, "advance", spied)
         vehicles = build_corridor(CorridorConfig()).vehicles
-        fleet = Fleet(vehicles, P, 0.1, CorridorConfig().road_length, GEO)
+        fleet = Fleet(vehicles, P, 0.1, CorridorConfig().road_length, GEO, BEHAVIOUR)
         fleet.advance(3000, P.v_cruise)
         # 60 m ahead of the first vehicle, in its lane: still ahead of it,
         # and inside its reach, at the seventh step.
@@ -922,12 +930,12 @@ class TestCompiledKernel:
 
         alone = []
         for group in groups():
-            fleet = Fleet(group, P, 0.1, L, GEO)
+            fleet = Fleet(group, P, 0.1, L, GEO, BEHAVIOUR)
             for call in calls:
                 fleet.advance(*call)
             alone.append(kernel_bits(group))
         together = groups()
-        fleets = [Fleet(group, P, 0.1, L, GEO) for group in together]
+        fleets = [Fleet(group, P, 0.1, L, GEO, BEHAVIOUR) for group in together]
         for call in calls:
             for fleet in fleets:
                 fleet.advance(*call)
@@ -940,17 +948,17 @@ class TestCompiledKernel:
         # state, not from the buffer's.
         kernel = compiled_kernel()
         taken = []
-        first_only = one_step(kernel)
+        first_only = one_step(kernel).advance
 
         def spied(*args):
             taken.append(first_only(*args))
             return taken[-1]
 
-        monkeypatch.setattr(wvcsim.vehicles, "_kernel", spied)
+        monkeypatch.setattr(kernel, "advance", spied)
         L = CorridorConfig().road_length
         fast = build_corridor(CorridorConfig()).vehicles
         ref = build_corridor(CorridorConfig()).vehicles
-        fleet = Fleet(fast, P, 0.1, L, GEO)
+        fleet = Fleet(fast, P, 0.1, L, GEO, BEHAVIOUR)
         for n in (5, 1, 30, 2):
             fleet.advance(n, P.v_cruise)
             reference_steps(ref, n, P.v_cruise, L)
@@ -977,11 +985,12 @@ class TestCompiledKernel:
         # it reads a buffer: a bad call raises, and the fleet still steps.
         kernel = compiled_kernel()
         vehicles = build_corridor(CorridorConfig()).vehicles
-        fleet = Fleet(vehicles, P, 0.1, CorridorConfig().road_length, GEO)
+        fleet = Fleet(vehicles, P, 0.1, CorridorConfig().road_length, GEO, BEHAVIOUR)
         named = {"buf": fleet.buf, "lead": fleet.lead, "lead[:-1]": fleet.lead[:-1],
                  "vehicles": vehicles}
         with pytest.raises(error):
-            kernel(*(named.get(a, a) if isinstance(a, str) else a for a in args))
+            kernel.advance(*(named.get(a, a) if isinstance(a, str) else a
+                             for a in args))
         fleet.advance(10, P.v_cruise)
         ref = build_corridor(CorridorConfig()).vehicles
         reference_steps(ref, 10, P.v_cruise, CorridorConfig().road_length)
@@ -1034,3 +1043,299 @@ class TestCompiledKernel:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True).stdout
         assert out == "None\n"
+
+
+
+def scan_measures(vehicle, behaviour, geometry, road_length):
+    """Each edge of the scans for ``vehicle``, as (what the reference
+    measures for an animal at x, the edge it compares that with, an x near
+    it): the threat horizon ahead, the near-pass distance behind, the
+    braking interaction distance and the contact half-width along the
+    road."""
+    vx, d, L = vehicle.x, vehicle.direction, road_length
+
+    def ahead(x):
+        return ((x - vx) * d) % L
+
+    def ring(x):
+        dx = abs(vx - x)
+        return min(dx, L - dx)
+
+    horizon = behaviour.t_threat * vehicle.v
+    near = behaviour.near_pass_distance
+    reach = contact_zone(geometry)[0]
+    return [(ahead, horizon, (vx + horizon * d) % L),
+            (lambda x: L - ahead(x), near, (vx - near * d) % L),
+            (ring, BRAKING_INTERACTION_DISTANCE, (vx + BRAKING_INTERACTION_DISTANCE) % L),
+            (ring, reach, (vx + reach) % L)]
+
+
+def next_apart(measure, x, side):
+    """The float nearest ``x`` below it (``side`` -1) or above it (+1) that
+    ``measure`` tells apart from ``x``: the measures here are monotone,
+    with plateaus many ULPs wide where the ring's wrap rounds."""
+    goal = measure(x)
+    step = math.ulp(x)
+    far = x + side * step
+    while measure(far) == goal:
+        step *= 2.0
+        far = x + side * step
+    near = x
+    while math.nextafter(near, far) != far:
+        mid = (near + far) / 2.0
+        if measure(mid) == goal:
+            near = mid
+        else:
+            far = mid
+    return far
+
+
+def scan_edges(vehicle, behaviour, geometry, road_length, side):
+    """For each edge of ``vehicle``'s scans, an x the reference measures
+    exactly at the edge (``side`` 0), or the nearest x below (-1) or above
+    (+1) that one which it measures otherwise (``next_apart``); edges no x
+    near the guess measures exactly are left out."""
+    xs = []
+    for measure, edge, guess in scan_measures(vehicle, behaviour, geometry,
+                                              road_length):
+        x = solved(measure, edge, guess)
+        if x is not None:
+            xs.append(next_apart(measure, x, side) if side else x)
+    return xs
+
+
+# The contact band of an animal 1.5 m in radius reaches the road width
+# from the far lane's centre.
+WIDE_ANIMAL = dataclasses.replace(GEO, animal_radius=1.5)
+
+
+def band_edges(vehicle, geometry):
+    """The y's at which the contact test measures ``abs(y - centre)`` as its
+    half-width across the road exactly, either side of ``vehicle``'s lane
+    centre; sides no y near the guess gives are left out."""
+    centre, half = geometry.lane_centre(vehicle.lane), contact_zone(geometry)[1]
+    ys = [solved(lambda y: abs(y - centre), half, centre + side * half)
+          for side in (1, -1)]
+    return [y for y in ys if y is not None]
+
+
+def brakers(vehicles, braking, road_length, geometry):
+    """An animal 1 m ahead of each vehicle of ``braking`` (indices), on its
+    lane centre: inside the hold zone, so a braking step brakes it."""
+    return [AnimalState(aid=100 + i, x=(vehicles[i].x + vehicles[i].direction)
+                        % road_length, y=geometry.lane_centre(vehicles[i].lane),
+                        sigma=1.0)
+            for i in braking]
+
+
+class ScanCase(NamedTuple):
+    """A scan case: the fleet, the indices of the vehicles a braking step
+    brakes, whether the compiled kernel leaves that step to the Python body
+    (``one_step``), the steps of a non-braking call after it (None for no
+    call), the thresholds, the geometry, the ring length and the animals."""
+
+    vehicles: list
+    braking: list
+    stop: bool
+    then: Optional[int]
+    behaviour: BehaviourParams
+    geometry: GeometryParams
+    road_length: float
+    animals: list
+
+
+@st.composite
+def scan_cases(draw):
+    """0-4 vehicles, each at a random x or within 1 m of either end of the
+    ring, at a random speed, at the threat speed floor or one ULP above it,
+    braking or not; the thresholds at their defaults or drawn; the default
+    geometry or a wide animal; then 0-5 animals, each at a random x or, for
+    a drawn vehicle, at an edge of its scans or next to it either side
+    (``scan_edges``), and at y = 0, the road width, a lane centre, the edge
+    of a drawn vehicle's contact band (``band_edges``) or a random y."""
+    road_length = draw(st.just(1000.0) | st.floats(60.0, 2000.0))
+    behaviour = BehaviourParams(
+        t_threat=draw(st.just(5.0) | st.floats(0.1, 20.0)),
+        v_threat=draw(st.just(10.0) | st.floats(0.0, 30.0)),
+        near_pass_distance=draw(st.just(20.0) | st.floats(0.0, 50.0)))
+    geometry = draw(st.sampled_from((GEO, WIDE_ANIMAL)))
+    v_floor = behaviour.v_threat
+    vehicles = []
+    for i, d in enumerate(draw(st.lists(st.sampled_from((1, -1)), max_size=4))):
+        x = draw(st.floats(0.0, road_length, exclude_max=True)
+                 | st.floats(0.0, 1.0)
+                 | st.floats(road_length - 1.0, road_length, exclude_max=True))
+        v = draw(st.floats(0.0, 40.0)
+                 | st.sampled_from((v_floor, math.nextafter(v_floor, math.inf))))
+        vehicles.append(VehicleState(vid=i, x=x, v=v, direction=d, lane=d < 0))
+    braking = [i for i in range(len(vehicles)) if draw(st.booleans())]
+    animals = []
+    for aid in range(draw(st.integers(0, 5))):
+        x = draw(st.floats(0.0, road_length, exclude_max=True))
+        if vehicles and draw(st.booleans()):
+            edges = scan_edges(draw(st.sampled_from(vehicles)), behaviour, geometry,
+                               road_length, draw(st.sampled_from((0, -1, 1))))
+            x = draw(st.sampled_from(edges)) if edges else x
+        ys = [0.0, geometry.road_width, geometry.lane_centre(0), geometry.lane_centre(1)]
+        if vehicles:
+            ys += band_edges(draw(st.sampled_from(vehicles)), geometry)
+        y = draw(st.sampled_from(ys) | st.floats(-1.0, geometry.road_width + 1.0))
+        animals.append(AnimalState(aid=aid, x=x, y=y, sigma=1.0,
+                                   state=Activity.CROSSING))
+    return ScanCase(vehicles, braking, draw(st.booleans()),
+                     draw(st.none() | st.sampled_from((0, 1))), behaviour, geometry,
+                     road_length, animals)
+
+
+def one_vehicle_edges(direction, x, braking, stop=False, then=None, geometry=GEO):
+    """One vehicle at ``x`` at 12 m/s, braking or not, and an animal at
+    each edge of its scans and next to it either side, at y = 0, the road
+    width, its lane centre and the edges of its contact band; ``stop`` and
+    ``then`` as in ``ScanCase``."""
+    vehicle = VehicleState(vid=0, x=x, v=12.0, direction=direction, lane=direction < 0)
+    xs = [ax for side in (-1, 0, 1)
+          for ax in scan_edges(vehicle, BEHAVIOUR, geometry, 1000.0, side)]
+    ys = [0.0, geometry.road_width, geometry.lane_centre(vehicle.lane),
+          *band_edges(vehicle, geometry)]
+    animals = [AnimalState(aid=i, x=ax, y=y, sigma=1.0, state=Activity.CROSSING)
+               for i, (ax, y) in enumerate((ax, y) for ax in xs for y in ys)]
+    return ScanCase([vehicle], [0] if braking else [], stop, then, BEHAVIOUR,
+                     geometry, 1000.0, animals)
+
+
+# Fixed cases: an empty fleet, for animals at y = 0 and the road width; one
+# vehicle at either end of the ring in each direction, braking or not, with
+# animals on each edge of its scans, for the default animal and a wide one,
+# whose contact band reaches the road width; the braking one after a non-braking
+# call, which clears the flag, and braked by the Python body, which leaves
+# the buffer stale (its flag is set at the near-pass edge behind, where
+# only a braking vehicle is a danger); and two vehicles at the threat speed
+# floor and one ULP above it.
+SCAN_EDGES = (
+    [ScanCase([], [], False, None, BEHAVIOUR, GEO, 1000.0,
+               [AnimalState(aid=0, x=0.0, y=y, sigma=1.0) for y in
+                (0.0, GEO.road_width)])]
+    + [one_vehicle_edges(d, x, b, geometry=g) for d in (1, -1) for x in (0.0, 999.5)
+       for b in (False, True) for g in (GEO, WIDE_ANIMAL)]
+    + [one_vehicle_edges(d, 999.5, True, then=1) for d in (1, -1)]
+    + [one_vehicle_edges(d, 999.5, True, stop=True) for d in (1, -1)]
+    + [ScanCase([VehicleState(vid=i, x=100.0 * i, v=v, direction=1, lane=0)
+                  for i, v in enumerate((10.0, math.nextafter(10.0, math.inf)))],
+                 [], False, None, BEHAVIOUR, GEO, 1000.0,
+                 [AnimalState(aid=0, x=120.0, y=1.0, sigma=1.0)])])
+
+
+def scan_examples(test):
+    """``test`` with an ``@example`` for each case in ``SCAN_EDGES``."""
+    for case in SCAN_EDGES:
+        test = example(case=case)(test)
+    return test
+
+
+class TestCompiledScans:
+    """A fleet's scans, answered from the compiled kernel's buffer where it
+    holds the vehicles, are the reference functions' answers for the
+    fleet's vehicles, one for one."""
+
+    @pytest.mark.parametrize("kernel", ["compiled", "python"], indirect=True)
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=scan_cases())
+    @scan_examples
+    def test_same_answers_as_the_reference(self, kernel, case):
+        start, braking, stop, then, behaviour, geometry, road_length, animals = case
+        vehicles = [dataclasses.replace(v) for v in start]
+        # At dt 0 a step moves nothing: the vehicles keep the drawn x and v,
+        # and the braking step sets the flags of the drawn vehicles.
+        fleet = Fleet(vehicles, P, 0.0, road_length, geometry, behaviour)
+        if stop and fleet.kernel:
+            fleet.kernel = one_step(fleet.kernel)
+        fleet.advance(2, P.v_caution, brakers(vehicles, braking, road_length, geometry))
+        assert all(vehicles[i].emergency_braking for i in braking)
+        if then is not None:
+            fleet.advance(then, P.v_cruise)
+            assert not any(v.emergency_braking for v in vehicles)
+        assert snapshot(vehicles) == snapshot(start)
+        assert fleet.stale is (kernel == "python" or stop and then is None)
+        for a in animals:
+            assert fleet.threat_present(a) is threat_present(a, vehicles, behaviour,
+                                                              road_length)
+            found = fleet.crossing_dangers(a)
+            expected = crossing_dangers(a, vehicles, behaviour, road_length)
+            assert [id(v) for v in found] == [id(v) for v in expected]
+        assert fleet.detect_collisions(animals) == detect_collisions(
+            vehicles, animals, geometry, road_length)
+
+    @pytest.mark.parametrize("scan, args, error", [
+        ("threat_present", ("buf",), TypeError),
+        ("threat_present", ("buf", 1.0, None), TypeError),
+        ("threat_present", ("lead", 1.0), TypeError),
+        ("threat_present", ("buf[:-1]", 1.0), ValueError),
+        ("crossing_dangers", ("buf", tuple, 1.0), TypeError),
+        ("crossing_dangers", ("buf", [], 1.0), ValueError),
+        ("detect_collisions", ("buf", "vehicles", ()), TypeError),
+        ("detect_collisions", (bytearray(8), "vehicles", []), TypeError),
+    ], ids=["one", "three", "long-buf", "short-buf", "tuple-vehicles", "no-vehicles",
+            "tuple-animals", "bytearray-buf"])
+    def test_wrong_arguments_raise(self, scan, args, error):
+        # Each scan checks its arguments' number, types and sizes before it
+        # reads the buffer.
+        kernel = compiled_kernel()
+        vehicles = build_corridor(CorridorConfig()).vehicles
+        fleet = Fleet(vehicles, P, 0.1, CorridorConfig().road_length, GEO, BEHAVIOUR)
+        named = {"buf": fleet.buf, "buf[:-1]": fleet.buf[:-1], "lead": fleet.lead,
+                 "vehicles": vehicles}
+        with pytest.raises(error):
+            getattr(kernel, scan)(*(named.get(a, a) if isinstance(a, str) else a
+                                    for a in args))
+
+    def test_a_stale_buffer_is_left_to_the_reference(self):
+        # The Python body takes the second step: the buffer still holds the
+        # vehicle 20 m back, 5 m ahead of the animal, where it would be a
+        # threat and a danger, and clear of a contact.
+        kernel = compiled_kernel()
+        vehicles = [VehicleState(vid=0, x=100.0, v=20.0, direction=1, lane=0)]
+        fleet = Fleet(vehicles, P, 1.0, 1000.0, GEO, BEHAVIOUR)
+        fleet.kernel = one_step(kernel)
+        fleet.advance(2, 20.0)
+        assert fleet.stale
+        behind = AnimalState(aid=0, x=vehicles[0].x - 25.0, y=1.0, sigma=1.0)
+        under = AnimalState(aid=1, x=vehicles[0].x, y=1.0, sigma=1.0)
+        answers = (fleet.threat_present(behind), fleet.crossing_dangers(behind),
+                   fleet.detect_collisions([under]))
+        assert answers == (False, [], [(0, 1)])
+        assert (kernel.threat_present(fleet.buf, behind.x),
+                kernel.crossing_dangers(fleet.buf, vehicles, behind.x),
+                kernel.detect_collisions(fleet.buf, vehicles, [under])) == (
+                    True, vehicles, [])
+
+    def test_edges_decide_as_stated(self):
+        # Each edge straddles in the reference, for a vehicle near the ring's
+        # end whose edges ahead wrap past 0: the animal at the threat
+        # horizon, the braking distance or the contact half-width is not
+        # met, the one just inside (below) is; the one at the near-pass
+        # distance behind is not threatened, the one just inside (above)
+        # is. A vehicle at the speed floor threatens nobody, one a ULP
+        # above it does.
+        vehicle = VehicleState(vid=0, x=999.5, v=12.0, direction=1, lane=0)
+        braking = dataclasses.replace(vehicle, emergency_braking=True)
+
+        def met(x):
+            a = AnimalState(aid=0, x=x, y=GEO.lane_centre(0), sigma=1.0)
+            return (threat_present(a, [vehicle], BEHAVIOUR, 1000.0),
+                    bool(crossing_dangers(a, [braking], BEHAVIOUR, 1000.0)),
+                    bool(detect_collisions([vehicle], [a], GEO, 1000.0)))
+
+        edges = [scan_edges(vehicle, BEHAVIOUR, GEO, 1000.0, side)
+                 for side in (-1, 0, 1)]
+        assert [len(xs) for xs in edges] == [4, 4, 4]
+        assert max(edges[1][::2]) < 60.0  # wrapped past 0
+        below, at, above = ([met(x) for x in xs] for xs in edges)
+        assert [m[0] for m in below[:2] + at[:2] + above[:2]] == [
+            True, False, False, False, False, True]
+        assert [m[1] for m in (below[2], at[2], above[2])] == [True, False, False]
+        assert [m[2] for m in (below[3], at[3], above[3])] == [True, False, False]
+        a = AnimalState(aid=0, x=120.0, y=1.0, sigma=1.0)
+        assert [threat_present(a, [dataclasses.replace(vehicle, x=100.0, v=v)],
+                               BEHAVIOUR, 1000.0)
+                for v in (10.0, math.nextafter(10.0, math.inf))] == [False, True]
