@@ -23,7 +23,7 @@ from .experiments import (ALL_MODES, KAPPA_GRID, SIZE_GRID, SPACING_GRID,
 from .records import (TrialRecord, read_trials_csv, record_from_result,
                       write_csv, write_trials_csv)
 from .stats import WelchResult, mean_sd, significance_stars, welch_t
-from .vehicles import (DriverAlert, IdmParams, VehicleOverlap, VehicleState,
+from .vehicles import (DriverAlert, Fleet, IdmParams, VehicleOverlap, VehicleState,
                        desired_gap, detect_collisions, emergency_brake_needed,
                        idm_acceleration, step_vehicles, threat_present)
 

@@ -1,16 +1,16 @@
 /* The compiled form of wvcsim.vehicles.Fleet's steps and scans, a CPython
-   extension module built on first use.
+   extension module built on first use. A fleet's buffer is its vehicles'
+   only state: x, v and the brake flags live there, and no entry reads or
+   writes a VehicleState.
 
-   advance is a port of rounds of the reference functions desired_gap,
-   idm_acceleration and step_vehicles, which the Python body of Fleet.advance
-   steps, and of emergency_brake_needed for a braking last step. It writes
-   each VehicleState's x and v, and its emergency_braking where a flag may
-   change, itself, and keeps x, v and the flags in the fleet's buffer.
+   advance is a port of rounds of the Python body of Fleet.advance: the
+   reference functions desired_gap, idm_acceleration and step_vehicles on
+   the buffer, and emergency_brake_needed for a braking last step. It steps
+   x and v and sets the brake flags in the buffer.
 
    threat_present, crossing_dangers and detect_collisions are ports of the
-   reference scans of the same names in wvcsim.vehicles. They read the
-   vehicles' x, v and flags from the buffer as the last complete advance
-   left them, which Fleet checks before it calls them.
+   reference scans of the same names in wvcsim.vehicles. They read x, v and
+   the flags from the buffer and name vehicles by their index.
 
    Every float operation is the reference's, in CPython's semantics and in
    the same order, so both give the same bits: % is CPython's float_rem
@@ -30,33 +30,33 @@
    infinite or NaN power, a ** with a negative or NaN base, an animal
    coordinate that is not a float), advance stops before that step, or
    before the first, and returns its index, with x and v holding the state
-   before it: the Python body takes over from there and raises, or goes on,
-   as it would have. A braking vehicle makes the same checks, so it stops
-   where the Python body raises too, and then takes -a_em in place of its
-   IDM acceleration. A scan returns None where the reference would raise or
-   reads a coordinate that is not a float (a ring of length 0, an animal's
-   x or y): Fleet then asks the reference. */
+   before it: the Python body takes over from there, on the buffer, and
+   raises, or goes on, as it would have. A braking vehicle makes the same
+   checks, so it stops where the Python body raises too, and then takes
+   -a_em in place of its IDM acceleration. A scan returns None where the
+   reference would raise or reads a coordinate that is not a float (a ring
+   of length 0, an animal's x or y): Fleet then asks the reference. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
 #include <string.h>
 
-/* The buffer's slots: the parameters, then the flag slot, then n each of
-   directions, lane centres, positions and speeds, 2n of scratch, and n
-   brake flags, each 1.0 where the last complete advance left that
-   vehicle's emergency_braking True, else 0.0. */
+/* The buffer's slots: the parameters, then n each of directions, lane
+   centres, positions and speeds, 2n of scratch, and n brake flags, each
+   1.0 where the last advance had a braking step and that vehicle braked on
+   it, else 0.0. */
 enum {
     S0, HEADWAY, A_MAX, DELTA, A_FLOOR, CLOSING, DT, RING, LENGTH, FREE_GAP,
     TWO_B, T_REACT, HOLD, BAND,
     CONTACT_X, CONTACT_Y, ROAD_WIDTH,    /* detect_collisions */
     V_THREAT, T_THREAT, NEAR_PASS,       /* vehicle_is_threat */
     INTERACT,  /* BRAKING_INTERACTION_DISTANCE */
-    BRAKED,    /* 1.0 where some emergency_braking may be True, else 0.0 */
     STATE      /* the first direction */
 };
 
-static PyObject *name_x, *name_y, *name_v, *name_braking, *name_vid, *name_aid;
+/* The names of the animal attributes the kernel reads. */
+static PyObject *animal_x, *animal_y, *animal_aid;
 
 /* CPython's float_rem: fmod, then the remainder takes the sign of the
    divisor. For w > 0, three exact paths answer without fmod, each with
@@ -130,30 +130,15 @@ static int read_float(PyObject *obj, PyObject *name, double *out)
     return ok;
 }
 
-static int set_float(PyObject *obj, PyObject *name, double value)
-{
-    PyObject *f = PyFloat_FromDouble(value);
-    int rc;
-
-    if (f == NULL)
-        return -1;
-    rc = PyObject_SetAttr(obj, name, f);
-    Py_DECREF(f);
-    return rc;
-}
-
 /* n_steps rounds at desired speed v0 of one fleet: its buffer (see the
-   slots above) and leaders, and its vehicles, a list of n. Where animals
-   is a list, the last step is a braking step: each driver whose
-   emergency_brake_needed holds for those animals, from that step's
-   pre-step snapshot, brakes at -a_em (A_FLOOR) in place of its IDM
-   acceleration. The positions and speeds are written to the buffer and to
-   the vehicles; on a call that takes all its steps, each emergency_braking
-   is set to its driver's brake test (False without animals), in the brake
-   flags and, where the flag slot or a new flag says one may change, in the
-   vehicles. Returns the steps taken. */
+   slots above) and leaders. Where animals is a list, the last step is a
+   braking step: each driver whose emergency_brake_needed holds for those
+   animals, from that step's pre-step snapshot, brakes at -a_em (A_FLOOR)
+   in place of its IDM acceleration, and its brake flag is set; a call with
+   no braking step clears the flags. Returns the steps taken, with x and v
+   after them. */
 static long run(double *buf, const long *lead, Py_ssize_t n, long n_steps,
-                double v0, PyObject *vehicles, PyObject *animals)
+                double v0, PyObject *animals)
 {
     const double s0 = buf[S0], T = buf[HEADWAY], a_max = buf[A_MAX];
     const double delta = buf[DELTA], a_floor = buf[A_FLOOR];
@@ -167,8 +152,9 @@ static long run(double *buf, const long *lead, Py_ssize_t n, long n_steps,
     const int quartic = delta == 4.0;
     Py_ssize_t m = 0, i;
     long step = 0, braking_step = animals ? n_steps - 1 : -1;
-    int any = 0;
 
+    if (braking_step < 0)
+        memset(flag, 0, n * sizeof *flag);
     if (n_steps <= 0)
         goto stop;
     for (i = 0; i < n; i++)
@@ -185,7 +171,7 @@ static long run(double *buf, const long *lead, Py_ssize_t n, long n_steps,
         ay = ax + m;
         for (i = 0; i < m; i++) {
             PyObject *a = PyList_GET_ITEM(animals, i);
-            if (!read_float(a, name_x, ax + i) || !read_float(a, name_y, ay + i))
+            if (!read_float(a, animal_x, ax + i) || !read_float(a, animal_y, ay + i))
                 goto stop;
         }
     }
@@ -239,25 +225,6 @@ stop:
         memcpy(x, xs, n * sizeof *x);
         memcpy(v, vs, n * sizeof *v);
     }
-    for (i = 0; i < n; i++) {
-        PyObject *vehicle = PyList_GET_ITEM(vehicles, i);
-        if (set_float(vehicle, name_x, x[i]) < 0 || set_float(vehicle, name_v, v[i]) < 0)
-            return -1;
-    }
-    if (step < n_steps)
-        return step;    /* stopped: the Python body sets the flags */
-    if (braking_step < 0)
-        memset(flag, 0, n * sizeof *flag);
-    for (i = 0; braking_step >= 0 && i < n; i++)
-        any |= flag[i] != 0.0;
-    if (any || buf[BRAKED] != 0.0) {
-        for (i = 0; i < n; i++) {
-            PyObject *f = braking_step >= 0 && flag[i] != 0.0 ? Py_True : Py_False;
-            if (PyObject_SetAttr(PyList_GET_ITEM(vehicles, i), name_braking, f) < 0)
-                return -1;
-        }
-    }
-    buf[BRAKED] = any;
     return step;
 }
 
@@ -279,10 +246,10 @@ static int get_buffer(PyObject *obj, Py_buffer *view, int flags, const char *for
 }
 
 PyDoc_STRVAR(advance_doc,
-"advance(buf, lead, n_steps, v0, vehicles, animals) -> steps taken\n\n"
+"advance(buf, lead, n_steps, v0, animals) -> steps taken\n\n"
 "n_steps rounds of the IDM at desired speed v0 for a fleet's buffer (an\n"
-"array of 'd') and leaders (an array of 'l'), written to vehicles, a list;\n"
-"animals is None, or the list of animals the last step brakes for.");
+"array of 'd') and leaders (an array of 'l'); animals is None, or the list\n"
+"of animals the last step brakes for.");
 
 static PyObject *advance(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -290,11 +257,11 @@ static PyObject *advance(PyObject *self, PyObject *const *args, Py_ssize_t nargs
     Py_ssize_t n;
     long n_steps, taken = -1;
     double v0;
-    PyObject *vehicles, *animals;
+    PyObject *animals;
 
     (void)self;
-    if (nargs != 6) {
-        PyErr_Format(PyExc_TypeError, "advance takes 6 arguments (%zd given)", nargs);
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError, "advance takes 5 arguments (%zd given)", nargs);
         return NULL;
     }
     n_steps = PyLong_AsLong(args[2]);
@@ -303,11 +270,9 @@ static PyObject *advance(PyObject *self, PyObject *const *args, Py_ssize_t nargs
     v0 = PyFloat_AsDouble(args[3]);
     if (v0 == -1.0 && PyErr_Occurred())
         return NULL;
-    vehicles = args[4];
-    animals = args[5] == Py_None ? NULL : args[5];
-    if (!PyList_Check(vehicles) || (animals && !PyList_Check(animals))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "advance: vehicles must be a list, animals a list or None");
+    animals = args[4] == Py_None ? NULL : args[4];
+    if (animals && !PyList_Check(animals)) {
+        PyErr_SetString(PyExc_TypeError, "advance: animals must be a list or None");
         return NULL;
     }
     if (get_buffer(args[0], &buf, PyBUF_WRITABLE, "d", sizeof(double), "advance",
@@ -319,11 +284,11 @@ static PyObject *advance(PyObject *self, PyObject *const *args, Py_ssize_t nargs
         return NULL;
     }
     n = lead.len / (Py_ssize_t)sizeof(long);
-    if (PyList_GET_SIZE(vehicles) != n || buf.len != (STATE + 7 * n) * (Py_ssize_t)sizeof(double))
+    if (buf.len != (STATE + 7 * n) * (Py_ssize_t)sizeof(double))
         PyErr_SetString(PyExc_ValueError,
-                        "advance: buf, lead and vehicles disagree on the fleet's size");
+                        "advance: buf and lead disagree on the fleet's size");
     else
-        taken = run(buf.buf, lead.buf, n, n_steps, v0, vehicles, animals);
+        taken = run(buf.buf, lead.buf, n, n_steps, v0, animals);
     PyBuffer_Release(&lead);
     PyBuffer_Release(&buf);
     return taken < 0 ? NULL : PyLong_FromLong(taken);
@@ -352,29 +317,23 @@ static double ring_distance(double dx, double L)
 }
 
 /* A scan's fleet: its buffer, read only, and the size n that the buffer's
-   length, STATE + 7n doubles, gives; and, with vehicles, a list of n. */
+   length, STATE + 7n doubles, gives. */
 static int get_fleet(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                     Py_ssize_t want, Py_buffer *buf, Py_ssize_t *n, int vehicles)
+                     Py_buffer *buf, Py_ssize_t *n)
 {
     Py_ssize_t slots;
 
-    if (nargs != want) {
-        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)", name,
-                     want, nargs);
-        return -1;
-    }
-    if (vehicles && !PyList_Check(args[1])) {
-        PyErr_Format(PyExc_TypeError, "%s: vehicles must be a list", name);
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "%s takes 2 arguments (%zd given)", name, nargs);
         return -1;
     }
     if (get_buffer(args[0], buf, PyBUF_SIMPLE, "d", sizeof(double), name, "buf") < 0)
         return -1;
     slots = buf->len / (Py_ssize_t)sizeof(double) - STATE;
     *n = slots / 7;
-    if (slots < 0 || slots % 7 || (vehicles && PyList_GET_SIZE(args[1]) != *n)) {
+    if (slots < 0 || slots % 7) {
         PyBuffer_Release(buf);
-        PyErr_Format(PyExc_ValueError, "%s: buf and vehicles disagree on the "
-                     "fleet's size", name);
+        PyErr_Format(PyExc_ValueError, "%s: buf is not a fleet's buffer", name);
         return -1;
     }
     return 0;
@@ -395,7 +354,7 @@ static PyObject *threat_present(PyObject *self, PyObject *const *args,
     int found = 0;
 
     (void)self;
-    if (get_fleet("threat_present", args, nargs, 2, &buf, &n, 0) < 0)
+    if (get_fleet("threat_present", args, nargs, &buf, &n) < 0)
         return NULL;
     b = buf.buf;
     if (!PyFloat_Check(args[1]) || (n > 0 && b[RING] == 0.0)) {
@@ -413,10 +372,11 @@ static PyObject *threat_present(PyObject *self, PyObject *const *args,
 }
 
 PyDoc_STRVAR(crossing_dangers_doc,
-"crossing_dangers(buf, vehicles, x) -> list, or None\n\n"
-"The vehicles, in order, that meet a crossing animal at x dangerously:\n"
-"braking within the interaction distance, or not braking and a threat;\n"
-"None where the reference is to answer.");
+"crossing_dangers(buf, x) -> list, or None\n\n"
+"The indices, in order, of the vehicles of a fleet's buffer that meet a\n"
+"crossing animal at x dangerously: braking within the interaction\n"
+"distance, or not braking and a threat; None where the reference is to\n"
+"answer.");
 
 static PyObject *crossing_dangers(PyObject *self, PyObject *const *args,
                                   Py_ssize_t nargs)
@@ -425,43 +385,46 @@ static PyObject *crossing_dangers(PyObject *self, PyObject *const *args,
     Py_ssize_t n, i;
     const double *b, *dir, *x, *v, *flag;
     double ax;
-    PyObject *vehicles, *found;
+    PyObject *found;
 
     (void)self;
-    if (get_fleet("crossing_dangers", args, nargs, 3, &buf, &n, 1) < 0)
+    if (get_fleet("crossing_dangers", args, nargs, &buf, &n) < 0)
         return NULL;
-    vehicles = args[1];
     b = buf.buf;
-    if (!PyFloat_Check(args[2]) || (n > 0 && b[RING] == 0.0)) {
+    if (!PyFloat_Check(args[1]) || (n > 0 && b[RING] == 0.0)) {
         PyBuffer_Release(&buf);
         Py_RETURN_NONE;
     }
-    ax = PyFloat_AS_DOUBLE(args[2]);
+    ax = PyFloat_AS_DOUBLE(args[1]);
     dir = b + STATE;
     x = dir + 2 * n;
     v = x + n;
     flag = v + 3 * n;
     found = PyList_New(0);
-    for (i = 0; found && i < n && i < PyList_GET_SIZE(vehicles); i++) {
+    for (i = 0; found && i < n; i++) {
+        PyObject *index;
+
         if (flag[i] != 0.0) {
             if (ring_distance(fabs(x[i] - ax), b[RING]) >= b[INTERACT])
                 continue;
         } else if (!is_threat(b, ax, x[i], v[i], dir[i])) {
             continue;
         }
-        if (PyList_Append(found, PyList_GET_ITEM(vehicles, i)) < 0)
+        index = PyLong_FromSsize_t(i);
+        if (index == NULL || PyList_Append(found, index) < 0)
             Py_CLEAR(found);
+        Py_XDECREF(index);
     }
     PyBuffer_Release(&buf);
     return found;
 }
 
-/* Appends (vehicle.vid, animal.aid) to pairs; NULL, with pairs released,
-   on an error. */
-static PyObject *add_pair(PyObject *pairs, PyObject *vehicle, PyObject *animal)
+/* Appends (i, animal.aid) to pairs; NULL, with pairs released, on an
+   error. */
+static PyObject *add_pair(PyObject *pairs, Py_ssize_t i, PyObject *animal)
 {
-    PyObject *vid = PyObject_GetAttr(vehicle, name_vid);
-    PyObject *aid = vid ? PyObject_GetAttr(animal, name_aid) : NULL;
+    PyObject *vid = PyLong_FromSsize_t(i);
+    PyObject *aid = vid ? PyObject_GetAttr(animal, animal_aid) : NULL;
     PyObject *pair = aid ? PyTuple_Pack(2, vid, aid) : NULL;
 
     Py_XDECREF(vid);
@@ -473,10 +436,10 @@ static PyObject *add_pair(PyObject *pairs, PyObject *vehicle, PyObject *animal)
 }
 
 PyDoc_STRVAR(detect_collisions_doc,
-"detect_collisions(buf, vehicles, animals) -> list, or None\n\n"
-"The (vehicle id, animal id) contact pairs of a fleet's buffer and\n"
-"vehicles with the animals on the carriageway, a list; None where the\n"
-"reference is to answer.");
+"detect_collisions(buf, animals) -> list, or None\n\n"
+"The (vehicle index, animal id) contact pairs of a fleet's buffer with\n"
+"the animals on the carriageway, a list; None where the reference is to\n"
+"answer.");
 
 static PyObject *detect_collisions(PyObject *self, PyObject *const *args,
                                    Py_ssize_t nargs)
@@ -485,13 +448,12 @@ static PyObject *detect_collisions(PyObject *self, PyObject *const *args,
     Py_ssize_t n, i, k;
     const double *b, *centre, *x;
     double ax, ay;
-    PyObject *vehicles, *animals, *pairs;
+    PyObject *animals, *pairs;
 
     (void)self;
-    if (get_fleet("detect_collisions", args, nargs, 3, &buf, &n, 1) < 0)
+    if (get_fleet("detect_collisions", args, nargs, &buf, &n) < 0)
         return NULL;
-    vehicles = args[1];
-    animals = args[2];
+    animals = args[1];
     if (!PyList_Check(animals)) {
         PyBuffer_Release(&buf);
         PyErr_SetString(PyExc_TypeError, "detect_collisions: animals must be a list");
@@ -506,13 +468,13 @@ static PyObject *detect_collisions(PyObject *self, PyObject *const *args,
         int ok;
 
         Py_INCREF(a);
-        ok = read_float(a, name_y, &ay);
+        ok = read_float(a, animal_y, &ay);
         if (ok && 0.0 < ay && ay <= b[ROAD_WIDTH] && n > 0) {
-            ok = read_float(a, name_x, &ax);
-            for (i = 0; ok && pairs && i < n && i < PyList_GET_SIZE(vehicles); i++)
+            ok = read_float(a, animal_x, &ax);
+            for (i = 0; ok && pairs && i < n; i++)
                 if (ring_distance(fabs(x[i] - ax), b[RING]) < b[CONTACT_X]
                         && fabs(ay - centre[i]) < b[CONTACT_Y])
-                    pairs = add_pair(pairs, PyList_GET_ITEM(vehicles, i), a);
+                    pairs = add_pair(pairs, i, a);
         }
         Py_DECREF(a);
         if (!ok) {
@@ -542,13 +504,10 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit_advance_idm(void)
 {
-    name_x = PyUnicode_InternFromString("x");
-    name_y = PyUnicode_InternFromString("y");
-    name_v = PyUnicode_InternFromString("v");
-    name_braking = PyUnicode_InternFromString("emergency_braking");
-    name_vid = PyUnicode_InternFromString("vid");
-    name_aid = PyUnicode_InternFromString("aid");
-    if (!name_x || !name_y || !name_v || !name_braking || !name_vid || !name_aid)
+    animal_x = PyUnicode_InternFromString("x");
+    animal_y = PyUnicode_InternFromString("y");
+    animal_aid = PyUnicode_InternFromString("aid");
+    if (!animal_x || !animal_y || !animal_aid)
         return NULL;
     return PyModule_Create(&module);
 }

@@ -15,11 +15,9 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .vehicles import crossing_dangers, threat_present
-
 if TYPE_CHECKING:
     from .config import GeometryParams
-    from .vehicles import Fleet, VehicleState
+    from .vehicles import Fleet
 
 # Countdown comparisons tolerate float accumulation error.
 _DWELL_EPS = 1e-9
@@ -178,11 +176,11 @@ def _enter_frozen(animal: AnimalState, came_from: Activity,
     animal.dwell_remaining = params.frozen_max_dwell
 
 
-def step_animal(animal: AnimalState, vehicles: "Sequence[VehicleState] | Fleet",
-                dt: float, params: BehaviourParams, geometry: "GeometryParams",
-                road_length: float, rng: np.random.Generator) -> None:
-    """Advance one animal by one time step (in place). The vehicles, a list
-    or the trial's ``Fleet``, are read through ``threat_present`` and
+def step_animal(animal: AnimalState, fleet: "Fleet", dt: float,
+                params: BehaviourParams, geometry: "GeometryParams",
+                rng: np.random.Generator) -> None:
+    """Advance one animal by one time step (in place). The vehicles, the
+    trial's ``Fleet``, are read through its ``threat_present`` and
     ``crossing_dangers`` alone.
 
     State semantics:
@@ -223,7 +221,7 @@ def step_animal(animal: AnimalState, vehicles: "Sequence[VehicleState] | Fleet",
         if animal.dwell_remaining > _DWELL_EPS:
             return
         u = rng.random()
-        if threat_present(animal, vehicles, params, road_length):
+        if fleet.threat_present(animal):
             if u < params.p_frozen_threat:
                 _enter_frozen(animal, Activity.HESITATING, params)
             elif u < params.p_frozen_threat + params.p_flee_threat:
@@ -242,10 +240,10 @@ def step_animal(animal: AnimalState, vehicles: "Sequence[VehicleState] | Fleet",
         if animal.y < road_width:
             # Dangerous interactions roll a freeze at most once per vehicle.
             interacted = animal.interacted_vehicles
-            for veh in crossing_dangers(animal, vehicles, params, road_length):
-                if veh.vid in interacted:
+            for vid in fleet.crossing_dangers(animal):
+                if vid in interacted:
                     continue
-                interacted.add(veh.vid)
+                interacted.add(vid)
                 if rng.random() < params.p_freeze_crossing:
                     _enter_frozen(animal, Activity.CROSSING, params)
                     return
@@ -261,8 +259,8 @@ def step_animal(animal: AnimalState, vehicles: "Sequence[VehicleState] | Fleet",
 
     if state is Activity.FROZEN:
         animal.dwell_remaining -= dt
-        released = animal.dwell_remaining <= _DWELL_EPS or not threat_present(
-            animal, vehicles, params, road_length)
+        released = animal.dwell_remaining <= _DWELL_EPS or \
+            not fleet.threat_present(animal)
         if released:
             if animal.frozen_from is Activity.CROSSING:
                 animal.state = Activity.CROSSING
@@ -321,11 +319,18 @@ def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourPar
     and stops before the first step that is not quiet; ``may_be_quiet``
     names the animals that are never quiet.
     """
+    if not may_be_quiet(animal, radar_band, geometry.road_width):
+        return 0, animal.state, animal.dwell_remaining, animal.y
+    return quiet_walk(animal, limit, dt, params, geometry, radar_band)
+
+
+def quiet_walk(animal: AnimalState, limit: int, dt: float, params: BehaviourParams,
+               geometry: "GeometryParams",
+               radar_band: tuple[float, float]) -> QuietWalk:
+    """``quiet_steps`` for an animal that ``may_be_quiet`` admits, without
+    asking it again."""
     state, dwell, y = animal.state, animal.dwell_remaining, animal.y
-    road_width = geometry.road_width
     n = 0
-    if not may_be_quiet(animal, radar_band, road_width):
-        return n, state, dwell, y
     lo, hi = radar_band
     if animal.detected:
         lo, hi = math.inf, -math.inf  # no detection left to try
@@ -357,7 +362,7 @@ def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourPar
     elif state is Activity.CROSSING:
         # CROSSING past the far edge: walk out; the step reaching the exit
         # offset leaves the corridor.
-        exit_y = road_width + geometry.exit_offset
+        exit_y = geometry.road_width + geometry.exit_offset
         while n < limit and not lo <= y <= hi:
             ny = y + params.v_cross * dt
             if ny >= exit_y:

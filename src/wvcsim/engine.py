@@ -48,29 +48,31 @@ arrival's ``t <= now``, ``AwarenessState.window_closed`` and
 ``DriverAlert.reacted``.
 
 After phase 4 the vehicles hold row k + 1 (k + m after a stretch), taken in
-one call of the trial's ``vehicles.Fleet.advance``.
+one call of the trial's ``vehicles.Fleet.advance``. The fleet's buffer is
+the vehicles' only state; the ``VehicleState`` objects of the world are
+their initial condition, and nothing writes them back.
 
 A braking step (alerted drivers and an animal on the carriageway) is a
 one-step call: phase 4 passes those animals to ``Fleet.advance``, which
 tests each driver's ``emergency_brake_needed`` from the pre-step snapshot; a
 driver for whom it holds brakes at ``-a_em`` in place of its IDM
-acceleration. Only ``Fleet.advance`` writes ``emergency_braking``, so a
-braking step's flags stay set until the next call, and every other call
-leaves them False.
+acceleration. Only ``Fleet.advance`` sets the brake flags, so a braking
+step's flags stay set until the next call, and every other call clears
+them.
 
 Phases 5 and 6 read the vehicles through the fleet: ``step_animal``'s
-threat tests (``threat_present``, ``crossing_dangers``) and phase 6's
-``detect_collisions`` are given the trial's ``Fleet``, which answers from
-its compiled kernel's buffer, x, v and brake flags as the last
-``Fleet.advance`` left them, or from the vehicles in Python.
+threat tests (``Fleet.threat_present``, ``Fleet.crossing_dangers``) and
+phase 6's ``detect_collisions`` (``Fleet.detect_collisions``, under this
+module's name) answer from the buffer, x, v and brake flags as the last
+``Fleet.advance`` left them, and name each vehicle by its index.
 
 Three scans skip what they cannot find. The carriageway, 0 < y <= road width,
 is ``detect_collisions``' own filter and the only band drivers brake for
 (``emergency_brake_needed`` is asked about no other animal); it gates phases 4
 and 6 and the quiet test alike. Phase 4 makes its brake tests only when an
 alerted driver has an animal there to brake for, so a step whose road animals
-all wait at the edge (y = 0) is one kernel round with every
-``emergency_braking`` flag False, like any other non-braking step.
+all wait at the edge (y = 0) is one kernel round with every brake flag
+clear, like any other non-braking step.
 Phase 6 runs only when phase 5 leaves an animal there; frozen-on-road time
 still counts the whole road, 0 <= y <= road width. Phase 2 skips an animal
 whose y lies outside every radar's reach plus 1 m (``_radar_band``): no radar
@@ -87,15 +89,19 @@ from typing import Optional
 
 import numpy as np
 
-from .animals import (Activity, AnimalState, Arrival, may_be_quiet, quiet_steps,
+from .animals import (Activity, AnimalState, Arrival, may_be_quiet, quiet_walk,
                       sample_arrivals, step_animal, take_quiet_steps)
 from .awareness import AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
 from .detection import DetectionParams, try_detect
 # perfbench's tracer wraps idm_acceleration and emergency_brake_needed at
 # these names; the engine calls neither (``Fleet.advance`` runs both).
-from .vehicles import (DriverAlert, Fleet, VehicleOverlap, detect_collisions,
-                       emergency_brake_needed, idm_acceleration)
+from .vehicles import (DriverAlert, Fleet, VehicleOverlap, emergency_brake_needed,
+                       idm_acceleration)
+
+# Phase 6's contact scan, called at this name, where perfbench's tracer
+# counts it.
+detect_collisions = Fleet.detect_collisions
 
 
 class EngineInvariantError(RuntimeError):
@@ -257,9 +263,10 @@ def _radar_band(radars, r_det: float) -> tuple[float, float]:
             max(ys, default=-math.inf) + r_det + 1.0)
 
 
-def _overlap(trial_id: int, follower, leader, now: float) -> EngineInvariantError:
-    return EngineInvariantError(f"trial {trial_id}: vehicles {follower.vid} and "
-                                f"{leader.vid} overlap at t={now:.1f}")
+def _overlap(trial_id: int, follower: int, leader: int,
+             now: float) -> EngineInvariantError:
+    return EngineInvariantError(f"trial {trial_id}: vehicles {follower} and "
+                                f"{leader} overlap at t={now:.1f}")
 
 
 def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
@@ -278,7 +285,6 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     visits = {a.value: 0 for a in Activity}
 
     # Hot-loop locals.
-    L = config.road_length
     geometry = config.geometry
     idm = config.idm
     behaviour = config.behaviour
@@ -302,7 +308,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     next_arrival = 0
     n_schedule = len(schedule)
     frozen_time = 0.0
-    fleet = Fleet(world.vehicles, idm, dt, L, geometry, behaviour)
+    fleet = Fleet(world.vehicles, idm, dt, config.road_length, geometry, behaviour)
     alert = DriverAlert()
     # Sleepers: each animal whose quiet run is taken ahead, by aid, and the
     # step it wakes at (see the module docstring).
@@ -386,7 +392,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             if a.aid in sleeping:
                 continue
             prev_state = a.state
-            step_animal(a, fleet, dt, behaviour, geometry, L, rng_b)
+            step_animal(a, fleet, dt, behaviour, geometry, rng_b)
             st = a.state
             if st is not prev_state:
                 visits[st.value] += 1
@@ -400,7 +406,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                 continue
             if not may_be_quiet(a, radar_band, road_width):
                 continue
-            walk = quiet_steps(a, n_steps - k, dt, behaviour, geometry, radar_band)
+            walk = quiet_walk(a, n_steps - k, dt, behaviour, geometry, radar_band)
             if walk[0]:
                 if take_quiet_steps(a, walk):
                     visits[Activity.APPROACHING.value] += 1
@@ -411,7 +417,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         # band of ``detect_collisions``' own test; the animal is removed, the
         # vehicle continues.
         if on_road:
-            pairs = detect_collisions(fleet, active, geometry, L)
+            pairs = detect_collisions(fleet, active)
             if pairs:
                 by_id = {a.aid: a for a in active}
                 for _vid, aid in pairs:

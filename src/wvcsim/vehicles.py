@@ -6,8 +6,12 @@ density stays constant. Longitudinal control is the Intelligent Driver Model;
 an active message sign switches the desired speed to the caution setpoint
 after a perception-reaction delay, and alerted drivers may apply emergency
 braking when an animal is on the road ahead. An animal's threat tests and
-the contact test read the vehicles; a trial's ``Fleet`` answers them from
-its compiled kernel's buffer.
+the contact test read the vehicles.
+
+A trial's vehicles live in one ``Fleet``, whose buffer is their only state:
+the ``VehicleState`` objects it is built from are the initial condition. The
+fleet steps and scans the buffer in the compiled kernel, or in Python; the
+module functions here are the references, on lists of ``VehicleState``.
 """
 
 from __future__ import annotations
@@ -121,65 +125,74 @@ def step_vehicles(vehicles: list[VehicleState], accels: list[float], dt: float,
 
 class VehicleOverlap(ValueError):
     """A follower's bumper gap to its leader reached zero ``step`` steps into
-    a ``Fleet.advance`` call."""
+    a ``Fleet.advance`` call; ``follower`` and ``leader`` are the two
+    vehicles' indices."""
 
-    def __init__(self, step: int, follower: VehicleState, leader: VehicleState):
-        super().__init__(f"vehicles {follower.vid} and {leader.vid} overlap")
+    def __init__(self, step: int, follower: int, leader: int):
+        super().__init__(f"vehicles {follower} and {leader} overlap")
         self.step = step
         self.follower = follower
         self.leader = leader
 
 
 class Fleet:
-    """One trial's vehicles and the compiled kernel's buffers that step and
-    scan them.
+    """One trial's vehicles, held in one buffer, and the steps and scans
+    that read it.
 
-    The buffer takes the IDM, brake-test, threat and contact parameters,
-    the directions and the lane centres once, and x and v once; then the
-    kernel steps x and v there and writes them, and each
-    ``emergency_braking`` flag it may change, into the ``VehicleState``
-    objects itself, for the readers of the vehicles, and keeps the flags in
-    the buffer too. Directions, leaders and lanes are fixed for the fleet's
-    life. Where the compiled kernel is unavailable, or leaves steps to the
-    Python body, the Python body steps the objects, and the buffer is
-    reloaded from them before the next kernel call.
+    The buffer ``buf`` (its slots in advance_idm.c) is the vehicles' only
+    state. It takes the IDM, brake-test, threat and contact parameters, the
+    directions and lane centres, and x, v and the ``emergency_braking``
+    flags of the ``VehicleState`` objects once, at construction: those
+    objects are the initial condition, and nothing writes them back.
+    ``snapshot`` builds new ones from the buffer on request. Directions,
+    leaders and lanes are fixed for the fleet's life, and a vehicle is
+    named by its index in the list the fleet was built from.
 
-    The scans ``threat_present``, ``crossing_dangers`` and
-    ``detect_collisions`` hand a fleet to its method of the same name, the
-    one place that picks the kernel or the reference: the kernel where the
-    buffer holds the vehicles as the last ``advance`` left them (not
-    ``stale``), otherwise the module function on ``vehicles``. Either way
-    the fleet's own thresholds and ring apply.
+    ``advance`` steps x, v and the flags in the buffer: in the compiled
+    kernel (``load_kernel``) where it loads, and in its Python body where
+    the kernel is unavailable or leaves it steps. The scans
+    ``threat_present``, ``crossing_dangers`` and ``detect_collisions`` read
+    the buffer in the kernel too; without it, or where it leaves a case to
+    the reference, they ask the module function of the same name about a
+    snapshot, with the fleet's own thresholds and ring.
     """
 
     def __init__(self, vehicles: list[VehicleState], p: IdmParams, dt: float,
                  road_length: float, geometry: "GeometryParams",
                  behaviour: "BehaviourParams"):
-        self.vehicles = vehicles
         self.p = p
-        self.dt = dt
         self.road_length = road_length
         self.geometry = geometry
         self.behaviour = behaviour
         self.kernel = load_kernel()
-        self.stale = True    # the buffer does not hold the vehicles (yet)
-        if self.kernel:
-            n = len(vehicles)
-            self.lead = array("l", [v.leader for v in vehicles])
-            # The kernel's slots (advance_idm.c): the parameters, the flag
-            # slot, then n each of directions, lane centres, x, v, two of
-            # scratch and brake flags.
-            self.buf = array("d", [
-                p.s0, p.T, p.a_max, p.delta, -p.a_em,
-                2.0 * math.sqrt(p.a_max * p.b_conf), dt, road_length,
-                geometry.vehicle_length, FREE_ROAD_GAP, 2.0 * p.b_conf, p.t_react,
-                *brake_zone(geometry, p), *contact_zone(geometry), geometry.road_width,
-                behaviour.v_threat, behaviour.t_threat, behaviour.near_pass_distance,
-                BRAKING_INTERACTION_DISTANCE, 1.0])
-            self.buf.extend([v.direction for v in vehicles])
-            self.buf.extend([geometry.lane_centre(v.lane) for v in vehicles])
-            self.buf.extend([0.0] * (5 * n))
-            self.xv = slice(_STATE + 2 * n, _STATE + 4 * n)
+        # Each vehicle's fixed attributes, for ``snapshot``.
+        self.fixed = [(v.vid, v.direction, v.lane, v.leader) for v in vehicles]
+        self.lead = array("l", [v.leader for v in vehicles])
+        # The kernel's slots (advance_idm.c): the parameters, then n each of
+        # directions, lane centres, x, v, two of scratch and brake flags.
+        self.buf = array("d", [
+            p.s0, p.T, p.a_max, p.delta, -p.a_em,
+            2.0 * math.sqrt(p.a_max * p.b_conf), dt, road_length,
+            geometry.vehicle_length, FREE_ROAD_GAP, 2.0 * p.b_conf, p.t_react,
+            *brake_zone(geometry, p), *contact_zone(geometry), geometry.road_width,
+            behaviour.v_threat, behaviour.t_threat, behaviour.near_pass_distance,
+            BRAKING_INTERACTION_DISTANCE])
+        for values in ([v.direction for v in vehicles],
+                       [geometry.lane_centre(v.lane) for v in vehicles],
+                       [v.x for v in vehicles], [v.v for v in vehicles],
+                       [0.0] * (2 * len(vehicles)),
+                       [v.emergency_braking for v in vehicles]):
+            self.buf.extend(values)
+
+    def snapshot(self) -> list[VehicleState]:
+        """The vehicles as the buffer holds them now, as new ``VehicleState``
+        objects, for the reference functions, tests and observers."""
+        n = len(self.fixed)
+        x = _STATE + 2 * n
+        return [VehicleState(vid, xi, vi, direction, lane, flag != 0.0, leader)
+                for (vid, direction, lane, leader), xi, vi, flag in zip(
+                    self.fixed, self.buf[x:x + n], self.buf[x + n:x + 2 * n],
+                    self.buf[x + 4 * n:])]
 
     def advance(self, n_steps: int, v0: float,
                 animals: Optional[list["AnimalState"]] = None) -> None:
@@ -190,78 +203,91 @@ class Fleet:
         in place of its IDM acceleration, after the same overlap check and
         the same arithmetic.
 
-        Sets each ``emergency_braking`` to its driver's test on the braking
-        step (False without one); raises VehicleOverlap on a gap <= 0,
-        leaving the vehicles as they were before that step.
+        Sets each brake flag to its driver's test on the braking step (False
+        without one); raises VehicleOverlap on a gap <= 0, leaving the
+        vehicles as they were before that step.
 
         The steps run in the compiled kernel (``load_kernel``) where it
         loads. The Python body below is its reference and its fallback: it
         takes every step from the first one the kernel leaves to it, so
-        errors are raised here, as they would be without the kernel.
+        errors are raised here, as they would be without the kernel. It
+        reads the parameters from the buffer, the closing term
+        ``2 * sqrt(a_max * b_conf)`` among them, and ports
+        ``idm_acceleration`` with the same float operations.
         """
-        vehicles = self.vehicles
+        buf, lead = self.buf, self.lead
         first = 0
         if self.kernel:
-            if self.stale:
-                self.buf[self.xv] = array("d", [v.x for v in vehicles]
-                                             + [v.v for v in vehicles])
-                self.buf[_BRAKED] = 1.0    # the Python body may have set a flag
-                self.stale = False
-            first = self.kernel.advance(self.buf, self.lead, n_steps, v0, vehicles,
-                                        animals)
+            first = self.kernel.advance(buf, lead, n_steps, v0, animals)
             if first >= n_steps:
                 return
-            self.stale = True
-        for v in vehicles:
-            v.emergency_braking = False
-        p = self.p
-        road_length = self.road_length
-        vehicle_length = self.geometry.vehicle_length
-        brake = [False] * len(vehicles)
+        n = len(lead)
+        # The IDM's slots, S0 to FREE_GAP.
+        s0, T, a_max, delta, a_floor, closing, dt, L, length, free_gap = buf[:10]
+        dirs = buf[_STATE:_STATE + n]
+        x, flags = _STATE + 2 * n, _STATE + 6 * n
+        brake = [False] * n
+        buf[flags:] = array("d", brake)
         for step in range(first, n_steps):
             if animals is not None and step == n_steps - 1:
-                brake = [emergency_brake_needed(v, animals, self.geometry, p, road_length)
-                         for v in vehicles]
-                for v, flag in zip(vehicles, brake):
-                    v.emergency_braking = flag
-            accels = []
-            for i, v in enumerate(vehicles):
-                if v.leader < 0:
-                    gap = FREE_ROAD_GAP
+                brake = [emergency_brake_needed(v, animals, self.geometry, self.p, L)
+                         for v in self.snapshot()]
+                buf[flags:] = array("d", brake)
+            xs, vs = buf[x:x + n], buf[x + n:x + 2 * n]
+            nvs = []
+            for i in range(n):
+                xi, vi, j = xs[i], vs[i], lead[i]
+                if j < 0:
+                    gap = free_gap
                     dv = 0.0
                 else:
-                    lead = vehicles[v.leader]
-                    gap = ((lead.x - v.x) * v.direction) % road_length - vehicle_length
+                    gap = ((xs[j] - xi) * dirs[i]) % L - length
                     if gap <= 0.0:
-                        raise VehicleOverlap(step, v, lead)
-                    dv = v.v - lead.v
-                a = idm_acceleration(v.v, v0, dv, gap, p)
-                accels.append(-p.a_em if brake[i] else a)
-            step_vehicles(vehicles, accels, self.dt, road_length)
+                        raise VehicleOverlap(step, i, j)
+                    dv = vi - vs[j]
+                s_star = s0 + vi * T + vi * dv / closing
+                if not s_star > 0.0:
+                    s_star = 0.0
+                b = vi / v0
+                if delta == 4.0:
+                    f = b * b
+                    f *= f
+                else:
+                    f = b ** delta
+                r = s_star / gap
+                q = r * r
+                if f == math.inf and math.isfinite(b) or q == math.inf and math.isfinite(r):
+                    raise OverflowError(f"an IDM power overflows: v/v0 = {b!r}, "
+                                        f"s*/s = {r!r}")
+                a = a_max * (1.0 - f - q)
+                nv = vi + (a if a > a_floor and not brake[i] else a_floor) * dt
+                nvs.append(0.0 if nv < 0.0 else nv)
+            buf[x:x + 2 * n] = array("d", [(xi + nv * dt * d) % L for xi, nv, d
+                                           in zip(xs, nvs, dirs)] + nvs)
 
     def threat_present(self, animal: "AnimalState") -> bool:
         """``threat_present`` for this fleet."""
-        if not self.stale:
+        if self.kernel:
             found = self.kernel.threat_present(self.buf, animal.x)
             if found is not None:
                 return found
-        return threat_present(animal, self.vehicles, self.behaviour, self.road_length)
+        return threat_present(animal, self.snapshot(), self.behaviour, self.road_length)
 
-    def crossing_dangers(self, animal: "AnimalState") -> list[VehicleState]:
+    def crossing_dangers(self, animal: "AnimalState") -> list[int]:
         """``crossing_dangers`` for this fleet."""
-        if not self.stale:
-            found = self.kernel.crossing_dangers(self.buf, self.vehicles, animal.x)
+        if self.kernel:
+            found = self.kernel.crossing_dangers(self.buf, animal.x)
             if found is not None:
                 return found
-        return crossing_dangers(animal, self.vehicles, self.behaviour, self.road_length)
+        return crossing_dangers(animal, self.snapshot(), self.behaviour, self.road_length)
 
     def detect_collisions(self, animals: list["AnimalState"]) -> list[tuple[int, int]]:
         """``detect_collisions`` for this fleet."""
-        if not self.stale:
-            found = self.kernel.detect_collisions(self.buf, self.vehicles, animals)
+        if self.kernel:
+            found = self.kernel.detect_collisions(self.buf, animals)
             if found is not None:
                 return found
-        return detect_collisions(self.vehicles, animals, self.geometry, self.road_length)
+        return detect_collisions(self.snapshot(), animals, self.geometry, self.road_length)
 
 
 # The command that builds the compiled kernel, an extension module of this
@@ -270,11 +296,9 @@ class Fleet:
 # operation is the reference functions'. ``build_command`` completes it.
 CC = ("cc", "-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
 
-# The kernel buffer's slots before the vehicles' (advance_idm.c): the flag
-# slot, then the directions from ``_STATE``; x and v start at
-# ``_STATE + 2 * n``.
-_BRAKED = 21
-_STATE = 22
+# The kernel buffer's first vehicle slot (advance_idm.c): the directions
+# start at ``_STATE``, x and v at ``_STATE + 2 * n``.
+_STATE = 21
 
 # This process's compiled kernel: None until the first ``load_kernel``, then
 # the extension module, or False where it could not be built or loaded.
@@ -438,12 +462,9 @@ def vehicle_is_threat(animal_x: float, vehicle: VehicleState,
     return road_length - dx < params.near_pass_distance
 
 
-def threat_present(animal: "AnimalState", vehicles, params: "BehaviourParams",
-                   road_length: float) -> bool:
-    """True when any vehicle threatens the animal's road position.
-    ``vehicles`` is a list, or a ``Fleet`` (see there)."""
-    if isinstance(vehicles, Fleet):
-        return vehicles.threat_present(animal)
+def threat_present(animal: "AnimalState", vehicles: list[VehicleState],
+                   params: "BehaviourParams", road_length: float) -> bool:
+    """True when any vehicle threatens the animal's road position."""
     ax = animal.x
     for veh in vehicles:
         if vehicle_is_threat(ax, veh, params, road_length):
@@ -451,34 +472,31 @@ def threat_present(animal: "AnimalState", vehicles, params: "BehaviourParams",
     return False
 
 
-def crossing_dangers(animal: "AnimalState", vehicles, params: "BehaviourParams",
-                     road_length: float) -> list[VehicleState]:
-    """The vehicles, in list order, that a crossing animal meets
-    dangerously: each emergency-braking one within
+def crossing_dangers(animal: "AnimalState", vehicles: list[VehicleState],
+                     params: "BehaviourParams", road_length: float) -> list[int]:
+    """The indices, in list order, of the vehicles that a crossing animal
+    meets dangerously: each emergency-braking one within
     ``BRAKING_INTERACTION_DISTANCE`` of it, and each other one that is a
-    threat. ``vehicles`` is a list, or a ``Fleet`` (see there)."""
-    if isinstance(vehicles, Fleet):
-        return vehicles.crossing_dangers(animal)
+    threat."""
     ax = animal.x
     found = []
-    for veh in vehicles:
+    for i, veh in enumerate(vehicles):
         if veh.emergency_braking:
             dx = abs(veh.x - ax)
             if min(dx, road_length - dx) >= BRAKING_INTERACTION_DISTANCE:
                 continue
         elif not vehicle_is_threat(ax, veh, params, road_length):
             continue
-        found.append(veh)
+        found.append(i)
     return found
 
 
-def detect_collisions(vehicles, animals, geometry: "GeometryParams",
+def detect_collisions(vehicles: list[VehicleState], animals: list["AnimalState"],
+                      geometry: "GeometryParams",
                       road_length: float) -> list[tuple[int, int]]:
-    """(vehicle id, animal id) contact pairs for animals on the carriageway,
-    0 < y <= road width: an animal waiting at the edge (y = 0) is never hit.
-    ``vehicles`` is a list, or a ``Fleet`` (see there)."""
-    if isinstance(vehicles, Fleet):
-        return vehicles.detect_collisions(animals)
+    """(vehicle index, animal id) contact pairs for animals on the
+    carriageway, 0 < y <= road width: an animal waiting at the edge (y = 0)
+    is never hit."""
     x_thresh, y_thresh = contact_zone(geometry)
     road_width = geometry.road_width
     centres = [geometry.lane_centre(i) for i in range(geometry.n_lanes)]
@@ -486,11 +504,11 @@ def detect_collisions(vehicles, animals, geometry: "GeometryParams",
     for a in animals:
         if not 0.0 < a.y <= road_width:
             continue
-        for v in vehicles:
+        for i, v in enumerate(vehicles):
             dx = abs(v.x - a.x)
             if min(dx, road_length - dx) < x_thresh and \
                     abs(a.y - centres[v.lane]) < y_thresh:
-                pairs.append((v.vid, a.aid))
+                pairs.append((i, a.aid))
     return pairs
 
 

@@ -20,7 +20,7 @@ from wvcsim.detection import DetectionParams, detection_probability, f_size, try
 from wvcsim.engine import make_arrival_schedule, run_trial
 from wvcsim.experiments import ExperimentPlan, run_headline, run_sweep
 from wvcsim.stats import welch_t
-from wvcsim.vehicles import (IdmParams, VehicleState, desired_gap,
+from wvcsim.vehicles import (Fleet, IdmParams, VehicleState, desired_gap,
                              idm_acceleration, step_vehicles)
 from wvcsim.config import build_corridor
 
@@ -236,7 +236,9 @@ def test_criterion_10_property_suite(headline):
     # Markov branch frequencies within 3-sigma binomial bounds at n = 1e4.
     behaviour = BehaviourParams()
     n = 10_000
-    threat = [VehicleState(vid=0, x=400.0, v=27.78, direction=1, lane=0)]
+    no_threat, threat = (Fleet(vehicles, IdmParams(), 0.1, 1000.0, GEO, behaviour)
+                         for vehicles in ([], [VehicleState(vid=0, x=400.0, v=27.78,
+                                                            direction=1, lane=0)]))
     from wvcsim.animals import step_animal
     outcomes_nt = {Activity.CROSSING: 0, Activity.HESITATING: 0}
     outcomes_t = {Activity.FROZEN: 0, Activity.FLEEING: 0,
@@ -244,11 +246,11 @@ def test_criterion_10_property_suite(headline):
     for _ in range(n):
         an = AnimalState(aid=0, x=500.0, y=0.0, sigma=1.0,
                          state=Activity.HESITATING, dwell_remaining=0.1)
-        step_animal(an, [], 0.1, behaviour, GEO, 1000.0, g)
+        step_animal(an, no_threat, 0.1, behaviour, GEO, g)
         outcomes_nt[an.state] += 1
         an = AnimalState(aid=0, x=500.0, y=0.0, sigma=1.0,
                          state=Activity.HESITATING, dwell_remaining=0.1)
-        step_animal(an, threat, 0.1, behaviour, GEO, 1000.0, g)
+        step_animal(an, threat, 0.1, behaviour, GEO, g)
         outcomes_t[an.state] += 1
     checks = [(outcomes_nt[Activity.CROSSING], 0.80),
               (outcomes_nt[Activity.HESITATING], 0.20),

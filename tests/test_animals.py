@@ -12,7 +12,8 @@ from wvcsim.animals import (Activity, AnimalState, BehaviourParams, quiet_steps,
                             take_quiet_steps)
 from wvcsim.awareness import DANGEROUS_STATES
 from wvcsim.config import GeometryParams
-from wvcsim.vehicles import VehicleState, threat_present, vehicle_is_threat
+from wvcsim.vehicles import (Fleet, IdmParams, VehicleState, threat_present,
+                             vehicle_is_threat)
 
 PARAMS = BehaviourParams()
 GEO = GeometryParams()
@@ -26,6 +27,11 @@ def rng(seed=0):
 
 def cruise_vehicle(x, v=27.78, direction=1, vid=0):
     return VehicleState(vid=vid, x=x, v=v, direction=direction, lane=0)
+
+
+def traffic(*vehicles):
+    """A fleet of ``vehicles``, which ``step_animal`` reads."""
+    return Fleet(list(vehicles), IdmParams(), DT, L, GEO, PARAMS)
 
 
 def animal(state, x=500.0, y=0.0, dwell=1.0, **kw):
@@ -138,10 +144,10 @@ class TestStateMachine:
         a = animal(Activity.FORAGING, y=GEO.spawn_offset, dwell=5.0)
         g = rng()
         for step in range(49):
-            step_animal(a, [], DT, PARAMS, GEO, L, g)
+            step_animal(a, traffic(), DT, PARAMS, GEO, g)
             assert a.state is Activity.FORAGING
             assert a.y == GEO.spawn_offset
-        step_animal(a, [], DT, PARAMS, GEO, L, g)
+        step_animal(a, traffic(), DT, PARAMS, GEO, g)
         assert a.state is Activity.APPROACHING
         assert a.left_foraging
 
@@ -153,7 +159,7 @@ class TestStateMachine:
             if a.state is not Activity.APPROACHING:
                 break
             prev = a.y
-            step_animal(a, [], DT, PARAMS, GEO, L, g)
+            step_animal(a, traffic(), DT, PARAMS, GEO, g)
             ys.append((prev, a.y))
         assert a.state is Activity.HESITATING
         assert a.y == 0.0
@@ -166,7 +172,7 @@ class TestStateMachine:
         outcomes = {Activity.CROSSING: 0, Activity.HESITATING: 0}
         for _ in range(n):
             a = animal(Activity.HESITATING, dwell=DT)
-            step_animal(a, [], DT, PARAMS, GEO, L, g)
+            step_animal(a, traffic(), DT, PARAMS, GEO, g)
             outcomes[a.state] += 1
         for state, p in ((Activity.CROSSING, 0.80), (Activity.HESITATING, 0.20)):
             bound = 3.0 * math.sqrt(p * (1 - p) / n)
@@ -175,12 +181,12 @@ class TestStateMachine:
     def test_hesitating_branches_with_threat(self):
         g = rng(19)
         n = 10_000
-        threat = [cruise_vehicle(400.0)]
+        threat = traffic(cruise_vehicle(400.0))
         outcomes = {Activity.FROZEN: 0, Activity.FLEEING: 0,
                     Activity.HESITATING: 0, Activity.CROSSING: 0}
         for _ in range(n):
             a = animal(Activity.HESITATING, x=500.0, dwell=DT)
-            step_animal(a, threat, DT, PARAMS, GEO, L, g)
+            step_animal(a, threat, DT, PARAMS, GEO, g)
             outcomes[a.state] += 1
         assert outcomes[Activity.CROSSING] == 0
         for state, p in ((Activity.FROZEN, 0.10), (Activity.FLEEING, 0.20),
@@ -193,7 +199,7 @@ class TestStateMachine:
         g = rng()
         steps = 0
         while not a.crossed:
-            step_animal(a, [], DT, PARAMS, GEO, L, g)
+            step_animal(a, traffic(), DT, PARAMS, GEO, g)
             steps += 1
         assert 18 <= steps <= 20  # 7.4 m at 4.0 m/s
 
@@ -203,7 +209,7 @@ class TestStateMachine:
         for _ in range(500):
             if a.state is Activity.MOVED_AWAY:
                 break
-            step_animal(a, [], DT, PARAMS, GEO, L, g)
+            step_animal(a, traffic(), DT, PARAMS, GEO, g)
         assert a.entered_road
         assert a.crossed
         assert a.state is Activity.MOVED_AWAY
@@ -218,13 +224,13 @@ class TestStateMachine:
             a = animal(Activity.CROSSING, x=500.0, y=2.0)
             veh = cruise_vehicle(520.0, v=5.0)
             veh.emergency_braking = True
-            step_animal(a, [veh], DT, PARAMS, GEO, L, g)
+            step_animal(a, traffic(veh), DT, PARAMS, GEO, g)
             assert veh.vid in a.interacted_vehicles
             if a.state is Activity.FROZEN:
                 frozen += 1
             else:
                 before = a.y
-                step_animal(a, [veh], DT, PARAMS, GEO, L, g)
+                step_animal(a, traffic(veh), DT, PARAMS, GEO, g)
                 assert a.state is Activity.CROSSING  # no second roll
                 assert a.y > before
         p = PARAMS.p_freeze_crossing
@@ -234,33 +240,33 @@ class TestStateMachine:
         a = animal(Activity.CROSSING, x=500.0, y=2.0)
         veh = cruise_vehicle(560.0, v=5.0)
         veh.emergency_braking = True
-        step_animal(a, [veh], DT, PARAMS, GEO, L, rng())
+        step_animal(a, traffic(veh), DT, PARAMS, GEO, rng())
         assert veh.vid not in a.interacted_vehicles
 
     def test_frozen_released_to_prior_activity(self):
-        threat = [cruise_vehicle(400.0, v=27.78)]
+        threat = traffic(cruise_vehicle(400.0, v=27.78))
         a = animal(Activity.FROZEN, x=500.0, y=3.0, dwell=PARAMS.frozen_max_dwell)
         a.frozen_from = Activity.CROSSING
         g = rng()
-        step_animal(a, threat, DT, PARAMS, GEO, L, g)
+        step_animal(a, threat, DT, PARAMS, GEO, g)
         assert a.state is Activity.FROZEN  # threat still present
-        step_animal(a, [], DT, PARAMS, GEO, L, g)
+        step_animal(a, traffic(), DT, PARAMS, GEO, g)
         assert a.state is Activity.CROSSING
 
         b = animal(Activity.FROZEN, x=500.0, y=0.0, dwell=PARAMS.frozen_max_dwell)
         b.frozen_from = Activity.HESITATING
-        step_animal(b, [], DT, PARAMS, GEO, L, g)
+        step_animal(b, traffic(), DT, PARAMS, GEO, g)
         assert b.state is Activity.HESITATING
 
     def test_frozen_max_dwell_forces_release(self):
-        threat = [cruise_vehicle(400.0)]
+        threat = traffic(cruise_vehicle(400.0))
         a = animal(Activity.FROZEN, x=500.0, y=3.0, dwell=PARAMS.frozen_max_dwell)
         a.frozen_from = Activity.CROSSING
         g = rng()
         steps = 0
         while a.state is Activity.FROZEN:
             # Keep the threat at constant range so only the cap can release.
-            step_animal(a, threat, DT, PARAMS, GEO, L, g)
+            step_animal(a, threat, DT, PARAMS, GEO, g)
             steps += 1
         assert steps == pytest.approx(PARAMS.frozen_max_dwell / DT, abs=1)
 
@@ -270,7 +276,7 @@ class TestStateMachine:
         ys = []
         while a.state is Activity.FLEEING:
             prev = a.y
-            step_animal(a, [], DT, PARAMS, GEO, L, g)
+            step_animal(a, traffic(), DT, PARAMS, GEO, g)
             ys.append((prev, a.y))
         assert a.state is Activity.MOVED_AWAY
         assert a.y <= GEO.spawn_offset
@@ -279,7 +285,7 @@ class TestStateMachine:
     def test_stepping_departed_animal_is_error(self):
         a = animal(Activity.MOVED_AWAY)
         with pytest.raises(ValueError):
-            step_animal(a, [], DT, PARAMS, GEO, L, rng())
+            step_animal(a, traffic(), DT, PARAMS, GEO, rng())
 
 
 ALLOWED = {
@@ -301,6 +307,7 @@ def test_transition_audit():
                 for i, x in enumerate((0.0, 250.0, 500.0, 750.0))]
     vehicles += [VehicleState(vid=4 + i, x=x, v=27.78, direction=-1, lane=1)
                  for i, x in enumerate((100.0, 350.0, 600.0, 850.0))]
+    fleet = traffic(*vehicles)
     seen = set()
     for i in range(400):
         a = AnimalState(aid=i, x=float(g.uniform(0, L)), y=GEO.spawn_offset,
@@ -309,10 +316,9 @@ def test_transition_audit():
             if a.state is Activity.MOVED_AWAY:
                 break
             prev = a.state
-            step_animal(a, vehicles, DT, PARAMS, GEO, L, g)
+            step_animal(a, fleet, DT, PARAMS, GEO, g)
             seen.add((prev, a.state))
-            for v in vehicles:
-                v.x = (v.x + v.v * DT * v.direction) % L
+            fleet.advance(1, 27.78)
     for prev, nxt in seen:
         assert nxt in ALLOWED[prev], f"off-model transition {prev} -> {nxt}"
     # The audit actually reached the road: core transitions all observed.
@@ -329,7 +335,7 @@ def test_y_monotonicity_by_state():
     for _ in range(5000):
         if a.state is Activity.MOVED_AWAY:
             break
-        step_animal(a, [], DT, PARAMS, GEO, L, g)
+        step_animal(a, traffic(), DT, PARAMS, GEO, g)
         if prev_state is Activity.APPROACHING and a.state is Activity.APPROACHING:
             assert a.y > prev_y
         elif prev_state is Activity.CROSSING and a.state is Activity.CROSSING:
@@ -356,8 +362,10 @@ class NoDraws:
 
 
 class NoVehicles:
-    def __iter__(self):
+    def threat_present(self, animal):
         raise Read
+
+    crossing_dangers = threat_present
 
 
 WIDE_ANIMAL = dataclasses.replace(GEO, animal_radius=1.5)
@@ -385,7 +393,7 @@ def quiet_oracle(animal, limit, dt, geometry, radar_band):
             break
         nxt = copy.deepcopy(a)
         try:
-            step_animal(nxt, NoVehicles(), dt, PARAMS, geometry, L, NoDraws())
+            step_animal(nxt, NoVehicles(), dt, PARAMS, geometry, NoDraws())
         except (Drew, Read):
             break
         if nxt.state is Activity.MOVED_AWAY or 0.0 < nxt.y <= rw:
@@ -493,7 +501,7 @@ class TestQuietSteps:
         animal, _, dt, geometry, _ = case
         nxt = copy.deepcopy(animal)
         try:
-            step_animal(nxt, NoVehicles(), dt, PARAMS, geometry, L, NoDraws())
+            step_animal(nxt, NoVehicles(), dt, PARAMS, geometry, NoDraws())
             busy = nxt.state is Activity.MOVED_AWAY
         except (Drew, Read):
             busy = True

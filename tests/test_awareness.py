@@ -69,6 +69,40 @@ class TestOnDetection:
                 assert aw.boost_until[node.rid] == -math.inf
 
 
+    @pytest.mark.parametrize("road_length, spacing, reach", [
+        (1000.0, 5.0, 300.0), (4000.0, 15.0, 1500.0), (1000.0, 5.0, 500.0),
+        (1000.0, 15.0, 1500.0)],
+        ids=["short-reach-radar-at-L", "short-reach", "half-ring", "full-reach"])
+    def test_same_clocks_as_a_loop_over_every_radar(self, road_length, spacing, reach):
+        # Broadcasts from both ends of the ring (at spacing 5 m a radar sits
+        # at x = L, where the one at x = 0 is) and from inside it, out of
+        # time order, set the clocks that testing every radar's ring
+        # distance at each broadcast sets.
+        cfg = CorridorConfig(mode=Mode.AWARE, road_length=road_length,
+                             radar_spacing=spacing, awareness_range=reach)
+        radars = build_corridor(cfg).radars
+        aw = AwarenessState(cfg, len(radars))
+        clocks = [-math.inf] * len(radars)
+        last = len(radars) - 1
+        partial = False
+        for t, source in ((10.0, 0), (5.0, last), (12.0, last // 2), (40.0, 1),
+                          (41.0, last - 1), (39.0, 0), (100.0, last)):
+            aw.on_detection(DetectionEvent(time=t, radar_id=source, animal_id=0), radars)
+            expiry = t + cfg.persistence_window
+            reached = 0
+            for node in radars:
+                d = abs(node.x - radars[source].x)
+                if min(d, road_length - d) <= reach:
+                    reached += 1
+                    if expiry > clocks[node.rid]:
+                        clocks[node.rid] = expiry
+            partial = partial or reached < len(radars)
+            assert aw.boost_until == clocks
+        # Below half the ring some broadcast misses some radar; from half
+        # the ring on every broadcast reaches every radar.
+        assert partial is (reach < road_length / 2.0)
+
+
 class TestBetaFor:
     def test_boost_window_is_exclusive_at_expiry(self):
         world, aw = make_awareness(Mode.AWARE)

@@ -16,11 +16,10 @@ from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
 from wvcsim.detection import radars_in_range
 from wvcsim.engine import (EngineInvariantError, RngStreams, TrialResult,
-                           _step_count, detect_collisions, make_arrival_schedule,
-                           run_trial)
+                           _step_count, make_arrival_schedule, run_trial)
 from wvcsim.vehicles import (FREE_ROAD_GAP, DriverAlert, Fleet, VehicleState,
-                             emergency_brake_needed, idm_acceleration,
-                             step_vehicles)
+                             detect_collisions, emergency_brake_needed,
+                             idm_acceleration, step_vehicles)
 
 GEO = GeometryParams()
 
@@ -229,8 +228,10 @@ class TestRadarBand:
 
 
 class NoVehicles:
-    def __iter__(self):
+    def threat_present(self, animal):
         pytest.fail("a quiet step read the vehicles")
+
+    crossing_dangers = threat_present
 
 
 class NoDraws:
@@ -255,8 +256,7 @@ def check_sleeps(cfg, log):
         for _ in range(walk[0]):
             assert a.detected or not lo <= a.y <= hi
             assert not 0.0 < a.y <= rw
-            step_animal(a, NoVehicles(), dt, cfg.behaviour, cfg.geometry,
-                        cfg.road_length, NoDraws())
+            step_animal(a, NoVehicles(), dt, cfg.behaviour, cfg.geometry, NoDraws())
             assert a.state is not Activity.MOVED_AWAY
             assert not 0.0 < a.y <= rw
         assert repr(a) == repr(after)  # repr tells apart every two floats
@@ -277,8 +277,9 @@ def run_observed(cfg, hours, trial_id, reference=False):
     step or of a stretch: [k, steps spanned, sign, (onset, alerted), aids
     present, reads, pairs]. A read is one of the fleet's scans for an
     animal's step (``Fleet.threat_present`` or ``Fleet.crossing_dangers``):
-    the aid, the scan, its answer (the vehicle ids, for the dangers) and
-    every vehicle's (x, v, emergency_braking) as the scan saw them. The
+    the aid, the scan, its answer (vehicle indices, for the dangers) and
+    every vehicle's (x, v, emergency_braking) in the fleet's snapshot as the
+    scan read it. The
     pairs are phase 6's, or in the reference an ungated scan of the step's
     animals as the step closes; there, steps with no read and no pair merge
     with an equal neighbour, as a stretch's steps do. ``result`` is the
@@ -287,7 +288,7 @@ def run_observed(cfg, hours, trial_id, reference=False):
     Checked as the trial runs: each read and scan sees the vehicles at the
     current row (k + 1 vehicle steps taken), and phase 6 scans after exactly
     the steps whose phase 5 leaves an animal on the carriageway."""
-    dt, geometry, L = cfg.time_step, cfg.geometry, cfg.road_length
+    dt, geometry = cfg.time_step, cfg.geometry
     log = SimpleNamespace(steps=[], vehicle_steps=[], sleeps=[], asks=0, taken=0,
                           scans=0, skipped_scans=0, fleet=None)
     steps = log.steps
@@ -305,7 +306,7 @@ def run_observed(cfg, hours, trial_id, reference=False):
         if stepped or scans:
             assert scans == on_road, f"phase 6 gate at step {entry[0]}"
             if reference:
-                pairs = detect_collisions(log.fleet.vehicles, stepped, geometry, L)
+                pairs = detect_collisions(log.fleet, stepped)
                 entry[6] = tuple(pairs)
             log.scans += scans
             log.skipped_scans += not scans
@@ -333,7 +334,7 @@ def run_observed(cfg, hours, trial_id, reference=False):
             found = scan(fleet, animal)
             steps[-1][5].append((animal.aid, scan.__name__, answer(found),
                                  [(v.x, v.v, v.emergency_braking)
-                                  for v in fleet.vehicles]))
+                                  for v in fleet.snapshot()]))
             return found
         return read
 
@@ -358,7 +359,7 @@ def run_observed(cfg, hours, trial_id, reference=False):
         advance(fleet, n_steps, v0, animals)
         log.fleet = fleet
         log.taken += n_steps
-        flags = tuple(v.emergency_braking for v in fleet.vehicles)
+        flags = tuple(v.emergency_braking for v in fleet.snapshot())
         log.vehicle_steps += [((v0, (False,) * len(flags)), n_steps - 1),
                               ((v0, flags), 1)]
 
@@ -371,15 +372,14 @@ def run_observed(cfg, hours, trial_id, reference=False):
     with pytest.MonkeyPatch.context() as m:
         if reference:
             m.setattr(wvcsim.engine, "_stretch_end", lambda schedule, i, k, *args: k)
-            m.setattr(wvcsim.engine, "quiet_steps",
+            m.setattr(wvcsim.engine, "quiet_walk",
                       lambda a, *args: (0, a.state, a.dwell_remaining, a.y))
             m.setattr(wvcsim.vehicles, "_kernel", False)
         m.setattr(AwarenessState, "dms_active", sign)
         m.setattr(DriverAlert, "update", alert)
         m.setattr(Fleet, "advance", advanced)
         m.setattr(Fleet, "threat_present", reader(Fleet.threat_present, bool))
-        m.setattr(Fleet, "crossing_dangers", reader(Fleet.crossing_dangers,
-                                                    lambda found: [v.vid for v in found]))
+        m.setattr(Fleet, "crossing_dangers", reader(Fleet.crossing_dangers, list))
         m.setattr(wvcsim.engine, "step_animal", step)
         m.setattr(wvcsim.engine, "detect_collisions", scan)
         m.setattr(wvcsim.engine, "take_quiet_steps", sleep)
@@ -507,7 +507,7 @@ def old_braking_step(vehicles, candidates, v0, cfg, trial_id, now):
             lead = vehicles[v.leader]
             gap = ((lead.x - v.x) * v.direction) % L - veh_length
             if gap <= 0.0:
-                raise wvcsim.engine._overlap(trial_id, v, lead, now)
+                raise wvcsim.engine._overlap(trial_id, i, v.leader, now)
             dv = v.v - lead.v
         a_cmd = idm_acceleration(v.v, v0, dv, gap, idm)
         if emergency_brake_needed(v, candidates, geometry, idm, L):
@@ -539,7 +539,7 @@ class TestBrakingStep:
 
         def recorded(fleet, n_steps, v0, animals=None):
             if animals is not None:
-                calls.append((copies(fleet.vehicles), n_steps, v0, copies(animals)))
+                calls.append((fleet.snapshot(), n_steps, v0, copies(animals)))
             return advance(fleet, n_steps, v0, animals)
 
         with monkeypatch.context() as m:
@@ -551,9 +551,10 @@ class TestBrakingStep:
             assert n_steps == 1
             old = copies(vehicles)
             old_braking_step(old, animals, v0, cfg, 0, 0.0)
-            new = copies(vehicles)
-            Fleet(new, cfg.idm, cfg.time_step, cfg.road_length, cfg.geometry,
-                  cfg.behaviour).advance(n_steps, v0, animals)
+            fleet = Fleet(vehicles, cfg.idm, cfg.time_step, cfg.road_length,
+                          cfg.geometry, cfg.behaviour)
+            fleet.advance(n_steps, v0, animals)
+            new = fleet.snapshot()
             assert bits(new) == bits(old)
             braked += sum(v.emergency_braking for v in new)
         assert braked  # some driver did brake
@@ -623,8 +624,7 @@ class TestBrakingStep:
             if animals is not None:
                 assert n_steps == 1 and animals == [animal]
                 try:
-                    old_braking_step(copies(fleet.vehicles), animals, v0, cfg, 0,
-                                     clock[-1])
+                    old_braking_step(fleet.snapshot(), animals, v0, cfg, 0, clock[-1])
                 except EngineInvariantError as exc:
                     expected.append(str(exc))
             return advance(fleet, n_steps, v0, animals)
@@ -757,6 +757,8 @@ class TestKernelMatchesPython:
 
             monkeypatch.setattr(Fleet, name, counted)
             monkeypatch.setattr(kernel, name, compiled)
+        # Phase 6 calls the scan at the engine's own name.
+        monkeypatch.setattr(wvcsim.engine, "detect_collisions", Fleet.detect_collisions)
         for mode in MODES:
             run_trial(fast_config(mode, **CROWDED), 0.05, 0, 5)
         assert asked == answered and len(asked) == 3

@@ -312,7 +312,7 @@ class TestRingTopology:
             # One step at a time, so that every step's speeds are seen; only
             # the last one brakes.
             for step in range(n_steps):
-                seen.extend((v.v, v0) for v in fleet.vehicles)
+                seen.extend((v.v, v0) for v in fleet.snapshot())
                 advance(fleet, 1, v0, animals if step == n_steps - 1 else None)
 
         monkeypatch.setattr(Fleet, "advance", recorded)
@@ -353,6 +353,14 @@ def snapshot(vehicles):
     return [(v.x, v.v) for v in vehicles]
 
 
+def advanced(vehicles, n_steps, v0, road_length, dt=0.1):
+    """A fleet of ``vehicles`` after ``advance(n_steps, v0)``: its
+    ``snapshot``."""
+    fleet = Fleet(vehicles, P, dt, road_length, GEO, BEHAVIOUR)
+    fleet.advance(n_steps, v0)
+    return fleet.snapshot()
+
+
 class TestAdvanceIdm:
     """The vehicle kernel is the per-step IDM path, bit for bit."""
 
@@ -364,7 +372,7 @@ class TestAdvanceIdm:
 
     def test_matches_reference_from_default_state(self):
         fast, ref = self.default_pair()
-        Fleet(fast, P, 0.1, self.L, GEO, BEHAVIOUR).advance(3000, P.v_cruise)
+        fast = advanced(fast, 3000, P.v_cruise, self.L)
         reference_steps(ref, 3000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -375,7 +383,7 @@ class TestAdvanceIdm:
         reference_steps(fast, 300, P.v_caution, self.L)
         reference_steps(ref, 300, P.v_caution, self.L)
         assert snapshot(fast) == snapshot(ref)
-        Fleet(fast, P, 0.1, self.L, GEO, BEHAVIOUR).advance(2000, P.v_cruise)
+        fast = advanced(fast, 2000, P.v_cruise, self.L)
         reference_steps(ref, 2000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -383,7 +391,7 @@ class TestAdvanceIdm:
         # Alerted drivers that brake for no animal: from cruise down to the
         # caution speed, through the -a_em clamp.
         fast, ref = self.default_pair()
-        Fleet(fast, P, 0.1, self.L, GEO, BEHAVIOUR).advance(2000, P.v_caution)
+        fast = advanced(fast, 2000, P.v_caution, self.L)
         reference_steps(ref, 2000, P.v_caution, self.L)
         assert snapshot(fast) == snapshot(ref)
 
@@ -398,23 +406,38 @@ class TestAdvanceIdm:
             follower = next(v for v in group if v.leader == 2)
             follower.x = (stopped.x - 60.0 * stopped.direction) % self.L
             follower.v = 27.0
-        Fleet(fast, P, 0.1, self.L, GEO, BEHAVIOUR).advance(500, P.v_cruise)
+        fast = advanced(fast, 500, P.v_cruise, self.L)
         reference_steps(ref, 500, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
     def test_matches_reference_for_a_free_vehicle(self):
         fast, ref = self.default_pair(vehicles_per_direction=1)
         assert all(v.leader == -1 for v in fast)
-        Fleet(fast, P, 0.1, self.L, GEO, BEHAVIOUR).advance(1000, P.v_cruise)
+        fast = advanced(fast, 1000, P.v_cruise, self.L)
         reference_steps(ref, 1000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
+    def test_python_body_matches_reference(self):
+        # The Python body's own IDM arithmetic, with the closing term read
+        # from the buffer, gives the per-step path's bits: at cruise,
+        # slowing to the caution speed through the -a_em clamp, and back.
+        fast, ref = self.default_pair()
+        fleet = fleet_on(False, fast, P, 0.1, self.L, GEO, BEHAVIOUR)
+        for n, v0 in ((200, P.v_cruise), (300, P.v_caution), (300, P.v_cruise)):
+            fleet.advance(n, v0)
+            reference_steps(ref, n, v0, self.L)
+            assert snapshot(fleet.snapshot()) == snapshot(ref)
+
     def test_clears_emergency_braking(self):
+        # The fleet takes the flags as they start, and a non-braking call
+        # clears them.
         vehicles = build_corridor(CorridorConfig()).vehicles
         for v in vehicles:
             v.emergency_braking = True
-        Fleet(vehicles, P, 0.1, self.L, GEO, BEHAVIOUR).advance(1, P.v_cruise)
-        assert not any(v.emergency_braking for v in vehicles)
+        fleet = Fleet(vehicles, P, 0.1, self.L, GEO, BEHAVIOUR)
+        assert all(v.emergency_braking for v in fleet.snapshot())
+        fleet.advance(1, P.v_cruise)
+        assert not any(v.emergency_braking for v in fleet.snapshot())
 
     def test_overlap_raised_at_the_same_step(self):
         # A follower at 30 m/s, 20 m behind a stopped leader, cannot stop in
@@ -433,12 +456,12 @@ class TestAdvanceIdm:
                 reference_steps(ref, 1, P.v_cruise, self.L)
                 expected += 1
         fast = crash_course()
+        fleet = Fleet(fast, P, 0.1, self.L, GEO, BEHAVIOUR)
         with pytest.raises(VehicleOverlap) as exc:
-            Fleet(fast, P, 0.1, self.L, GEO, BEHAVIOUR).advance(1000, P.v_cruise)
+            fleet.advance(1000, P.v_cruise)
         assert exc.value.step == expected > 0
-        assert exc.value.follower is fast[0]
-        assert exc.value.leader is fast[fast[0].leader]
-        assert snapshot(fast) == snapshot(ref)
+        assert (exc.value.follower, exc.value.leader) == (0, fast[0].leader)
+        assert snapshot(fleet.snapshot()) == snapshot(ref)
 
 
 class TestKernelMatchesPython:
@@ -453,15 +476,16 @@ class TestKernelMatchesPython:
     def test_rows_match_reference(self, dt, overrides):
         compiled_kernel()
         cfg = replace_config(CorridorConfig(), **overrides)
-        fast, ref = build_corridor(cfg).vehicles, build_corridor(cfg).vehicles
-        Fleet(fast, P, dt, self.L, GEO, BEHAVIOUR).advance(0, P.v_cruise)
-        assert snapshot(fast) == snapshot(ref)
+        ref = build_corridor(cfg).vehicles
+        fleet = Fleet(build_corridor(cfg).vehicles, P, dt, self.L, GEO, BEHAVIOUR)
+        fleet.advance(0, P.v_cruise)
+        assert snapshot(fleet.snapshot()) == snapshot(ref)
         done = 0
         for r in (1, 2, 17, 640, 3001):
-            Fleet(fast, P, dt, self.L, GEO, BEHAVIOUR).advance(r - done, P.v_cruise)
+            fleet.advance(r - done, P.v_cruise)
             reference_steps(ref, r - done, P.v_cruise, self.L, dt)
             done = r
-            assert snapshot(fast) == snapshot(ref)
+            assert snapshot(fleet.snapshot()) == snapshot(ref)
 
 
 def kernel_outcome(kernel, start, n_steps, v0, p, dt, road_length, geometry,
@@ -486,16 +510,15 @@ def fleet_on(kernel, *args):
 def advance_outcome(fleet, n_steps, v0, animals=None):
     """``fleet.advance(n_steps, v0, animals)``: what it raised (an overlap by
     step and by the pair's indices, another error by its type and message),
-    and every vehicle's (x, v) bits and ``emergency_braking``."""
+    and every vehicle's (x, v) bits and brake flag in its ``snapshot``."""
     error = None
     try:
         fleet.advance(n_steps, v0, animals)
     except VehicleOverlap as exc:
-        index = {id(v): i for i, v in enumerate(fleet.vehicles)}
-        error = ("overlap", exc.step, index[id(exc.follower)], index[id(exc.leader)])
+        error = ("overlap", exc.step, exc.follower, exc.leader)
     except (OverflowError, ZeroDivisionError, IndexError) as exc:
         error = (type(exc).__name__, str(exc))
-    return error, kernel_bits(fleet.vehicles)
+    return error, kernel_bits(fleet.snapshot())
 
 
 def kernel_bits(vehicles):
@@ -507,9 +530,8 @@ def one_step(kernel):
     leaving the rest, the braking step among them, to the Python body."""
     first = kernel.advance
 
-    def advance(buf, lead, n_steps, v0, vehicles, animals):
-        return first(buf, lead, min(n_steps, 1), v0, vehicles,
-                     animals if n_steps <= 1 else None)
+    def advance(buf, lead, n_steps, v0, animals):
+        return first(buf, lead, min(n_steps, 1), v0, animals if n_steps <= 1 else None)
     return SimpleNamespace(**vars(kernel) | {"advance": advance})
 
 
@@ -810,11 +832,11 @@ class TestCompiledKernel:
     @given(case=kernel_sequences())
     @example(case=SETTLED_CASE)
     def test_one_fleet_through_a_sequence_of_calls(self, case):
-        # Between calls the kernel keeps only x, v and whether a flag may be
-        # set in a fleet's buffer, reloaded after the Python body has
-        # stepped: one fleet stepped call after call, sometimes by the
-        # Python body after a kernel that stops after one step, gives the
-        # Python body's bits, flags and errors after every call.
+        # Between calls a fleet keeps x, v and the brake flags in its buffer,
+        # whichever body stepped them: one fleet stepped call after call,
+        # sometimes by the Python body after a kernel that stops after one
+        # step, gives the Python body's bits, flags and errors after every
+        # call.
         kernel = compiled_kernel()
         start, p, dt, road_length, geometry, calls = case
         fleets = [fleet_on(k, [dataclasses.replace(v) for v in start], p, dt,
@@ -905,12 +927,12 @@ class TestCompiledKernel:
         fleet.advance(3000, P.v_cruise)
         # 60 m ahead of the first vehicle, in its lane: still ahead of it,
         # and inside its reach, at the seventh step.
-        lead = vehicles[0]
+        lead = fleet.snapshot()[0]
         fleet.advance(7, P.v_caution, [AnimalState(
             aid=0, x=lead.x + 60.0 * lead.direction, y=GEO.lane_centre(lead.lane),
             sigma=1.0)])
         assert taken == [3000, 7]
-        assert [v.emergency_braking for v in vehicles] == [True] + [False] * 7
+        assert [v.emergency_braking for v in fleet.snapshot()] == [True] + [False] * 7
 
     def test_fleets_of_one_size_keep_their_own_buffers(self):
         # Two trials' fleets of 8 vehicles each, stepped in turn, give the
@@ -933,68 +955,90 @@ class TestCompiledKernel:
             fleet = Fleet(group, P, 0.1, L, GEO, BEHAVIOUR)
             for call in calls:
                 fleet.advance(*call)
-            alone.append(kernel_bits(group))
-        together = groups()
-        fleets = [Fleet(group, P, 0.1, L, GEO, BEHAVIOUR) for group in together]
+            alone.append(kernel_bits(fleet.snapshot()))
+        fleets = [Fleet(group, P, 0.1, L, GEO, BEHAVIOUR) for group in groups()]
         for call in calls:
             for fleet in fleets:
                 fleet.advance(*call)
-        assert [kernel_bits(group) for group in together] == alone
+        assert [kernel_bits(fleet.snapshot()) for fleet in fleets] == alone
         assert alone[0] != alone[1]
 
-    def test_python_steps_reload_the_buffer(self, monkeypatch):
-        # A kernel that takes only the first step of each call leaves the
-        # rest to the Python body: each next call starts from the vehicles'
-        # state, not from the buffer's.
+    def test_python_body_continues_on_the_buffer(self):
+        # A kernel that takes only the first step of each call hands the
+        # rest, a braking step among them, to the Python body, which goes on
+        # from the buffer: after every call the fleet's snapshot has the
+        # bits and flags of an all-kernel fleet and of an all-Python one,
+        # and the kernel's scans, reading what the Python body left in the
+        # buffer, answer as the references do about that snapshot.
         kernel = compiled_kernel()
+        L = CorridorConfig().road_length
         taken = []
-        first_only = one_step(kernel).advance
+        handing = one_step(kernel)
+        first_only = handing.advance
 
         def spied(*args):
             taken.append(first_only(*args))
             return taken[-1]
 
-        monkeypatch.setattr(kernel, "advance", spied)
-        L = CorridorConfig().road_length
-        fast = build_corridor(CorridorConfig()).vehicles
-        ref = build_corridor(CorridorConfig()).vehicles
-        fleet = Fleet(fast, P, 0.1, L, GEO, BEHAVIOUR)
-        for n in (5, 1, 30, 2):
-            fleet.advance(n, P.v_cruise)
-            reference_steps(ref, n, P.v_cruise, L)
-            assert kernel_bits(fast) == kernel_bits(ref)
-        assert taken == [1, 1, 1, 1]
+        handing.advance = spied
+        fleets = [fleet_on(k, build_corridor(CorridorConfig()).vehicles, P, 0.1, L, GEO,
+                           BEHAVIOUR) for k in (handing, kernel, False)]
+        braked = False
+        for n, v0, ahead in ((5, P.v_cruise, None), (1, P.v_cruise, None),
+                             (30, P.v_caution, None), (3, P.v_caution, 15.0),
+                             (2, P.v_cruise, None)):
+            animals = None
+            if ahead is not None:
+                lead = fleets[2].snapshot()[0]
+                animals = [AnimalState(aid=0, x=(lead.x + ahead * lead.direction) % L,
+                                       y=GEO.lane_centre(lead.lane), sigma=1.0)]
+            for fleet in fleets:
+                fleet.advance(n, v0, animals)
+            state = fleets[0].snapshot()
+            assert kernel_bits(state) == kernel_bits(fleets[1].snapshot()) \
+                == kernel_bits(fleets[2].snapshot())
+            braked = braked or any(v.emergency_braking for v in state)
+            probes = [AnimalState(aid=i, x=(v.x + dx) % L, y=GEO.lane_centre(v.lane),
+                                  sigma=1.0)
+                      for i, (v, dx) in enumerate((v, dx) for v in state
+                                                  for dx in (-30.0, -2.0, 0.0, 45.0))]
+            buf = fleets[0].buf
+            for a in probes:
+                assert kernel.threat_present(buf, a.x) is threat_present(
+                    a, state, BEHAVIOUR, L)
+                assert kernel.crossing_dangers(buf, a.x) == crossing_dangers(
+                    a, state, BEHAVIOUR, L)
+            assert kernel.detect_collisions(buf, probes) == detect_collisions(
+                state, probes, GEO, L) != []
+        assert taken == [1, 1, 1, 1, 1]
+        assert braked
 
     @pytest.mark.parametrize("args, error", [
         ((), TypeError),
-        (("buf", "lead", 1, 27.78, "vehicles", None, None), TypeError),
-        (("buf", "lead", 1.0, 27.78, "vehicles", None), TypeError),
-        (("buf", "lead", 1, "fast", "vehicles", None), TypeError),
-        (("buf", "lead", 1, 27.78, tuple, None), TypeError),
-        (("buf", "lead", 1, 27.78, "vehicles", ()), TypeError),
-        ((bytearray(8), "lead", 1, 27.78, "vehicles", None), TypeError),
-        (("lead", "lead", 1, 27.78, "vehicles", None), TypeError),
-        (("buf", "buf", 1, 27.78, "vehicles", None), TypeError),
-        (("buf", "lead", 1, 27.78, [], None), ValueError),
-        (("buf", "lead[:-1]", 1, 27.78, "vehicles", None), ValueError),
-    ], ids=["none", "seven", "float-steps", "str-v0", "tuple-vehicles",
-            "tuple-animals", "bytearray-buf", "long-buf", "double-lead", "no-vehicles",
-            "short-lead"])
+        (("buf", "lead", 1, 27.78, None, None, None), TypeError),
+        (("buf", "lead", 1.0, 27.78, None), TypeError),
+        (("buf", "lead", 1, "fast", None), TypeError),
+        (("buf", "lead", 1, 27.78, ()), TypeError),
+        ((bytearray(8), "lead", 1, 27.78, None), TypeError),
+        (("lead", "lead", 1, 27.78, None), TypeError),
+        (("buf", "buf", 1, 27.78, None), TypeError),
+        (("buf", "lead[:-1]", 1, 27.78, None), ValueError),
+    ], ids=["none", "seven", "float-steps", "str-v0", "tuple-animals", "bytearray-buf",
+            "long-buf", "double-lead", "short-lead"])
     def test_wrong_arguments_raise(self, args, error):
         # The extension checks its arguments' number, types and sizes before
         # it reads a buffer: a bad call raises, and the fleet still steps.
         kernel = compiled_kernel()
-        vehicles = build_corridor(CorridorConfig()).vehicles
-        fleet = Fleet(vehicles, P, 0.1, CorridorConfig().road_length, GEO, BEHAVIOUR)
-        named = {"buf": fleet.buf, "lead": fleet.lead, "lead[:-1]": fleet.lead[:-1],
-                 "vehicles": vehicles}
+        fleet = Fleet(build_corridor(CorridorConfig()).vehicles, P, 0.1,
+                      CorridorConfig().road_length, GEO, BEHAVIOUR)
+        named = {"buf": fleet.buf, "lead": fleet.lead, "lead[:-1]": fleet.lead[:-1]}
         with pytest.raises(error):
             kernel.advance(*(named.get(a, a) if isinstance(a, str) else a
                              for a in args))
         fleet.advance(10, P.v_cruise)
         ref = build_corridor(CorridorConfig()).vehicles
         reference_steps(ref, 10, P.v_cruise, CorridorConfig().road_length)
-        assert kernel_bits(vehicles) == kernel_bits(ref)
+        assert kernel_bits(fleet.snapshot()) == kernel_bits(ref)
 
     def test_source_ships_with_the_package(self):
         source = importlib.resources.files("wvcsim").joinpath("advance_idm.c")
@@ -1208,9 +1252,9 @@ def one_vehicle_edges(direction, x, braking, stop=False, then=None, geometry=GEO
 # animals on each edge of its scans, for the default animal and a wide one,
 # whose contact band reaches the road width; the braking one after a non-braking
 # call, which clears the flag, and braked by the Python body, which leaves
-# the buffer stale (its flag is set at the near-pass edge behind, where
-# only a braking vehicle is a danger); and two vehicles at the threat speed
-# floor and one ULP above it.
+# the flag the kernel's scans then read (set at the near-pass edge behind,
+# where only a braking vehicle is a danger); and two vehicles at the threat
+# speed floor and one ULP above it.
 SCAN_EDGES = (
     [ScanCase([], [], False, None, BEHAVIOUR, GEO, 1000.0,
                [AnimalState(aid=0, x=0.0, y=y, sigma=1.0) for y in
@@ -1251,63 +1295,52 @@ class TestCompiledScans:
         if stop and fleet.kernel:
             fleet.kernel = one_step(fleet.kernel)
         fleet.advance(2, P.v_caution, brakers(vehicles, braking, road_length, geometry))
-        assert all(vehicles[i].emergency_braking for i in braking)
+        state = fleet.snapshot()
+        assert all(state[i].emergency_braking for i in braking)
         if then is not None:
             fleet.advance(then, P.v_cruise)
-            assert not any(v.emergency_braking for v in vehicles)
-        assert snapshot(vehicles) == snapshot(start)
-        assert fleet.stale is (kernel == "python" or stop and then is None)
+            state = fleet.snapshot()
+            assert not any(v.emergency_braking for v in state)
+        assert snapshot(state) == snapshot(start)
         for a in animals:
-            assert fleet.threat_present(a) is threat_present(a, vehicles, behaviour,
+            assert fleet.threat_present(a) is threat_present(a, state, behaviour,
                                                               road_length)
-            found = fleet.crossing_dangers(a)
-            expected = crossing_dangers(a, vehicles, behaviour, road_length)
-            assert [id(v) for v in found] == [id(v) for v in expected]
+            assert fleet.crossing_dangers(a) == crossing_dangers(a, state, behaviour,
+                                                                 road_length)
         assert fleet.detect_collisions(animals) == detect_collisions(
-            vehicles, animals, geometry, road_length)
+            state, animals, geometry, road_length)
 
     @pytest.mark.parametrize("scan, args, error", [
         ("threat_present", ("buf",), TypeError),
         ("threat_present", ("buf", 1.0, None), TypeError),
         ("threat_present", ("lead", 1.0), TypeError),
         ("threat_present", ("buf[:-1]", 1.0), ValueError),
-        ("crossing_dangers", ("buf", tuple, 1.0), TypeError),
-        ("crossing_dangers", ("buf", [], 1.0), ValueError),
-        ("detect_collisions", ("buf", "vehicles", ()), TypeError),
-        ("detect_collisions", (bytearray(8), "vehicles", []), TypeError),
-    ], ids=["one", "three", "long-buf", "short-buf", "tuple-vehicles", "no-vehicles",
-            "tuple-animals", "bytearray-buf"])
+        ("detect_collisions", ("buf", ()), TypeError),
+        ("detect_collisions", (bytearray(8), []), TypeError),
+    ], ids=["one", "three", "long-buf", "short-buf", "tuple-animals", "bytearray-buf"])
     def test_wrong_arguments_raise(self, scan, args, error):
         # Each scan checks its arguments' number, types and sizes before it
         # reads the buffer.
         kernel = compiled_kernel()
-        vehicles = build_corridor(CorridorConfig()).vehicles
-        fleet = Fleet(vehicles, P, 0.1, CorridorConfig().road_length, GEO, BEHAVIOUR)
-        named = {"buf": fleet.buf, "buf[:-1]": fleet.buf[:-1], "lead": fleet.lead,
-                 "vehicles": vehicles}
+        fleet = Fleet(build_corridor(CorridorConfig()).vehicles, P, 0.1,
+                      CorridorConfig().road_length, GEO, BEHAVIOUR)
+        named = {"buf": fleet.buf, "buf[:-1]": fleet.buf[:-1], "lead": fleet.lead}
         with pytest.raises(error):
             getattr(kernel, scan)(*(named.get(a, a) if isinstance(a, str) else a
                                     for a in args))
 
-    def test_a_stale_buffer_is_left_to_the_reference(self):
-        # The Python body takes the second step: the buffer still holds the
-        # vehicle 20 m back, 5 m ahead of the animal, where it would be a
-        # threat and a danger, and clear of a contact.
-        kernel = compiled_kernel()
-        vehicles = [VehicleState(vid=0, x=100.0, v=20.0, direction=1, lane=0)]
-        fleet = Fleet(vehicles, P, 1.0, 1000.0, GEO, BEHAVIOUR)
-        fleet.kernel = one_step(kernel)
-        fleet.advance(2, 20.0)
-        assert fleet.stale
-        behind = AnimalState(aid=0, x=vehicles[0].x - 25.0, y=1.0, sigma=1.0)
-        under = AnimalState(aid=1, x=vehicles[0].x, y=1.0, sigma=1.0)
-        answers = (fleet.threat_present(behind), fleet.crossing_dangers(behind),
-                   fleet.detect_collisions([under]))
-        assert answers == (False, [], [(0, 1)])
-        assert (kernel.threat_present(fleet.buf, behind.x),
-                kernel.crossing_dangers(fleet.buf, vehicles, behind.x),
-                kernel.detect_collisions(fleet.buf, vehicles, [under])) == (
-                    True, vehicles, [])
+    @pytest.mark.parametrize("kernel", ["compiled", "python"], indirect=True)
+    def test_vehicles_are_named_by_index(self, kernel):
+        # A vehicle's index in the fleet's list names it, whatever its vid:
+        # here the second vehicle threatens the animal and touches it.
+        vehicles = [VehicleState(vid=10 + i, x=x, v=20.0, direction=1, lane=0)
+                    for i, x in enumerate((300.0, 500.0))]
+        a = AnimalState(aid=3, x=500.0, y=GEO.lane_centre(0), sigma=1.0)
+        fleet = Fleet(vehicles, P, 0.1, 1000.0, GEO, BEHAVIOUR)
+        assert crossing_dangers(a, vehicles, BEHAVIOUR, 1000.0) == [1] \
+            == fleet.crossing_dangers(a)
+        assert detect_collisions(vehicles, [a], GEO, 1000.0) == [(1, 3)] \
+            == fleet.detect_collisions([a])
 
     def test_edges_decide_as_stated(self):
         # Each edge straddles in the reference, for a vehicle near the ring's
