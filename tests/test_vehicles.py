@@ -490,10 +490,9 @@ class TestKernelMatchesPython:
 
 def kernel_outcome(kernel, start, n_steps, v0, p, dt, road_length, geometry,
                    animals=None):
-    """``Fleet.advance`` braking for ``animals`` on a copy of ``start``, with
-    the kernel slot set to ``kernel``: ``advance_outcome``."""
-    vehicles = [dataclasses.replace(v) for v in start]
-    fleet = fleet_on(kernel, vehicles, p, dt, road_length, geometry, BEHAVIOUR)
+    """``Fleet.advance`` braking for ``animals`` on a fleet built from
+    ``start``, with the kernel slot set to ``kernel``: ``advance_outcome``."""
+    fleet = fleet_on(kernel, start, p, dt, road_length, geometry, BEHAVIOUR)
     return advance_outcome(fleet, n_steps, v0, animals)
 
 
@@ -839,8 +838,8 @@ class TestCompiledKernel:
         # call.
         kernel = compiled_kernel()
         start, p, dt, road_length, geometry, calls = case
-        fleets = [fleet_on(k, [dataclasses.replace(v) for v in start], p, dt,
-                           road_length, geometry, BEHAVIOUR) for k in (kernel, False)]
+        fleets = [fleet_on(k, start, p, dt, road_length, geometry, BEHAVIOUR)
+                  for k in (kernel, False)]
         for n_steps, v0, animals, stop in calls:
             fleets[0].kernel = one_step(kernel) if stop else kernel
             outcomes = [advance_outcome(fleet, n_steps, v0, animals)
@@ -1288,13 +1287,12 @@ class TestCompiledScans:
     @scan_examples
     def test_same_answers_as_the_reference(self, kernel, case):
         start, braking, stop, then, behaviour, geometry, road_length, animals = case
-        vehicles = [dataclasses.replace(v) for v in start]
         # At dt 0 a step moves nothing: the vehicles keep the drawn x and v,
         # and the braking step sets the flags of the drawn vehicles.
-        fleet = Fleet(vehicles, P, 0.0, road_length, geometry, behaviour)
+        fleet = Fleet(start, P, 0.0, road_length, geometry, behaviour)
         if stop and fleet.kernel:
             fleet.kernel = one_step(fleet.kernel)
-        fleet.advance(2, P.v_caution, brakers(vehicles, braking, road_length, geometry))
+        fleet.advance(2, P.v_caution, brakers(start, braking, road_length, geometry))
         state = fleet.snapshot()
         assert all(state[i].emergency_braking for i in braking)
         if then is not None:
@@ -1315,9 +1313,11 @@ class TestCompiledScans:
         ("threat_present", ("buf", 1.0, None), TypeError),
         ("threat_present", ("lead", 1.0), TypeError),
         ("threat_present", ("buf[:-1]", 1.0), ValueError),
+        ("crossing_dangers", ("buf", 1.0, None), TypeError),
         ("detect_collisions", ("buf", ()), TypeError),
         ("detect_collisions", (bytearray(8), []), TypeError),
-    ], ids=["one", "three", "long-buf", "short-buf", "tuple-animals", "bytearray-buf"])
+    ], ids=["one", "three", "long-buf", "short-buf", "dangers-three", "tuple-animals",
+            "bytearray-buf"])
     def test_wrong_arguments_raise(self, scan, args, error):
         # Each scan checks its arguments' number, types and sizes before it
         # reads the buffer.
