@@ -962,13 +962,12 @@ class TestCompiledKernel:
         assert [kernel_bits(fleet.snapshot()) for fleet in fleets] == alone
         assert alone[0] != alone[1]
 
-    def test_python_body_continues_on_the_buffer(self):
+    def test_python_steps_reload_the_buffer(self):
         # A kernel that takes only the first step of each call hands the
-        # rest, a braking step among them, to the Python body, which goes on
-        # from the buffer: after every call the fleet's snapshot has the
-        # bits and flags of an all-kernel fleet and of an all-Python one,
-        # and the kernel's scans, reading what the Python body left in the
-        # buffer, answer as the references do about that snapshot.
+        # rest, a braking step among them, to the Python body, which steps
+        # the buffer itself, so each next call starts from the buffer the
+        # last one left: after every call the fleet's snapshot has the bits
+        # and flags of an all-kernel fleet and of an all-Python one.
         kernel = compiled_kernel()
         L = CorridorConfig().road_length
         taken = []
@@ -997,18 +996,6 @@ class TestCompiledKernel:
             assert kernel_bits(state) == kernel_bits(fleets[1].snapshot()) \
                 == kernel_bits(fleets[2].snapshot())
             braked = braked or any(v.emergency_braking for v in state)
-            probes = [AnimalState(aid=i, x=(v.x + dx) % L, y=GEO.lane_centre(v.lane),
-                                  sigma=1.0)
-                      for i, (v, dx) in enumerate((v, dx) for v in state
-                                                  for dx in (-30.0, -2.0, 0.0, 45.0))]
-            buf = fleets[0].buf
-            for a in probes:
-                assert kernel.threat_present(buf, a.x) is threat_present(
-                    a, state, BEHAVIOUR, L)
-                assert kernel.crossing_dangers(buf, a.x) == crossing_dangers(
-                    a, state, BEHAVIOUR, L)
-            assert kernel.detect_collisions(buf, probes) == detect_collisions(
-                state, probes, GEO, L) != []
         assert taken == [1, 1, 1, 1, 1]
         assert braked
 
@@ -1341,6 +1328,57 @@ class TestCompiledScans:
             == fleet.crossing_dangers(a)
         assert detect_collisions(vehicles, [a], GEO, 1000.0) == [(1, 3)] \
             == fleet.detect_collisions([a])
+
+    def test_a_stale_buffer_is_left_to_the_reference(self):
+        # No buffer is left stale: where the Python body takes over from a
+        # kernel that takes only the first step of each call, it steps the
+        # buffer, and the kernel's scans, reading what it left there, answer
+        # as the references do about the fleet's snapshot. The vehicle's
+        # first step alone would leave it 5 m ahead of the animal behind,
+        # a threat and a danger to it, and clear of the animal under it.
+        kernel = compiled_kernel()
+        vehicles = [VehicleState(vid=0, x=100.0, v=20.0, direction=1, lane=0)]
+        fleet = Fleet(vehicles, P, 1.0, 1000.0, GEO, BEHAVIOUR)
+        fleet.kernel = one_step(kernel)
+        fleet.advance(2, 20.0)
+        state = fleet.snapshot()
+        assert state[0].x > 120.0
+        behind = AnimalState(aid=0, x=state[0].x - 25.0, y=1.0, sigma=1.0)
+        under = AnimalState(aid=1, x=state[0].x, y=1.0, sigma=1.0)
+        answers = (kernel.threat_present(fleet.buf, behind.x),
+                   kernel.crossing_dangers(fleet.buf, behind.x),
+                   kernel.detect_collisions(fleet.buf, [under]))
+        assert answers == (threat_present(behind, state, BEHAVIOUR, 1000.0),
+                           crossing_dangers(behind, state, BEHAVIOUR, 1000.0),
+                           detect_collisions(state, [under], GEO, 1000.0)) \
+            == (False, [], [(0, 1)])
+
+        # Through a corridor's handovers, a braking step among them, the
+        # kernel's scans of the buffer agree with the references about the
+        # snapshot for animals behind, at and ahead of every vehicle.
+        L = CorridorConfig().road_length
+        fleet = fleet_on(one_step(kernel), build_corridor(CorridorConfig()).vehicles,
+                         P, 0.1, L, GEO, BEHAVIOUR)
+        for n, v0, ahead in ((5, P.v_cruise, None), (30, P.v_caution, None),
+                             (3, P.v_caution, 15.0), (2, P.v_cruise, None)):
+            animals = None
+            if ahead is not None:
+                lead = fleet.snapshot()[0]
+                animals = [AnimalState(aid=0, x=(lead.x + ahead * lead.direction) % L,
+                                       y=GEO.lane_centre(lead.lane), sigma=1.0)]
+            fleet.advance(n, v0, animals)
+            state = fleet.snapshot()
+            probes = [AnimalState(aid=i, x=(v.x + dx) % L, y=GEO.lane_centre(v.lane),
+                                  sigma=1.0)
+                      for i, (v, dx) in enumerate((v, dx) for v in state
+                                                  for dx in (-30.0, -2.0, 0.0, 45.0))]
+            for a in probes:
+                assert kernel.threat_present(fleet.buf, a.x) is threat_present(
+                    a, state, BEHAVIOUR, L)
+                assert kernel.crossing_dangers(fleet.buf, a.x) == crossing_dangers(
+                    a, state, BEHAVIOUR, L)
+            assert kernel.detect_collisions(fleet.buf, probes) == detect_collisions(
+                state, probes, GEO, L) != []
 
     def test_edges_decide_as_stated(self):
         # Each edge straddles in the reference, for a vehicle near the ring's
