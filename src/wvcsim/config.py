@@ -7,7 +7,6 @@ grid along the shoulders, alternating sides.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field, fields as dc_fields, is_dataclass, replace
@@ -31,10 +30,9 @@ class Mode(str, Enum):
     AWARE = "Aware"
 
 
-@dataclass(frozen=True)
+@dataclass
 class GeometryParams:
-    """Road cross-section and body sizes. Lane 0 carries +x traffic, lane 1 -x.
-    Frozen, so that ``road_width`` is worked out once."""
+    """Road cross-section and body sizes. Lane 0 carries +x traffic, lane 1 -x."""
 
     lane_width: float = 3.7
     n_lanes: int = 2
@@ -44,7 +42,7 @@ class GeometryParams:
     spawn_offset: float = -25.0   # animal spawn y, m (off-road side)
     exit_offset: float = 25.0     # distance past the far edge where animals leave
 
-    @functools.cached_property
+    @property
     def road_width(self) -> float:
         return self.lane_width * self.n_lanes
 

@@ -62,8 +62,8 @@ them.
 
 Phases 5 and 6 read the vehicles through the fleet: ``step_animal``'s
 threat tests (``Fleet.threat_present``, ``Fleet.crossing_dangers``) and
-phase 6's ``detect_collisions`` (``Fleet.detect_collisions``, under this
-module's name) answer from the buffer, x, v and brake flags as the last
+phase 6's ``detect_collisions`` (this module's call of
+``Fleet.detect_collisions``) answer from the buffer, x, v and brake flags as the last
 ``Fleet.advance`` left them, and name each vehicle by its index.
 
 Three scans skip what they cannot find. The carriageway, 0 < y <= road width,
@@ -99,9 +99,11 @@ from .detection import DetectionParams, try_detect
 from .vehicles import (DriverAlert, Fleet, VehicleOverlap, emergency_brake_needed,
                        idm_acceleration)
 
-# Phase 6's contact scan, called at this name, where perfbench's tracer
-# counts it.
-detect_collisions = Fleet.detect_collisions
+
+def detect_collisions(fleet: Fleet, animals: list[AnimalState]) -> list[tuple[int, int]]:
+    """Phase 6's contact scan, ``fleet.detect_collisions``, called at this
+    name, where perfbench's tracer counts it."""
+    return fleet.detect_collisions(animals)
 
 
 class EngineInvariantError(RuntimeError):

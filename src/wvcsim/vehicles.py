@@ -210,27 +210,24 @@ class Fleet:
         The steps run in the compiled kernel (``load_kernel``) where it
         loads. The Python body below is its reference and its fallback: it
         takes every step from the first one the kernel leaves to it, so
-        errors are raised here, as they would be without the kernel. It
-        reads the parameters from the buffer, the closing term
-        ``2 * sqrt(a_max * b_conf)`` among them, and ports
-        ``idm_acceleration`` with the same float operations.
+        errors are raised here, as they would be without the kernel.
         """
-        buf, lead = self.buf, self.lead
+        buf, lead, p = self.buf, self.lead, self.p
         first = 0
         if self.kernel:
             first = self.kernel.advance(buf, lead, n_steps, v0, animals)
             if first >= n_steps:
                 return
         n = len(lead)
-        # The IDM's slots, S0 to FREE_GAP.
-        s0, T, a_max, delta, a_floor, closing, dt, L, length, free_gap = buf[:10]
+        # The slots DT to FREE_GAP.
+        dt, L, length, free_gap = buf[6:10]
         dirs = buf[_STATE:_STATE + n]
         x, flags = _STATE + 2 * n, _STATE + 6 * n
         brake = [False] * n
         buf[flags:] = array("d", brake)
         for step in range(first, n_steps):
             if animals is not None and step == n_steps - 1:
-                brake = [emergency_brake_needed(v, animals, self.geometry, self.p, L)
+                brake = [emergency_brake_needed(v, animals, self.geometry, p, L)
                          for v in self.snapshot()]
                 buf[flags:] = array("d", brake)
             xs, vs = buf[x:x + n], buf[x + n:x + 2 * n]
@@ -238,29 +235,13 @@ class Fleet:
             for i in range(n):
                 xi, vi, j = xs[i], vs[i], lead[i]
                 if j < 0:
-                    gap = free_gap
-                    dv = 0.0
+                    a = idm_acceleration(vi, v0, 0.0, free_gap, p)
                 else:
                     gap = ((xs[j] - xi) * dirs[i]) % L - length
                     if gap <= 0.0:
                         raise VehicleOverlap(step, i, j)
-                    dv = vi - vs[j]
-                s_star = s0 + vi * T + vi * dv / closing
-                if not s_star > 0.0:
-                    s_star = 0.0
-                b = vi / v0
-                if delta == 4.0:
-                    f = b * b
-                    f *= f
-                else:
-                    f = b ** delta
-                r = s_star / gap
-                q = r * r
-                if f == math.inf and math.isfinite(b) or q == math.inf and math.isfinite(r):
-                    raise OverflowError(f"an IDM power overflows: v/v0 = {b!r}, "
-                                        f"s*/s = {r!r}")
-                a = a_max * (1.0 - f - q)
-                nv = vi + (a if a > a_floor and not brake[i] else a_floor) * dt
+                    a = idm_acceleration(vi, v0, vi - vs[j], gap, p)
+                nv = vi + (-p.a_em if brake[i] else a) * dt
                 nvs.append(0.0 if nv < 0.0 else nv)
             buf[x:x + 2 * n] = array("d", [(xi + nv * dt * d) % L for xi, nv, d
                                            in zip(xs, nvs, dirs)] + nvs)

@@ -68,7 +68,6 @@ class TestOnDetection:
             else:
                 assert aw.boost_until[node.rid] == -math.inf
 
-
     @pytest.mark.parametrize("road_length, spacing, reach", [
         (1000.0, 5.0, 300.0), (4000.0, 15.0, 1500.0), (1000.0, 5.0, 500.0),
         (1000.0, 15.0, 1500.0)],

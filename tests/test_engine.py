@@ -757,8 +757,6 @@ class TestKernelMatchesPython:
 
             monkeypatch.setattr(Fleet, name, counted)
             monkeypatch.setattr(kernel, name, compiled)
-        # Phase 6 calls the scan at the engine's own name.
-        monkeypatch.setattr(wvcsim.engine, "detect_collisions", Fleet.detect_collisions)
         for mode in MODES:
             run_trial(fast_config(mode, **CROWDED), 0.05, 0, 5)
         assert asked == answered and len(asked) == 3

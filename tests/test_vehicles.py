@@ -417,17 +417,6 @@ class TestAdvanceIdm:
         reference_steps(ref, 1000, P.v_cruise, self.L)
         assert snapshot(fast) == snapshot(ref)
 
-    def test_python_body_matches_reference(self):
-        # The Python body's own IDM arithmetic, with the closing term read
-        # from the buffer, gives the per-step path's bits: at cruise,
-        # slowing to the caution speed through the -a_em clamp, and back.
-        fast, ref = self.default_pair()
-        fleet = fleet_on(False, fast, P, 0.1, self.L, GEO, BEHAVIOUR)
-        for n, v0 in ((200, P.v_cruise), (300, P.v_caution), (300, P.v_cruise)):
-            fleet.advance(n, v0)
-            reference_steps(ref, n, v0, self.L)
-            assert snapshot(fleet.snapshot()) == snapshot(ref)
-
     def test_clears_emergency_braking(self):
         # The fleet takes the flags as they start, and a non-braking call
         # clears them.
