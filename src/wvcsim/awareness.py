@@ -65,6 +65,11 @@ class AwarenessState:
         source_x = radars[source].x
         reach = self.awareness_range
         length = self.road_length
+        if reach >= length / 2.0:
+            # Every float d >= 0 has min(d, length - d) <= length / 2: for
+            # d > length / 2 the subtraction is exact (Sterbenz's lemma) or
+            # negative. So every radar is reached.
+            return [node.rid for node in radars]
         rids = []
         for node in radars:
             d = abs(node.x - source_x)
