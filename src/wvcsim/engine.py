@@ -63,8 +63,8 @@ them.
 Phases 5 and 6 read the vehicles through the fleet: ``step_animal``'s
 threat tests (``Fleet.threat_present``, ``Fleet.crossing_dangers``) and
 phase 6's ``detect_collisions`` (this module's call of
-``Fleet.detect_collisions``) answer from the buffer, x, v and brake flags as the last
-``Fleet.advance`` left them, and name each vehicle by its index.
+``Fleet.detect_collisions``) answer from the buffer, x, v and brake flags
+as the last ``Fleet.advance`` left them, and name each vehicle by its index.
 
 Three scans skip what they cannot find. The carriageway, 0 < y <= road width,
 is ``detect_collisions``' own filter and the only band drivers brake for
