@@ -1,7 +1,9 @@
-/* The compiled form of wvcsim.vehicles.Fleet's steps and scans, a CPython
-   extension module built on first use. A fleet's buffer is its vehicles'
-   only state: x, v and the brake flags live there, and no entry reads or
-   writes a VehicleState.
+/* The compiled form of wvcsim.vehicles.Fleet's steps and scans and of
+   wvcsim.detection.Detector's detection, a CPython extension module built
+   on first use, with five entries: advance, threat_present,
+   crossing_dangers, detect_collisions and detect. A fleet's buffer is its
+   vehicles' only state: x, v and the brake flags live there, and no entry
+   reads or writes a VehicleState.
 
    advance is a port of rounds of the Python body of Fleet.advance: the
    reference functions desired_gap, idm_acceleration and step_vehicles on
@@ -35,12 +37,28 @@
    checks, so it stops where the Python body raises too, and then takes
    -a_em in place of its IDM acceleration. A scan returns None where the
    reference would raise or reads a coordinate that is not a float (a ring
-   of length 0, an animal's x or y): Fleet then asks the reference. */
+   of length 0, an animal's x or y): Fleet then asks the reference.
+
+   detect is phase 2 of a trial step, a port of wvcsim.detection.Detector's
+   Python loop: try_detect (radars_in_range, detection_probability and
+   AwarenessState.beta_for) for each awake animal within the radar band. It
+   reads a radar buffer (its slots below) and the boost clocks, and draws
+   from the trial's detection stream through numpy's bitgen_t (the
+   "BitGenerator" capsule; numpy/random/bitgen.h, no numpy library linked):
+   Generator.random() is one next_double, so one call per covering radar,
+   in rid order, draws what the reference draws; math.exp is libm's exp,
+   which detect calls too. Where the reference would
+   raise (a zero spacing, a NaN or infinite grid quotient, sigma <= 0, a
+   negative kappa, beta or dt, a boost clock past the list) or reads a value
+   that is not a float (an animal's x, y or sigma, a boost clock, the time),
+   detect stops before that animal, before any draw or write for it, and
+   returns its index: Detector's Python loop goes on from there. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
 #include <string.h>
+#include <numpy/random/bitgen.h>
 
 /* The buffer's slots: the parameters, then n each of directions, lane
    centres, positions and speeds, 2n of scratch, and n brake flags, each
@@ -55,8 +73,16 @@ enum {
     STATE      /* the first direction */
 };
 
-/* The names of the animal attributes the kernel reads. */
-static PyObject *animal_x, *animal_y, *animal_aid;
+/* detect's radar buffer: the parameters, then n each of the radars' x and
+   y, by rid, and n of scratch. */
+enum {
+    SPACING, R_DET, KAPPA, FRAME, BOOST, BAND_LO, BAND_HI,
+    RADARS     /* the first radar's x */
+};
+
+/* The names of the animal attributes the kernel reads and writes. */
+static PyObject *animal_x, *animal_y, *animal_aid, *animal_sigma, *animal_detected,
+    *animal_first_in_range_at, *animal_detected_at;
 
 /* CPython's float_rem: fmod, then the remainder takes the sign of the
    divisor. For w > 0, three exact paths answer without fmod, each with
@@ -487,6 +513,204 @@ static PyObject *detect_collisions(PyObject *self, PyObject *const *args,
     return pairs;
 }
 
+/* Whether radar i of the n in the radar buffer b covers an animal at (x, y):
+   radars_in_range's distance test. */
+static int covers(const double *b, Py_ssize_t n, Py_ssize_t i, double x, double y)
+{
+    double dx = b[RADARS + i] - x, dy = b[RADARS + n + i] - y;
+
+    return dx * dx + dy * dy <= b[R_DET] * b[R_DET];
+}
+
+/* radars_in_range's window of grid indices around x, *lo to *hi (empty
+   where *lo > *hi); 0 where math.ceil or math.floor would raise: a zero
+   spacing, or a NaN or infinite quotient. */
+static int window(const double *b, Py_ssize_t n, double x, Py_ssize_t *lo,
+                  Py_ssize_t *hi)
+{
+    double first, last;
+
+    if (b[SPACING] == 0.0)
+        return 0;
+    first = (x - b[R_DET]) / b[SPACING];
+    last = (x + b[R_DET]) / b[SPACING];
+    if (!isfinite(first) || !isfinite(last))
+        return 0;
+    first = ceil(first);
+    last = floor(last);
+    if (first < 0.0)
+        first = 0.0;
+    if (last > (double)(n - 1))
+        last = (double)(n - 1);
+    *lo = 0;
+    *hi = -1;
+    if (first <= last) {
+        *lo = (Py_ssize_t)first;
+        *hi = (Py_ssize_t)last;
+    }
+    return 1;
+}
+
+/* Phase 2's filter and try_detect for the animal a at time now (the float
+   now_obj): each radar covering it draws with its probability, kept in the
+   buffer's scratch slots, until one succeeds; a success sets detected and
+   detected_at and appends (rid, aid) to hits. Returns 0 once the animal is
+   done, 1 to leave it to the reference, before any draw or write for it,
+   and -1 on an error, with an exception set. */
+static int try_animal(double *b, Py_ssize_t n, PyObject *a, PyObject *sleeping,
+                      PyObject *clocks, PyObject *now_obj, bitgen_t *bitgen,
+                      PyObject *hits)
+{
+    const double now = PyFloat_AS_DOUBLE(now_obj);
+    double *p = b + RADARS + 2 * n;
+    double x, y, sigma = 0.0, f;
+    PyObject *value, *aid = NULL, *hit;
+    Py_ssize_t lo, hi, i;
+    int skip, covered = 0, unset;
+
+    value = PyObject_GetAttr(a, animal_detected);
+    skip = value ? PyObject_IsTrue(value) : -1;
+    Py_XDECREF(value);
+    if (skip == 0) {
+        if (!read_float(a, animal_y, &y))
+            return 1;
+        if (!(b[BAND_LO] <= y && y <= b[BAND_HI]))
+            return 0;
+        aid = PyObject_GetAttr(a, animal_aid);
+        skip = aid ? PyDict_Contains(sleeping, aid) : -1;
+    }
+    if (skip) {    /* detected or asleep; -1 on an error */
+        Py_XDECREF(aid);
+        if (skip > 0)
+            return 0;
+        PyErr_Clear();
+        return 1;
+    }
+    if (!read_float(a, animal_x, &x) || !window(b, n, x, &lo, &hi))
+        goto leave;
+    /* Every check the reference makes before it draws for a covering
+       radar, for each of them, before the first write. */
+    f = 2.0;
+    for (i = lo; i <= hi; i++) {
+        double beta = 1.0;
+        PyObject *clock;
+
+        if (!covers(b, n, i, x, y))
+            continue;
+        if (!covered++) {
+            if (!read_float(a, animal_sigma, &sigma) || sigma <= 0.0
+                    || b[KAPPA] < 0.0 || b[FRAME] < 0.0)
+                goto leave;
+            /* f_size: min(2.0, ...), 2.0 unless the sum is less. */
+            if (0.4 + 0.6 * sigma < 2.0)
+                f = 0.4 + 0.6 * sigma;
+        }
+        if (i >= PyList_GET_SIZE(clocks))
+            goto leave;
+        clock = PyList_GET_ITEM(clocks, i);
+        if (!PyFloat_Check(clock))
+            goto leave;
+        if (PyFloat_AS_DOUBLE(clock) > now)
+            beta = b[BOOST];
+        if (beta < 0.0)
+            goto leave;
+        p[i] = 1.0 - exp(((-b[KAPPA] * f) * beta) * b[FRAME]);
+    }
+    if (!covered) {
+        Py_DECREF(aid);
+        return 0;
+    }
+    value = PyObject_GetAttr(a, animal_first_in_range_at);
+    if (value == NULL)
+        goto leave;
+    unset = value == Py_None;
+    Py_DECREF(value);
+    if (unset && PyObject_SetAttr(a, animal_first_in_range_at, now_obj) < 0)
+        goto leave;
+    for (i = lo; i <= hi; i++) {
+        if (!covers(b, n, i, x, y) || !(bitgen->next_double(bitgen->state) < p[i]))
+            continue;
+        hit = NULL;
+        if (PyObject_SetAttr(a, animal_detected, Py_True) == 0
+                && PyObject_SetAttr(a, animal_detected_at, now_obj) == 0) {
+            value = PyLong_FromSsize_t(i);
+            hit = value ? PyTuple_Pack(2, value, aid) : NULL;
+            Py_XDECREF(value);
+        }
+        Py_DECREF(aid);
+        if (hit == NULL || PyList_Append(hits, hit) < 0) {
+            Py_XDECREF(hit);
+            return -1;
+        }
+        Py_DECREF(hit);
+        return 0;
+    }
+    Py_DECREF(aid);
+    return 0;
+leave:
+    PyErr_Clear();
+    Py_DECREF(aid);
+    return 1;
+}
+
+PyDoc_STRVAR(detect_doc,
+"detect(radars, animals, sleeping, boost_until, now, bitgen) -> (stop, hits)\n\n"
+"Phase 2 of a step at time now: try_detect for each animal of the list\n"
+"animals, in order, that is undetected, inside the radar band and not a\n"
+"key of the dict sleeping, against a radar buffer (an array of 'd') and\n"
+"the boost clocks boost_until (a list), drawing through the\n"
+"\"BitGenerator\" capsule bitgen. hits lists the (rid, aid) of each\n"
+"detection; stop is the index of the first animal left to the reference,\n"
+"len(animals) where none is.");
+
+static PyObject *detect(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer view;
+    Py_ssize_t n, k = 0;
+    PyObject *animals, *hits;
+    bitgen_t *bitgen;
+
+    (void)self;
+    if (nargs != 6) {
+        PyErr_Format(PyExc_TypeError, "detect takes 6 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    animals = args[1];
+    if (!PyList_Check(animals) || !PyDict_Check(args[2]) || !PyList_Check(args[3])) {
+        PyErr_SetString(PyExc_TypeError,
+                        "detect: animals and boost_until must be lists, sleeping a dict");
+        return NULL;
+    }
+    bitgen = PyCapsule_GetPointer(args[5], "BitGenerator");
+    if (bitgen == NULL)
+        return NULL;
+    if (get_buffer(args[0], &view, PyBUF_WRITABLE, "d", sizeof(double), "detect",
+                   "radars") < 0)
+        return NULL;
+    n = (view.len / (Py_ssize_t)sizeof(double) - RADARS) / 3;
+    if (n < 0 || view.len != (RADARS + 3 * n) * (Py_ssize_t)sizeof(double)) {
+        PyBuffer_Release(&view);
+        PyErr_SetString(PyExc_ValueError, "detect: radars is not a radar buffer");
+        return NULL;
+    }
+    hits = PyList_New(0);
+    /* A time that is not a float is left to the reference, at the first animal. */
+    for (; hits && PyFloat_Check(args[4]) && k < PyList_GET_SIZE(animals); k++) {
+        PyObject *a = PyList_GET_ITEM(animals, k);
+        int status;
+
+        Py_INCREF(a);
+        status = try_animal(view.buf, n, a, args[2], args[3], args[4], bitgen, hits);
+        Py_DECREF(a);
+        if (status < 0)
+            Py_CLEAR(hits);
+        else if (status > 0)
+            break;
+    }
+    PyBuffer_Release(&view);
+    return hits ? Py_BuildValue("(nN)", k, hits) : NULL;
+}
+
 static PyMethodDef methods[] = {
     {"advance", (PyCFunction)(void (*)(void))advance, METH_FASTCALL, advance_doc},
     {"threat_present", (PyCFunction)(void (*)(void))threat_present, METH_FASTCALL,
@@ -495,6 +719,7 @@ static PyMethodDef methods[] = {
      crossing_dangers_doc},
     {"detect_collisions", (PyCFunction)(void (*)(void))detect_collisions, METH_FASTCALL,
      detect_collisions_doc},
+    {"detect", (PyCFunction)(void (*)(void))detect, METH_FASTCALL, detect_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -507,7 +732,12 @@ PyMODINIT_FUNC PyInit_advance_idm(void)
     animal_x = PyUnicode_InternFromString("x");
     animal_y = PyUnicode_InternFromString("y");
     animal_aid = PyUnicode_InternFromString("aid");
-    if (!animal_x || !animal_y || !animal_aid)
+    animal_sigma = PyUnicode_InternFromString("sigma");
+    animal_detected = PyUnicode_InternFromString("detected");
+    animal_first_in_range_at = PyUnicode_InternFromString("first_in_range_at");
+    animal_detected_at = PyUnicode_InternFromString("detected_at");
+    if (!animal_x || !animal_y || !animal_aid || !animal_sigma || !animal_detected
+            || !animal_first_in_range_at || !animal_detected_at)
         return NULL;
     return PyModule_Create(&module);
 }

@@ -36,46 +36,30 @@ class AwarenessState:
         self.road_length = config.road_length
         self.boost_until = [-math.inf] * n_radars
         self.dms_active_until = -math.inf
-        # The rids each source radar's broadcast reaches, by the source's
-        # rid, worked out at its first broadcast.
-        self.reached: dict[int, list[int]] = {}
 
     def on_detection(self, event: DetectionEvent, radars: Sequence[RadarNode]) -> None:
         """Apply one detection broadcast (latest-window-wins on every clock).
-        ``radars`` are the trial's radars, the same at every call: a radar
-        is reached where its ring distance from the source is at most the
-        awareness range."""
+        ``radars`` are the trial's radars: a radar is reached where its ring
+        distance from the source is at most the awareness range."""
         expiry = event.time + self.persistence
         if expiry > self.dms_active_until:
             self.dms_active_until = expiry
         if self.mode is not Mode.AWARE:
             return
-        rids = self.reached.get(event.radar_id)
-        if rids is None:
-            rids = self.reached[event.radar_id] = self._reach(radars, event.radar_id)
-        boost_until = self.boost_until
-        if len(rids) == len(boost_until):
-            self.boost_until = [expiry if expiry > b else b for b in boost_until]
-            return
-        for rid in rids:
-            if expiry > boost_until[rid]:
-                boost_until[rid] = expiry
-
-    def _reach(self, radars: Sequence[RadarNode], source: int) -> list[int]:
-        source_x = radars[source].x
         reach = self.awareness_range
         length = self.road_length
         if reach >= length / 2.0:
             # Every float d >= 0 has min(d, length - d) <= length / 2: for
             # d > length / 2 the subtraction is exact (Sterbenz's lemma) or
             # negative. So every radar is reached.
-            return [node.rid for node in radars]
-        rids = []
+            self.boost_until = [expiry if expiry > b else b for b in self.boost_until]
+            return
+        boost_until = self.boost_until
+        source_x = radars[event.radar_id].x
         for node in radars:
             d = abs(node.x - source_x)
-            if min(d, length - d) <= reach:
-                rids.append(node.rid)
-        return rids
+            if min(d, length - d) <= reach and expiry > boost_until[node.rid]:
+                boost_until[node.rid] = expiry
 
     def beta_for(self, radar_id: int, now: float) -> float:
         """Boost multiplier for one radar: boosted strictly before window expiry."""

@@ -5,17 +5,28 @@ draws an independent Bernoulli per covering radar, with a per-frame success
 probability that saturates exponentially in the frame length, scaled by body
 size and, under awareness propagation, by the sensitivity boost. Detection is
 sticky: a detected animal generates no further events.
+
+The module functions are the references. A trial's ``Detector`` runs a
+step's detection, phase 2 of ``engine.run_trial``, over the awake animals:
+in the compiled kernel (``vehicles.load_kernel``), which draws from the
+trial's detection stream through numpy's bit generator, or in a loop over
+``try_detect``, which gives the same bits and draws.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from array import array
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .animals import AnimalState
-from .config import RadarNode
+from .config import CorridorConfig, RadarNode
+from .vehicles import load_kernel
+
+if TYPE_CHECKING:
+    from .awareness import AwarenessState
 
 
 class DetectionParams(NamedTuple):
@@ -90,3 +101,58 @@ def try_detect(animal: AnimalState, radars: Sequence[RadarNode], spacing: float,
             animal.detected_at = now
             return DetectionEvent(time=now, radar_id=node.rid, animal_id=animal.aid)
     return None
+
+
+class Detector:
+    """One trial's radars and detection stream: each step's detection.
+
+    The radar buffer ``buf`` (its slots in advance_idm.c) takes the
+    spacing, ``r_det``, kappa, the frame length, the boost factor, the
+    radar band (``engine._radar_band``) and each radar's x and y, by rid,
+    once. ``detect`` runs in the compiled kernel where it loads, and in its
+    Python loop where the kernel is unavailable or leaves it animals.
+    """
+
+    def __init__(self, config: CorridorConfig, radars: Sequence[RadarNode],
+                 band: tuple[float, float], rng: np.random.Generator):
+        self.radars = radars
+        self.spacing = config.radar_spacing
+        self.params = DetectionParams(kappa=config.kappa, r_det=config.radar_range)
+        self.dt = config.time_step
+        self.band = band
+        self.rng = rng
+        self.bitgen = rng.bit_generator.capsule
+        self.kernel = load_kernel()
+        self.buf = array("d", [self.spacing, self.params.r_det, self.params.kappa,
+                               self.dt, config.boost_factor, *band])
+        for values in ([node.x for node in radars], [node.y for node in radars],
+                       [0.0] * len(radars)):
+            self.buf.extend(values)
+
+    def detect(self, animals: list[AnimalState], sleeping: dict[int, int],
+               awareness: "AwarenessState", now: float) -> list[DetectionEvent]:
+        """This step's detection events, in the order of ``animals``:
+        ``try_detect`` for each animal that is undetected, inside the radar
+        band and not a key of ``sleeping``, boosted by ``awareness``'s
+        clocks as they stand.
+
+        The kernel tries the animals in order up to the first one where
+        ``try_detect`` would raise or reads a value that is not a float;
+        the loop below goes on from that animal, so errors are raised here,
+        as they would be without the kernel."""
+        events = []
+        start = 0
+        if self.kernel:
+            start, hits = self.kernel.detect(self.buf, animals, sleeping,
+                                             awareness.boost_until, now, self.bitgen)
+            events = [DetectionEvent(now, rid, aid) for rid, aid in hits]
+            if start == len(animals):
+                return events
+        lo, hi = self.band
+        for a in animals[start:]:
+            if not a.detected and lo <= a.y <= hi and a.aid not in sleeping:
+                ev = try_detect(a, self.radars, self.spacing, awareness.beta_for, now,
+                                self.dt, self.params, self.rng)
+                if ev is not None:
+                    events.append(ev)
+        return events

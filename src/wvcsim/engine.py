@@ -47,6 +47,11 @@ step or the stretch; a stepped step goes on to phases 5 and 6.
 arrival's ``t <= now``, ``AwarenessState.window_closed`` and
 ``DriverAlert.reacted``.
 
+Phase 2 is one call of the trial's ``detection.Detector.detect`` over the
+awake animals (none in a trial without radars, Control): ``try_detect`` for
+each, in the compiled kernel, which draws from the detection stream through
+numpy's bit generator, or in Python; phase 3 applies each event it returns.
+
 After phase 4 the vehicles hold row k + 1 (k + m after a stretch), taken in
 one call of the trial's ``vehicles.Fleet.advance``. The fleet's buffer is
 the vehicles' only state; the ``VehicleState`` objects of the world are
@@ -75,9 +80,9 @@ all wait at the edge (y = 0) is one kernel round with every brake flag
 clear, like any other non-braking step.
 Phase 6 runs only when phase 5 leaves an animal there; frozen-on-road time
 still counts the whole road, 0 <= y <= road width. Phase 2 skips an animal
-whose y lies outside every radar's reach plus 1 m (``_radar_band``): no radar
-covers it, so ``try_detect`` would draw no random number and record no
-first-in-range time for it.
+whose y lies outside every radar's reach plus 1 m (``_radar_band``, the
+``Detector``'s band): no radar covers it, so ``try_detect`` would draw no
+random number and record no first-in-range time for it.
 """
 
 from __future__ import annotations
@@ -93,9 +98,10 @@ from .animals import (Activity, AnimalState, Arrival, may_be_quiet, quiet_walk,
                       sample_arrivals, step_animal, take_quiet_steps)
 from .awareness import AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
-from .detection import DetectionParams, try_detect
-# perfbench's tracer wraps idm_acceleration and emergency_brake_needed at
-# these names; the engine calls neither (``Fleet.advance`` runs both).
+# perfbench's tracer wraps try_detect, idm_acceleration and
+# emergency_brake_needed at these names; the engine calls none of them
+# (``Detector.detect`` runs the first, ``Fleet.advance`` the other two).
+from .detection import Detector, try_detect
 from .vehicles import (DriverAlert, Fleet, VehicleOverlap, emergency_brake_needed,
                        idm_acceleration)
 
@@ -291,14 +297,10 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     idm = config.idm
     behaviour = config.behaviour
     radars = world.radars
-    spacing = config.radar_spacing
-    det_params = DetectionParams(kappa=config.kappa, r_det=config.radar_range)
     awareness = AwarenessState(config, len(radars))
-    beta_for = awareness.beta_for
     rng_b = streams.behaviour
-    rng_d = streams.detection
-    radar_band = _radar_band(radars, det_params.r_det)
-    radar_lo, radar_hi = radar_band
+    radar_band = _radar_band(radars, config.radar_range)
+    detector = Detector(config, radars, radar_band, streams.detection)
     road_width = geometry.road_width
     spawn_y = geometry.spawn_offset
     forage_lo, forage_hi = behaviour.forage_dwell
@@ -306,7 +308,6 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     active: list[AnimalState] = []
     all_animals: list[AnimalState] = []
     latencies: list[float] = []
-    events = []
     next_arrival = 0
     n_schedule = len(schedule)
     frozen_time = 0.0
@@ -345,21 +346,15 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                 visits[Activity.FORAGING.value] += 1
                 next_arrival += 1
 
-            # Phase 2: detection against the previous step's awareness state,
-            # for awake animals within some radar's reach.
-            for a in active:
-                if not a.detected and radar_lo <= a.y <= radar_hi \
-                        and a.aid not in sleeping:
-                    ev = try_detect(a, radars, spacing, beta_for, now, dt,
-                                    det_params, rng_d)
-                    if ev is not None:
-                        events.append(ev)
-                        latencies.append(a.detected_at - a.first_in_range_at)
-
-            # Phase 3: awareness / sign update from this step's events.
-            for ev in events:
-                awareness.on_detection(ev, radars)
-            events.clear()
+            # Phase 2: detection of the awake animals within some radar's
+            # reach, against the previous step's awareness state, in one
+            # call (none without radars); then phase 3, the awareness / sign
+            # update from each event.
+            if radars:
+                for ev in detector.detect(active, sleeping, awareness, now):
+                    a = all_animals[ev.animal_id]
+                    latencies.append(a.detected_at - a.first_in_range_at)
+                    awareness.on_detection(ev, radars)
 
         # Phase 4: vehicles, synchronously from the pre-step snapshot; in a
         # stretch the sign and alert then hold to step k + m, so it is cut at

@@ -79,14 +79,26 @@ class VehicleState:
     leader: int = -1           # ring leader's index in the trial's list; -1 for none
 
 
-def desired_gap(v: float, dv: float, p: IdmParams) -> float:
-    """Desired gap s* to the leader; clamped at zero if the closing term goes negative."""
-    s_star = p.s0 + v * p.T + v * dv / (2.0 * math.sqrt(p.a_max * p.b_conf))
+def closing_term(p: IdmParams) -> float:
+    """The desired gap's closing-speed divisor, 2 * sqrt(a_max * b_conf)."""
+    return 2.0 * math.sqrt(p.a_max * p.b_conf)
+
+
+def desired_gap(v: float, dv: float, p: IdmParams,
+                closing: Optional[float] = None) -> float:
+    """Desired gap s* to the leader; clamped at zero if the closing term goes
+    negative. ``closing`` is ``closing_term(p)``, worked out here unless
+    given."""
+    if closing is None:
+        closing = closing_term(p)
+    s_star = p.s0 + v * p.T + v * dv / closing
     return s_star if s_star > 0.0 else 0.0
 
 
-def idm_acceleration(v: float, v0: float, dv: float, s: float, p: IdmParams) -> float:
+def idm_acceleration(v: float, v0: float, dv: float, s: float, p: IdmParams,
+                     closing: Optional[float] = None) -> float:
     """IDM acceleration; ``s`` must be positive (use FREE_ROAD_GAP when no leader).
+    ``closing`` is handed to ``desired_gap``.
 
     The powers are products, as in the compiled kernel: ``(s*/s) ** 2`` is
     ``r * r`` and, for delta 4, ``(v/v0) ** 4`` is ``(b * b) * (b * b)``; any
@@ -96,7 +108,7 @@ def idm_acceleration(v: float, v0: float, dv: float, s: float, p: IdmParams) -> 
     """
     if s <= 0.0:
         raise ValueError(f"non-positive gap {s}: vehicles may not interpenetrate")
-    s_star = desired_gap(v, dv, p)
+    s_star = desired_gap(v, dv, p, closing)
     b = v / v0
     if p.delta == 4.0:
         f = b * b
@@ -171,8 +183,7 @@ class Fleet:
         # The kernel's slots (advance_idm.c): the parameters, then n each of
         # directions, lane centres, x, v, two of scratch and brake flags.
         self.buf = array("d", [
-            p.s0, p.T, p.a_max, p.delta, -p.a_em,
-            2.0 * math.sqrt(p.a_max * p.b_conf), dt, road_length,
+            p.s0, p.T, p.a_max, p.delta, -p.a_em, closing_term(p), dt, road_length,
             geometry.vehicle_length, FREE_ROAD_GAP, 2.0 * p.b_conf, p.t_react,
             *brake_zone(geometry, p), *contact_zone(geometry), geometry.road_width,
             behaviour.v_threat, behaviour.t_threat, behaviour.near_pass_distance,
@@ -219,8 +230,9 @@ class Fleet:
             if first >= n_steps:
                 return
         n = len(lead)
-        # The slots DT to FREE_GAP.
+        # The slots DT to FREE_GAP; the closing term from ``p`` as it stands.
         dt, L, length, free_gap = buf[6:10]
+        closing = closing_term(p)
         dirs = buf[_STATE:_STATE + n]
         x, flags = _STATE + 2 * n, _STATE + 6 * n
         brake = [False] * n
@@ -235,12 +247,12 @@ class Fleet:
             for i in range(n):
                 xi, vi, j = xs[i], vs[i], lead[i]
                 if j < 0:
-                    a = idm_acceleration(vi, v0, 0.0, free_gap, p)
+                    a = idm_acceleration(vi, v0, 0.0, free_gap, p, closing)
                 else:
                     gap = ((xs[j] - xi) * dirs[i]) % L - length
                     if gap <= 0.0:
                         raise VehicleOverlap(step, i, j)
-                    a = idm_acceleration(vi, v0, vi - vs[j], gap, p)
+                    a = idm_acceleration(vi, v0, vi - vs[j], gap, p, closing)
                 nv = vi + (-p.a_em if brake[i] else a) * dt
                 nvs.append(0.0 if nv < 0.0 else nv)
             buf[x:x + 2 * n] = array("d", [(xi + nv * dt * d) % L for xi, nv, d
@@ -287,12 +299,14 @@ _kernel = None
 
 
 def load_kernel():
-    """The compiled vehicle kernel: on the first call in a process, the C
-    source shipped with the package is compiled with ``build_command`` into
-    a private temporary directory and imported as an extension module, which
-    is returned. Where that fails, warns once with the reason and returns
-    False; ``Fleet`` then steps and scans in Python, which gives the same
-    bits."""
+    """The compiled kernel: on the first call in a process, the C source
+    shipped with the package is compiled with ``build_command`` into a
+    private temporary directory and imported as an extension module, which
+    is returned. Its entries serve ``Fleet`` (``advance`` and the three
+    scans) and ``detection.Detector`` (``detect``, which draws through
+    numpy's bit generator). Where the build or import fails, warns once with
+    the reason and returns False; both then run in Python, which gives the
+    same bits and draws."""
     global _kernel
     if _kernel is None:
         try:
@@ -314,13 +328,15 @@ def _no_kernel(reason: str) -> bool:
 
 def build_command(source: str, target: str) -> list[str]:
     """The command that compiles ``source`` into the extension ``target``:
-    ``CC`` with this interpreter's include directory. On macOS the Python
-    C-API symbols are left for the interpreter to resolve on import, since
-    its linker rejects undefined symbols by default."""
+    ``CC`` with this interpreter's include directory and numpy's, for
+    ``numpy/random/bitgen.h`` alone (no numpy library is linked). On macOS
+    the Python C-API symbols are left for the interpreter to resolve on
+    import, since its linker rejects undefined symbols by default."""
     import sysconfig
+    import numpy
     darwin = ["-undefined", "dynamic_lookup"] if sys.platform == "darwin" else []
-    return [*CC, *darwin, "-I", sysconfig.get_paths()["include"], "-o", target,
-            source, "-lm"]
+    return [*CC, *darwin, "-I", sysconfig.get_paths()["include"],
+            "-I", numpy.get_include(), "-o", target, source, "-lm"]
 
 
 def _build_kernel():

@@ -1,12 +1,18 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import wvcsim.engine
+import wvcsim.vehicles
 from wvcsim.animals import AnimalState
-from wvcsim.config import CorridorConfig, Mode, build_corridor
-from wvcsim.detection import (DetectionParams, detection_probability, f_size,
-                              radars_in_range, try_detect)
+from wvcsim.awareness import AwarenessState
+from wvcsim.config import CorridorConfig, Mode, build_corridor, replace_config
+from wvcsim.detection import (DetectionParams, Detector, detection_probability,
+                              f_size, radars_in_range, try_detect)
 
 REL = 1e-12
 DT = 0.1
@@ -164,3 +170,219 @@ class TestRadarsInRange:
         world = build_corridor(cfg)
         hits = radars_in_range(500.0, 0.0, world.radars, 5.0, 15.0)
         assert len(hits) >= 3
+
+
+def detect_config(**overrides):
+    return replace_config(CorridorConfig(), mode=Mode.AWARE, **overrides)
+
+
+def compiled_kernel():
+    kernel = wvcsim.vehicles.load_kernel()
+    if not kernel:
+        pytest.skip("no compiled vehicle kernel on this host")
+    return kernel
+
+
+def detect_outcome(kernel, case):
+    """``Detector.detect`` on a copy of ``case``'s animals, with the kernel
+    slot set to ``kernel``: what it raised (type and message), its events,
+    each animal's ``detected``, ``detected_at`` and ``first_in_range_at``
+    (floats by repr, which tells every two apart), the generator's state
+    after it, and where the compiled entry stopped (None without it)."""
+    overrides, animals, sleeping, clocks, now, seed = case
+    config = detect_config(**overrides)
+    radars = build_corridor(config).radars
+    band = wvcsim.engine._radar_band(radars, config.radar_range)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    awareness = AwarenessState(config, len(radars))
+    for rid, clock in clocks.items():
+        awareness.boost_until[rid] = clock
+    animals = copy.deepcopy(animals)
+    saved = wvcsim.vehicles._kernel
+    wvcsim.vehicles._kernel = kernel
+    try:
+        detector = Detector(config, radars, band, rng)
+    finally:
+        wvcsim.vehicles._kernel = saved
+    stops = []
+    if kernel:
+        def spied(*args):
+            out = kernel.detect(*args)
+            stops.append(out[0])
+            return out
+        detector.kernel = type("Spied", (), {"detect": staticmethod(spied)})
+    error = events = None
+    try:
+        events = detector.detect(animals, sleeping, awareness, now)
+    except (ValueError, TypeError) as exc:
+        error = (type(exc).__name__, str(exc))
+    fields = [(a.detected, repr(a.detected_at), repr(a.first_in_range_at))
+              for a in animals]
+    return (error, events, fields, rng.bit_generator.state), (stops or [None])[0]
+
+
+def plain(case):
+    """Whether each animal of ``case`` has float x, y and sigma, sigma > 0:
+    the compiled entry leaves none of them to the reference."""
+    return all(type(a.x) is float and type(a.y) is float and type(a.sigma) is float
+               and a.sigma > 0.0 for a in case[1])
+
+
+@st.composite
+def detect_cases(draw):
+    """A radar grid (ring length, spacing, range, kappa, frame length and
+    boost factor drawn), its boost clocks (each at -inf, at ``now``, a ULP
+    either side of it or near it), a time, a seed and 0-8 animals: each near
+    a radar, at its radius or anywhere, at a band edge or a ULP outside it,
+    detected or not, in range before or not, asleep or awake."""
+    overrides = dict(
+        road_length=draw(st.sampled_from((1000.0, 600.0)) | st.floats(50.0, 2000.0)),
+        radar_spacing=draw(st.sampled_from((5.0, 15.0, 7.0)) | st.floats(2.0, 60.0)),
+        radar_range=draw(st.just(15.0) | st.floats(1.0, 40.0)),
+        kappa=draw(st.sampled_from((0.3, 3.0)) | st.floats(0.0, 60.0)),
+        time_step=draw(st.sampled_from((0.1, 0.05, 0.8)) | st.floats(0.01, 1.0)),
+        boost_factor=draw(st.just(1.8) | st.floats(1.0, 4.0) | st.floats(4.0, 1e3)))
+    config = detect_config(**overrides)
+    radars = build_corridor(config).radars
+    r_det = config.radar_range
+    lo, hi = wvcsim.engine._radar_band(radars, r_det)
+    now = draw(st.integers(0, 5000)) * config.time_step
+    clocks = {}
+    for rid in draw(st.lists(st.integers(0, len(radars) - 1), max_size=12)):
+        clocks[rid] = draw(st.sampled_from((
+            -math.inf, now, math.nextafter(now, -math.inf), math.nextafter(now, math.inf)))
+            | st.floats(now - 40.0, now + 40.0))
+    animals, sleeping = [], {}
+    for aid in range(draw(st.integers(0, 8))):
+        node = draw(st.sampled_from(radars))
+        x = draw(st.sampled_from((node.x - r_det, node.x + r_det))
+                 | st.floats(node.x - r_det - 2.0, node.x + r_det + 2.0)
+                 | st.floats(0.0, config.road_length))
+        y = draw(st.sampled_from((node.y, lo, hi, math.nextafter(lo, -math.inf),
+                                  math.nextafter(hi, math.inf)))
+                 | st.floats(node.y - r_det - 2.0, node.y + r_det + 2.0))
+        a = AnimalState(aid=aid, x=x, y=y, sigma=draw(st.floats(0.05, 4.0)))
+        if draw(st.integers(0, 4)) == 0:
+            a.detected, a.detected_at = True, now - 1.0
+        if draw(st.booleans()):
+            a.first_in_range_at = now - draw(st.floats(0.0, 30.0))
+        if draw(st.integers(0, 4)) == 0:
+            sleeping[aid] = 0
+        animals.append(a)
+    return overrides, animals, sleeping, clocks, now, draw(st.integers(0, 2 ** 32))
+
+
+def animal(x, y, sigma=1.0, aid=0):
+    return AnimalState(aid=aid, x=x, y=y, sigma=sigma)
+
+
+NEAR_Y = CorridorConfig().radar_shoulder_near
+LO, HI = wvcsim.engine._radar_band(build_corridor(detect_config()).radars, 15.0)
+# Radar 0 sits at x = 0 on the near shoulder, radar 1 at x = 15.
+AT_RADIUS = ({}, [animal(15.0, NEAR_Y)], {}, {}, 0.0, 1)
+# Radars 0 and 1 cover the animal. Unboosted each draws with p = 0.095, and
+# seed 2's two draws, 0.26 and 0.30, miss; boosted, p is 1. A clock at now
+# does not boost.
+BOOST_AT_NOW = ({"kappa": 1.0, "boost_factor": 1e6}, [animal(7.0, NEAR_Y)], {},
+                {0: 12.5, 1: 12.5}, 12.5, 2)
+BOOST_PAST_NOW = BOOST_AT_NOW[:3] + ({0: math.nextafter(12.5, math.inf)},) \
+    + BOOST_AT_NOW[4:]
+UNEVEN_GRID = ({"radar_spacing": 7.0}, [animal(994.0, NEAR_Y), animal(999.5, NEAR_Y, aid=1)],
+               {}, {}, 3.0, 3)
+SLEEPER = ({"kappa": 1e9}, [animal(30.0, NEAR_Y), animal(45.0, NEAR_Y, aid=1)], {0: 7},
+           {}, 1.0, 4)
+# y at each edge of the radar band, which is tried, and a ULP outside it,
+# which is not: no radar covers either.
+BAND_EDGES = ({}, [animal(300.0, y, aid=i) for i, y in enumerate(
+    (LO, HI, math.nextafter(LO, -math.inf), math.nextafter(HI, math.inf)))],
+    {}, {}, 2.0, 5)
+# An int x is left to the reference, after a hit in the kernel and before
+# an animal the reference tries again.
+INT_X = ({"kappa": 1e9}, [animal(15.0, NEAR_Y), animal(30, NEAR_Y, aid=1),
+                          animal(45.0, NEAR_Y, aid=2)], {}, {}, 0.5, 6)
+# sigma <= 0 raises the reference's ValueError after the draws of the
+# animals before it.
+ZERO_SIGMA = ({}, [animal(15.0, NEAR_Y), animal(30.0, NEAR_Y, sigma=0.0, aid=1)],
+              {}, {}, 0.5, 7)
+NEGATIVE_SIGMA = ({}, [animal(15.0, NEAR_Y, sigma=-1.0)], {}, {}, 0.5, 8)
+
+
+class TestCompiledDetect:
+    """The kernel's ``detect`` is ``Detector``'s Python loop over
+    ``try_detect``: the same events, animal fields, errors and draws."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=detect_cases())
+    @example(case=AT_RADIUS)
+    @example(case=BOOST_AT_NOW)
+    @example(case=BOOST_PAST_NOW)
+    @example(case=UNEVEN_GRID)
+    @example(case=SLEEPER)
+    @example(case=BAND_EDGES)
+    @example(case=INT_X)
+    @example(case=ZERO_SIGMA)
+    @example(case=NEGATIVE_SIGMA)
+    def test_same_draws_and_writes_as_python(self, case):
+        compiled, stop = detect_outcome(compiled_kernel(), case)
+        assert compiled == detect_outcome(False, case)[0]
+        if plain(case):
+            assert stop == len(case[1])
+
+    def test_examples_decide_as_stated(self):
+        compiled_kernel()
+        outcome = {name: detect_outcome(wvcsim.vehicles.load_kernel(), case)
+                   for name, case in (("radius", AT_RADIUS), ("at-now", BOOST_AT_NOW),
+                                      ("past-now", BOOST_PAST_NOW), ("sleeper", SLEEPER),
+                                      ("edges", BAND_EDGES), ("int", INT_X),
+                                      ("zero", ZERO_SIGMA), ("negative", NEGATIVE_SIGMA))}
+        assert outcome["radius"][0][2][0][2] == "0.0"  # covered at r_det
+        assert [outcome[name][0][2][0][0] for name in ("at-now", "past-now")] \
+            == [False, True]
+        # The sleeper is not tried; the animal beside it is detected.
+        assert [f[0] for f in outcome["sleeper"][0][2]] == [False, True]
+        assert outcome["edges"][0][2] == [(False, "None", "None")] * 4
+        (_, events, _, _), stop = outcome["int"]
+        assert stop == 1 and [ev.animal_id for ev in events] == [0, 1, 2]
+        for name in ("zero", "negative"):
+            (error, _, fields, _), stop = outcome[name]
+            assert error == ("ValueError", "sigma must be positive")
+            assert stop == len(fields) - 1 and fields[-1][2] == "0.5"
+
+    def test_no_draw_for_an_animal_left_to_the_reference(self):
+        # The kernel stops before the int-x animal: the stream has moved by
+        # the first animal's draws alone.
+        kernel = compiled_kernel()
+        config = detect_config(kappa=1e9)
+        radars = build_corridor(config).radars
+        rng = np.random.Generator(np.random.PCG64(6))
+        animals = copy.deepcopy(INT_X[1])
+        stop, hits = kernel.detect(Detector(config, radars, (LO, HI), rng).buf,
+                                   animals, {}, [-math.inf] * len(radars), 0.5,
+                                   rng.bit_generator.capsule)
+        ref = np.random.Generator(np.random.PCG64(6))
+        ref.random()
+        assert (stop, hits) == (1, [(0, 0)])
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert animals[1].first_in_range_at is None
+
+    @pytest.mark.parametrize("args, error", [
+        ((), TypeError),
+        (("buf", [], {}, [], 0.0), TypeError),
+        (("buf", (), {}, [], 0.0, "capsule"), TypeError),
+        (("buf", [], [], [], 0.0, "capsule"), TypeError),
+        (("buf", [], {}, (), 0.0, "capsule"), TypeError),
+        (("buf", [], {}, [], 0.0, None), ValueError),
+        ((bytearray(80), [], {}, [], 0.0, "capsule"), TypeError),
+        (("buf[:-1]", [], {}, [], 0.0, "capsule"), ValueError),
+        (("buf[:4]", [], {}, [], 0.0, "capsule"), ValueError),
+    ], ids=["none", "five", "tuple-animals", "list-sleeping", "tuple-clocks",
+            "no-capsule", "bytearray", "short", "shorter-than-the-parameters"])
+    def test_wrong_arguments_raise(self, args, error):
+        kernel = compiled_kernel()
+        config = detect_config()
+        rng = np.random.default_rng(0)
+        detector = Detector(config, build_corridor(config).radars, (LO, HI), rng)
+        named = {"buf": detector.buf, "buf[:-1]": detector.buf[:-1],
+                 "buf[:4]": detector.buf[:4], "capsule": rng.bit_generator.capsule}
+        with pytest.raises(error):
+            kernel.detect(*(named.get(a, a) if isinstance(a, str) else a for a in args))

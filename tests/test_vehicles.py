@@ -11,6 +11,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
+import numpy
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -1037,6 +1038,26 @@ class TestCompiledKernel:
         built = subprocess.run([*command, "-Wall", "-Wextra", "-Werror"],
                                capture_output=True, text=True)
         assert built.returncode == 0, built.stderr
+
+    @pytest.mark.skipif(shutil.which(wvcsim.vehicles.CC[0]) is None,
+                        reason="no C compiler on PATH")
+    def test_missing_numpy_header_falls_back_loudly(self, monkeypatch, tmp_path):
+        # With numpy's include directory empty, bitgen.h is not found: the
+        # first load warns with the compiler's message and the next is
+        # silent; a trial then gives the compiled kernel's result.
+        compiled_kernel()
+        config = replace_config(CorridorConfig(), mode=Mode.AWARE, arrival_rate=300.0,
+                                radar_spacing=5.0, kappa=0.3)
+        compiled = dataclasses.asdict(run_trial(config, 0.05, 0, 3))
+        assert compiled["detected"]
+        monkeypatch.setattr(numpy, "get_include", lambda: str(tmp_path))
+        monkeypatch.setattr(wvcsim.vehicles, "_kernel", None)
+        with pytest.warns(RuntimeWarning, match="numpy/random/bitgen.h"):
+            assert wvcsim.vehicles.load_kernel() is False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert wvcsim.vehicles.load_kernel() is False
+            assert dataclasses.asdict(run_trial(config, 0.05, 0, 3)) == compiled
 
     def test_macos_links_against_the_loading_interpreter(self, monkeypatch):
         # Apple's linker rejects the C-API symbols, undefined until the
