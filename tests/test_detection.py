@@ -223,10 +223,13 @@ def detect_outcome(kernel, case):
 
 
 def plain(case):
-    """Whether each animal of ``case`` has float x, y and sigma, sigma > 0:
-    the compiled entry leaves none of them to the reference."""
-    return all(type(a.x) is float and type(a.y) is float and type(a.sigma) is float
-               and a.sigma > 0.0 for a in case[1])
+    """Whether ``case``'s time and boost clocks are floats and each of its
+    animals has float x, y and sigma, sigma > 0: the compiled entry leaves
+    none of them to the reference."""
+    _, animals, _, clocks, now, _ = case
+    return type(now) is float and all(type(c) is float for c in clocks.values()) \
+        and all(type(a.x) is float and type(a.y) is float and type(a.sigma) is float
+                and a.sigma > 0.0 for a in animals)
 
 
 @st.composite
@@ -306,6 +309,10 @@ INT_X = ({"kappa": 1e9}, [animal(15.0, NEAR_Y), animal(30, NEAR_Y, aid=1),
 ZERO_SIGMA = ({}, [animal(15.0, NEAR_Y), animal(30.0, NEAR_Y, sigma=0.0, aid=1)],
               {}, {}, 0.5, 7)
 NEGATIVE_SIGMA = ({}, [animal(15.0, NEAR_Y, sigma=-1.0)], {}, {}, 0.5, 8)
+# An int boost clock, which boosts radar 0, and an int time are left to the
+# reference too.
+INT_CLOCK = BOOST_AT_NOW[:3] + ({0: 13},) + BOOST_AT_NOW[4:]
+INT_NOW = ({}, [animal(15.0, NEAR_Y)], {}, {}, 2, 9)
 
 
 class TestCompiledDetect:
@@ -323,6 +330,8 @@ class TestCompiledDetect:
     @example(case=INT_X)
     @example(case=ZERO_SIGMA)
     @example(case=NEGATIVE_SIGMA)
+    @example(case=INT_CLOCK)
+    @example(case=INT_NOW)
     def test_same_draws_and_writes_as_python(self, case):
         compiled, stop = detect_outcome(compiled_kernel(), case)
         assert compiled == detect_outcome(False, case)[0]
@@ -335,7 +344,8 @@ class TestCompiledDetect:
                    for name, case in (("radius", AT_RADIUS), ("at-now", BOOST_AT_NOW),
                                       ("past-now", BOOST_PAST_NOW), ("sleeper", SLEEPER),
                                       ("edges", BAND_EDGES), ("int", INT_X),
-                                      ("zero", ZERO_SIGMA), ("negative", NEGATIVE_SIGMA))}
+                                      ("zero", ZERO_SIGMA), ("negative", NEGATIVE_SIGMA),
+                                      ("int-clock", INT_CLOCK), ("int-now", INT_NOW))}
         assert outcome["radius"][0][2][0][2] == "0.0"  # covered at r_det
         assert [outcome[name][0][2][0][0] for name in ("at-now", "past-now")] \
             == [False, True]
@@ -344,6 +354,8 @@ class TestCompiledDetect:
         assert outcome["edges"][0][2] == [(False, "None", "None")] * 4
         (_, events, _, _), stop = outcome["int"]
         assert stop == 1 and [ev.animal_id for ev in events] == [0, 1, 2]
+        assert outcome["int-clock"][1] == outcome["int-now"][1] == 0
+        assert outcome["int-clock"][0][2][0][0]
         for name in ("zero", "negative"):
             (error, _, fields, _), stop = outcome[name]
             assert error == ("ValueError", "sigma must be positive")
