@@ -1,9 +1,10 @@
-/* The compiled form of wvcsim.vehicles.Fleet's steps and scans and of
-   wvcsim.detection.Detector's detection, a CPython extension module built
-   on first use, with five entries: advance, threat_present,
-   crossing_dangers, detect_collisions and detect. A fleet's buffer is its
-   vehicles' only state: x, v and the brake flags live there, and no entry
-   reads or writes a VehicleState.
+/* The compiled form of wvcsim.vehicles.Fleet's steps and scans, of
+   wvcsim.detection.Detector's detection and of wvcsim.animals.Herd's
+   behaviour, a CPython extension module built on first use, with six
+   entries: advance, threat_present, crossing_dangers, detect_collisions,
+   detect and behave. A fleet's buffer is its vehicles' only state: x, v and
+   the brake flags live there, and no entry reads or writes a
+   VehicleState.
 
    advance is a port of rounds of the Python body of Fleet.advance: the
    reference functions desired_gap, idm_acceleration and step_vehicles on
@@ -52,7 +53,24 @@
    negative kappa, beta or dt, a boost clock past the list) or reads a value
    that is not a float (an animal's x, y or sigma, a boost clock, the time),
    detect stops before that animal, before any draw or write for it, and
-   returns its index: Detector's Python loop goes on from there. */
+   returns its index: Detector's Python loop goes on from there.
+
+   behave is phase 5 of a trial step, a port of wvcsim.animals.Herd's
+   Python loop: step_animal for each awake animal, the engine's visit and
+   frozen-time accounting, and, for an animal left off the carriageway,
+   may_be_quiet, quiet_walk, take_quiet_steps and its sleep. It reads a
+   herd buffer (its slots below) and the vehicles from the fleet's buffer,
+   with the scans' own threat and danger tests, and draws from the trial's
+   behaviour stream as detect draws: Generator.random() is one next_double,
+   and Generator.uniform(lo, hi) is numpy's lo + (hi - lo) * next_double. It
+   writes the activities, and the dwell an animal freezes with, as the
+   objects the reference writes. Where the reference would raise (a state
+   that is not an Activity, or is MOVED_AWAY; a ring of length 0 under a
+   threat test; a hesitate range numpy's uniform rejects) or reads a value
+   that is not a float or the like (an animal's x, y or dwell, a detected
+   that is not a bool, interacted vehicles that are not a set), behave
+   stops before that animal, before any draw or write for it, and returns
+   its index: Herd's Python loop goes on from there. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -82,7 +100,9 @@ enum {
 
 /* The names of the animal attributes the kernel reads and writes. */
 static PyObject *animal_x, *animal_y, *animal_aid, *animal_sigma, *animal_detected,
-    *animal_first_in_range_at, *animal_detected_at;
+    *animal_first_in_range_at, *animal_detected_at, *animal_state, *animal_dwell,
+    *animal_left_foraging, *animal_entered_road, *animal_crossed, *animal_frozen_from,
+    *animal_interacted;
 
 /* CPython's float_rem: fmod, then the remainder takes the sign of the
    divisor. For w > 0, three exact paths answer without fmod, each with
@@ -342,27 +362,59 @@ static double ring_distance(double dx, double L)
     return rest < dx ? rest : dx;
 }
 
-/* A scan's fleet: its buffer, read only, and the size n that the buffer's
-   length, STATE + 7n doubles, gives. */
-static int get_fleet(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                     Py_buffer *buf, Py_ssize_t *n)
+/* threat_present for an animal at ax and the n vehicles of the fleet's
+   buffer b. */
+static int threatened(const double *b, Py_ssize_t n, double ax)
+{
+    const double *dir = b + STATE, *x = dir + 2 * n, *v = x + n;
+    Py_ssize_t i;
+
+    for (i = 0; i < n; i++)
+        if (is_threat(b, ax, x[i], v[i], dir[i]))
+            return 1;
+    return 0;
+}
+
+/* Whether vehicle i of the n of the fleet's buffer b meets a crossing
+   animal at ax dangerously (crossing_dangers): braking within the
+   interaction distance, or not braking and a threat. */
+static int dangerous(const double *b, Py_ssize_t n, Py_ssize_t i, double ax)
+{
+    const double *dir = b + STATE, *x = dir + 2 * n, *v = x + n, *flag = v + 3 * n;
+
+    if (flag[i] != 0.0)
+        return !(ring_distance(fabs(x[i] - ax), b[RING]) >= b[INTERACT]);
+    return is_threat(b, ax, x[i], v[i], dir[i]);
+}
+
+/* A fleet's buffer obj, read only, the argument ``what`` of the function
+   ``name``, and the size n that its length, STATE + 7n doubles, gives. */
+static int fleet_buffer(PyObject *obj, Py_buffer *buf, Py_ssize_t *n, const char *name,
+                        const char *what)
 {
     Py_ssize_t slots;
 
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError, "%s takes 2 arguments (%zd given)", name, nargs);
-        return -1;
-    }
-    if (get_buffer(args[0], buf, PyBUF_SIMPLE, "d", sizeof(double), name, "buf") < 0)
+    if (get_buffer(obj, buf, PyBUF_SIMPLE, "d", sizeof(double), name, what) < 0)
         return -1;
     slots = buf->len / (Py_ssize_t)sizeof(double) - STATE;
     *n = slots / 7;
     if (slots < 0 || slots % 7) {
         PyBuffer_Release(buf);
-        PyErr_Format(PyExc_ValueError, "%s: buf is not a fleet's buffer", name);
+        PyErr_Format(PyExc_ValueError, "%s: %s is not a fleet's buffer", name, what);
         return -1;
     }
     return 0;
+}
+
+/* A scan's fleet, its first of two arguments (see fleet_buffer). */
+static int get_fleet(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                     Py_buffer *buf, Py_ssize_t *n)
+{
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "%s takes 2 arguments (%zd given)", name, nargs);
+        return -1;
+    }
+    return fleet_buffer(args[0], buf, n, name, "buf");
 }
 
 PyDoc_STRVAR(threat_present_doc,
@@ -374,10 +426,9 @@ static PyObject *threat_present(PyObject *self, PyObject *const *args,
                                 Py_ssize_t nargs)
 {
     Py_buffer buf;
-    Py_ssize_t n, i;
-    const double *b, *dir, *x, *v;
-    double ax;
-    int found = 0;
+    Py_ssize_t n;
+    const double *b;
+    int found;
 
     (void)self;
     if (get_fleet("threat_present", args, nargs, &buf, &n) < 0)
@@ -387,12 +438,7 @@ static PyObject *threat_present(PyObject *self, PyObject *const *args,
         PyBuffer_Release(&buf);
         Py_RETURN_NONE;
     }
-    ax = PyFloat_AS_DOUBLE(args[1]);
-    dir = b + STATE;
-    x = dir + 2 * n;
-    v = x + n;
-    for (i = 0; i < n && !found; i++)
-        found = is_threat(b, ax, x[i], v[i], dir[i]);
+    found = threatened(b, n, PyFloat_AS_DOUBLE(args[1]));
     PyBuffer_Release(&buf);
     return PyBool_FromLong(found);
 }
@@ -409,7 +455,7 @@ static PyObject *crossing_dangers(PyObject *self, PyObject *const *args,
 {
     Py_buffer buf;
     Py_ssize_t n, i;
-    const double *b, *dir, *x, *v, *flag;
+    const double *b;
     double ax;
     PyObject *found;
 
@@ -422,20 +468,12 @@ static PyObject *crossing_dangers(PyObject *self, PyObject *const *args,
         Py_RETURN_NONE;
     }
     ax = PyFloat_AS_DOUBLE(args[1]);
-    dir = b + STATE;
-    x = dir + 2 * n;
-    v = x + n;
-    flag = v + 3 * n;
     found = PyList_New(0);
     for (i = 0; found && i < n; i++) {
         PyObject *index;
 
-        if (flag[i] != 0.0) {
-            if (ring_distance(fabs(x[i] - ax), b[RING]) >= b[INTERACT])
-                continue;
-        } else if (!is_threat(b, ax, x[i], v[i], dir[i])) {
+        if (!dangerous(b, n, i, ax))
             continue;
-        }
         index = PyLong_FromSsize_t(i);
         if (index == NULL || PyList_Append(found, index) < 0)
             Py_CLEAR(found);
@@ -711,6 +749,447 @@ static PyObject *detect(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return hits ? Py_BuildValue("(nN)", k, hits) : NULL;
 }
 
+/* behave's herd buffer: the frame length, the behaviour parameters it
+   reads (HESITATE_LO and HESITATE_HI are hesitate_dwell, FREE_BELOW is
+   p_frozen_threat + p_flee_threat), the road width, the spawn offset, the
+   exit edge (the road width plus exit_offset), _DWELL_EPS and the radar
+   band. */
+enum {
+    TICK, V_APPROACH, V_CROSS, V_FLEE, HESITATE_LO, HESITATE_HI, P_CROSS,
+    P_FROZEN, FREE_BELOW, P_FREEZE, WIDTH, SPAWN, EXIT, EPS, QUIET_LO, QUIET_HI,
+    HERD_SLOTS
+};
+
+/* behave's constants: the activities, in Activity's order, then their
+   visit keys (each activity's value), then frozen_max_dwell. */
+enum {
+    FORAGING, APPROACHING, HESITATING, CROSSING, FROZEN, FLEEING, MOVED_AWAY,
+    ACTIVITIES, FROZEN_DWELL = 2 * ACTIVITIES, CONSTANTS
+};
+
+/* One behave call: the herd's and the fleet's buffers, the fleet's size,
+   the constants, the behaviour stream, and the step's running totals. */
+typedef struct {
+    const double *h, *f;
+    Py_ssize_t n;
+    PyObject *const *c;
+    bitgen_t *bitgen;
+    PyObject *sleeping, *on_road;
+    long k, limit, next_wake;
+    double frozen_time;
+    Py_ssize_t visits[ACTIVITIES];
+    int pruned, ring_ok, range_ok;
+} Step;
+
+/* Generator.uniform(*hesitate_dwell): numpy's low + (high - low) * next_double. */
+static double hesitate_dwell(Step *p)
+{
+    const double lo = p->h[HESITATE_LO], hi = p->h[HESITATE_HI];
+
+    return lo + (hi - lo) * p->bitgen->next_double(p->bitgen->state);
+}
+
+/* obj.name = value, a new float; -1 on an error. */
+static int set_float(PyObject *obj, PyObject *name, double value)
+{
+    PyObject *f = PyFloat_FromDouble(value);
+    int status = f ? PyObject_SetAttr(obj, name, f) : -1;
+
+    Py_XDECREF(f);
+    return status;
+}
+
+/* quiet_walk for an animal that may_be_quiet admits, in activity *s with
+   dwell *dwell at *y, and the radar band lo to hi, empty (lo > hi) for a
+   detected animal: its steps walked, up to limit, with *s, *dwell and *y
+   after them. */
+static long quiet_walk(const double *h, long limit, double lo, double hi, int *s,
+                       double *dwell, double *y)
+{
+    const double dt = h[TICK];
+    double d = *dwell, wy = *y, next;
+    long n = 0;
+
+    if (*s == FORAGING)
+        while (n < limit) {
+            d -= dt;
+            n++;
+            if (d <= h[EPS]) {
+                *s = APPROACHING;
+                break;
+            }
+        }
+    if (*s == APPROACHING) {
+        while (n < limit && !(lo <= wy && wy <= hi)) {
+            next = wy + h[V_APPROACH] * dt;
+            if (next >= 0.0)
+                break;
+            wy = next;
+            n++;
+        }
+    } else if (*s == HESITATING) {
+        while (n < limit && !(lo <= wy && wy <= hi)) {
+            next = d - dt;
+            if (next <= h[EPS])
+                break;
+            d = next;
+            n++;
+        }
+    } else if (*s == CROSSING) {
+        while (n < limit && !(lo <= wy && wy <= hi)) {
+            next = wy + h[V_CROSS] * dt;
+            if (next >= h[EXIT])
+                break;
+            wy = next;
+            n++;
+        }
+    } else if (*s == FLEEING) {
+        while (n < limit && !(lo <= wy && wy <= hi)) {
+            next = wy - h[V_FLEE] * dt;
+            if (next <= h[SPAWN])
+                break;
+            wy = next;
+            n++;
+        }
+    }
+    *dwell = d;
+    *y = wy;
+    return n;
+}
+
+/* Phase 5 for the animal a: unless it sleeps, step_animal, its visit and
+   frozen-time accounting and, where it is left off the carriageway and
+   may_be_quiet admits it, its quiet walk (take_quiet_steps) and sleep.
+   Returns 0 once the animal is done, 1 to leave it to the reference,
+   before any draw or write for it, and -1 on an error, with an exception
+   set. */
+static int behave_animal(Step *p, PyObject *a)
+{
+    const double *h = p->h;
+    const double dt = h[TICK];
+    PyObject *aid, *value, *interacted = NULL, *frozen_from = NULL;
+    PyObject *dwell_obj = NULL, *came_from = NULL, *wake;
+    double x, y, dwell, u, lo = h[QUIET_LO], hi = h[QUIET_HI];
+    int s = MOVED_AWAY, s0, walked, asleep, detected, status = 1;
+    int set_y = 0, set_dwell = 0, left = 0, entered = 0, crossed = 0;
+    Py_ssize_t i;
+    long n;
+
+    aid = PyObject_GetAttr(a, animal_aid);
+    asleep = aid ? PyDict_Contains(p->sleeping, aid) : -1;
+    if (asleep > 0)
+        status = 0;
+    if (asleep)
+        goto done;
+    value = PyObject_GetAttr(a, animal_state);
+    if (value) {
+        for (s = 0; s < MOVED_AWAY && value != p->c[s]; s++)
+            ;
+        Py_DECREF(value);    /* the constants hold each activity */
+    }
+    /* Every check the reference makes for the animal, and every read of a
+       value that is not a float, before the first draw or write. */
+    if (s == MOVED_AWAY || !read_float(a, animal_x, &x) || !read_float(a, animal_y, &y)
+            || !read_float(a, animal_dwell, &dwell))
+        goto done;
+    value = PyObject_GetAttr(a, animal_detected);
+    detected = value == Py_True ? 1 : value == Py_False ? 0 : -1;
+    Py_XDECREF(value);
+    if (detected < 0
+            || (!p->ring_ok && (s == HESITATING || s == CROSSING || s == FROZEN))
+            || (!p->range_ok && (s == APPROACHING || s == HESITATING || s == FROZEN)))
+        goto done;
+    if (s == CROSSING && y < h[WIDTH]) {
+        interacted = PyObject_GetAttr(a, animal_interacted);
+        if (interacted == NULL || !PySet_CheckExact(interacted))
+            goto done;
+    }
+    if (s == FROZEN && (frozen_from = PyObject_GetAttr(a, animal_frozen_from)) == NULL)
+        goto done;
+
+    /* step_animal. */
+    status = -1;
+    s0 = s;
+    switch (s) {
+    case FORAGING:
+        dwell -= dt;
+        set_dwell = 1;
+        if (dwell <= h[EPS]) {
+            s = APPROACHING;
+            left = 1;
+        }
+        break;
+    case APPROACHING:
+        y += h[V_APPROACH] * dt;
+        set_y = 1;
+        if (y >= 0.0) {
+            y = 0.0;
+            s = HESITATING;
+            dwell = hesitate_dwell(p);
+            set_dwell = 1;
+        }
+        break;
+    case HESITATING:
+        dwell -= dt;
+        set_dwell = 1;
+        if (dwell > h[EPS])
+            break;
+        u = p->bitgen->next_double(p->bitgen->state);
+        if (threatened(p->f, p->n, x)) {
+            if (u < h[P_FROZEN]) {
+                s = FROZEN;
+                came_from = p->c[HESITATING];
+                dwell_obj = p->c[FROZEN_DWELL];
+            } else if (u < h[FREE_BELOW]) {
+                s = FLEEING;
+            } else {
+                dwell = hesitate_dwell(p);
+            }
+        } else if (u < h[P_CROSS]) {
+            s = CROSSING;
+        } else {
+            dwell = hesitate_dwell(p);
+        }
+        break;
+    case CROSSING:
+        /* A dangerous interaction rolls a freeze at most once per vehicle. */
+        for (i = 0; interacted && i < p->n; i++) {
+            PyObject *vid;
+            int seen;
+
+            if (!dangerous(p->f, p->n, i, x))
+                continue;
+            vid = PyLong_FromSsize_t(i);
+            seen = vid ? PySet_Contains(interacted, vid) : -1;
+            if (seen == 0)
+                seen = PySet_Add(interacted, vid);
+            Py_XDECREF(vid);
+            if (seen < 0)
+                goto done;
+            if (seen == 0 && p->bitgen->next_double(p->bitgen->state) < h[P_FREEZE]) {
+                s = FROZEN;
+                came_from = p->c[CROSSING];
+                dwell_obj = p->c[FROZEN_DWELL];
+                set_dwell = 1;
+                break;
+            }
+        }
+        if (s == FROZEN)
+            break;
+        y += h[V_CROSS] * dt;
+        set_y = 1;
+        entered = y > 0.0;
+        crossed = y >= h[WIDTH];
+        if (crossed && y >= h[EXIT])
+            s = MOVED_AWAY;
+        break;
+    case FROZEN:
+        dwell -= dt;
+        set_dwell = 1;
+        if (dwell <= h[EPS] || !threatened(p->f, p->n, x)) {
+            if (frozen_from == p->c[CROSSING]) {
+                s = CROSSING;
+            } else {
+                s = HESITATING;
+                dwell = hesitate_dwell(p);
+            }
+            came_from = Py_None;
+        }
+        break;
+    case FLEEING:
+        y -= h[V_FLEE] * dt;
+        set_y = 1;
+        if (y <= h[SPAWN])
+            s = MOVED_AWAY;
+        break;
+    }
+    if ((set_y && set_float(a, animal_y, y) < 0)
+            || (set_dwell && (dwell_obj ? PyObject_SetAttr(a, animal_dwell, dwell_obj)
+                            : set_float(a, animal_dwell, dwell)) < 0)
+            || (s != s0 && PyObject_SetAttr(a, animal_state, p->c[s]) < 0)
+            || (came_from && PyObject_SetAttr(a, animal_frozen_from, came_from) < 0)
+            || (left && PyObject_SetAttr(a, animal_left_foraging, Py_True) < 0)
+            || (entered && PyObject_SetAttr(a, animal_entered_road, Py_True) < 0)
+            || (crossed && PyObject_SetAttr(a, animal_crossed, Py_True) < 0))
+        goto done;
+
+    /* The engine's accounting, then the quiet walk. */
+    if (s != s0) {
+        p->visits[s]++;
+        p->pruned |= s == MOVED_AWAY;
+    }
+    if (s == FROZEN && 0.0 <= y && y <= h[WIDTH])
+        p->frozen_time += dt;
+    status = 0;
+    if (0.0 < y && y <= h[WIDTH]) {
+        if (PyList_Append(p->on_road, a) < 0)
+            status = -1;
+        goto done;
+    }
+    if (s == FROZEN || s == MOVED_AWAY || (s == CROSSING && y <= h[WIDTH])
+            || (!detected && lo <= y && y <= hi))
+        goto done;
+    if (detected) {    /* no detection left to try */
+        lo = INFINITY;
+        hi = -INFINITY;
+    }
+    walked = s;
+    n = quiet_walk(h, p->limit, lo, hi, &walked, &dwell, &y);
+    if (n == 0)
+        goto done;
+    status = -1;
+    if (PyObject_SetAttr(a, animal_state, p->c[walked]) < 0
+            || set_float(a, animal_dwell, dwell) < 0 || set_float(a, animal_y, y) < 0)
+        goto done;
+    if (walked != s) {
+        p->visits[APPROACHING]++;
+        if (PyObject_SetAttr(a, animal_left_foraging, Py_True) < 0)
+            goto done;
+    } else if (walked == CROSSING) {
+        if (PyObject_SetAttr(a, animal_entered_road, Py_True) < 0
+                || PyObject_SetAttr(a, animal_crossed, Py_True) < 0)
+            goto done;
+    }
+    wake = PyLong_FromLong(p->k + n);
+    if (wake == NULL || PyDict_SetItem(p->sleeping, aid, wake) < 0) {
+        Py_XDECREF(wake);
+        goto done;
+    }
+    Py_DECREF(wake);
+    if (p->k + n < p->next_wake)
+        p->next_wake = p->k + n;
+    status = 0;
+done:
+    if (status > 0)
+        PyErr_Clear();
+    Py_XDECREF(aid);
+    Py_XDECREF(interacted);
+    Py_XDECREF(frozen_from);
+    return status;
+}
+
+/* Adds each activity's count of visits to the dict visits, at its key. */
+static int add_visits(PyObject *visits, PyObject *const *c, const Py_ssize_t *counts)
+{
+    int s;
+
+    for (s = 0; s < ACTIVITIES; s++) {
+        PyObject *key = c[ACTIVITIES + s], *old, *add, *sum;
+        int status;
+
+        if (counts[s] == 0)
+            continue;
+        old = PyDict_GetItemWithError(visits, key);
+        if (old == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_SetObject(PyExc_KeyError, key);
+            return -1;
+        }
+        add = PyLong_FromSsize_t(counts[s]);
+        sum = add ? PyNumber_Add(old, add) : NULL;
+        Py_XDECREF(add);
+        status = sum ? PyDict_SetItem(visits, key, sum) : -1;
+        Py_XDECREF(sum);
+        if (status < 0)
+            return -1;
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(behave_doc,
+"behave(herd, fleet, animals, sleeping, visits, constants, k, n_steps,\n"
+"       next_wake, frozen_time, bitgen)\n"
+"    -> (stop, frozen_time, next_wake, pruned, on_road)\n\n"
+"Phase 5 of the step before step k: step_animal for each animal of the\n"
+"list animals, in order, that is not a key of the dict sleeping, reading\n"
+"the vehicles from a fleet's buffer and drawing through the\n"
+"\"BitGenerator\" capsule bitgen, with a herd buffer and constants (an\n"
+"array of 'd' and a tuple), each change of activity counted in the dict\n"
+"visits and each frozen animal on the road adding a frame to frozen_time;\n"
+"an animal left off the carriageway walks its quiet steps, up to n_steps,\n"
+"and goes into sleeping with the step it wakes at. next_wake is the first\n"
+"wake, pruned whether an animal left the corridor, on_road the animals\n"
+"left on the carriageway, and stop the index of the first animal left to\n"
+"the reference, len(animals) where none is.");
+
+static PyObject *behave(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer herd, fleet;
+    Step p;
+    PyObject *animals, *visits, *constants;
+    Py_ssize_t stop = 0;
+    long n_steps;
+    double range;
+
+    (void)self;
+    if (nargs != 11) {
+        PyErr_Format(PyExc_TypeError, "behave takes 11 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    animals = args[2];
+    visits = args[4];
+    constants = args[5];
+    if (!PyList_Check(animals) || !PyDict_Check(args[3]) || !PyDict_Check(visits)
+            || !PyTuple_Check(constants) || PyTuple_GET_SIZE(constants) != CONSTANTS) {
+        PyErr_SetString(PyExc_TypeError, "behave: animals must be a list, sleeping and "
+                        "visits dicts, constants a tuple of 15");
+        return NULL;
+    }
+    memset(&p, 0, sizeof p);
+    p.sleeping = args[3];
+    p.c = &PyTuple_GET_ITEM(constants, 0);
+    if (((p.k = PyLong_AsLong(args[6])) == -1 && PyErr_Occurred())
+            || ((n_steps = PyLong_AsLong(args[7])) == -1 && PyErr_Occurred())
+            || ((p.next_wake = PyLong_AsLong(args[8])) == -1 && PyErr_Occurred())
+            || ((p.frozen_time = PyFloat_AsDouble(args[9])) == -1.0 && PyErr_Occurred()))
+        return NULL;
+    p.limit = n_steps - p.k;
+    p.bitgen = PyCapsule_GetPointer(args[10], "BitGenerator");
+    if (p.bitgen == NULL)
+        return NULL;
+    if (get_buffer(args[0], &herd, PyBUF_SIMPLE, "d", sizeof(double), "behave",
+                   "herd") < 0)
+        return NULL;
+    if (herd.len != HERD_SLOTS * (Py_ssize_t)sizeof(double)) {
+        PyBuffer_Release(&herd);
+        PyErr_SetString(PyExc_ValueError, "behave: herd is not a herd's buffer");
+        return NULL;
+    }
+    if (fleet_buffer(args[1], &fleet, &p.n, "behave", "fleet") < 0) {
+        PyBuffer_Release(&herd);
+        return NULL;
+    }
+    p.h = herd.buf;
+    p.f = fleet.buf;
+    /* A ring of length 0 leaves the threat tests to the reference, and a
+       hesitate range that numpy's uniform rejects (high - low infinite,
+       NaN or negative, -0.0 included) the dwell draws. */
+    range = p.h[HESITATE_HI] - p.h[HESITATE_LO];
+    p.ring_ok = p.n == 0 || p.f[RING] != 0.0;
+    p.range_ok = isfinite(range) && !signbit(range);
+    p.on_road = PyList_New(0);
+    for (; p.on_road && stop < PyList_GET_SIZE(animals); stop++) {
+        PyObject *a = PyList_GET_ITEM(animals, stop);
+        int status;
+
+        Py_INCREF(a);
+        status = behave_animal(&p, a);
+        Py_DECREF(a);
+        if (status < 0)
+            Py_CLEAR(p.on_road);
+        else if (status > 0)
+            break;
+    }
+    PyBuffer_Release(&fleet);
+    PyBuffer_Release(&herd);
+    if (p.on_road == NULL || add_visits(visits, p.c, p.visits) < 0) {
+        Py_XDECREF(p.on_road);
+        return NULL;
+    }
+    return Py_BuildValue("(ndlNN)", stop, p.frozen_time, p.next_wake,
+                         PyBool_FromLong(p.pruned), p.on_road);
+}
+
 static PyMethodDef methods[] = {
     {"advance", (PyCFunction)(void (*)(void))advance, METH_FASTCALL, advance_doc},
     {"threat_present", (PyCFunction)(void (*)(void))threat_present, METH_FASTCALL,
@@ -720,6 +1199,7 @@ static PyMethodDef methods[] = {
     {"detect_collisions", (PyCFunction)(void (*)(void))detect_collisions, METH_FASTCALL,
      detect_collisions_doc},
     {"detect", (PyCFunction)(void (*)(void))detect, METH_FASTCALL, detect_doc},
+    {"behave", (PyCFunction)(void (*)(void))behave, METH_FASTCALL, behave_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -736,8 +1216,17 @@ PyMODINIT_FUNC PyInit_advance_idm(void)
     animal_detected = PyUnicode_InternFromString("detected");
     animal_first_in_range_at = PyUnicode_InternFromString("first_in_range_at");
     animal_detected_at = PyUnicode_InternFromString("detected_at");
+    animal_state = PyUnicode_InternFromString("state");
+    animal_dwell = PyUnicode_InternFromString("dwell_remaining");
+    animal_left_foraging = PyUnicode_InternFromString("left_foraging");
+    animal_entered_road = PyUnicode_InternFromString("entered_road");
+    animal_crossed = PyUnicode_InternFromString("crossed");
+    animal_frozen_from = PyUnicode_InternFromString("frozen_from");
+    animal_interacted = PyUnicode_InternFromString("interacted_vehicles");
     if (!animal_x || !animal_y || !animal_aid || !animal_sigma || !animal_detected
-            || !animal_first_in_range_at || !animal_detected_at)
+            || !animal_first_in_range_at || !animal_detected_at || !animal_state
+            || !animal_dwell || !animal_left_foraging || !animal_entered_road
+            || !animal_crossed || !animal_frozen_from || !animal_interacted)
         return NULL;
     return PyModule_Create(&module);
 }

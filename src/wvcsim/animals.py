@@ -4,19 +4,28 @@ Animals arrive by a Poisson process, forage off-road, approach the carriageway,
 and decide at the road edge whether to cross, freeze, or flee depending on the
 perceived vehicle threat. Crossing animals can freeze mid-road after a
 dangerous encounter with a vehicle.
+
+The module functions are the references. A trial's ``Herd`` runs a step's
+behaviour, phase 5 of ``engine.run_trial``, over the awake animals: in the
+compiled kernel (``vehicles.load_kernel``), which draws from the trial's
+behaviour stream through numpy's bit generator, or in a loop over
+``step_animal`` and the quiet walks, which gives the same bits and draws.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .vehicles import load_kernel
+
 if TYPE_CHECKING:
-    from .config import GeometryParams
+    from .config import CorridorConfig, GeometryParams
     from .vehicles import Fleet
 
 # Countdown comparisons tolerate float accumulation error.
@@ -393,3 +402,92 @@ def take_quiet_steps(animal: AnimalState, walk: QuietWalk) -> bool:
     elif n and state is Activity.CROSSING:
         animal.entered_road = animal.crossed = True
     return left
+
+
+class Herd:
+    """One trial's behaviour stream and parameters: each step's behaviour.
+
+    The buffer ``buf`` (its slots in advance_idm.c) takes the frame length,
+    the ``BehaviourParams`` the steps read, the road width, the spawn offset,
+    the exit edge, ``_DWELL_EPS`` and the radar band (``engine._radar_band``)
+    once. ``behave`` runs in the compiled kernel where it loads, reading the
+    vehicles from the fleet's buffer, and in its Python loop where the
+    kernel is unavailable or leaves it animals. ``frozen_time`` is the
+    trial's frozen-on-road time so far.
+    """
+
+    def __init__(self, config: "CorridorConfig", band: tuple[float, float],
+                 rng: np.random.Generator, fleet: "Fleet", n_steps: int):
+        self.params = p = config.behaviour
+        self.geometry = geometry = config.geometry
+        self.dt = config.time_step
+        self.band = band
+        self.rng = rng
+        self.fleet = fleet
+        self.n_steps = n_steps
+        self.frozen_time = 0.0
+        self.bitgen = rng.bit_generator.capsule
+        self.kernel = load_kernel()
+        # The activities, their visit keys and the dwell an animal freezes
+        # with, which the kernel writes as it is.
+        self.constants = (*Activity, *(a.value for a in Activity), p.frozen_max_dwell)
+        self.buf = array("d", [
+            self.dt, p.v_approach, p.v_cross, p.v_flee, *p.hesitate_dwell,
+            p.p_cross_no_threat, p.p_frozen_threat,
+            p.p_frozen_threat + p.p_flee_threat, p.p_freeze_crossing,
+            geometry.road_width, geometry.spawn_offset,
+            geometry.road_width + geometry.exit_offset, _DWELL_EPS, *band])
+
+    def behave(self, animals: list[AnimalState], sleeping: dict[int, int], k: int,
+               next_wake: int, visits: dict[str, int]) -> tuple[int, bool,
+                                                                list[AnimalState]]:
+        """The behaviour of the step before step ``k``: ``step_animal`` for
+        each animal of ``animals``, in order, that is not a key of
+        ``sleeping``, with each change of activity counted in ``visits`` and
+        each frozen animal on the road adding a frame to ``frozen_time``. An
+        animal it leaves off the carriageway takes its quiet run at once
+        (``may_be_quiet``, ``quiet_walk``, ``take_quiet_steps``, up to the
+        trial's end) and sleeps through it: it goes into ``sleeping`` with
+        the step it wakes at. Returns the first wake (``next_wake`` or an
+        earlier one), whether an animal left the corridor, and the animals
+        left on the carriageway, in order.
+
+        The kernel steps the animals in order up to the first one for which
+        ``step_animal`` would raise or that holds a value it does not read
+        (see advance_idm.c), before any draw or write for it; the loop below
+        goes on from that animal, so errors are raised here, as they would
+        be without the kernel."""
+        start, pruned, on_road = 0, False, []
+        if self.kernel:
+            start, self.frozen_time, next_wake, pruned, on_road = self.kernel.behave(
+                self.buf, self.fleet.buf, animals, sleeping, visits, self.constants, k,
+                self.n_steps, next_wake, self.frozen_time, self.bitgen)
+            if start == len(animals):
+                return next_wake, pruned, on_road
+        p, geometry, dt, band = self.params, self.geometry, self.dt, self.band
+        road_width = geometry.road_width
+        for a in animals[start:]:
+            if a.aid in sleeping:
+                continue
+            prev_state = a.state
+            step_animal(a, self.fleet, dt, p, geometry, self.rng)
+            st = a.state
+            if st is not prev_state:
+                visits[st.value] += 1
+                if st is Activity.MOVED_AWAY:
+                    pruned = True
+            y = a.y
+            if st is Activity.FROZEN and 0.0 <= y <= road_width:
+                self.frozen_time += dt
+            if 0.0 < y <= road_width:
+                on_road.append(a)
+                continue
+            if not may_be_quiet(a, band, road_width):
+                continue
+            walk = quiet_walk(a, self.n_steps - k, dt, p, geometry, band)
+            if walk[0]:
+                if take_quiet_steps(a, walk):
+                    visits[Activity.APPROACHING.value] += 1
+                sleeping[a.aid] = k + walk[0]
+                next_wake = min(next_wake, k + walk[0])
+        return next_wake, pruned, on_road

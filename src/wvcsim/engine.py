@@ -20,7 +20,7 @@ dwell's end, fleeing short of the spawn offset and walking out past the far
 edge. An animal that phase 5 leaves off the carriageway has its quiet steps
 from the next step on walked once, up to the trial's end (a frozen animal,
 or an undetected one inside ``_radar_band``, has none and is not walked:
-``animals.may_be_quiet``); the walk is applied at once
+``animals.may_be_quiet``); phase 5 applies the walk at once
 (``animals.take_quiet_steps``) and the animal sleeps until the step after
 the walk's last (``sleeping``, ``next_wake``). Phases 2 and 5 skip a
 sleeper. Nothing reads what changes while it sleeps: a quiet step changes
@@ -52,6 +52,17 @@ awake animals (none in a trial without radars, Control): ``try_detect`` for
 each, in the compiled kernel, which draws from the detection stream through
 numpy's bit generator, or in Python; phase 3 applies each event it returns.
 
+Phase 5 is one call of the trial's ``animals.Herd.behave`` over the awake
+animals: ``step_animal`` for each, the state visits and frozen-on-road time,
+and the quiet walk and sleep, in the compiled kernel, which draws from the
+behaviour stream through numpy's bit generator, or in Python. It returns
+the animals it leaves on the carriageway. Phase 6 scans only when there are
+some, and those phase 6 leaves in the corridor are the next phase 4's
+braking candidates: no y changes from a phase 5 to the next phase 4 (an
+arrival spawns at the negative spawn offset, and phases 2 and 3 move no
+animal), and a stretch opens only when every animal sleeps, off the
+carriageway.
+
 After phase 4 the vehicles hold row k + 1 (k + m after a stretch), taken in
 one call of the trial's ``vehicles.Fleet.advance``. The fleet's buffer is
 the vehicles' only state; the ``VehicleState`` objects of the world are
@@ -65,11 +76,12 @@ acceleration. Only ``Fleet.advance`` sets the brake flags, so a braking
 step's flags stay set until the next call, and every other call clears
 them.
 
-Phases 5 and 6 read the vehicles through the fleet: ``step_animal``'s
-threat tests (``Fleet.threat_present``, ``Fleet.crossing_dangers``) and
-phase 6's ``detect_collisions`` (this module's call of
-``Fleet.detect_collisions``) answer from the buffer, x, v and brake flags
-as the last ``Fleet.advance`` left them, and name each vehicle by its index.
+Phases 5 and 6 read the vehicles from the fleet's buffer: phase 5's threat
+tests (in the kernel, or ``step_animal``'s ``Fleet.threat_present`` and
+``Fleet.crossing_dangers``) and phase 6's ``detect_collisions`` (this
+module's call of ``Fleet.detect_collisions``) answer from x, v and the brake
+flags as the last ``Fleet.advance`` left them, and name each vehicle by its
+index.
 
 Three scans skip what they cannot find. The carriageway, 0 < y <= road width,
 is ``detect_collisions``' own filter and the only band drivers brake for
@@ -94,13 +106,14 @@ from typing import Optional
 
 import numpy as np
 
-from .animals import (Activity, AnimalState, Arrival, may_be_quiet, quiet_walk,
-                      sample_arrivals, step_animal, take_quiet_steps)
+from .animals import Activity, AnimalState, Arrival, Herd, sample_arrivals
+# perfbench's tracer wraps step_animal, try_detect, idm_acceleration and
+# emergency_brake_needed at these names; the engine calls none of them
+# (``Herd.behave`` runs the first, ``Detector.detect`` the second and
+# ``Fleet.advance`` the other two).
+from .animals import step_animal
 from .awareness import AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
-# perfbench's tracer wraps try_detect, idm_acceleration and
-# emergency_brake_needed at these names; the engine calls none of them
-# (``Detector.detect`` runs the first, ``Fleet.advance`` the other two).
 from .detection import Detector, try_detect
 from .vehicles import (DriverAlert, Fleet, VehicleOverlap, emergency_brake_needed,
                        idm_acceleration)
@@ -293,25 +306,26 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     visits = {a.value: 0 for a in Activity}
 
     # Hot-loop locals.
-    geometry = config.geometry
     idm = config.idm
-    behaviour = config.behaviour
     radars = world.radars
     awareness = AwarenessState(config, len(radars))
     rng_b = streams.behaviour
     radar_band = _radar_band(radars, config.radar_range)
     detector = Detector(config, radars, radar_band, streams.detection)
-    road_width = geometry.road_width
-    spawn_y = geometry.spawn_offset
-    forage_lo, forage_hi = behaviour.forage_dwell
+    spawn_y = config.geometry.spawn_offset
+    forage_lo, forage_hi = config.behaviour.forage_dwell
 
     active: list[AnimalState] = []
     all_animals: list[AnimalState] = []
+    # The animals phase 5 left on the carriageway, less those that left the
+    # corridor since: phase 4's braking candidates.
+    on_road: list[AnimalState] = []
     latencies: list[float] = []
     next_arrival = 0
     n_schedule = len(schedule)
-    frozen_time = 0.0
-    fleet = Fleet(world.vehicles, idm, dt, config.road_length, geometry, behaviour)
+    fleet = Fleet(world.vehicles, idm, dt, config.road_length, config.geometry,
+                  config.behaviour)
+    herd = Herd(config, radar_band, rng_b, fleet, n_steps)
     alert = DriverAlert()
     # Sleepers: each animal whose quiet run is taken ahead, by aid, and the
     # step it wakes at (see the module docstring).
@@ -368,7 +382,7 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
                                    lambda t: alert.reacted(t, idm), dt) - k)
         candidates = None
         if alert.alerted and not m:
-            candidates = [a for a in active if 0.0 < a.y <= road_width] or None
+            candidates = on_road or None
         try:
             fleet.advance(m or 1, alert.desired_speed(idm), candidates)
         except VehicleOverlap as exc:
@@ -379,36 +393,10 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             continue
         k += 1
 
-        # Phase 5: behaviour of the awake animals, with state-visit and
-        # frozen-time accounting; only a hesitating, crossing or frozen animal
-        # reads the vehicles. An animal it leaves off the carriageway takes
-        # its quiet run at once and sleeps through it.
-        pruned = False
-        on_road = False
-        for a in active:
-            if a.aid in sleeping:
-                continue
-            prev_state = a.state
-            step_animal(a, fleet, dt, behaviour, geometry, rng_b)
-            st = a.state
-            if st is not prev_state:
-                visits[st.value] += 1
-                if st is Activity.MOVED_AWAY:
-                    pruned = True
-            y = a.y
-            if st is Activity.FROZEN and 0.0 <= y <= road_width:
-                frozen_time += dt
-            if 0.0 < y <= road_width:
-                on_road = True
-                continue
-            if not may_be_quiet(a, radar_band, road_width):
-                continue
-            walk = quiet_walk(a, n_steps - k, dt, behaviour, geometry, radar_band)
-            if walk[0]:
-                if take_quiet_steps(a, walk):
-                    visits[Activity.APPROACHING.value] += 1
-                sleeping[a.aid] = k + walk[0]
-                next_wake = min(next_wake, k + walk[0])
+        # Phase 5: behaviour of the awake animals, in one call, with
+        # state-visit and frozen-time accounting. An animal it leaves off the
+        # carriageway takes its quiet run at once and sleeps through it.
+        next_wake, pruned, on_road = herd.behave(active, sleeping, k, next_wake, visits)
 
         # Phase 6: collisions, only with an animal on the carriageway, the
         # band of ``detect_collisions``' own test; the animal is removed, the
@@ -428,12 +416,13 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
 
         if pruned:
             active = [a for a in active if a.state is not Activity.MOVED_AWAY]
+            on_road = [a for a in on_road if a.state is not Activity.MOVED_AWAY]
 
     # Phase 7 aggregation.
     result.road_entries = sum(1 for a in all_animals if a.entered_road)
     result.crossing_successes = sum(1 for a in all_animals if a.crossed)
     result.collisions = sum(1 for a in all_animals if a.collided)
-    result.frozen_on_road_time = frozen_time
+    result.frozen_on_road_time = herd.frozen_time
     result.detected = sum(1 for a in all_animals if a.detected)
     result.detectable = sum(1 for a in all_animals if a.left_foraging)
     result.exits_clean = sum(1 for a in all_animals

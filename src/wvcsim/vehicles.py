@@ -303,10 +303,11 @@ def load_kernel():
     shipped with the package is compiled with ``build_command`` into a
     private temporary directory and imported as an extension module, which
     is returned. Its entries serve ``Fleet`` (``advance`` and the three
-    scans) and ``detection.Detector`` (``detect``, which draws through
-    numpy's bit generator). Where the build or import fails, warns once with
-    the reason and returns False; both then run in Python, which gives the
-    same bits and draws."""
+    scans), ``detection.Detector`` (``detect``) and ``animals.Herd``
+    (``behave``, which reads the fleet's buffer); the last two draw through
+    numpy's bit generator. Where the build or import fails, warns once with
+    the reason and returns False; all three then run in Python, which gives
+    the same bits and draws."""
     global _kernel
     if _kernel is None:
         try:

@@ -8,9 +8,10 @@ from types import SimpleNamespace
 
 import pytest
 
+import wvcsim.animals
 import wvcsim.engine
 import wvcsim.vehicles
-from wvcsim.animals import Activity, AnimalState, Arrival, step_animal
+from wvcsim.animals import Activity, AnimalState, Arrival, Herd, step_animal
 from wvcsim.awareness import AwarenessState
 from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
@@ -242,16 +243,18 @@ class NoDraws:
 
 
 def check_sleeps(cfg, log):
-    """Each sleep of a trial, replayed one ``step_animal`` call at a time,
-    takes quiet steps only: each starts with the animal detected or outside
-    ``_radar_band``, starts and ends off the carriageway, draws nothing,
-    reads no vehicle and leaves the animal in the corridor; the replay ends
-    on the bits the sleep applied. Every animal present at a stretch sleeps
-    through it."""
+    """Each walk of a trial's Python loop, replayed one ``step_animal`` call
+    at a time, takes quiet steps only: each starts with the animal detected
+    or outside ``_radar_band``, starts and ends off the carriageway, draws
+    nothing, reads no vehicle and leaves the animal in the corridor; the
+    replay ends on the bits the walk applied and at the wake it was put to
+    sleep until. Every animal present at a stretch sleeps through it."""
     dt, rw = cfg.time_step, cfg.geometry.road_width
     lo, hi = wvcsim.engine._radar_band(build_corridor(cfg).radars, cfg.radar_range)
     asleep = {}
-    for k, before, walk, left, after in log.sleeps:
+    for aid, start, end in log.naps:
+        asleep.setdefault(aid, []).append((start, end))
+    for k, before, walk, left, after in log.walks:
         a = copy.copy(before)
         for _ in range(walk[0]):
             assert a.detected or not lo <= a.y <= hi
@@ -261,16 +264,18 @@ def check_sleeps(cfg, log):
             assert not 0.0 < a.y <= rw
         assert repr(a) == repr(after)  # repr tells apart every two floats
         assert left is (a.state is not before.state)
-        asleep.setdefault(before.aid, []).append((k + 1, k + 1 + walk[0]))
+        assert (k + 1, k + 1 + walk[0]) in asleep[before.aid]
     for k, n, _, _, aids, _, _ in log.steps:
         for aid in aids if n > 1 else ():
             assert any(s <= k and k + n <= e for s, e in asleep[aid])
 
 
-def run_observed(cfg, hours, trial_id, reference=False):
+def run_observed(cfg, hours, trial_id, reference=False, compiled_behaviour=True):
     """One trial and its log. The reference run shuts off every fast path:
-    no stretch, no sleep, and the vehicles stepped by the Python body of
-    ``Fleet.advance``.
+    no stretch, no sleep, and the vehicles and animals stepped by the Python
+    bodies of ``Fleet.advance`` and ``Herd.behave``. Without
+    ``compiled_behaviour`` the fast run steps the animals in
+    ``Herd.behave``'s Python loop alone, where each read and walk is seen.
 
     ``vehicle_steps`` has the desired speed and the brake flags of every
     vehicle step. ``steps`` has an entry per ``dms_active`` call, the start of a stepped
@@ -282,22 +287,24 @@ def run_observed(cfg, hours, trial_id, reference=False):
     scan read it. The
     pairs are phase 6's, or in the reference an ungated scan of the step's
     animals as the step closes; there, steps with no read and no pair merge
-    with an equal neighbour, as a stretch's steps do. ``result`` is the
-    result, or the invariant error's text.
+    with an equal neighbour, as a stretch's steps do. ``naps`` has each
+    sleep phase 5 began, (aid, first step asleep, wake), and ``walks`` each
+    quiet walk the Python loop took. ``result`` is the result, or the
+    invariant error's text.
 
-    Checked as the trial runs: each read and scan sees the vehicles at the
-    current row (k + 1 vehicle steps taken), and phase 6 scans after exactly
-    the steps whose phase 5 leaves an animal on the carriageway."""
+    Checked as the trial runs: phase 5, each read and each scan see the
+    vehicles at the current row (k + 1 vehicle steps taken), phase 5 returns
+    the animals it leaves on the carriageway, and phase 6 scans after
+    exactly the steps where there are some."""
     dt, geometry = cfg.time_step, cfg.geometry
-    log = SimpleNamespace(steps=[], vehicle_steps=[], sleeps=[], asks=0, taken=0,
+    log = SimpleNamespace(steps=[], vehicle_steps=[], naps=[], walks=[], asks=0, taken=0,
                           scans=0, skipped_scans=0, fleet=None)
     steps = log.steps
     stepped, on_road, scans = [], False, 0  # in the open step
     dms_active, update = AwarenessState.dms_active, DriverAlert.update
-    advance = Fleet.advance
-    step_animal = wvcsim.engine.step_animal
+    advance, behave = Fleet.advance, Herd.behave
     detect_collisions = wvcsim.engine.detect_collisions
-    take_quiet_steps = wvcsim.engine.take_quiet_steps
+    take_quiet_steps = wvcsim.animals.take_quiet_steps
 
     def close(end):
         nonlocal stepped, on_road, scans
@@ -338,11 +345,17 @@ def run_observed(cfg, hours, trial_id, reference=False):
             return found
         return read
 
-    def step(animal, *args):
-        nonlocal on_road
-        step_animal(animal, *args)
-        stepped.append(animal)
-        on_road = on_road or 0.0 < animal.y <= geometry.road_width
+    def behaved(herd, animals, sleeping, k, next_wake, visits):
+        nonlocal stepped, on_road
+        assert log.taken == k, "phase 5 on a past row"
+        stepped = [a for a in animals if a.aid not in sleeping]
+        asleep = set(sleeping)
+        out = behave(herd, animals, sleeping, k, next_wake, visits)
+        road = [a for a in stepped if 0.0 < a.y <= geometry.road_width]
+        assert [id(a) for a in out[2]] == [id(a) for a in road]
+        on_road = bool(road)
+        log.naps += [(aid, k, sleeping[aid]) for aid in sleeping if aid not in asleep]
+        return out
 
     def scan(*args):
         nonlocal scans
@@ -363,26 +376,29 @@ def run_observed(cfg, hours, trial_id, reference=False):
         log.vehicle_steps += [((v0, (False,) * len(flags)), n_steps - 1),
                               ((v0, flags), 1)]
 
-    def sleep(animal, walk):
+    def walk(animal, quiet):
         before = copy.copy(animal)
-        left = take_quiet_steps(animal, walk)
-        log.sleeps.append((steps[-1][0], before, walk, left, copy.copy(animal)))
+        left = take_quiet_steps(animal, quiet)
+        log.walks.append((steps[-1][0], before, quiet, left, copy.copy(animal)))
         return left
 
     with pytest.MonkeyPatch.context() as m:
         if reference:
             m.setattr(wvcsim.engine, "_stretch_end", lambda schedule, i, k, *args: k)
-            m.setattr(wvcsim.engine, "quiet_walk",
+            m.setattr(wvcsim.animals, "quiet_walk",
                       lambda a, *args: (0, a.state, a.dwell_remaining, a.y))
             m.setattr(wvcsim.vehicles, "_kernel", False)
+        elif not compiled_behaviour:
+            # The herd's kernel alone: the vehicles still step in C.
+            m.setattr(wvcsim.animals, "load_kernel", lambda: False)
         m.setattr(AwarenessState, "dms_active", sign)
         m.setattr(DriverAlert, "update", alert)
         m.setattr(Fleet, "advance", advanced)
         m.setattr(Fleet, "threat_present", reader(Fleet.threat_present, bool))
         m.setattr(Fleet, "crossing_dangers", reader(Fleet.crossing_dangers, list))
-        m.setattr(wvcsim.engine, "step_animal", step)
+        m.setattr(Herd, "behave", behaved)
         m.setattr(wvcsim.engine, "detect_collisions", scan)
-        m.setattr(wvcsim.engine, "take_quiet_steps", sleep)
+        m.setattr(wvcsim.animals, "take_quiet_steps", walk)
         try:
             log.result = dataclasses.asdict(run_trial(cfg, hours, trial_id, 5))
         except EngineInvariantError as exc:
@@ -460,34 +476,44 @@ def cells(names, modes=MODES, named=True):
 @functools.cache
 def reference_pair(name, mode):
     """Each trial of a grid cell run as is and as the reference: per trial
-    the observables of both, and what the fast run took. Checks each sleep
-    (``check_sleeps``) and, in the reference, that no step was jumped, no
-    animal slept and each vehicle step's v0 is the drivers' desired speed. A
-    run that raised is compared by its error alone."""
+    the observables of both, and what the fast run took. The fast run's
+    reads are those of the fast run with phase 5 in Python (the compiled
+    entry makes none that can be seen), whose other observables must equal
+    the fast run's. Checks each sleep (``check_sleeps``) and, in the
+    reference, that no step was jumped, no animal slept and each vehicle
+    step's v0 is the drivers' desired speed. A run that raised is compared
+    by its error alone."""
     overrides, hours, trials = GRID[name]
     cfg = fast_config(mode, **overrides)
     idm = cfg.idm
     out = []
     for trial_id in trials:
-        fast, ref = (run_observed(cfg, hours, trial_id, reference)
-                     for reference in (False, True))
+        fast, python, ref = (run_observed(cfg, hours, trial_id, reference, compiled)
+                             for reference, compiled in ((False, True), (False, False),
+                                                         (True, False)))
+        seen, seen_python = observables(fast), observables(python)
+        assert dict(seen, reads=None) == dict(seen_python, reads=None)
+        seen["reads"] = seen_python["reads"]
         took = {}
         if not isinstance(fast.result, str):
             check_sleeps(cfg, fast)
+            check_sleeps(cfg, python)
             jumped = [e for e in fast.steps if e[1] > 1]
             first_lit = next((e[0] for e in fast.steps if e[2]), math.inf)
-            took = dict(reads=sum(len(e[5]) for e in fast.steps), scans=fast.scans,
-                        skipped_scans=fast.skipped_scans, sleeps=len(fast.sleeps),
+            took = dict(reads=sum(len(e[5]) for e in python.steps), scans=fast.scans,
+                        skipped_scans=fast.skipped_scans, sleeps=len(fast.naps),
+                        python_walks=len(python.walks),
+                        compiled_reads=sum(len(e[5]) for e in fast.steps),
                         lit_stretches=sum(e[2] for e in jumped),
                         dark_stretches_after_lit=sum(not e[2] and e[0] > first_lit
                                                      for e in jumped),
                         stretches_with_animals=sum(bool(e[4]) for e in jumped))
         if not isinstance(ref.result, str):
-            assert ref.asks == _step_count(cfg, hours) and not ref.sleeps
+            assert ref.asks == _step_count(cfg, hours) and not ref.naps
             speeds = runs((idm.v_caution if e[3][1] else idm.v_cruise, e[1])
                           for e in ref.steps)
             assert speeds == runs((v0, n) for (v0, _), n in ref.vehicle_steps)
-        out.append((observables(fast), observables(ref), took))
+        out.append((seen, observables(ref), took))
     return out
 
 
@@ -636,7 +662,9 @@ class TestBrakingStep:
         monkeypatch.setattr(wvcsim.engine, "sample_arrivals",
                             lambda *args: [Arrival(0.0, animal.x, animal.sigma)])
         monkeypatch.setattr(wvcsim.engine, "AnimalState", lambda **kw: animal)
-        monkeypatch.setattr(wvcsim.engine, "step_animal", lambda *args: None)
+        # Phase 5 holds the animal still and leaves it on the carriageway.
+        monkeypatch.setattr(Herd, "behave", lambda self, animals, sleeping, k, next_wake,
+                            visits: (next_wake, False, list(animals)))
         monkeypatch.setattr(wvcsim.engine, "detect_collisions", lambda *args: [])
         monkeypatch.setattr(Fleet, "advance", checked)
         with pytest.raises(EngineInvariantError) as exc:
@@ -663,8 +691,12 @@ class TestReferenceRun:
         # Some stretch opened with animals present, some animal slept, some
         # read the vehicles and the gate skipped some scans; where there is a
         # sign, some stretch opened with it lit and some with it dark again.
+        # With phase 5 in Python some walk was replayed; the compiled entry
+        # left no animal to that loop.
         assert took["stretches_with_animals"] and took["sleeps"] and took["reads"]
-        assert took["skipped_scans"]
+        assert took["skipped_scans"] and took["python_walks"]
+        if wvcsim.vehicles.load_kernel():
+            assert not took["compiled_reads"]
         if mode is not Mode.CONTROL:
             assert took["lit_stretches"] and took["dark_stretches_after_lit"]
 
@@ -740,10 +772,12 @@ class TestKernelMatchesPython:
     def test_every_scan_answered_from_the_buffer(self, monkeypatch):
         # On the compiled kernel each scan a crowded trial asks the fleet
         # is answered by the kernel from the buffer, none by the Python
-        # reference.
+        # reference. Phase 5 runs in ``Herd.behave``'s Python loop, which
+        # asks the threat scans (the compiled entry reads the buffer).
         kernel = wvcsim.vehicles.load_kernel()
         if not kernel:
             pytest.skip("no compiled vehicle kernel on this host")
+        monkeypatch.setattr(wvcsim.animals, "load_kernel", lambda: False)
         asked, answered = collections.Counter(), collections.Counter()
         for name in ("threat_present", "crossing_dangers", "detect_collisions"):
             def counted(*args, _scan=getattr(Fleet, name), _name=name):

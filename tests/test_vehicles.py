@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import wvcsim.animals
 import wvcsim.engine
 import wvcsim.vehicles
 from wvcsim.awareness import AwarenessState
@@ -1044,12 +1045,17 @@ class TestCompiledKernel:
     def test_missing_numpy_header_falls_back_loudly(self, monkeypatch, tmp_path):
         # With numpy's include directory empty, bitgen.h is not found: the
         # first load warns with the compiler's message and the next is
-        # silent; a trial then gives the compiled kernel's result.
+        # silent; a trial, whose phase 5 then runs in Python, gives the
+        # compiled kernel's result.
         compiled_kernel()
         config = replace_config(CorridorConfig(), mode=Mode.AWARE, arrival_rate=300.0,
                                 radar_spacing=5.0, kappa=0.3)
+        stepped = []
+        step_animal = wvcsim.animals.step_animal
+        monkeypatch.setattr(wvcsim.animals, "step_animal",
+                            lambda *args: stepped.append(args[0].aid) or step_animal(*args))
         compiled = dataclasses.asdict(run_trial(config, 0.05, 0, 3))
-        assert compiled["detected"]
+        assert compiled["detected"] and not stepped
         monkeypatch.setattr(numpy, "get_include", lambda: str(tmp_path))
         monkeypatch.setattr(wvcsim.vehicles, "_kernel", None)
         with pytest.warns(RuntimeWarning, match="numpy/random/bitgen.h"):
@@ -1058,6 +1064,7 @@ class TestCompiledKernel:
             warnings.simplefilter("error")
             assert wvcsim.vehicles.load_kernel() is False
             assert dataclasses.asdict(run_trial(config, 0.05, 0, 3)) == compiled
+        assert stepped
 
     def test_macos_links_against_the_loading_interpreter(self, monkeypatch):
         # Apple's linker rejects the C-API symbols, undefined until the
