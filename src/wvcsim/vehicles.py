@@ -166,7 +166,8 @@ class Fleet:
     ``threat_present``, ``crossing_dangers`` and ``detect_collisions`` read
     the buffer in the kernel too; without it, or where it leaves a case to
     the reference, they ask the module function of the same name about a
-    snapshot, with the fleet's own thresholds and ring.
+    snapshot, with the fleet's own thresholds and ring. The compiled phase
+    5 (``animals.Herd``) reads the buffer with the first two scans' tests.
     """
 
     def __init__(self, vehicles: list[VehicleState], p: IdmParams, dt: float,
