@@ -1,19 +1,18 @@
-/* The compiled form of wvcsim.vehicles.Fleet's steps and scans, of
+/* The compiled form of wvcsim.vehicles.Fleet's steps and contact scan, of
    wvcsim.detection.Detector's detection and of wvcsim.animals.Herd's
-   behaviour, a CPython extension module built on first use, with six
-   entries: advance, threat_present, crossing_dangers, detect_collisions,
-   detect and behave. A fleet's buffer is its vehicles' only state: x, v and
-   the brake flags live there, and no entry reads or writes a
-   VehicleState.
+   behaviour, a CPython extension module built on first use, with four
+   entries: advance, detect_collisions, detect and behave. A fleet's buffer
+   is its vehicles' only state: x, v and the brake flags live there, and no
+   entry reads or writes a VehicleState.
 
    advance is a port of rounds of the Python body of Fleet.advance: the
    reference functions desired_gap, idm_acceleration and step_vehicles on
    the buffer, and emergency_brake_needed for a braking last step. It steps
    x and v and sets the brake flags in the buffer.
 
-   threat_present, crossing_dangers and detect_collisions are ports of the
-   reference scans of the same names in wvcsim.vehicles. They read x, v and
-   the flags from the buffer and name vehicles by their index.
+   detect_collisions is a port of the reference scan of the same name in
+   wvcsim.vehicles. It reads x and the lane centres from the buffer and
+   names vehicles by their index.
 
    Every float operation is the reference's, in CPython's semantics and in
    the same order, so both give the same bits: % is CPython's float_rem
@@ -36,9 +35,9 @@
    before it: the Python body takes over from there, on the buffer, and
    raises, or goes on, as it would have. A braking vehicle makes the same
    checks, so it stops where the Python body raises too, and then takes
-   -a_em in place of its IDM acceleration. A scan returns None where the
-   reference would raise or reads a coordinate that is not a float (a ring
-   of length 0, an animal's x or y): Fleet then asks the reference.
+   -a_em in place of its IDM acceleration. detect_collisions returns None
+   where it reads an animal coordinate that is not a float: Fleet then asks
+   the reference.
 
    detect is phase 2 of a trial step, a port of wvcsim.detection.Detector's
    Python loop: try_detect (radars_in_range, detection_probability and
@@ -58,19 +57,20 @@
    behave is phase 5 of a trial step, a port of wvcsim.animals.Herd's
    Python loop: step_animal for each awake animal, the engine's visit and
    frozen-time accounting, and, for an animal left off the carriageway,
-   may_be_quiet, quiet_walk, take_quiet_steps and its sleep. It reads a
-   herd buffer (its slots below) and the vehicles from the fleet's buffer,
-   with the scans' own threat and danger tests, and draws from the trial's
-   behaviour stream as detect draws: Generator.random() is one next_double,
-   and Generator.uniform(lo, hi) is numpy's lo + (hi - lo) * next_double. It
-   writes the activities, and the dwell an animal freezes with, as the
-   objects the reference writes. Where the reference would raise (a state
-   that is not an Activity, or is MOVED_AWAY; a ring of length 0 under a
-   threat test; a hesitate range numpy's uniform rejects) or reads a value
-   that is not a float or the like (an animal's x, y or dwell, a detected
-   that is not a bool, interacted vehicles that are not a set), behave
-   stops before that animal, before any draw or write for it, and returns
-   its index: Herd's Python loop goes on from there. */
+   quiet_steps, take_quiet_steps and its sleep. It reads a herd buffer (its
+   slots below) and the vehicles from the fleet's buffer, with its own
+   ports of the reference threat tests (threatened for threat_present,
+   dangerous for crossing_dangers), and draws from the trial's behaviour
+   stream as detect draws: Generator.random() is one next_double, and
+   Generator.uniform(lo, hi) is numpy's lo + (hi - lo) * next_double. It
+   writes the activities as the objects the reference writes, and y and the
+   dwell as floats. Where the reference would raise (a state that is not an
+   Activity, or is MOVED_AWAY; a ring of length 0 under a threat test; a
+   hesitate range numpy's uniform rejects) or reads a value that is not a
+   float or the like (an animal's x, y or dwell, a detected that is not a
+   bool, interacted vehicles that are not a set), behave stops before that
+   animal, before any draw or write for it, and returns its index: Herd's
+   Python loop goes on from there. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -406,83 +406,6 @@ static int fleet_buffer(PyObject *obj, Py_buffer *buf, Py_ssize_t *n, const char
     return 0;
 }
 
-/* A scan's fleet, its first of two arguments (see fleet_buffer). */
-static int get_fleet(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                     Py_buffer *buf, Py_ssize_t *n)
-{
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError, "%s takes 2 arguments (%zd given)", name, nargs);
-        return -1;
-    }
-    return fleet_buffer(args[0], buf, n, name, "buf");
-}
-
-PyDoc_STRVAR(threat_present_doc,
-"threat_present(buf, x) -> bool, or None\n\n"
-"Whether some vehicle of a fleet's buffer threatens an animal at x\n"
-"(vehicle_is_threat); None where the reference is to answer.");
-
-static PyObject *threat_present(PyObject *self, PyObject *const *args,
-                                Py_ssize_t nargs)
-{
-    Py_buffer buf;
-    Py_ssize_t n;
-    const double *b;
-    int found;
-
-    (void)self;
-    if (get_fleet("threat_present", args, nargs, &buf, &n) < 0)
-        return NULL;
-    b = buf.buf;
-    if (!PyFloat_Check(args[1]) || (n > 0 && b[RING] == 0.0)) {
-        PyBuffer_Release(&buf);
-        Py_RETURN_NONE;
-    }
-    found = threatened(b, n, PyFloat_AS_DOUBLE(args[1]));
-    PyBuffer_Release(&buf);
-    return PyBool_FromLong(found);
-}
-
-PyDoc_STRVAR(crossing_dangers_doc,
-"crossing_dangers(buf, x) -> list, or None\n\n"
-"The indices, in order, of the vehicles of a fleet's buffer that meet a\n"
-"crossing animal at x dangerously: braking within the interaction\n"
-"distance, or not braking and a threat; None where the reference is to\n"
-"answer.");
-
-static PyObject *crossing_dangers(PyObject *self, PyObject *const *args,
-                                  Py_ssize_t nargs)
-{
-    Py_buffer buf;
-    Py_ssize_t n, i;
-    const double *b;
-    double ax;
-    PyObject *found;
-
-    (void)self;
-    if (get_fleet("crossing_dangers", args, nargs, &buf, &n) < 0)
-        return NULL;
-    b = buf.buf;
-    if (!PyFloat_Check(args[1]) || (n > 0 && b[RING] == 0.0)) {
-        PyBuffer_Release(&buf);
-        Py_RETURN_NONE;
-    }
-    ax = PyFloat_AS_DOUBLE(args[1]);
-    found = PyList_New(0);
-    for (i = 0; found && i < n; i++) {
-        PyObject *index;
-
-        if (!dangerous(b, n, i, ax))
-            continue;
-        index = PyLong_FromSsize_t(i);
-        if (index == NULL || PyList_Append(found, index) < 0)
-            Py_CLEAR(found);
-        Py_XDECREF(index);
-    }
-    PyBuffer_Release(&buf);
-    return found;
-}
-
 /* Appends (i, animal.aid) to pairs; NULL, with pairs released, on an
    error. */
 static PyObject *add_pair(PyObject *pairs, Py_ssize_t i, PyObject *animal)
@@ -515,7 +438,12 @@ static PyObject *detect_collisions(PyObject *self, PyObject *const *args,
     PyObject *animals, *pairs;
 
     (void)self;
-    if (get_fleet("detect_collisions", args, nargs, &buf, &n) < 0)
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "detect_collisions takes 2 arguments (%zd given)",
+                     nargs);
+        return NULL;
+    }
+    if (fleet_buffer(args[0], &buf, &n, "detect_collisions", "buf") < 0)
         return NULL;
     animals = args[1];
     if (!PyList_Check(animals)) {
@@ -751,20 +679,20 @@ static PyObject *detect(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
 /* behave's herd buffer: the frame length, the behaviour parameters it
    reads (HESITATE_LO and HESITATE_HI are hesitate_dwell, FREE_BELOW is
-   p_frozen_threat + p_flee_threat), the road width, the spawn offset, the
-   exit edge (the road width plus exit_offset), _DWELL_EPS and the radar
-   band. */
+   p_frozen_threat + p_flee_threat, FROZEN_MAX is frozen_max_dwell), the
+   road width, the spawn offset, the exit edge (the road width plus
+   exit_offset), _DWELL_EPS and the radar band. */
 enum {
     TICK, V_APPROACH, V_CROSS, V_FLEE, HESITATE_LO, HESITATE_HI, P_CROSS,
-    P_FROZEN, FREE_BELOW, P_FREEZE, WIDTH, SPAWN, EXIT, EPS, QUIET_LO, QUIET_HI,
-    HERD_SLOTS
+    P_FROZEN, FREE_BELOW, P_FREEZE, FROZEN_MAX, WIDTH, SPAWN, EXIT, EPS, QUIET_LO,
+    QUIET_HI, HERD_SLOTS
 };
 
 /* behave's constants: the activities, in Activity's order, then their
-   visit keys (each activity's value), then frozen_max_dwell. */
+   visit keys (each activity's value). */
 enum {
     FORAGING, APPROACHING, HESITATING, CROSSING, FROZEN, FLEEING, MOVED_AWAY,
-    ACTIVITIES, FROZEN_DWELL = 2 * ACTIVITIES, CONSTANTS
+    ACTIVITIES, CONSTANTS = 2 * ACTIVITIES
 };
 
 /* One behave call: the herd's and the fleet's buffers, the fleet's size,
@@ -799,7 +727,7 @@ static int set_float(PyObject *obj, PyObject *name, double value)
     return status;
 }
 
-/* quiet_walk for an animal that may_be_quiet admits, in activity *s with
+/* quiet_steps for an animal that may_be_quiet admits, in activity *s with
    dwell *dwell at *y, and the radar band lo to hi, empty (lo > hi) for a
    detected animal: its steps walked, up to limit, with *s, *dwell and *y
    after them. */
@@ -859,7 +787,8 @@ static long quiet_walk(const double *h, long limit, double lo, double hi, int *s
 
 /* Phase 5 for the animal a: unless it sleeps, step_animal, its visit and
    frozen-time accounting and, where it is left off the carriageway and
-   may_be_quiet admits it, its quiet walk (take_quiet_steps) and sleep.
+   may_be_quiet admits it, its quiet walk (quiet_steps, take_quiet_steps)
+   and sleep.
    Returns 0 once the animal is done, 1 to leave it to the reference,
    before any draw or write for it, and -1 on an error, with an exception
    set. */
@@ -868,7 +797,7 @@ static int behave_animal(Step *p, PyObject *a)
     const double *h = p->h;
     const double dt = h[TICK];
     PyObject *aid, *value, *interacted = NULL, *frozen_from = NULL;
-    PyObject *dwell_obj = NULL, *came_from = NULL, *wake;
+    PyObject *came_from = NULL, *wake;
     double x, y, dwell, u, lo = h[QUIET_LO], hi = h[QUIET_HI];
     int s = MOVED_AWAY, s0, walked, asleep, detected, status = 1;
     int set_y = 0, set_dwell = 0, left = 0, entered = 0, crossed = 0;
@@ -939,7 +868,7 @@ static int behave_animal(Step *p, PyObject *a)
             if (u < h[P_FROZEN]) {
                 s = FROZEN;
                 came_from = p->c[HESITATING];
-                dwell_obj = p->c[FROZEN_DWELL];
+                dwell = h[FROZEN_MAX];
             } else if (u < h[FREE_BELOW]) {
                 s = FLEEING;
             } else {
@@ -969,7 +898,7 @@ static int behave_animal(Step *p, PyObject *a)
             if (seen == 0 && p->bitgen->next_double(p->bitgen->state) < h[P_FREEZE]) {
                 s = FROZEN;
                 came_from = p->c[CROSSING];
-                dwell_obj = p->c[FROZEN_DWELL];
+                dwell = h[FROZEN_MAX];
                 set_dwell = 1;
                 break;
             }
@@ -1004,8 +933,7 @@ static int behave_animal(Step *p, PyObject *a)
         break;
     }
     if ((set_y && set_float(a, animal_y, y) < 0)
-            || (set_dwell && (dwell_obj ? PyObject_SetAttr(a, animal_dwell, dwell_obj)
-                            : set_float(a, animal_dwell, dwell)) < 0)
+            || (set_dwell && set_float(a, animal_dwell, dwell) < 0)
             || (s != s0 && PyObject_SetAttr(a, animal_state, p->c[s]) < 0)
             || (came_from && PyObject_SetAttr(a, animal_frozen_from, came_from) < 0)
             || (left && PyObject_SetAttr(a, animal_left_foraging, Py_True) < 0)
@@ -1132,7 +1060,7 @@ static PyObject *behave(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (!PyList_Check(animals) || !PyDict_Check(args[3]) || !PyDict_Check(visits)
             || !PyTuple_Check(constants) || PyTuple_GET_SIZE(constants) != CONSTANTS) {
         PyErr_SetString(PyExc_TypeError, "behave: animals must be a list, sleeping and "
-                        "visits dicts, constants a tuple of 15");
+                        "visits dicts, constants a tuple of 14");
         return NULL;
     }
     memset(&p, 0, sizeof p);
@@ -1192,10 +1120,6 @@ static PyObject *behave(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
 static PyMethodDef methods[] = {
     {"advance", (PyCFunction)(void (*)(void))advance, METH_FASTCALL, advance_doc},
-    {"threat_present", (PyCFunction)(void (*)(void))threat_present, METH_FASTCALL,
-     threat_present_doc},
-    {"crossing_dangers", (PyCFunction)(void (*)(void))crossing_dangers, METH_FASTCALL,
-     crossing_dangers_doc},
     {"detect_collisions", (PyCFunction)(void (*)(void))detect_collisions, METH_FASTCALL,
      detect_collisions_doc},
     {"detect", (PyCFunction)(void (*)(void))detect, METH_FASTCALL, detect_doc},

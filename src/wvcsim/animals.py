@@ -182,7 +182,8 @@ def _enter_frozen(animal: AnimalState, came_from: Activity,
                   params: BehaviourParams) -> None:
     animal.state = Activity.FROZEN
     animal.frozen_from = came_from
-    animal.dwell_remaining = params.frozen_max_dwell
+    # A float, as the kernel reads and writes it, whatever the config.
+    animal.dwell_remaining = float(params.frozen_max_dwell)
 
 
 def step_animal(animal: AnimalState, fleet: "Fleet", dt: float,
@@ -328,18 +329,10 @@ def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourPar
     and stops before the first step that is not quiet; ``may_be_quiet``
     names the animals that are never quiet.
     """
-    if not may_be_quiet(animal, radar_band, geometry.road_width):
-        return 0, animal.state, animal.dwell_remaining, animal.y
-    return quiet_walk(animal, limit, dt, params, geometry, radar_band)
-
-
-def quiet_walk(animal: AnimalState, limit: int, dt: float, params: BehaviourParams,
-               geometry: "GeometryParams",
-               radar_band: tuple[float, float]) -> QuietWalk:
-    """``quiet_steps`` for an animal that ``may_be_quiet`` admits, without
-    asking it again."""
     state, dwell, y = animal.state, animal.dwell_remaining, animal.y
     n = 0
+    if not may_be_quiet(animal, radar_band, geometry.road_width):
+        return n, state, dwell, y
     lo, hi = radar_band
     if animal.detected:
         lo, hi = math.inf, -math.inf  # no detection left to try
@@ -428,14 +421,13 @@ class Herd:
         self.frozen_time = 0.0
         self.bitgen = rng.bit_generator.capsule
         self.kernel = load_kernel()
-        # The activities, their visit keys and the dwell an animal freezes
-        # with, which the kernel writes as it is.
-        self.constants = (*Activity, *(a.value for a in Activity), p.frozen_max_dwell)
+        # The activities and their visit keys, which the kernel writes.
+        self.constants = (*Activity, *(a.value for a in Activity))
         self.buf = array("d", [
             self.dt, p.v_approach, p.v_cross, p.v_flee, *p.hesitate_dwell,
             p.p_cross_no_threat, p.p_frozen_threat,
             p.p_frozen_threat + p.p_flee_threat, p.p_freeze_crossing,
-            geometry.road_width, geometry.spawn_offset,
+            p.frozen_max_dwell, geometry.road_width, geometry.spawn_offset,
             geometry.road_width + geometry.exit_offset, _DWELL_EPS, *band])
 
     def behave(self, animals: list[AnimalState], sleeping: dict[int, int], k: int,
@@ -446,11 +438,11 @@ class Herd:
         ``sleeping``, with each change of activity counted in ``visits`` and
         each frozen animal on the road adding a frame to ``frozen_time``. An
         animal it leaves off the carriageway takes its quiet run at once
-        (``may_be_quiet``, ``quiet_walk``, ``take_quiet_steps``, up to the
-        trial's end) and sleeps through it: it goes into ``sleeping`` with
-        the step it wakes at. Returns the first wake (``next_wake`` or an
-        earlier one), whether an animal left the corridor, and the animals
-        left on the carriageway, in order.
+        (``quiet_steps`` and ``take_quiet_steps``, up to the trial's end)
+        and sleeps through it: it goes into ``sleeping`` with the step it
+        wakes at. Returns the first wake (``next_wake`` or an earlier one),
+        whether an animal left the corridor, and the animals left on the
+        carriageway, in order.
 
         The kernel steps the animals in order up to the first one for which
         ``step_animal`` would raise or that holds a value it does not read
@@ -482,9 +474,7 @@ class Herd:
             if 0.0 < y <= road_width:
                 on_road.append(a)
                 continue
-            if not may_be_quiet(a, band, road_width):
-                continue
-            walk = quiet_walk(a, self.n_steps - k, dt, p, geometry, band)
+            walk = quiet_steps(a, self.n_steps - k, dt, p, geometry, band)
             if walk[0]:
                 if take_quiet_steps(a, walk):
                     visits[Activity.APPROACHING.value] += 1

@@ -56,12 +56,13 @@ Phase 5 is one call of the trial's ``animals.Herd.behave`` over the awake
 animals: ``step_animal`` for each, the state visits and frozen-on-road time,
 and the quiet walk and sleep, in the compiled kernel, which draws from the
 behaviour stream through numpy's bit generator, or in Python. It returns
-the animals it leaves on the carriageway. Phase 6 scans only when there are
-some, and those phase 6 leaves in the corridor are the next phase 4's
-braking candidates: no y changes from a phase 5 to the next phase 4 (an
-arrival spawns at the negative spawn offset, and phases 2 and 3 move no
-animal), and a stretch opens only when every animal sleeps, off the
-carriageway.
+the animals it leaves on the carriageway, which are all of the corridor's
+carriageway animals: a sleeper sleeps off it and an arrival spawns off it.
+Phase 6 scans those animals alone, only when there are some, and those
+phase 6 leaves in the corridor are the next phase 4's braking candidates:
+no y changes from a phase 5 to the next phase 4 (an arrival spawns at the
+negative spawn offset, and phases 2 and 3 move no animal), and a stretch
+opens only when every animal sleeps, off the carriageway.
 
 After phase 4 the vehicles hold row k + 1 (k + m after a stretch), taken in
 one call of the trial's ``vehicles.Fleet.advance``. The fleet's buffer is
@@ -76,12 +77,16 @@ acceleration. Only ``Fleet.advance`` sets the brake flags, so a braking
 step's flags stay set until the next call, and every other call clears
 them.
 
-Phases 5 and 6 read the vehicles from the fleet's buffer: phase 5's threat
-tests (in the kernel, or ``step_animal``'s ``Fleet.threat_present`` and
-``Fleet.crossing_dangers``) and phase 6's ``detect_collisions`` (this
-module's call of ``Fleet.detect_collisions``) answer from x, v and the brake
-flags as the last ``Fleet.advance`` left them, and name each vehicle by its
-index.
+Where the compiled kernel loads (``vehicles.load_kernel``), its four
+entries take phase 2's detection (``detect``), phase 4's vehicle steps
+(``advance``), phase 5 (``behave``) and phase 6's contact scan
+(``detect_collisions``). Phases 5 and 6 read the vehicles from
+the fleet's buffer: phase 5's threat tests (``behave``'s own, or, in
+Python, ``step_animal``'s ``Fleet.threat_present`` and
+``Fleet.crossing_dangers``, which ask the references about a snapshot) and
+phase 6's ``detect_collisions`` (this module's call of
+``Fleet.detect_collisions``) answer from x, v and the brake flags as the
+last ``Fleet.advance`` left them, and name each vehicle by its index.
 
 Three scans skip what they cannot find. The carriageway, 0 < y <= road width,
 is ``detect_collisions``' own filter and the only band drivers brake for
@@ -312,7 +317,8 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     rng_b = streams.behaviour
     radar_band = _radar_band(radars, config.radar_range)
     detector = Detector(config, radars, radar_band, streams.detection)
-    spawn_y = config.geometry.spawn_offset
+    # A float, as the kernel's phases 2 and 5 read it, whatever the config.
+    spawn_y = float(config.geometry.spawn_offset)
     forage_lo, forage_hi = config.behaviour.forage_dwell
 
     active: list[AnimalState] = []
@@ -398,13 +404,13 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
         # carriageway takes its quiet run at once and sleeps through it.
         next_wake, pruned, on_road = herd.behave(active, sleeping, k, next_wake, visits)
 
-        # Phase 6: collisions, only with an animal on the carriageway, the
-        # band of ``detect_collisions``' own test; the animal is removed, the
-        # vehicle continues.
+        # Phase 6: collisions of the animals on the carriageway, the band of
+        # ``detect_collisions``' own test, which phase 5 returned in
+        # ``active``'s order; the animal is removed, the vehicle continues.
         if on_road:
-            pairs = detect_collisions(fleet, active)
+            pairs = detect_collisions(fleet, on_road)
             if pairs:
-                by_id = {a.aid: a for a in active}
+                by_id = {a.aid: a for a in on_road}
                 for _vid, aid in pairs:
                     a = by_id[aid]
                     if a.collided:

@@ -161,13 +161,15 @@ class Fleet:
     named by its index in the list the fleet was built from.
 
     ``advance`` steps x, v and the flags in the buffer: in the compiled
-    kernel (``load_kernel``) where it loads, and in its Python body where
-    the kernel is unavailable or leaves it steps. The scans
-    ``threat_present``, ``crossing_dangers`` and ``detect_collisions`` read
-    the buffer in the kernel too; without it, or where it leaves a case to
-    the reference, they ask the module function of the same name about a
-    snapshot, with the fleet's own thresholds and ring. The compiled phase
-    5 (``animals.Herd``) reads the buffer with the first two scans' tests.
+    kernel's ``advance`` (``load_kernel``) where it loads, and in its Python
+    body where the kernel is unavailable or leaves it steps.
+    ``detect_collisions`` reads the buffer in the kernel's
+    ``detect_collisions`` too; without it, or where it leaves a case to the
+    reference, it asks the module function of the same name about a
+    snapshot, with the fleet's own geometry and ring. ``threat_present`` and
+    ``crossing_dangers`` always ask the reference about a snapshot: they
+    serve ``step_animal`` in Python, while the kernel's ``behave``
+    (``animals.Herd``) reads the buffer with its own threat tests.
     """
 
     def __init__(self, vehicles: list[VehicleState], p: IdmParams, dt: float,
@@ -261,18 +263,10 @@ class Fleet:
 
     def threat_present(self, animal: "AnimalState") -> bool:
         """``threat_present`` for this fleet."""
-        if self.kernel:
-            found = self.kernel.threat_present(self.buf, animal.x)
-            if found is not None:
-                return found
         return threat_present(animal, self.snapshot(), self.behaviour, self.road_length)
 
     def crossing_dangers(self, animal: "AnimalState") -> list[int]:
         """``crossing_dangers`` for this fleet."""
-        if self.kernel:
-            found = self.kernel.crossing_dangers(self.buf, animal.x)
-            if found is not None:
-                return found
         return crossing_dangers(animal, self.snapshot(), self.behaviour, self.road_length)
 
     def detect_collisions(self, animals: list["AnimalState"]) -> list[tuple[int, int]]:
@@ -303,12 +297,12 @@ def load_kernel():
     """The compiled kernel: on the first call in a process, the C source
     shipped with the package is compiled with ``build_command`` into a
     private temporary directory and imported as an extension module, which
-    is returned. Its entries serve ``Fleet`` (``advance`` and the three
-    scans), ``detection.Detector`` (``detect``) and ``animals.Herd``
-    (``behave``, which reads the fleet's buffer); the last two draw through
-    numpy's bit generator. Where the build or import fails, warns once with
-    the reason and returns False; all three then run in Python, which gives
-    the same bits and draws."""
+    is returned. Its four entries serve ``Fleet`` (``advance`` and
+    ``detect_collisions``), ``detection.Detector`` (``detect``) and
+    ``animals.Herd`` (``behave``, which reads the fleet's buffer); the last
+    two draw through numpy's bit generator. Where the build or import fails,
+    warns once with the reason and returns False; all three then run in
+    Python, which gives the same bits and draws."""
     global _kernel
     if _kernel is None:
         try:

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wvcsim.animals
 import wvcsim.vehicles
+from test_vehicles import SCAN_EDGES
 from wvcsim.animals import (_DWELL_EPS, Activity, AnimalState, BehaviourParams, Herd,
                             quiet_steps, sample_arrivals, sample_sigma, step_animal,
                             take_quiet_steps)
 from wvcsim.awareness import DANGEROUS_STATES
-from wvcsim.config import CorridorConfig, GeometryParams, replace_config
+from wvcsim.config import (CorridorConfig, GeometryParams, Mode, config_from_dict,
+                           config_to_dict, replace_config)
+from wvcsim.engine import run_trial
 from wvcsim.vehicles import (Fleet, IdmParams, VehicleState, threat_present,
                              vehicle_is_threat)
 
@@ -720,8 +724,8 @@ INT_Y = behave_case([hesitating(), AnimalState(aid=1, x=0.0, y=-20, sigma=1.0,
                      hesitating(aid=2)])
 NOT_AN_ACTIVITY = behave_case([hesitating(), AnimalState(aid=1, x=0.0, y=-25.0,
                                                          sigma=1.0, state="Foraging")])
-# A threatened animal freezes with an int frozen dwell, which the kernel
-# writes as it is; a crossing one freezes for a braking vehicle.
+# A threatened animal freezes with an int frozen dwell, which both write as a
+# float; a crossing one freezes for a braking vehicle.
 INT_FROZEN_DWELL = behave_case([hesitating()], [CRUISING], dataclasses.replace(
     PARAMS, p_frozen_threat=1.0, p_flee_threat=0.0, frozen_max_dwell=8))
 CROSSING_FREEZE = behave_case([AnimalState(aid=0, x=500.0, y=1.0, sigma=1.0,
@@ -770,6 +774,51 @@ WALK_LANDINGS = behave_case([
     AnimalState(aid=4, x=0.0, y=8.0, sigma=1.0, state=Activity.FROZEN,
                 frozen_from=Activity.CROSSING)],
     geometry=BINARY_GEO, dt=0.5)
+# Behaviour under which each threat and danger test decides a step: a
+# hesitating animal whose dwell ends freezes where it is threatened and
+# crosses where it is not; a crossing one freezes for its first dangerous
+# vehicle.
+DECIDING = dict(p_frozen_threat=1.0, p_flee_threat=0.0, p_cross_no_threat=1.0,
+                p_freeze_crossing=1.0)
+
+
+def scan_edge_case(vehicles, braking, behaviour, geometry, road_length, xs):
+    """A fleet of ``vehicles``, those of ``braking`` (indices) braking, and
+    at each x of ``xs`` a hesitating animal whose dwell ends and a crossing
+    one on the road, under ``DECIDING`` behaviour."""
+    animals = []
+    for x in xs:
+        animals += [AnimalState(aid=len(animals), x=x, y=0.0, sigma=1.0,
+                                state=Activity.HESITATING, dwell_remaining=0.05,
+                                left_foraging=True),
+                    AnimalState(aid=len(animals) + 1, x=x, y=1.0, sigma=1.0,
+                                state=Activity.CROSSING, left_foraging=True)]
+    return behave_case(animals, [dataclasses.replace(v, emergency_braking=i in braking)
+                                 for i, v in enumerate(vehicles)],
+                       dataclasses.replace(behaviour, **DECIDING), geometry,
+                       road_length=road_length)
+
+
+# The fleet scans' edge cases (``SCAN_EDGES``), the braking flags as each
+# leaves them: animals at the threat horizon, the near-pass distance and
+# the braking interaction distance of a vehicle, and a ULP either side; and
+# a vehicle at the threat speed floor and one a ULP above it, each alone.
+BEHAVE_SCAN_EDGES = [
+    scan_edge_case(c.vehicles, c.braking if c.then is None else [], c.behaviour,
+                   c.geometry, c.road_length, sorted({a.x for a in c.animals}))
+    for c in SCAN_EDGES] + [
+    scan_edge_case([VehicleState(vid=0, x=100.0, v=v, direction=1, lane=0)], [],
+                   PARAMS, GEO, L, [120.0])
+    for v in (10.0, math.nextafter(10.0, math.inf))]
+
+
+def scan_edge_examples(test):
+    """``test`` with an ``@example`` for each case in ``BEHAVE_SCAN_EDGES``."""
+    for case in BEHAVE_SCAN_EDGES:
+        test = example(case=case)(test)
+    return test
+
+
 # With frames of ``EPS_FRAME``, dwells that count down onto ``_DWELL_EPS``
 # exactly: on the step (a forager leaves, a hesitating animal draws) and on
 # the walk (a forager leaves, a hesitating animal stops short).
@@ -802,6 +851,7 @@ class TestCompiledBehaviour:
     @example(case=LANDINGS)
     @example(case=WALK_LANDINGS)
     @example(case=EPS_LANDINGS)
+    @scan_edge_examples
     def test_same_draws_and_writes_as_python(self, case):
         compiled, stop, _ = behave_outcome(compiled_kernel(), case)
         assert compiled == behave_outcome(False, case)[0]
@@ -830,12 +880,12 @@ class TestCompiledBehaviour:
                          "eps": 4}
         # The animal before the departed one drew; the one after it is not
         # stepped. The int y is stepped in Python; the int frozen dwell is
-        # written as it is.
+        # written as a float.
         moved = outcome["moved"][2]
         assert outcome["moved"][0][-1] != np.random.PCG64(1).state
         assert bits(moved[2]) == bits(hesitating(aid=2))
         assert type(outcome["int-y"][2][1].y) is float
-        assert repr(outcome["int-dwell"][2][0].dwell_remaining) == "8"
+        assert repr(outcome["int-dwell"][2][0].dwell_remaining) == "8.0"
         # The first crosser freezes for the braking vehicle; the second has
         # met it already and crosses on.
         first, second = outcome["freeze"][2]
@@ -865,6 +915,43 @@ class TestCompiledBehaviour:
         assert [a.state for a in animals] == [Activity.APPROACHING, Activity.CROSSING,
                                               Activity.APPROACHING, Activity.HESITATING]
         assert animals[3].dwell_remaining == _DWELL_EPS + EPS_FRAME
+
+    def test_scan_edges_decide_both_ways(self):
+        # Across the scan-edge examples some hesitating animal freezes and
+        # some crosses, and some crossing one freezes and some crosses on:
+        # their steps turn on the threat and danger tests.
+        kernel = compiled_kernel()
+        ends = set()
+        for case in BEHAVE_SCAN_EDGES:
+            ends |= {(before.state, after.state) for before, after
+                     in zip(case.animals, behave_outcome(kernel, case)[2])}
+        assert ends == {(s, t) for s in (Activity.HESITATING, Activity.CROSSING)
+                        for t in (Activity.FROZEN, Activity.CROSSING)}
+
+    def test_an_int_json_config_stays_in_the_kernel(self, monkeypatch):
+        # A JSON config keeps an int as an int. With an int spawn offset and
+        # frozen dwell, animals still spawn with a float y and freeze with a
+        # float dwell, so the kernel steps every animal, and each trial's
+        # result is the float config's.
+        compiled_kernel()
+        data = config_to_dict(replace_config(CorridorConfig(), arrival_rate=300.0,
+                                             radar_spacing=5.0, kappa=0.3))
+        data["geometry"]["spawn_offset"] = -25
+        data["behaviour"]["frozen_max_dwell"] = 8
+        ints = config_from_dict(data)
+        assert type(ints.geometry.spawn_offset) is type(
+            ints.behaviour.frozen_max_dwell) is int
+        floats = config_from_dict(config_to_dict(CorridorConfig()) | dict(
+            arrival_rate=300.0, radar_spacing=5.0, kappa=0.3))
+        stepped = []
+        step_animal = wvcsim.animals.step_animal
+        monkeypatch.setattr(wvcsim.animals, "step_animal",
+                            lambda *args: stepped.append(args[0].aid) or step_animal(*args))
+        results = [[dataclasses.asdict(run_trial(config.with_mode(mode), 0.125, 0, 1))
+                    for mode in Mode] for config in (ints, floats)]
+        assert results[0] == results[1]
+        assert stepped == []
+        assert all(r["state_visit_counts"]["Frozen"] for r in results[0])
 
     @pytest.mark.parametrize("args, error", [
         ((), TypeError),

@@ -1280,9 +1280,9 @@ def scan_examples(test):
 
 
 class TestCompiledScans:
-    """A fleet's scans, answered from the compiled kernel's buffer where it
-    holds the vehicles, are the reference functions' answers for the
-    fleet's vehicles, one for one."""
+    """A fleet's scans, its contact scan answered from the compiled
+    kernel's buffer where it holds the vehicles, are the reference
+    functions' answers for the fleet's vehicles, one for one."""
 
     @pytest.mark.parametrize("kernel", ["compiled", "python"], indirect=True)
     @settings(max_examples=300, deadline=None, derandomize=True,
@@ -1312,26 +1312,23 @@ class TestCompiledScans:
         assert fleet.detect_collisions(animals) == detect_collisions(
             state, animals, geometry, road_length)
 
-    @pytest.mark.parametrize("scan, args, error", [
-        ("threat_present", ("buf",), TypeError),
-        ("threat_present", ("buf", 1.0, None), TypeError),
-        ("threat_present", ("lead", 1.0), TypeError),
-        ("threat_present", ("buf[:-1]", 1.0), ValueError),
-        ("crossing_dangers", ("buf", 1.0, None), TypeError),
-        ("detect_collisions", ("buf", ()), TypeError),
-        ("detect_collisions", (bytearray(8), []), TypeError),
-    ], ids=["one", "three", "long-buf", "short-buf", "dangers-three", "tuple-animals",
-            "bytearray-buf"])
-    def test_wrong_arguments_raise(self, scan, args, error):
-        # Each scan checks its arguments' number, types and sizes before it
-        # reads the buffer.
+    @pytest.mark.parametrize("args, error", [
+        (("buf", [], None), TypeError),
+        (("lead", []), TypeError),
+        (("buf[:-1]", []), ValueError),
+        (("buf", ()), TypeError),
+        ((bytearray(8), []), TypeError),
+    ], ids=["extra-arg", "long-buf", "short-buf", "tuple-animals", "bytearray-buf"])
+    def test_wrong_arguments_raise(self, args, error):
+        # The contact scan checks its arguments' number, types and sizes
+        # before it reads the buffer.
         kernel = compiled_kernel()
         fleet = Fleet(build_corridor(CorridorConfig()).vehicles, P, 0.1,
                       CorridorConfig().road_length, GEO, BEHAVIOUR)
         named = {"buf": fleet.buf, "buf[:-1]": fleet.buf[:-1], "lead": fleet.lead}
         with pytest.raises(error):
-            getattr(kernel, scan)(*(named.get(a, a) if isinstance(a, str) else a
-                                    for a in args))
+            kernel.detect_collisions(*(named.get(a, a) if isinstance(a, str) else a
+                                       for a in args))
 
     @pytest.mark.parametrize("kernel", ["compiled", "python"], indirect=True)
     def test_vehicles_are_named_by_index(self, kernel):
@@ -1349,10 +1346,10 @@ class TestCompiledScans:
     def test_a_stale_buffer_is_left_to_the_reference(self):
         # No buffer is left stale: where the Python body takes over from a
         # kernel that takes only the first step of each call, it steps the
-        # buffer, and the kernel's scans, reading what it left there, answer
-        # as the references do about the fleet's snapshot. The vehicle's
-        # first step alone would leave it 5 m ahead of the animal behind,
-        # a threat and a danger to it, and clear of the animal under it.
+        # buffer, and the kernel's contact scan, reading what it left there,
+        # answers as the reference does about the fleet's snapshot. The
+        # vehicle's first step alone would leave it clear of the animal
+        # under it.
         kernel = compiled_kernel()
         vehicles = [VehicleState(vid=0, x=100.0, v=20.0, direction=1, lane=0)]
         fleet = Fleet(vehicles, P, 1.0, 1000.0, GEO, BEHAVIOUR)
@@ -1360,19 +1357,14 @@ class TestCompiledScans:
         fleet.advance(2, 20.0)
         state = fleet.snapshot()
         assert state[0].x > 120.0
-        behind = AnimalState(aid=0, x=state[0].x - 25.0, y=1.0, sigma=1.0)
         under = AnimalState(aid=1, x=state[0].x, y=1.0, sigma=1.0)
-        answers = (kernel.threat_present(fleet.buf, behind.x),
-                   kernel.crossing_dangers(fleet.buf, behind.x),
-                   kernel.detect_collisions(fleet.buf, [under]))
-        assert answers == (threat_present(behind, state, BEHAVIOUR, 1000.0),
-                           crossing_dangers(behind, state, BEHAVIOUR, 1000.0),
-                           detect_collisions(state, [under], GEO, 1000.0)) \
-            == (False, [], [(0, 1)])
+        assert kernel.detect_collisions(fleet.buf, [under]) \
+            == detect_collisions(state, [under], GEO, 1000.0) == [(0, 1)]
 
         # Through a corridor's handovers, a braking step among them, the
-        # kernel's scans of the buffer agree with the references about the
-        # snapshot for animals behind, at and ahead of every vehicle.
+        # kernel's contact scan of the buffer agrees with the reference
+        # about the snapshot for animals behind, at and ahead of every
+        # vehicle.
         L = CorridorConfig().road_length
         fleet = fleet_on(one_step(kernel), build_corridor(CorridorConfig()).vehicles,
                          P, 0.1, L, GEO, BEHAVIOUR)
@@ -1389,11 +1381,6 @@ class TestCompiledScans:
                                   sigma=1.0)
                       for i, (v, dx) in enumerate((v, dx) for v in state
                                                   for dx in (-30.0, -2.0, 0.0, 45.0))]
-            for a in probes:
-                assert kernel.threat_present(fleet.buf, a.x) is threat_present(
-                    a, state, BEHAVIOUR, L)
-                assert kernel.crossing_dangers(fleet.buf, a.x) == crossing_dangers(
-                    a, state, BEHAVIOUR, L)
             assert kernel.detect_collisions(fleet.buf, probes) == detect_collisions(
                 state, probes, GEO, L) != []
 
