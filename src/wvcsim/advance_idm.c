@@ -56,8 +56,10 @@
 
    behave is phase 5 of a trial step, a port of wvcsim.animals.Herd's
    Python loop: step_animal for each awake animal, the engine's visit and
-   frozen-time accounting, and, for an animal left off the carriageway,
-   quiet_steps, take_quiet_steps and its sleep. It reads a herd buffer (its
+   frozen-time accounting, and, for an animal left off the carriageway, its
+   quiet walk, take_quiet_steps and its sleep. The walk, quiet_walk, is a
+   port of step_animal's quiet steps, which wvcsim.animals.quiet_steps
+   walks with step_animal itself. It reads a herd buffer (its
    slots below) and the vehicles from the fleet's buffer, with its own
    ports of the reference threat tests (threatened for threat_present,
    dangerous for crossing_dangers), and draws from the trial's behaviour
@@ -727,7 +729,9 @@ static int set_float(PyObject *obj, PyObject *name, double value)
     return status;
 }
 
-/* quiet_steps for an animal that may_be_quiet admits, in activity *s with
+/* A port of step_animal's quiet steps (wvcsim.animals.quiet_steps), for an
+   animal off the carriageway that is not frozen, departed, crossing short
+   of the far edge or undetected inside the radar band, in activity *s with
    dwell *dwell at *y, and the radar band lo to hi, empty (lo > hi) for a
    detected animal: its steps walked, up to limit, with *s, *dwell and *y
    after them. */
@@ -786,9 +790,8 @@ static long quiet_walk(const double *h, long limit, double lo, double hi, int *s
 }
 
 /* Phase 5 for the animal a: unless it sleeps, step_animal, its visit and
-   frozen-time accounting and, where it is left off the carriageway and
-   may_be_quiet admits it, its quiet walk (quiet_steps, take_quiet_steps)
-   and sleep.
+   frozen-time accounting and, where it is left off the carriageway and has
+   quiet steps, its quiet walk (quiet_walk, take_quiet_steps) and sleep.
    Returns 0 once the animal is done, 1 to leave it to the reference,
    before any draw or write for it, and -1 on an error, with an exception
    set. */

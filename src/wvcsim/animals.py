@@ -5,11 +5,13 @@ and decide at the road edge whether to cross, freeze, or flee depending on the
 perceived vehicle threat. Crossing animals can freeze mid-road after a
 dangerous encounter with a vehicle.
 
-The module functions are the references. A trial's ``Herd`` runs a step's
-behaviour, phase 5 of ``engine.run_trial``, over the awake animals: in the
-compiled kernel (``vehicles.load_kernel``), which draws from the trial's
-behaviour stream through numpy's bit generator, or in a loop over
-``step_animal`` and the quiet walks, which gives the same bits and draws.
+The module functions are the references: ``step_animal`` is the one Python
+statement of the model, and ``quiet_steps`` walks an animal's quiet steps
+with it. A trial's ``Herd`` runs a step's behaviour, phase 5 of
+``engine.run_trial``, over the awake animals: in the compiled kernel
+(``vehicles.load_kernel``), which draws from the trial's behaviour stream
+through numpy's bit generator, or in a loop over ``step_animal`` and the
+quiet walks, which gives the same bits and draws.
 """
 
 from __future__ import annotations
@@ -293,19 +295,20 @@ def step_animal(animal: AnimalState, fleet: "Fleet", dt: float,
 QuietWalk = tuple[int, Activity, float, float]
 
 
-def may_be_quiet(animal: AnimalState, radar_band: tuple[float, float],
-                 road_width: float) -> bool:
-    """False where ``quiet_steps`` walks the animal no step, whatever the
-    limit: a frozen or departed (MOVED_AWAY) animal, a crossing one short of
-    the far edge (y <= ``road_width``), and an undetected one inside
-    ``radar_band``, for which detection tries. Every animal on the
-    carriageway is frozen or crossing short of the far edge."""
-    state = animal.state
-    if state is Activity.FROZEN or state is Activity.MOVED_AWAY or \
-            state is Activity.CROSSING and animal.y <= road_width:
-        return False
-    lo, hi = radar_band
-    return animal.detected or not lo <= animal.y <= hi
+class _Loud(Exception):
+    """A quiet walk's step that draws a random number or reads a vehicle."""
+
+
+class _Silence:
+    """A quiet walk's fleet and stream, which refuse every read and draw."""
+
+    def refuse(self, *args):
+        raise _Loud
+
+    threat_present = crossing_dangers = random = uniform = refuse
+
+
+_SILENCE = _Silence()
 
 
 def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourParams,
@@ -318,67 +321,34 @@ def quiet_steps(animal: AnimalState, limit: int, dt: float, params: BehaviourPar
     its limit, so a walk limited to ``n`` ends where a longer one is after
     ``n`` steps.
 
-    A quiet step changes nothing but the animal's own dwell or y, and at most
-    its FORAGING -> APPROACHING switch: it draws no random number, reads no
-    vehicle and does not take the animal off the corridor. The animal starts
-    it detected or outside ``radar_band``, so detection tries nothing for it,
-    and starts and ends it off the carriageway (0 < y <= road width), so no
-    driver brakes for it and no vehicle can hit it. The walk runs on copies
-    of the activity, dwell and y, with ``step_animal``'s float operations,
-    through the branches it ports from ``step_animal`` for the quiet phases,
-    and stops before the first step that is not quiet; ``may_be_quiet``
-    names the animals that are never quiet.
+    The walk steps a copy of the animal with ``step_animal`` against a fleet
+    and a stream that refuse every read and draw, and stops before the first
+    step that is not quiet. A quiet step draws nothing, reads no vehicle and
+    does not prune the animal (MOVED_AWAY); the animal starts it detected or
+    outside ``radar_band`` (detection tries nothing for it), and starts and
+    ends it off the carriageway, 0 < y <= road width (no driver brakes for
+    it, no vehicle can hit it). A frozen or departed animal is never walked:
+    one frozen while crossing is released without a draw or a read, but into
+    CROSSING, a visit the walk does not count.
     """
-    state, dwell, y = animal.state, animal.dwell_remaining, animal.y
-    n = 0
-    if not may_be_quiet(animal, radar_band, geometry.road_width):
+    n, state, dwell, y = 0, animal.state, animal.dwell_remaining, animal.y
+    if state is Activity.FROZEN or state is Activity.MOVED_AWAY:
         return n, state, dwell, y
     lo, hi = radar_band
-    if animal.detected:
-        lo, hi = math.inf, -math.inf  # no detection left to try
-    if state is Activity.FORAGING:
-        # FORAGING: count the dwell down at spawn, where y stays outside
-        # the band for an undetected animal, then approach.
-        while n < limit:
-            dwell -= dt
-            n += 1
-            if dwell <= _DWELL_EPS:
-                state = Activity.APPROACHING
-                break
-    if state is Activity.APPROACHING:
-        # APPROACHING: walk toward the road; the step reaching the edge draws.
-        while n < limit and not lo <= y <= hi:
-            ny = y + params.v_approach * dt
-            if ny >= 0.0:
-                break
-            y = ny
-            n += 1
-    elif state is Activity.HESITATING:
-        # HESITATING: count the dwell down; the step ending it draws.
-        while n < limit and not lo <= y <= hi:
-            left = dwell - dt
-            if left <= _DWELL_EPS:
-                break
-            dwell = left
-            n += 1
-    elif state is Activity.CROSSING:
-        # CROSSING past the far edge: walk out; the step reaching the exit
-        # offset leaves the corridor.
-        exit_y = geometry.road_width + geometry.exit_offset
-        while n < limit and not lo <= y <= hi:
-            ny = y + params.v_cross * dt
-            if ny >= exit_y:
-                break
-            y = ny
-            n += 1
-    elif state is Activity.FLEEING:
-        # FLEEING from the road edge: retreat; the step reaching spawn leaves.
-        while n < limit and not lo <= y <= hi:
-            ny = y - params.v_flee * dt
-            if ny <= geometry.spawn_offset:
-                break
-            y = ny
-            n += 1
+    road_width = geometry.road_width
+    # step_animal's reads of the animal (its vehicles met come after a read).
+    walker = AnimalState(animal.aid, animal.x, y, animal.sigma, state, dwell,
+                         frozen_from=animal.frozen_from)
+    while n < limit and not (0.0 < y <= road_width
+                             or not animal.detected and lo <= y <= hi):
+        try:
+            step_animal(walker, _SILENCE, dt, params, geometry, _SILENCE)
+        except _Loud:
+            break
+        if walker.state is Activity.MOVED_AWAY or 0.0 < walker.y <= road_width:
+            break
+        state, dwell, y = walker.state, walker.dwell_remaining, walker.y
+        n += 1
     return n, state, dwell, y
 
 

@@ -148,9 +148,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_plots(args) -> int:
     records = read_trials_csv(args.trials_csv)
-    paths = emit_plot_data(records, args.kind, args.out)
-    for p in paths:
-        print(f"wrote {p}")
+    print(f"wrote {emit_plot_data(records, args.kind, args.out)}")
     return 0
 
 

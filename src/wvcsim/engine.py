@@ -18,9 +18,9 @@ carriageway (phase 4 brakes for nothing and phase 6 scans nothing). Such
 steps are foraging, approaching short of the edge, hesitating short of the
 dwell's end, fleeing short of the spawn offset and walking out past the far
 edge. An animal that phase 5 leaves off the carriageway has its quiet steps
-from the next step on walked once, up to the trial's end (a frozen animal,
-or an undetected one inside ``_radar_band``, has none and is not walked:
-``animals.may_be_quiet``); phase 5 applies the walk at once
+from the next step on walked once, up to the trial's end, with
+``animals.step_animal`` on a copy that may not draw or read (a frozen animal
+is never walked); phase 5 applies the walk at once
 (``animals.take_quiet_steps``) and the animal sleeps until the step after
 the walk's last (``sleeping``, ``next_wake``). Phases 2 and 5 skip a
 sleeper. Nothing reads what changes while it sleeps: a quiet step changes
@@ -305,7 +305,9 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     world = build_corridor(config)
     streams = RngStreams.for_trial(master_seed, trial_id, config.mode)
     schedule, n_steps = _schedule(config, duration_hours, streams.arrivals)
-    dt = config.time_step
+    # A float, so that each step's time is one, as the kernel's phase 2 reads
+    # it, whatever the config.
+    dt = float(config.time_step)
     result = TrialResult(trial_id=trial_id, mode=config.mode, seed=master_seed,
                          sim_hours=duration_hours, arrivals=len(schedule))
     visits = {a.value: 0 for a in Activity}

@@ -320,13 +320,13 @@ def plot_dataset(records: Sequence[TrialRecord], kind: str) -> dict:
 
 
 def emit_plot_data(records: Sequence[TrialRecord], kind: str,
-                   out_dir: str) -> list[str]:
-    """Write the figure dataset(s) for ``kind`` as JSON with sorted keys, so the
-    same records give the same bytes; returns the paths written."""
+                   out_dir: str) -> str:
+    """Write the figure dataset for ``kind`` as JSON with sorted keys, so the
+    same records give the same bytes; returns the path written."""
     document = plot_dataset(records, kind)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"plot_{kind}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return [path]
+    return path

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wvcsim.animals
+import wvcsim.detection
 import wvcsim.vehicles
 from test_vehicles import SCAN_EDGES
 from wvcsim.animals import (_DWELL_EPS, Activity, AnimalState, BehaviourParams, Herd,
@@ -931,26 +932,41 @@ class TestCompiledBehaviour:
     def test_an_int_json_config_stays_in_the_kernel(self, monkeypatch):
         # A JSON config keeps an int as an int. With an int spawn offset and
         # frozen dwell, animals still spawn with a float y and freeze with a
-        # float dwell, so the kernel steps every animal, and each trial's
-        # result is the float config's.
+        # float dwell; with an int time step, each step's time is still a
+        # float. So the kernel steps and tries every animal, and each
+        # trial's result has the float config's repr.
         compiled_kernel()
-        floats = replace_config(CorridorConfig(), arrival_rate=300.0, radar_spacing=5.0,
-                                kappa=0.3)
-        data = config_to_dict(floats)
-        data["geometry"]["spawn_offset"] = -25
-        data["behaviour"]["frozen_max_dwell"] = 8
-        ints = config_from_dict(data)
-        assert type(ints.geometry.spawn_offset) is type(
-            ints.behaviour.frozen_max_dwell) is int
-        stepped = []
-        step_animal = wvcsim.animals.step_animal
+        crowded = config_to_dict(replace_config(
+            CorridorConfig(), arrival_rate=300.0, radar_spacing=5.0, kappa=0.3))
+        stepped, tried = [], []
+        step_animal, try_detect = wvcsim.animals.step_animal, wvcsim.detection.try_detect
         monkeypatch.setattr(wvcsim.animals, "step_animal",
                             lambda *args: stepped.append(args[0].aid) or step_animal(*args))
-        results = [[dataclasses.asdict(run_trial(config.with_mode(mode), 0.125, 0, 1))
-                    for mode in Mode] for config in (ints, floats)]
-        assert repr(results[0]) == repr(results[1])
-        assert stepped == []
-        assert all(r["state_visit_counts"]["Frozen"] for r in results[0])
+        monkeypatch.setattr(wvcsim.detection, "try_detect",
+                            lambda *args: tried.append(args[0].aid) or try_detect(*args))
+        results = {}
+        for case, edits in {
+                "spawn and dwell": (("geometry", "spawn_offset", -25),
+                                    ("behaviour", "frozen_max_dwell", 8)),
+                "time step": ((None, "time_step", 1),)}.items():
+            configs = []
+            for cast in (int, float):
+                data = copy.deepcopy(crowded)
+                for section, name, value in edits:
+                    (data[section] if section else data)[name] = cast(value)
+                configs.append(config_from_dict(data))
+            ints, floats = configs
+            assert all(type(getattr(getattr(ints, section) if section else ints, name))
+                       is int for section, name, _ in edits)
+            pair = [[dataclasses.asdict(run_trial(config.with_mode(mode), 0.125, 0, 1))
+                     for mode in Mode] for config in (ints, floats)]
+            assert repr(pair[0]) == repr(pair[1]), case
+            assert stepped == tried == [], case
+            results[case] = pair[0]
+        # Animals froze, so their frozen dwell was read, and radars detected
+        # animals (Control has none), so the time was.
+        assert all(r["state_visit_counts"]["Frozen"] for r in results["spawn and dwell"])
+        assert all(r["detected"] for r in results["time step"][1:])
 
     @pytest.mark.parametrize("args, error", [
         ((), TypeError),

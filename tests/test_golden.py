@@ -166,5 +166,6 @@ def test_summary_csv_bytes(records, digest, tmp_path):
      "2ee8bc1c24681d0b33e8aebdeb0bcfa9fb2e03629d9424b02a43d664d6d78559"),
 ], ids=["headline", "spacing_sweep"])
 def test_plot_json_bytes(records, kind, digest, tmp_path):
-    emit_plot_data(records("compiled"), kind, str(tmp_path))
+    path = emit_plot_data(records("compiled"), kind, str(tmp_path))
+    assert path == str(tmp_path / f"plot_{kind}.json")
     assert sha256(tmp_path / f"plot_{kind}.json") == digest

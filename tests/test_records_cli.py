@@ -334,9 +334,10 @@ class TestCli:
               "--out", str(out)])
         code = main(["plots", str(out / "headline_trials.csv"), "--kind",
                      "headline", "--out", str(out)])
-        capsys.readouterr()
         assert code == 0
-        doc = json.loads((out / "plot_headline.json").read_text())
+        path = out / "plot_headline.json"
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote {path}"
+        doc = json.loads(path.read_text())
         assert doc["schema_version"] == 1
         assert doc["kind"] == "headline"
 
