@@ -24,8 +24,6 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .vehicles import load_kernel
-
 if TYPE_CHECKING:
     from .config import CorridorConfig, GeometryParams
     from .vehicles import Fleet
@@ -389,16 +387,12 @@ class Herd:
         self.fleet = fleet
         self.n_steps = n_steps
         self.frozen_time = 0.0
-        self.bitgen = rng.bit_generator.capsule
-        self.kernel = load_kernel()
-        # The activities and their visit keys, which the kernel writes.
-        self.constants = (*Activity, *(a.value for a in Activity))
         self.buf = array("d", [
             self.dt, p.v_approach, p.v_cross, p.v_flee, *p.hesitate_dwell,
             p.p_cross_no_threat, p.p_frozen_threat,
             p.p_frozen_threat + p.p_flee_threat, p.p_freeze_crossing,
             p.frozen_max_dwell, geometry.road_width, geometry.spawn_offset,
-            geometry.road_width + geometry.exit_offset, _DWELL_EPS, *band])
+            geometry.road_width + geometry.exit_offset, _DWELL_EPS])
 
     def behave(self, animals: list[AnimalState], sleeping: dict[int, int], k: int,
                next_wake: int, visits: dict[str, int]) -> tuple[int, bool,
@@ -412,23 +406,11 @@ class Herd:
         and sleeps through it: it goes into ``sleeping`` with the step it
         wakes at. Returns the first wake (``next_wake`` or an earlier one),
         whether an animal left the corridor, and the animals left on the
-        carriageway, in order.
-
-        The kernel steps the animals in order up to the first one for which
-        ``step_animal`` would raise or that holds a value it does not read
-        (see advance_idm.c), before any draw or write for it; the loop below
-        goes on from that animal, so errors are raised here, as they would
-        be without the kernel."""
-        start, pruned, on_road = 0, False, []
-        if self.kernel:
-            start, self.frozen_time, next_wake, pruned, on_road = self.kernel.behave(
-                self.buf, self.fleet.buf, animals, sleeping, visits, self.constants, k,
-                self.n_steps, next_wake, self.frozen_time, self.bitgen)
-            if start == len(animals):
-                return next_wake, pruned, on_road
+        carriageway, in order."""
+        pruned, on_road = False, []
         p, geometry, dt, band = self.params, self.geometry, self.dt, self.band
         road_width = geometry.road_width
-        for a in animals[start:]:
+        for a in animals:
             if a.aid in sleeping:
                 continue
             prev_state = a.state

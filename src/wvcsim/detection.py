@@ -23,7 +23,6 @@ import numpy as np
 
 from .animals import AnimalState
 from .config import CorridorConfig, RadarNode
-from .vehicles import load_kernel
 
 if TYPE_CHECKING:
     from .awareness import AwarenessState
@@ -121,35 +120,19 @@ class Detector:
         self.dt = config.time_step
         self.band = band
         self.rng = rng
-        self.bitgen = rng.bit_generator.capsule
-        self.kernel = load_kernel()
         self.buf = array("d", [self.spacing, self.params.r_det, self.params.kappa,
-                               self.dt, config.boost_factor, *band])
-        for values in ([node.x for node in radars], [node.y for node in radars],
-                       [0.0] * len(radars)):
-            self.buf.extend(values)
+                               self.dt, config.boost_factor, *band,
+                               *(node.x for node in radars), *(node.y for node in radars)])
 
     def detect(self, animals: list[AnimalState], sleeping: dict[int, int],
                awareness: "AwarenessState", now: float) -> list[DetectionEvent]:
         """This step's detection events, in the order of ``animals``:
         ``try_detect`` for each animal that is undetected, inside the radar
         band and not a key of ``sleeping``, boosted by ``awareness``'s
-        clocks as they stand.
-
-        The kernel tries the animals in order up to the first one where
-        ``try_detect`` would raise or reads a value that is not a float;
-        the loop below goes on from that animal, so errors are raised here,
-        as they would be without the kernel."""
+        clocks as they stand."""
         events = []
-        start = 0
-        if self.kernel:
-            start, hits = self.kernel.detect(self.buf, animals, sleeping,
-                                             awareness.boost_until, now, self.bitgen)
-            events = [DetectionEvent(now, rid, aid) for rid, aid in hits]
-            if start == len(animals):
-                return events
         lo, hi = self.band
-        for a in animals[start:]:
+        for a in animals:
             if not a.detected and lo <= a.y <= hi and a.aid not in sleeping:
                 ev = try_detect(a, self.radars, self.spacing, awareness.beta_for, now,
                                 self.dt, self.params, self.rng)

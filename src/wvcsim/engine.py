@@ -106,6 +106,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -121,7 +122,7 @@ from .awareness import AwarenessState
 from .config import CorridorConfig, Mode, build_corridor
 from .detection import Detector, try_detect
 from .vehicles import (DriverAlert, Fleet, VehicleOverlap, emergency_brake_needed,
-                       idm_acceleration)
+                       idm_acceleration, load_kernel)
 
 
 def detect_collisions(fleet: Fleet, animals: list[AnimalState]) -> list[tuple[int, int]]:
@@ -302,24 +303,106 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     Raises ValueError on an invalid config and EngineInvariantError if any
     internal invariant breaks (which would be an engine bug).
     """
+    return _play(config, duration_hours, trial_id, master_seed)[0]
+
+
+def _play(config: CorridorConfig, duration_hours: float, trial_id: int,
+          master_seed: int) -> tuple[TrialResult, list[AnimalState], Fleet]:
+    """``run_trial``'s result, with every animal as the trial ends and the
+    trial's fleet: in one call of the compiled kernel's ``trial``
+    (``vehicles.load_kernel``) where it loads and takes the trial, else in
+    the Python loop, from a fresh world and fresh streams."""
+    kernel = load_kernel()
+    if kernel:
+        played = _compiled(kernel, config, duration_hours, trial_id, master_seed)
+        if played is not None:
+            return played
+    return _loop(config, duration_hours, trial_id, master_seed)
+
+
+def _setup(config: CorridorConfig, duration_hours: float, trial_id: int,
+           master_seed: int):
+    """A trial's radars, streams, arrival schedule, step count, frame
+    length (a float, so that each step's time is one, whatever the config),
+    radar band and fleet."""
     world = build_corridor(config)
     streams = RngStreams.for_trial(master_seed, trial_id, config.mode)
     schedule, n_steps = _schedule(config, duration_hours, streams.arrivals)
-    # A float, so that each step's time is one, as the kernel's phase 2 reads
-    # it, whatever the config.
     dt = float(config.time_step)
+    band = _radar_band(world.radars, config.radar_range)
+    fleet = Fleet(world.vehicles, config.idm, dt, config.road_length, config.geometry,
+                  config.behaviour)
+    return world.radars, streams, schedule, n_steps, dt, band, fleet
+
+
+def _result(config: CorridorConfig, duration_hours: float, trial_id: int,
+            master_seed: int, animals: list[AnimalState], visits: dict[str, int],
+            frozen_time: float, latencies: list[float]) -> TrialResult:
+    """Phase 7: the trial's result from its animals as it ends (one per
+    arrival), its visit counts, frozen-on-road time and detection latencies
+    in event order."""
     result = TrialResult(trial_id=trial_id, mode=config.mode, seed=master_seed,
-                         sim_hours=duration_hours, arrivals=len(schedule))
+                         sim_hours=duration_hours, arrivals=len(animals))
+    result.road_entries = sum(1 for a in animals if a.entered_road)
+    result.crossing_successes = sum(1 for a in animals if a.crossed)
+    result.collisions = sum(1 for a in animals if a.collided)
+    result.frozen_on_road_time = frozen_time
+    result.detected = sum(1 for a in animals if a.detected)
+    result.detectable = sum(1 for a in animals if a.left_foraging)
+    result.exits_clean = sum(1 for a in animals
+                             if a.state is Activity.MOVED_AWAY and not a.collided)
+    result.active_at_end = sum(1 for a in animals if a.state is not Activity.MOVED_AWAY)
+    result.state_visit_counts = visits
+    if latencies:
+        result.mean_in_range_latency = sum(latencies) / len(latencies)
+        result.median_in_range_latency = statistics.median(latencies)
+    result.check_invariants()
+    return result
+
+
+def _compiled(kernel, config: CorridorConfig, duration_hours: float, trial_id: int,
+              master_seed: int) -> Optional[tuple[TrialResult, list[AnimalState], Fleet]]:
+    """``_play`` in one call of the kernel's ``trial``, which steps the
+    fleet's buffer and every animal, every step; None where it declines the
+    trial (see advance_idm.c)."""
+    radars, streams, schedule, n_steps, _, band, fleet = _setup(
+        config, duration_hours, trial_id, master_seed)
+    idm = config.idm
+    herd = Herd(config, band, streams.behaviour, fleet, n_steps)
+    detector = Detector(config, radars, band, streams.detection)
+    columns = [array("d", column) for column in zip(*schedule)] or [array("d")] * 3
+    out = kernel.trial(fleet.buf, fleet.lead, herd.buf, detector.buf, *columns,
+                       _MODE_INDEX[config.mode], config.persistence_window,
+                       config.awareness_range, idm.v_cruise, idm.v_caution,
+                       *config.behaviour.forage_dwell, n_steps,
+                       streams.behaviour.bit_generator.capsule,
+                       streams.detection.bit_generator.capsule)
+    if out is None:
+        return None
+    ends, counts, frozen_time, latencies = out
+    activities = list(Activity)
+    animals = [AnimalState(aid, arr.x, y, arr.sigma, activities[s], dwell, *flags,
+                           None if came_from < 0 else activities[came_from], met)
+               for aid, (arr, (s, y, dwell, *flags, came_from, met))
+               in enumerate(zip(schedule, ends))]
+    visits = {a.value: n for a, n in zip(activities, counts)}
+    return (_result(config, duration_hours, trial_id, master_seed, animals, visits,
+                    frozen_time, latencies), animals, fleet)
+
+
+def _loop(config: CorridorConfig, duration_hours: float, trial_id: int,
+          master_seed: int) -> tuple[TrialResult, list[AnimalState], Fleet]:
+    """``_play`` in the Python loop: the reference and the fallback."""
+    radars, streams, schedule, n_steps, dt, radar_band, fleet = _setup(
+        config, duration_hours, trial_id, master_seed)
     visits = {a.value: 0 for a in Activity}
 
     # Hot-loop locals.
     idm = config.idm
-    radars = world.radars
     awareness = AwarenessState(config, len(radars))
     rng_b = streams.behaviour
-    radar_band = _radar_band(radars, config.radar_range)
     detector = Detector(config, radars, radar_band, streams.detection)
-    # A float, as the kernel's phases 2 and 5 read it, whatever the config.
+    # A float, as the kernel reads it, whatever the config.
     spawn_y = float(config.geometry.spawn_offset)
     forage_lo, forage_hi = config.behaviour.forage_dwell
 
@@ -331,8 +414,6 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
     latencies: list[float] = []
     next_arrival = 0
     n_schedule = len(schedule)
-    fleet = Fleet(world.vehicles, idm, dt, config.road_length, config.geometry,
-                  config.behaviour)
     herd = Herd(config, radar_band, rng_b, fleet, n_steps)
     alert = DriverAlert()
     # Sleepers: each animal whose quiet run is taken ahead, by aid, and the
@@ -426,19 +507,5 @@ def run_trial(config: CorridorConfig, duration_hours: float, trial_id: int,
             active = [a for a in active if a.state is not Activity.MOVED_AWAY]
             on_road = [a for a in on_road if a.state is not Activity.MOVED_AWAY]
 
-    # Phase 7 aggregation.
-    result.road_entries = sum(1 for a in all_animals if a.entered_road)
-    result.crossing_successes = sum(1 for a in all_animals if a.crossed)
-    result.collisions = sum(1 for a in all_animals if a.collided)
-    result.frozen_on_road_time = herd.frozen_time
-    result.detected = sum(1 for a in all_animals if a.detected)
-    result.detectable = sum(1 for a in all_animals if a.left_foraging)
-    result.exits_clean = sum(1 for a in all_animals
-                             if a.state is Activity.MOVED_AWAY and not a.collided)
-    result.active_at_end = len(active)
-    result.state_visit_counts = visits
-    if latencies:
-        result.mean_in_range_latency = sum(latencies) / len(latencies)
-        result.median_in_range_latency = statistics.median(latencies)
-    result.check_invariants()
-    return result
+    return (_result(config, duration_hours, trial_id, master_seed, all_animals, visits,
+                    herd.frozen_time, latencies), all_animals, fleet)

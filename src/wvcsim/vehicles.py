@@ -179,7 +179,6 @@ class Fleet:
         self.road_length = road_length
         self.geometry = geometry
         self.behaviour = behaviour
-        self.kernel = load_kernel()
         # Each vehicle's fixed attributes, for ``snapshot``.
         self.fixed = [(v.vid, v.direction, v.lane, v.leader) for v in vehicles]
         self.lead = array("l", [v.leader for v in vehicles])
@@ -220,18 +219,8 @@ class Fleet:
         Sets each brake flag to its driver's test on the braking step (False
         without one); raises VehicleOverlap on a gap <= 0, leaving the
         vehicles as they were before that step.
-
-        The steps run in the compiled kernel (``load_kernel``) where it
-        loads. The Python body below is its reference and its fallback: it
-        takes every step from the first one the kernel leaves to it, so
-        errors are raised here, as they would be without the kernel.
         """
         buf, lead, p = self.buf, self.lead, self.p
-        first = 0
-        if self.kernel:
-            first = self.kernel.advance(buf, lead, n_steps, v0, animals)
-            if first >= n_steps:
-                return
         n = len(lead)
         # The slots DT to FREE_GAP; the closing term from ``p`` as it stands.
         dt, L, length, free_gap = buf[6:10]
@@ -240,7 +229,7 @@ class Fleet:
         x, flags = _STATE + 2 * n, _STATE + 6 * n
         brake = [False] * n
         buf[flags:] = array("d", brake)
-        for step in range(first, n_steps):
+        for step in range(n_steps):
             if animals is not None and step == n_steps - 1:
                 brake = [emergency_brake_needed(v, animals, self.geometry, p, L)
                          for v in self.snapshot()]
@@ -271,10 +260,6 @@ class Fleet:
 
     def detect_collisions(self, animals: list["AnimalState"]) -> list[tuple[int, int]]:
         """``detect_collisions`` for this fleet."""
-        if self.kernel:
-            found = self.kernel.detect_collisions(self.buf, animals)
-            if found is not None:
-                return found
         return detect_collisions(self.snapshot(), animals, self.geometry, self.road_length)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import wvcsim.animals
 import wvcsim.detection
 import wvcsim.vehicles
+from conftest import trial_arguments
 from test_vehicles import SCAN_EDGES
 from wvcsim.animals import (_DWELL_EPS, Activity, AnimalState, BehaviourParams, Herd,
                             quiet_steps, sample_arrivals, sample_sigma, step_animal,
@@ -556,34 +557,21 @@ def behave_case(animals, vehicles=(), behaviour=PARAMS, geometry=GEO, dt=DT,
                            frozen_time=frozen_time, seed=seed)
 
 
-def behave_outcome(kernel, case):
-    """``Herd.behave`` on copies of ``case``'s animals, vehicles and sleepers,
-    with the kernel slot set to ``kernel``: what it raised (type and
-    message) or returned (the first wake, whether an animal left, the aids
-    on the carriageway), each animal's fields and the frozen time by repr
-    (which tells every two floats apart), the visits, the sleepers in
-    order, the generator's state after it; where the compiled entry
-    stopped (None without it); and the animals."""
+def behave_outcome(case):
+    """``Herd.behave`` on copies of ``case``'s animals, vehicles and
+    sleepers: what it raised (type and message) or returned (the first
+    wake, whether an animal left, the aids on the carriageway), each
+    animal's fields and the frozen time by repr (which tells every two
+    floats apart), the visits, the sleepers in order, the generator's state
+    after it; and the animals."""
     config = case.config
     animals = copy.deepcopy(case.animals)
     sleeping = dict(case.sleeping)
-    saved = wvcsim.vehicles._kernel
-    wvcsim.vehicles._kernel = kernel
-    try:
-        fleet = Fleet(copy.deepcopy(case.vehicles), config.idm, config.time_step,
-                      config.road_length, config.geometry, config.behaviour)
-        rng = np.random.Generator(np.random.PCG64(case.seed))
-        herd = Herd(config, case.band, rng, fleet, case.n_steps)
-    finally:
-        wvcsim.vehicles._kernel = saved
+    fleet = Fleet(copy.deepcopy(case.vehicles), config.idm, config.time_step,
+                  config.road_length, config.geometry, config.behaviour)
+    rng = np.random.Generator(np.random.PCG64(case.seed))
+    herd = Herd(config, case.band, rng, fleet, case.n_steps)
     herd.frozen_time = case.frozen_time
-    stops = []
-    if kernel:
-        def spied(*args):
-            out = kernel.behave(*args)
-            stops.append(out[0])
-            return out
-        herd.kernel = SimpleNamespace(behave=spied)
     visits = {a.value: 0 for a in Activity}
     error = out = None
     try:
@@ -593,21 +581,7 @@ def behave_outcome(kernel, case):
     except Exception as exc:
         error = (type(exc).__name__, str(exc))
     return (error, out, [bits(a) for a in animals], visits, repr(herd.frozen_time),
-            list(sleeping.items()), rng.bit_generator.state), (stops or [None])[0], animals
-
-
-def plain(case):
-    """Whether the compiled entry leaves none of ``case``'s animals to the
-    reference: each is in an activity but MOVED_AWAY, with float x, y and
-    dwell, a bool ``detected`` and a set of interacted vehicles, on a ring
-    of nonzero length, with a hesitate range numpy's uniform accepts."""
-    lo, hi = case.config.behaviour.hesitate_dwell
-    return case.config.road_length != 0.0 and math.isfinite(hi - lo) \
-        and math.copysign(1.0, hi - lo) > 0.0 \
-        and all(isinstance(a.state, Activity) and a.state is not Activity.MOVED_AWAY
-                and all(type(v) is float for v in (a.x, a.y, a.dwell_remaining))
-                and type(a.detected) is bool and type(a.interacted_vehicles) is set
-                for a in case.animals)
+            list(sleeping.items()), rng.bit_generator.state), animals
 
 
 def ulps(*values):
@@ -622,84 +596,6 @@ BINARY_GEO = dataclasses.replace(GEO, lane_width=3.5)
 # A frame of one ULP of ``_DWELL_EPS``: ``_DWELL_EPS`` plus a few frames is
 # exact, so a dwell can count down onto it exactly.
 EPS_FRAME = math.ulp(_DWELL_EPS)
-
-
-@st.composite
-def behave_cases(draw):
-    """A frame length, behaviour parameters (probabilities at 0 or 1 too,
-    int hesitate bounds, an int frozen dwell), a geometry, 0-6 vehicles
-    (slow, fast or braking), a radar band and 0-8 animals in every activity
-    but MOVED_AWAY: each near a vehicle or anywhere, where its activity puts
-    it, at an edge (0, the road width, the exit and the spawn offset) or a
-    ULP beside one, or a few frames' walk short of one; with a dwell at or a
-    ULP beside ``_DWELL_EPS``, a few frames above it, or anywhere; detected
-    or not, with interacted vehicles, and some asleep. With a 0.5 s frame
-    and ``BINARY_GEO``, or a frame of ``EPS_FRAME``, a walk can land on an
-    edge or on ``_DWELL_EPS`` exactly."""
-    dt = draw(st.sampled_from((0.1, 0.5, EPS_FRAME, 0.8)) | st.floats(0.01, 1.0))
-    p_frozen = draw(st.sampled_from((0.1, 0.0, 1.0)) | st.floats(0.0, 1.0))
-    p = dataclasses.replace(
-        PARAMS,
-        hesitate_dwell=draw(st.sampled_from(((0.5, 3.0), (1, 3), (0.0, 0.0)))
-                            | st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0))
-                            .map(sorted).map(tuple)),
-        p_cross_no_threat=draw(st.sampled_from((0.8, 0.0, 1.0)) | st.floats(0.0, 1.0)),
-        p_frozen_threat=p_frozen,
-        p_flee_threat=draw(st.sampled_from((0.0, 1.0 - p_frozen))
-                           | st.floats(0.0, 1.0 - p_frozen)),
-        p_freeze_crossing=draw(st.sampled_from((0.15, 0.0, 1.0)) | st.floats(0.0, 1.0)),
-        frozen_max_dwell=draw(st.sampled_from((8.0, 8)) | st.floats(0.01, 20.0)))
-    geometry = draw(st.sampled_from([GEO, BINARY_GEO, WIDE_ANIMAL]))
-    rw, spawn = geometry.road_width, geometry.spawn_offset
-    exit_y = rw + geometry.exit_offset
-    vehicles = []
-    for vid in range(draw(st.integers(0, 6))):
-        direction = draw(st.sampled_from((1, -1)))
-        vehicles.append(VehicleState(
-            vid=vid, x=draw(st.floats(0.0, L, exclude_max=True)),
-            v=draw(st.sampled_from((0.0, 8.33, 27.78)) | st.floats(0.0, 40.0)),
-            direction=direction, lane=(1 - direction) // 2,
-            emergency_braking=draw(st.booleans())))
-    band = draw(st.sampled_from((NO_BAND, (-16.5, 25.0))) | st.tuples(
-        st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)).map(sorted).map(tuple))
-    k = draw(st.integers(1, 3000))
-    n_steps = k + draw(st.sampled_from((0, 1)) | st.integers(0, 400))
-    edges = ulps(0.0, rw, exit_y, spawn)
-    dwells = ulps(_DWELL_EPS) + [_DWELL_EPS + j * dt for j in range(1, 5)]
-    animals, sleeping = [], {}
-    for aid in range(draw(st.integers(0, 8))):
-        state = draw(st.sampled_from([s for s in Activity if s is not Activity.MOVED_AWAY]))
-        frames = draw(st.integers(1, 12))
-        y = draw(st.sampled_from(edges) | {
-            Activity.FORAGING: st.just(spawn),
-            Activity.APPROACHING: st.floats(spawn, 0.0) | st.just(
-                -frames * p.v_approach * dt),
-            Activity.HESITATING: st.just(0.0),
-            Activity.CROSSING: st.floats(-1.0, exit_y) | st.sampled_from(
-                (exit_y - frames * p.v_cross * dt, rw - frames * p.v_cross * dt)),
-            Activity.FROZEN: st.floats(0.0, rw) | st.floats(rw, exit_y),
-            Activity.FLEEING: st.floats(spawn, 0.0) | st.just(
-                spawn + frames * p.v_flee * dt),
-        }[state])
-        if vehicles and draw(st.booleans()):
-            x = (draw(st.sampled_from(vehicles)).x + draw(st.floats(-60.0, 150.0))) % L
-        else:
-            x = draw(st.floats(0.0, L, exclude_max=True))
-        a = AnimalState(
-            aid=aid, x=x, y=y, sigma=1.0, state=state,
-            dwell_remaining=draw(st.sampled_from(dwells) | st.floats(-0.1, 12.0)),
-            detected=draw(st.booleans()), entered_road=draw(st.booleans()),
-            crossed=draw(st.booleans()), left_foraging=state is not Activity.FORAGING,
-            frozen_from=(draw(st.sampled_from((Activity.CROSSING, Activity.HESITATING)))
-                         if state is Activity.FROZEN else None),
-            interacted_vehicles=set(draw(st.lists(st.integers(0, 5), max_size=4))))
-        if draw(st.integers(0, 4)) == 0:
-            sleeping[aid] = draw(st.integers(k + 1, n_steps + 1))
-        animals.append(a)
-    return behave_case(animals, vehicles, p, geometry, dt, L, band, sleeping, k,
-                       n_steps, draw(st.integers(k, n_steps + 1)),
-                       draw(st.just(0.0) | st.floats(0.0, 100.0)),
-                       draw(st.integers(0, 2 ** 32)))
 
 
 def hesitating(aid=0, **kw):
@@ -813,13 +709,6 @@ BEHAVE_SCAN_EDGES = [
     for v in (10.0, math.nextafter(10.0, math.inf))]
 
 
-def scan_edge_examples(test):
-    """``test`` with an ``@example`` for each case in ``BEHAVE_SCAN_EDGES``."""
-    for case in BEHAVE_SCAN_EDGES:
-        test = example(case=case)(test)
-    return test
-
-
 # With frames of ``EPS_FRAME``, dwells that count down onto ``_DWELL_EPS``
 # exactly: on the step (a forager leaves, a hesitating animal draws) and on
 # the walk (a forager leaves, a hesitating animal stops short).
@@ -835,40 +724,20 @@ EPS_LANDINGS = behave_case([
 
 
 class TestCompiledBehaviour:
-    """The kernel's ``behave`` is ``Herd``'s Python loop over
-    ``step_animal`` and the quiet walks: the same returns, animal fields,
-    visits, frozen time, sleepers, errors and draws."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(case=behave_cases())
-    @example(case=MOVED_AWAY)
-    @example(case=INT_Y)
-    @example(case=NOT_AN_ACTIVITY)
-    @example(case=INT_FROZEN_DWELL)
-    @example(case=CROSSING_FREEZE)
-    @example(case=NEGATIVE_ZERO_RANGE)
-    @example(case=LIST_INTERACTED)
-    @example(case=NO_RING)
-    @example(case=LANDINGS)
-    @example(case=WALK_LANDINGS)
-    @example(case=EPS_LANDINGS)
-    @scan_edge_examples
-    def test_same_draws_and_writes_as_python(self, case):
-        compiled, stop, _ = behave_outcome(compiled_kernel(), case)
-        assert compiled == behave_outcome(False, case)[0]
-        if plain(case):
-            assert stop == len(case.animals)
+    """``Herd``'s Python loop over ``step_animal`` and the quiet walks, on
+    the cases that pinned the compiled behaviour to it: the returns, animal
+    fields, visits, errors and draws each states. The compiled trial's
+    behaviour is checked against the Python loop by ``TestCompiledTrial``
+    (``tests/test_trial.py``)."""
 
     def test_examples_decide_as_stated(self):
-        kernel = compiled_kernel()
-        outcome = {name: behave_outcome(kernel, case) for name, case in (
+        outcome = {name: behave_outcome(case) for name, case in (
             ("moved", MOVED_AWAY), ("int-y", INT_Y), ("not", NOT_AN_ACTIVITY),
             ("int-dwell", INT_FROZEN_DWELL), ("freeze", CROSSING_FREEZE),
             ("range", NEGATIVE_ZERO_RANGE), ("list", LIST_INTERACTED),
             ("ring", NO_RING), ("landings", LANDINGS), ("walks", WALK_LANDINGS),
             ("eps", EPS_LANDINGS))}
         errors = {name: (o[0][0] or ("",))[0] for name, o in outcome.items()}
-        stops = {name: o[1] for name, o in outcome.items()}
         assert outcome["moved"][0][0] == ("ValueError",
                                           "animal 1 stepped after it left the corridor")
         assert outcome["range"][0][0] == ("ValueError", "high - low < 0")
@@ -876,27 +745,24 @@ class TestCompiledBehaviour:
                           "int-dwell": "", "freeze": "", "range": "ValueError",
                           "list": "AttributeError", "ring": "ZeroDivisionError",
                           "landings": "", "walks": "", "eps": ""}
-        assert stops == {"moved": 1, "int-y": 1, "not": 1, "int-dwell": 1, "freeze": 2,
-                         "range": 0, "list": 1, "ring": 0, "landings": 5, "walks": 5,
-                         "eps": 4}
         # The animal before the departed one drew; the one after it is not
         # stepped. The int y is stepped in Python; the int frozen dwell is
         # written as a float.
-        moved = outcome["moved"][2]
+        moved = outcome["moved"][1]
         assert outcome["moved"][0][-1] != np.random.PCG64(1).state
         assert bits(moved[2]) == bits(hesitating(aid=2))
-        assert type(outcome["int-y"][2][1].y) is float
-        assert repr(outcome["int-dwell"][2][0].dwell_remaining) == "8.0"
+        assert type(outcome["int-y"][1][1].y) is float
+        assert repr(outcome["int-dwell"][1][0].dwell_remaining) == "8.0"
         # The first crosser freezes for the braking vehicle; the second has
         # met it already and crosses on.
-        first, second = outcome["freeze"][2]
+        first, second = outcome["freeze"][1]
         assert first.state is Activity.FROZEN and first.interacted_vehicles == {0}
         assert second.state is Activity.CROSSING and second.y == 2.4
         # Approaching to y = 0 hesitates; the exit and the spawn offset are
         # reached and left; the detected animal at the far edge walks out
         # and sleeps, as does the forager, whose walk the trial's end cuts
         # short.
-        (_, (wake, pruned, on_road), _, visits, _, sleeping, _), _, animals = \
+        (_, (wake, pruned, on_road), _, visits, _, sleeping, _), animals = \
             outcome["landings"]
         assert pruned and on_road == [] and animals[0].y == 0.0
         assert animals[0].state is Activity.HESITATING
@@ -906,13 +772,13 @@ class TestCompiledBehaviour:
         # Each walk stops a frame short of the edge, the exit and the spawn
         # offset; the crosser on y = 0 has not entered the road; the
         # released one walks out and sets the road flags.
-        animals = outcome["walks"][2]
+        animals = outcome["walks"][1]
         assert [a.y for a in animals] == [-0.75, 30.0, -22.0, 0.0, 30.0]
         assert not animals[3].entered_road
         assert animals[4].entered_road and animals[4].crossed
         # Foragers leave on the step and on the walk; the hesitating animal
         # with one frame left draws, the one with three stops a frame short.
-        animals = outcome["eps"][2]
+        animals = outcome["eps"][1]
         assert [a.state for a in animals] == [Activity.APPROACHING, Activity.CROSSING,
                                               Activity.APPROACHING, Activity.HESITATING]
         assert animals[3].dwell_remaining == _DWELL_EPS + EPS_FRAME
@@ -921,11 +787,10 @@ class TestCompiledBehaviour:
         # Across the scan-edge examples some hesitating animal freezes and
         # some crosses, and some crossing one freezes and some crosses on:
         # their steps turn on the threat and danger tests.
-        kernel = compiled_kernel()
         ends = set()
         for case in BEHAVE_SCAN_EDGES:
             ends |= {(before.state, after.state) for before, after
-                     in zip(case.animals, behave_outcome(kernel, case)[2])}
+                     in zip(case.animals, behave_outcome(case)[1])}
         assert ends == {(s, t) for s in (Activity.HESITATING, Activity.CROSSING)
                         for t in (Activity.FROZEN, Activity.CROSSING)}
 
@@ -968,33 +833,25 @@ class TestCompiledBehaviour:
         assert all(r["state_visit_counts"]["Frozen"] for r in results["spawn and dwell"])
         assert all(r["detected"] for r in results["time step"][1:])
 
-    @pytest.mark.parametrize("args, error", [
-        ((), TypeError),
-        (("herd", "fleet", [], {}, {}, "constants", 1, 2, 2, 0.0), TypeError),
-        (("herd", "fleet", (), {}, {}, "constants", 1, 2, 2, 0.0, "capsule"), TypeError),
-        (("herd", "fleet", [], [], {}, "constants", 1, 2, 2, 0.0, "capsule"), TypeError),
-        (("herd", "fleet", [], {}, [], "constants", 1, 2, 2, 0.0, "capsule"), TypeError),
-        (("herd", "fleet", [], {}, {}, (), 1, 2, 2, 0.0, "capsule"), TypeError),
-        (("herd", "fleet", [], {}, {}, "constants", 1.0, 2, 2, 0.0, "capsule"),
-         TypeError),
-        (("herd", "fleet", [], {}, {}, "constants", 1, 2, 2, "0", "capsule"), TypeError),
-        (("herd", "fleet", [], {}, {}, "constants", 1, 2, 2, 0.0, None), ValueError),
-        (("fleet", "fleet", [], {}, {}, "constants", 1, 2, 2, 0.0, "capsule"),
-         ValueError),
-        (("herd", "herd", [], {}, {}, "constants", 1, 2, 2, 0.0, "capsule"), ValueError),
-        ((bytearray(128), "fleet", [], {}, {}, "constants", 1, 2, 2, 0.0, "capsule"),
-         TypeError),
-    ], ids=["none", "ten", "tuple-animals", "list-sleeping", "list-visits",
-            "short-constants", "float-k", "str-frozen-time", "no-capsule",
-            "fleet-as-herd", "herd-as-fleet", "bytearray"])
-    def test_wrong_arguments_raise(self, args, error):
+    @pytest.mark.parametrize("changes, error", [
+        ({"mode": 1.0}, TypeError),
+        ({"behaviour": None}, ValueError),
+        ({"herd": "fleet"}, ValueError),
+        ({"fleet": "herd"}, ValueError),
+        ({"herd": bytearray(120)}, TypeError),
+    ], ids=["float-k", "no-capsule", "fleet-as-herd", "herd-as-fleet", "bytearray"])
+    def test_wrong_arguments_raise(self, changes, error):
+        # The compiled trial checks its herd's arguments: a float for an
+        # int, a behaviour stream that is not a capsule, the fleet's buffer
+        # for the herd's and the herd's for the fleet's, and a bytearray.
         kernel = compiled_kernel()
         config = CorridorConfig()
         rng = np.random.default_rng(0)
         fleet = Fleet([CRUISING], config.idm, config.time_step, config.road_length,
                       config.geometry, config.behaviour)
-        herd = Herd(config, NO_BAND, rng, fleet, 10)
-        named = {"herd": herd.buf, "fleet": fleet.buf, "constants": herd.constants,
-                 "capsule": rng.bit_generator.capsule}
+        args = trial_arguments(fleet, 10, config.idm.v_cruise, rng)
+        named = {"herd": args["herd"], "fleet": fleet.buf}
+        args.update({k: named.get(v, v) if isinstance(v, str) else v
+                     for k, v in changes.items()})
         with pytest.raises(error):
-            kernel.behave(*(named.get(a, a) if isinstance(a, str) else a for a in args))
+            kernel.trial(*args.values())

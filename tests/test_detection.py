@@ -1,17 +1,16 @@
 import copy
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import wvcsim.engine
 import wvcsim.vehicles
+from conftest import trial_arguments
 from wvcsim.animals import AnimalState
 from wvcsim.awareness import AwarenessState
 from wvcsim.config import CorridorConfig, Mode, build_corridor, replace_config
+from wvcsim.vehicles import Fleet
 from wvcsim.detection import (DetectionParams, Detector, detection_probability,
                               f_size, radars_in_range, try_detect)
 
@@ -184,12 +183,11 @@ def compiled_kernel():
     return kernel
 
 
-def detect_outcome(kernel, case):
-    """``Detector.detect`` on a copy of ``case``'s animals, with the kernel
-    slot set to ``kernel``: what it raised (type and message), its events,
-    each animal's ``detected``, ``detected_at`` and ``first_in_range_at``
-    (floats by repr, which tells every two apart), the generator's state
-    after it, and where the compiled entry stopped (None without it)."""
+def detect_outcome(case):
+    """``Detector.detect`` on a copy of ``case``'s animals: what it raised
+    (type and message), its events, each animal's ``detected``,
+    ``detected_at`` and ``first_in_range_at`` (floats by repr, which tells
+    every two apart), and the generator's state after it."""
     overrides, animals, sleeping, clocks, now, seed = case
     config = detect_config(**overrides)
     radars = build_corridor(config).radars
@@ -199,19 +197,7 @@ def detect_outcome(kernel, case):
     for rid, clock in clocks.items():
         awareness.boost_until[rid] = clock
     animals = copy.deepcopy(animals)
-    saved = wvcsim.vehicles._kernel
-    wvcsim.vehicles._kernel = kernel
-    try:
-        detector = Detector(config, radars, band, rng)
-    finally:
-        wvcsim.vehicles._kernel = saved
-    stops = []
-    if kernel:
-        def spied(*args):
-            out = kernel.detect(*args)
-            stops.append(out[0])
-            return out
-        detector.kernel = SimpleNamespace(detect=spied)
+    detector = Detector(config, radars, band, rng)
     error = events = None
     try:
         events = detector.detect(animals, sleeping, awareness, now)
@@ -219,61 +205,7 @@ def detect_outcome(kernel, case):
         error = (type(exc).__name__, str(exc))
     fields = [(a.detected, repr(a.detected_at), repr(a.first_in_range_at))
               for a in animals]
-    return (error, events, fields, rng.bit_generator.state), (stops or [None])[0]
-
-
-def plain(case):
-    """Whether ``case``'s time and boost clocks are floats and each of its
-    animals has float x, y and sigma, sigma > 0: the compiled entry leaves
-    none of them to the reference."""
-    _, animals, _, clocks, now, _ = case
-    return type(now) is float and all(type(c) is float for c in clocks.values()) \
-        and all(type(a.x) is float and type(a.y) is float and type(a.sigma) is float
-                and a.sigma > 0.0 for a in animals)
-
-
-@st.composite
-def detect_cases(draw):
-    """A radar grid (ring length, spacing, range, kappa, frame length and
-    boost factor drawn), its boost clocks (each at -inf, at ``now``, a ULP
-    either side of it or near it), a time, a seed and 0-8 animals: each near
-    a radar, at its radius or anywhere, at a band edge or a ULP outside it,
-    detected or not, in range before or not, asleep or awake."""
-    overrides = dict(
-        road_length=draw(st.sampled_from((1000.0, 600.0)) | st.floats(50.0, 2000.0)),
-        radar_spacing=draw(st.sampled_from((5.0, 15.0, 7.0)) | st.floats(2.0, 60.0)),
-        radar_range=draw(st.just(15.0) | st.floats(1.0, 40.0)),
-        kappa=draw(st.sampled_from((0.3, 3.0)) | st.floats(0.0, 60.0)),
-        time_step=draw(st.sampled_from((0.1, 0.05, 0.8)) | st.floats(0.01, 1.0)),
-        boost_factor=draw(st.just(1.8) | st.floats(1.0, 4.0) | st.floats(4.0, 1e3)))
-    config = detect_config(**overrides)
-    radars = build_corridor(config).radars
-    r_det = config.radar_range
-    lo, hi = wvcsim.engine._radar_band(radars, r_det)
-    now = draw(st.integers(0, 5000)) * config.time_step
-    clocks = {}
-    for rid in draw(st.lists(st.integers(0, len(radars) - 1), max_size=12)):
-        clocks[rid] = draw(st.sampled_from((
-            -math.inf, now, math.nextafter(now, -math.inf), math.nextafter(now, math.inf)))
-            | st.floats(now - 40.0, now + 40.0))
-    animals, sleeping = [], {}
-    for aid in range(draw(st.integers(0, 8))):
-        node = draw(st.sampled_from(radars))
-        x = draw(st.sampled_from((node.x - r_det, node.x + r_det))
-                 | st.floats(node.x - r_det - 2.0, node.x + r_det + 2.0)
-                 | st.floats(0.0, config.road_length))
-        y = draw(st.sampled_from((node.y, lo, hi, math.nextafter(lo, -math.inf),
-                                  math.nextafter(hi, math.inf)))
-                 | st.floats(node.y - r_det - 2.0, node.y + r_det + 2.0))
-        a = AnimalState(aid=aid, x=x, y=y, sigma=draw(st.floats(0.05, 4.0)))
-        if draw(st.integers(0, 4)) == 0:
-            a.detected, a.detected_at = True, now - 1.0
-        if draw(st.booleans()):
-            a.first_in_range_at = now - draw(st.floats(0.0, 30.0))
-        if draw(st.integers(0, 4)) == 0:
-            sleeping[aid] = 0
-        animals.append(a)
-    return overrides, animals, sleeping, clocks, now, draw(st.integers(0, 2 ** 32))
+    return error, events, fields, rng.bit_generator.state
 
 
 def animal(x, y, sigma=1.0, aid=0):
@@ -316,86 +248,52 @@ INT_NOW = ({}, [animal(15.0, NEAR_Y)], {}, {}, 2, 9)
 
 
 class TestCompiledDetect:
-    """The kernel's ``detect`` is ``Detector``'s Python loop over
-    ``try_detect``: the same events, animal fields, errors and draws."""
-
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(case=detect_cases())
-    @example(case=AT_RADIUS)
-    @example(case=BOOST_AT_NOW)
-    @example(case=BOOST_PAST_NOW)
-    @example(case=UNEVEN_GRID)
-    @example(case=SLEEPER)
-    @example(case=BAND_EDGES)
-    @example(case=INT_X)
-    @example(case=ZERO_SIGMA)
-    @example(case=NEGATIVE_SIGMA)
-    @example(case=INT_CLOCK)
-    @example(case=INT_NOW)
-    def test_same_draws_and_writes_as_python(self, case):
-        compiled, stop = detect_outcome(compiled_kernel(), case)
-        assert compiled == detect_outcome(False, case)[0]
-        if plain(case):
-            assert stop == len(case[1])
+    """``Detector``'s Python loop over ``try_detect``, on the cases that
+    pinned the compiled detection to it: the events, animal fields and
+    errors each states. The compiled trial's detection is checked against
+    the Python loop by ``TestCompiledTrial`` (``tests/test_trial.py``)."""
 
     def test_examples_decide_as_stated(self):
-        compiled_kernel()
-        outcome = {name: detect_outcome(wvcsim.vehicles.load_kernel(), case)
+        outcome = {name: detect_outcome(case)
                    for name, case in (("radius", AT_RADIUS), ("at-now", BOOST_AT_NOW),
                                       ("past-now", BOOST_PAST_NOW), ("sleeper", SLEEPER),
                                       ("edges", BAND_EDGES), ("int", INT_X),
                                       ("zero", ZERO_SIGMA), ("negative", NEGATIVE_SIGMA),
                                       ("int-clock", INT_CLOCK), ("int-now", INT_NOW))}
-        assert outcome["radius"][0][2][0][2] == "0.0"  # covered at r_det
-        assert [outcome[name][0][2][0][0] for name in ("at-now", "past-now")] \
+        assert outcome["radius"][2][0][2] == "0.0"  # covered at r_det
+        assert [outcome[name][2][0][0] for name in ("at-now", "past-now")] \
             == [False, True]
         # The sleeper is not tried; the animal beside it is detected.
-        assert [f[0] for f in outcome["sleeper"][0][2]] == [False, True]
-        assert outcome["edges"][0][2] == [(False, "None", "None")] * 4
-        (_, events, _, _), stop = outcome["int"]
-        assert stop == 1 and [ev.animal_id for ev in events] == [0, 1, 2]
-        assert outcome["int-clock"][1] == outcome["int-now"][1] == 0
-        assert outcome["int-clock"][0][2][0][0]
+        assert [f[0] for f in outcome["sleeper"][2]] == [False, True]
+        assert outcome["edges"][2] == [(False, "None", "None")] * 4
+        assert [ev.animal_id for ev in outcome["int"][1]] == [0, 1, 2]
+        assert outcome["int-clock"][2][0][0]
         for name in ("zero", "negative"):
-            (error, _, fields, _), stop = outcome[name]
+            error, _, fields, _ = outcome[name]
             assert error == ("ValueError", "sigma must be positive")
-            assert stop == len(fields) - 1 and fields[-1][2] == "0.5"
+            assert fields[-1][2] == "0.5"
 
-    def test_no_draw_for_an_animal_left_to_the_reference(self):
-        # The kernel stops before the int-x animal: the stream has moved by
-        # the first animal's draws alone.
-        kernel = compiled_kernel()
-        config = detect_config(kappa=1e9)
-        radars = build_corridor(config).radars
-        rng = np.random.Generator(np.random.PCG64(6))
-        animals = copy.deepcopy(INT_X[1])
-        stop, hits = kernel.detect(Detector(config, radars, (LO, HI), rng).buf,
-                                   animals, {}, [-math.inf] * len(radars), 0.5,
-                                   rng.bit_generator.capsule)
-        ref = np.random.Generator(np.random.PCG64(6))
-        ref.random()
-        assert (stop, hits) == (1, [(0, 0)])
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert animals[1].first_in_range_at is None
-
-    @pytest.mark.parametrize("args, error", [
-        ((), TypeError),
-        (("buf", [], {}, [], 0.0), TypeError),
-        (("buf", (), {}, [], 0.0, "capsule"), TypeError),
-        (("buf", [], [], [], 0.0, "capsule"), TypeError),
-        (("buf", [], {}, (), 0.0, "capsule"), TypeError),
-        (("buf", [], {}, [], 0.0, None), ValueError),
-        ((bytearray(80), [], {}, [], 0.0, "capsule"), TypeError),
-        (("buf[:-1]", [], {}, [], 0.0, "capsule"), ValueError),
-        (("buf[:4]", [], {}, [], 0.0, "capsule"), ValueError),
-    ], ids=["none", "five", "tuple-animals", "list-sleeping", "tuple-clocks",
-            "no-capsule", "bytearray", "short", "shorter-than-the-parameters"])
-    def test_wrong_arguments_raise(self, args, error):
+    @pytest.mark.parametrize("changes, error", [
+        ({"detection": None}, ValueError),
+        ({"radars": bytearray(80)}, TypeError),
+        ({"radars": "radars[:-1]"}, ValueError),
+        ({"radars": "radars[:4]"}, ValueError),
+    ], ids=["no-capsule", "bytearray", "short", "shorter-than-the-parameters"])
+    def test_wrong_arguments_raise(self, changes, error):
+        # The compiled trial checks its radars' arguments: a detection
+        # stream that is not a capsule, a bytearray, a radar buffer one slot
+        # short and one shorter than its parameters.
         kernel = compiled_kernel()
         config = detect_config()
         rng = np.random.default_rng(0)
         detector = Detector(config, build_corridor(config).radars, (LO, HI), rng)
-        named = {"buf": detector.buf, "buf[:-1]": detector.buf[:-1],
-                 "buf[:4]": detector.buf[:4], "capsule": rng.bit_generator.capsule}
+        fleet = Fleet([], config.idm, config.time_step, config.road_length,
+                      config.geometry, config.behaviour)
+        args = trial_arguments(fleet, 10, config.idm.v_cruise, rng)
+        named = {"radars[:-1]": detector.buf[:-1], "radars[:4]": detector.buf[:4]}
+        args.update(radars=detector.buf, mode=1)
+        assert kernel.trial(*args.values()) is not None
+        args.update({k: named.get(v, v) if isinstance(v, str) else v
+                     for k, v in changes.items()})
         with pytest.raises(error):
-            kernel.detect(*(named.get(a, a) if isinstance(a, str) else a for a in args))
+            kernel.trial(*args.values())

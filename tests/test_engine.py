@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import wvcsim.animals
+import wvcsim.detection
 import wvcsim.engine
 import wvcsim.vehicles
 from wvcsim.animals import Activity, AnimalState, Arrival, Herd, step_animal
@@ -270,12 +271,9 @@ def check_sleeps(cfg, log):
             assert any(s <= k and k + n <= e for s, e in asleep[aid])
 
 
-def run_observed(cfg, hours, trial_id, reference=False, compiled_behaviour=True):
-    """One trial and its log. The reference run shuts off every fast path:
-    no stretch, no sleep, and the vehicles and animals stepped by the Python
-    bodies of ``Fleet.advance`` and ``Herd.behave``. Without
-    ``compiled_behaviour`` the fast run steps the animals in
-    ``Herd.behave``'s Python loop alone, where each read and walk is seen.
+def run_observed(cfg, hours, trial_id, reference=False):
+    """One trial of the Python loop and its log. The reference run shuts
+    off every fast path: no stretch and no sleep.
 
     ``vehicle_steps`` has the desired speed and the brake flags of every
     vehicle step. ``steps`` has an entry per ``dms_active`` call, the start of a stepped
@@ -289,8 +287,8 @@ def run_observed(cfg, hours, trial_id, reference=False, compiled_behaviour=True)
     animals as the step closes; there, steps with no read and no pair merge
     with an equal neighbour, as a stretch's steps do. ``naps`` has each
     sleep phase 5 began, (aid, first step asleep, wake), and ``walks`` each
-    quiet walk the Python loop took. ``result`` is the result, or the
-    invariant error's text.
+    quiet walk taken. ``result`` is the result, or the invariant error's
+    text; ``ends`` the animals' and the fleet's end states (``end_states``).
 
     Checked as the trial runs: phase 5, each read and each scan see the
     vehicles at the current row (k + 1 vehicle steps taken), phase 5 returns
@@ -383,14 +381,11 @@ def run_observed(cfg, hours, trial_id, reference=False, compiled_behaviour=True)
         return left
 
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(wvcsim.vehicles, "_kernel", False)
         if reference:
             m.setattr(wvcsim.engine, "_stretch_end", lambda schedule, i, k, *args: k)
             m.setattr(wvcsim.animals, "quiet_steps",
                       lambda a, *args: (0, a.state, a.dwell_remaining, a.y))
-            m.setattr(wvcsim.vehicles, "_kernel", False)
-        elif not compiled_behaviour:
-            # The herd's kernel alone: the vehicles still step in C.
-            m.setattr(wvcsim.animals, "load_kernel", lambda: False)
         m.setattr(AwarenessState, "dms_active", sign)
         m.setattr(DriverAlert, "update", alert)
         m.setattr(Fleet, "advance", advanced)
@@ -399,13 +394,29 @@ def run_observed(cfg, hours, trial_id, reference=False, compiled_behaviour=True)
         m.setattr(Herd, "behave", behaved)
         m.setattr(wvcsim.engine, "detect_collisions", scan)
         m.setattr(wvcsim.animals, "take_quiet_steps", walk)
-        try:
-            log.result = dataclasses.asdict(run_trial(cfg, hours, trial_id, 5))
-        except EngineInvariantError as exc:
-            log.result = str(exc)
-        else:
+        log.result, log.ends = played(cfg, hours, trial_id)
+        if not isinstance(log.result, str):
             close(_step_count(cfg, hours))
     return log
+
+
+def end_states(animals, fleet):
+    """Every animal's end state, by repr (which tells every two floats
+    apart; the interacted vehicles sorted), and the fleet's x, v and brake
+    flags."""
+    return ([repr(dataclasses.replace(a, interacted_vehicles=sorted(a.interacted_vehicles)))
+             for a in animals],
+            [(v.x.hex(), v.v.hex(), v.emergency_braking) for v in fleet.snapshot()])
+
+
+def played(cfg, hours, trial_id, seed=5):
+    """``engine._play`` of one trial, as the kernel slot stands: the result
+    as a dict, or the invariant error's text, and the end states."""
+    try:
+        result, animals, fleet = wvcsim.engine._play(cfg, hours, trial_id, seed)
+    except EngineInvariantError as exc:
+        return str(exc), None
+    return dataclasses.asdict(result), end_states(animals, fleet)
 
 
 def runs(items):
@@ -475,35 +486,31 @@ def cells(names, modes=MODES, named=True):
 
 @functools.cache
 def reference_pair(name, mode):
-    """Each trial of a grid cell run as is and as the reference: per trial
-    the observables of both, and what the fast run took. The fast run's
-    reads are those of the fast run with phase 5 in Python (the compiled
-    entry makes none that can be seen), whose other observables must equal
-    the fast run's. Checks each sleep (``check_sleeps``) and, in the
-    reference, that no step was jumped, no animal slept and each vehicle
-    step's v0 is the drivers' desired speed. A run that raised is compared
-    by its error alone."""
+    """Each trial of a grid cell run in the Python loop, as is and as the
+    reference: per trial the observables of both, and what the run as is
+    took. Checks each sleep (``check_sleeps``) and, in the reference, that
+    no step was jumped, no animal slept and each vehicle step's v0 is the
+    drivers' desired speed. A run that raised is compared by its error
+    alone. Where the kernel loads, the compiled run of each trial is checked
+    against the Python loop's: the same result and end states."""
     overrides, hours, trials = GRID[name]
     cfg = fast_config(mode, **overrides)
     idm = cfg.idm
     out = []
     for trial_id in trials:
-        fast, python, ref = (run_observed(cfg, hours, trial_id, reference, compiled)
-                             for reference, compiled in ((False, True), (False, False),
-                                                         (True, False)))
-        seen, seen_python = observables(fast), observables(python)
-        assert dict(seen, reads=None) == dict(seen_python, reads=None)
-        seen["reads"] = seen_python["reads"]
+        fast, ref = (run_observed(cfg, hours, trial_id, reference)
+                     for reference in (False, True))
+        assert (ref.result, ref.ends) == (fast.result, fast.ends)
+        if wvcsim.vehicles.load_kernel():
+            assert played(cfg, hours, trial_id) == (fast.result, fast.ends)
         took = {}
         if not isinstance(fast.result, str):
             check_sleeps(cfg, fast)
-            check_sleeps(cfg, python)
             jumped = [e for e in fast.steps if e[1] > 1]
             first_lit = next((e[0] for e in fast.steps if e[2]), math.inf)
-            took = dict(reads=sum(len(e[5]) for e in python.steps), scans=fast.scans,
+            took = dict(reads=sum(len(e[5]) for e in fast.steps), scans=fast.scans,
                         skipped_scans=fast.skipped_scans, sleeps=len(fast.naps),
-                        python_walks=len(python.walks),
-                        compiled_reads=sum(len(e[5]) for e in fast.steps),
+                        walks=len(fast.walks),
                         lit_stretches=sum(e[2] for e in jumped),
                         dark_stretches_after_lit=sum(not e[2] and e[0] > first_lit
                                                      for e in jumped),
@@ -513,7 +520,7 @@ def reference_pair(name, mode):
             speeds = runs((idm.v_caution if e[3][1] else idm.v_cruise, e[1])
                           for e in ref.steps)
             assert speeds == runs((v0, n) for (v0, _), n in ref.vehicle_steps)
-        out.append((seen, observables(ref), took))
+        out.append((observables(fast), observables(ref), took))
     return out
 
 
@@ -554,13 +561,16 @@ def copies(items):
 
 
 class TestBrakingStep:
-    """A braking step is a one-step ``Fleet.advance`` call: it gives the
-    bits, flags and errors of the per-step loop it replaced."""
+    """In the Python loop a braking step is a one-step ``Fleet.advance``
+    call: it gives the bits, flags and errors of the per-step loop it
+    replaced."""
 
     @pytest.mark.parametrize("kernel", ["compiled", "python"], indirect=True)
     def test_same_bits_as_the_old_loop(self, monkeypatch, kernel):
+        # The compiled trial, which takes its braking steps itself, ends
+        # with the Python loop's animals and fleet.
         cfg = fast_config(Mode.AWARE, **CROWDED)
-        calls = []
+        calls, ends = [], []
         advance = Fleet.advance
 
         def recorded(fleet, n_steps, v0, animals=None):
@@ -570,8 +580,11 @@ class TestBrakingStep:
 
         with monkeypatch.context() as m:
             m.setattr(Fleet, "advance", recorded)
+            m.setattr(wvcsim.vehicles, "_kernel", False)
             for trial_id in range(2):
-                run_trial(cfg, 0.05, trial_id, 5)
+                ends.append(played(cfg, 0.05, trial_id))
+        if kernel == "compiled":
+            assert [played(cfg, 0.05, trial_id) for trial_id in range(2)] == ends
         braked = 0
         for vehicles, n_steps, v0, animals in calls:
             assert n_steps == 1
@@ -610,6 +623,7 @@ class TestBrakingStep:
             steps[-1]["calls"].append((n_steps, v0, animals))
             return advance(fleet, n_steps, v0, animals)
 
+        monkeypatch.setattr(wvcsim.vehicles, "_kernel", False)
         monkeypatch.setattr(AwarenessState, "dms_active", sign)
         monkeypatch.setattr(DriverAlert, "update", alert)
         monkeypatch.setattr(Fleet, "advance", recorded)
@@ -655,6 +669,7 @@ class TestBrakingStep:
                     expected.append(str(exc))
             return advance(fleet, n_steps, v0, animals)
 
+        monkeypatch.setattr(wvcsim.vehicles, "_kernel", False)
         monkeypatch.setattr(AwarenessState, "dms_active",
                             lambda self, animals, now: clock.append(now) or True)
         monkeypatch.setattr(wvcsim.engine, "build_corridor", crash_world)
@@ -674,11 +689,12 @@ class TestBrakingStep:
 
 
 class TestReferenceRun:
-    """The fast paths (stretches, sleep and the gated scans) change no
-    output and nothing a reader sees: each grid cell, run as is and as the
-    reference (``run_observed``), ends alike, takes the same vehicle steps
-    and shows the same observables at every step, and both runs pass the
-    structural checks (``run_observed``, ``reference_pair``)."""
+    """The Python loop's fast paths (stretches, sleep and the gated scans)
+    change no output and nothing a reader sees: each grid cell, run as is
+    and as the reference (``run_observed``), ends alike, takes the same
+    vehicle steps and shows the same observables at every step, and both
+    runs pass the structural checks (``run_observed``, ``reference_pair``).
+    The compiled run gives the same result and end states."""
 
     @pytest.mark.parametrize("name, mode", cells(list(GRID)[:-1])
                              + cells(["paper-length"], (Mode.CONTROL, Mode.AWARE)))
@@ -689,14 +705,11 @@ class TestReferenceRun:
                 assert fast[aspect] == ref[aspect], aspect
             took.update(fast_took)
         # Some stretch opened with animals present, some animal slept, some
-        # read the vehicles and the gate skipped some scans; where there is a
-        # sign, some stretch opened with it lit and some with it dark again.
-        # With phase 5 in Python some walk was replayed; the compiled entry
-        # left no animal to that loop.
+        # walk was replayed, some animal read the vehicles and the gate
+        # skipped some scans; where there is a sign, some stretch opened with
+        # it lit and some with it dark again.
         assert took["stretches_with_animals"] and took["sleeps"] and took["reads"]
-        assert took["skipped_scans"] and took["python_walks"]
-        if wvcsim.vehicles.load_kernel():
-            assert not took["compiled_reads"]
+        assert took["skipped_scans"] and took["walks"]
         if mode is not Mode.CONTROL:
             assert took["lit_stretches"] and took["dark_stretches_after_lit"]
 
@@ -770,30 +783,26 @@ class TestKernelMatchesPython:
 
 
     def test_every_scan_answered_from_the_buffer(self, monkeypatch):
-        # On the compiled kernel a crowded trial asks the fleet no threat
-        # scan (phase 5's ``behave`` reads the buffer with its own tests),
-        # and each contact scan it asks is answered by the kernel from the
-        # buffer, none by the Python reference.
+        # On the compiled kernel a crowded trial asks the Python loop for
+        # nothing: the kernel's ``trial`` steps the vehicles and the
+        # animals, and answers every threat, brake and contact scan from
+        # the fleet's buffer.
         kernel = wvcsim.vehicles.load_kernel()
         if not kernel:
             pytest.skip("no compiled vehicle kernel on this host")
-        asked, answered = collections.Counter(), collections.Counter()
-        for name in ("threat_present", "crossing_dangers", "detect_collisions"):
-            def counted(*args, _scan=getattr(Fleet, name), _name=name):
-                asked[_name] += 1
-                return _scan(*args)
 
-            monkeypatch.setattr(Fleet, name, counted)
+        def refused(*args):
+            pytest.fail("a compiled trial called the Python loop")
 
-        def compiled(*args, _scan=kernel.detect_collisions):
-            found = _scan(*args)
-            answered["detect_collisions"] += found is not None
-            return found
-
-        monkeypatch.setattr(kernel, "detect_collisions", compiled)
+        for owner, name in ((Fleet, "advance"), (Fleet, "threat_present"),
+                            (Fleet, "crossing_dangers"), (Fleet, "detect_collisions"),
+                            (Herd, "behave"), (AwarenessState, "dms_active"),
+                            (wvcsim.detection.Detector, "detect"),
+                            (wvcsim.engine, "detect_collisions")):
+            monkeypatch.setattr(owner, name, refused)
         for mode in MODES:
-            run_trial(fast_config(mode, **CROWDED), 0.05, 0, 5)
-        assert asked == answered and asked["detect_collisions"] > 0
+            result = run_trial(fast_config(mode, **CROWDED), 0.05, 0, 5)
+            assert result.road_entries and (result.detected or mode is Mode.CONTROL)
 
 
 class TestOwedSteps:
@@ -874,6 +883,7 @@ class TestContactBand:
                 ys.extend(a.y for a in animals)
             return advance(fleet, n_steps, v0, animals)
 
+        monkeypatch.setattr(wvcsim.vehicles, "_kernel", False)
         monkeypatch.setattr(Fleet, "advance", spied)
         for trial_id in range(2):
             run_trial(cfg, 0.05, trial_id, 5)

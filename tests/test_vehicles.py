@@ -7,8 +7,8 @@ import struct
 import subprocess
 import sys
 import warnings
+from array import array
 from pathlib import Path
-from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import numpy
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import wvcsim.animals
 import wvcsim.engine
 import wvcsim.vehicles
+from conftest import compiled_steps, trial_arguments
 from wvcsim.awareness import AwarenessState
 from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
@@ -30,7 +31,7 @@ from wvcsim.vehicles import (BRAKING_INTERACTION_DISTANCE, FREE_ROAD_GAP,
                              emergency_brake_needed, idm_acceleration,
                              link_ring_leaders, step_vehicles, stopping_envelope,
                              threat_present)
-from wvcsim.animals import Activity, AnimalState, BehaviourParams
+from wvcsim.animals import Activity, AnimalState, BehaviourParams, Herd
 
 P = IdmParams()
 BEHAVIOUR = BehaviourParams()
@@ -156,19 +157,19 @@ class TestStepVehicle:
 
     def test_failed_step_changes_nothing(self):
         # On a ring of length 0, x % road_length raises: the step leaves every
-        # vehicle as it was, called directly and through Fleet.advance on both
-        # kernels, whose Python body steps with step_vehicles.
+        # vehicle as it was, called directly and through Fleet.advance, whose
+        # Python body steps with step_vehicles; the compiled trial declines.
         start = [make_vehicle(x=5.0, v=10.0)]
         vehicles = [dataclasses.replace(v) for v in start]
         with pytest.raises(ZeroDivisionError):
             step_vehicles(vehicles, [1.0], 0.1, 0.0)
         assert snapshot(vehicles) == snapshot(start)
-        for kernel in (wvcsim.vehicles.load_kernel(), False):
-            error, state = kernel_outcome(kernel, start, 1, P.v_cruise, P, 0.1,
-                                          0.0, GEO)
-            assert error[0] == "ZeroDivisionError"
-            assert state == kernel_outcome(kernel, start, 0, P.v_cruise, P, 0.1,
-                                           0.0, GEO)[1]
+        error, state = kernel_outcome(False, start, 1, P.v_cruise, P, 0.1, 0.0, GEO)
+        assert error[0] == "ZeroDivisionError"
+        assert state == kernel_outcome(False, start, 0, P.v_cruise, P, 0.1, 0.0, GEO)[1]
+        kernel = wvcsim.vehicles.load_kernel()
+        if kernel:
+            assert kernel_outcome(kernel, start, 1, P.v_cruise, P, 0.1, 0.0, GEO) is None
 
 
 class TestDriverAlert:
@@ -250,6 +251,7 @@ class TestEmergencyBrake:
                 calls.append(animals)
             return advance(fleet, n_steps, v0, animals)
 
+        monkeypatch.setattr(wvcsim.vehicles, "_kernel", False)
         monkeypatch.setattr(Fleet, "advance", counted)
         crowded = replace_config(CorridorConfig(), arrival_rate=300.0,
                                  radar_spacing=5.0, kappa=0.3)
@@ -303,6 +305,7 @@ class TestRingTopology:
         # to zero. The engine raises EngineInvariantError if one does. With no
         # arrivals every step would be idle, so the idle gate is held shut to
         # let the toggled sign drive the per-step loop.
+        monkeypatch.setattr(wvcsim.vehicles, "_kernel", False)
         monkeypatch.setattr(AwarenessState, "dms_active",
                             lambda self, animals, now: (now % 80.0) < 40.0)
         monkeypatch.setattr(wvcsim.engine, "_stretch_end",
@@ -456,8 +459,9 @@ class TestAdvanceIdm:
 
 
 class TestKernelMatchesPython:
-    """The state after r steps, taken through the compiled kernel in calls of
-    any length, is r rounds of the per-step IDM path, bit for bit."""
+    """The state after r steps, taken through the compiled kernel's
+    ``trial`` in calls of any length, is r rounds of the per-step IDM path,
+    bit for bit."""
 
     L = CorridorConfig().road_length
 
@@ -465,15 +469,14 @@ class TestKernelMatchesPython:
         (0.1, {}), (0.05, {}), (0.2, {}), (0.1, {"vehicles_per_direction": 1}),
     ], ids=["default", "dt0.05", "dt0.2", "free-vehicles"])
     def test_rows_match_reference(self, dt, overrides):
-        compiled_kernel()
+        kernel = compiled_kernel()
         cfg = replace_config(CorridorConfig(), **overrides)
         ref = build_corridor(cfg).vehicles
         fleet = Fleet(build_corridor(cfg).vehicles, P, dt, self.L, GEO, BEHAVIOUR)
-        fleet.advance(0, P.v_cruise)
         assert snapshot(fleet.snapshot()) == snapshot(ref)
         done = 0
         for r in (1, 2, 17, 640, 3001):
-            fleet.advance(r - done, P.v_cruise)
+            assert compiled_steps(kernel, fleet, r - done, P.v_cruise)
             reference_steps(ref, r - done, P.v_cruise, self.L, dt)
             done = r
             assert snapshot(fleet.snapshot()) == snapshot(ref)
@@ -481,20 +484,19 @@ class TestKernelMatchesPython:
 
 def kernel_outcome(kernel, start, n_steps, v0, p, dt, road_length, geometry,
                    animals=None):
-    """``Fleet.advance`` braking for ``animals`` on a fleet built from
-    ``start``, with the kernel slot set to ``kernel``: ``advance_outcome``."""
-    fleet = fleet_on(kernel, start, p, dt, road_length, geometry, BEHAVIOUR)
-    return advance_outcome(fleet, n_steps, v0, animals)
-
-
-def fleet_on(kernel, *args):
-    """``Fleet(*args)`` built with the kernel slot set to ``kernel``."""
-    saved = wvcsim.vehicles._kernel
-    wvcsim.vehicles._kernel = kernel
-    try:
-        return Fleet(*args)
-    finally:
-        wvcsim.vehicles._kernel = saved
+    """A fleet built from ``start`` after ``n_steps`` rounds at desired
+    speed ``v0``, the last braking for ``animals``: without ``kernel``, in
+    ``Fleet.advance`` (``advance_outcome``); with it, in ``kernel``'s
+    ``trial`` (``compiled_steps``), which takes no braking step, so that
+    ``animals`` must be None: None where it declines the trial, else as
+    ``advance_outcome``."""
+    fleet = Fleet(start, p, dt, road_length, geometry, BEHAVIOUR)
+    if not kernel:
+        return advance_outcome(fleet, n_steps, v0, animals)
+    assert animals is None and n_steps > 0
+    if not compiled_steps(kernel, fleet, n_steps, v0):
+        return None
+    return None, kernel_bits(fleet.snapshot())
 
 
 def advance_outcome(fleet, n_steps, v0, animals=None):
@@ -515,14 +517,34 @@ def kernel_bits(vehicles):
     return [(struct.pack("<2d", v.x, v.v), v.emergency_braking) for v in vehicles]
 
 
-def one_step(kernel):
-    """``kernel``, its advance taking only the first step of each call and
-    leaving the rest, the braking step among them, to the Python body."""
-    first = kernel.advance
+def apart(outcome):
+    """Whether the Python body raised for ``outcome`` or left a speed or
+    position that is not finite: the cases the compiled trial declines."""
+    error, state = outcome
+    return error is not None or not all(
+        math.isfinite(z) for xv, _ in state for z in struct.unpack("<2d", xv))
 
-    def advance(buf, lead, n_steps, v0, animals):
-        return first(buf, lead, min(n_steps, 1), v0, animals if n_steps <= 1 else None)
-    return SimpleNamespace(**vars(kernel) | {"advance": advance})
+
+def compiled_contacts(kernel, fleet, animals, geometry):
+    """The aids of ``animals`` whom the compiled ``trial`` finds touched by
+    ``fleet``'s vehicles, which a step of length 0 leaves where they are:
+    per animal a one-step trial on a copy of the fleet's buffer in which it
+    arrives at t = 0 at its x and spawns at its y (the herd's spawn
+    offset), forages and, on the carriageway, is scanned."""
+    touched = set()
+    rng = numpy.random.default_rng(0)
+    for a in animals:
+        args = trial_arguments(fleet, 1, P.v_cruise, rng)
+        args["fleet"] = array("d", fleet.buf)
+        herd = Herd(replace_config(CorridorConfig(), geometry=geometry),
+                    (math.inf, -math.inf), None, fleet, 1).buf
+        herd[12] = a.y  # the spawn offset's slot (advance_idm.c)
+        args.update(herd=herd, times=array("d", [0.0]), xs=array("d", [a.x]),
+                    sigmas=array("d", [1.0]))
+        ends = kernel.trial(*args.values())[0]
+        if ends[0][8]:  # collided
+            touched.add(a.aid)
+    return touched
 
 
 def solved(f, goal, guess):
@@ -627,8 +649,7 @@ def kernel_sequences(draw):
     """A ring, its parameters, time step, ring length and geometry from
     ``kernel_cases``, then 1-6 calls on one fleet: each a step count (0, 1 or
     2-300), one of the two desired speeds, no animals or 0-4 candidates, and
-    whether the kernel stops after one step and leaves the rest to the
-    Python body."""
+    whether the Python body takes the whole call."""
     vehicles, _, _, p, dt, road_length, geometry, _ = draw(kernel_cases())
     calls = draw(st.lists(st.tuples(
         st.sampled_from((0, 1)) | st.integers(2, 300),
@@ -798,9 +819,10 @@ def compiled_kernel():
 
 
 class TestCompiledKernel:
-    """The compiled kernel is the Python body of ``Fleet.advance``, bit for
-    bit, down to the brake flags, the errors it raises and the state they
-    leave."""
+    """The compiled trial's vehicle steps are the Python body of
+    ``Fleet.advance``, bit for bit, down to the brake flags; where that
+    body raises or meets a power that is not finite, the trial is
+    declined."""
 
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(case=kernel_cases())
@@ -808,9 +830,17 @@ class TestCompiledKernel:
     @example(case=many_animals_case())
     @edge_examples
     def test_same_bits_and_errors_as_python(self, case):
+        # A case's steps before its braking step, which only the Python body
+        # takes here (TestCompiledTrial's trials take them compiled).
         kernel = compiled_kernel()
-        compiled = kernel_outcome(kernel, *case)
-        assert compiled == kernel_outcome(False, *case)
+        start, n_steps, v0, p, dt, road_length, geometry, *animals = case
+        n_steps -= bool(animals) and animals[0] is not None
+        if n_steps > 0:
+            python = kernel_outcome(False, start, n_steps, v0, p, dt, road_length,
+                                    geometry)
+            compiled = kernel_outcome(kernel, start, n_steps, v0, p, dt, road_length,
+                                      geometry)
+            assert compiled == python if compiled else apart(python)
 
     def test_brake_edges_decide_as_stated(self):
         # Each BRAKE_EDGES pair straddles its edge: the animal at the edge is
@@ -823,33 +853,36 @@ class TestCompiledKernel:
     @example(case=SETTLED_CASE)
     def test_one_fleet_through_a_sequence_of_calls(self, case):
         # Between calls a fleet keeps x, v and the brake flags in its buffer,
-        # whichever body stepped them: one fleet stepped call after call,
-        # sometimes by the Python body after a kernel that stops after one
-        # step, gives the Python body's bits, flags and errors after every
-        # call.
+        # whichever body stepped them: one fleet stepped call after call by
+        # the compiled trial, which leaves a braking step, or a whole call,
+        # to the Python body, gives the Python body's bits, flags and errors
+        # after every call, until the trial declines where that body raises.
         kernel = compiled_kernel()
         start, p, dt, road_length, geometry, calls = case
-        fleets = [fleet_on(k, start, p, dt, road_length, geometry, BEHAVIOUR)
-                  for k in (kernel, False)]
-        for n_steps, v0, animals, stop in calls:
-            fleets[0].kernel = one_step(kernel) if stop else kernel
-            outcomes = [advance_outcome(fleet, n_steps, v0, animals)
-                        for fleet in fleets]
-            assert outcomes[0] == outcomes[1]
+        fleets = [Fleet(start, p, dt, road_length, geometry, BEHAVIOUR) for _ in range(2)]
+        for n_steps, v0, animals, python_only in calls:
+            python = advance_outcome(fleets[1], n_steps, v0, animals)
+            compiled = 0 if python_only else max(0, n_steps - (animals is not None))
+            if compiled > 0 and not compiled_steps(kernel, fleets[0], compiled, v0):
+                assert apart(python)
+                return
+            assert advance_outcome(fleets[0], n_steps - compiled, v0, animals) == python
 
     def test_overflow_leaves_the_state_before_it(self):
-        kernel = compiled_kernel()
-        error, state = kernel_outcome(kernel, *OVERFLOW_CASE)
+        # The Python body raises before it writes the step; the compiled
+        # trial declines.
+        error, state = kernel_outcome(False, *OVERFLOW_CASE)
         assert error[0] == "OverflowError"
-        assert state == kernel_outcome(kernel, OVERFLOW_CASE[0], 0,
-                                       *OVERFLOW_CASE[2:])[1]
+        assert state == kernel_outcome(False, OVERFLOW_CASE[0], 0, *OVERFLOW_CASE[2:])[1]
+        assert kernel_outcome(compiled_kernel(), *OVERFLOW_CASE) is None
 
     @pytest.mark.parametrize("change", ["v0", "road_length", "b_conf", "leader",
                                         "brake-b_conf"])
     def test_other_errors_raised_as_in_python(self, change):
         # Python raises ZeroDivisionError on a zero desired speed, ring length
         # or closing term (b_conf 0), on a braking step's stopping envelope
-        # at 2 * b_conf 0, and IndexError on a leader past the list. The C
+        # at 2 * b_conf 0, and IndexError on a leader past the list; the
+        # compiled trial declines, so that the Python loop raises them. The C
         # arithmetic alone would step through the first two (inf ** -1 is
         # finite; free vehicles read no gap) and read past its buffer on the
         # leader; a zero closing term also gives it a NaN s*.
@@ -868,28 +901,13 @@ class TestCompiledKernel:
         elif change == "brake-b_conf":
             # An infinite a_max makes the closing term NaN, not 0.0, so only
             # the braking step's envelope divides by zero.
-            case.update(p=dataclasses.replace(P, a_max=math.inf, b_conf=0.0),
-                        animals=[])
+            case["p"] = dataclasses.replace(P, a_max=math.inf, b_conf=0.0)
         else:
             vehicles[3].leader = len(vehicles)
-        compiled = kernel_outcome(compiled_kernel(), **case)
-        assert compiled[0][0] in ("ZeroDivisionError", "IndexError")
-        assert compiled == kernel_outcome(False, **case)
-
-    def test_animal_coordinates_that_are_not_floats(self):
-        # An int y takes the Python body, whose arithmetic takes ints; a
-        # missing x is read only for an animal in the band, so here the
-        # Python body never reads it.
-        vehicles = build_corridor(CorridorConfig()).vehicles
-        L = CorridorConfig().road_length
-        lane_animal = AnimalState(aid=0, x=vehicles[0].x + 10.0, y=2, sigma=1.0)
-        far = SimpleNamespace(y=-30.0)
-        for animals in ([lane_animal], [far]):
-            case = (vehicles, 3, P.v_caution, P, 0.1, L, GEO, animals)
-            assert kernel_outcome(compiled_kernel(), *case) == kernel_outcome(False,
-                                                                             *case)
-        assert kernel_outcome(False, vehicles, 1, P.v_caution, P, 0.1, L, GEO,
-                              [lane_animal])[1][0][1]
+        animals = [] if change == "brake-b_conf" else None
+        assert kernel_outcome(False, **case, animals=animals)[0][0] in (
+            "ZeroDivisionError", "IndexError")
+        assert kernel_outcome(compiled_kernel(), **case) is None
 
     def test_parameters_differing_in_the_sign_of_a_zero(self):
         # -0.0 == 0.0, but a dt or speed of -0.0 must give Python's bits:
@@ -900,34 +918,21 @@ class TestCompiledKernel:
             case = (start, 1, P.v_cruise, P, dt, 1000.0, GEO)
             assert kernel_outcome(kernel, *case) == kernel_outcome(False, *case)
 
-    def test_takes_the_steps_itself(self, monkeypatch):
-        # The Python body is left no step of an ordinary stretch, nor of one
-        # ending in a braking step.
+    def test_takes_the_steps_itself(self):
+        # The compiled trial declines no step of an ordinary stretch.
         kernel = compiled_kernel()
-        taken = []
-        advance = kernel.advance
-
-        def spied(*args):
-            taken.append(advance(*args))
-            return taken[-1]
-
-        monkeypatch.setattr(kernel, "advance", spied)
-        vehicles = build_corridor(CorridorConfig()).vehicles
-        fleet = Fleet(vehicles, P, 0.1, CorridorConfig().road_length, GEO, BEHAVIOUR)
-        fleet.advance(3000, P.v_cruise)
-        # 60 m ahead of the first vehicle, in its lane: still ahead of it,
-        # and inside its reach, at the seventh step.
-        lead = fleet.snapshot()[0]
-        fleet.advance(7, P.v_caution, [AnimalState(
-            aid=0, x=lead.x + 60.0 * lead.direction, y=GEO.lane_centre(lead.lane),
-            sigma=1.0)])
-        assert taken == [3000, 7]
-        assert [v.emergency_braking for v in fleet.snapshot()] == [True] + [False] * 7
+        L = CorridorConfig().road_length
+        fleets = [Fleet(build_corridor(CorridorConfig()).vehicles, P, 0.1, L, GEO,
+                        BEHAVIOUR) for _ in range(2)]
+        assert compiled_steps(kernel, fleets[0], 3000, P.v_cruise)
+        fleets[1].advance(3000, P.v_cruise)
+        assert kernel_bits(fleets[0].snapshot()) == kernel_bits(fleets[1].snapshot())
 
     def test_fleets_of_one_size_keep_their_own_buffers(self):
         # Two trials' fleets of 8 vehicles each, stepped in turn, give the
-        # bits each gives when stepped alone.
-        compiled_kernel()
+        # bits each gives when stepped alone; the braking call is the
+        # Python body's.
+        kernel = compiled_kernel()
         L = CorridorConfig().road_length
         ahead = [AnimalState(aid=0, x=260.0, y=GEO.lane_centre(0), sigma=1.0)]
         calls = [(1, P.v_cruise), (17, P.v_caution), (1, P.v_caution, ahead),
@@ -940,79 +945,81 @@ class TestCompiledKernel:
                 v.v = 10.0
             return [first, second]
 
+        def step(fleet, call):
+            if len(call) > 2:
+                fleet.advance(*call)
+            else:
+                assert compiled_steps(kernel, fleet, *call)
+
         alone = []
         for group in groups():
             fleet = Fleet(group, P, 0.1, L, GEO, BEHAVIOUR)
             for call in calls:
-                fleet.advance(*call)
+                step(fleet, call)
             alone.append(kernel_bits(fleet.snapshot()))
         fleets = [Fleet(group, P, 0.1, L, GEO, BEHAVIOUR) for group in groups()]
         for call in calls:
             for fleet in fleets:
-                fleet.advance(*call)
+                step(fleet, call)
         assert [kernel_bits(fleet.snapshot()) for fleet in fleets] == alone
         assert alone[0] != alone[1]
 
     def test_python_steps_reload_the_buffer(self):
-        # A kernel that takes only the first step of each call hands the
-        # rest, a braking step among them, to the Python body, which steps
-        # the buffer itself, so each next call starts from the buffer the
-        # last one left: after every call the fleet's snapshot has the bits
-        # and flags of an all-kernel fleet and of an all-Python one.
+        # The compiled trial and the Python body step one buffer in turn, a
+        # braking step among the Python body's: after every call the
+        # fleet's snapshot has the bits and flags of an all-Python fleet.
         kernel = compiled_kernel()
         L = CorridorConfig().road_length
-        taken = []
-        handing = one_step(kernel)
-        first_only = handing.advance
-
-        def spied(*args):
-            taken.append(first_only(*args))
-            return taken[-1]
-
-        handing.advance = spied
-        fleets = [fleet_on(k, build_corridor(CorridorConfig()).vehicles, P, 0.1, L, GEO,
-                           BEHAVIOUR) for k in (handing, kernel, False)]
+        fleets = [Fleet(build_corridor(CorridorConfig()).vehicles, P, 0.1, L, GEO,
+                        BEHAVIOUR) for _ in range(2)]
         braked = False
         for n, v0, ahead in ((5, P.v_cruise, None), (1, P.v_cruise, None),
                              (30, P.v_caution, None), (3, P.v_caution, 15.0),
                              (2, P.v_cruise, None)):
             animals = None
             if ahead is not None:
-                lead = fleets[2].snapshot()[0]
+                lead = fleets[1].snapshot()[0]
                 animals = [AnimalState(aid=0, x=(lead.x + ahead * lead.direction) % L,
                                        y=GEO.lane_centre(lead.lane), sigma=1.0)]
-            for fleet in fleets:
-                fleet.advance(n, v0, animals)
+                fleets[0].advance(n, v0, animals)
+            else:
+                assert compiled_steps(kernel, fleets[0], n, v0)
+            fleets[1].advance(n, v0, animals)
             state = fleets[0].snapshot()
-            assert kernel_bits(state) == kernel_bits(fleets[1].snapshot()) \
-                == kernel_bits(fleets[2].snapshot())
+            assert kernel_bits(state) == kernel_bits(fleets[1].snapshot())
             braked = braked or any(v.emergency_braking for v in state)
-        assert taken == [1, 1, 1, 1, 1]
         assert braked
 
-    @pytest.mark.parametrize("args, error", [
-        ((), TypeError),
-        (("buf", "lead", 1, 27.78, None, None, None), TypeError),
-        (("buf", "lead", 1.0, 27.78, None), TypeError),
-        (("buf", "lead", 1, "fast", None), TypeError),
-        (("buf", "lead", 1, 27.78, ()), TypeError),
-        ((bytearray(8), "lead", 1, 27.78, None), TypeError),
-        (("lead", "lead", 1, 27.78, None), TypeError),
-        (("buf", "buf", 1, 27.78, None), TypeError),
-        (("buf", "lead[:-1]", 1, 27.78, None), ValueError),
+    @pytest.mark.parametrize("changes, error", [
+        (None, TypeError),
+        ({"extra": None}, TypeError),
+        ({"n_steps": 1.0}, TypeError),
+        ({"v_cruise": "fast"}, TypeError),
+        ({"times": (), "xs": (), "sigmas": ()}, TypeError),
+        ({"fleet": bytearray(8)}, TypeError),
+        ({"fleet": "lead"}, TypeError),
+        ({"lead": "fleet"}, TypeError),
+        ({"lead": "lead[:-1]"}, ValueError),
     ], ids=["none", "seven", "float-steps", "str-v0", "tuple-animals", "bytearray-buf",
             "long-buf", "double-lead", "short-lead"])
-    def test_wrong_arguments_raise(self, args, error):
+    def test_wrong_arguments_raise(self, changes, error):
         # The extension checks its arguments' number, types and sizes before
         # it reads a buffer: a bad call raises, and the fleet still steps.
+        # The fleet's arguments: the call with none, with one too many, a
+        # float step count, a str speed, the arrivals (the animals) as
+        # tuples, and a bytearray, the leaders or a short leader array for
+        # the fleet's buffer or leaders.
         kernel = compiled_kernel()
         fleet = Fleet(build_corridor(CorridorConfig()).vehicles, P, 0.1,
                       CorridorConfig().road_length, GEO, BEHAVIOUR)
-        named = {"buf": fleet.buf, "lead": fleet.lead, "lead[:-1]": fleet.lead[:-1]}
+        rng = numpy.random.default_rng(0)
+        args = trial_arguments(fleet, 1, P.v_cruise, rng)
+        named = {"fleet": fleet.buf, "lead": fleet.lead, "lead[:-1]": fleet.lead[:-1]}
+        args.update({k: named.get(v, v) if isinstance(v, str) else v
+                     for k, v in (changes or {}).items()})
         with pytest.raises(error):
-            kernel.advance(*(named.get(a, a) if isinstance(a, str) else a
-                             for a in args))
-        fleet.advance(10, P.v_cruise)
+            kernel.trial(*args.values() if changes is not None else ())
+        assert compiled_steps(kernel, fleet, 10, P.v_cruise)
         ref = build_corridor(CorridorConfig()).vehicles
         reference_steps(ref, 10, P.v_cruise, CorridorConfig().road_length)
         assert kernel_bits(fleet.snapshot()) == kernel_bits(ref)
@@ -1177,13 +1184,13 @@ def brakers(vehicles, braking, road_length, geometry):
 
 class ScanCase(NamedTuple):
     """A scan case: the fleet, the indices of the vehicles a braking step
-    brakes, whether the compiled kernel leaves that step to the Python body
-    (``one_step``), the steps of a non-braking call after it (None for no
-    call), the thresholds, the geometry, the ring length and the animals."""
+    brakes, whether that step is the last of two (or the only one), the
+    steps of a non-braking call after it (None for no call), the
+    thresholds, the geometry, the ring length and the animals."""
 
     vehicles: list
     braking: list
-    stop: bool
+    last: bool
     then: Optional[int]
     behaviour: BehaviourParams
     geometry: GeometryParams
@@ -1234,10 +1241,10 @@ def scan_cases(draw):
                      road_length, animals)
 
 
-def one_vehicle_edges(direction, x, braking, stop=False, then=None, geometry=GEO):
+def one_vehicle_edges(direction, x, braking, last=False, then=None, geometry=GEO):
     """One vehicle at ``x`` at 12 m/s, braking or not, and an animal at
     each edge of its scans and next to it either side, at y = 0, the road
-    width, its lane centre and the edges of its contact band; ``stop`` and
+    width, its lane centre and the edges of its contact band; ``last`` and
     ``then`` as in ``ScanCase``."""
     vehicle = VehicleState(vid=0, x=x, v=12.0, direction=direction, lane=direction < 0)
     xs = [ax for side in (-1, 0, 1)
@@ -1246,7 +1253,7 @@ def one_vehicle_edges(direction, x, braking, stop=False, then=None, geometry=GEO
           *band_edges(vehicle, geometry)]
     animals = [AnimalState(aid=i, x=ax, y=y, sigma=1.0, state=Activity.CROSSING)
                for i, (ax, y) in enumerate((ax, y) for ax in xs for y in ys)]
-    return ScanCase([vehicle], [0] if braking else [], stop, then, BEHAVIOUR,
+    return ScanCase([vehicle], [0] if braking else [], last, then, BEHAVIOUR,
                      geometry, 1000.0, animals)
 
 
@@ -1265,7 +1272,7 @@ SCAN_EDGES = (
     + [one_vehicle_edges(d, x, b, geometry=g) for d in (1, -1) for x in (0.0, 999.5)
        for b in (False, True) for g in (GEO, WIDE_ANIMAL)]
     + [one_vehicle_edges(d, 999.5, True, then=1) for d in (1, -1)]
-    + [one_vehicle_edges(d, 999.5, True, stop=True) for d in (1, -1)]
+    + [one_vehicle_edges(d, 999.5, True, last=True) for d in (1, -1)]
     + [ScanCase([VehicleState(vid=i, x=100.0 * i, v=v, direction=1, lane=0)
                   for i, v in enumerate((10.0, math.nextafter(10.0, math.inf)))],
                  [], False, None, BEHAVIOUR, GEO, 1000.0,
@@ -1280,10 +1287,11 @@ def scan_examples(test):
 
 
 class TestCompiledScans:
-    """A fleet's contact scan, answered from the compiled kernel's buffer
-    where it holds the vehicles, is the reference function's answer for the
-    fleet's vehicles, one for one. The threat scans' edges are pinned
-    through the kernel's ``behave`` (``tests/test_animals.py``)."""
+    """A fleet's contact scan is the reference function's answer for the
+    fleet's vehicles, one for one, and the compiled trial's contact test
+    touches the animals the reference pairs. The threat scans' edges are
+    pinned through the trials of ``TestCompiledTrial``
+    (``tests/test_trial.py``)."""
 
     @pytest.mark.parametrize("kernel", ["compiled", "python"], indirect=True)
     @settings(max_examples=300, deadline=None, derandomize=True,
@@ -1291,13 +1299,12 @@ class TestCompiledScans:
     @given(case=scan_cases())
     @scan_examples
     def test_same_answers_as_the_reference(self, kernel, case):
-        start, braking, stop, then, behaviour, geometry, road_length, animals = case
+        start, braking, last, then, behaviour, geometry, road_length, animals = case
         # At dt 0 a step moves nothing: the vehicles keep the drawn x and v,
         # and the braking step sets the flags of the drawn vehicles.
         fleet = Fleet(start, P, 0.0, road_length, geometry, behaviour)
-        if stop and fleet.kernel:
-            fleet.kernel = one_step(fleet.kernel)
-        fleet.advance(2, P.v_caution, brakers(start, braking, road_length, geometry))
+        fleet.advance(2 if last else 1, P.v_caution,
+                      brakers(start, braking, road_length, geometry))
         state = fleet.snapshot()
         assert all(state[i].emergency_braking for i in braking)
         if then is not None:
@@ -1305,26 +1312,11 @@ class TestCompiledScans:
             state = fleet.snapshot()
             assert not any(v.emergency_braking for v in state)
         assert snapshot(state) == snapshot(start)
-        assert fleet.detect_collisions(animals) == detect_collisions(
-            state, animals, geometry, road_length)
-
-    @pytest.mark.parametrize("args, error", [
-        (("buf", [], None), TypeError),
-        (("lead", []), TypeError),
-        (("buf[:-1]", []), ValueError),
-        (("buf", ()), TypeError),
-        ((bytearray(8), []), TypeError),
-    ], ids=["extra-arg", "long-buf", "short-buf", "tuple-animals", "bytearray-buf"])
-    def test_wrong_arguments_raise(self, args, error):
-        # The contact scan checks its arguments' number, types and sizes
-        # before it reads the buffer.
-        kernel = compiled_kernel()
-        fleet = Fleet(build_corridor(CorridorConfig()).vehicles, P, 0.1,
-                      CorridorConfig().road_length, GEO, BEHAVIOUR)
-        named = {"buf": fleet.buf, "buf[:-1]": fleet.buf[:-1], "lead": fleet.lead}
-        with pytest.raises(error):
-            kernel.detect_collisions(*(named.get(a, a) if isinstance(a, str) else a
-                                       for a in args))
+        pairs = detect_collisions(state, animals, geometry, road_length)
+        assert fleet.detect_collisions(animals) == pairs
+        if kernel == "compiled":
+            assert compiled_contacts(wvcsim.vehicles.load_kernel(), fleet, animals,
+                                     geometry) == {aid for _, aid in pairs}
 
     @pytest.mark.parametrize("kernel", ["compiled", "python"], indirect=True)
     def test_vehicles_are_named_by_index(self, kernel):
@@ -1338,47 +1330,6 @@ class TestCompiledScans:
             == fleet.crossing_dangers(a)
         assert detect_collisions(vehicles, [a], GEO, 1000.0) == [(1, 3)] \
             == fleet.detect_collisions([a])
-
-    def test_a_stale_buffer_is_left_to_the_reference(self):
-        # No buffer is left stale: where the Python body takes over from a
-        # kernel that takes only the first step of each call, it steps the
-        # buffer, and the kernel's contact scan, reading what it left there,
-        # answers as the reference does about the fleet's snapshot. The
-        # vehicle's first step alone would leave it clear of the animal
-        # under it.
-        kernel = compiled_kernel()
-        vehicles = [VehicleState(vid=0, x=100.0, v=20.0, direction=1, lane=0)]
-        fleet = Fleet(vehicles, P, 1.0, 1000.0, GEO, BEHAVIOUR)
-        fleet.kernel = one_step(kernel)
-        fleet.advance(2, 20.0)
-        state = fleet.snapshot()
-        assert state[0].x > 120.0
-        under = AnimalState(aid=1, x=state[0].x, y=1.0, sigma=1.0)
-        assert kernel.detect_collisions(fleet.buf, [under]) \
-            == detect_collisions(state, [under], GEO, 1000.0) == [(0, 1)]
-
-        # Through a corridor's handovers, a braking step among them, the
-        # kernel's contact scan of the buffer agrees with the reference
-        # about the snapshot for animals behind, at and ahead of every
-        # vehicle.
-        L = CorridorConfig().road_length
-        fleet = fleet_on(one_step(kernel), build_corridor(CorridorConfig()).vehicles,
-                         P, 0.1, L, GEO, BEHAVIOUR)
-        for n, v0, ahead in ((5, P.v_cruise, None), (30, P.v_caution, None),
-                             (3, P.v_caution, 15.0), (2, P.v_cruise, None)):
-            animals = None
-            if ahead is not None:
-                lead = fleet.snapshot()[0]
-                animals = [AnimalState(aid=0, x=(lead.x + ahead * lead.direction) % L,
-                                       y=GEO.lane_centre(lead.lane), sigma=1.0)]
-            fleet.advance(n, v0, animals)
-            state = fleet.snapshot()
-            probes = [AnimalState(aid=i, x=(v.x + dx) % L, y=GEO.lane_centre(v.lane),
-                                  sigma=1.0)
-                      for i, (v, dx) in enumerate((v, dx) for v in state
-                                                  for dx in (-30.0, -2.0, 0.0, 45.0))]
-            assert kernel.detect_collisions(fleet.buf, probes) == detect_collisions(
-                state, probes, GEO, L) != []
 
     def test_edges_decide_as_stated(self):
         # Each edge straddles in the reference, for a vehicle near the ring's
