@@ -64,7 +64,7 @@
 enum {
     S0, HEADWAY, A_MAX, DELTA, A_FLOOR, CLOSING, DT, RING, LENGTH, FREE_GAP,
     TWO_B, T_REACT, HOLD, BAND,
-    CONTACT_X, CONTACT_Y, ROAD_WIDTH,    /* detect_collisions */
+    CONTACT_X, CONTACT_Y,                /* detect_collisions */
     V_THREAT, T_THREAT, NEAR_PASS,       /* vehicle_is_threat */
     INTERACT,  /* BRAKING_INTERACTION_DISTANCE */
     STATE      /* the first direction */

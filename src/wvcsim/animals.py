@@ -8,10 +8,10 @@ dangerous encounter with a vehicle.
 The module functions are the references: ``step_animal`` is the one Python
 statement of the model, and ``quiet_steps`` walks an animal's quiet steps
 with it. A trial's ``Herd`` runs a step's behaviour, phase 5 of
-``engine.run_trial``, over the awake animals: in the compiled kernel
-(``vehicles.load_kernel``), which draws from the trial's behaviour stream
-through numpy's bit generator, or in a loop over ``step_animal`` and the
-quiet walks, which gives the same bits and draws.
+``engine.run_trial``'s Python loop, over the awake animals, in a loop over
+``step_animal`` and the quiet walks. The compiled trial loop
+(``vehicles.load_kernel``) has its own port of ``step_animal``, which gives
+the same bits and draws.
 """
 
 from __future__ import annotations
@@ -366,15 +366,15 @@ def take_quiet_steps(animal: AnimalState, walk: QuietWalk) -> bool:
 
 
 class Herd:
-    """One trial's behaviour stream and parameters: each step's behaviour.
+    """One trial's behaviour stream and parameters: each step's behaviour
+    in the Python loop.
 
-    The buffer ``buf`` (its slots in advance_idm.c) takes the frame length,
-    the ``BehaviourParams`` the steps read, the road width, the spawn offset,
-    the exit edge, ``_DWELL_EPS`` and the radar band (``engine._radar_band``)
-    once. ``behave`` runs in the compiled kernel where it loads, reading the
-    vehicles from the fleet's buffer, and in its Python loop where the
-    kernel is unavailable or leaves it animals. ``frozen_time`` is the
-    trial's frozen-on-road time so far.
+    ``behave`` steps the awake animals in Python, reading the vehicles
+    through the fleet's scans. ``frozen_time`` is the trial's frozen-on-road
+    time so far. The buffer ``buf`` (its slots in advance_idm.c) takes the
+    frame length, the ``BehaviourParams`` the steps read, the road width,
+    the spawn offset, the exit edge and ``_DWELL_EPS`` once, for the
+    compiled trial loop.
     """
 
     def __init__(self, config: "CorridorConfig", band: tuple[float, float],

@@ -7,10 +7,10 @@ size and, under awareness propagation, by the sensitivity boost. Detection is
 sticky: a detected animal generates no further events.
 
 The module functions are the references. A trial's ``Detector`` runs a
-step's detection, phase 2 of ``engine.run_trial``, over the awake animals:
-in the compiled kernel (``vehicles.load_kernel``), which draws from the
-trial's detection stream through numpy's bit generator, or in a loop over
-``try_detect``, which gives the same bits and draws.
+step's detection, phase 2 of ``engine.run_trial``'s Python loop, over the
+awake animals, in a loop over ``try_detect``. The compiled trial loop
+(``vehicles.load_kernel``) has its own port of ``try_detect``, which gives
+the same bits and draws.
 """
 
 from __future__ import annotations
@@ -103,13 +103,13 @@ def try_detect(animal: AnimalState, radars: Sequence[RadarNode], spacing: float,
 
 
 class Detector:
-    """One trial's radars and detection stream: each step's detection.
+    """One trial's radars and detection stream: each step's detection in
+    the Python loop.
 
-    The radar buffer ``buf`` (its slots in advance_idm.c) takes the
-    spacing, ``r_det``, kappa, the frame length, the boost factor, the
-    radar band (``engine._radar_band``) and each radar's x and y, by rid,
-    once. ``detect`` runs in the compiled kernel where it loads, and in its
-    Python loop where the kernel is unavailable or leaves it animals.
+    ``detect`` tries the awake animals in Python. The radar buffer ``buf``
+    (its slots in advance_idm.c) takes the spacing, ``r_det``, kappa, the
+    frame length, the boost factor, the radar band (``engine._radar_band``)
+    and each radar's x and y, by rid, once, for the compiled trial loop.
     """
 
     def __init__(self, config: CorridorConfig, radars: Sequence[RadarNode],

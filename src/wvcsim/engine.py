@@ -9,18 +9,30 @@ collisions, detections, clean exits) are summed after the last step from each
 animal's own monotone flags. A trial is a pure function of (config, duration,
 trial_id, master_seed).
 
-Animals sleep through their quiet steps, and stretches of steps use a
-next-event time advance. A step is quiet for an animal
-(``animals.quiet_steps``) when it draws no random number, reads no vehicle
-and prunes nothing, and the animal starts it detected or outside
-``_radar_band`` (phase 2 tries nothing) and starts and ends it off the
-carriageway (phase 4 brakes for nothing and phase 6 scans nothing). Such
-steps are foraging, approaching short of the edge, hesitating short of the
-dwell's end, fleeing short of the spawn offset and walking out past the far
-edge. An animal that phase 5 leaves off the carriageway has its quiet steps
-from the next step on walked once, up to the trial's end, with
-``animals.step_animal`` on a copy that may not draw or read (a frozen animal
-is never walked); phase 5 applies the walk at once
+Where the compiled kernel loads (``vehicles.load_kernel``), ``run_trial``
+runs the whole step loop in one call of its ``trial``: every phase of every
+step in C, with every live animal stepped every step, drawing from the
+behaviour and detection streams through numpy's bit generator; it steps the
+trial's ``Fleet``'s buffer and returns the animals' end states, the visit
+counts, the frozen time and the latencies, from which phase 7 builds the
+result (``_result``). A trial the kernel declines (one the Python loop below
+raises on or treats apart; see advance_idm.c) runs in the Python loop from
+its first step, with a fresh world and fresh streams, so every error is
+raised there. The Python loop is the reference and the fallback; it gives
+the same bits and draws.
+
+The Python loop saves Python's time per step. Animals sleep through their
+quiet steps, and stretches of steps use a next-event time advance. A step
+is quiet for an animal (``animals.quiet_steps``) when it draws no random
+number, reads no vehicle and prunes nothing, and the animal starts it
+detected or outside ``_radar_band`` (phase 2 tries nothing) and starts and
+ends it off the carriageway (phase 4 brakes for nothing and phase 6 scans
+nothing). Such steps are foraging, approaching short of the edge,
+hesitating short of the dwell's end, fleeing short of the spawn offset and
+walking out past the far edge. An animal that phase 5 leaves off the
+carriageway has its quiet steps from the next step on walked once, up to
+the trial's end, with ``animals.step_animal`` on a copy that may not draw or
+read (a frozen animal is never walked); phase 5 applies the walk at once
 (``animals.take_quiet_steps``) and the animal sleeps until the step after
 the walk's last (``sleeping``, ``next_wake``). Phases 2 and 5 skip a
 sleeper. Nothing reads what changes while it sleeps: a quiet step changes
@@ -28,8 +40,8 @@ only its dwell, its y off the carriageway and at most its FORAGING
 -> APPROACHING switch, which moves it neither in nor out of
 ``DANGEROUS_STATES`` nor onto the carriageway; and a sleeper draws nothing,
 so the awake animals draw in the same order. A trial's outputs are those of
-stepping every animal every step, but an observer mid-trial sees a sleeper
-in the state it wakes with.
+stepping every animal every step, as the compiled loop does, but an
+observer mid-trial sees a sleeper in the state it wakes with.
 
 With every animal asleep, the gate at step k counts ``m`` steps up to the
 first of: the first wake; the step phase 1 spawns the next arrival
@@ -47,22 +59,21 @@ step or the stretch; a stepped step goes on to phases 5 and 6.
 arrival's ``t <= now``, ``AwarenessState.window_closed`` and
 ``DriverAlert.reacted``.
 
-Phase 2 is one call of the trial's ``detection.Detector.detect`` over the
-awake animals (none in a trial without radars, Control): ``try_detect`` for
-each, in the compiled kernel, which draws from the detection stream through
-numpy's bit generator, or in Python; phase 3 applies each event it returns.
+In the Python loop, phase 2 is one call of the trial's
+``detection.Detector.detect`` over the awake animals (none in a trial
+without radars, Control): ``try_detect`` for each; phase 3 applies each
+event it returns.
 
 Phase 5 is one call of the trial's ``animals.Herd.behave`` over the awake
 animals: ``step_animal`` for each, the state visits and frozen-on-road time,
-and the quiet walk and sleep, in the compiled kernel, which draws from the
-behaviour stream through numpy's bit generator, or in Python. It returns
-the animals it leaves on the carriageway, which are all of the corridor's
-carriageway animals: a sleeper sleeps off it and an arrival spawns off it.
-Phase 6 scans those animals alone, only when there are some, and those
-phase 6 leaves in the corridor are the next phase 4's braking candidates:
-no y changes from a phase 5 to the next phase 4 (an arrival spawns at the
-negative spawn offset, and phases 2 and 3 move no animal), and a stretch
-opens only when every animal sleeps, off the carriageway.
+and the quiet walk and sleep. It returns the animals it leaves on the
+carriageway, which are all of the corridor's carriageway animals: a sleeper
+sleeps off it and an arrival spawns off it. Phase 6 scans those animals
+alone, only when there are some, and those phase 6 leaves in the corridor
+are the next phase 4's braking candidates: no y changes from a phase 5 to
+the next phase 4 (an arrival spawns at the negative spawn offset, and
+phases 2 and 3 move no animal), and a stretch opens only when every animal
+sleeps, off the carriageway.
 
 After phase 4 the vehicles hold row k + 1 (k + m after a stretch), taken in
 one call of the trial's ``vehicles.Fleet.advance``. The fleet's buffer is
@@ -75,26 +86,20 @@ tests each driver's ``emergency_brake_needed`` from the pre-step snapshot; a
 driver for whom it holds brakes at ``-a_em`` in place of its IDM
 acceleration. Only ``Fleet.advance`` sets the brake flags, so a braking
 step's flags stay set until the next call, and every other call clears
-them.
+them. Phases 5 and 6 read the vehicles from the fleet's buffer: phase 5's
+threat tests (``step_animal``'s ``Fleet.threat_present`` and
+``Fleet.crossing_dangers``) and phase 6's ``detect_collisions`` (this
+module's call of ``Fleet.detect_collisions``) ask the references about a
+snapshot of x, v and the brake flags as the last ``Fleet.advance`` left
+them, and name each vehicle by its index.
 
-Where the compiled kernel loads (``vehicles.load_kernel``), its four
-entries take phase 2's detection (``detect``), phase 4's vehicle steps
-(``advance``), phase 5 (``behave``) and phase 6's contact scan
-(``detect_collisions``). Phases 5 and 6 read the vehicles from
-the fleet's buffer: phase 5's threat tests (``behave``'s own, or, in
-Python, ``step_animal``'s ``Fleet.threat_present`` and
-``Fleet.crossing_dangers``, which ask the references about a snapshot) and
-phase 6's ``detect_collisions`` (this module's call of
-``Fleet.detect_collisions``) answer from x, v and the brake flags as the
-last ``Fleet.advance`` left them, and name each vehicle by its index.
-
-Three scans skip what they cannot find. The carriageway, 0 < y <= road width,
-is ``detect_collisions``' own filter and the only band drivers brake for
-(``emergency_brake_needed`` is asked about no other animal); it gates phases 4
-and 6 and the quiet test alike. Phase 4 makes its brake tests only when an
-alerted driver has an animal there to brake for, so a step whose road animals
-all wait at the edge (y = 0) is one kernel round with every brake flag
-clear, like any other non-braking step.
+Three scans skip what they cannot find, in both loops. The carriageway,
+0 < y <= road width, is ``detect_collisions``' own filter and the only band
+drivers brake for (``emergency_brake_needed`` is asked about no other
+animal); it gates phases 4 and 6 and the quiet test alike. Phase 4 makes its
+brake tests only when an alerted driver has an animal there to brake for,
+so a step whose road animals all wait at the edge (y = 0) is one round of
+the vehicles with every brake flag clear, like any other non-braking step.
 Phase 6 runs only when phase 5 leaves an animal there; frozen-on-road time
 still counts the whole road, 0 <= y <= road width. Phase 2 skips an animal
 whose y lies outside every radar's reach plus 1 m (``_radar_band``, the
@@ -115,8 +120,8 @@ import numpy as np
 from .animals import Activity, AnimalState, Arrival, Herd, sample_arrivals
 # perfbench's tracer wraps step_animal, try_detect, idm_acceleration and
 # emergency_brake_needed at these names; the engine calls none of them
-# (``Herd.behave`` runs the first, ``Detector.detect`` the second and
-# ``Fleet.advance`` the other two).
+# (in the Python loop ``Herd.behave`` runs the first, ``Detector.detect``
+# the second and ``Fleet.advance`` the other two).
 from .animals import step_animal
 from .awareness import AwarenessState
 from .config import CorridorConfig, Mode, build_corridor

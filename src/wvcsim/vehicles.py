@@ -10,8 +10,9 @@ the contact test read the vehicles.
 
 A trial's vehicles live in one ``Fleet``, whose buffer is their only state:
 the ``VehicleState`` objects it is built from are the initial condition. The
-fleet steps and scans the buffer in the compiled kernel, or in Python; the
-module functions here are the references, on lists of ``VehicleState``.
+fleet steps and scans the buffer in Python, and the compiled trial loop
+(``load_kernel``) steps and scans the same buffer; the module functions here
+are the references, on lists of ``VehicleState``.
 """
 
 from __future__ import annotations
@@ -160,16 +161,12 @@ class Fleet:
     leaders and lanes are fixed for the fleet's life, and a vehicle is
     named by its index in the list the fleet was built from.
 
-    ``advance`` steps x, v and the flags in the buffer: in the compiled
-    kernel's ``advance`` (``load_kernel``) where it loads, and in its Python
-    body where the kernel is unavailable or leaves it steps.
-    ``detect_collisions`` reads the buffer in the kernel's
-    ``detect_collisions`` too; without it, or where it leaves a case to the
-    reference, it asks the module function of the same name about a
-    snapshot, with the fleet's own geometry and ring. ``threat_present`` and
-    ``crossing_dangers`` always ask the reference about a snapshot: they
-    serve ``step_animal`` in Python, while the kernel's ``behave``
-    (``animals.Herd``) reads the buffer with its own threat tests.
+    ``advance`` steps x, v and the flags in the buffer in Python.
+    ``detect_collisions``, ``threat_present`` and ``crossing_dangers`` ask
+    the module functions of the same names about a snapshot, with the
+    fleet's own geometry and ring: they serve the engine's Python loop and
+    ``step_animal``. The compiled trial loop (``load_kernel``) steps the same
+    buffer and reads it with its own ports of the scans.
     """
 
     def __init__(self, vehicles: list[VehicleState], p: IdmParams, dt: float,
@@ -187,8 +184,8 @@ class Fleet:
         self.buf = array("d", [
             p.s0, p.T, p.a_max, p.delta, -p.a_em, closing_term(p), dt, road_length,
             geometry.vehicle_length, FREE_ROAD_GAP, 2.0 * p.b_conf, p.t_react,
-            *brake_zone(geometry, p), *contact_zone(geometry), geometry.road_width,
-            behaviour.v_threat, behaviour.t_threat, behaviour.near_pass_distance,
+            *brake_zone(geometry, p), *contact_zone(geometry), behaviour.v_threat,
+            behaviour.t_threat, behaviour.near_pass_distance,
             BRAKING_INTERACTION_DISTANCE])
         for values in ([v.direction for v in vehicles],
                        [geometry.lane_centre(v.lane) for v in vehicles],
@@ -271,7 +268,7 @@ CC = ("cc", "-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
 
 # The kernel buffer's first vehicle slot (advance_idm.c): the directions
 # start at ``_STATE``, x and v at ``_STATE + 2 * n``.
-_STATE = 21
+_STATE = 20
 
 # This process's compiled kernel: None until the first ``load_kernel``, then
 # the extension module, or False where it could not be built or loaded.
@@ -279,15 +276,14 @@ _kernel = None
 
 
 def load_kernel():
-    """The compiled kernel: on the first call in a process, the C source
-    shipped with the package is compiled with ``build_command`` into a
-    private temporary directory and imported as an extension module, which
-    is returned. Its four entries serve ``Fleet`` (``advance`` and
-    ``detect_collisions``), ``detection.Detector`` (``detect``) and
-    ``animals.Herd`` (``behave``, which reads the fleet's buffer); the last
-    two draw through numpy's bit generator. Where the build or import fails,
-    warns once with the reason and returns False; all three then run in
-    Python, which gives the same bits and draws."""
+    """The compiled kernel: on the first call in a process (the first
+    trial's), the C source shipped with the package is compiled with
+    ``build_command`` into a private temporary directory and imported as an
+    extension module, which is returned. Its one entry, ``trial``, runs a
+    trial's whole step loop (``engine.run_trial``) on a ``Fleet``'s buffer,
+    drawing through numpy's bit generator. Where the build or import fails,
+    warns once with the reason and returns False; every trial then runs in
+    the engine's Python loop, which gives the same bits and draws."""
     global _kernel
     if _kernel is None:
         try:
@@ -301,8 +297,8 @@ def load_kernel():
 
 
 def _no_kernel(reason: str) -> bool:
-    warnings.warn(f"the compiled vehicle kernel is unavailable ({reason}); "
-                  "using the Python kernel, which is slower", RuntimeWarning,
+    warnings.warn(f"the compiled trial loop is unavailable ({reason}); "
+                  "using the Python loop, which is slower", RuntimeWarning,
                   stacklevel=3)
     return False
 
