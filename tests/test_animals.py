@@ -584,12 +584,6 @@ def behave_outcome(case):
             list(sleeping.items()), rng.bit_generator.state), animals
 
 
-def ulps(*values):
-    """Each value with its neighbouring floats."""
-    return [w for v in values
-            for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
-
-
 # A road 7 m wide, whose edges, like the steps of a 0.5 s frame (0.75, 2 and
 # 3 m), are exact in binary: a walk can land on an edge exactly.
 BINARY_GEO = dataclasses.replace(GEO, lane_width=3.5)

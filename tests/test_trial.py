@@ -19,7 +19,6 @@ from wvcsim.animals import _DWELL_EPS, Activity, Arrival, BehaviourParams
 from wvcsim.config import (CorridorConfig, GeometryParams, IdmParams, Mode, World,
                            _build_radars, _build_vehicles, build_corridor,
                            replace_config)
-from wvcsim.engine import EngineInvariantError, run_trial
 from wvcsim.vehicles import Fleet, brake_zone, stopping_envelope
 
 GEO = GeometryParams()
