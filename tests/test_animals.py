@@ -833,18 +833,21 @@ class TestCompiledBehaviour:
         ({"herd": "fleet"}, ValueError),
         ({"fleet": "herd"}, ValueError),
         ({"herd": bytearray(120)}, TypeError),
-    ], ids=["float-k", "no-capsule", "fleet-as-herd", "herd-as-fleet", "bytearray"])
+        ({"herd": "herd[:-1]"}, ValueError),
+    ], ids=["float-k", "no-capsule", "fleet-as-herd", "herd-as-fleet", "bytearray",
+            "short-constants"])
     def test_wrong_arguments_raise(self, changes, error):
         # The compiled trial checks its herd's arguments: a float for an
         # int, a behaviour stream that is not a capsule, the fleet's buffer
-        # for the herd's and the herd's for the fleet's, and a bytearray.
+        # for the herd's and the herd's for the fleet's, a bytearray, and a
+        # herd buffer one constant short.
         kernel = compiled_kernel()
         config = CorridorConfig()
         rng = np.random.default_rng(0)
         fleet = Fleet([CRUISING], config.idm, config.time_step, config.road_length,
                       config.geometry, config.behaviour)
         args = trial_arguments(fleet, 10, config.idm.v_cruise, rng)
-        named = {"herd": args["herd"], "fleet": fleet.buf}
+        named = {"herd": args["herd"], "fleet": fleet.buf, "herd[:-1]": args["herd"][:-1]}
         args.update({k: named.get(v, v) if isinstance(v, str) else v
                      for k, v in changes.items()})
         with pytest.raises(error):

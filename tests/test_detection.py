@@ -278,11 +278,16 @@ class TestCompiledDetect:
         ({"radars": bytearray(80)}, TypeError),
         ({"radars": "radars[:-1]"}, ValueError),
         ({"radars": "radars[:4]"}, ValueError),
-    ], ids=["no-capsule", "bytearray", "short", "shorter-than-the-parameters"])
+        ({"mode": 5}, ValueError),
+        ({"persistence": (30.0,)}, TypeError),
+    ], ids=["no-capsule", "bytearray", "short", "shorter-than-the-parameters", "five",
+            "tuple-clocks"])
     def test_wrong_arguments_raise(self, changes, error):
         # The compiled trial checks its radars' arguments: a detection
         # stream that is not a capsule, a bytearray, a radar buffer one slot
-        # short and one shorter than its parameters.
+        # short and one shorter than its parameters, a mode that is none of
+        # Control, Detection and Aware, and a tuple for the boost clocks'
+        # persistence.
         kernel = compiled_kernel()
         config = detect_config()
         rng = np.random.default_rng(0)

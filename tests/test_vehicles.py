@@ -1318,6 +1318,25 @@ class TestCompiledScans:
             assert compiled_contacts(wvcsim.vehicles.load_kernel(), fleet, animals,
                                      geometry) == {aid for _, aid in pairs}
 
+    @pytest.mark.parametrize("changes", [
+        {"fleet": "fleet+1"},
+        {"fleet": "fleet[:-1]"},
+        {"xs": array("d", [0.0])},
+    ], ids=["long-buf", "short-buf", "uneven-arrivals"])
+    def test_wrong_arguments_raise(self, changes):
+        # The compiled trial checks the sizes of what it scans before it
+        # reads a buffer: a fleet buffer one slot longer or shorter than its
+        # leaders give, and arrivals whose x's outnumber their times.
+        kernel = compiled_kernel()
+        fleet = Fleet(build_corridor(CorridorConfig()).vehicles, P, 0.1,
+                      CorridorConfig().road_length, GEO, BEHAVIOUR)
+        args = trial_arguments(fleet, 1, P.v_cruise, numpy.random.default_rng(0))
+        named = {"fleet+1": fleet.buf + array("d", [0.0]), "fleet[:-1]": fleet.buf[:-1]}
+        args.update({k: named.get(v, v) if isinstance(v, str) else v
+                     for k, v in changes.items()})
+        with pytest.raises(ValueError):
+            kernel.trial(*args.values())
+
     @pytest.mark.parametrize("kernel", ["compiled", "python"], indirect=True)
     def test_vehicles_are_named_by_index(self, kernel):
         # A vehicle's index in the fleet's list names it, whatever its vid:
