@@ -1,14 +1,18 @@
-/* The compiled form of a trial's step loop, wvcsim.engine.run_trial's
-   phases 1-7 for every step, a CPython extension module built on first use,
-   with one entry, trial. It reads a fleet's buffer and leaders, a herd
-   buffer, a radar buffer (their slots below) and the arrival schedule, and
-   draws from the trial's behaviour and detection streams through numpy's
-   bitgen_t (the "BitGenerator" capsules; numpy/random/bitgen.h, no numpy
-   library linked). The fleet's buffer is the vehicles' only state: the loop
-   steps x, v and the brake flags there, and leaves them there. The animals
-   live in C arrays (struct-of-arrays) for the trial's life; trial returns
-   their end states, the visit counts, the frozen-on-road time and the
-   detection latencies, from which the engine builds the TrialResult.
+/* The compiled form of a trial, a CPython extension module built on first
+   use, with two entries. arrivals is wvcsim.animals.sample_arrivals's draw
+   of the arrival schedule, from the trial's arrivals stream. trial is
+   wvcsim.engine.run_trial's step loop, phases 1-7 for every step: it reads
+   a fleet's buffer and leaders, a herd buffer, a radar buffer (their slots
+   below) and the arrival schedule, and draws from the trial's behaviour and
+   detection streams. Both draw through numpy's bitgen_t (the "BitGenerator"
+   capsules) with numpy's next_double (numpy/random/distributions.h), and
+   arrivals with its distribution functions too, linked from the static
+   libnpyrandom.a that numpy ships for extensions to call. The fleet's
+   buffer is the vehicles' only state: the loop steps x, v and the brake
+   flags there, and leaves them there. The animals live in C arrays
+   (struct-of-arrays) for the trial's life; trial returns their end states,
+   the visit counts, the frozen-on-road time and the detection latencies,
+   from which the engine builds the TrialResult.
 
    Each step runs the Python loop's phase order on every live animal: there
    is no sleep, quiet walk or next-event gate, which exist only to save the
@@ -49,14 +53,25 @@
    out of range, an infinite or NaN power, a ** with a negative or NaN base,
    a ring of length 0 under a threat test, a dwell range that numpy's
    uniform rejects, a zero spacing or a NaN or infinite grid quotient,
-   sigma <= 0, and a negative kappa, beta or frame length. */
+   sigma <= 0, and a negative kappa, beta or frame length.
+
+   arrivals makes sample_arrivals's draws in its order: each gap is
+   random_exponential, numpy's ziggurat (Marsaglia and Tsang, J. Stat.
+   Softw. 5(8), 2000), the very function Generator.exponential calls; each
+   uniform is random_uniform(lo, hi - lo), Generator.uniform(lo, hi)'s; and
+   sample_sigma's class draw is one next_double. It declines, returning
+   None before its first draw, wherever the Python body could raise or
+   computes in a type other than float: a number that is not a float or an
+   int, an int too large for a double, a mixture that is not a non-empty
+   tuple or list of (weight, lo, hi) tuples or lists, and a road length or
+   class whose range numpy's uniform rejects. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
-#include <numpy/random/bitgen.h>
+#include <numpy/random/distributions.h>
 
 /* The fleet's buffer: the parameters, then n each of directions, lane
    centres, positions and speeds, 2n of scratch, and n brake flags, each 1.0
@@ -171,11 +186,6 @@ typedef struct {
     Py_ssize_t visits[ACTIVITIES];
     double frozen_time;
 } Trial;
-
-static double next_double(bitgen_t *bitgen)
-{
-    return bitgen->next_double(bitgen->state);
-}
 
 /* emergency_brake_needed for a vehicle at xi with speed vi: the stopping
    envelope (at least the hold zone) against each of the m animals at cx,
@@ -883,7 +893,134 @@ done:
     return out;
 }
 
+/* An exact float or int, as a double, in *out: 0 for any other type and
+   for an int too large for a double, where Python computes otherwise or
+   raises. */
+static int as_double(PyObject *obj, double *out)
+{
+    if (PyFloat_CheckExact(obj)) {
+        *out = PyFloat_AS_DOUBLE(obj);
+        return 1;
+    }
+    if (!PyLong_CheckExact(obj))
+        return 0;
+    *out = PyLong_AsDouble(obj);
+    if (*out == -1.0 && PyErr_Occurred()) {
+        PyErr_Clear();    /* the OverflowError the Python body raises */
+        return 0;
+    }
+    return 1;
+}
+
+/* The k size classes of a mixture, a tuple or list of (weight, lo, hi)
+   tuples or lists, into classes (3k doubles): 0 where one is not a triple
+   of numbers as_double takes or numpy's uniform rejects its range. */
+static int read_mixture(PyObject *mixture, Py_ssize_t k, double *classes)
+{
+    PyObject *c;
+    Py_ssize_t i, j;
+
+    for (i = 0; i < k; i++) {
+        c = PySequence_Fast_GET_ITEM(mixture, i);
+        if (!(PyTuple_Check(c) || PyList_Check(c)) || PySequence_Fast_GET_SIZE(c) != 3)
+            return 0;
+        for (j = 0; j < 3; j++)
+            if (!as_double(PySequence_Fast_GET_ITEM(c, j), &classes[3 * i + j]))
+                return 0;
+        if (!range_ok(classes[3 * i + 1], classes[3 * i + 2]))
+            return 0;
+    }
+    return 1;
+}
+
+/* One cls(time, x, sigma), cls a tuple subclass, made as tuple's own
+   subtype constructor makes it. */
+static PyObject *arrival(PyTypeObject *cls, double time, double x, double sigma)
+{
+    PyObject *item = cls->tp_alloc(cls, 3), *values[3];
+    int i;
+
+    if (item == NULL)
+        return NULL;
+    values[0] = PyFloat_FromDouble(time);
+    values[1] = PyFloat_FromDouble(x);
+    values[2] = PyFloat_FromDouble(sigma);
+    for (i = 0; i < 3; i++)
+        PyTuple_SET_ITEM(item, i, values[i]);
+    if (values[0] == NULL || values[1] == NULL || values[2] == NULL)
+        Py_CLEAR(item);
+    return item;
+}
+
+PyDoc_STRVAR(arrivals_doc,
+"arrivals(cls, mean_gap, horizon, road_length, size_scale, mixture, bitgen)\n"
+"    -> list, or None\n\n"
+"The Python body of sample_arrivals, drawing through the \"BitGenerator\"\n"
+"capsule bitgen: arrival times with exponential gaps of mean mean_gap, up\n"
+"to horizon, each at a uniform x on [0, road_length) with a size from the\n"
+"mixture, a sequence of (weight, lo, hi) classes, times size_scale; each\n"
+"arrival a cls(time, x, sigma), cls a tuple subclass. None, before any\n"
+"draw, where the Python body is to draw (see the module's header).");
+
+static PyObject *arrivals(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyTypeObject *cls;
+    PyObject *mixture, *out, *item;
+    bitgen_t *bitgen;
+    double mean_gap, horizon, length, scale, *classes, t, x, u, acc;
+    Py_ssize_t k, i;
+
+    (void)self;
+    if (nargs != 7) {
+        PyErr_Format(PyExc_TypeError, "arrivals takes 7 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (!PyType_Check(args[0])
+            || !PyType_IsSubtype((PyTypeObject *)args[0], &PyTuple_Type)) {
+        PyErr_SetString(PyExc_TypeError, "arrivals: cls must be a subclass of tuple");
+        return NULL;
+    }
+    cls = (PyTypeObject *)args[0];
+    if ((bitgen = PyCapsule_GetPointer(args[6], "BitGenerator")) == NULL)
+        return NULL;
+    mixture = args[5];
+    if (!(PyTuple_Check(mixture) || PyList_Check(mixture))
+            || (k = PySequence_Fast_GET_SIZE(mixture)) == 0
+            || !as_double(args[1], &mean_gap) || !as_double(args[2], &horizon)
+            || !as_double(args[3], &length) || !as_double(args[4], &scale)
+            || !range_ok(0.0, length))
+        return Py_NewRef(Py_None);
+    if ((classes = PyMem_Malloc(3 * k * sizeof *classes)) == NULL)
+        return PyErr_NoMemory();
+    if (!read_mixture(mixture, k, classes)) {
+        PyMem_Free(classes);
+        return Py_NewRef(Py_None);
+    }
+    out = PyList_New(0);
+    for (t = random_exponential(bitgen, mean_gap); out && t <= horizon;
+         t += random_exponential(bitgen, mean_gap)) {
+        x = random_uniform(bitgen, 0.0, length);
+        /* sample_sigma: the first class whose running weight passes u,
+           else the last. */
+        u = next_double(bitgen);
+        for (acc = 0.0, i = 0; i < k - 1; i++) {
+            acc += classes[3 * i];
+            if (u < acc)
+                break;
+        }
+        item = arrival(cls, t, x, random_uniform(bitgen, classes[3 * i + 1],
+                                                 classes[3 * i + 2] - classes[3 * i + 1])
+                                  * scale);
+        if (item == NULL || PyList_Append(out, item) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(item);
+    }
+    PyMem_Free(classes);
+    return out;
+}
+
 static PyMethodDef methods[] = {
+    {"arrivals", (PyCFunction)(void (*)(void))arrivals, METH_FASTCALL, arrivals_doc},
     {"trial", (PyCFunction)(void (*)(void))trial, METH_FASTCALL, trial_doc},
     {NULL, NULL, 0, NULL},
 };

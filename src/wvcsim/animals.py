@@ -24,6 +24,8 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .vehicles import load_kernel
+
 if TYPE_CHECKING:
     from .config import CorridorConfig, GeometryParams
     from .vehicles import Fleet
@@ -152,6 +154,10 @@ def sample_arrivals(rate_per_hour: float, duration_hours: float, road_length: fl
     Sizes are drawn from the mixture and then multiplied by ``size_scale``, so
     the underlying draws (and hence times and positions) are identical across
     size scalings for the same stream.
+
+    The compiled kernel's ``arrivals`` (``vehicles.load_kernel``) makes the
+    draws where it loads and takes them, else ``draw_arrivals``, the Python
+    body, which gives the same bits and leaves the stream in the same state.
     """
     if not (math.isfinite(rate_per_hour) and rate_per_hour >= 0):
         raise ValueError(f"arrival rate must be finite and non-negative, "
@@ -162,6 +168,21 @@ def sample_arrivals(rate_per_hour: float, duration_hours: float, road_length: fl
         return []
     horizon = duration_hours * 3600.0
     mean_gap = 3600.0 / rate_per_hour
+    kernel = load_kernel()
+    if kernel:
+        arrivals = kernel.arrivals(Arrival, mean_gap, horizon, road_length, size_scale,
+                                   params.size_mixture, rng.bit_generator.capsule)
+        if arrivals is not None:
+            return arrivals
+    return draw_arrivals(mean_gap, horizon, road_length, size_scale, params, rng)
+
+
+def draw_arrivals(mean_gap: float, horizon: float, road_length: float,
+                  size_scale: float, params: BehaviourParams,
+                  rng: np.random.Generator) -> list[Arrival]:
+    """The Python body of ``sample_arrivals``, from the mean gap and the
+    horizon in seconds: the reference, and the draw wherever the kernel does
+    not load or declines (see advance_idm.c)."""
     arrivals: list[Arrival] = []
     t = rng.exponential(mean_gap)
     while t <= horizon:

@@ -113,16 +113,32 @@ def coverage_ok(spacing: float, d_y: float, r_det: float) -> bool:
 
 def _nonfinite(value: Any, path: str) -> list[str]:
     """``<path>: must be finite`` for each NaN or infinite number in a config
-    value, its sections and its tuples (dwell ranges, size classes)."""
-    if is_dataclass(value):
-        prefix = path + "." if path else ""
-        return [p for f in dc_fields(value)
-                for p in _nonfinite(getattr(value, f.name), prefix + f.name)]
-    if isinstance(value, tuple):
-        return [p for i, v in enumerate(value) for p in _nonfinite(v, f"{path}[{i}]")]
-    if isinstance(value, (int, float)) and not math.isfinite(value):
-        return [f"{path}: must be finite"]
-    return []
+    value, its sections and its tuples (dwell ranges, size classes), in field
+    order. The walk reads a section's fields from its class's dataclass
+    fields, and spells out a number's path only where it is not finite."""
+    names = getattr(type(value), "__dataclass_fields__", None)
+    if names is not None:
+        items = ((name, getattr(value, name)) for name in names)
+    elif isinstance(value, tuple):
+        items = enumerate(value)
+    else:
+        return []
+    problems = []
+    for key, item in items:
+        if isinstance(item, (int, float)):
+            if not math.isfinite(item):
+                problems.append(f"{_child(path, key)}: must be finite")
+        elif isinstance(item, tuple) or hasattr(type(item), "__dataclass_fields__"):
+            problems += _nonfinite(item, _child(path, key))
+    return problems
+
+
+def _child(path: str, key) -> str:
+    """The path of a section's field ``key`` (a name) or a tuple's item
+    ``key`` (an index)."""
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
 
 
 def validate_config(config: CorridorConfig) -> list[str]:
@@ -159,15 +175,12 @@ class World:
 def _build_radars(config: CorridorConfig) -> list[RadarNode]:
     if config.mode is Mode.CONTROL:
         return []
-    n = int(math.floor(config.road_length / config.radar_spacing)) + 1
-    near_y = config.radar_shoulder_near
-    far_y = config.radar_shoulder_far
-    return [
-        RadarNode(rid=i, x=i * config.radar_spacing,
-                  side=NEAR if i % 2 == 0 else FAR,
-                  y=near_y if i % 2 == 0 else far_y)
-        for i in range(n)
-    ]
+    spacing = config.radar_spacing
+    n = int(math.floor(config.road_length / spacing)) + 1
+    near_y, far_y = config.radar_shoulder_near, config.radar_shoulder_far
+    # The even radars on the near shoulder, the odd on the far.
+    return [RadarNode(i, i * spacing, FAR, far_y) if i % 2
+            else RadarNode(i, i * spacing, NEAR, near_y) for i in range(n)]
 
 
 def _build_vehicles(config: CorridorConfig) -> list[VehicleState]:

@@ -279,11 +279,13 @@ def load_kernel():
     """The compiled kernel: on the first call in a process (the first
     trial's), the C source shipped with the package is compiled with
     ``build_command`` into a private temporary directory and imported as an
-    extension module, which is returned. Its one entry, ``trial``, runs a
-    trial's whole step loop (``engine.run_trial``) on a ``Fleet``'s buffer,
-    drawing through numpy's bit generator. Where the build or import fails,
-    warns once with the reason and returns False; every trial then runs in
-    the engine's Python loop, which gives the same bits and draws."""
+    extension module, which is returned. Its entry ``arrivals`` draws a
+    trial's arrival schedule (``animals.sample_arrivals``), and ``trial``
+    runs a trial's whole step loop (``engine.run_trial``) on a ``Fleet``'s
+    buffer, both drawing through numpy's bit generator. Where the build or
+    import fails, warns once with the reason and returns False; every trial
+    then draws its arrivals and runs in Python, which gives the same bits
+    and draws."""
     global _kernel
     if _kernel is None:
         try:
@@ -306,14 +308,18 @@ def _no_kernel(reason: str) -> bool:
 def build_command(source: str, target: str) -> list[str]:
     """The command that compiles ``source`` into the extension ``target``:
     ``CC`` with this interpreter's include directory and numpy's, for
-    ``numpy/random/bitgen.h`` alone (no numpy library is linked). On macOS
-    the Python C-API symbols are left for the interpreter to resolve on
-    import, since its linker rejects undefined symbols by default."""
+    ``numpy/random/distributions.h``, linked with ``libnpyrandom.a`` from
+    numpy's ``random/lib``, numpy's own ``next_double``, exponential and
+    uniform draws. On macOS the Python C-API symbols are left for the
+    interpreter to resolve on import, since its linker rejects undefined
+    symbols by default."""
     import sysconfig
-    import numpy
+    import numpy.random
     darwin = ["-undefined", "dynamic_lookup"] if sys.platform == "darwin" else []
+    npyrandom = os.path.join(os.path.dirname(numpy.random.__file__), "lib")
     return [*CC, *darwin, "-I", sysconfig.get_paths()["include"],
-            "-I", numpy.get_include(), "-o", target, source, "-lm"]
+            "-I", numpy.get_include(), "-o", target, source,
+            "-L", npyrandom, "-lnpyrandom", "-lm"]
 
 
 def _build_kernel():

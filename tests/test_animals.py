@@ -93,6 +93,162 @@ class TestArrivals:
             assert two.sigma == pytest.approx(2.0 * one.sigma, rel=1e-12)
 
 
+def ulps_short_of_one(weights, n):
+    """``weights`` with the last one set so that their running sum, in
+    order, is ``n`` ULP short of 1 (a draw above it falls through to the
+    last class); as given where the others already reach that sum."""
+    *head, last = weights
+    target = 1.0
+    for _ in range(n):
+        target = math.nextafter(target, 0.0)
+    acc = 0.0
+    for w in head:
+        acc += w
+    if acc >= target:
+        return weights
+    last = target - acc
+    while acc + last > target:
+        last = math.nextafter(last, 0.0)
+    while acc + last < target:
+        last = math.nextafter(last, 1.0)
+    return [*head, last]
+
+
+@st.composite
+def arrival_cases(draw):
+    """A rate (0, tiny, ordinary, 300/h and above), a duration, a road
+    length and a size scale (floats or ints), a stream seed, and a mixture
+    of 1-4 classes, a tuple or list of tuples or lists: weights that sum to
+    1, to a few ULP short of it, or to less, or weights as drawn; now and
+    then a class whose range numpy's uniform rejects."""
+    rate = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-3]), st.floats(1e-3, 300.0),
+                          st.floats(300.0, 1200.0)))
+    hours = draw(st.floats(1e-3, 1.0))
+    length = draw(st.one_of(st.floats(1.0, 5000.0), st.integers(1, 5000)))
+    if draw(st.integers(0, 9)) == 9:
+        length = draw(st.sampled_from([0.0, -0.0, -1.0, math.inf]))
+    scale = draw(st.one_of(st.floats(0.1, 5.0), st.integers(1, 3)))
+    k = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    total = math.fsum(weights)
+    sums_to = draw(st.sampled_from(["one", "ulps", "less", "as drawn"]))
+    if sums_to != "as drawn" and total > 0.0:
+        weights = [w / total for w in weights]
+        if sums_to == "ulps":
+            weights = ulps_short_of_one(weights, draw(st.integers(1, 4)))
+        elif sums_to == "less":
+            weights = [w * 0.6 for w in weights]
+    classes = []
+    for w in weights:
+        lo = draw(st.one_of(st.floats(0.01, 3.0), st.integers(1, 3)))
+        hi = lo + draw(st.one_of(st.floats(0.0, 2.0), st.integers(0, 2)))
+        if draw(st.integers(0, 9)) == 9:
+            hi = draw(st.sampled_from([lo - 1.0, math.inf, math.nan]))
+        classes.append(draw(st.sampled_from([tuple, list]))((w, lo, hi)))
+    mixture = draw(st.sampled_from([tuple, list]))(classes)
+    return rate, hours, length, scale, mixture, draw(st.integers(0, 2**32 - 1))
+
+
+def kernel_takes(length, scale, mixture):
+    """Whether the kernel's ``arrivals`` makes the draws (advance_idm.c):
+    every number a float or an int, the mixture a non-empty tuple or list
+    of triples, and every range one numpy's uniform accepts."""
+    def number(value):
+        return type(value) in (float, int)
+
+    def accepted(lo, hi):
+        return math.isfinite(hi - lo) and math.copysign(1.0, hi - lo) > 0
+
+    return (number(length) and number(scale) and accepted(0.0, length)
+            and type(mixture) in (tuple, list) and len(mixture) > 0
+            and all(type(c) in (tuple, list) and len(c) == 3 and all(map(number, c))
+                    and accepted(c[1], c[2]) for c in mixture))
+
+
+def drawn(draw, seed):
+    """What ``draw`` makes of a stream seeded ``seed`` (a list, or the type
+    and message of the error it raises), and the stream's next random()."""
+    g = rng(seed)
+    try:
+        out = repr(draw(g))
+    except (ValueError, OverflowError, IndexError) as exc:
+        out = (type(exc), str(exc))
+    return out, g.random()
+
+
+def counted_draws(monkeypatch):
+    """The calls of ``animals.draw_arrivals``, the Python body, from here on."""
+    calls = []
+    body = wvcsim.animals.draw_arrivals
+    monkeypatch.setattr(wvcsim.animals, "draw_arrivals",
+                        lambda *args: calls.append(args) or body(*args))
+    return calls
+
+
+class TestCompiledArrivals:
+    """The kernel's ``arrivals`` against ``draw_arrivals``, the Python body:
+    the same list, bit for bit, and the stream left in the same state."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=arrival_cases())
+    @example(case=(300.0, 1.0, L, 1.0, ((0.5, 0.25, 0.55), (0.25, 0.7, 1.2)), 1))
+    @example(case=(15.0, 4.0, 1000, 2, [[1, 1, 2]], 2))
+    @example(case=(300.0, 1.0, L, 1.0, ((1.0, 2.0, 1.0),), 3))
+    @example(case=(300.0, 1.0, L, 1.0, (), 4))
+    @example(case=(300.0, 1.0, -0.0, 1.0, PARAMS.size_mixture, 5))
+    def test_same_list_and_stream_as_the_python_body(self, case):
+        compiled_kernel()
+        rate, hours, length, scale, mixture, seed = case
+        params = dataclasses.replace(PARAMS, size_mixture=mixture)
+        body = wvcsim.animals.draw_arrivals
+        with pytest.MonkeyPatch.context() as m:
+            calls = counted_draws(m)
+            got = drawn(lambda g: sample_arrivals(rate, hours, length, scale, params, g),
+                        seed)
+        want = drawn(lambda g: body(3600.0 / rate, hours * 3600.0, length, scale,
+                                    params, g) if rate else [], seed)
+        assert got == want
+        assert len(calls) == (0 if rate == 0 or kernel_takes(length, scale, mixture)
+                              else 1)
+
+    @pytest.mark.parametrize("mixture, error, message", [
+        (((1.0, 2.0, 1.0),), ValueError, "high - low < 0"),
+        (((0.0, 1.0, 2.0), (1.0, 0.5, math.inf)), OverflowError, "exceeds valid bounds"),
+        (((1.0, math.nan, 1.0),), OverflowError, "exceeds valid bounds"),
+        ((), IndexError, "index out of range"),
+    ], ids=["reversed", "infinite", "nan", "empty"])
+    def test_a_mixture_numpy_rejects_raises_the_python_error(self, monkeypatch, mixture,
+                                                             error, message):
+        compiled_kernel()
+        calls = counted_draws(monkeypatch)
+        params = dataclasses.replace(PARAMS, size_mixture=mixture)
+        with pytest.raises(error, match=message):
+            sample_arrivals(300.0, 1.0, L, 1.0, params, rng())
+        assert len(calls) == 1
+
+    def test_the_ziggurat_slow_path_is_drawn(self, monkeypatch):
+        # An arrival takes four raw draws of the stream, and the schedule
+        # one more, where every exponential takes the ziggurat's fast path;
+        # each slow path (the tail or a wedge) takes one or more besides.
+        compiled_kernel()
+        calls = counted_draws(monkeypatch)
+        g = rng(5)
+        probe = np.random.PCG64()
+        probe.state = g.bit_generator.state
+        arrivals = sample_arrivals(300.0, 2.0, L, 1.0, PARAMS, g)
+        assert not calls
+        probe.advance(4 * len(arrivals) + 1)
+        extra = 0
+        while probe.state != g.bit_generator.state and extra < 1000:
+            probe.random_raw()
+            extra += 1
+        assert 0 < extra < 1000
+        reference = rng(5)
+        assert arrivals == wvcsim.animals.draw_arrivals(12.0, 7200.0, L, 1.0, PARAMS,
+                                                        reference)
+        assert g.random() == reference.random()
+
+
 class TestSizeMixture:
     def test_mixture_mean_matches_analytic(self):
         g = rng(11)

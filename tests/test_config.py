@@ -43,6 +43,18 @@ def with_each_number(value, x, path=""):
         yield path, x
 
 
+def with_every_number(value, x):
+    """A copy of a config value, its sections and its tuples holding ``x``
+    in place of every number."""
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{
+            f.name: with_every_number(getattr(value, f.name), x)
+            for f in dataclasses.fields(value)})
+    if isinstance(value, tuple):
+        return tuple(with_every_number(member, x) for member in value)
+    return x if type(value) in (int, float) else value
+
+
 class TestValidate:
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_every_nonfinite_number_named(self, x):
@@ -55,6 +67,15 @@ class TestValidate:
             assert f"{path}: must be finite" in validate_config(cfg)
             with pytest.raises(ValueError, match=re.escape(path)):
                 build_corridor(cfg)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_nonfinite_numbers_named_in_field_order(self, x):
+        # Every number at once: one message each, in the order of the
+        # fields, sections and tuple members.
+        cfg = with_every_number(CorridorConfig(), x)
+        named = [p for p in validate_config(cfg) if p.endswith(": must be finite")]
+        assert named == [f"{path}: must be finite"
+                         for path, _ in with_each_number(CorridorConfig(), x)]
 
     def test_nan_kappa_fails_before_any_step(self):
         # A NaN kappa used to run and detect nothing.

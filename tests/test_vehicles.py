@@ -24,6 +24,8 @@ from wvcsim.awareness import AwarenessState
 from wvcsim.config import (CorridorConfig, GeometryParams, Mode, build_corridor,
                            replace_config)
 from wvcsim.engine import run_trial
+from wvcsim.experiments import ExperimentPlan, run_sweep
+from wvcsim.records import write_trials_csv
 from wvcsim.vehicles import (BRAKING_INTERACTION_DISTANCE, FREE_ROAD_GAP,
                              DriverAlert, Fleet, IdmParams, VehicleOverlap,
                              VehicleState, brake_zone, contact_zone,
@@ -1050,8 +1052,8 @@ class TestCompiledKernel:
     @pytest.mark.skipif(shutil.which(wvcsim.vehicles.CC[0]) is None,
                         reason="no C compiler on PATH")
     def test_missing_numpy_header_falls_back_loudly(self, monkeypatch, tmp_path):
-        # With numpy's include directory empty, bitgen.h is not found: the
-        # first load warns with the compiler's message and the next is
+        # With numpy's include directory empty, distributions.h is not
+        # found: the first load warns with the compiler's message and the next is
         # silent; a trial, whose phase 5 then runs in Python, gives the
         # compiled kernel's result.
         compiled_kernel()
@@ -1065,13 +1067,44 @@ class TestCompiledKernel:
         assert compiled["detected"] and not stepped
         monkeypatch.setattr(numpy, "get_include", lambda: str(tmp_path))
         monkeypatch.setattr(wvcsim.vehicles, "_kernel", None)
-        with pytest.warns(RuntimeWarning, match="numpy/random/bitgen.h"):
+        with pytest.warns(RuntimeWarning, match="numpy/random/distributions.h"):
             assert wvcsim.vehicles.load_kernel() is False
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert wvcsim.vehicles.load_kernel() is False
             assert dataclasses.asdict(run_trial(config, 0.05, 0, 3)) == compiled
         assert stepped
+
+    @pytest.mark.skipif(shutil.which(wvcsim.vehicles.CC[0]) is None,
+                        reason="no C compiler on PATH")
+    def test_missing_npyrandom_falls_back_loudly(self, monkeypatch, tmp_path):
+        # Where numpy's random/lib holds no libnpyrandom.a, the link fails:
+        # the first trial warns once, naming the library, and every trial
+        # then draws its arrivals and runs its steps in Python, writing the
+        # compiled kernel's bytes.
+        compiled_kernel()
+        config = replace_config(CorridorConfig(), arrival_rate=300.0,
+                                radar_spacing=5.0, kappa=0.3)
+        plan = ExperimentPlan.headline(master_seed=3, trials_per_point=1,
+                                       hours_per_trial=0.05)
+        drawn, stepped = [], []
+        draw_arrivals = wvcsim.animals.draw_arrivals
+        step_animal = wvcsim.animals.step_animal
+        monkeypatch.setattr(wvcsim.animals, "draw_arrivals",
+                            lambda *args: drawn.append(args) or draw_arrivals(*args))
+        monkeypatch.setattr(wvcsim.animals, "step_animal",
+                            lambda *args: stepped.append(args[0].aid) or step_animal(*args))
+        write_trials_csv(str(tmp_path / "compiled.csv"), run_sweep(plan, config))
+        assert not drawn and not stepped
+        monkeypatch.setattr(numpy.random, "__file__", str(tmp_path / "__init__.py"))
+        monkeypatch.setattr(wvcsim.vehicles, "_kernel", None)
+        with pytest.warns(RuntimeWarning, match="npyrandom") as caught:
+            write_trials_csv(str(tmp_path / "python.csv"), run_sweep(plan, config))
+        assert len(caught) == 1
+        assert wvcsim.vehicles._kernel is False
+        assert len(drawn) == 3 and stepped
+        assert (tmp_path / "python.csv").read_bytes() == \
+            (tmp_path / "compiled.csv").read_bytes()
 
     def test_macos_links_against_the_loading_interpreter(self, monkeypatch):
         # Apple's linker rejects the C-API symbols, undefined until the
