@@ -955,12 +955,13 @@ static PyObject *arrival(PyTypeObject *cls, double time, double x, double sigma)
 PyDoc_STRVAR(arrivals_doc,
 "arrivals(cls, mean_gap, horizon, road_length, size_scale, mixture, bitgen)\n"
 "    -> list, or None\n\n"
-"The Python body of sample_arrivals, drawing through the \"BitGenerator\"\n"
-"capsule bitgen: arrival times with exponential gaps of mean mean_gap, up\n"
-"to horizon, each at a uniform x on [0, road_length) with a size from the\n"
-"mixture, a sequence of (weight, lo, hi) classes, times size_scale; each\n"
-"arrival a cls(time, x, sigma), cls a tuple subclass. None, before any\n"
-"draw, where the Python body is to draw (see the module's header).");
+"sample_arrivals's draw, as its Python body draw_arrivals makes it,\n"
+"through the \"BitGenerator\" capsule bitgen: arrival times with\n"
+"exponential gaps of mean mean_gap, up to horizon, each at a uniform x on\n"
+"[0, road_length) with a size from the mixture, a sequence of (weight, lo,\n"
+"hi) classes, times size_scale; each arrival a cls(time, x, sigma), cls a\n"
+"tuple subclass. None, before any draw, where the Python body is to draw\n"
+"(see the module's header).");
 
 static PyObject *arrivals(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1000,7 +1001,7 @@ static PyObject *arrivals(PyObject *self, PyObject *const *args, Py_ssize_t narg
     for (t = random_exponential(bitgen, mean_gap); out && t <= horizon;
          t += random_exponential(bitgen, mean_gap)) {
         x = random_uniform(bitgen, 0.0, length);
-        /* sample_sigma: the first class whose running weight passes u,
+        /* sample_sigma: the first class whose running weight exceeds u,
            else the last. */
         u = next_double(bitgen);
         for (acc = 0.0, i = 0; i < k - 1; i++) {

@@ -19,7 +19,9 @@ result (``_result``). A trial the kernel declines (one the Python loop below
 raises on or treats apart; see advance_idm.c) runs in the Python loop from
 its first step, with a fresh world and fresh streams, so every error is
 raised there. The Python loop is the reference and the fallback; it gives
-the same bits and draws.
+the same bits and draws. Either way the arrival schedule comes from
+``sample_arrivals``, which draws it in the kernel's ``arrivals`` where the
+kernel loads.
 
 The Python loop saves Python's time per step. Animals sleep through their
 quiet steps, and stretches of steps use a next-event time advance. A step

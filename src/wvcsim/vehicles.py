@@ -277,7 +277,7 @@ _kernel = None
 
 def load_kernel():
     """The compiled kernel: on the first call in a process (the first
-    trial's), the C source shipped with the package is compiled with
+    trial's, or the first arrival schedule's), the C source shipped with the package is compiled with
     ``build_command`` into a private temporary directory and imported as an
     extension module, which is returned. Its entry ``arrivals`` draws a
     trial's arrival schedule (``animals.sample_arrivals``), and ``trial``
@@ -308,11 +308,11 @@ def _no_kernel(reason: str) -> bool:
 def build_command(source: str, target: str) -> list[str]:
     """The command that compiles ``source`` into the extension ``target``:
     ``CC`` with this interpreter's include directory and numpy's, for
-    ``numpy/random/distributions.h``, linked with ``libnpyrandom.a`` from
-    numpy's ``random/lib``, numpy's own ``next_double``, exponential and
-    uniform draws. On macOS the Python C-API symbols are left for the
-    interpreter to resolve on import, since its linker rejects undefined
-    symbols by default."""
+    ``numpy/random/distributions.h``, linked with numpy's static
+    ``libnpyrandom.a`` (from numpy's ``random/lib``), whose exponential and
+    uniform draws the kernel calls. On macOS the Python C-API symbols are
+    left for the interpreter to resolve on import, since its linker rejects
+    undefined symbols by default."""
     import sysconfig
     import numpy.random
     darwin = ["-undefined", "dynamic_lookup"] if sys.platform == "darwin" else []

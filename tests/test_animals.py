@@ -226,6 +226,23 @@ class TestCompiledArrivals:
             sample_arrivals(300.0, 1.0, L, 1.0, params, rng())
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("index, value", [
+        (None, None), (0, tuple()), (0, dict), (6, object()),
+    ], ids=["six-arguments", "not-a-class", "not-a-tuple-class", "no-capsule"])
+    def test_wrong_arguments_raise(self, index, value):
+        kernel = compiled_kernel()
+        g = rng()
+        args = [wvcsim.animals.Arrival, 12.0, 3600.0, L, 1.0, PARAMS.size_mixture,
+                g.bit_generator.capsule]
+        if index is None:
+            args.pop()
+        else:
+            args[index] = value
+        state = g.bit_generator.state
+        with pytest.raises((TypeError, ValueError)):
+            kernel.arrivals(*args)
+        assert g.bit_generator.state == state
+
     def test_the_ziggurat_slow_path_is_drawn(self, monkeypatch):
         # An arrival takes four raw draws of the stream, and the schedule
         # one more, where every exponential takes the ziggurat's fast path;
